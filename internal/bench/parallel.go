@@ -54,12 +54,13 @@ func buildFracturedAuthors(e *Env) (*fracture.Store, *sim.Disk, error) {
 }
 
 // ParallelPTQ measures the same PTQ (Q1 at QT=0.1) over a heavily
-// fractured table at increasing fan-out widths. The modeled cost is
-// identical at every parallelism — per-partition I/O is recorded on
-// tapes and replayed in partition order — while wall-clock time drops
-// as partition scans spread across workers. This is the
-// partition-parallel read path of the concurrent engine; it is the
-// only experiment whose wall-clock column depends on the host machine.
+// fractured table at increasing fan-out widths. The store has one
+// executor, the k-way merged cursor stream, and store.Query drains it;
+// parallelism is how many partition cursors its first pull opens
+// concurrently, and every later pull is serial and demand-driven. The
+// modeled cost is identical at every width — each partition's I/O is
+// recorded on its own tape and replayed as one batch — so only the
+// wall-clock column, which depends on the host machine, can move.
 func ParallelPTQ(ctx context.Context, e *Env) (*Experiment, error) {
 	store, disk, err := buildFracturedAuthors(e)
 	if err != nil {
@@ -70,7 +71,7 @@ func ParallelPTQ(ctx context.Context, e *Env) (*Experiment, error) {
 		Title:   fmt.Sprintf("Parallel PTQ over %d partitions (Q1 at QT=%.1f)", store.NumFractures()+1, fig9QT),
 		XLabel:  "parallelism",
 		Columns: []string{"Wall [ms/query]", "Modeled [s/query]", "Results"},
-		Notes:   "modeled cost is parallelism-invariant by construction; wall-clock is host-dependent",
+		Notes:   "one executor: Query drains the cursor stream, and parallelism is the width of its first pull only; modeled cost is parallelism-invariant by construction; wall-clock is host-dependent",
 	}
 
 	widths := []int{1, 2, 4}

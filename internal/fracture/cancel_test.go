@@ -9,6 +9,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -108,17 +109,40 @@ func TestMidScanCancelReleasesPins(t *testing.T) {
 }
 
 // TestCancelDuringParallelScan: cancellation with a wide worker pool
-// also errors out cleanly and releases pins.
+// also errors out cleanly and releases pins, and the scan spans it
+// emitted balance — a partition the cancellation skipped has no
+// scan-start, so it must have no scan-end either.
 func TestCancelDuringParallelScan(t *testing.T) {
 	s, _ := buildConcStore(t, 6, 40)
 	ctx := newCountdownCtx(4)
+	var mu sync.Mutex
+	starts, ends := map[int]int{}, map[int]int{}
+	trace := func(ev TraceEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.Kind {
+		case TraceScanStart:
+			starts[ev.Part]++
+		case TraceScanEnd:
+			ends[ev.Part]++
+		}
+	}
 	start := time.Now()
-	_, _, err := s.Run(ctx, Req{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true, Parallelism: 8})
+	_, _, err := s.Run(ctx, Req{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true, Parallelism: 8, Trace: trace})
 	if !errors.Is(err, upi.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
 	if wall := time.Since(start); wall > 5*time.Second {
 		t.Fatalf("cancelled parallel query hung for %v", wall)
+	}
+	parts := 1 + s.NumFractures()
+	if len(starts) == 0 || len(starts) == parts {
+		t.Fatalf("%d of %d partitions started; the cancellation must land mid-fan-out", len(starts), parts)
+	}
+	for i := 0; i < parts; i++ {
+		if starts[i] != ends[i] {
+			t.Fatalf("partition %d: %d scan starts, %d scan ends", i, starts[i], ends[i])
+		}
 	}
 	if err := s.Merge(); err != nil {
 		t.Fatal(err)

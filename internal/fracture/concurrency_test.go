@@ -133,7 +133,7 @@ func TestInFlightQuerySurvivesMerge(t *testing.T) {
 		t.Fatalf("expected fracture file %s", fracFile)
 	}
 
-	snap, err := s.snapshotFor(0, func(*tuple.Tuple) (float64, bool) { return 0, false })
+	prep, err := s.Prepare(context.Background(), Req{Kind: KindPTQ, Value: concValue(3), QT: 0.1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,17 +143,15 @@ func TestInFlightQuerySurvivesMerge(t *testing.T) {
 	if !s.fs.Exists(fracFile) {
 		t.Fatal("merged fracture file removed while a query snapshot pins it")
 	}
-	// The snapshot must still answer from the old generation.
-	rs, _, err := s.collect(context.Background(), snap, func(ctx context.Context, tab *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-		return tab.Query(ctx, concValue(3), 0.1)
-	}, nil)
+	// The snapshot must still answer from the old generation; draining
+	// it releases the last pins.
+	rs, _, err := prep.Collect(context.Background())
 	if err != nil {
 		t.Fatalf("query over pinned old generation: %v", err)
 	}
 	if len(rs) == 0 {
 		t.Fatal("pinned old generation returned nothing")
 	}
-	snap.release()
 	if s.fs.Exists(fracFile) {
 		t.Fatal("old generation files not removed after last pin released")
 	}

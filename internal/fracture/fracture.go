@@ -22,11 +22,12 @@
 // never block each other. Insert and Delete block readers only
 // momentarily; a Flush (explicit or buffer-triggered) holds the write
 // lock while the new fracture is bulk-built, the paper's one
-// sequential write. Queries fan the per-partition scans out across a bounded
-// worker pool (Config.Parallelism); each partition records its I/O on
-// a private sim.Tape that is replayed in partition order afterwards,
-// so the modeled cost is identical to a serial scan regardless of how
-// the goroutines interleave.
+// sequential write. A query's first pull opens the per-partition
+// cursors across a bounded worker pool (Config.Parallelism); each
+// partition records its I/O on a private sim.Tape that is replayed as
+// one batch when the partition finishes, so the modeled cost is
+// identical to a serial scan regardless of how the goroutines
+// interleave.
 //
 // Merge may run in the background (see StartAutoMerge): it snapshots
 // the partitions to fold under the write lock, builds the new main
@@ -34,12 +35,10 @@
 // Old partition files are reference-counted and removed only after the
 // last in-flight query over the previous generation finishes.
 //
-// Queries execute either materialized (Store.Run / Prepared.Collect:
-// every partition scanned to completion, tapes replayed in partition
-// order) or incrementally (Prepared.Stream: per-partition pull-based
+// Queries have one executor, Prepared.Stream: per-partition pull-based
 // cursors under a k-way merge, each partition's tape replayed and its
-// pin released the moment its cursor is exhausted). Both see the same
-// snapshot and produce identical results in identical order.
+// pin released the moment its cursor is exhausted. Store.Run and
+// Prepared.Collect drain it into a slice.
 package fracture
 
 import (
@@ -75,10 +74,10 @@ type Config struct {
 	// BufferTuples is the insert-buffer capacity; reaching it triggers
 	// an automatic flush. 0 means flush only on explicit Flush calls.
 	BufferTuples int
-	// Parallelism bounds the worker goroutines one query fans out
-	// across the main UPI and the fractures. 0 means GOMAXPROCS;
-	// 1 scans partitions serially. The modeled I/O cost of a query is
-	// the same at every setting.
+	// Parallelism bounds the worker goroutines a query's first pull
+	// opens its partition cursors with, across the main UPI and the
+	// fractures. 0 means GOMAXPROCS; 1 opens them serially. The
+	// modeled I/O cost of a query is the same at every setting.
 	Parallelism int
 	// StatsStaleness is the statistics-staleness threshold the facade
 	// applies to the table's catalog (the fracture layer itself does
@@ -386,7 +385,7 @@ func (s *Store) SetStats(c *stats.Catalog) {
 	s.mu.Unlock()
 }
 
-// SetParallelism changes the per-query partition fan-out width
+// SetParallelism changes the first-pull partition fan-out width
 // (0 = GOMAXPROCS, 1 = serial). Modeled query costs do not depend on
 // it.
 func (s *Store) SetParallelism(n int) {

@@ -6,11 +6,9 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"upidb/internal/obs"
-	"upidb/internal/sim"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
 )
@@ -57,12 +55,15 @@ type Req struct {
 	K     int     // result bound (KindTopK)
 	// Tailored enables tailored secondary-index access (Section 3.2).
 	Tailored bool
-	// Parallelism overrides the store's partition fan-out width for
-	// this query only (0 = store default).
+	// Parallelism overrides, for this query only, how many partition
+	// cursors the stream's first pull opens concurrently (0 = store
+	// default). Later pulls are demand-driven and serial. For
+	// KindSecondary and KindScan, whose cursors do all their I/O on the
+	// first pull, that is the whole execution.
 	Parallelism int
 	// Trace, when set, receives span events (partition scan start/end)
-	// as the query executes. It may be called from concurrent scan
-	// workers; see TraceFunc.
+	// as the query executes. It may be called from the concurrent
+	// first-pull workers; see TraceFunc.
 	Trace TraceFunc
 }
 
@@ -87,9 +88,9 @@ type snapshot struct {
 	met         *obs.EngineMetrics
 
 	// mu guards pinned. Pins are normally released by the single
-	// consumer (collect, or the merged stream partition by partition),
-	// but an abandoned Prepared may be released by a GC cleanup on
-	// another goroutine, so the bookkeeping is locked and idempotent.
+	// consumer (the merged stream, partition by partition), but an
+	// abandoned Prepared may be released by a GC cleanup on another
+	// goroutine, so the bookkeeping is locked and idempotent.
 	mu     sync.Mutex
 	pinned []bool
 }
@@ -185,115 +186,11 @@ func (snap *snapshot) release() {
 	}
 }
 
-// partQuery runs one query against a single partition.
-type partQuery func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error)
-
-// collect fans q out over the snapshot's partitions with a bounded
-// worker pool, then merges results in partition order. Each partition
-// is charged a table-open cost (the Nfrac × Costinit term of the
-// Section 6 cost model) plus its scan I/O, recorded on a per-partition
-// tape and replayed in partition order — so the modeled cost equals a
-// serial scan's at any parallelism.
-//
-// The context is checked before each partition scan starts and, inside
-// upi, between heap pages. When a partition fails — including by
-// cancellation — its tape and every later partition's tape are
-// discarded instead of replayed: an abandoned query stops charging
-// modeled I/O beyond the partitions it had already completed.
-func (s *Store) collect(ctx context.Context, snap *snapshot, q partQuery, trace TraceFunc) ([]upi.Result, Stats, error) {
-	n := len(snap.parts)
-	type partOut struct {
-		rs   []upi.Result
-		qs   upi.QueryStats
-		err  error
-		tape *sim.Tape
-	}
-	outs := make([]partOut, n)
-
-	scan := func(i int) {
-		if err := upi.CtxErr(ctx); err != nil {
-			outs[i] = partOut{err: err, tape: sim.NewTape()}
-			return
-		}
-		t := snap.parts[i]
-		trace.emit(TraceScanStart, i, t.Name())
-		tape := sim.NewTape()
-		release := s.fs.RouteTo(t.Files(), tape)
-		tape.Open(t.Name())
-		rs, qs, err := q(ctx, t)
-		release()
-		outs[i] = partOut{rs: rs, qs: qs, err: err, tape: tape}
-		if err != nil {
-			trace.emit(TraceScanEnd, i, t.Name()+": "+err.Error())
-		} else {
-			trace.emit(TraceScanEnd, i, t.Name())
-		}
-	}
-
-	if workers := min(snap.parallelism, n); workers <= 1 {
-		for i := 0; i < n; i++ {
-			scan(i)
-		}
-	} else {
-		var next atomic.Int32
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= n {
-						return
-					}
-					scan(i)
-				}
-			}()
-		}
-		wg.Wait()
-	}
-
-	// Deterministic accounting: charge partition I/O in partition
-	// order, exactly as a serial scan would have — but only up to the
-	// first failed partition, so a cancelled query stops charging.
-	firstErr := n
-	for i := range outs {
-		if outs[i].err != nil {
-			firstErr = i
-			break
-		}
-	}
-	disk := s.fs.Disk()
-	var modeled time.Duration
-	for i := 0; i < firstErr; i++ {
-		modeled += disk.Replay(outs[i].tape)
-	}
-
-	var stats Stats
-	stats.ModeledTime = modeled
-	var results []upi.Result
-	for i := range outs {
-		stats.PartitionsRead++
-		if outs[i].err != nil {
-			return nil, stats, outs[i].err
-		}
-		stats.QueryStats = addStats(stats.QueryStats, outs[i].qs)
-		results = appendLive(results, outs[i].rs, snap.killers[i])
-	}
-	// Insert buffer: pure RAM, no I/O charge.
-	results = append(results, snap.bufResults...)
-	stats.BufferHits = len(snap.bufResults)
-	sortResults(results)
-	return results, stats, nil
-}
-
 // execPlan is everything a Req compiles to: the RAM-buffer match
-// predicate, the materialized per-partition executor, the streaming
-// per-partition cursor factory, and the top-k bound (0 = unbounded).
+// predicate, the per-partition cursor factory, and the top-k bound
+// (0 = unbounded).
 type execPlan struct {
 	match  func(*tuple.Tuple) (float64, bool)
-	q      partQuery
 	cursor func(ctx context.Context, t *upi.Table) *upi.Cursor
 	k      int
 	empty  bool // trivially empty query (top-k with k <= 0)
@@ -311,9 +208,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(s.attr, req.Value)
 			return conf, conf > 0 && conf >= req.QT
 		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.Query(ctx, req.Value, req.QT)
-		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.QueryCursor(ctx, req.Value, req.QT)
 		}
@@ -321,9 +215,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 		p.match = func(tup *tuple.Tuple) (float64, bool) {
 			conf := tup.Confidence(req.Attr, req.Value)
 			return conf, conf > 0 && conf >= req.QT
-		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.QuerySecondary(ctx, req.Attr, req.Value, req.QT, req.Tailored)
 		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.SecondaryCursor(ctx, req.Attr, req.Value, req.QT, req.Tailored)
@@ -337,9 +228,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(s.attr, req.Value)
 			return conf, conf > 0
 		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.TopK(ctx, req.Value, req.K)
-		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.TopKCursor(ctx, req.Value, req.K)
 		}
@@ -352,9 +240,6 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(attr, req.Value)
 			return conf, conf > 0 && conf >= req.QT
 		}
-		p.q = func(ctx context.Context, t *upi.Table) ([]upi.Result, upi.QueryStats, error) {
-			return t.FullScan(ctx, attr, req.Value, req.QT)
-		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.ScanCursor(ctx, attr, req.Value, req.QT)
 		}
@@ -366,9 +251,9 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 
 // Run executes one query described by req against the fractured UPI:
 // the union of the main UPI, every fracture and the insert buffer,
-// minus deleted tuples (Section 4.2). Partitions are scanned in
-// parallel up to the effective parallelism. A done context fails fast
-// with ErrCanceled before any partition is pinned or charged.
+// minus deleted tuples (Section 4.2). It is Prepare followed by
+// Collect. A done context fails fast with ErrCanceled before any
+// partition is pinned or charged.
 func (s *Store) Run(ctx context.Context, req Req) ([]upi.Result, Stats, error) {
 	p, err := s.Prepare(ctx, req)
 	if err != nil {
@@ -379,27 +264,12 @@ func (s *Store) Run(ctx context.Context, req Req) ([]upi.Result, Stats, error) {
 
 // Prepared is a query that has been compiled and snapshotted but not
 // yet executed: the partition set is pinned as of the Prepare call, so
-// the result set is fixed no matter when — or how — it is consumed.
-// Exactly one of Collect (materialized, partition-parallel) or Stream
-// (incremental k-way merged) may consume it; Release discards an
-// unconsumed Prepared.
+// the result set is fixed no matter when it is consumed. Stream is the
+// one executor; Collect drains it into a slice. A Prepared is consumed
+// at most once; Release discards an unconsumed one.
 type Prepared struct {
-	s     *Store
-	plan  execPlan
-	snap  *snapshot // nil for trivially empty queries
-	trace TraceFunc
-	used  bool
-
-	// Result-cache plumbing. On a hit, cached carries the stored
-	// result set (cachedOK distinguishes a hit from a trivially empty
-	// query) and no snapshot exists; on a cacheable miss, ckey/cepoch
-	// identify the entry a fully drained execution commits.
-	cached      []upi.Result
-	cachedStats Stats
-	cachedOK    bool
-	ckey        resKey
-	cepoch      uint64
-	commitable  bool
+	st   *Stream // the executor, not yet started
+	used bool
 }
 
 // Prepare compiles req, evaluates the RAM buffer and pins the current
@@ -419,8 +289,10 @@ func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := &Prepared{s: s, plan: plan, trace: req.Trace}
+	st := &Stream{s: s, cursor: plan.cursor, trace: req.Trace, k: plan.k}
+	p := &Prepared{st: st}
 	if plan.empty {
+		st.done = true
 		return p, nil
 	}
 	if s.rc != nil && cacheable(req) {
@@ -430,53 +302,32 @@ func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 		if closed {
 			return nil, ErrClosed
 		}
-		p.ckey = reqKey(req)
-		rs, st, epoch, ok := s.rc.lookup(p.ckey)
+		st.ckey = reqKey(req)
+		rs, stats, epoch, ok := s.rc.lookup(st.ckey)
 		if ok {
-			p.cached, p.cachedStats, p.cachedOK = rs, st, true
+			// A hit replays the stored rows and reports the stored
+			// execution's statistics, final from the start.
+			st.fromCache, st.cached, st.stats, st.primed = true, rs, stats, true
 			return p, nil
 		}
-		p.cepoch, p.commitable = epoch, true
+		st.cepoch, st.commitable = epoch, true
 	}
-	snap, err := s.snapshotFor(req.Parallelism, plan.match)
+	st.snap, err = s.snapshotFor(req.Parallelism, plan.match)
 	if err != nil {
 		return nil, err
 	}
-	p.snap = snap
 	return p, nil
 }
 
-// Collect executes the prepared query the materialized way: every
-// partition is scanned to completion (fanned out across the worker
-// pool), per-partition tapes are replayed in partition order, and the
-// sorted result set is returned — the exact semantics, statistics and
-// modeled cost of the pre-streaming engine.
+// Collect drains Stream into a slice and returns it with the stream's
+// final statistics. It executes exactly what the stream executes: a
+// top-k Collect stops at the k-th result and charges only the I/O read
+// up to it, and a failed or cancelled drain is charged the I/O it had
+// consumed.
 func (p *Prepared) Collect(ctx context.Context) ([]upi.Result, Stats, error) {
-	if p.used {
-		return nil, Stats{}, errConsumed
-	}
-	p.used = true
-	if p.cachedOK {
-		if err := upi.CtxErr(ctx); err != nil {
-			return nil, Stats{}, err
-		}
-		return p.cached, p.cachedStats, nil
-	}
-	if p.snap == nil {
-		return nil, Stats{}, nil
-	}
-	defer p.snap.release()
-	results, stats, err := p.s.collect(ctx, p.snap, p.plan.q, p.trace)
-	if err != nil {
-		return nil, stats, err
-	}
-	if p.plan.k > 0 && len(results) > p.plan.k {
-		results = results[:p.plan.k]
-	}
-	if p.commitable {
-		p.s.rc.commit(p.ckey, p.cepoch, results, stats)
-	}
-	return results, stats, nil
+	st := p.Stream(ctx)
+	results, err := upi.Drain(st.Next)
+	return results, st.Stats(), err
 }
 
 // Release discards a Prepared without consuming it, dropping every
@@ -486,8 +337,8 @@ func (p *Prepared) Collect(ctx context.Context) ([]upi.Result, Stats, error) {
 // release on their own.
 func (p *Prepared) Release() {
 	p.used = true
-	if p.snap != nil {
-		p.snap.release()
+	if p.st.snap != nil {
+		p.st.snap.release()
 	}
 }
 
@@ -514,30 +365,12 @@ func (s *Store) TopK(ctx context.Context, value string, k int) ([]upi.Result, St
 	return s.Run(ctx, Req{Kind: KindTopK, Value: value, K: k})
 }
 
-func appendLive(dst []upi.Result, src []upi.Result, killers []map[uint64]bool) []upi.Result {
-	for _, r := range src {
-		if !killedBy(killers, r.Tuple.ID) {
-			dst = append(dst, r)
-		}
-	}
-	return dst
-}
-
 func addStats(a, b upi.QueryStats) upi.QueryStats {
 	a.HeapEntries += b.HeapEntries
 	a.CutoffPointers += b.CutoffPointers
 	a.SecondaryEntries += b.SecondaryEntries
 	a.ReusedPointers += b.ReusedPointers
 	return a
-}
-
-func sortResults(rs []upi.Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Confidence != rs[j].Confidence {
-			return rs[i].Confidence > rs[j].Confidence
-		}
-		return rs[i].Tuple.ID < rs[j].Tuple.ID
-	})
 }
 
 // collectLiveTuples returns every live tuple across the given

@@ -84,9 +84,9 @@ func (rc *resultCache) lookup(k resKey) ([]upi.Result, Stats, uint64, bool) {
 		return nil, Stats{}, rc.epoch, false
 	}
 	rc.met.ResultCacheHits.Inc()
-	// Hand out a copy of the slice: callers may truncate or splice
-	// result sets while merging across shards.
-	return slices.Clone(e.results), e.stats, rc.epoch, true
+	// Stored sets are immutable and the one consumer, Stream, replays
+	// them row by row, so hits share the slice.
+	return e.results, e.stats, rc.epoch, true
 }
 
 // commit stores a fully drained result set, unless a write invalidated

@@ -9,16 +9,15 @@ import (
 	"upidb/internal/upi"
 )
 
-// Stream is the incremental form of a fractured-UPI query: a k-way
-// merge of the per-partition confidence-sorted cursors (plus the RAM
-// insert buffer), yielding the globally next-best result while slower
-// partitions have read only as many heap pages as their own pulls
-// demanded. It mirrors the cursor discipline of kWayMerge — every
-// source is already sorted, keep picking the best head — applied to
-// query results instead of B+Tree entries.
+// Stream is the executor of a fractured-UPI query: a k-way merge of the
+// per-partition confidence-sorted cursors (plus the RAM insert buffer),
+// yielding the globally next-best result while slower partitions have
+// read only as many heap pages as their own pulls demanded. It mirrors
+// the cursor discipline of kWayMerge — every source is already sorted,
+// keep picking the best head — applied to query results instead of
+// B+Tree entries.
 //
-// Ordering and content are identical to the materialized Collect:
-// results arrive in (Confidence DESC, tuple ID ASC) order and pass the
+// Results arrive in upi.ResultBefore order and pass the
 // pending-delete/upsert supersedence filter at yield time. For a top-k
 // query the stream stops after k yields and cancels the remaining
 // partition cursors, so pages they never reached are never read — and
@@ -28,10 +27,12 @@ import (
 // pages are consumed; the tape is replayed against the shared disk in
 // one batch the moment that partition's cursor is exhausted (or when
 // the stream terminates early), and the partition's pin is released at
-// the same moment. Partition tapes never share files, so the replayed
-// total for a full drain is exactly the serial scan's, at any
-// parallelism. The first pull primes every partition cursor across the
-// snapshot's worker pool; after that, pulls are demand-driven.
+// the same moment. Each partition is charged a table-open cost (the
+// Nfrac × Costinit term of the Section 6 cost model) plus its scan
+// I/O. Partition tapes never share files, so the replayed total for a
+// full drain is exactly the serial scan's, at any parallelism. The
+// first pull primes every partition cursor across Parallelism workers;
+// after that, pulls are demand-driven.
 //
 // A Stream is single-consumer and not safe for concurrent use. The
 // context is checked between pulls; a cancelled stream terminates with
@@ -68,7 +69,9 @@ type Stream struct {
 	commitable bool
 }
 
-// streamPart is one partition's side of the merge.
+// streamPart is one partition's side of the merge. cur, tape and
+// release stay nil for a partition whose scan never started (the
+// context was done before its turn).
 type streamPart struct {
 	idx     int
 	cur     *upi.Cursor
@@ -81,35 +84,23 @@ type streamPart struct {
 	finished bool
 }
 
-// Stream consumes the Prepared incrementally. Like Collect, it may be
-// called at most once; a Prepared that was already consumed returns a
-// stream that fails immediately.
+// Stream hands out the Prepared's executor. A Prepared that was already
+// consumed (or released) returns a stream that fails immediately.
 func (p *Prepared) Stream(ctx context.Context) *Stream {
 	if p.used {
 		return &Stream{done: true, err: errConsumed}
 	}
 	p.used = true
-	st := &Stream{ctx: ctx, s: p.s, snap: p.snap, cursor: p.plan.cursor, trace: p.trace, k: p.plan.k}
-	if p.cachedOK {
-		st.fromCache = true
-		st.cached = p.cached
-		st.stats = p.cachedStats
-		st.primed = true
-		return st
-	}
-	st.ckey, st.cepoch, st.commitable = p.ckey, p.cepoch, p.commitable
-	if p.snap == nil {
-		st.done = true
-	}
-	return st
+	p.st.ctx = ctx
+	return p.st
 }
 
 // prime opens every partition cursor and positions it on its first
-// live result, fanning the openings out across the snapshot's worker
-// pool — so the expensive first pull (which materializes secondary and
-// full-scan partitions) overlaps across partitions. The RAM-buffer
-// matches are sorted here too; they participate in the merge as a
-// zero-I/O source.
+// live result, fanning the openings out across snapshot.parallelism
+// workers — so the expensive first pull (which for secondary and
+// full-scan partitions is their whole execution) overlaps across
+// partitions. The RAM-buffer matches are sorted here too; they
+// participate in the merge as a zero-I/O source.
 func (st *Stream) prime() error {
 	st.primed = true
 	snap := st.snap
@@ -117,18 +108,20 @@ func (st *Stream) prime() error {
 	st.stats.PartitionsRead = n
 	st.parts = make([]*streamPart, n)
 	st.buf = snap.bufResults
-	sortResults(st.buf)
+	upi.SortResults(st.buf)
 
 	errs := make([]error, n)
 	open := func(i int) {
-		p := &streamPart{idx: i, tape: sim.NewTape()}
+		p := &streamPart{idx: i}
 		st.parts[i] = p
 		if err := upi.CtxErr(st.ctx); err != nil {
 			errs[i] = err
 			return
 		}
 		t := snap.parts[i]
+		snap.met.ScanPartitions.Inc()
 		st.trace.emit(TraceScanStart, i, t.Name())
+		p.tape = sim.NewTape()
 		p.release = st.s.fs.RouteTo(t.Files(), p.tape)
 		p.tape.Open(t.Name())
 		p.cur = st.cursor(st.ctx, t)
@@ -201,7 +194,8 @@ func (st *Stream) advance(p *streamPart) error {
 // finalizePart folds an exhausted (or abandoned) partition into the
 // stream: close the cursor so no further pages can be read, stop
 // routing, replay the consumed I/O in one batch, fold the statistics
-// in and release the partition's pin.
+// in and release the partition's pin. A partition whose scan never
+// started has nothing to fold in and no span to end.
 func (st *Stream) finalizePart(p *streamPart) {
 	if p.finished {
 		return
@@ -210,13 +204,11 @@ func (st *Stream) finalizePart(p *streamPart) {
 	if p.cur != nil {
 		p.cur.Close()
 		st.stats.QueryStats = addStats(st.stats.QueryStats, p.cur.Stats())
-	}
-	if p.release != nil {
 		p.release()
+		st.stats.ModeledTime += st.s.fs.Disk().Replay(p.tape)
+		st.trace.emit(TraceScanEnd, p.idx, st.snap.parts[p.idx].Name())
 	}
-	st.stats.ModeledTime += st.s.fs.Disk().Replay(p.tape)
 	st.snap.unpinPart(p.idx)
-	st.trace.emit(TraceScanEnd, p.idx, st.snap.parts[p.idx].Name())
 }
 
 // finish terminates the stream: every remaining partition is
@@ -281,12 +273,12 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 		if !p.hasHead {
 			continue
 		}
-		if best == nil || resultBefore(p.head, best.head) {
+		if best == nil || upi.ResultBefore(p.head, best.head) {
 			best = p
 		}
 	}
 	useBuf := st.bufIdx < len(st.buf) &&
-		(best == nil || resultBefore(st.buf[st.bufIdx], best.head))
+		(best == nil || upi.ResultBefore(st.buf[st.bufIdx], best.head))
 
 	switch {
 	case useBuf:
@@ -329,14 +321,3 @@ func (st *Stream) Close() { st.finish(st.err) }
 // scan statistics and modeled time fold in when that partition
 // finishes.
 func (st *Stream) Stats() Stats { return st.stats }
-
-// resultBefore is the merge order: confidence descending, tuple ID
-// ascending. Live results are unique on (confidence, ID) — the
-// supersedence filter leaves at most one live version per tuple — so
-// the order is total.
-func resultBefore(a, b upi.Result) bool {
-	if a.Confidence != b.Confidence {
-		return a.Confidence > b.Confidence
-	}
-	return a.Tuple.ID < b.Tuple.ID
-}

@@ -1,17 +1,20 @@
 package fracture
 
-// Tests for the incremental k-way merged stream: golden equivalence
-// with the materialized Collect at every parallelism, exact modeled
-// cost on full drains, per-partition pin release, top-k early
+// Tests for the k-way merged stream, the store's one executor: rows and
+// order against a brute-force oracle at every parallelism, exact
+// modeled cost on full drains, per-partition pin release, top-k early
 // termination, and mid-stream cancellation.
 
 import (
 	"context"
 	"errors"
+	"math"
 	"reflect"
 	"runtime"
+	"sort"
 	"strings"
 	"testing"
+	"time"
 
 	"upidb/internal/prob"
 	"upidb/internal/sim"
@@ -23,17 +26,11 @@ import (
 // drainStream pulls a stream to exhaustion.
 func drainStream(t *testing.T, st *Stream) []upi.Result {
 	t.Helper()
-	var out []upi.Result
-	for {
-		r, ok, err := st.Next()
-		if err != nil {
-			t.Fatalf("stream error: %v", err)
-		}
-		if !ok {
-			return out
-		}
-		out = append(out, r)
+	out, err := upi.Drain(st.Next)
+	if err != nil {
+		t.Fatalf("stream error: %v", err)
 	}
+	return out
 }
 
 func resultKeys(rs []upi.Result) [][2]float64 {
@@ -44,9 +41,64 @@ func resultKeys(rs []upi.Result) [][2]float64 {
 	return out
 }
 
+// concLive is the oracle's view of buildConcStore(nFrac, batch): the
+// live tuples by ID, derived from the builder's recipe and not from the
+// store.
+func concLive(nFrac, batch int) map[uint64]*tuple.Tuple {
+	live := make(map[uint64]*tuple.Tuple)
+	for id := uint64(1); id <= uint64((4+nFrac)*batch); id++ {
+		live[id] = concTuple(id, int(id))
+	}
+	for f := 0; f < nFrac; f++ {
+		delete(live, uint64(f*batch+1))
+	}
+	return live
+}
+
+// oracleRows answers req by brute force over the live tuples: filter
+// by confidence, sort (confidence DESC, ID ASC), truncate a top-k.
+func oracleRows(live map[uint64]*tuple.Tuple, primary string, req Req) [][2]float64 {
+	attr := req.Attr
+	if attr == "" {
+		attr = primary
+	}
+	var rows [][2]float64
+	for id, tup := range live {
+		conf := tup.Confidence(attr, req.Value)
+		if conf > 0 && (req.Kind == KindTopK || conf >= req.QT) {
+			rows = append(rows, [2]float64{float64(id), conf})
+		}
+	}
+	sort.Slice(rows, func(i, j int) bool {
+		if rows[i][1] != rows[j][1] {
+			return rows[i][1] > rows[j][1]
+		}
+		return rows[i][0] < rows[j][0]
+	})
+	if req.Kind == KindTopK && len(rows) > req.K {
+		rows = rows[:req.K]
+	}
+	return rows
+}
+
+// sameRows reports whether got holds want's IDs in want's order, with
+// confidences equal up to the heap key's rounding.
+func sameRows(got []upi.Result, want [][2]float64) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i, r := range got {
+		if float64(r.Tuple.ID) != want[i][0] || math.Abs(r.Confidence-want[i][1]) > 1e-9 {
+			return false
+		}
+	}
+	return true
+}
+
 // TestStreamMatchesCollect: for every query kind and at serial, narrow
-// and wide parallelism, the merged stream yields exactly the results
-// the materialized Collect returns, in identical order.
+// and wide parallelism, the merged stream — pulled row by row, or
+// drained by Collect — yields exactly the oracle's rows in the
+// oracle's order.
 func TestStreamMatchesCollect(t *testing.T) {
 	reqs := []Req{
 		{Kind: KindPTQ, Value: concValue(3), QT: 0.05},
@@ -57,54 +109,70 @@ func TestStreamMatchesCollect(t *testing.T) {
 	}
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		s, _ := buildConcStore(t, 5, 30)
+		live := concLive(5, 30)
 		// Leave work in the RAM buffer so the merge crosses every
 		// partition type, and a pending delete so supersedence applies
 		// at yield time.
-		if err := s.Insert(concTuple(90001, 3)); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Insert(concTuple(90002, 4)); err != nil {
-			t.Fatal(err)
+		for id, v := range map[uint64]int{90001: 3, 90002: 4} {
+			if err := s.Insert(concTuple(id, v)); err != nil {
+				t.Fatal(err)
+			}
+			live[id] = concTuple(id, v)
 		}
 		if err := s.Delete(7); err != nil {
 			t.Fatal(err)
 		}
+		delete(live, 7)
 		for qi, req := range reqs {
 			req.Parallelism = par
-			want, _, err := s.Run(context.Background(), req)
-			if err != nil {
-				t.Fatalf("par=%d q=%d collect: %v", par, qi, err)
+			want := oracleRows(live, "X", req)
+			if len(want) == 0 {
+				t.Fatalf("q=%d: oracle is empty; parity vacuous", qi)
 			}
 			prep, err := s.Prepare(context.Background(), req)
 			if err != nil {
 				t.Fatalf("par=%d q=%d prepare: %v", par, qi, err)
 			}
-			got := drainStream(t, prep.Stream(context.Background()))
-			if !reflect.DeepEqual(resultKeys(got), resultKeys(want)) {
-				t.Fatalf("par=%d q=%d: stream %d rows diverged from collect %d rows",
-					par, qi, len(got), len(want))
+			if got := drainStream(t, prep.Stream(context.Background())); !sameRows(got, want) {
+				t.Fatalf("par=%d q=%d: stream %v diverged from oracle %v", par, qi, resultKeys(got), want)
+			}
+			got, _, err := s.Run(context.Background(), req)
+			if err != nil {
+				t.Fatalf("par=%d q=%d collect: %v", par, qi, err)
+			}
+			if !sameRows(got, want) {
+				t.Fatalf("par=%d q=%d: collect %v diverged from oracle %v", par, qi, resultKeys(got), want)
 			}
 		}
 	}
 }
 
-// TestStreamModeledCostMatchesCollect: a fully drained PTQ stream
-// charges exactly the modeled I/O of the materialized execution — the
+// TestStreamModeledCostMatchesCollect: a fully drained PTQ charges
+// exactly the serial sum of its partitions' cold drains — one table
+// open plus the partition cursor's own I/O each — at any parallelism
+// and whether pulled through Stream or drained by Collect: the
 // per-partition tapes hold the same operations and replay in
-// self-contained batches — at any parallelism.
+// self-contained batches.
 func TestStreamModeledCostMatchesCollect(t *testing.T) {
 	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05}
 	s, disk := buildConcStore(t, 5, 30)
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	_, st, err := s.Run(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
+	parts := []*upi.Table{s.main}
+	for _, f := range s.fractures {
+		parts = append(parts, f.table)
 	}
-	want := st.ModeledTime
+	before := disk.Stats()
+	for _, part := range parts {
+		disk.Open(part.Name())
+		if _, _, err := part.Query(context.Background(), req.Value, req.QT); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := disk.Stats().Sub(before).Elapsed
 	if want <= 0 {
-		t.Fatal("materialized run charged nothing")
+		t.Fatal("serial per-partition drains charged nothing")
 	}
 	for _, par := range []int{1, 4} {
 		req.Parallelism = par
@@ -119,24 +187,41 @@ func TestStreamModeledCostMatchesCollect(t *testing.T) {
 		stream := prep.Stream(context.Background())
 		drainStream(t, stream)
 		if got := stream.Stats().ModeledTime; got != want {
-			t.Fatalf("par=%d: stream modeled %v != collect %v", par, got, want)
+			t.Fatalf("par=%d: stream modeled %v != serial partition sum %v", par, got, want)
 		}
-		if d := disk.Stats().Sub(before); d.Elapsed != stream.Stats().ModeledTime {
-			t.Fatalf("par=%d: disk charged %v, stream reported %v", par, d.Elapsed, stream.Stats().ModeledTime)
+		if d := disk.Stats().Sub(before); d.Elapsed != want {
+			t.Fatalf("par=%d: disk charged %v, stream reported %v", par, d.Elapsed, want)
+		}
+		if err := s.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		if _, st, err := s.Run(context.Background(), req); err != nil || st.ModeledTime != want {
+			t.Fatalf("par=%d: collect modeled %v (err %v) != serial partition sum %v", par, st.ModeledTime, err, want)
 		}
 	}
 }
 
+// coldCost runs fn against a cold store and returns the modeled disk
+// time it charged.
+func coldCost(t *testing.T, s *Store, fn func()) time.Duration {
+	t.Helper()
+	if err := s.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := s.fs.Disk().Stats()
+	fn()
+	return s.fs.Disk().Stats().Sub(before).Elapsed
+}
+
 // TestStreamTopKEarlyTermination: a top-k stream over many partitions
 // yields its first result — and its full k results — for strictly
-// less modeled I/O than the materialized execution, which scans every
-// partition (including every fracture's cutoff chase) before returning
-// anything. The store is engineered so the main partition holds plenty
-// of high-confidence matches while every fracture has fewer than k
-// heap matches plus many below-cutoff alternatives: the materialized
-// per-partition TopK must chase every fracture's cutoff pointers,
-// while the merged stream fills its k results from the main partition
-// and never pulls any fracture past its first head.
+// less modeled I/O than draining the same value's unbounded PTQ, whose
+// rows it must be a prefix of. The store is engineered so the main
+// partition holds plenty of high-confidence matches while every
+// fracture has fewer than k heap matches plus many below-cutoff
+// alternatives: the full drain chases every fracture's cutoff pointers,
+// while the top-k fills its k results from the main partition and
+// never pulls any fracture past its first head.
 func TestStreamTopKEarlyTermination(t *testing.T) {
 	hot := func(id uint64, conf float64) *tuple.Tuple {
 		x, err := prob.NewDiscrete([]prob.Alternative{{Value: "hot", Prob: conf}})
@@ -188,61 +273,56 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 
 	req := Req{Kind: KindTopK, Value: "hot", K: 20, Parallelism: 1}
 
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before := disk.Stats()
-	want, _, err := s.Run(context.Background(), req)
+	var want []upi.Result
+	fullCost := coldCost(t, s, func() {
+		want, _, err = s.Run(context.Background(), Req{Kind: KindPTQ, Value: "hot", Parallelism: 1})
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fullCost := disk.Stats().Sub(before).Elapsed
-	if len(want) != req.K || fullCost <= 0 {
-		t.Fatalf("materialized top-k: %d rows, cost %v", len(want), fullCost)
+	if len(want) <= req.K || fullCost <= 0 {
+		t.Fatalf("unbounded drain: %d rows, cost %v", len(want), fullCost)
 	}
+	want = want[:req.K]
 
 	// First result: the stream needs one head per partition, not any
 	// partition's completed scan.
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before = disk.Stats()
-	prep, err := s.Prepare(context.Background(), req)
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream := prep.Stream(context.Background())
-	first, ok, err := stream.Next()
-	if err != nil || !ok {
-		t.Fatalf("first pull: ok=%v err=%v", ok, err)
-	}
-	if first.Tuple.ID != want[0].Tuple.ID || first.Confidence != want[0].Confidence {
-		t.Fatalf("first streamed result %d/%v, want %d/%v",
-			first.Tuple.ID, first.Confidence, want[0].Tuple.ID, want[0].Confidence)
-	}
-	stream.Close()
-	firstCost := disk.Stats().Sub(before).Elapsed
+	firstCost := coldCost(t, s, func() {
+		prep, err := s.Prepare(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := prep.Stream(context.Background())
+		first, ok, err := stream.Next()
+		if err != nil || !ok {
+			t.Fatalf("first pull: ok=%v err=%v", ok, err)
+		}
+		if first.Tuple.ID != want[0].Tuple.ID || first.Confidence != want[0].Confidence {
+			t.Fatalf("first streamed result %d/%v, want %d/%v",
+				first.Tuple.ID, first.Confidence, want[0].Tuple.ID, want[0].Confidence)
+		}
+		stream.Close()
+	})
 	if firstCost >= fullCost {
-		t.Fatalf("first-result cost %v not below materialized cost %v", firstCost, fullCost)
+		t.Fatalf("first-result cost %v not below full-drain cost %v", firstCost, fullCost)
 	}
 
-	// Full streamed top-k: same k results, strictly less modeled I/O.
-	if err := s.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before = disk.Stats()
-	prep, err = s.Prepare(context.Background(), req)
+	// Full top-k, drained by Collect: the unbounded drain's first k
+	// rows, for strictly less modeled I/O — the drain early-terminates
+	// exactly like a hand-pulled stream.
+	var got []upi.Result
+	var st Stats
+	topkCost := coldCost(t, s, func() {
+		got, st, err = s.Run(context.Background(), req)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	stream = prep.Stream(context.Background())
-	got := drainStream(t, stream)
-	streamCost := disk.Stats().Sub(before).Elapsed
 	if !reflect.DeepEqual(resultKeys(got), resultKeys(want)) {
-		t.Fatalf("streamed top-k diverged from materialized")
+		t.Fatalf("top-k diverged from the unbounded drain's prefix")
 	}
-	if streamCost >= fullCost {
-		t.Fatalf("streamed top-k cost %v not below materialized %v", streamCost, fullCost)
+	if topkCost >= fullCost || st.ModeledTime != topkCost {
+		t.Fatalf("top-k cost %v (reported %v) not below full-drain cost %v", topkCost, st.ModeledTime, fullCost)
 	}
 }
 

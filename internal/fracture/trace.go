@@ -6,12 +6,13 @@ package fracture
 // dispatch, per-partition scan start/end, merged-stream yields and the
 // admission verdict — giving servers a substrate for per-request
 // metrics without touching the result path. With no TraceFunc set the
-// hooks cost one nil check.
+// hooks cost one nil check, and no event is built.
 //
 // Events are emitted synchronously from whichever goroutine reaches
-// the milestone: partition scans fan out across a worker pool, so a
-// TraceFunc must be safe for concurrent use (atomic counters or a
-// locked sink). It must also be fast — the scan worker blocks on it.
+// the milestone: a stream's first pull opens its partition cursors
+// across a worker pool, so a TraceFunc must be safe for concurrent use
+// (atomic counters or a locked sink). It must also be fast — the scan
+// worker blocks on it.
 
 // The trace event kinds the engine emits.
 const (
@@ -23,15 +24,14 @@ const (
 	// during scatter. Emitted once per shard, before the shard's
 	// partition snapshot is pinned.
 	TraceDispatch = "shard.dispatch"
-	// TraceScanStart marks one partition scan (materialized) or
-	// partition cursor (streaming) starting.
+	// TraceScanStart marks one partition cursor starting.
 	TraceScanStart = "partition.scan.start"
-	// TraceScanEnd marks one partition finishing: scanned to
-	// completion, exhausted, or cancelled.
+	// TraceScanEnd marks one started partition finishing: exhausted,
+	// cut short by a top-k's k-th yield, or cancelled. Every start has
+	// exactly one end.
 	TraceScanEnd = "partition.scan.end"
 	// TraceYield marks the merged stream yielding one result,
-	// identifying the shard that produced it. Emitted on the streaming
-	// path only.
+	// identifying the shard that produced it.
 	TraceYield = "merge.yield"
 )
 

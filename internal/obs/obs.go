@@ -578,7 +578,14 @@ type EngineMetrics struct {
 	Flushes     *Counter // non-empty buffer flushes (fractures written)
 	Merges      *Counter
 	WALAppends  *Counter
-	PinReleases *Counter // partition pins released by streams/collects
+	PinReleases *Counter // partition pins released by query execution
+	// Query fan-out, counted where it happens (not through the trace
+	// hooks, which exist only for queries that attached a TraceFunc):
+	// per-shard dispatches, partition cursors opened, merged-stream
+	// results yielded.
+	Scatters       *Counter
+	ScanPartitions *Counter
+	StreamYields   *Counter
 	// TopKEarlyTerm counts cross-shard top-k streams that stopped with
 	// at least one shard still holding results — scans cancelled by the
 	// k-th yield.
@@ -611,6 +618,9 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		Merges:                   r.Counter("upidb_fracture_merges_total", "Merges folding fractures back into a new main generation."),
 		WALAppends:               r.Counter("upidb_wal_appends_total", "Acknowledged write-ahead-log record appends."),
 		PinReleases:              r.Counter("upidb_stream_pin_releases_total", "Partition pins released by query execution."),
+		Scatters:                 r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
+		ScanPartitions:           r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
+		StreamYields:             r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
 		TopKEarlyTerm:            r.Counter("upidb_shard_topk_early_terminations_total", "Cross-shard top-k streams that cancelled remaining shard scans at the k-th yield."),
 		PlanCacheHits:            r.Counter("upidb_plan_cache_hits_total", "Planner requests answered from the generation-guarded plan cache."),
 		PlanCacheMisses:          r.Counter("upidb_plan_cache_misses_total", "Planner requests that costed a fresh plan."),

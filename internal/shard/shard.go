@@ -557,13 +557,14 @@ func (t *Table) HasHistogram(attr string) bool {
 // request; per-shard trace events are stamped with the shard index and
 // a dispatch event is emitted per shard. On any failure the already
 // pinned shards are released and the error returned. The gather half
-// is the returned Prepared's Collect or Stream.
+// is the returned Prepared's Stream.
 func (t *Table) Prepare(ctx context.Context, req fracture.Req) (*Prepared, error) {
 	trace := req.Trace
 	preps := make([]*fracture.Prepared, len(t.stores))
 	for i, s := range t.stores {
 		sub := req
 		sub.Trace = stampShard(trace, i)
+		t.met.Scatters.Inc()
 		if trace != nil {
 			trace(fracture.TraceEvent{Kind: fracture.TraceDispatch, Shard: i, Detail: storeName(t.name, i, len(t.stores))})
 		}
@@ -576,7 +577,7 @@ func (t *Table) Prepare(ctx context.Context, req fracture.Req) (*Prepared, error
 		}
 		preps[i] = p
 	}
-	return &Prepared{table: t, preps: preps, k: req.K, trace: trace, met: t.met}, nil
+	return &Prepared{preps: preps, k: req.K, trace: trace, met: t.met}, nil
 }
 
 // stampShard wraps a trace function so every event the shard's engine

@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"upidb/internal/fracture"
@@ -12,13 +11,13 @@ import (
 )
 
 // Prepared is a query scattered across every shard: one pinned
-// fracture.Prepared per shard. Exactly one of Collect (materialized)
-// or Stream (incremental gather) may consume it; Release discards an
-// unconsumed Prepared. Per-shard pins release independently — a shard
-// whose stream is exhausted frees its partitions while slower shards
-// are still scanning.
+// fracture.Prepared per shard. Stream is the one executor (the gather
+// half of scatter-gather); Collect drains it into a slice. A Prepared
+// is consumed at most once; Release discards an unconsumed one.
+// Per-shard pins release independently — a shard whose stream is
+// exhausted frees its partitions while slower shards are still
+// scanning.
 type Prepared struct {
-	table *Table
 	preps []*fracture.Prepared
 	k     int
 	trace fracture.TraceFunc
@@ -52,61 +51,14 @@ func addFracStats(agg *fracture.Stats, st fracture.Stats) {
 	agg.ModeledTime += st.ModeledTime
 }
 
-// Collect executes the query the materialized way on every shard in
-// parallel, then merges the per-shard result sets into one globally
-// (Confidence DESC, ID ASC)-ordered set, truncated to k for a top-k
-// query (each shard already returned at most its local top k, and the
-// global top k is a subset of the union of the local ones). Statistics
-// aggregate across shards; on failure the first failing shard's error
-// (by shard index, for determinism) is returned with the aggregated
-// partial statistics.
+// Collect drains Stream into a slice and returns it with the stream's
+// final aggregated statistics — the same execution, row for row: a
+// top-k Collect stops every shard at the k-th result, and a failed or
+// cancelled drain reports the I/O it had consumed.
 func (p *Prepared) Collect(ctx context.Context) ([]upi.Result, fracture.Stats, error) {
-	if p.used {
-		return nil, fracture.Stats{}, errConsumed
-	}
-	p.used = true
-	n := len(p.preps)
-	if n == 1 {
-		return p.preps[0].Collect(ctx)
-	}
-	type out struct {
-		rs  []upi.Result
-		st  fracture.Stats
-		err error
-	}
-	outs := make([]out, n)
-	var wg sync.WaitGroup
-	for i, sub := range p.preps {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			rs, st, err := sub.Collect(ctx)
-			outs[i] = out{rs: rs, st: st, err: err}
-		}()
-	}
-	wg.Wait()
-
-	var agg fracture.Stats
-	var results []upi.Result
-	for i := range outs {
-		addFracStats(&agg, outs[i].st)
-		if outs[i].err != nil {
-			return nil, agg, outs[i].err
-		}
-		results = append(results, outs[i].rs...)
-	}
-	sortResults(results)
-	if p.k > 0 && len(results) > p.k {
-		results = results[:p.k]
-	}
-	return results, agg, nil
-}
-
-// sortResults orders results (Confidence DESC, ID ASC) — the engine's
-// canonical result order. IDs are unique across shards (each lives on
-// exactly one), so the order is total.
-func sortResults(rs []upi.Result) {
-	sort.Slice(rs, func(i, j int) bool { return resultBefore(rs[i], rs[j]) })
+	st := p.Stream(ctx)
+	results, err := upi.Drain(st.Next)
+	return results, st.Stats(), err
 }
 
 // Stream consumes the Prepared incrementally: a k-way merge over the
@@ -136,8 +88,8 @@ type subStream struct {
 // Stream is the gathered, globally ordered result stream of a sharded
 // query. Semantics mirror fracture.Stream: single-consumer, context
 // checked between pulls, top-k stops — and cancels every shard's
-// remaining scans — at the k-th yield, and a fully drained stream's
-// aggregated statistics equal the materialized Collect's.
+// remaining scans — at the k-th yield, and statistics aggregate across
+// shards (see addFracStats).
 //
 // The merge is lazy: after the priming pull only the shard whose head
 // was yielded is advanced, so a one-shard table drives its underlying
@@ -255,7 +207,7 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 		if !sub.hasHead {
 			continue
 		}
-		if best == nil || resultBefore(sub.head, best.head) {
+		if best == nil || upi.ResultBefore(sub.head, best.head) {
 			best = sub
 		}
 	}
@@ -266,6 +218,7 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 	r = best.head
 	st.last = best
 	st.yielded++
+	st.met.StreamYields.Inc()
 	if st.trace != nil {
 		st.trace(fracture.TraceEvent{
 			Kind:   fracture.TraceYield,
@@ -288,13 +241,4 @@ func (st *Stream) Stats() fracture.Stats {
 		addFracStats(&agg, sub.st.Stats())
 	}
 	return agg
-}
-
-// resultBefore is the merge order: confidence descending, tuple ID
-// ascending.
-func resultBefore(a, b upi.Result) bool {
-	if a.Confidence != b.Confidence {
-		return a.Confidence > b.Confidence
-	}
-	return a.Tuple.ID < b.Tuple.ID
 }

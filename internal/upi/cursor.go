@@ -83,21 +83,29 @@ func (c *Cursor) Close() {
 // is race-free.
 func (c *Cursor) Stats() QueryStats { return c.stats }
 
+// Drain pulls next — the Next of a Cursor or of a merged stream above
+// it — to exhaustion and returns the rows in arrival order, or nil and
+// the error that ended the stream.
+func Drain(next func() (Result, bool, error)) ([]Result, error) {
+	var results []Result
+	for {
+		r, ok, err := next()
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			return results, nil
+		}
+		results = append(results, r)
+	}
+}
+
 // drainCursor exhausts a cursor into a slice — the bridge from the
 // pull-based executors back to the materialized call shape.
 func drainCursor(c *Cursor) ([]Result, QueryStats, error) {
 	defer c.Close()
-	var results []Result
-	for {
-		r, ok, err := c.Next()
-		if err != nil {
-			return nil, c.Stats(), err
-		}
-		if !ok {
-			return results, c.Stats(), nil
-		}
-		results = append(results, r)
-	}
+	results, err := Drain(c.Next)
+	return results, c.Stats(), err
 }
 
 // QueryCursor is the streaming form of Query (Algorithm 2): it yields
@@ -166,7 +174,7 @@ func (t *Table) QueryCursor(ctx context.Context, value string, qt float64) *Curs
 				return err
 			}
 			pending = append(pending, cutoffResults...)
-			sortByConfDesc(pending)
+			SortResults(pending)
 			for _, r := range pending {
 				if !yield(r) {
 					return nil
@@ -250,7 +258,7 @@ func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
 			return err
 		}
 		pending = append(pending, cutoffResults...)
-		sortByConfDesc(pending)
+		SortResults(pending)
 		for _, r := range pending {
 			if yielded >= k {
 				break

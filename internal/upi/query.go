@@ -234,7 +234,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 		}
 		results = append(results, Result{Tuple: tup, Confidence: r.conf})
 	}
-	sortByConfDesc(results)
+	SortResults(results)
 	return results, stats, nil
 }
 
@@ -307,19 +307,26 @@ func (t *Table) FullScan(ctx context.Context, attr, value string, qt float64) ([
 	if err != nil {
 		return nil, stats, err
 	}
-	sortByConfDesc(results)
+	SortResults(results)
 	return results, stats, nil
 }
 
-// sortByConfDesc orders results by confidence descending, tuple ID
-// ascending for determinism.
-func sortByConfDesc(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Confidence != rs[j].Confidence {
-			return rs[i].Confidence > rs[j].Confidence
-		}
-		return rs[i].Tuple.ID < rs[j].Tuple.ID
-	})
+// ResultBefore is the engine's one result order: confidence descending,
+// tuple ID ascending. Every access path yields in it and every merge
+// (partitions within a shard, shards within a table) picks heads by
+// it. Live results are unique on (confidence, ID) — an ID lives on one
+// shard, and the supersedence filter leaves at most one live version
+// per tuple — so the order is total.
+func ResultBefore(a, b Result) bool {
+	if a.Confidence != b.Confidence {
+		return a.Confidence > b.Confidence
+	}
+	return a.Tuple.ID < b.Tuple.ID
+}
+
+// SortResults orders rs by ResultBefore.
+func SortResults(rs []Result) {
+	sort.Slice(rs, func(i, j int) bool { return ResultBefore(rs[i], rs[j]) })
 }
 
 // ScanHeap visits every heap entry in key order. Used by histogram

@@ -24,19 +24,15 @@ type (
 )
 
 // dbMetrics holds the facade-level metric handles: routing and
-// admission counters incremented where the decisions are made, the
-// always-on trace sink feeding scatter/scan/yield counters, and the
+// admission counters incremented where the decisions are made, and the
 // observed-wall-clock vs modeled-cost histograms the admission
 // calibration follow-on needs. Engine-level metrics (inserts, WAL,
-// merges, ...) live in obs.EngineMetrics and reach the same registry
-// through fracture.Config.Metrics.
+// merges, scatter/scan/yield counts, ...) live in obs.EngineMetrics
+// and reach the same registry through fracture.Config.Metrics.
 type dbMetrics struct {
 	routes        *obs.CounterVec // {source}: stats | heuristic | forced
 	admissions    *obs.CounterVec // {verdict}: admitted | refused | unpriced
 	plannedCost   *obs.Histogram  // modeled cost of the chosen plan, at admission
-	scatters      *obs.Counter    // per-shard dispatches (scatter fan-out)
-	scans         *obs.Counter    // partition scans / cursors started
-	yields        *obs.Counter    // merged-stream results yielded
 	partialDrains *obs.Counter    // streaming All abandoned mid-drain
 
 	queryWall    *obs.HistogramVec // {kind}: observed end-to-end wall-clock
@@ -53,38 +49,12 @@ func newDBMetrics(r *obs.Registry) *dbMetrics {
 		routes:        r.CounterVec("upidb_planner_route_total", "Executed queries by routing decision.", "source"),
 		admissions:    r.CounterVec("upidb_admission_total", "Admission-control verdicts for executed queries.", "verdict"),
 		plannedCost:   r.Histogram("upidb_planner_modeled_cost_seconds", "Modeled cost of the chosen plan at admission time.", obs.CostBuckets),
-		scatters:      r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
-		scans:         r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
-		yields:        r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
 		partialDrains: r.Counter("upidb_stream_partial_drains_total", "Streaming iterations abandoned before exhaustion."),
 		queryWall:     r.HistogramVec("upidb_query_wall_seconds", "Observed end-to-end query wall-clock, by plan/query kind.", obs.WallBuckets, "kind"),
 		queryModeled:  r.HistogramVec("upidb_query_modeled_seconds", "Modeled disk time charged per query, by plan/query kind.", obs.CostBuckets, "kind"),
 		shardTuples:   r.GaugeFuncVec("upidb_shard_tuples", "Catalog-tracked tuples per shard.", "table", "shard"),
 		shardFractures: r.GaugeFuncVec("upidb_shard_fractures", "Current fracture count per shard.",
 			"table", "shard"),
-	}
-}
-
-// chainTrace prepends the metrics sink to a query's trace callback.
-// The sink runs on every query — traced or not — so metrics report
-// identically whether or not the caller attached WithTrace; events
-// then flow on to the user's callback unchanged.
-func (m *dbMetrics) chainTrace(user TraceFunc) TraceFunc {
-	if m == nil {
-		return user
-	}
-	return func(ev TraceEvent) {
-		switch ev.Kind {
-		case TraceDispatch:
-			m.scatters.Inc()
-		case TraceScanStart:
-			m.scans.Inc()
-		case TraceYield:
-			m.yields.Inc()
-		}
-		if user != nil {
-			user(ev)
-		}
 	}
 }
 

@@ -181,10 +181,13 @@ func WithBufferTuples(n int) Option {
 	}
 }
 
-// WithParallelism bounds the worker goroutines one query fans out
-// across the main UPI and the fractures (0 = GOMAXPROCS, 1 = serial
-// scan). Modeled query costs are identical at every setting; only
-// wall-clock time changes.
+// WithParallelism bounds the worker goroutines a query's first pull
+// opens its partition cursors with, across the main UPI and the
+// fractures (0 = GOMAXPROCS, 1 = serial); later pulls are
+// demand-driven. Secondary and full-scan plans do all their I/O on
+// that first pull, so for them it is the width of the whole execution.
+// Modeled query costs are identical at every setting; only wall-clock
+// time changes.
 func WithParallelism(n int) Option {
 	return func(c *config) {
 		if !c.tableScoped("WithParallelism") {

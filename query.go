@@ -108,9 +108,12 @@ func Segment(segment string, qt float64) Query {
 	return Query{kind: KindSegment, value: segment, qt: qt}
 }
 
-// WithParallelism overrides the table's partition fan-out width for
-// this query only (0 = table default, 1 = serial scan). Modeled query
-// costs are identical at every setting; only wall-clock time changes.
+// WithParallelism overrides, for this query only, how many partition
+// cursors the first pull opens concurrently (0 = table default, 1 =
+// serial); later pulls are demand-driven. Secondary and full-scan
+// plans do all their I/O on that first pull, so for them it is the
+// width of the whole execution. Modeled query costs are identical at
+// every setting; only wall-clock time changes.
 func (q Query) WithParallelism(n int) Query {
 	q.parallelism = n
 	return q
@@ -164,23 +167,25 @@ func (q Query) WithExplain() Query {
 
 // WithTrace attaches a span-event callback to the query: fn receives
 // one TraceEvent per execution milestone — the admission verdict, each
-// shard dispatch, each partition scan start/end, and (on the streaming
-// path) each merged-stream yield. fn may be called from concurrent
-// scan workers, so it must be safe for concurrent use and fast; see
-// TraceFunc. Tracing never alters results, routing or modeled costs.
+// shard dispatch, each partition scan start/end, and each merged-stream
+// yield (however the handle is consumed). fn may be called from
+// concurrent scan workers, so it must be safe for concurrent use and
+// fast; see TraceFunc. Tracing never alters results, routing or modeled
+// costs; an untraced query pays one nil check per event.
 func (q Query) WithTrace(fn TraceFunc) Query {
 	q.trace = fn
 	return q
 }
 
-// resState tracks how far a Results handle has been consumed.
+// resState records where a Results handle's one execution loop (see
+// Results.All) stands, or how it ended.
 type resState int
 
 const (
 	// statePending: prepared (partitions pinned) but not yet executed.
 	statePending resState = iota
-	// stateStreaming: an All iterator is mid-drain; accessors that
-	// would force a second execution are inert until it finishes.
+	// stateStreaming: the loop is running under an All iterator;
+	// accessors are inert until it finishes.
 	stateStreaming
 	// stateDrained: fully consumed; results holds the complete set.
 	stateDrained
@@ -193,23 +198,19 @@ const (
 
 // Results is the answer to one Run call. The query's partition set is
 // pinned when Run returns, but no scan has happened yet: the first
-// consumption executes it, one of two ways.
+// consumption executes it, and there is one executor — a k-way merge
+// of the per-partition confidence-sorted cursors that yields the
+// globally next-best result while slower partitions are still
+// scanning, and that stops a top-k query scanning (and charging
+// modeled I/O) as soon as the k-th result is out. All hands the rows
+// to the caller as they arrive; Collect, Len, Err and Info run the
+// same loop to the end and keep the rows.
 //
-//   - All streams: a k-way merge of the per-partition
-//     confidence-sorted cursors yields the globally next-best result
-//     while slower partitions are still scanning, and a top-k query
-//     stops scanning — and stops charging modeled I/O — as soon as the
-//     k-th result is out.
-//   - Collect and Len force the full materialized drain: every
-//     partition scanned to completion in parallel, exactly the
-//     pre-streaming execution.
-//
-// Both produce the same results in the same order. After a complete
-// drain (either way) the handle is reusable: All replays the
-// materialized results and Collect returns them. After a *partial*
-// streaming drain the handle is spent — a second All yields
-// ErrStreamConsumed, and Collect/Len report an empty set — so a
-// half-consumed stream can never silently resume mid-query.
+// After a complete drain (either way) the handle is reusable: All
+// replays the kept results and Collect returns them. After a *partial*
+// drain the handle is spent — a second All yields ErrStreamConsumed,
+// and Collect/Len report an empty set — so a half-consumed stream can
+// never silently resume mid-query.
 //
 // Execution errors (a context cancelled mid-stream, a corrupt page)
 // surface in All's error slot and through Err; Collect returns nil in
@@ -222,12 +223,11 @@ type Results struct {
 	wantStats bool
 
 	// met, kindLabel and started feed the observed-wall-clock vs
-	// modeled-cost histograms once, at the handle's terminal
-	// transition (recorded guards the once).
+	// modeled-cost histograms, at the execution loop's one terminal
+	// transition.
 	met       *dbMetrics
 	kindLabel string
 	started   time.Time
-	recorded  bool
 
 	state   resState
 	results []Result
@@ -254,20 +254,14 @@ func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, plan, so
 	return r
 }
 
-// materialize executes a still-pending query the materialized way.
-func (r *Results) materialize() {
-	if r.state != statePending {
-		return
+// drain runs a still-pending query to the end: the loop All runs, with
+// nobody listening. The outcome is left in state, results, err and
+// info.
+func (r *Results) drain() {
+	if r.state == statePending {
+		for range r.All() {
+		}
 	}
-	rs, st, err := r.prep.Collect(r.ctx)
-	r.fillInfo(st)
-	if err != nil {
-		r.state = stateFailed
-		r.err = err
-		return
-	}
-	r.results = rs
-	r.state = stateDrained
 }
 
 // fillInfo folds the execution statistics into the query info,
@@ -280,12 +274,10 @@ func (r *Results) fillInfo(st fracture.Stats) {
 	if r.wantStats {
 		r.info.ModeledTime = st.ModeledTime
 	}
-	// fillInfo is every execution path's terminal funnel, so the
-	// observed-vs-modeled pair is recorded here — for streaming and
-	// materialized drains alike, and regardless of WithStats (the
-	// engine always computes ModeledTime).
-	if r.met != nil && !r.recorded {
-		r.recorded = true
+	// fillInfo is the execution loop's terminal funnel — it runs once
+	// per handle — so the observed-vs-modeled pair is recorded here,
+	// regardless of WithStats (the engine always computes ModeledTime).
+	if r.met != nil {
 		r.met.queryWall.With(r.kindLabel).Observe(time.Since(r.started).Seconds())
 		r.met.queryModeled.With(r.kindLabel).Observe(st.ModeledTime.Seconds())
 	}
@@ -360,24 +352,23 @@ func (r *Results) All() iter.Seq2[Result, error] {
 }
 
 // Collect returns all results as a slice, in the same order All yields
-// them. On an unconsumed handle it forces the full materialized drain
-// (every partition scanned to completion — for a top-k query, All is
-// the cheaper consumption). It returns nil when execution failed, the
-// handle was partially drained, or an All iterator is still mid-drain;
-// Err reports why.
+// them. On an unconsumed handle it drains the stream first — the same
+// execution All performs, so a top-k Collect stops scanning at the
+// k-th result. It returns nil when execution failed, the handle was
+// partially drained, or an All iterator is still mid-drain; Err
+// reports why.
 func (r *Results) Collect() []Result {
-	r.materialize()
+	r.drain()
 	if r.state != stateDrained {
 		return nil
 	}
 	return slices.Clone(r.results)
 }
 
-// Len returns the number of results Collect would return, forcing the
-// full drain on an unconsumed handle (0 after a failure or a partial
-// drain).
+// Len returns the number of results Collect would return, draining an
+// unconsumed handle first (0 after a failure or a partial drain).
 func (r *Results) Len() int {
-	r.materialize()
+	r.drain()
 	if r.state != stateDrained {
 		return 0
 	}
@@ -387,10 +378,10 @@ func (r *Results) Len() int {
 // Err returns the terminal error of the handle's execution: nil after
 // a successful full drain, the failure cause (e.g. ErrCanceled) after
 // an error, ErrStreamConsumed after a partial drain. On an unconsumed
-// handle it forces the materialized drain first, so the legacy
-// Run-then-check pattern still observes execution errors.
+// handle it drains the stream first, so the Run-then-check pattern
+// observes execution errors.
 func (r *Results) Err() error {
-	r.materialize()
+	r.drain()
 	return r.err
 }
 
@@ -409,13 +400,13 @@ func (r *Results) Close() {
 // Info reports what the query touched and cost. ModeledTime is only
 // measured when the query was built WithStats; Plan and Explain are
 // only set for planner-routed / WithExplain runs. On an unconsumed
-// handle Info forces the full materialized drain so the counters are
-// complete (the routing fields Plan and PlanSource are available
-// either way); after a streaming consumption it reports what the
-// stream actually touched — for an early-terminated top-k, that is
-// less I/O than the materialized execution would have charged.
+// handle Info drains the stream first so the counters are complete
+// (the routing fields Plan and PlanSource are available either way).
+// The counters report what the stream actually touched: an
+// early-terminated top-k, a partial drain or a cancelled query is
+// charged the I/O it consumed, not what a full drain would have cost.
 func (r *Results) Info() QueryInfo {
-	r.materialize()
+	r.drain()
 	return r.info
 }
 
@@ -424,14 +415,13 @@ func (r *Results) Info() QueryInfo {
 // ErrCanceled before any partition is pinned or any modeled I/O
 // charged. Run itself performs no scan — it validates, routes, applies
 // admission control and pins the partition snapshot; the returned
-// handle executes on first consumption. All streams results
-// incrementally (first results flow before the slowest partition
-// finishes; a top-k stops scanning at the k-th result), while
-// Collect/Len/Info force the materialized parallel drain with exactly
-// the pre-streaming semantics. A cancellation mid-execution stops the
-// scans between heap pages, stops charging modeled I/O and releases
-// every partition pin: the materialized path reports it as an error
-// from Collect (via Err), the streaming path through All's error slot.
+// handle executes on first consumption, through one executor: All
+// streams results incrementally (first results flow before the slowest
+// partition finishes; a top-k stops scanning at the k-th result), and
+// Collect/Len/Err/Info drain that same stream. A cancellation
+// mid-execution stops the scans between heap pages, charges the
+// modeled I/O consumed so far and nothing more, and releases every
+// partition pin; it surfaces in All's error slot and through Err.
 //
 // A PTQ routes through the cost-based planner automatically whenever
 // the table's statistics catalog is fresh (staleness at or below the
@@ -487,10 +477,7 @@ func (t *Table) runResolved(ctx context.Context, q Query, attr, primary string) 
 	if err := upi.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	// The metrics trace sink is chained unconditionally — traced and
-	// untraced queries report identical scatter/scan/yield counters;
 	// started anchors the observed-wall-clock histogram.
-	q.trace = t.db.met.chainTrace(q.trace)
 	started := time.Now()
 	if q.kind == KindPTQ {
 		source := t.routeSource(attr, q)
@@ -529,8 +516,7 @@ func (t *Table) routeSource(attr string, q Query) string {
 // runHeuristic prepares the fixed pre-planner routing: top-k and
 // primary PTQs scan the clustered UPI, secondary PTQs use tailored
 // secondary access. The returned handle is unconsumed — the partition
-// set is pinned, but no scan happens until All streams it or
-// Collect/Len materialize it.
+// set is pinned, but no scan happens until it is consumed.
 func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
 	req := fracture.Req{Value: q.value, Parallelism: q.parallelism, Trace: fracture.TraceFunc(q.trace)}
 	switch {

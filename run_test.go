@@ -10,63 +10,125 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"reflect"
 	"testing"
 	"time"
 )
+
+// fracturedTuple builds one two-alternative tuple of the fracturedTable
+// recipe.
+func fracturedTuple(t testing.TB, id uint64, v int, p float64) *Tuple {
+	t.Helper()
+	val := func(i int) string { return fmt.Sprintf("v%02d", i%7) }
+	x, err := NewDiscrete([]Alternative{{Value: val(v), Prob: p}, {Value: val(v + 1), Prob: (1 - p) * 0.9}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	y, err := NewDiscrete([]Alternative{{Value: "y" + val(v), Prob: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &Tuple{ID: id, Existence: 0.9, Unc: []UncField{{Name: "X", Dist: x}, {Name: "Y", Dist: y}}}
+}
+
+// fracturedBase is the bulk load of the fracturedTable recipe.
+func fracturedBase(t testing.TB) []*Tuple {
+	var base []*Tuple
+	for i := 0; i < 120; i++ {
+		base = append(base, fracturedTuple(t, uint64(i+1), i, 0.3+float64(i%60)/100))
+	}
+	return base
+}
+
+// fracturedMutate applies the rest of the recipe to m — the table, or
+// the oracle: four batches of inserts with a delete and a flush each,
+// then inserts and a delete left pending in the RAM buffer.
+func fracturedMutate(t testing.TB, m interface {
+	Insert(*Tuple) error
+	Delete(uint64) error
+	Flush() error
+}) {
+	t.Helper()
+	check := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	next := uint64(1000)
+	for f := 0; f < 4; f++ {
+		for i := 0; i < 25; i++ {
+			check(m.Insert(fracturedTuple(t, next, int(next), 0.4+float64(int(next)%50)/100)))
+			next++
+		}
+		check(m.Delete(uint64(f*10 + 1)))
+		check(m.Flush())
+	}
+	for i := 0; i < 10; i++ {
+		check(m.Insert(fracturedTuple(t, next, int(next), 0.5)))
+		next++
+	}
+	check(m.Delete(55))
+}
 
 // fracturedTable builds a table with a bulk-loaded main, several
 // fractures, pending deletes and a RAM buffer, so queries cross every
 // partition type.
 func fracturedTable(t *testing.T, db *DB, par int) *Table {
 	t.Helper()
-	mk := func(id uint64, v1, v2 string, p float64) *Tuple {
-		x, err := NewDiscrete([]Alternative{{Value: v1, Prob: p}, {Value: v2, Prob: (1 - p) * 0.9}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		y, err := NewDiscrete([]Alternative{{Value: "y" + v1, Prob: 1}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return &Tuple{ID: id, Existence: 0.9, Unc: []UncField{{Name: "X", Dist: x}, {Name: "Y", Dist: y}}}
-	}
-	val := func(i int) string { return fmt.Sprintf("v%02d", i%7) }
-	var load []*Tuple
-	for i := 0; i < 120; i++ {
-		load = append(load, mk(uint64(i+1), val(i), val(i+1), 0.3+float64(i%60)/100))
-	}
 	tab, err := db.BulkLoadTable(fmt.Sprintf("runtest%d", par), "X", []string{"Y"},
-		load, WithCutoff(0.15), WithParallelism(par))
+		fracturedBase(t), WithCutoff(0.15), WithParallelism(par))
 	if err != nil {
 		t.Fatal(err)
 	}
-	next := uint64(1000)
-	for f := 0; f < 4; f++ {
-		for i := 0; i < 25; i++ {
-			if err := tab.Insert(mk(next, val(int(next)), val(int(next)+1), 0.4+float64(int(next)%50)/100)); err != nil {
-				t.Fatal(err)
-			}
-			next++
-		}
-		if err := tab.Delete(uint64(f*10 + 1)); err != nil {
-			t.Fatal(err)
-		}
-		if err := tab.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Leave some tuples and a delete pending in the RAM buffer.
-	for i := 0; i < 10; i++ {
-		if err := tab.Insert(mk(next, val(int(next)), val(int(next)+1), 0.5)); err != nil {
-			t.Fatal(err)
-		}
-		next++
-	}
-	if err := tab.Delete(55); err != nil {
-		t.Fatal(err)
-	}
+	fracturedMutate(t, tab)
 	return tab
+}
+
+// The oracle takes the same mutations a table does.
+func (r *refTable) Insert(tup *Tuple) error { r.live[tup.ID] = tup; return nil }
+func (r *refTable) Delete(id uint64) error  { delete(r.live, id); return nil }
+func (r *refTable) Flush() error            { return nil }
+
+// fracturedRef is the oracle for fracturedTable: the live tuples its
+// recipe leaves behind, queried by brute force.
+func fracturedRef(t testing.TB) *refTable {
+	ref := &refTable{live: make(map[uint64]*Tuple)}
+	for _, tup := range fracturedBase(t) {
+		ref.live[tup.ID] = tup
+	}
+	fracturedMutate(t, ref)
+	return ref
+}
+
+// checkAgainstRef fails unless got is exactly the oracle's answer to q
+// on a table whose primary attribute is X: the same IDs in the same
+// order, with the oracle's confidences.
+func checkAgainstRef(t *testing.T, ref *refTable, label string, q Query, got []Result) {
+	t.Helper()
+	attr := q.attr
+	if attr == "" {
+		attr = "X"
+	}
+	want := ref.query(attr, q.value, q.qt)
+	if q.kind == KindTopK {
+		if want = ref.query(attr, q.value, 0); len(want) > q.k {
+			want = want[:q.k]
+		}
+	}
+	if len(want) == 0 {
+		t.Fatalf("%s: oracle is empty; check vacuous", label)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: got %d rows, oracle has %d", label, len(got), len(want))
+	}
+	for i, r := range got {
+		conf := ref.live[want[i]].Confidence(attr, q.value)
+		if r.Tuple.ID != want[i] || math.Abs(r.Confidence-conf) > 1e-9 {
+			t.Fatalf("%s row %d: got %d/%v, oracle has %d/%v", label, i, r.Tuple.ID, r.Confidence, want[i], conf)
+		}
+	}
 }
 
 // TestRunCanceledContext: a Run launched with an already-cancelled

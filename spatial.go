@@ -38,8 +38,12 @@ func (s *SpatialTable) StatsInfo() SpatialStatsInfo {
 }
 
 // SpatialResults is the answer to one SpatialTable.Run call — the
-// spatial counterpart of Results, with the same lazy dual-mode
-// consumption contract:
+// spatial counterpart of Results, with the same lazy consumption
+// contract. Unlike Results it keeps two executors, because here they
+// are different I/O algorithms serving different consumers: collect's
+// sorted sweep (cupi QuerySegment and friends) fetches heap pages in
+// key order, cursor's per-row fetch (SegmentCursor) reads only what a
+// consumer that may stop early pulls.
 //
 //   - All streams incrementally: R-Tree node pages, segment-index
 //     pages and heap fetches happen only as the loop demands them, and

@@ -1,24 +1,26 @@
 package upidb
 
-// Tests for true incremental streaming through the facade: golden
-// equivalence of the streamed and materialized consumptions at every
-// parallelism, top-k early termination savings, partial-drain
+// Tests for the facade's one executor, consumed through All or drained
+// by Collect/Info: rows and order against the brute-force oracle at
+// every parallelism, top-k early termination savings, partial-drain
 // semantics, and mid-stream cancellation.
 
 import (
 	"context"
 	"errors"
 	"fmt"
+	"reflect"
 	"testing"
+	"time"
 )
 
 // hotTable builds a table engineered for top-k early termination: the
 // main partition holds 60 high-confidence "hot" tuples, and each of 6
 // fractures holds 4 mid-confidence "hot" tuples plus 20 tuples whose
 // "hot" alternative sits below the cutoff (so it lives in the
-// fracture's cutoff index). A materialized top-k must chase every
-// fracture's cutoff pointers; the merged stream fills k from the main
-// partition and never pulls any fracture past its first head.
+// fracture's cutoff index). A full drain of "hot" must chase every
+// fracture's cutoff pointers; a top-k fills k from the main partition
+// and never pulls any fracture past its first head.
 func hotTable(t *testing.T, db *DB) *Table {
 	t.Helper()
 	hot := func(id uint64, conf float64) *Tuple {
@@ -79,10 +81,10 @@ func streamAll(t *testing.T, res *Results) []Result {
 	return out
 }
 
-// TestRunStreamsGoldenVsCollect: consuming a Run through All alone
-// (true streaming) yields exactly what an identical Run's Collect
-// materializes — same rows, same order — at serial, narrow and wide
-// parallelism, across every query class including planner-routed ones.
+// TestRunStreamsGoldenVsCollect: consuming a Run through All alone,
+// or through Collect alone, yields exactly the oracle's rows in the
+// oracle's order — at serial, narrow and wide parallelism, across
+// every query class including planner-routed ones.
 func TestRunStreamsGoldenVsCollect(t *testing.T) {
 	queries := []Query{
 		PTQ("", "v01", 0.05),
@@ -93,145 +95,136 @@ func TestRunStreamsGoldenVsCollect(t *testing.T) {
 		TopKQuery("v04", 7),
 	}
 	ctx := context.Background()
+	ref := fracturedRef(t)
 	for _, par := range []int{1, 2, 0} {
 		db := mustCreate(t)
 		tab := fracturedTable(t, db, par)
 		for qi, q := range queries {
-			matRes, err := tab.Run(ctx, q)
+			label := fmt.Sprintf("par=%d q=%d", par, qi)
+			colRes, err := tab.Run(ctx, q)
 			if err != nil {
-				t.Fatalf("par=%d q=%d materialized run: %v", par, qi, err)
+				t.Fatalf("%s collected run: %v", label, err)
 			}
-			want := matRes.Collect()
+			checkAgainstRef(t, ref, label+" Collect", q, colRes.Collect())
 			strRes, err := tab.Run(ctx, q)
 			if err != nil {
-				t.Fatalf("par=%d q=%d streaming run: %v", par, qi, err)
+				t.Fatalf("%s streaming run: %v", label, err)
 			}
 			got := streamAll(t, strRes)
-			if len(got) != len(want) {
-				t.Fatalf("par=%d q=%d: streamed %d rows vs collected %d", par, qi, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Tuple.ID != want[i].Tuple.ID || got[i].Confidence != want[i].Confidence {
-					t.Fatalf("par=%d q=%d row %d: streamed %d/%v vs collected %d/%v",
-						par, qi, i, got[i].Tuple.ID, got[i].Confidence, want[i].Tuple.ID, want[i].Confidence)
-				}
-			}
+			checkAgainstRef(t, ref, label+" All", q, got)
 			// After a full streamed drain the handle is reusable:
 			// Collect returns the same rows.
-			if again := strRes.Collect(); len(again) != len(got) {
-				t.Fatalf("par=%d q=%d: Collect after full stream drain: %d rows", par, qi, len(again))
+			if again := strRes.Collect(); !reflect.DeepEqual(again, got) {
+				t.Fatalf("%s: Collect after full stream drain: %d rows, streamed %d", label, len(again), len(got))
 			}
 		}
 	}
 }
 
-// TestRunStreamStatsMatchMaterialized: a fully drained streamed PTQ
-// reports the same execution statistics — entries scanned, partitions,
-// buffer hits and exact modeled time — as the materialized execution.
+// TestRunStreamStatsMatchMaterialized: a fully drained PTQ reports the
+// same execution statistics — entries scanned, partitions, buffer hits
+// and exact modeled time — whether the handle is consumed through All
+// or drained by Info alone, and at parallelism 1 and 4. (That the
+// modeled time is the serial sum of the partitions' cold drains is
+// fracture's TestStreamModeledCostMatchesCollect.)
 func TestRunStreamStatsMatchMaterialized(t *testing.T) {
-	db := mustCreate(t)
-	tab := fracturedTable(t, db, 0)
 	ctx := context.Background()
 	q := PTQ("", "v01", 0.05).WithStats()
-
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	matRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matRes.Info() // forces the materialized drain
-
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	strRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	streamAll(t, strRes)
-	got := strRes.Info()
-	if got.HeapEntries != want.HeapEntries || got.CutoffPointers != want.CutoffPointers ||
-		got.Partitions != want.Partitions || got.BufferHits != want.BufferHits {
-		t.Fatalf("streamed info %+v diverged from materialized %+v", got, want)
-	}
-	if want.ModeledTime <= 0 || got.ModeledTime != want.ModeledTime {
-		t.Fatalf("streamed modeled time %v != materialized %v", got.ModeledTime, want.ModeledTime)
+	var want QueryInfo
+	for i, par := range []int{1, 4} {
+		db := mustCreate(t)
+		tab := fracturedTable(t, db, par)
+		for _, viaAll := range []bool{false, true} {
+			if err := tab.DropCaches(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := tab.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if viaAll {
+				streamAll(t, res)
+			}
+			got := res.Info() // drains a still-pending handle
+			if i == 0 && !viaAll {
+				want = got
+				if want.ModeledTime <= 0 || want.Partitions != 1+tab.NumFractures() {
+					t.Fatalf("baseline info %+v", want)
+				}
+			} else if got != want {
+				t.Fatalf("par=%d viaAll=%v: info %+v diverged from %+v", par, viaAll, got, want)
+			}
+		}
 	}
 }
 
-// TestRunTopKStreamEarlyTermination: over 7 partitions, the streamed
-// top-k yields its first result — and completes — for strictly less
-// modeled I/O than the materialized execution, with identical results.
+// TestRunTopKStreamEarlyTermination: over 7 partitions, a top-k yields
+// its first result — and completes, through All or through Collect —
+// for strictly less modeled I/O than the full drain of the same
+// value's unbounded PTQ on the same cold store, whose first k rows it
+// returns.
 func TestRunTopKStreamEarlyTermination(t *testing.T) {
 	db := mustCreate(t)
 	tab := hotTable(t, db)
 	ctx := context.Background()
 	q := TopKQuery("hot", 20)
 
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before := db.DiskStats()
-	matRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matRes.Collect()
-	fullCost := db.DiskStats().Sub(before).Elapsed
-	if len(want) != 20 || fullCost <= 0 {
-		t.Fatalf("materialized top-k: %d rows, cost %v", len(want), fullCost)
-	}
-
-	// First result costs less than the whole materialized run: only
-	// one head per partition is needed, not any completed scan.
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
-	}
-	before = db.DiskStats()
-	strRes, err := tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var first *Result
-	for r, err := range strRes.All() {
+	// cold runs consume against dropped caches and returns the modeled
+	// disk time the consumption charged.
+	cold := func(q Query, consume func(*Results)) time.Duration {
+		t.Helper()
+		if err := tab.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		before := db.DiskStats()
+		res, err := tab.Run(ctx, q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		first = &r
-		break // partial drain: cancels the remaining scans
+		consume(res)
+		return db.DiskStats().Sub(before).Elapsed
 	}
-	firstCost := db.DiskStats().Sub(before).Elapsed
+
+	// WithHeuristic pins the unbounded PTQ to the clustered scan the
+	// top-k uses; the planner would route it to a full heap scan.
+	var want []Result
+	fullCost := cold(PTQ("", "hot", 0).WithHeuristic(), func(res *Results) { want = res.Collect() })
+	if len(want) <= q.k || fullCost <= 0 {
+		t.Fatalf("unbounded drain: %d rows, cost %v", len(want), fullCost)
+	}
+	want = want[:q.k]
+
+	// First result costs less than the whole drain: only one head per
+	// partition is needed, not any completed scan.
+	var first *Result
+	firstCost := cold(q, func(res *Results) {
+		for r, err := range res.All() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			first = &r
+			break // partial drain: cancels the remaining scans
+		}
+	})
 	if first == nil || first.Tuple.ID != want[0].Tuple.ID {
 		t.Fatalf("first streamed result %+v, want ID %d", first, want[0].Tuple.ID)
 	}
 	if firstCost >= fullCost {
-		t.Fatalf("first-result modeled cost %v not below materialized %v", firstCost, fullCost)
+		t.Fatalf("first-result modeled cost %v not below the full drain's %v", firstCost, fullCost)
 	}
 
-	// A full streamed drain returns the identical top-k for strictly
-	// less modeled I/O: the fractures' cutoff chases never happen.
-	if err := tab.DropCaches(); err != nil {
-		t.Fatal(err)
+	// A complete top-k returns the unbounded drain's first k rows for
+	// strictly less modeled I/O — the fractures' cutoff chases never
+	// happen — and Collect is charged exactly what All is.
+	var streamed, collected []Result
+	streamCost := cold(q, func(res *Results) { streamed = streamAll(t, res) })
+	collectCost := cold(q, func(res *Results) { collected = res.Collect() })
+	if !reflect.DeepEqual(streamed, want) || !reflect.DeepEqual(collected, want) {
+		t.Fatalf("top-k diverged from the unbounded drain's prefix: streamed %d rows, collected %d, want %d",
+			len(streamed), len(collected), len(want))
 	}
-	before = db.DiskStats()
-	strRes, err = tab.Run(ctx, q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := streamAll(t, strRes)
-	streamCost := db.DiskStats().Sub(before).Elapsed
-	if len(got) != len(want) {
-		t.Fatalf("streamed top-k %d rows, want %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i].Tuple.ID != want[i].Tuple.ID {
-			t.Fatalf("row %d: streamed ID %d, want %d", i, got[i].Tuple.ID, want[i].Tuple.ID)
-		}
-	}
-	if streamCost >= fullCost {
-		t.Fatalf("streamed top-k cost %v not below materialized %v", streamCost, fullCost)
+	if streamCost >= fullCost || collectCost != streamCost {
+		t.Fatalf("top-k cost: streamed %v, collected %v, full drain %v", streamCost, collectCost, fullCost)
 	}
 }
 

@@ -7,10 +7,11 @@ import "upidb/internal/fracture"
 // through every layer unchanged.
 type TraceEvent = fracture.TraceEvent
 
-// TraceFunc receives span events. Partition scans fan out across a
-// worker pool and shards prime concurrently, so implementations must
-// be safe for concurrent use (atomic counters or a locked sink) and
-// fast — scan workers block on the call.
+// TraceFunc receives span events. A query's first pull opens its
+// partition cursors across a worker pool and primes its shards
+// concurrently, so implementations must be safe for concurrent use
+// (atomic counters or a locked sink) and fast — scan workers block on
+// the call.
 type TraceFunc = fracture.TraceFunc
 
 // The trace event kinds Run emits, in the order a typical query
@@ -26,14 +27,14 @@ const (
 	// during scatter (Shard identifies it; Detail is the shard's store
 	// name).
 	TraceDispatch = fracture.TraceDispatch
-	// TraceScanStart marks one partition scan or cursor starting
-	// (Shard + Part identify the partition; Detail is its table name).
+	// TraceScanStart marks one partition cursor starting (Shard + Part
+	// identify the partition; Detail is its table name).
 	TraceScanStart = fracture.TraceScanStart
-	// TraceScanEnd marks one partition finishing — scanned to
-	// completion, exhausted, or cancelled.
+	// TraceScanEnd marks one started partition finishing — exhausted,
+	// cut short by a top-k's k-th yield, or cancelled.
 	TraceScanEnd = fracture.TraceScanEnd
 	// TraceYield marks the merged stream yielding one result (Shard is
-	// the producing shard). Streaming consumption only; a materialized
-	// Collect has no per-result milestone.
+	// the producing shard; Detail names the tuple and its confidence),
+	// whether All hands the row out or Collect keeps it.
 	TraceYield = fracture.TraceYield
 )

@@ -44,14 +44,15 @@
 // Every query goes through one entry point, Table.Run: a Query
 // descriptor (PTQ or TopKQuery, with chainable per-query options)
 // executed under a context.Context, returning a Results handle that
-// either streams (All) or materializes (Collect) the answers.
-// Streaming is truly incremental: per-partition pull-based cursors
-// feed a k-way merge that yields the globally next-best result while
-// slower partitions are still scanning, and a top-k query stops
-// scanning — and stops charging modeled I/O — at its k-th result.
-// Cancellation and deadlines propagate through every layer — a
-// cancelled query stops between heap pages, stops charging modeled
-// I/O and fails with ErrCanceled. Errors are typed sentinels
+// hands the answers out as they arrive (All) or drains them into a
+// slice (Collect). Either way there is one executor: per-partition
+// pull-based cursors feed a k-way merge that yields the globally
+// next-best result while slower partitions are still scanning, and a
+// top-k query stops scanning — and stops charging modeled I/O — at its
+// k-th result. Cancellation and deadlines propagate through every
+// layer — a cancelled query stops between heap pages, is charged the
+// modeled I/O it consumed and fails with ErrCanceled. Errors are typed
+// sentinels
 // (ErrUnknownAttr, ErrNoStats, ErrCanceled, ErrClosed,
 // ErrStreamConsumed) shared by all layers.
 //
@@ -91,14 +92,13 @@
 // write lock for the duration of the fracture build (one sequential
 // write) and a merge builds its new generation without the lock.
 //
-// Each query additionally fans its per-partition scans out across a
-// bounded worker pool sized by WithParallelism (default
-// GOMAXPROCS) — the partition-parallel read path that multi-petabyte
-// shared-nothing designs rely on. Modeled I/O stays deterministic at
-// every parallelism: each partition records its I/O on a private tape
-// that is replayed against the simulated disk in partition order, so
-// the reported cost is identical to a serial scan no matter how the
-// goroutines interleave.
+// Each query's first pull additionally opens its partition cursors
+// across a bounded worker pool sized by WithParallelism (default
+// GOMAXPROCS); later pulls are demand-driven. Modeled I/O stays
+// deterministic at every parallelism: each partition records its I/O
+// on a private tape that is replayed against the simulated disk as one
+// batch, so the reported cost is identical to a serial scan no matter
+// how the goroutines interleave.
 //
 // Merging can run in the background (Table.StartAutoMerge): when the
 // fracture count or size crosses a threshold, a goroutine folds the
