@@ -38,7 +38,7 @@ type report struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiment IDs (fig3..fig12, table7, table8, parallel-ptq, planner-routing, spatial-routing, streaming-latency, wallclock-disk, plan-cache) or 'all'")
+		experiment = flag.String("experiment", "all", "comma-separated experiment IDs (fig3..fig12, table7, table8, parallel-ptq, planner-routing, spatial-routing, streaming-latency) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = 70k authors, 130k publications, 150k observations)")
 		seed       = flag.Int64("seed", 1, "dataset generation seed")
 		parallel   = flag.Int("parallel", 0, "per-query partition fan-out for fractured-UPI experiments (0 = GOMAXPROCS, 1 = serial; modeled results are identical)")

@@ -1,9 +1,8 @@
 // Command upilint is the engine's multichecker: it bundles the custom
 // analyzers that encode upidb's load-bearing invariants (lockcheck,
-// sentinelcheck, ctxcheck, sidebandcheck) with in-tree equivalents of
-// the high-value standard passes go vet's default set omits
-// (lostcancel, nilness, unusedwrite), and exits non-zero when any
-// diagnostic survives targeted //lint: suppression.
+// sentinelcheck, ctxcheck, sidebandcheck) and exits non-zero when any
+// diagnostic survives targeted //lint: suppression. The general-purpose
+// passes (go vet, staticcheck) run from upstream in CI.
 //
 // Usage:
 //
@@ -25,7 +24,6 @@ import (
 	"upidb/internal/lint/lockcheck"
 	"upidb/internal/lint/sentinelcheck"
 	"upidb/internal/lint/sidebandcheck"
-	"upidb/internal/lint/stdlite"
 )
 
 // all is the registry, in catalog order.
@@ -34,9 +32,6 @@ var all = []*lint.Analyzer{
 	sentinelcheck.Analyzer,
 	ctxcheck.Analyzer,
 	sidebandcheck.Analyzer,
-	stdlite.LostCancel,
-	stdlite.Nilness,
-	stdlite.UnusedWrite,
 }
 
 func main() {

@@ -218,8 +218,6 @@ func Registered() []struct {
 		{"streaming-latency", StreamingLatency},
 		{"ablation-pointers", AblationMaxPointers},
 		{"ablation-size", AblationCutoffSize},
-		{"wallclock-disk", WallclockDisk},
-		{"plan-cache", PlanCache},
 	}
 }
 

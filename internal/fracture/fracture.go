@@ -100,12 +100,6 @@ type Config struct {
 	// metrics never touch the I/O tapes, so modeled query costs are
 	// identical either way.
 	Metrics *obs.EngineMetrics
-	// ResultCache, when positive, caches up to that many point-query
-	// result sets (PTQ and secondary-PTQ) per store, invalidated
-	// wholesale by any write to the store — see rescache.go. A hit
-	// replays the stored results and statistics without pinning a
-	// snapshot or touching the modeled-I/O tapes. 0 disables caching.
-	ResultCache int
 }
 
 // Store is a fractured UPI. It is safe for concurrent use: any number
@@ -156,10 +150,6 @@ type Store struct {
 	// mergeMu serializes whole merges (manual and background) so at
 	// most one new main generation is under construction at a time.
 	mergeMu sync.Mutex
-
-	// rc is the opt-in point-result cache (Config.ResultCache > 0);
-	// nil when disabled. It carries its own synchronization.
-	rc *resultCache
 }
 
 // fract is one on-disk fracture: an independent UPI and the delete set
@@ -274,9 +264,6 @@ func newShell(fs *storage.FS, name, attr string, secAttrs []string, opts Config)
 		mainRef:    newPartRef(fs),
 		bufTuples:  make(map[uint64]*tuple.Tuple),
 		bufDeletes: make(map[uint64]bool),
-	}
-	if opts.ResultCache > 0 {
-		s.rc = newResultCache(opts.ResultCache, opts.Metrics)
 	}
 	return s
 }
@@ -454,7 +441,6 @@ func (s *Store) Insert(tup *tuple.Tuple) error {
 // applyInsertLocked is the buffer mutation of Insert, shared with WAL
 // replay. Callers must hold mu.
 func (s *Store) applyInsertLocked(tup *tuple.Tuple) {
-	s.rc.invalidate()
 	if s.cat != nil {
 		// Absorb the delta: the new version counts immediately; a
 		// replaced buffered version is subtracted exactly. (A replaced
@@ -495,7 +481,6 @@ func (s *Store) Delete(id uint64) error {
 // applyDeleteLocked is the buffer mutation of Delete, shared with WAL
 // replay. Callers must hold mu.
 func (s *Store) applyDeleteLocked(id uint64) {
-	s.rc.invalidate()
 	if old, buffered := s.bufTuples[id]; buffered {
 		// The buffered version never reached disk; cancel it and
 		// subtract its statistics delta exactly, since the content is
@@ -561,10 +546,6 @@ func (s *Store) flushLocked() error {
 	if len(s.bufTuples) == 0 && len(s.bufDeletes) == 0 {
 		return nil
 	}
-	// A flush moves content between partitions without changing it, but
-	// cached statistics (partition counts, buffer hits) would no longer
-	// match a fresh execution — retire them.
-	s.rc.invalidate()
 	s.gen++
 	id := s.gen
 	tuples := make([]*tuple.Tuple, 0, len(s.bufTuples))
@@ -699,10 +680,9 @@ func (s *Store) FlushPages() error {
 	return nil
 }
 
-// DropCaches empties every partition's buffer pools and the store's
-// result cache, so the next query of any shape cold-starts.
+// DropCaches empties every partition's buffer pools, so the next query
+// of any shape cold-starts.
 func (s *Store) DropCaches() error {
-	s.rc.purge()
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if err := s.main.DropCaches(); err != nil {

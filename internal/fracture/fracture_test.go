@@ -322,6 +322,73 @@ func TestTopKAcrossFractures(t *testing.T) {
 	}
 }
 
+// TestTopKAfterBestDelete: the k of a top-k bounds live rows, counted
+// after the supersedence filter — not the heap entries a partition
+// scans. Deleting a value's best tuple, wherever it lives (main, a
+// flushed fracture, the RAM buffer) and whether the tombstone is still
+// buffered or already flushed, leaves TopK returning the oracle's
+// first k rows rather than k minus the superseded ones.
+func TestTopKAfterBestDelete(t *testing.T) {
+	ctx := context.Background()
+	live := map[uint64]*tuple.Tuple{}
+	// Eight tuples per value, confidences 0.90 down to 0.55; each value
+	// lives in one kind of partition.
+	batch := func(firstID uint64, value string) []*tuple.Tuple {
+		var out []*tuple.Tuple
+		for i := 0; i < 8; i++ {
+			tup := mkTuple(t, firstID+uint64(i), 1.0, prob.Alternative{Value: value, Prob: 0.9 - float64(i)*0.05})
+			live[tup.ID] = tup
+			out = append(out, tup)
+		}
+		return out
+	}
+	s, err := BulkLoad(newFS(), "t", "X", []string{"Y"}, defaultOpts(), batch(1, "inMain"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range batch(100, "inFracture") {
+		if err := s.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range batch(200, "inBuffer") {
+		if err := s.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	values := []string{"inMain", "inFracture", "inBuffer"}
+	check := func(stage, value string) {
+		t.Helper()
+		got, _, err := s.TopK(ctx, value, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := oracleRows(live, "X", Req{Kind: KindTopK, Value: value, K: 3}); !sameRows(got, want) {
+			t.Fatalf("%s, top-3 of %s: got %v, oracle has %v", stage, value, resultKeys(got), want)
+		}
+	}
+	for _, value := range values {
+		for round := 0; round < 2; round++ {
+			best := uint64(oracleRows(live, "X", Req{Kind: KindTopK, Value: value, K: 1})[0][0])
+			if err := s.Delete(best); err != nil {
+				t.Fatal(err)
+			}
+			delete(live, best)
+			check(fmt.Sprintf("tombstone of %d buffered", best), value)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, value := range values {
+		check("tombstones flushed", value)
+	}
+}
+
 // TestFlushIsSequentialInsertIsFree reproduces the Table 7 property:
 // fractured-UPI maintenance is buffered RAM work plus sequential
 // writes, never random I/O.

@@ -262,10 +262,6 @@ func (s *Store) swapMerged(newMain *upi.Table, newGen, nMerged int) error {
 			return err
 		}
 	}
-	// Same content, new partition layout: cached statistics would no
-	// longer match a fresh execution. Inside the critical section so the
-	// epoch bump orders against concurrent queries' snapshots.
-	s.rc.invalidate()
 	oldMain := s.main
 	oldMainRef := s.mainRef
 	merged := s.fractures[:nMerged]

@@ -228,8 +228,11 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			conf := tup.Confidence(s.attr, req.Value)
 			return conf, conf > 0
 		}
+		// Top-k is the PTQ with no threshold: the stream's k bound counts
+		// live yields, after the supersedence filter, so a partition must
+		// not cap its own scan at k entries that may all be superseded.
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
-			return t.TopKCursor(ctx, req.Value, req.K)
+			return t.QueryCursor(ctx, req.Value, 0)
 		}
 	case KindScan:
 		attr := req.Attr
@@ -275,12 +278,6 @@ type Prepared struct {
 // Prepare compiles req, evaluates the RAM buffer and pins the current
 // partition set. A done context fails fast with ErrCanceled before
 // any partition is pinned or any modeled I/O charged.
-//
-// With a result cache enabled, a cacheable req whose shape is cached
-// skips the snapshot entirely: the returned Prepared replays the
-// stored results and statistics. A cacheable miss records the cache
-// epoch before pinning, so the drain can commit its result set only
-// if no write intervened.
 func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 	if err := upi.CtxErr(ctx); err != nil {
 		return nil, err
@@ -294,23 +291,6 @@ func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
 	if plan.empty {
 		st.done = true
 		return p, nil
-	}
-	if s.rc != nil && cacheable(req) {
-		s.mu.RLock()
-		closed := s.closed
-		s.mu.RUnlock()
-		if closed {
-			return nil, ErrClosed
-		}
-		st.ckey = reqKey(req)
-		rs, stats, epoch, ok := s.rc.lookup(st.ckey)
-		if ok {
-			// A hit replays the stored rows and reports the stored
-			// execution's statistics, final from the start.
-			st.fromCache, st.cached, st.stats, st.primed = true, rs, stats, true
-			return p, nil
-		}
-		st.cepoch, st.commitable = epoch, true
 	}
 	st.snap, err = s.snapshotFor(req.Parallelism, plan.match)
 	if err != nil {

@@ -54,19 +54,6 @@ type Stream struct {
 	stats   Stats
 	done    bool
 	err     error
-
-	// Result-cache plumbing: a cache-hit stream replays cached instead
-	// of merging partitions (stats are the stored execution's, final
-	// from the start); a cacheable miss accumulates its yields in acc
-	// and commits them on natural exhaustion — the only termination
-	// that proves the set is complete.
-	fromCache  bool
-	cached     []upi.Result
-	cachedIdx  int
-	acc        []upi.Result
-	ckey       resKey
-	cepoch     uint64
-	commitable bool
 }
 
 // streamPart is one partition's side of the merge. cur, tape and
@@ -223,9 +210,7 @@ func (st *Stream) finish(err error) {
 	for _, p := range st.parts {
 		st.finalizePart(p)
 	}
-	if st.snap != nil {
-		st.snap.release()
-	}
+	st.snap.release()
 }
 
 // Next returns the globally next-best result. ok is false when the
@@ -239,16 +224,6 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 	if err := upi.CtxErr(st.ctx); err != nil {
 		st.finish(err)
 		return upi.Result{}, false, err
-	}
-	if st.fromCache {
-		if st.cachedIdx >= len(st.cached) {
-			st.finish(nil)
-			return upi.Result{}, false, nil
-		}
-		r = st.cached[st.cachedIdx]
-		st.cachedIdx++
-		st.yielded++
-		return r, true, nil
 	}
 	if !st.primed {
 		if err := st.prime(); err != nil {
@@ -295,19 +270,10 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 			st.finalizePart(best)
 		}
 	default:
-		// Natural exhaustion: every source drained, so the accumulated
-		// yields are the complete result set — the one termination a
-		// cacheable drain may commit from.
-		if st.commitable {
-			st.s.rc.commit(st.ckey, st.cepoch, st.acc, st.stats)
-		}
 		st.finish(nil)
 		return upi.Result{}, false, nil
 	}
 	st.yielded++
-	if st.commitable {
-		st.acc = append(st.acc, r)
-	}
 	return r, true, nil
 }
 

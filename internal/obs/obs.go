@@ -596,12 +596,6 @@ type EngineMetrics struct {
 	// with a generation number count.
 	PlanCacheHits   *Counter
 	PlanCacheMisses *Counter
-	// Result-cache traffic (opt-in, per shard): hits answer a point
-	// query without touching a snapshot; invalidations count writes
-	// that dropped live entries.
-	ResultCacheHits          *Counter
-	ResultCacheMisses        *Counter
-	ResultCacheInvalidations *Counter
 
 	MergeSeconds    *Histogram // wall-clock merge duration
 	WALFsyncSeconds *Histogram // wall-clock fsync time per WAL append
@@ -611,23 +605,20 @@ type EngineMetrics struct {
 // a nil registry yields a usable all-no-op bundle.
 func NewEngineMetrics(r *Registry) *EngineMetrics {
 	return &EngineMetrics{
-		Inserts:                  r.Counter("upidb_fracture_inserts_total", "Tuples accepted by Insert (upserts included)."),
-		Deletes:                  r.Counter("upidb_fracture_deletes_total", "Tombstones accepted by Delete."),
-		Upserts:                  r.Counter("upidb_fracture_upserts_total", "Inserts that replaced a still-buffered version of the same ID."),
-		Flushes:                  r.Counter("upidb_fracture_flushes_total", "RAM-buffer flushes that wrote a new fracture."),
-		Merges:                   r.Counter("upidb_fracture_merges_total", "Merges folding fractures back into a new main generation."),
-		WALAppends:               r.Counter("upidb_wal_appends_total", "Acknowledged write-ahead-log record appends."),
-		PinReleases:              r.Counter("upidb_stream_pin_releases_total", "Partition pins released by query execution."),
-		Scatters:                 r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
-		ScanPartitions:           r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
-		StreamYields:             r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
-		TopKEarlyTerm:            r.Counter("upidb_shard_topk_early_terminations_total", "Cross-shard top-k streams that cancelled remaining shard scans at the k-th yield."),
-		PlanCacheHits:            r.Counter("upidb_plan_cache_hits_total", "Planner requests answered from the generation-guarded plan cache."),
-		PlanCacheMisses:          r.Counter("upidb_plan_cache_misses_total", "Planner requests that costed a fresh plan."),
-		ResultCacheHits:          r.Counter("upidb_result_cache_hits_total", "Point queries answered from the per-shard result cache."),
-		ResultCacheMisses:        r.Counter("upidb_result_cache_misses_total", "Cacheable point queries that executed against a snapshot."),
-		ResultCacheInvalidations: r.Counter("upidb_result_cache_invalidations_total", "Writes that dropped live result-cache entries."),
-		MergeSeconds:             r.Histogram("upidb_fracture_merge_seconds", "Wall-clock merge duration.", WallBuckets),
-		WALFsyncSeconds:          r.Histogram("upidb_wal_fsync_seconds", "Wall-clock fsync time per WAL append.", WallBuckets),
+		Inserts:         r.Counter("upidb_fracture_inserts_total", "Tuples accepted by Insert (upserts included)."),
+		Deletes:         r.Counter("upidb_fracture_deletes_total", "Tombstones accepted by Delete."),
+		Upserts:         r.Counter("upidb_fracture_upserts_total", "Inserts that replaced a still-buffered version of the same ID."),
+		Flushes:         r.Counter("upidb_fracture_flushes_total", "RAM-buffer flushes that wrote a new fracture."),
+		Merges:          r.Counter("upidb_fracture_merges_total", "Merges folding fractures back into a new main generation."),
+		WALAppends:      r.Counter("upidb_wal_appends_total", "Acknowledged write-ahead-log record appends."),
+		PinReleases:     r.Counter("upidb_stream_pin_releases_total", "Partition pins released by query execution."),
+		Scatters:        r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
+		ScanPartitions:  r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
+		StreamYields:    r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
+		TopKEarlyTerm:   r.Counter("upidb_shard_topk_early_terminations_total", "Cross-shard top-k streams that cancelled remaining shard scans at the k-th yield."),
+		PlanCacheHits:   r.Counter("upidb_plan_cache_hits_total", "Planner requests answered from the generation-guarded plan cache."),
+		PlanCacheMisses: r.Counter("upidb_plan_cache_misses_total", "Planner requests that costed a fresh plan."),
+		MergeSeconds:    r.Histogram("upidb_fracture_merge_seconds", "Wall-clock merge duration.", WallBuckets),
+		WALFsyncSeconds: r.Histogram("upidb_wal_fsync_seconds", "Wall-clock fsync time per WAL append.", WallBuckets),
 	}
 }

@@ -62,7 +62,7 @@ type Config struct {
 	// own. 0 means no default deadline.
 	DefaultTimeout time.Duration
 	// Logf, when set, receives one structured JSON line per served
-	// request (endpoint, status, shard count, trace counters,
+	// request (endpoint, status, shard count, span counters,
 	// wall-clock). nil disables request logging.
 	Logf func(format string, args ...any)
 	// EnablePprof mounts net/http/pprof under /debug/pprof/. Off by
@@ -104,55 +104,6 @@ type Server struct {
 	tokens   chan struct{}
 	draining atomic.Bool
 	inflight sync.WaitGroup
-
-	// prepared caches one upidb.Prepared handle per query shape the
-	// server has seen, so repeated traffic skips per-request descriptor
-	// validation and attribute resolution and rides the engine's
-	// generation-guarded plan cache. Handles are immutable and stay
-	// valid across inserts, flushes and merges; per-request trace sinks
-	// are derived (Prepared.WithTrace), never shared.
-	prepMu   sync.Mutex
-	prepared map[prepKey]*upidb.Prepared
-}
-
-// prepKey identifies one query shape on one table. The *Table pointer
-// (not the name) keys it, so a handle can never outlive its table.
-type prepKey struct {
-	t     *upidb.Table
-	kind  string
-	attr  string
-	value string
-	qt    float64
-	k     int
-	route string
-}
-
-// maxPreparedHandles bounds the server's prepared-handle cache; at
-// capacity the map is cleared wholesale (the shapes re-prepare on
-// next use — a cheap validation, not a re-plan).
-const maxPreparedHandles = 256
-
-// prepare returns the cached handle for key, preparing and caching it
-// on first sight. Handles are prepared WithStats so every execution
-// measures modeled time for the request log.
-func (s *Server) prepare(t *upidb.Table, key prepKey, q upidb.Query) (*upidb.Prepared, error) {
-	s.prepMu.Lock()
-	p, ok := s.prepared[key]
-	s.prepMu.Unlock()
-	if ok {
-		return p, nil
-	}
-	p, err := t.Prepare(q.WithStats())
-	if err != nil {
-		return nil, err
-	}
-	s.prepMu.Lock()
-	if len(s.prepared) >= maxPreparedHandles {
-		clear(s.prepared)
-	}
-	s.prepared[key] = p
-	s.prepMu.Unlock()
-	return p, nil
 }
 
 // New builds a Server over db.
@@ -160,8 +111,7 @@ func New(db *upidb.DB, cfg Config) *Server {
 	if cfg.MaxInflight <= 0 {
 		cfg.MaxInflight = 64
 	}
-	s := &Server{db: db, cfg: cfg, tokens: make(chan struct{}, cfg.MaxInflight),
-		prepared: make(map[prepKey]*upidb.Prepared)}
+	s := &Server{db: db, cfg: cfg, tokens: make(chan struct{}, cfg.MaxInflight)}
 	for i := 0; i < cfg.MaxInflight; i++ {
 		s.tokens <- struct{}{}
 	}
@@ -250,7 +200,7 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 // record counts one answered request into the metrics families and,
 // when logging is on, emits its one-JSON-line request log (endpoint,
 // status, wall-clock, plus whatever handler-specific fields the
-// handler contributed — table, shard count, trace counters, ...).
+// handler contributed — table, shard count, span counters, ...).
 func (s *Server) record(endpoint string, status int, elapsed time.Duration, r *http.Request, fields map[string]any) {
 	s.met.requests.With(endpoint, strconv.Itoa(status)).Inc()
 	if s.cfg.Logf == nil {
@@ -399,37 +349,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 		return http.StatusBadRequest, nil
 	}
 
-	// One prepared handle per query shape, validated once and reused
-	// across requests; per-request state (trace sink, context) is
-	// derived below, never written into the shared handle.
-	prep, err := s.prepare(t, prepKey{
-		t: t, kind: kind, attr: req.Attr, value: req.Value,
-		qt: req.QT, k: req.K, route: strings.ToLower(req.Route),
-	}, q)
-	if err != nil {
-		status := queryStatus(err)
-		errorBody(w, status, "%v", err)
-		return status, map[string]any{"table": t.Name(), "kind": kind, "error": err.Error()}
-	}
-
-	// Per-request span counters from the engine's trace hooks — the
-	// substrate for the request log line.
-	var dispatches, scans, yields atomic.Int64
-	var admission atomic.Pointer[string]
-	traced := prep.WithTrace(func(ev upidb.TraceEvent) {
-		switch ev.Kind {
-		case upidb.TraceDispatch:
-			dispatches.Add(1)
-		case upidb.TraceScanStart:
-			scans.Add(1)
-		case upidb.TraceYield:
-			yields.Add(1)
-		case upidb.TraceAdmission:
-			d := ev.Detail
-			admission.Store(&d)
-		}
-	})
-
 	ctx := r.Context()
 	timeout := s.cfg.DefaultTimeout
 	if req.TimeoutMS > 0 {
@@ -441,26 +360,27 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 		defer cancel()
 	}
 
-	fields := func() map[string]any {
-		f := map[string]any{
+	// The span counters of the trailer and the request log need no trace
+	// sink: an admitted query is dispatched to every shard, each
+	// partition the stream read is one scan, and each streamed row one
+	// yield.
+	shards, count := t.NumShards(), 0
+	fields := func(dispatches, scans int) map[string]any {
+		return map[string]any{
 			"table":      t.Name(),
 			"kind":       kind,
-			"shards":     t.NumShards(),
-			"dispatches": dispatches.Load(),
-			"scans":      scans.Load(),
-			"yields":     yields.Load(),
+			"shards":     shards,
+			"dispatches": dispatches,
+			"scans":      scans,
+			"yields":     count,
 		}
-		if a := admission.Load(); a != nil {
-			f["admission"] = *a
-		}
-		return f
 	}
 
-	res, err := traced.Run(ctx)
+	res, err := t.Run(ctx, q.WithStats())
 	if err != nil {
 		status := queryStatus(err)
 		errorBody(w, status, "%v", err)
-		f := fields()
+		f := fields(0, 0)
 		f["error"] = err.Error()
 		return status, f
 	}
@@ -469,13 +389,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	count := 0
 	for result, err := range res.All() {
 		if err != nil {
 			// The 200 is already on the wire; the error line is the
 			// in-band failure contract NDJSON consumers check for.
 			_ = enc.Encode(map[string]string{"error": err.Error()})
-			f := fields()
+			f := fields(shards, res.Info().Partitions)
 			f["stream_error"] = err.Error()
 			return http.StatusOK, f
 		}
@@ -492,16 +411,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 		Plan:       info.Plan,
 		PlanSource: info.PlanSource,
 		Partitions: info.Partitions,
-		Shards:     t.NumShards(),
-		Dispatches: dispatches.Load(),
-		Scans:      scans.Load(),
-		Yields:     yields.Load(),
+		Shards:     shards,
+		Dispatches: int64(shards),
+		Scans:      int64(info.Partitions),
+		Yields:     int64(count),
 		ModeledMS:  info.ModeledTime.Milliseconds(),
 	})
 	if flusher != nil {
 		flusher.Flush()
 	}
-	f := fields()
+	f := fields(shards, info.Partitions)
 	f["count"] = count
 	if info.Plan != "" {
 		f["plan"] = info.Plan

@@ -132,7 +132,7 @@ func queryNDJSON(t *testing.T, ts *httptest.Server, body any) ([]resultLine, tra
 // trailer whose counters agree with the stream, and inserts/deletes
 // round-trip through their endpoints.
 func TestQueryStream(t *testing.T) {
-	_, ts := newTestServer(t, Config{}, 400)
+	srv, ts := newTestServer(t, Config{}, 400)
 
 	results, trailer := queryNDJSON(t, ts, map[string]any{"value": "v3", "qt": 0.2})
 	if len(results) == 0 {
@@ -162,9 +162,29 @@ func TestQueryStream(t *testing.T) {
 		t.Fatalf("top-5: %d results, trailer %d", len(results), trailer.Count)
 	}
 
+	// One flushed insert is a fracture on its owning shard: the
+	// trailer's scans are the partitions read, over both shards.
+	resp := post(t, ts.URL+"/v1/tables/authors/insert", map[string]any{
+		"id": 500_000, "unc": []any{
+			map[string]any{"name": "X", "alts": []any{map[string]any{"value": "v3", "prob": 0.5}}},
+			map[string]any{"name": "Y", "alts": []any{map[string]any{"value": "w0", "prob": 1}}},
+		},
+	})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("insert: %s", resp.Status)
+	}
+	resp.Body.Close()
+	if err := srv.db.Table("authors").Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, trailer = queryNDJSON(t, ts, map[string]any{"value": "v3", "qt": 0.2})
+	if trailer.Partitions != 3 || trailer.Scans != int64(trailer.Partitions) {
+		t.Fatalf("fractured trailer: scans %d, partitions %d, want 3 of each", trailer.Scans, trailer.Partitions)
+	}
+
 	// Insert a recognizable tuple, see it in a query, delete it, see it
 	// gone.
-	resp := post(t, ts.URL+"/v1/tables/authors/insert", map[string]any{
+	resp = post(t, ts.URL+"/v1/tables/authors/insert", map[string]any{
 		"id": 999_999, "unc": []any{map[string]any{"name": "X", "alts": []any{
 			map[string]any{"value": "v3", "prob": 0.99},
 		}}},

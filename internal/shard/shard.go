@@ -318,10 +318,10 @@ func (t *Table) Merge() error { return t.each((*fracture.Store).Merge) }
 // safe.
 func (t *Table) Close() error { return t.each((*fracture.Store).Close) }
 
-// DropCaches empties every shard's buffer pools, plan cache and result
-// cache — after it, every query cold-starts: pages re-read, plans
-// re-costed, point results re-executed. This is what keeps upibench's
-// cold-cache modeled runs deterministic even with caching layered on.
+// DropCaches empties every shard's buffer pools and plan cache — after
+// it, every query cold-starts: pages re-read, plans re-costed. This is
+// what keeps upibench's cold-cache modeled runs deterministic with the
+// plan cache on.
 func (t *Table) DropCaches() error {
 	for _, p := range t.planners {
 		p.DropPlanCache()
@@ -533,7 +533,7 @@ func (t *Table) PlanPTQCached(attr, value string, qt float64) ([]planner.Plan, b
 // Generation sums the per-shard catalog generations. Each shard's
 // number is monotonically nondecreasing, so any statistics transition
 // anywhere strictly increases the sum — a cheap freshness token for
-// table-level consumers (prepared handles, tests).
+// table-level consumers (Explain output, tests).
 func (t *Table) Generation() uint64 {
 	var g uint64
 	for _, cat := range t.cats {

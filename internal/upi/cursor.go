@@ -119,6 +119,26 @@ func drainCursor(c *Cursor) ([]Result, QueryStats, error) {
 // pages, then the cutoff scan and its sorted fetches — is identical to
 // the materialized Query's.
 func (t *Table) QueryCursor(ctx context.Context, value string, qt float64) *Cursor {
+	return t.heapCursor(ctx, value, qt, 0)
+}
+
+// TopKCursor is the streaming form of TopK: at most k results in
+// confidence order, scanning at most k heap entries (the heap is
+// confidence-sorted, so k entries always suffice) and consulting the
+// cutoff index only when it may still hold candidates — fewer than k
+// heap results, or a k-th result below the cutoff.
+func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
+	if k <= 0 {
+		return newCursor(func(func(Result) bool) error { return nil })
+	}
+	return t.heapCursor(ctx, value, 0, k)
+}
+
+// heapCursor is the one body behind QueryCursor and TopKCursor: the
+// confidence-ordered heap scan of value down to qt, then the cutoff
+// merge. k > 0 bounds it to the k best results (and the heap scan to k
+// entries); 0 is unbounded.
+func (t *Table) heapCursor(ctx context.Context, value string, qt float64, k int) *Cursor {
 	var c *Cursor
 	c = newCursor(func(yield func(Result) bool) error {
 		if err := CtxErr(ctx); err != nil {
@@ -127,16 +147,20 @@ func (t *Table) QueryCursor(ctx context.Context, value string, qt float64) *Curs
 		// pending holds heap entries below the cutoff: they must wait
 		// for the cutoff merge before they may be yielded in order.
 		var pending []Result
+		yielded := 0
 		stopped := false
 		start, end := ValuePrefix(value), ValuePrefixEnd(value)
 		var scanErr error
-		err := t.heap.Scan(start, end, func(k, v []byte) bool {
+		err := t.heap.Scan(start, end, func(kk, v []byte) bool {
+			if k > 0 && c.stats.HeapEntries >= k {
+				return false
+			}
 			if c.stats.HeapEntries%ctxCheckEvery == 0 {
 				if scanErr = CtxErr(ctx); scanErr != nil {
 					return false
 				}
 			}
-			_, conf, _, err := DecodeHeapKey(k)
+			_, conf, _, err := DecodeHeapKey(kk)
 			if err != nil {
 				scanErr = err
 				return false
@@ -152,82 +176,6 @@ func (t *Table) QueryCursor(ctx context.Context, value string, qt float64) *Curs
 			}
 			r := Result{Tuple: tup, Confidence: conf}
 			if qt < t.opts.Cutoff && conf < t.opts.Cutoff {
-				pending = append(pending, r)
-				return true
-			}
-			if !yield(r) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = scanErr
-		}
-		if err != nil || stopped {
-			return err
-		}
-		if qt < t.opts.Cutoff {
-			cutoffResults, n, err := t.queryCutoff(ctx, value, qt)
-			c.stats.CutoffPointers = n
-			if err != nil {
-				return err
-			}
-			pending = append(pending, cutoffResults...)
-			SortResults(pending)
-			for _, r := range pending {
-				if !yield(r) {
-					return nil
-				}
-			}
-		}
-		return nil
-	})
-	return c
-}
-
-// TopKCursor is the streaming form of TopK: at most k results in
-// confidence order, scanning at most k heap entries (the heap is
-// confidence-sorted, so k entries always suffice) and consulting the
-// cutoff index only under the materialized TopK's trigger — fewer than
-// k heap results, or a k-th result below the cutoff.
-func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
-	var c *Cursor
-	c = newCursor(func(yield func(Result) bool) error {
-		if k <= 0 {
-			return nil
-		}
-		if err := CtxErr(ctx); err != nil {
-			return err
-		}
-		var pending []Result
-		yielded, scanned := 0, 0
-		stopped := false
-		start, end := ValuePrefix(value), ValuePrefixEnd(value)
-		var scanErr error
-		err := t.heap.Scan(start, end, func(kk, v []byte) bool {
-			if scanned >= k {
-				return false
-			}
-			if c.stats.HeapEntries%ctxCheckEvery == 0 {
-				if scanErr = CtxErr(ctx); scanErr != nil {
-					return false
-				}
-			}
-			_, conf, _, err := DecodeHeapKey(kk)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			c.stats.HeapEntries++
-			scanned++
-			tup, err := tuple.Decode(v)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			r := Result{Tuple: tup, Confidence: conf}
-			if conf < t.opts.Cutoff {
 				// The scan is confidence-sorted: once below the cutoff
 				// it never rises back, so no later heap entry can
 				// out-rank an already-yielded one.
@@ -247,12 +195,12 @@ func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
 		if err != nil || stopped {
 			return err
 		}
-		if scanned >= k && len(pending) == 0 {
-			// k results, all at or above the cutoff: nothing in the
-			// cutoff index can displace them.
+		if qt >= t.opts.Cutoff || (k > 0 && yielded >= k) {
+			// Nothing in the cutoff index can qualify, or k results at
+			// or above the cutoff are out: nothing can displace them.
 			return nil
 		}
-		cutoffResults, n, err := t.queryCutoff(ctx, value, 0)
+		cutoffResults, n, err := t.queryCutoff(ctx, value, qt)
 		c.stats.CutoffPointers = n
 		if err != nil {
 			return err
@@ -260,7 +208,7 @@ func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
 		pending = append(pending, cutoffResults...)
 		SortResults(pending)
 		for _, r := range pending {
-			if yielded >= k {
+			if k > 0 && yielded >= k {
 				break
 			}
 			yielded++

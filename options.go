@@ -249,26 +249,6 @@ func WithAutoMerge(opts AutoMergeOptions) Option {
 	}
 }
 
-// WithResultCache enables the opt-in point-query result cache on every
-// table the option reaches, holding up to n materialized result sets
-// per shard. Cached entries replay the original execution's results
-// and statistics byte-for-byte — including modeled cost — and any
-// insert or delete touching a shard invalidates that shard's entries,
-// so a hit is indistinguishable from a re-execution. n = 0 (the
-// default) disables the cache; DropCaches purges it.
-func WithResultCache(n int) Option {
-	return func(c *config) {
-		if !c.tableScoped("WithResultCache") {
-			return
-		}
-		if n < 0 {
-			c.setErr(fmt.Errorf("upidb: WithResultCache capacity must be non-negative; got %d", n))
-			return
-		}
-		c.table.ResultCache = n
-	}
-}
-
 // WithNodePageSize sets a spatial table's R-Tree node page size
 // (default 4 KiB). Spatial scope only.
 func WithNodePageSize(n int) Option {
@@ -288,19 +268,6 @@ func WithHeapPageSize(n int) Option {
 			return
 		}
 		c.spatial.HeapPageSize = n
-	}
-}
-
-// WithSpatialOptions applies a legacy SpatialOptions struct wholesale.
-//
-// Deprecated: pass WithNodePageSize and WithHeapPageSize directly.
-func WithSpatialOptions(o SpatialOptions) Option {
-	return func(c *config) {
-		if !c.spatialOnly("WithSpatialOptions") {
-			return
-		}
-		c.spatial.NodePageSize = o.NodePageSize
-		c.spatial.HeapPageSize = o.HeapPageSize
 	}
 }
 

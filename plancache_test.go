@@ -1,11 +1,10 @@
 package upidb
 
-// Prepared-query and caching tests: golden parity between uncached
-// Run, Prepared execution and result-cached tables at several shard
-// counts; plan-cache invalidation across merge rebuilds, flushes and
-// staleness transitions; option-scope validation for the redesigned
-// spatial options; and a race-enabled soak of shared Prepared handles
-// against concurrent maintenance.
+// Plan-cache tests: golden parity between fresh-plan and cached-plan
+// executions at several shard counts; plan-cache invalidation across
+// merge rebuilds, flushes and staleness transitions; option-scope
+// validation; and a race-enabled soak of shared Query values against
+// concurrent maintenance.
 
 import (
 	"context"
@@ -42,80 +41,68 @@ func sansSource(i QueryInfo) QueryInfo {
 }
 
 // TestPreparedAndCachedParity: at shard counts 1, 2 and 7, for every
-// query kind and routing, a Prepared handle's executions and a
-// result-cached table's executions (cold and warm) are byte-identical
-// to the plain Run — same results, same statistics, same modeled cost.
-// Only PlanSource may differ, flipping to cached-plan on repeats.
+// query kind and routing, a repeat served from the plan cache is
+// byte-identical to the first, freshly costed execution — same rows,
+// same order, same statistics, same modeled cost. Only PlanSource
+// differs, flipping to cached-plan on the repeat of a planner-routed
+// shape.
 func TestPreparedAndCachedParity(t *testing.T) {
-	build := func(t *testing.T, shards int, name string, opts ...Option) *Table {
-		db := mustCreate(t)
-		var load []*Tuple
-		for i := 0; i < 150; i++ {
-			load = append(load, shardTestTuple(t, uint64(i+1), i+1))
-		}
-		opts = append([]Option{WithCutoff(0.15), WithShards(shards)}, opts...)
-		tab, err := db.BulkLoadTable(name, "X", []string{"Y"}, load, opts...)
-		if err != nil {
-			t.Fatal(err)
-		}
-		id := uint64(1000)
-		for f := 0; f < 2; f++ {
-			for i := 0; i < 15; i++ {
-				if err := tab.Insert(shardTestTuple(t, id, int(id))); err != nil {
-					t.Fatal(err)
-				}
-				id++
-			}
-			if err := tab.Delete(uint64(f*9 + 1)); err != nil {
-				t.Fatal(err)
-			}
-			if err := tab.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := tab.Insert(shardTestTuple(t, id, int(id))); err != nil {
-			t.Fatal(err)
-		}
-		return tab
-	}
-	queries := []Query{
-		PTQ("", "v03", 0.05).WithStats(),
-		PTQ("", "v03", 0.4).WithStats(),
-		PTQ("Y", "yv02", 0.05).WithStats(),
-		PTQ("", "v04", 0.1).WithHeuristic().WithStats(),
-		TopKQuery("v04", 9).WithStats(),
+	queries := []struct {
+		q       Query
+		planned bool // planner-routed: the repeat must hit the plan cache
+	}{
+		{PTQ("", "v03", 0.05).WithStats(), true},
+		{PTQ("", "v03", 0.4).WithStats(), true},
+		{PTQ("Y", "yv02", 0.05).WithStats(), true},
+		{PTQ("", "v04", 0.1).WithHeuristic().WithStats(), false},
+		{TopKQuery("v04", 9).WithStats(), false},
 	}
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			plain := build(t, shards, "plain")
-			cached := build(t, shards, "cached", WithResultCache(32))
-			for qi, q := range queries {
-				goldenRes, goldenInfo := runCollect(t, func(ctx context.Context) (*Results, error) {
-					return plain.Run(ctx, q)
-				})
-				prep, err := plain.Prepare(q)
-				if err != nil {
-					t.Fatalf("q=%d: prepare: %v", qi, err)
-				}
-				type exec struct {
-					label string
-					run   func(context.Context) (*Results, error)
-				}
-				execs := []exec{
-					{"plain repeat", func(ctx context.Context) (*Results, error) { return plain.Run(ctx, q) }},
-					{"prepared 1", prep.Run},
-					{"prepared 2", prep.Run},
-					{"result-cache cold", func(ctx context.Context) (*Results, error) { return cached.Run(ctx, q) }},
-					{"result-cache warm", func(ctx context.Context) (*Results, error) { return cached.Run(ctx, q) }},
-				}
-				for _, e := range execs {
-					res, info := runCollect(t, e.run)
-					if !reflect.DeepEqual(res, goldenRes) {
-						t.Fatalf("q=%d %s: results diverged\n got %v\nwant %v", qi, e.label, res, goldenRes)
+			db := mustCreate(t)
+			var load []*Tuple
+			for i := 0; i < 150; i++ {
+				load = append(load, shardTestTuple(t, uint64(i+1), i+1))
+			}
+			tab, err := db.BulkLoadTable("plain", "X", []string{"Y"}, load, WithCutoff(0.15), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			id := uint64(1000)
+			for f := 0; f < 2; f++ {
+				for i := 0; i < 15; i++ {
+					if err := tab.Insert(shardTestTuple(t, id, int(id))); err != nil {
+						t.Fatal(err)
 					}
-					if got, want := sansSource(info), sansSource(goldenInfo); !reflect.DeepEqual(got, want) {
-						t.Fatalf("q=%d %s: info diverged\n got %+v\nwant %+v", qi, e.label, got, want)
-					}
+					id++
+				}
+				if err := tab.Delete(uint64(f*9 + 1)); err != nil {
+					t.Fatal(err)
+				}
+				if err := tab.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := tab.Insert(shardTestTuple(t, id, int(id))); err != nil {
+				t.Fatal(err)
+			}
+			for qi, qc := range queries {
+				run := func(ctx context.Context) (*Results, error) { return tab.Run(ctx, qc.q) }
+				freshRes, freshInfo := runCollect(t, run)
+				cachedRes, cachedInfo := runCollect(t, run)
+				wantFresh, wantCached := PlanSourceHeuristic, PlanSourceHeuristic
+				if qc.planned {
+					wantFresh, wantCached = PlanSourceStats, PlanSourceCached
+				}
+				if freshInfo.PlanSource != wantFresh || cachedInfo.PlanSource != wantCached {
+					t.Fatalf("q=%d: plan sources %q then %q, want %q then %q",
+						qi, freshInfo.PlanSource, cachedInfo.PlanSource, wantFresh, wantCached)
+				}
+				if !reflect.DeepEqual(cachedRes, freshRes) {
+					t.Fatalf("q=%d: results diverged under the plan cache\n got %v\nwant %v", qi, cachedRes, freshRes)
+				}
+				if got, want := sansSource(cachedInfo), sansSource(freshInfo); !reflect.DeepEqual(got, want) {
+					t.Fatalf("q=%d: info diverged under the plan cache\n got %+v\nwant %+v", qi, got, want)
 				}
 			}
 		})
@@ -228,7 +215,7 @@ func TestDropCachesPurgesPlanCache(t *testing.T) {
 	for i := 0; i < 80; i++ {
 		load = append(load, shardTestTuple(t, uint64(i+1), i+1))
 	}
-	tab, err := db.BulkLoadTable("drop", "X", nil, load, WithCutoff(0.15), WithResultCache(8))
+	tab, err := db.BulkLoadTable("drop", "X", nil, load, WithCutoff(0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -274,12 +261,8 @@ func TestOptionScopeValidation(t *testing.T) {
 		!strings.Contains(err.Error(), "database-level option") {
 		t.Fatalf("db option at spatial scope: %v", err)
 	}
-	if _, err := db.CreateTable("t", "X", nil, WithResultCache(-1)); err == nil {
-		t.Fatal("negative result-cache capacity accepted")
-	}
 
-	// The spatial options land, via both the functional options and the
-	// deprecated struct bridge.
+	// The spatial options land at spatial scope.
 	seg, err := NewDiscrete([]Alternative{{Value: "seg-1", Prob: 1}})
 	if err != nil {
 		t.Fatal(err)
@@ -290,17 +273,12 @@ func TestOptionScopeValidation(t *testing.T) {
 	if _, err := db.BulkLoadSpatial("fn", obs, WithNodePageSize(2048), WithHeapPageSize(32*1024)); err != nil {
 		t.Fatalf("spatial functional options: %v", err)
 	}
-	//lint:ignore SA1019 the bridge's one release of life is exactly what this exercises
-	if _, err := db.BulkLoadSpatial("bridge", obs,
-		WithSpatialOptions(SpatialOptions{NodePageSize: 2048})); err != nil {
-		t.Fatalf("deprecated bridge: %v", err)
-	}
 }
 
-// TestSoakPreparedQueries: shared Prepared handles run from many
-// goroutines while inserts, deletes, flushes and merges churn the
-// table. Every execution must succeed and yield a well-ordered result
-// stream. Run under -race in CI.
+// TestSoakPreparedQueries: Query descriptors are values — the same
+// ones are Run from many goroutines while inserts, deletes, flushes and
+// merges churn the table. Every execution must succeed and yield a
+// well-ordered result stream. Run under -race in CI.
 func TestSoakPreparedQueries(t *testing.T) {
 	db := mustCreate(t)
 	var load []*Tuple
@@ -308,21 +286,14 @@ func TestSoakPreparedQueries(t *testing.T) {
 		load = append(load, shardTestTuple(t, uint64(i+1), i+1))
 	}
 	tab, err := db.BulkLoadTable("soakprep", "X", []string{"Y"}, load,
-		WithCutoff(0.15), WithShards(3), WithResultCache(16))
+		WithCutoff(0.15), WithShards(3))
 	if err != nil {
 		t.Fatal(err)
 	}
-	handles := []*Prepared{}
-	for _, q := range []Query{
+	shared := []Query{
 		PTQ("", "v03", 0.2).WithStats(),
 		PTQ("Y", "yv02", 0.05),
 		TopKQuery("v04", 7),
-	} {
-		p, err := tab.Prepare(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		handles = append(handles, p)
 	}
 
 	stop := make(chan struct{})
@@ -338,27 +309,22 @@ func TestSoakPreparedQueries(t *testing.T) {
 					return
 				default:
 				}
-				p := handles[i%len(handles)]
-				if i%7 == 0 {
-					p = handles[0].Bind(fmt.Sprintf("v%02d", i%7))
-				}
-				res, err := p.Run(context.Background())
+				res, err := tab.Run(context.Background(), shared[i%len(shared)])
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d: %w", r, i, err)
 					return
 				}
-				prev := [2]float64{2, 0} // above any confidence
+				prev := 2.0 // above any confidence
 				for rr, err := range res.All() {
 					if err != nil {
 						errs <- fmt.Errorf("reader %d iter %d stream: %w", r, i, err)
 						return
 					}
-					cur := [2]float64{rr.Confidence, float64(rr.Tuple.ID)}
-					if cur[0] > prev[0] {
+					if rr.Confidence > prev {
 						errs <- fmt.Errorf("reader %d iter %d: out-of-order yield", r, i)
 						return
 					}
-					prev = cur
+					prev = rr.Confidence
 				}
 			}
 		}(r)
@@ -394,9 +360,9 @@ func TestSoakPreparedQueries(t *testing.T) {
 		t.FailNow()
 	}
 
-	// The handles survive everything above; a final execution still
+	// The descriptors survive everything above; a final execution still
 	// answers and reports a sane provenance.
-	res, err := handles[0].Run(context.Background())
+	res, err := tab.Run(context.Background(), shared[0])
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -440,42 +440,22 @@ func (t *Table) Run(ctx context.Context, q Query) (*Results, error) {
 	if err := upi.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	attr, primary, err := t.resolveQuery(q)
-	if err != nil {
-		return nil, err
-	}
-	return t.runResolved(ctx, q, attr, primary)
-}
-
-// resolveQuery is Run's validation pass: spatial descriptors are
-// rejected, the attribute is resolved against the table schema, and
-// explain-only requests are checked for plannability. Table.Prepare
-// runs it once and reuses the outcome on every execution.
-func (t *Table) resolveQuery(q Query) (attr, primary string, err error) {
 	if q.kind.spatial() {
-		return "", "", fmt.Errorf("upidb: %v is a spatial query; run it with SpatialTable.Run", q.kind)
+		return nil, fmt.Errorf("upidb: %v is a spatial query; run it with SpatialTable.Run", q.kind)
 	}
-	primary = t.shards.Attr()
-	attr = q.attr
+	primary := t.shards.Attr()
+	attr := q.attr
 	if attr == "" {
 		attr = primary
 	}
 	if attr != primary && !slices.Contains(t.shards.SecondaryAttrs(), attr) {
-		return "", "", fmt.Errorf("%w: %q (primary %q, secondary %v)",
+		return nil, fmt.Errorf("%w: %q (primary %q, secondary %v)",
 			ErrUnknownAttr, attr, primary, t.shards.SecondaryAttrs())
 	}
 	if q.explainOnly && q.kind != KindPTQ {
 		// Explain is plan-only by contract; never fall through to a
 		// full execution for a query class the planner can't cost.
-		return "", "", fmt.Errorf("upidb: WithExplain supports PTQ queries only")
-	}
-	return attr, primary, nil
-}
-
-// runResolved is Run after validation: routing, admission, snapshot.
-func (t *Table) runResolved(ctx context.Context, q Query, attr, primary string) (*Results, error) {
-	if err := upi.CtxErr(ctx); err != nil {
-		return nil, err
+		return nil, fmt.Errorf("upidb: WithExplain supports PTQ queries only")
 	}
 	// started anchors the observed-wall-clock histogram.
 	started := time.Now()

@@ -274,3 +274,77 @@ func TestQueryWithTrace(t *testing.T) {
 		t.Fatalf("%d yield events for %d results", counts[TraceYield], n)
 	}
 }
+
+// TestTopKAfterBestDelete: at shard counts 1, 2 and 7, repeatedly
+// deleting the best tuple of a value — one whose tuples sit in main,
+// one in a flushed fracture, one in the RAM buffer — leaves
+// TopKQuery(value, 3) equal to the first three rows of the brute-force
+// oracle, while the tombstones are buffered and after they are flushed.
+// The k of a top-k counts live rows, after the supersedence filter; a
+// partition that stopped at its first k heap entries would come up
+// short (or rank a worse row from elsewhere) once its head is deleted.
+func TestTopKAfterBestDelete(t *testing.T) {
+	// 40 tuples per value with distinct confidences; value v%02d of
+	// fracturedTuple's v = 0, 2, 4 (their second alternatives land on
+	// the odd values and never interfere).
+	batch := func(firstID uint64, v int) []*Tuple {
+		var out []*Tuple
+		for i := 0; i < 40; i++ {
+			out = append(out, fracturedTuple(t, firstID+uint64(i), v, 0.95-float64(i)*0.01))
+		}
+		return out
+	}
+	for _, shards := range []int{1, 2, 7} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			db := mustCreate(t)
+			ref := &refTable{live: make(map[uint64]*Tuple)}
+			inMain := batch(1, 0)
+			tab, err := db.BulkLoadTable("topkdel", "X", []string{"Y"}, inMain, WithCutoff(0.15), WithShards(shards))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tup := range inMain {
+				ref.live[tup.ID] = tup
+			}
+			insert := func(tuples []*Tuple) {
+				for _, tup := range tuples {
+					if err := tab.Insert(tup); err != nil {
+						t.Fatal(err)
+					}
+					ref.live[tup.ID] = tup
+				}
+			}
+			insert(batch(1000, 2))
+			if err := tab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			insert(batch(2000, 4))
+
+			queries := []Query{TopKQuery("v00", 3), TopKQuery("v02", 3), TopKQuery("v04", 3)}
+			check := func(stage string, q Query) {
+				t.Helper()
+				res, err := tab.Run(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				checkAgainstRef(t, ref, fmt.Sprintf("%s, top-3 of %s", stage, q.value), q, res.Collect())
+			}
+			for _, q := range queries {
+				for round := 0; round < 12; round++ {
+					best := ref.query("X", q.value, 0)[0]
+					if err := tab.Delete(best); err != nil {
+						t.Fatal(err)
+					}
+					delete(ref.live, best)
+					check(fmt.Sprintf("tombstone of %d buffered", best), q)
+				}
+			}
+			if err := tab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range queries {
+				check("tombstones flushed", q)
+			}
+		})
+	}
+}

@@ -436,12 +436,11 @@ func (t *Table) NumFractures() int { return t.shards.NumFractures() }
 // SizeBytes returns the table's total on-disk size over all shards.
 func (t *Table) SizeBytes() int64 { return t.shards.SizeBytes() }
 
-// DropCaches empties all buffer pools, the per-shard plan caches and
-// the result caches (if enabled): the next query of any shape runs
-// fully cold — pages re-read, plans re-costed, point results
-// re-executed. upibench wraps every modeled measurement in DropCaches,
+// DropCaches empties all buffer pools and the per-shard plan caches:
+// the next query of any shape runs fully cold — pages re-read, plans
+// re-costed. upibench wraps every modeled measurement in DropCaches,
 // which is why its cold-cache numbers stay deterministic with the
-// caching layers on.
+// plan cache on.
 func (t *Table) DropCaches() error { return t.shards.DropCaches() }
 
 // QueryInfo reports the modeled cost of one query and what it
@@ -488,18 +487,6 @@ func (q QueryInfo) String() string {
 		s += " source=" + q.PlanSource
 	}
 	return s
-}
-
-// SpatialOptions tune a continuous-UPI table.
-//
-// Deprecated: pass the spatial functional options (WithNodePageSize,
-// WithHeapPageSize) to BulkLoadSpatial instead; an existing struct can
-// be bridged with WithSpatialOptions for one release.
-type SpatialOptions struct {
-	// NodePageSize is the R-Tree node page size (default 4 KiB).
-	NodePageSize int
-	// HeapPageSize is the clustered heap page size (default 64 KiB).
-	HeapPageSize int
 }
 
 // SpatialTable is a continuous UPI (Section 5) over uncertain 2-D
