@@ -103,12 +103,32 @@ func (t *Tree) Leaves() int64 { return t.leaves }
 // Pager exposes the underlying pager (for cache control in benchmarks).
 func (t *Tree) Pager() *storage.Pager { return t.pager }
 
+// readPage parses page id in place: the view aliases the pager's
+// buffer, which the pager never recycles and only this tree's writer
+// changes. It is the read path's page access.
+func (t *Tree) readPage(id storage.PageID, slots []slot) (page, error) {
+	buf, err := t.pager.Read(id)
+	if err != nil {
+		return page{}, err
+	}
+	return parsePage(id, buf, slots)
+}
+
+// readNode is the mutation path's page access: it parses a private
+// clone of the page. Splits, merges and borrows move keys between
+// nodes, and writeNode overwrites the pager's buffer in place, so a
+// node aliasing the live page would see its keys change under it as
+// soon as a sibling holding some of them was written.
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	buf, err := t.pager.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	return deserialize(id, buf)
+	pg, err := parsePage(id, bytes.Clone(buf), nil)
+	if err != nil {
+		return nil, err
+	}
+	return pg.node(), nil
 }
 
 func (t *Tree) writeNode(n *node) error {
@@ -135,31 +155,29 @@ func (t *Tree) allocNode(leaf bool) (*node, error) {
 // maxEntry returns the largest leaf entry that fits a page.
 func (t *Tree) maxEntry() int { return t.pager.PageSize() - leafHeader }
 
-// Get returns the value stored under key.
+// Get returns the value stored under key. The value aliases the
+// pager's page: decode or copy it before the next write to the tree,
+// which may overwrite those bytes in place.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	n, err := t.descendToLeaf(key)
+	pg, err := t.descendToLeaf(key, nil)
 	if err != nil {
 		return nil, false, err
 	}
-	i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], key) >= 0 })
-	if i < len(n.keys) && bytes.Equal(n.keys[i], key) {
-		return n.vals[i], true, nil
+	i := pg.lowerBound(key)
+	if i < len(pg.slots) && bytes.Equal(pg.key(i), key) {
+		return pg.val(i), true, nil
 	}
 	return nil, false, nil
 }
 
-func (t *Tree) descendToLeaf(key []byte) (*node, error) {
-	n, err := t.readNode(t.root)
-	if err != nil {
-		return nil, err
+// descendToLeaf returns the leaf that key routes to. slots is scratch
+// for the leaf's slot table (see parsePage).
+func (t *Tree) descendToLeaf(key []byte, slots []slot) (page, error) {
+	pg, err := t.readPage(t.root, slots)
+	for err == nil && !pg.leaf {
+		pg, err = t.readPage(pg.childFor(key), pg.slots)
 	}
-	for !n.leaf {
-		i := sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(key, n.keys[i]) < 0 })
-		if n, err = t.readNode(n.children[i]); err != nil {
-			return nil, err
-		}
-	}
-	return n, nil
+	return pg, err
 }
 
 type promotion struct {
@@ -310,14 +328,14 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		return false, nil
 	}
 	// Collapse the root when an internal root loses all separators.
-	root, err := t.readNode(t.root)
+	root, err := t.readPage(t.root, nil)
 	if err != nil {
 		return false, err
 	}
-	for !root.leaf && len(root.keys) == 0 {
-		t.root = root.children[0]
+	for !root.leaf && len(root.slots) == 0 {
+		t.root = root.child(0)
 		t.height--
-		if root, err = t.readNode(t.root); err != nil {
+		if root, err = t.readPage(t.root, root.slots); err != nil {
 			return false, err
 		}
 	}

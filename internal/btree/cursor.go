@@ -2,18 +2,19 @@ package btree
 
 import (
 	"bytes"
-	"sort"
 
 	"upidb/internal/storage"
 )
 
 // Cursor iterates leaf entries in ascending key order. A cursor is a
-// snapshot-style iterator: it holds a private copy of the current leaf,
-// so concurrent mutation of the tree during iteration yields undefined
-// (but memory-safe) results, exactly as a BDB cursor without locking.
+// snapshot-style iterator without locking, like a BDB cursor: it holds
+// a view of the current leaf that aliases the pager's page, so Key and
+// Value are free of copies, and mutating the tree during iteration
+// yields undefined (but memory-safe: no panic, no out-of-page read)
+// entries.
 type Cursor struct {
 	t   *Tree
-	n   *node
+	pg  page // current leaf; pg.buf == nil when unpositioned or exhausted
 	idx int
 	err error
 }
@@ -22,68 +23,67 @@ type Cursor struct {
 // returns the cursor for chaining. This is the UPI.seekTo of the
 // paper's Algorithm 2.
 func (c *Cursor) Seek(target []byte) *Cursor {
-	n, err := c.t.descendToLeaf(target)
+	pg, err := c.t.descendToLeaf(target, c.pg.slots)
 	if err != nil {
-		c.err = err
-		c.n = nil
+		c.fail(err)
 		return c
 	}
-	c.n = n
-	c.idx = sort.Search(len(n.keys), func(i int) bool { return bytes.Compare(n.keys[i], target) >= 0 })
+	c.pg = pg
+	c.idx = pg.lowerBound(target)
 	c.skipToNonEmpty()
 	return c
 }
 
 // First positions the cursor at the smallest entry.
 func (c *Cursor) First() *Cursor {
-	n, err := c.t.readNode(c.t.root)
+	pg, err := c.t.readPage(c.t.root, c.pg.slots)
+	for err == nil && !pg.leaf {
+		pg, err = c.t.readPage(pg.child(0), pg.slots)
+	}
 	if err != nil {
-		c.err = err
-		c.n = nil
+		c.fail(err)
 		return c
 	}
-	for !n.leaf {
-		if n, err = c.t.readNode(n.children[0]); err != nil {
-			c.err = err
-			c.n = nil
-			return c
-		}
-	}
-	c.n = n
+	c.pg = pg
 	c.idx = 0
 	c.skipToNonEmpty()
 	return c
 }
 
+func (c *Cursor) fail(err error) {
+	c.err = err
+	c.pg = page{}
+}
+
 // skipToNonEmpty advances across empty leaves (possible after deletes).
 func (c *Cursor) skipToNonEmpty() {
-	for c.n != nil && c.idx >= len(c.n.keys) {
-		if c.n.next == storage.InvalidPage {
-			c.n = nil
+	for c.pg.buf != nil && c.idx >= len(c.pg.slots) {
+		if c.pg.next == storage.InvalidPage {
+			c.pg = page{}
 			return
 		}
-		n, err := c.t.readNode(c.n.next)
+		pg, err := c.t.readPage(c.pg.next, c.pg.slots)
 		if err != nil {
-			c.err = err
-			c.n = nil
+			c.fail(err)
 			return
 		}
-		c.n = n
+		c.pg = pg
 		c.idx = 0
 	}
 }
 
 // Valid reports whether the cursor points at an entry.
-func (c *Cursor) Valid() bool { return c.err == nil && c.n != nil }
+func (c *Cursor) Valid() bool { return c.err == nil && c.pg.buf != nil }
 
 // Err returns the first I/O error the cursor encountered, if any.
 func (c *Cursor) Err() error { return c.err }
 
-// Key returns the current key. Valid until the next cursor movement.
-func (c *Cursor) Key() []byte { return c.n.keys[c.idx] }
+// Key returns the current key. It aliases the page: valid until the
+// next write to the tree.
+func (c *Cursor) Key() []byte { return c.pg.key(c.idx) }
 
-// Value returns the current value. Valid until the next cursor movement.
-func (c *Cursor) Value() []byte { return c.n.vals[c.idx] }
+// Value returns the current value, aliasing the page like Key.
+func (c *Cursor) Value() []byte { return c.pg.val(c.idx) }
 
 // Next advances to the following entry (Cur.advance() in Algorithm 2).
 func (c *Cursor) Next() {
@@ -99,7 +99,8 @@ func (t *Tree) NewCursor() *Cursor { return &Cursor{t: t} }
 
 // Scan calls fn for every entry with start <= key < end in order.
 // A nil start begins at the first key; a nil end scans to the last.
-// fn returning false stops the scan early.
+// fn returning false stops the scan early. key and val alias the page,
+// like Cursor.Key: fn may keep them until the next write to the tree.
 func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
 	c := t.NewCursor()
 	if start == nil {

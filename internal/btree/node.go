@@ -1,8 +1,10 @@
 package btree
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
+	"sort"
 
 	"upidb/internal/storage"
 )
@@ -89,55 +91,131 @@ func (n *node) serialize(pageSize int) ([]byte, error) {
 	return buf, nil
 }
 
-func deserialize(id storage.PageID, buf []byte) (*node, error) {
+// page is a parsed, read-only view of one serialized node. Keys and
+// values are sub-slices of buf (capacity capped, so an append cannot
+// reach the neighbouring entry); the slot table is the view's only
+// allocation. Every slot was bounds-checked by parsePage against the
+// buffer it indexes, so accessors never fail or panic, even when the
+// buffer's bytes have since been overwritten by the tree's writer.
+type page struct {
+	id    storage.PageID
+	buf   []byte // nil = no page (an unpositioned or exhausted cursor)
+	leaf  bool
+	next  storage.PageID // leaf only
+	slots []slot
+}
+
+// slot locates one entry in page.buf: the key starts at off and runs
+// klen bytes; a leaf's value (vlen bytes) or an internal node's 4-byte
+// child pointer follows it.
+type slot struct {
+	off        uint32
+	klen, vlen uint16
+}
+
+// parsePage validates the framing of one serialized node and returns a
+// view of it that aliases buf. slots is scratch for the slot table
+// (a cursor passes the previous leaf's); nil allocates.
+func parsePage(id storage.PageID, buf []byte, slots []slot) (page, error) {
 	if len(buf) < leafHeader {
-		return nil, fmt.Errorf("btree: page %d too short", id)
+		return page{}, fmt.Errorf("btree: page %d too short", id)
 	}
-	n := &node{id: id}
 	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
+	if cap(slots) < nkeys {
+		slots = make([]slot, nkeys)
+	}
+	pg := page{id: id, buf: buf, slots: slots[:nkeys]}
 	switch buf[0] {
 	case nodeLeaf:
-		n.leaf = true
-		n.next = storage.PageID(binary.BigEndian.Uint32(buf[3:]))
-		n.keys = make([][]byte, nkeys)
-		n.vals = make([][]byte, nkeys)
+		pg.leaf = true
+		pg.next = storage.PageID(binary.BigEndian.Uint32(buf[3:]))
 		off := leafHeader
 		for i := 0; i < nkeys; i++ {
 			if off+4 > len(buf) {
-				return nil, fmt.Errorf("btree: page %d truncated at entry %d", id, i)
+				return page{}, fmt.Errorf("btree: page %d truncated at entry %d", id, i)
 			}
-			kl := int(binary.BigEndian.Uint16(buf[off:]))
-			vl := int(binary.BigEndian.Uint16(buf[off+2:]))
+			kl := binary.BigEndian.Uint16(buf[off:])
+			vl := binary.BigEndian.Uint16(buf[off+2:])
 			off += 4
-			if off+kl+vl > len(buf) {
-				return nil, fmt.Errorf("btree: page %d entry %d out of bounds", id, i)
+			if off+int(kl)+int(vl) > len(buf) {
+				return page{}, fmt.Errorf("btree: page %d entry %d out of bounds", id, i)
 			}
-			n.keys[i] = append([]byte(nil), buf[off:off+kl]...)
-			off += kl
-			n.vals[i] = append([]byte(nil), buf[off:off+vl]...)
-			off += vl
+			pg.slots[i] = slot{off: uint32(off), klen: kl, vlen: vl}
+			off += int(kl) + int(vl)
 		}
 	case nodeInternal:
-		n.keys = make([][]byte, nkeys)
-		n.children = make([]storage.PageID, nkeys+1)
-		n.children[0] = storage.PageID(binary.BigEndian.Uint32(buf[3:]))
 		off := internalHeader
 		for i := 0; i < nkeys; i++ {
 			if off+2 > len(buf) {
-				return nil, fmt.Errorf("btree: page %d truncated at separator %d", id, i)
+				return page{}, fmt.Errorf("btree: page %d truncated at separator %d", id, i)
 			}
-			kl := int(binary.BigEndian.Uint16(buf[off:]))
+			kl := binary.BigEndian.Uint16(buf[off:])
 			off += 2
-			if off+kl+4 > len(buf) {
-				return nil, fmt.Errorf("btree: page %d separator %d out of bounds", id, i)
+			if off+int(kl)+4 > len(buf) {
+				return page{}, fmt.Errorf("btree: page %d separator %d out of bounds", id, i)
 			}
-			n.keys[i] = append([]byte(nil), buf[off:off+kl]...)
-			off += kl
-			n.children[i+1] = storage.PageID(binary.BigEndian.Uint32(buf[off:]))
-			off += 4
+			pg.slots[i] = slot{off: uint32(off), klen: kl}
+			off += int(kl) + 4
 		}
 	default:
-		return nil, fmt.Errorf("btree: page %d has unknown node type %d", id, buf[0])
+		return page{}, fmt.Errorf("btree: page %d has unknown node type %d", id, buf[0])
 	}
-	return n, nil
+	return pg, nil
+}
+
+func (p *page) key(i int) []byte {
+	s := p.slots[i]
+	end := int(s.off) + int(s.klen)
+	return p.buf[s.off:end:end]
+}
+
+// val returns a leaf entry's value.
+func (p *page) val(i int) []byte {
+	s := p.slots[i]
+	start := int(s.off) + int(s.klen)
+	end := start + int(s.vlen)
+	return p.buf[start:end:end]
+}
+
+// child returns an internal node's i-th child, 0 <= i <= len(slots).
+func (p *page) child(i int) storage.PageID {
+	if i == 0 {
+		return storage.PageID(binary.BigEndian.Uint32(p.buf[3:]))
+	}
+	s := p.slots[i-1]
+	return storage.PageID(binary.BigEndian.Uint32(p.buf[int(s.off)+int(s.klen):]))
+}
+
+// lowerBound returns the index of the first key >= target, or
+// len(slots): a leaf's seek position.
+func (p *page) lowerBound(target []byte) int {
+	return sort.Search(len(p.slots), func(i int) bool { return bytes.Compare(p.key(i), target) >= 0 })
+}
+
+// childFor returns the child an internal node routes key to: the one
+// left of the first separator greater than key.
+func (p *page) childFor(key []byte) storage.PageID {
+	return p.child(sort.Search(len(p.slots), func(i int) bool { return bytes.Compare(key, p.key(i)) < 0 }))
+}
+
+// node materialises the view as a mutable node whose keys and values
+// still alias p.buf; the mutation path hands it a private clone of the
+// page (see Tree.readNode).
+func (p *page) node() *node {
+	n := &node{id: p.id, leaf: p.leaf, next: p.next, keys: make([][]byte, len(p.slots))}
+	for i := range p.slots {
+		n.keys[i] = p.key(i)
+	}
+	if p.leaf {
+		n.vals = make([][]byte, len(p.slots))
+		for i := range p.slots {
+			n.vals[i] = p.val(i)
+		}
+		return n
+	}
+	n.children = make([]storage.PageID, len(p.slots)+1)
+	for i := range n.children {
+		n.children[i] = p.child(i)
+	}
+	return n
 }

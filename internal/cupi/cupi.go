@@ -539,7 +539,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 	)
 	start, end := upi.ValuePrefix(seg), upi.ValuePrefixEnd(seg)
 	err := t.segIdx.Scan(start, end, func(k, v []byte) bool {
-		_, conf, id, err := upi.DecodeHeapKey(k)
+		conf, id, err := upi.DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false

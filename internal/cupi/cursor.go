@@ -187,7 +187,7 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 			if scanErr = upi.CtxErr(ctx); scanErr != nil {
 				return false
 			}
-			_, conf, id, err := upi.DecodeHeapKey(k)
+			conf, id, err := upi.DecodeConfID(k)
 			if err != nil {
 				scanErr = err
 				return false

@@ -312,7 +312,7 @@ func kWayMerge(curs []*mergeCursor, b *btree.Builder, feed func(id uint64, val [
 			break
 		}
 		minKey = append([]byte(nil), minKey...)
-		_, _, id, err := upi.DecodeHeapKey(minKey)
+		_, id, err := upi.DecodeConfID(minKey)
 		if err != nil {
 			return err
 		}

@@ -363,7 +363,7 @@ func collectLiveTuples(parts []*upi.Table, deletes []map[uint64]bool) ([]*tuple.
 	byID := make(map[uint64]*tuple.Tuple)
 	for i, t := range parts {
 		deleted := deletes[i]
-		err := t.ScanHeap(func(value string, conf float64, id uint64, enc []byte) bool {
+		err := t.ScanHeap(func(id uint64, enc []byte) bool {
 			if deleted[id] {
 				return true
 			}

@@ -42,27 +42,58 @@ func AppendString(dst []byte, s string) []byte {
 // DecodeString decodes a string encoded by AppendString from the front
 // of b, returning the string and the remaining bytes.
 func DecodeString(b []byte) (string, []byte, error) {
-	var out []byte
-	for i := 0; i < len(b); i++ {
-		c := b[i]
-		if c != strEscape {
-			out = append(out, c)
-			continue
+	n, escapes, err := scanString(b)
+	if err != nil {
+		return "", nil, err
+	}
+	body := b[:n-2]
+	if escapes == 0 {
+		return string(body), b[n:], nil
+	}
+	out := make([]byte, 0, len(body)-escapes)
+	for i := 0; i < len(body); i++ {
+		out = append(out, body[i])
+		if body[i] == strEscape {
+			i++ // the escape tag scanString checked
 		}
+	}
+	return string(out), b[n:], nil
+}
+
+// SkipString validates a string encoded by AppendString at the front
+// of b exactly as DecodeString does and returns the bytes after it,
+// without building the string.
+func SkipString(b []byte) ([]byte, error) {
+	n, _, err := scanString(b)
+	if err != nil {
+		return nil, err
+	}
+	return b[n:], nil
+}
+
+// scanString checks the framing of the encoded string at the front of
+// b. It returns the encoding's length, terminator included, and how
+// many escaped 0x00 bytes the string holds.
+func scanString(b []byte) (n, escapes int, err error) {
+	for i := 0; ; {
+		j := bytes.IndexByte(b[i:], strEscape)
+		if j < 0 {
+			return 0, 0, fmt.Errorf("keyenc: unterminated string")
+		}
+		i += j
 		if i+1 >= len(b) {
-			return "", nil, fmt.Errorf("keyenc: truncated string escape")
+			return 0, 0, fmt.Errorf("keyenc: truncated string escape")
 		}
 		switch b[i+1] {
 		case strTerm:
-			return string(out), b[i+2:], nil
+			return i + 2, escapes, nil
 		case strEscTag:
-			out = append(out, strEscape)
-			i++
+			escapes++
+			i += 2
 		default:
-			return "", nil, fmt.Errorf("keyenc: bad string escape 0x%02x", b[i+1])
+			return 0, 0, fmt.Errorf("keyenc: bad string escape 0x%02x", b[i+1])
 		}
 	}
-	return "", nil, fmt.Errorf("keyenc: unterminated string")
 }
 
 // AppendUint64 appends the ascending encoding of v (8 bytes, big endian).

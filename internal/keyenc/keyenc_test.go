@@ -23,6 +23,46 @@ func TestStringRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSkipStringMatchesDecodeString: on any bytes — valid encodings
+// with a tail, every truncation of them, and noise dense in the escape
+// byte — SkipString returns DecodeString's remainder or its error.
+func TestSkipStringMatchesDecodeString(t *testing.T) {
+	check := func(b []byte) bool {
+		_, want, wantErr := DecodeString(b)
+		got, err := SkipString(b)
+		if wantErr != nil || err != nil {
+			return wantErr != nil && err != nil && err.Error() == wantErr.Error() && got == nil
+		}
+		return bytes.Equal(got, want) && len(got) == len(want)
+	}
+	err := quick.Check(func(s string, tail, noise []byte) bool {
+		enc := append(AppendString(nil, s), tail...)
+		for n := 0; n <= len(enc); n++ {
+			if !check(enc[:n]) {
+				return false
+			}
+		}
+		for i := range noise {
+			noise[i] = []byte{0x00, 0xFF, 0x00, 'a', noise[i]}[noise[i]%5]
+		}
+		return check(noise)
+	}, &quick.Config{MaxCount: 500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	key := append(AppendString(nil, "U. Tokyo\x00"), 1, 2, 3)
+	if n := testing.AllocsPerRun(100, func() { SkipString(key) }); n != 0 {
+		t.Fatalf("SkipString: %.0f allocations, want 0", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { DecodeString(key) }); n > 2 {
+		t.Fatalf("DecodeString with an escape: %.0f allocations, want <= 2", n)
+	}
+	plain := AppendString(nil, "U. Tokyo")
+	if n := testing.AllocsPerRun(100, func() { DecodeString(plain) }); n > 1 {
+		t.Fatalf("DecodeString without escapes: %.0f allocations, want <= 1", n)
+	}
+}
+
 func TestStringOrderPreserving(t *testing.T) {
 	err := quick.Check(func(a, b string) bool {
 		ea, eb := AppendString(nil, a), AppendString(nil, b)

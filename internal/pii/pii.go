@@ -229,7 +229,7 @@ func (t *Table) Query(ctx context.Context, attr, value string, qt float64) ([]up
 	start := upi.ValuePrefix(value)
 	end := upi.ValuePrefixEnd(value)
 	err := idx.Scan(start, end, func(k, v []byte) bool {
-		_, conf, _, err := upi.DecodeHeapKey(k)
+		conf, _, err := upi.DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false

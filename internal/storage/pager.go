@@ -30,12 +30,19 @@ const InvalidPage PageID = ^PageID(0)
 const DefaultCachePages = 512
 
 // Pager provides fixed-size pages over a File with an LRU buffer pool.
-// Page contents obtained from Read or Alloc remain valid until the
-// next pager call that may evict (any Read, Alloc, or SetCacheLimit);
-// callers that need longer-lived data must copy.
 //
-// Pager is not safe for concurrent use; each index structure owns its
-// pager and the engine serializes access per table.
+// A slice returned by Read or Alloc is never recycled: eviction only
+// drops the pool's reference, so the slice stays readable for as long
+// as the caller holds it. Its bytes change only through Write (which
+// overwrites a cached page in place) or an in-place mutation announced
+// with MarkDirty. B+Tree page views alias these slices instead of
+// copying them, which is sound under the engine's rule of one writer
+// per file, excluded from that file's readers by the owning table's
+// lock: a reader never observes a page mid-change.
+//
+// The methods themselves are safe for concurrent use (the pool is
+// mutex-guarded; partition cursors of parallel queries read one pager
+// concurrently).
 type Pager struct {
 	f        *File
 	pageSize int
@@ -201,7 +208,7 @@ func (p *Pager) readLocked(id PageID) ([]byte, error) {
 	// Insert read-ahead pages first, the requested page last, so the
 	// requested page is the most recently used.
 	for n := run - 1; n >= 1; n-- {
-		cp := &cachedPage{id: id + PageID(n), data: append([]byte(nil), data[n*p.pageSize:(n+1)*p.pageSize]...)}
+		cp := &cachedPage{id: id + PageID(n), data: data[n*p.pageSize : (n+1)*p.pageSize : (n+1)*p.pageSize]}
 		if err := p.insertLocked(cp); err != nil {
 			return nil, err
 		}

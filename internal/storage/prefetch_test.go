@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"bytes"
 	"testing"
 
 	"upidb/internal/sim"
@@ -130,5 +131,55 @@ func TestPrefetchDisabledByDefault(t *testing.T) {
 	p.SetPrefetch(0) // invalid values clamp to 1
 	if _, err := p.Read(1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestEvictedPageSliceStaysIntact pins the contract B+Tree page views
+// rely on: a slice handed out by Read is never recycled, so it reads
+// the same after its page was evicted (and re-read into a new buffer),
+// whether it was the requested page of a read-ahead run or one of the
+// pages that came along with it.
+func TestEvictedPageSliceStaysIntact(t *testing.T) {
+	p, _ := newPrefetchPager(t)
+	fillPages(t, p, 200)
+	if err := p.SetCacheLimit(8); err != nil {
+		t.Fatal(err)
+	}
+	p.SetPrefetch(4)
+	held := make(map[PageID][]byte)
+	want := make(map[PageID][]byte)
+	for _, id := range []PageID{0, 1, 3} { // 0 requested; 1 and 3 read ahead
+		got, err := p.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != p.PageSize() || cap(got) != p.PageSize() {
+			t.Fatalf("page %d: len %d cap %d, want both %d", id, len(got), cap(got), p.PageSize())
+		}
+		held[id] = got
+		want[id] = bytes.Clone(got)
+	}
+	for i := 100; i < 200; i++ { // evicts pages 0..3 many times over
+		if _, err := p.Read(PageID(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if p.CachedPages() > 8 {
+		t.Fatalf("pool holds %d pages, limit 8", p.CachedPages())
+	}
+	for id, got := range held {
+		if !bytes.Equal(got, want[id]) {
+			t.Fatalf("page %d: held slice changed after eviction", id)
+		}
+		again, err := p.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if &again[0] == &got[0] {
+			t.Fatalf("page %d was not evicted; the test forces nothing", id)
+		}
+		if !bytes.Equal(again, got) {
+			t.Fatalf("page %d: re-read differs from held slice", id)
+		}
 	}
 }

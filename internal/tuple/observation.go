@@ -65,13 +65,13 @@ func DecodeObservation(b []byte) (*Observation, error) {
 	if d.err == nil && nSeg > 0 {
 		o.Segment = make(prob.Discrete, nSeg)
 		for i := 0; i < nSeg; i++ {
-			o.Segment[i].Value = d.str16()
+			o.Segment[i].Value = string(d.bytes16())
 			o.Segment[i].Prob = math.Float64frombits(d.u64())
 		}
 	}
 	plen := int(d.u32())
 	if d.err == nil && plen > 0 {
-		p := d.bytes(plen)
+		p := d.take(plen)
 		if d.err == nil {
 			o.Payload = append([]byte(nil), p...)
 		}
@@ -79,8 +79,8 @@ func DecodeObservation(b []byte) (*Observation, error) {
 	if d.err != nil {
 		return nil, fmt.Errorf("tuple: decode observation: %w", d.err)
 	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("tuple: decode observation: %d trailing bytes", len(d.buf))
+	if d.rest() != 0 {
+		return nil, fmt.Errorf("tuple: decode observation: %d trailing bytes", d.rest())
 	}
 	return o, nil
 }

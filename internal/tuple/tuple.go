@@ -122,51 +122,111 @@ func AppendEncode(dst []byte, t *Tuple) []byte {
 func Encode(t *Tuple) []byte { return AppendEncode(nil, t) }
 
 // Decode parses a tuple from b. The returned tuple owns copies of all
-// data; b may be reused.
+// data; b may be reused. All of the tuple's strings share one backing
+// string (the encoding up to the payload) and all of its distributions
+// one backing array, so a tuple costs a fixed handful of allocations
+// however many fields it has.
 func Decode(b []byte) (*Tuple, error) {
+	f, err := walk(b, "", "")
+	if err != nil {
+		return nil, err
+	}
+	// The framing is valid: the reads below cannot fail.
+	blob := string(b[:f.payloadOff])
 	d := decoder{buf: b}
-	t := &Tuple{}
-	t.ID = d.u64()
-	t.Existence = math.Float64frombits(d.u64())
-	nDet := int(d.u16())
-	if d.err == nil && nDet > 0 {
+	str16 := func() string {
+		n := len(d.bytes16())
+		return blob[d.off-n : d.off]
+	}
+	t := &Tuple{ID: d.u64(), Existence: math.Float64frombits(d.u64())}
+	if nDet := int(d.u16()); nDet > 0 {
 		t.Det = make([]DetField, nDet)
-		for i := 0; i < nDet; i++ {
-			t.Det[i].Name = d.str16()
-			t.Det[i].Value = d.str16()
+		for i := range t.Det {
+			t.Det[i].Name = str16()
+			t.Det[i].Value = str16()
 		}
 	}
-	nUnc := int(d.u16())
-	if d.err == nil && nUnc > 0 {
+	if nUnc := int(d.u16()); nUnc > 0 {
 		t.Unc = make([]UncField, nUnc)
-		for i := 0; i < nUnc; i++ {
-			t.Unc[i].Name = d.str16()
+		alts := make(prob.Discrete, f.nAlts)
+		for i := range t.Unc {
+			t.Unc[i].Name = str16()
 			nAlts := int(d.u16())
-			if d.err != nil {
-				break
-			}
-			dist := make(prob.Discrete, nAlts)
-			for j := 0; j < nAlts; j++ {
-				dist[j].Value = d.str16()
+			dist := alts[:nAlts:nAlts]
+			alts = alts[nAlts:]
+			for j := range dist {
+				dist[j].Value = str16()
 				dist[j].Prob = math.Float64frombits(d.u64())
 			}
 			t.Unc[i].Dist = dist
 		}
 	}
-	plen := int(d.u32())
-	if d.err == nil && plen > 0 {
-		p := d.bytes(plen)
-		if d.err == nil {
-			t.Payload = append([]byte(nil), p...)
-		}
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("tuple: decode: %w", d.err)
-	}
-	if len(d.buf) != 0 {
-		return nil, fmt.Errorf("tuple: decode: %d trailing bytes", len(d.buf))
+	if plen := int(d.u32()); plen > 0 {
+		t.Payload = append([]byte(nil), d.take(plen)...)
 	}
 	return t, nil
+}
+
+// EncodedConfidence returns what Decode(enc) followed by
+// Confidence(attr, value) would — the same confidence, and the same
+// error for an encoding Decode rejects — without building the tuple or
+// allocating. A full scan uses it to decode only the rows that pass
+// its threshold.
+func EncodedConfidence(enc []byte, attr, value string) (float64, error) {
+	f, err := walk(enc, attr, value)
+	if err != nil || !f.hasAttr {
+		return 0, err
+	}
+	return f.existence * f.p, nil
+}
+
+// frame is what walk reports about a well-formed encoding.
+type frame struct {
+	payloadOff int // offset of the payload's length field
+	nAlts      int // alternatives, summed over the uncertain attributes
+	existence  float64
+	hasAttr    bool    // an uncertain attribute named attr exists
+	p          float64 // P(value) under the first such attribute
+}
+
+// walk is the codec's one framing validator: it checks every length
+// field of b against the buffer and that nothing trails the payload.
+// On the way it looks up P(value) of the uncertain attribute attr,
+// with the first-match rules of Tuple.Uncertain and prob.Discrete.P.
+// It does not allocate on well-formed input.
+func walk(b []byte, attr, value string) (frame, error) {
+	var f frame
+	d := decoder{buf: b}
+	d.u64() // ID
+	f.existence = math.Float64frombits(d.u64())
+	for i, nDet := 0, int(d.u16()); i < nDet && d.err == nil; i++ {
+		d.bytes16()
+		d.bytes16()
+	}
+	for i, nUnc := 0, int(d.u16()); i < nUnc && d.err == nil; i++ {
+		name := d.bytes16()
+		nAlts := int(d.u16())
+		lookup := !f.hasAttr && string(name) == attr
+		found := false
+		for j := 0; j < nAlts && d.err == nil; j++ {
+			alt := d.bytes16()
+			p := math.Float64frombits(d.u64())
+			if lookup && !found && string(alt) == value {
+				f.p, found = p, true
+			}
+		}
+		f.hasAttr = f.hasAttr || lookup
+		f.nAlts += nAlts
+	}
+	f.payloadOff = d.off
+	d.take(int(d.u32()))
+	if d.err != nil {
+		return frame{}, fmt.Errorf("tuple: decode: %w", d.err)
+	}
+	if d.rest() != 0 {
+		return frame{}, fmt.Errorf("tuple: decode: %d trailing bytes", d.rest())
+	}
+	return f, nil
 }
 
 func appendStr16(dst []byte, s string) []byte {
@@ -174,21 +234,28 @@ func appendStr16(dst []byte, s string) []byte {
 	return append(dst, s...)
 }
 
+// decoder reads fields off the front of buf. It advances an offset
+// rather than re-slicing buf: a pointer store per field would pay the
+// GC's write barrier on the hottest loop of the read path.
 type decoder struct {
 	buf []byte
+	off int
 	err error
 }
+
+// rest is the number of bytes not yet read.
+func (d *decoder) rest() int { return len(d.buf) - d.off }
 
 func (d *decoder) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if len(d.buf) < n {
-		d.err = fmt.Errorf("short buffer: need %d, have %d", n, len(d.buf))
+	if d.rest() < n {
+		d.err = fmt.Errorf("short buffer: need %d, have %d", n, d.rest())
 		return nil
 	}
-	out := d.buf[:n]
-	d.buf = d.buf[n:]
+	out := d.buf[d.off : d.off+n]
+	d.off += n
 	return out
 }
 
@@ -216,13 +283,5 @@ func (d *decoder) u64() uint64 {
 	return binary.BigEndian.Uint64(b)
 }
 
-func (d *decoder) str16() string {
-	n := int(d.u16())
-	b := d.take(n)
-	if b == nil {
-		return ""
-	}
-	return string(b)
-}
-
-func (d *decoder) bytes(n int) []byte { return d.take(n) }
+// bytes16 reads a 16-bit length and that many bytes.
+func (d *decoder) bytes16() []byte { return d.take(int(d.u16())) }

@@ -160,7 +160,7 @@ func (t *Table) heapCursor(ctx context.Context, value string, qt float64, k int)
 					return false
 				}
 			}
-			_, conf, _, err := DecodeHeapKey(kk)
+			conf, _, err := DecodeConfID(kk)
 			if err != nil {
 				scanErr = err
 				return false

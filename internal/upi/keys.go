@@ -21,24 +21,45 @@ func HeapKey(value string, conf float64, id uint64) []byte {
 	return keyenc.AppendUint64(k, id)
 }
 
-// DecodeHeapKey parses a composite key.
+// DecodeHeapKey parses a composite key. Index scans that only rank and
+// identify entries use DecodeConfID, which skips building the string.
 func DecodeHeapKey(k []byte) (value string, conf float64, id uint64, err error) {
 	value, rest, err := keyenc.DecodeString(k)
 	if err != nil {
 		return "", 0, 0, fmt.Errorf("upi: heap key: %w", err)
 	}
+	if conf, id, err = decodeConfID(rest); err != nil {
+		return "", 0, 0, err
+	}
+	return value, conf, id, nil
+}
+
+// DecodeConfID parses a composite key's confidence and tuple ID. It
+// accepts and rejects exactly the keys DecodeHeapKey does — the value
+// component's escapes and terminator are checked, not decoded — and
+// does not allocate.
+func DecodeConfID(k []byte) (conf float64, id uint64, err error) {
+	rest, err := keyenc.SkipString(k)
+	if err != nil {
+		return 0, 0, fmt.Errorf("upi: heap key: %w", err)
+	}
+	return decodeConfID(rest)
+}
+
+// decodeConfID parses what follows a key's value component.
+func decodeConfID(rest []byte) (conf float64, id uint64, err error) {
 	conf, rest, err = keyenc.DecodeFloat64Desc(rest)
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("upi: heap key: %w", err)
+		return 0, 0, fmt.Errorf("upi: heap key: %w", err)
 	}
 	id, rest, err = keyenc.DecodeUint64(rest)
 	if err != nil {
-		return "", 0, 0, fmt.Errorf("upi: heap key: %w", err)
+		return 0, 0, fmt.Errorf("upi: heap key: %w", err)
 	}
 	if len(rest) != 0 {
-		return "", 0, 0, fmt.Errorf("upi: heap key has %d trailing bytes", len(rest))
+		return 0, 0, fmt.Errorf("upi: heap key has %d trailing bytes", len(rest))
 	}
-	return value, conf, id, nil
+	return conf, id, nil
 }
 
 // ValuePrefix returns the key prefix covering every entry for one

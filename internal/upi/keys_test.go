@@ -12,7 +12,9 @@ func TestHeapKeyRoundTrip(t *testing.T) {
 		conf := float64(confBits) / math.MaxUint16 // [0, 1]
 		k := HeapKey(value, conf, id)
 		v, c, i, err := DecodeHeapKey(k)
-		return err == nil && v == value && c == conf && i == id
+		c2, i2, err2 := DecodeConfID(k)
+		return err == nil && v == value && c == conf && i == id &&
+			err2 == nil && c2 == conf && i2 == id
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Fatal(err)
@@ -45,15 +47,70 @@ func TestHeapKeyOrdering(t *testing.T) {
 }
 
 func TestHeapKeyDecodeErrors(t *testing.T) {
-	k := HeapKey("MIT", 0.5, 7)
-	for _, n := range []int{0, 1, len(k) / 2, len(k) - 1} {
-		if _, _, _, err := DecodeHeapKey(k[:n]); err == nil {
-			t.Fatalf("truncation to %d accepted", n)
+	for _, value := range []string{"MIT", "", "a\x00b\x00"} {
+		k := HeapKey(value, 0.5, 7)
+		for n := 0; n < len(k); n++ {
+			if _, _, _, err := DecodeHeapKey(k[:n]); err == nil {
+				t.Fatalf("truncation to %d accepted", n)
+			}
+			checkDecodersAgree(t, k[:n])
+		}
+		if _, _, _, err := DecodeHeapKey(append(k, 0)); err == nil {
+			t.Fatal("trailing bytes accepted")
+		}
+		checkDecodersAgree(t, append(k, 0))
+		for i := range k { // a bad escape or an early terminator at every position
+			for _, c := range []byte{0x00, 0x7F} {
+				bad := bytes.Clone(k)
+				bad[i] = c
+				checkDecodersAgree(t, bad)
+			}
 		}
 	}
-	if _, _, _, err := DecodeHeapKey(append(k, 0)); err == nil {
-		t.Fatal("trailing bytes accepted")
+}
+
+// checkDecodersAgree holds DecodeConfID to DecodeHeapKey: the same
+// keys accepted, the same confidence and ID, the same error text.
+func checkDecodersAgree(t *testing.T, k []byte) {
+	t.Helper()
+	_, conf, id, err := DecodeHeapKey(k)
+	conf2, id2, err2 := DecodeConfID(k)
+	switch {
+	case (err == nil) != (err2 == nil), err != nil && err.Error() != err2.Error():
+		t.Fatalf("key %x: DecodeHeapKey error %v, DecodeConfID error %v", k, err, err2)
+	case math.Float64bits(conf) != math.Float64bits(conf2) || id != id2:
+		t.Fatalf("key %x: DecodeHeapKey (%v, %d), DecodeConfID (%v, %d)", k, conf, id, conf2, id2)
 	}
+}
+
+func TestDecodeConfIDDoesNotAllocate(t *testing.T) {
+	k := HeapKey("U. Tokyo", 0.32, 3)
+	allocs := testing.AllocsPerRun(100, func() {
+		if conf, id, err := DecodeConfID(k); err != nil || conf != 0.32 || id != 3 {
+			t.Fatal(conf, id, err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("DecodeConfID: %.0f allocations, want 0", allocs)
+	}
+}
+
+// FuzzDecodeHeapKey: the 4-result and the conf/id decoders accept and
+// reject the same bytes, and an accepted key re-encodes to itself.
+func FuzzDecodeHeapKey(f *testing.F) {
+	k := HeapKey("MIT", 0.5, 7)
+	f.Add(k)
+	f.Add(k[:len(k)-1])
+	f.Add(append(bytes.Clone(k), 0))
+	f.Add(HeapKey("a\x00b", 1, math.MaxUint64))
+	f.Add([]byte{0x00, 0x7F})
+	f.Fuzz(func(t *testing.T, k []byte) {
+		checkDecodersAgree(t, k)
+		value, conf, id, err := DecodeHeapKey(k)
+		if err == nil && !bytes.Equal(HeapKey(value, conf, id), k) {
+			t.Fatalf("accepted key %x re-encodes to %x", k, HeapKey(value, conf, id))
+		}
+	})
 }
 
 func TestPointersRoundTrip(t *testing.T) {

@@ -4,7 +4,7 @@ import (
 	"bytes"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"upidb/internal/tuple"
 )
@@ -65,7 +65,7 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 				return false
 			}
 		}
-		_, conf, id, err := DecodeHeapKey(k)
+		conf, id, err := DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
@@ -87,7 +87,7 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 	if err != nil {
 		return nil, 0, err
 	}
-	sort.Slice(refs, func(i, j int) bool { return bytes.Compare(refs[i].heapKey, refs[j].heapKey) < 0 })
+	slices.SortFunc(refs, func(a, b ref) int { return bytes.Compare(a.heapKey, b.heapKey) })
 	results := make([]Result, 0, len(refs))
 	for i, r := range refs {
 		if i%ctxCheckEvery == 0 {
@@ -142,7 +142,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 				return false
 			}
 		}
-		_, conf, id, err := DecodeHeapKey(k)
+		conf, id, err := DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
@@ -213,7 +213,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 	for i, e := range entries {
 		refs[i] = fetchRef{key: chosen[i].HeapKey(e.id), conf: e.conf}
 	}
-	sort.Slice(refs, func(i, j int) bool { return bytes.Compare(refs[i].key, refs[j].key) < 0 })
+	slices.SortFunc(refs, func(a, b fetchRef) int { return bytes.Compare(a.key, b.key) })
 	results := make([]Result, 0, len(refs))
 	for i, r := range refs {
 		if i%ctxCheckEvery == 0 {
@@ -277,26 +277,35 @@ func (t *Table) FullScan(ctx context.Context, attr, value string, qt float64) ([
 	// done.
 	release := t.heap.Pager().PushPrefetch(scanReadAhead)
 	defer release()
-	seen := make(map[uint64]bool)
+	// Every tuple has at least one heap entry, so the entry count
+	// bounds the distinct IDs.
+	seen := make(map[uint64]struct{}, t.heap.Count())
 	var results []Result
 	var scanErr error
-	err := t.ScanHeap(func(_ string, _ float64, id uint64, enc []byte) bool {
+	err := t.ScanHeap(func(id uint64, enc []byte) bool {
 		if stats.HeapEntries%ctxCheckEvery == 0 {
 			if scanErr = CtxErr(ctx); scanErr != nil {
 				return false
 			}
 		}
 		stats.HeapEntries++
-		if seen[id] {
+		if _, dup := seen[id]; dup {
 			return true // another alternative of an already-decided tuple
 		}
-		seen[id] = true
-		tup, err := tuple.Decode(enc)
+		seen[id] = struct{}{}
+		// Filter on the encoding (which validates it as Decode would)
+		// and build only the tuples that are results.
+		conf, err := tuple.EncodedConfidence(enc, attr, value)
 		if err != nil {
 			scanErr = err
 			return false
 		}
-		if conf := tup.Confidence(attr, value); conf > 0 && conf >= qt {
+		if conf > 0 && conf >= qt {
+			tup, err := tuple.Decode(enc)
+			if err != nil {
+				scanErr = err
+				return false
+			}
 			results = append(results, Result{Tuple: tup, Confidence: conf})
 		}
 		return true
@@ -326,22 +335,30 @@ func ResultBefore(a, b Result) bool {
 
 // SortResults orders rs by ResultBefore.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool { return ResultBefore(rs[i], rs[j]) })
+	slices.SortFunc(rs, func(a, b Result) int {
+		switch {
+		case ResultBefore(a, b):
+			return -1
+		case ResultBefore(b, a):
+			return 1
+		}
+		return 0
+	})
 }
 
 // ScanHeap visits every heap entry in key order. Used by histogram
 // construction and fracture merging.
 //
 //lint:noctx callers thread cancellation through fn — FullScan and fracture merging both check ctx in their callbacks
-func (t *Table) ScanHeap(fn func(value string, conf float64, id uint64, tup []byte) bool) error {
+func (t *Table) ScanHeap(fn func(id uint64, enc []byte) bool) error {
 	var scanErr error
 	err := t.heap.Scan(nil, nil, func(k, v []byte) bool {
-		value, conf, id, err := DecodeHeapKey(k)
+		_, id, err := DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
 		}
-		return fn(value, conf, id, v)
+		return fn(id, v)
 	})
 	if err == nil {
 		err = scanErr

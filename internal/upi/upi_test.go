@@ -74,7 +74,11 @@ func TestPaperTable2Layout(t *testing.T) {
 		name  string
 	}
 	var got []row
-	err := tab.ScanHeap(func(value string, conf float64, _ uint64, enc []byte) bool {
+	err := tab.Heap().Scan(nil, nil, func(k, enc []byte) bool {
+		value, conf, _, err := DecodeHeapKey(k)
+		if err != nil {
+			t.Fatal(err)
+		}
 		tup, err := tuple.Decode(enc)
 		if err != nil {
 			t.Fatal(err)
@@ -596,5 +600,67 @@ func TestUPIScanIsSequential(t *testing.T) {
 	d := disk.Stats().Sub(before)
 	if d.Seeks > 10 {
 		t.Fatalf("UPI PTQ should be ~1 seek + sequential scan, got %+v", d)
+	}
+}
+
+// TestFullScanAllocationsFollowMatches: a full scan filters on the
+// encoded row and builds a tuple only for a result, so its allocations
+// grow with the matches, not with the heap entries it walks. Two warm
+// tables hold the same 50 matching tuples among 1 000 and 4 000 others.
+func TestFullScanAllocationsFollowMatches(t *testing.T) {
+	const matches = 50
+	build := func(others int) *Table {
+		var tuples []*tuple.Tuple
+		for i := 0; i < matches+others; i++ {
+			inst, country := fmt.Sprintf("inst%04d", i), "Elsewhere"
+			if i < matches {
+				country = "Japan"
+			}
+			instD, err := prob.NewDiscrete([]prob.Alternative{{Value: inst, Prob: 0.7}, {Value: "MIT", Prob: 0.3}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			countryD, err := prob.NewDiscrete([]prob.Alternative{{Value: country, Prob: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples = append(tuples, &tuple.Tuple{
+				ID: uint64(i + 1), Existence: 0.9,
+				Det:     []tuple.DetField{{Name: "Name", Value: fmt.Sprint("author", i)}},
+				Unc:     []tuple.UncField{{Name: "Institution", Dist: instD}, {Name: "Country", Dist: countryD}},
+				Payload: bytes.Repeat([]byte{1}, 64),
+			})
+		}
+		tab, err := BulkBuild(newFS(), "t", "Institution", nil, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	measure := func(tab *Table) (allocs float64, entries int) {
+		scan := func() {
+			res, stats, err := tab.FullScan(context.Background(), "Country", "Japan", 0.5)
+			if err != nil || len(res) != matches {
+				t.Fatalf("full scan: %d results, err %v", len(res), err)
+			}
+			entries = stats.HeapEntries
+		}
+		scan() // warm the buffer pool: pager misses allocate per page
+		return testing.AllocsPerRun(5, scan), entries
+	}
+	small, smallEntries := measure(build(1000))
+	large, largeEntries := measure(build(4000))
+	t.Logf("%d entries: %.0f allocations; %d entries: %.0f allocations", smallEntries, small, largeEntries, large)
+	if largeEntries < 3*smallEntries {
+		t.Fatalf("tables hold %d and %d heap entries; want about 4x", smallEntries, largeEntries)
+	}
+	// Per entry the scan may grow its dedup map and parse leaf pages,
+	// nothing more: well under one allocation per 20 entries, where
+	// decoding every row cost 17 per entry.
+	if extra := large - small; extra > float64(largeEntries-smallEntries)/20 {
+		t.Fatalf("%d more heap entries cost %.0f more allocations", largeEntries-smallEntries, extra)
+	}
+	if perMatch := small / matches; perMatch > 12 {
+		t.Fatalf("%.1f allocations per matching row", perMatch)
 	}
 }

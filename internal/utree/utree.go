@@ -241,7 +241,7 @@ func ScanSegmentIndex(idx *btree.Tree, seg string, qt float64) ([]heapfile.RowID
 	)
 	start, end := upi.ValuePrefix(seg), upi.ValuePrefixEnd(seg)
 	err := idx.Scan(start, end, func(k, v []byte) bool {
-		_, conf, id, err := upi.DecodeHeapKey(k)
+		conf, id, err := upi.DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
