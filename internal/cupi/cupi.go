@@ -46,6 +46,7 @@ package cupi
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -431,6 +432,13 @@ func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, thr
 	return cands
 }
 
+// sortCands orders candidates for the heap sweep. RowIDs are unique
+// within a candidate set (seen dedups observation IDs), so the order is
+// total.
+func sortCands(cands []circleCand) {
+	slices.SortFunc(cands, func(a, b circleCand) int { return a.rid.Compare(b.rid) })
+}
+
 // circleCandidates runs the R-Tree traversal + PCR filter phase of a
 // circle query under the read lock the caller holds.
 func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob.Point, radius, threshold float64, stats *Stats) ([]circleCand, error) {
@@ -461,18 +469,25 @@ func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64
 		return Result{}, false, err
 	}
 	stats.Fetched++
-	o, err := tuple.DecodeObservation(rec)
+	// Integrate first, decode only a row that qualifies. ObservationLoc
+	// validates the whole record, so a corrupt row fails the query
+	// whether or not it would have qualified.
+	_, loc, err := tuple.ObservationLoc(rec)
 	if err != nil {
 		return Result{}, false, err
 	}
-	conf := o.Loc.ProbInCircle(q, radius)
-	if !c.accepted || c.mbr != o.Loc.MBR() {
+	conf := loc.ProbInCircle(q, radius)
+	if !c.accepted || c.mbr != loc.MBR() {
 		if !c.accepted {
 			stats.Integrations++
 		}
 		if conf < threshold {
 			return Result{}, false, nil
 		}
+	}
+	o, err := tuple.DecodeObservation(rec)
+	if err != nil {
+		return Result{}, false, err
 	}
 	return Result{Obs: o, Confidence: conf}, true, nil
 }
@@ -498,7 +513,7 @@ func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold
 	if err != nil {
 		return nil, stats, err
 	}
-	sort.Slice(cands, func(i, j int) bool { return cands[i].rid.Less(cands[j].rid) })
+	sortCands(cands)
 	var results []Result
 	for i, c := range cands {
 		if i%64 == 0 {
@@ -565,15 +580,14 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 }
 
 // fetchSegment fetches committed observations for the collected
-// segment-index entries in heap (physical) order and attaches each
-// entry's own confidence. Entries whose RowID does not match the
-// committed row for their observation ID are stale artifacts of a
-// failed insert and are skipped.
+// segment-index entries in heap (physical) order — it sorts entries in
+// place — and attaches each entry's own confidence. Entries whose RowID
+// does not match the committed row for their observation ID are stale
+// artifacts of a failed insert and are skipped.
 func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Stats) ([]Result, error) {
-	sorted := append([]segEntry(nil), entries...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].rid.Less(sorted[j].rid) })
+	slices.SortFunc(entries, func(a, b segEntry) int { return a.rid.Compare(b.rid) })
 	var results []Result
-	for i, e := range sorted {
+	for i, e := range entries {
 		if i%64 == 0 {
 			if err := upi.CtxErr(ctx); err != nil {
 				return nil, err

@@ -17,7 +17,7 @@ import (
 
 func newFS() *storage.FS { return storage.NewFS(sim.NewDisk(sim.DefaultParams())) }
 
-func smallCartel(t *testing.T, n int) *dataset.Cartel {
+func smallCartel(t testing.TB, n int) *dataset.Cartel {
 	t.Helper()
 	cfg := dataset.DefaultCartelConfig()
 	cfg.Observations = n

@@ -3,7 +3,6 @@ package cupi
 import (
 	"context"
 	"iter"
-	"sort"
 
 	"upidb/internal/heapfile"
 	"upidb/internal/prob"
@@ -147,7 +146,7 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 			// PCR-filter this leaf's matches, then fetch its survivors
 			// in RowID order (contiguous for the bulk-loaded region).
 			cands := t.filterLeafCandidates(hit.Matches, q, radius, threshold, seen, &c.stats, nil)
-			sort.Slice(cands, func(i, j int) bool { return cands[i].rid.Less(cands[j].rid) })
+			sortCands(cands)
 			for _, cand := range cands {
 				r, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats)
 				if err != nil {
@@ -240,9 +239,13 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 // simply yields in heap order, materializing nothing beyond the
 // current page.
 func (t *Table) ScanCircleCursor(ctx context.Context, q prob.Point, radius, threshold float64) *Cursor {
-	return t.scanCursor(ctx, func(o *tuple.Observation) (float64, bool) {
-		conf := o.Loc.ProbInCircle(q, radius)
-		return conf, conf >= threshold
+	return t.scanCursor(ctx, func(loc prob.ConstrainedGaussian, rec []byte) (Result, bool, error) {
+		conf := loc.ProbInCircle(q, radius)
+		if conf < threshold {
+			return Result{}, false, nil
+		}
+		o, err := tuple.DecodeObservation(rec)
+		return Result{Obs: o, Confidence: conf}, true, err
 	}, true)
 }
 
@@ -251,15 +254,21 @@ func (t *Table) ScanCircleCursor(ctx context.Context, q prob.Point, radius, thre
 // confidence order: a full scan has no confidence-sorted index to
 // follow; consumers needing the canonical order should Collect.
 func (t *Table) ScanSegmentCursor(ctx context.Context, seg string, qt float64) *Cursor {
-	return t.scanCursor(ctx, func(o *tuple.Observation) (float64, bool) {
+	return t.scanCursor(ctx, func(_ prob.ConstrainedGaussian, rec []byte) (Result, bool, error) {
+		o, err := tuple.DecodeObservation(rec)
+		if err != nil {
+			return Result{}, false, err
+		}
 		conf := o.Segment.P(seg)
-		return conf, conf > 0 && conf >= qt
+		return Result{Obs: o, Confidence: conf}, conf > 0 && conf >= qt, nil
 	}, false)
 }
 
 // scanCursor streams a sequential heap scan with an in-flight filter,
-// yielding qualifying observations in heap order.
-func (t *Table) scanCursor(ctx context.Context, match func(*tuple.Observation) (float64, bool), integrates bool) *Cursor {
+// yielding qualifying observations in heap order. match sees each
+// committed row's location and its (already validated) record, and
+// decodes the record only if it needs more than the location.
+func (t *Table) scanCursor(ctx context.Context, match func(loc prob.ConstrainedGaussian, rec []byte) (Result, bool, error), integrates bool) *Cursor {
 	return newCursor(func(c *Cursor, yield func(Result) bool) error {
 		if err := upi.CtxErr(ctx); err != nil {
 			return err
@@ -283,20 +292,24 @@ func (t *Table) scanCursor(ctx context.Context, match func(*tuple.Observation) (
 				}
 			}
 			n++
-			o, derr := tuple.DecodeObservation(rec)
+			id, loc, derr := tuple.ObservationLoc(rec)
 			if derr != nil {
 				scanErr = derr
 				return false
 			}
-			if committed, ok := t.rows[o.ID]; !ok || committed != rid {
+			if committed, ok := t.rows[id]; !ok || committed != rid {
 				return true
 			}
 			c.stats.Fetched++
-			conf, ok := match(o)
+			r, ok, merr := match(loc, rec)
+			if merr != nil {
+				scanErr = merr
+				return false
+			}
 			if integrates {
 				c.stats.Integrations++
 			}
-			if ok && !yield(Result{Obs: o, Confidence: conf}) {
+			if ok && !yield(r) {
 				stopped = true
 				return false
 			}

@@ -9,9 +9,10 @@
 package heapfile
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"upidb/internal/storage"
 )
@@ -22,14 +23,17 @@ type RowID struct {
 	Slot uint16
 }
 
-// Less orders RowIDs in physical heap order (the order a bitmap scan
-// visits pages in).
-func (r RowID) Less(o RowID) bool {
-	if r.Page != o.Page {
-		return r.Page < o.Page
+// Compare orders RowIDs in physical heap order (the order a bitmap
+// scan visits pages in).
+func (r RowID) Compare(o RowID) int {
+	if c := cmp.Compare(r.Page, o.Page); c != 0 {
+		return c
 	}
-	return r.Slot < o.Slot
+	return cmp.Compare(r.Slot, o.Slot)
 }
+
+// Less reports whether r precedes o in physical heap order.
+func (r RowID) Less(o RowID) bool { return r.Compare(o) < 0 }
 
 func (r RowID) String() string { return fmt.Sprintf("(%d,%d)", r.Page, r.Slot) }
 
@@ -104,6 +108,23 @@ func slotAt(buf []byte, i int) (off, length int) {
 	return int(binary.BigEndian.Uint16(buf[base:])), int(binary.BigEndian.Uint16(buf[base+2:]))
 }
 
+// record returns the bytes slot i of page pg holds, or live=false for
+// a tombstone. A slot entry or record extent that leaves the page (a
+// corrupt slot table) is an error, not a panic.
+func record(buf []byte, pg storage.PageID, i int) (rec []byte, live bool, err error) {
+	if pageHeader+(i+1)*slotSize > len(buf) {
+		return nil, false, fmt.Errorf("heapfile: slot %d on page %d out of bounds", i, pg)
+	}
+	off, length := slotAt(buf, i)
+	if length == tombstoneLen {
+		return nil, false, nil
+	}
+	if off+length > len(buf) {
+		return nil, false, fmt.Errorf("heapfile: slot %d on page %d out of bounds", i, pg)
+	}
+	return buf[off : off+length], true, nil
+}
+
 func setSlot(buf []byte, i, off, length int) {
 	base := pageHeader + i*slotSize
 	binary.BigEndian.PutUint16(buf[base:], uint16(off))
@@ -160,11 +181,7 @@ func (h *Heap) Get(id RowID) ([]byte, bool, error) {
 	if int(id.Slot) >= nslots {
 		return nil, false, fmt.Errorf("heapfile: no slot %d on page %d", id.Slot, id.Page)
 	}
-	off, length := slotAt(buf, int(id.Slot))
-	if length == tombstoneLen {
-		return nil, false, nil
-	}
-	return buf[off : off+length], true, nil
+	return record(buf, id.Page, int(id.Slot))
 }
 
 // Delete tombstones the record at id. Deleting an already-deleted
@@ -180,10 +197,10 @@ func (h *Heap) Delete(id RowID) (bool, error) {
 	if int(id.Slot) >= nslots {
 		return false, fmt.Errorf("heapfile: no slot %d on page %d", id.Slot, id.Page)
 	}
-	off, length := slotAt(buf, int(id.Slot))
-	if length == tombstoneLen {
-		return false, nil
+	if _, live, err := record(buf, id.Page, int(id.Slot)); err != nil || !live {
+		return false, err
 	}
+	off, _ := slotAt(buf, int(id.Slot))
 	setSlot(buf, int(id.Slot), off, tombstoneLen)
 	h.pager.MarkDirty(id.Page)
 	h.count--
@@ -200,11 +217,11 @@ func (h *Heap) Scan(fn func(id RowID, rec []byte) bool) error {
 		}
 		nslots, _ := readHeader(buf)
 		for s := 0; s < nslots; s++ {
-			off, length := slotAt(buf, s)
-			if length == tombstoneLen {
-				continue
+			rec, live, err := record(buf, pg, s)
+			if err != nil {
+				return err
 			}
-			if !fn(RowID{Page: pg, Slot: uint16(s)}, buf[off:off+length]) {
+			if live && !fn(RowID{Page: pg, Slot: uint16(s)}, rec) {
 				return nil
 			}
 		}
@@ -218,8 +235,8 @@ func (h *Heap) Scan(fn func(id RowID, rec []byte) bool) error {
 // index scan"). The callback receives rows in heap order, not in the
 // order ids were supplied. Deleted rows are skipped.
 func (h *Heap) FetchSorted(ids []RowID, fn func(id RowID, rec []byte) bool) error {
-	sorted := append([]RowID(nil), ids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	sorted := slices.Clone(ids)
+	slices.SortFunc(sorted, RowID.Compare)
 	for _, id := range sorted {
 		rec, ok, err := h.Get(id)
 		if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"upidb/internal/sim"
@@ -216,5 +217,81 @@ func TestOpenRecounts(t *testing.T) {
 	got, ok, _ := h2.Get(ids[59])
 	if !ok || !bytes.Equal(got, rec(59)) {
 		t.Fatal("old record damaged after reopen+append")
+	}
+}
+
+// TestCorruptSlotFails overwrites, on a flushed page, one slot so its
+// record leaves the page, then the slot count so the slot table does,
+// and requires every reader to report the slot instead of slicing past
+// the page.
+func TestCorruptSlotFails(t *testing.T) {
+	h, _, p := newTestHeap(t, 256)
+	var ids []RowID
+	for i := 0; i < 40; i++ {
+		id, err := h.Append(rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	victim := ids[len(ids)/2]
+	cached, err := p.Read(victim.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	page := bytes.Clone(cached) // Write overwrites the cached page in place
+	readers := map[string]func() error{
+		"Get":    func() error { _, _, err := h.Get(victim); return err },
+		"Delete": func() error { _, err := h.Delete(victim); return err },
+		"Scan":   func() error { return h.Scan(func(RowID, []byte) bool { return true }) },
+		"FetchSorted": func() error {
+			return h.FetchSorted(ids, func(RowID, []byte) bool { return true })
+		},
+		"Open": func() error { _, err := Open(p); return err },
+	}
+	want := fmt.Sprintf("heapfile: slot %d on page %d out of bounds", victim.Slot, victim.Page)
+	for _, c := range []struct {
+		what    string
+		corrupt func(b []byte)
+	}{
+		{"record offset past the page", func(b []byte) { setSlot(b, int(victim.Slot), 250, 20) }},
+		{"record length past the page", func(b []byte) { setSlot(b, int(victim.Slot), 200, 0xFFFE) }},
+	} {
+		bad := bytes.Clone(page)
+		c.corrupt(bad)
+		if err := p.Write(victim.Page, bad); err != nil {
+			t.Fatal(err)
+		}
+		for name, read := range readers {
+			if err := read(); err == nil || err.Error() != want {
+				t.Errorf("%s, %s: error %v, want %q", c.what, name, err, want)
+			}
+		}
+	}
+	// A slot count past the page: the slot table itself leaves it.
+	bad := bytes.Clone(page)
+	writeHeader(bad, 0xFFFF, 0)
+	if err := p.Write(victim.Page, bad); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.Scan(func(RowID, []byte) bool { return true }); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+		t.Errorf("slot count past the page, Scan: error %v, want out of bounds", err)
+	}
+	if _, _, err := h.Get(RowID{Page: victim.Page, Slot: 0xFFF0}); err == nil || !strings.Contains(err.Error(), "out of bounds") {
+		t.Errorf("slot count past the page, Get: error %v, want out of bounds", err)
+	}
+	if err := p.Write(victim.Page, page); err != nil {
+		t.Fatal(err)
+	}
+	for name, read := range readers {
+		if name == "Delete" {
+			continue
+		}
+		if err := read(); err != nil {
+			t.Errorf("%s on the restored page: %v", name, err)
+		}
 	}
 }

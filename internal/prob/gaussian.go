@@ -132,10 +132,14 @@ func (g ConstrainedGaussian) QuantileRadius(p float64) float64 {
 	return math.Sqrt(-2 * g.Sigma * g.Sigma * math.Log(inner))
 }
 
-// probGridN is the resolution of the deterministic grid integrator.
-// 48×48 cells keeps the absolute error well under 1e-3 for the
-// sigma/bound ratios the datasets use, which is enough for threshold
-// decisions at the 0.05 granularity the experiments sweep.
+// probGridN is the resolution of the deterministic grid integrator: a
+// 48×48 midpoint rule over the box both disks share. A cell the edge
+// of either disk cuts counts whole or not at all, so against a 1-D
+// radial quadrature the absolute error for the dataset's σ = 20,
+// Bound = 100 reaches 6.2e-3 for query radii up to 100 m and 1.7e-2 at
+// 300 m (prob_test.go pins both). That is not small next to the 0.05
+// threshold steps the experiments sweep, but changing the rule moves
+// result sets at the threshold, so it is a constant of the goldens.
 const probGridN = 48
 
 // ProbInCircle returns the probability that the (truncated) position
@@ -155,49 +159,78 @@ func (g ConstrainedGaussian) ProbInCircle(q Point, radius float64) float64 {
 	// the (possibly small) query region.
 	qBox := Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
 	box := g.MBR().Intersection(qBox)
-	return g.integrate(box, func(p Point) bool { return p.Dist(q) <= radius })
-}
-
-// integrate sums the truncated Gaussian density over grid cells of box
-// that satisfy inside.
-func (g ConstrainedGaussian) integrate(box Rect, inside func(Point) bool) float64 {
 	if box.Area() == 0 {
 		return 0
 	}
-	norm := g.truncNorm()
+	// The density separates, exp(-(dx²+dy²)/2σ²) = ex(x)·ey(y), so the
+	// grid needs one exponential per column and per row, and a column's
+	// mass is ex times a difference of prefix sums of ey over the rows
+	// whose midpoints lie in both disks.
 	twoSigma2 := 2 * g.Sigma * g.Sigma
 	stepX := (box.MaxX - box.MinX) / probGridN
 	stepY := (box.MaxY - box.MinY) / probGridN
-	cellArea := stepX * stepY
+	var (
+		ys   [probGridN]float64     // row midpoints
+		pref [probGridN + 1]float64 // pref[j] = ey of rows [0, j)
+	)
+	for j := range ys {
+		ys[j] = box.MinY + (float64(j)+0.5)*stepY
+		dy := ys[j] - g.Center.Y
+		pref[j+1] = pref[j] + math.Exp(-(dy*dy)/twoSigma2)
+	}
+	bound2, radius2 := g.Bound*g.Bound, radius*radius
 	sum := 0.0
 	for i := 0; i < probGridN; i++ {
 		x := box.MinX + (float64(i)+0.5)*stepX
-		for j := 0; j < probGridN; j++ {
-			y := box.MinY + (float64(j)+0.5)*stepY
-			p := Point{X: x, Y: y}
-			dc := p.Dist(g.Center)
-			if dc > g.Bound || !inside(p) {
-				continue
-			}
-			density := math.Exp(-(dc*dc)/twoSigma2) / (2 * math.Pi * g.Sigma * g.Sigma * norm)
-			sum += density * cellArea
+		dxc, dxq := x-g.Center.X, x-q.X
+		// Squared half-heights of the two disks' chords at x; the rows
+		// inside both are one contiguous run.
+		hc2, hq2 := bound2-dxc*dxc, radius2-dxq*dxq
+		if hc2 < 0 || hq2 < 0 {
+			continue
+		}
+		hc, hq := math.Sqrt(hc2), math.Sqrt(hq2)
+		yLo := math.Max(g.Center.Y-hc, q.Y-hq)
+		yHi := math.Min(g.Center.Y+hc, q.Y+hq)
+		lo := clampRow(math.Ceil((yLo-box.MinY)/stepY - 0.5))
+		hi := clampRow(math.Floor((yHi-box.MinY)/stepY-0.5) + 1)
+		// The square roots only estimate the run; the squared-distance
+		// test on the midpoints themselves decides its two ends.
+		inside := func(j int) bool {
+			dyc, dyq := ys[j]-g.Center.Y, ys[j]-q.Y
+			return dxc*dxc+dyc*dyc <= bound2 && dxq*dxq+dyq*dyq <= radius2
+		}
+		for lo > 0 && inside(lo-1) {
+			lo--
+		}
+		for lo < hi && !inside(lo) {
+			lo++
+		}
+		for hi < probGridN && inside(hi) {
+			hi++
+		}
+		for hi > lo && !inside(hi-1) {
+			hi--
+		}
+		if lo < hi {
+			sum += math.Exp(-(dxc*dxc)/twoSigma2) * (pref[hi] - pref[lo])
 		}
 	}
+	sum *= stepX * stepY / (2 * math.Pi * g.Sigma * g.Sigma * g.truncNorm())
 	if sum > 1 {
 		sum = 1
 	}
 	return sum
 }
 
-// ProbInRect returns the probability that the position falls inside
-// rectangle r, by the same grid integration.
-func (g ConstrainedGaussian) ProbInRect(r Rect) float64 {
-	if !r.Intersects(g.MBR()) {
+// clampRow converts a fractional row bound to an index in
+// [0, probGridN].
+func clampRow(f float64) int {
+	if !(f > 0) {
 		return 0
 	}
-	if r.ContainsRect(g.MBR()) {
-		return 1
+	if f > probGridN {
+		return probGridN
 	}
-	box := g.MBR().Intersection(r)
-	return g.integrate(box, r.Contains)
+	return int(f)
 }

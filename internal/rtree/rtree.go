@@ -156,37 +156,78 @@ func (t *Tree) writeNode(n *node) error {
 	return t.pager.Write(n.id, buf)
 }
 
-func (t *Tree) readNode(id storage.PageID) (*node, error) {
+// nodeView is a read-only view of one node page where the pager holds
+// it: the framing is validated once, entries are read in place. It is
+// the tree's one page parser — searches scan it directly, the mutating
+// paths materialize it through readNode. A view stays valid until the
+// next write to the tree; search callbacks must not write the tree.
+type nodeView struct {
+	buf  []byte
+	leaf bool
+	n    int // entries on the page
+}
+
+func (t *Tree) viewNode(id storage.PageID) (nodeView, error) {
 	buf, err := t.pager.Read(id)
+	if err != nil {
+		return nodeView{}, err
+	}
+	if buf[0] != nodeLeaf && buf[0] != nodeInternal {
+		return nodeView{}, fmt.Errorf("rtree: page %d has bad node type %d", id, buf[0])
+	}
+	cnt := int(binary.BigEndian.Uint16(buf[1:]))
+	if cnt > t.MaxEntries() {
+		return nodeView{}, fmt.Errorf("rtree: page %d claims %d entries, max %d", id, cnt, t.MaxEntries())
+	}
+	return nodeView{buf: buf, leaf: buf[0] == nodeLeaf, n: cnt}, nil
+}
+
+func (v nodeView) f64(off int) float64 {
+	return math.Float64frombits(binary.BigEndian.Uint64(v.buf[off:]))
+}
+
+// mbr reads entry i's rectangle.
+func (v nodeView) mbr(i int) prob.Rect {
+	off := headerSize + i*entryBytes
+	return prob.Rect{MinX: v.f64(off), MinY: v.f64(off + 8), MaxX: v.f64(off + 16), MaxY: v.f64(off + 24)}
+}
+
+// child reads internal entry i's child page.
+func (v nodeView) child(i int) storage.PageID {
+	return storage.PageID(binary.BigEndian.Uint64(v.buf[headerSize+i*entryBytes+32:]))
+}
+
+// entry materializes entry i.
+func (v nodeView) entry(i int) Entry {
+	e := Entry{MBR: v.mbr(i)}
+	if v.leaf {
+		e.Data = binary.BigEndian.Uint64(v.buf[headerSize+i*entryBytes+32:])
+	} else {
+		e.Child = v.child(i)
+	}
+	for j := range e.Aux {
+		e.Aux[j] = v.f64(headerSize + i*entryBytes + 40 + 8*j)
+	}
+	return e
+}
+
+// entries materializes the whole page.
+func (v nodeView) entries() []Entry {
+	es := make([]Entry, v.n)
+	for i := range es {
+		es[i] = v.entry(i)
+	}
+	return es
+}
+
+// readNode materializes a node for the mutating paths (insert, split,
+// root growth), which edit and rewrite its entries.
+func (t *Tree) readNode(id storage.PageID) (*node, error) {
+	v, err := t.viewNode(id)
 	if err != nil {
 		return nil, err
 	}
-	if buf[0] != nodeLeaf && buf[0] != nodeInternal {
-		return nil, fmt.Errorf("rtree: page %d has bad node type %d", id, buf[0])
-	}
-	n := &node{id: id, leaf: buf[0] == nodeLeaf}
-	cnt := int(binary.BigEndian.Uint16(buf[1:]))
-	n.entries = make([]Entry, cnt)
-	off := headerSize
-	for i := 0; i < cnt; i++ {
-		e := &n.entries[i]
-		e.MBR.MinX = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-		e.MBR.MinY = math.Float64frombits(binary.BigEndian.Uint64(buf[off+8:]))
-		e.MBR.MaxX = math.Float64frombits(binary.BigEndian.Uint64(buf[off+16:]))
-		e.MBR.MaxY = math.Float64frombits(binary.BigEndian.Uint64(buf[off+24:]))
-		off += 32
-		if n.leaf {
-			e.Data = binary.BigEndian.Uint64(buf[off:])
-		} else {
-			e.Child = storage.PageID(binary.BigEndian.Uint64(buf[off:]))
-		}
-		off += 8
-		for j := 0; j < AuxSize; j++ {
-			e.Aux[j] = math.Float64frombits(binary.BigEndian.Uint64(buf[off:]))
-			off += 8
-		}
-	}
-	return n, nil
+	return &node{id: id, leaf: v.leaf, entries: v.entries()}, nil
 }
 
 func (t *Tree) allocNode(leaf bool) (*node, error) {
@@ -205,20 +246,20 @@ func (t *Tree) Search(r prob.Rect, fn func(e Entry) bool) error {
 }
 
 func (t *Tree) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bool, error) {
-	n, err := t.readNode(id)
+	v, err := t.viewNode(id)
 	if err != nil {
 		return false, err
 	}
-	for _, e := range n.entries {
-		if !e.MBR.Intersects(r) {
+	for i := 0; i < v.n; i++ {
+		if !v.mbr(i).Intersects(r) {
 			continue
 		}
-		if n.leaf {
-			if !fn(e) {
+		if v.leaf {
+			if !fn(v.entry(i)) {
 				return false, nil
 			}
 		} else {
-			cont, err := t.search(e.Child, r, fn)
+			cont, err := t.search(v.child(i), r, fn)
 			if err != nil || !cont {
 				return cont, err
 			}
@@ -236,27 +277,33 @@ func (t *Tree) SearchLeaves(r prob.Rect, fn func(leafID storage.PageID, matches 
 }
 
 func (t *Tree) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.PageID, []Entry) bool) (bool, error) {
-	n, err := t.readNode(id)
+	v, err := t.viewNode(id)
 	if err != nil {
 		return false, err
 	}
-	if n.leaf {
-		var matches []Entry
-		for _, e := range n.entries {
-			if e.MBR.Intersects(r) {
-				matches = append(matches, e)
+	if v.leaf {
+		hits := 0
+		for i := 0; i < v.n; i++ {
+			if v.mbr(i).Intersects(r) {
+				hits++
 			}
 		}
-		if len(matches) == 0 {
+		if hits == 0 {
 			return true, nil
 		}
-		return fn(n.id, matches), nil
+		matches := make([]Entry, 0, hits)
+		for i := 0; i < v.n; i++ {
+			if v.mbr(i).Intersects(r) {
+				matches = append(matches, v.entry(i))
+			}
+		}
+		return fn(id, matches), nil
 	}
-	for _, e := range n.entries {
-		if !e.MBR.Intersects(r) {
+	for i := 0; i < v.n; i++ {
+		if !v.mbr(i).Intersects(r) {
 			continue
 		}
-		cont, err := t.searchLeaves(e.Child, r, fn)
+		cont, err := t.searchLeaves(v.child(i), r, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -339,15 +386,15 @@ func (t *Tree) Leaves(fn func(leafID storage.PageID, entries []Entry) bool) erro
 }
 
 func (t *Tree) leaves(id storage.PageID, fn func(storage.PageID, []Entry) bool) (bool, error) {
-	n, err := t.readNode(id)
+	v, err := t.viewNode(id)
 	if err != nil {
 		return false, err
 	}
-	if n.leaf {
-		return fn(n.id, n.entries), nil
+	if v.leaf {
+		return fn(id, v.entries()), nil
 	}
-	for _, e := range n.entries {
-		cont, err := t.leaves(e.Child, fn)
+	for i := 0; i < v.n; i++ {
+		cont, err := t.leaves(v.child(i), fn)
 		if err != nil || !cont {
 			return cont, err
 		}

@@ -9,7 +9,7 @@ import (
 	"upidb/internal/storage"
 )
 
-func newTestTree(t *testing.T, pageSize int) *Tree {
+func newTestTree(t testing.TB, pageSize int) *Tree {
 	t.Helper()
 	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
 	p, err := storage.NewPager(fs.Create("r"), pageSize)

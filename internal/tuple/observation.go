@@ -50,37 +50,82 @@ func AppendEncodeObservation(dst []byte, o *Observation) []byte {
 // EncodeObservation returns the binary encoding of o.
 func EncodeObservation(o *Observation) []byte { return AppendEncodeObservation(nil, o) }
 
-// DecodeObservation parses an observation from b.
+// DecodeObservation parses an observation from b. The returned
+// observation owns copies of all data; its segment values share one
+// backing string (the encoded segment list), so an observation costs
+// four allocations however many alternatives it has.
 func DecodeObservation(b []byte) (*Observation, error) {
-	d := decoder{buf: b}
-	o := &Observation{}
-	o.ID = d.u64()
-	o.Loc.Center.X = math.Float64frombits(d.u64())
-	o.Loc.Center.Y = math.Float64frombits(d.u64())
-	o.Loc.Sigma = math.Float64frombits(d.u64())
-	o.Loc.Bound = math.Float64frombits(d.u64())
-	o.Speed = math.Float64frombits(d.u64())
-	o.Direction = math.Float64frombits(d.u64())
-	nSeg := int(d.u16())
-	if d.err == nil && nSeg > 0 {
-		o.Segment = make(prob.Discrete, nSeg)
-		for i := 0; i < nSeg; i++ {
-			o.Segment[i].Value = string(d.bytes16())
+	f, err := walkObservation(b)
+	if err != nil {
+		return nil, err
+	}
+	// The framing is valid: the reads below cannot fail.
+	o := &Observation{ID: f.id, Loc: f.loc, Speed: f.speed, Direction: f.direction}
+	if f.nSeg > 0 {
+		o.Segment = make(prob.Discrete, f.nSeg)
+		d := decoder{buf: b[obsSegOff:f.payloadOff]}
+		blob := string(d.buf)
+		for i := range o.Segment {
+			n := len(d.bytes16())
+			o.Segment[i].Value = blob[d.off-n : d.off]
 			o.Segment[i].Prob = math.Float64frombits(d.u64())
 		}
 	}
-	plen := int(d.u32())
-	if d.err == nil && plen > 0 {
-		p := d.take(plen)
-		if d.err == nil {
-			o.Payload = append([]byte(nil), p...)
-		}
-	}
-	if d.err != nil {
-		return nil, fmt.Errorf("tuple: decode observation: %w", d.err)
-	}
-	if d.rest() != 0 {
-		return nil, fmt.Errorf("tuple: decode observation: %d trailing bytes", d.rest())
+	if payload := b[f.payloadOff+4:]; len(payload) > 0 {
+		o.Payload = append([]byte(nil), payload...)
 	}
 	return o, nil
+}
+
+// ObservationLoc returns what DecodeObservation(b) would report as the
+// observation's ID and Loc — and the same error for an encoding it
+// rejects — without building the observation or allocating. A circle
+// query uses it to integrate first and decode only the rows it yields.
+func ObservationLoc(b []byte) (uint64, prob.ConstrainedGaussian, error) {
+	f, err := walkObservation(b)
+	return f.id, f.loc, err
+}
+
+// obsSegOff is where the segment alternatives start: after the ID, the
+// six float64 fields and the alternative count.
+const obsSegOff = 8 + 6*8 + 2
+
+// obsFrame is what walkObservation reports about a well-formed
+// encoding: the fixed-width fields and where the variable parts lie.
+type obsFrame struct {
+	id         uint64
+	loc        prob.ConstrainedGaussian
+	speed      float64
+	direction  float64
+	nSeg       int
+	payloadOff int // offset of the payload's length field
+}
+
+// walkObservation is the observation codec's one framing validator: it
+// checks every length field of b against the buffer and that nothing
+// trails the payload. It does not allocate on well-formed input.
+func walkObservation(b []byte) (obsFrame, error) {
+	var f obsFrame
+	d := decoder{buf: b}
+	f.id = d.u64()
+	f.loc.Center.X = math.Float64frombits(d.u64())
+	f.loc.Center.Y = math.Float64frombits(d.u64())
+	f.loc.Sigma = math.Float64frombits(d.u64())
+	f.loc.Bound = math.Float64frombits(d.u64())
+	f.speed = math.Float64frombits(d.u64())
+	f.direction = math.Float64frombits(d.u64())
+	f.nSeg = int(d.u16())
+	for i := 0; i < f.nSeg && d.err == nil; i++ {
+		d.bytes16()
+		d.u64()
+	}
+	f.payloadOff = d.off
+	d.take(int(d.u32()))
+	if d.err != nil {
+		return obsFrame{}, fmt.Errorf("tuple: decode observation: %w", d.err)
+	}
+	if d.rest() != 0 {
+		return obsFrame{}, fmt.Errorf("tuple: decode observation: %d trailing bytes", d.rest())
+	}
+	return f, nil
 }

@@ -17,7 +17,9 @@
 package utree
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"upidb/internal/btree"
@@ -270,8 +272,8 @@ func ScanSegmentIndex(idx *btree.Tree, seg string, qt float64) ([]heapfile.RowID
 // FetchSegmentResults fetches observations for the collected RowIDs in
 // heap (physical) order and attaches confidences.
 func FetchSegmentResults(heap *heapfile.Heap, rids []heapfile.RowID, confs map[uint64]float64) ([]Result, error) {
-	sorted := append([]heapfile.RowID(nil), rids...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Less(sorted[j]) })
+	sorted := slices.Clone(rids)
+	slices.SortFunc(sorted, heapfile.RowID.Compare)
 	var results []Result
 	for _, rid := range sorted {
 		rec, ok, err := heap.Get(rid)
@@ -293,11 +295,11 @@ func FetchSegmentResults(heap *heapfile.Heap, rids []heapfile.RowID, confs map[u
 
 // SortResults orders results by confidence DESC, ID ASC.
 func SortResults(rs []Result) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].Confidence != rs[j].Confidence {
-			return rs[i].Confidence > rs[j].Confidence
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+			return c
 		}
-		return rs[i].Obs.ID < rs[j].Obs.ID
+		return cmp.Compare(a.Obs.ID, b.Obs.ID)
 	})
 }
 
@@ -415,7 +417,7 @@ func (u *Index) QueryCircle(q prob.Point, radius, threshold float64) ([]Result, 
 		}
 		refs = append(refs, fetchRef{rid: rid, c: c})
 	}
-	sort.Slice(refs, func(i, j int) bool { return refs[i].rid.Less(refs[j].rid) })
+	slices.SortFunc(refs, func(a, b fetchRef) int { return a.rid.Compare(b.rid) })
 	var results []Result
 	for _, r := range refs {
 		rec, ok, err := u.heap.Get(r.rid)
@@ -426,24 +428,25 @@ func (u *Index) QueryCircle(q prob.Point, radius, threshold float64) ([]Result, 
 			continue
 		}
 		stats.Fetched++
-		o, err := tuple.DecodeObservation(rec)
+		// Integrate first, decode only a row that qualifies;
+		// ObservationLoc still validates the whole record.
+		_, loc, err := tuple.ObservationLoc(rec)
 		if err != nil {
 			return nil, stats, err
 		}
-		conf := o.Loc.ProbInCircle(q, radius)
+		conf := loc.ProbInCircle(q, radius)
 		if !r.c.accepted {
 			stats.Integrations++
 			if conf < threshold {
 				continue
 			}
 		}
+		o, err := tuple.DecodeObservation(rec)
+		if err != nil {
+			return nil, stats, err
+		}
 		results = append(results, Result{Obs: o, Confidence: conf})
 	}
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Confidence != results[j].Confidence {
-			return results[i].Confidence > results[j].Confidence
-		}
-		return results[i].Obs.ID < results[j].Obs.ID
-	})
+	SortResults(results)
 	return results, stats, nil
 }
