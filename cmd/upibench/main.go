@@ -13,8 +13,7 @@
 // With -compare, the regenerated experiments are checked against a
 // previously written -json baseline: any modeled-cost cell that grew
 // more than 10% fails the run (exit 1) — the CI bench-regression gate.
-// Wall-clock columns are host-dependent and excluded; lower values
-// never fail.
+// Lower values never fail.
 package main
 
 import (
@@ -38,17 +37,16 @@ type report struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiment IDs (fig3..fig12, table7, table8, parallel-ptq, planner-routing, spatial-routing, streaming-latency) or 'all'")
+		experiment = flag.String("experiment", "all", "comma-separated experiment IDs (fig3..fig12, table7, table8, planner-routing, spatial-routing, streaming-latency) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = 70k authors, 130k publications, 150k observations)")
 		seed       = flag.Int64("seed", 1, "dataset generation seed")
-		parallel   = flag.Int("parallel", 0, "per-query partition fan-out for fractured-UPI experiments (0 = GOMAXPROCS, 1 = serial; modeled results are identical)")
 		jsonOut    = flag.String("json", "", "also write the regenerated experiments as JSON to this file (CI perf trajectory)")
 		compare    = flag.String("compare", "", "baseline JSON (a previous -json output) to compare against; exit 1 if any modeled cost regressed >10%")
 	)
 	flag.Parse()
 
 	ctx := context.Background()
-	env := bench.NewEnv(bench.Config{Scale: *scale, Seed: *seed, Parallelism: *parallel})
+	env := bench.NewEnv(bench.Config{Scale: *scale, Seed: *seed})
 	ids := make([]string, 0)
 	if *experiment == "all" {
 		for _, r := range bench.Registered() {
@@ -112,9 +110,7 @@ const regressionTolerance = 0.10
 // compareBaseline checks every current experiment cell against the
 // baseline report. Cells are matched by experiment ID, row label (or
 // x value) and column name; anything the baseline lacks — a new
-// experiment, an extra parallelism row on a wider host — is noted and
-// skipped, never failed. Wall-clock columns are host-dependent and
-// excluded from the gate.
+// experiment or row — is noted and skipped, never failed.
 func compareBaseline(cur report, path string) ([]string, error) {
 	buf, err := os.ReadFile(path)
 	if err != nil {
@@ -151,9 +147,9 @@ func compareBaseline(cur report, path string) ([]string, error) {
 			}
 			for ci, col := range e.Columns {
 				// Gate only modeled-seconds columns ("... [s]" or
-				// "... [s/query]"): counts, percentages and wall-clock
-				// columns are not modeled costs.
-				if !strings.Contains(col, "[s") || strings.Contains(col, "Wall") {
+				// "... [s/query]"): counts and percentages are not
+				// modeled costs.
+				if !strings.Contains(col, "[s") {
 					continue
 				}
 				bi := columnIndex(b.Columns, col)

@@ -7,7 +7,6 @@ package main
 
 import (
 	"context"
-	"flag"
 	"fmt"
 	"os"
 
@@ -28,13 +27,10 @@ func dist(alts ...upidb.Alternative) upidb.Discrete {
 }
 
 func main() {
-	parallel := flag.Int("parallel", 0, "per-query partition fan-out (0 = GOMAXPROCS, 1 = serial; modeled costs are identical)")
-	flag.Parse()
-
 	db, err := upidb.Create("")
 	must(err)
 	authors, err := db.CreateTable("authors", "Institution", []string{"Country"},
-		upidb.WithCutoff(0.10), upidb.WithParallelism(*parallel))
+		upidb.WithCutoff(0.10))
 	must(err)
 
 	fmt.Println("Loading the paper's running example (Table 4):")

@@ -49,9 +49,10 @@ func TestSoakConcurrentEngine(t *testing.T) {
 	}
 	const writers = 3
 
+	setProcs(t, 4)
 	db := mustCreate(t)
 	tab, err := db.CreateTable("conc", "X", []string{"Y"},
-		WithCutoff(0.15), WithBufferTuples(64), WithParallelism(4))
+		WithCutoff(0.15), WithBufferTuples(64))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,6 +9,7 @@ package upidb
 import (
 	"context"
 	"fmt"
+	"reflect"
 	"testing"
 
 	"upidb/internal/storage"
@@ -148,6 +149,73 @@ func TestFacadeDiskDurableRoundTrip(t *testing.T) {
 		t.Fatalf("post-merge routing: %q, want stats", src)
 	}
 	verifyLive(t, rtab, live)
+}
+
+// TestFacadeReopenWithDifferentCutoff: a disk-backed table built at
+// cutoff 0.4 and reopened WithCutoff(0.01) answers a PTQ between the
+// two thresholds with the same rows — each partition reopens with the
+// cutoff its manifest recorded — and the next merge rebuilds the main
+// UPI at the new cutoff, again without losing a row.
+func TestFacadeReopenWithDifferentCutoff(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Create(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tab, err := db.CreateTable("events", "X", []string{"Y"}, WithCutoff(0.4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Every tuple carries "other" at confidence 0.1: below the build
+	// cutoff, so those alternatives live in the cutoff index.
+	for id := uint64(1); id <= 70; id++ {
+		if err := tab.Insert(durTuple(t, id, durVal(id))); err != nil {
+			t.Fatal(err)
+		}
+		if id == 30 || id == 60 { // two fractures, then a WAL-only tail
+			if err := tab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ctx := context.Background()
+	others := func(tab *Table) []Result {
+		t.Helper()
+		res, err := tab.Run(ctx, PTQ("", "other", 0.05).WithHeuristic())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return res.Collect()
+	}
+	want := others(tab)
+	if len(want) != 70 {
+		t.Fatalf("%d rows before the reopen, want all 70", len(want))
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	rtab, err := re.OpenTable("events", "X", []string{"Y"}, WithCutoff(0.01))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := others(rtab); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d rows after reopening with another cutoff, %d before", len(got), len(want))
+	}
+	if err := rtab.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := others(rtab); !reflect.DeepEqual(got, want) {
+		t.Fatalf("%d rows after the retuning merge, %d before", len(got), len(want))
+	}
 }
 
 // TestFacadeDurableKillRecovery: with durability on, a database that is

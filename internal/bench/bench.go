@@ -25,11 +25,6 @@ type Config struct {
 	Scale float64
 	// Seed drives all dataset generation.
 	Seed int64
-	// Parallelism is the per-query partition fan-out the fractured-UPI
-	// experiments run with (0 = GOMAXPROCS, 1 = serial). Modeled
-	// runtimes are identical at every setting, so reported numbers do
-	// not depend on it — only wall-clock regeneration time does.
-	Parallelism int
 }
 
 // DefaultConfig returns the full-scale configuration.
@@ -212,7 +207,6 @@ func Registered() []struct {
 		{"fig12", Fig12CutoffModel},
 		{"table7", Table7Maintenance},
 		{"table8", Table8Merging},
-		{"parallel-ptq", ParallelPTQ},
 		{"planner-routing", PlannerRouting},
 		{"spatial-routing", SpatialRouting},
 		{"streaming-latency", StreamingLatency},

@@ -171,8 +171,7 @@ func Table7Maintenance(ctx context.Context, e *Env) (*Experiment, error) {
 	{
 		disk, fs := newDisk()
 		store, err := fracture.BulkLoad(fs, "author", dataset.AttrInstitution,
-			[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: defaultCutoff},
-				Parallelism: e.cfg.Parallelism}, d.Authors)
+			[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: defaultCutoff}}, d.Authors)
 		if err != nil {
 			return nil, err
 		}
@@ -236,8 +235,7 @@ func Fig9Deterioration(ctx context.Context, e *Env) (*Experiment, error) {
 	}
 	fracDisk, fracFS := newDisk()
 	store, err := fracture.BulkLoad(fracFS, "author", dataset.AttrInstitution,
-		[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: fig9QT},
-			Parallelism: e.cfg.Parallelism}, d.Authors)
+		[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: fig9QT}}, d.Authors)
 	if err != nil {
 		return nil, err
 	}
@@ -326,8 +324,7 @@ func Fig10FracturedModel(ctx context.Context, e *Env) (*Experiment, error) {
 	}
 	disk, fs := newDisk()
 	store, err := fracture.BulkLoad(fs, "author", dataset.AttrInstitution,
-		[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: fig9QT},
-			Parallelism: e.cfg.Parallelism}, d.Authors)
+		[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: fig9QT}}, d.Authors)
 	if err != nil {
 		return nil, err
 	}
@@ -396,8 +393,7 @@ func Table8Merging(ctx context.Context, e *Env) (*Experiment, error) {
 	}
 	disk, fs := newDisk()
 	store, err := fracture.BulkLoad(fs, "author", dataset.AttrInstitution,
-		[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: defaultCutoff},
-			Parallelism: e.cfg.Parallelism}, d.Authors)
+		[]string{dataset.AttrCountry}, fracture.Config{UPI: upi.Options{Cutoff: defaultCutoff}}, d.Authors)
 	if err != nil {
 		return nil, err
 	}

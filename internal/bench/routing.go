@@ -31,7 +31,7 @@ func PlannerRouting(ctx context.Context, e *Env) (*Experiment, error) {
 	}
 	tab, err := db.BulkLoadTable("authors", dataset.AttrInstitution,
 		[]string{dataset.AttrCountry}, d.Authors,
-		upidb.WithCutoff(fig9QT), upidb.WithParallelism(e.cfg.Parallelism))
+		upidb.WithCutoff(fig9QT))
 	if err != nil {
 		return nil, err
 	}

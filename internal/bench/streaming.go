@@ -76,7 +76,7 @@ func buildStreamingStore(e *Env) (*fracture.Store, *sim.Disk, error) {
 		id++
 	}
 	store, err := fracture.BulkLoad(fs, "stream", "X", nil,
-		fracture.Config{UPI: upi.Options{Cutoff: streamingCutoff}, Parallelism: e.cfg.Parallelism}, base)
+		fracture.Config{UPI: upi.Options{Cutoff: streamingCutoff}}, base)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -157,10 +157,10 @@ func StreamingLatency(ctx context.Context, e *Env) (*Experiment, error) {
 	// entries in, but the stream defers every partition's chase until
 	// the consumer actually pulls below the cutoff boundary.
 	const ptqQT = 0.05
-	ptq := fracture.Req{Kind: fracture.KindPTQ, Value: "hot", QT: ptqQT, Parallelism: 1}
-	topk := fracture.Req{Kind: fracture.KindTopK, Value: "hot", K: streamingTopK, Parallelism: 1}
+	ptq := fracture.Req{Kind: fracture.KindPTQ, Value: "hot", QT: ptqQT}
+	topk := fracture.Req{Kind: fracture.KindTopK, Value: "hot", K: streamingTopK}
 	// A top-k's unbounded query is the PTQ with no threshold.
-	unbounded := fracture.Req{Kind: fracture.KindPTQ, Value: "hot", Parallelism: 1}
+	unbounded := fracture.Req{Kind: fracture.KindPTQ, Value: "hot"}
 
 	exp := &Experiment{
 		ID:      "streaming-latency",

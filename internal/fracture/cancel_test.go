@@ -80,9 +80,10 @@ func TestMidScanCancelReleasesPins(t *testing.T) {
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
+	setProcs(t, 1)
 	ctx := newCountdownCtx(3)
 	before := disk.Stats()
-	_, _, err := s.Run(ctx, Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05, Parallelism: 1})
+	_, _, err := s.Run(ctx, Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05})
 	if !errors.Is(err, upi.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}
@@ -114,6 +115,7 @@ func TestMidScanCancelReleasesPins(t *testing.T) {
 // scan-start, so it must have no scan-end either.
 func TestCancelDuringParallelScan(t *testing.T) {
 	s, _ := buildConcStore(t, 6, 40)
+	setProcs(t, 8)
 	ctx := newCountdownCtx(4)
 	var mu sync.Mutex
 	starts, ends := map[int]int{}, map[int]int{}
@@ -128,7 +130,7 @@ func TestCancelDuringParallelScan(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, _, err := s.Run(ctx, Req{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true, Parallelism: 8, Trace: trace})
+	_, _, err := s.Run(ctx, Req{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true, Trace: trace})
 	if !errors.Is(err, upi.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

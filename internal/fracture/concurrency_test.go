@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -41,6 +42,15 @@ func concTuple(id uint64, v int) *tuple.Tuple {
 const concValues = 8
 
 func concValue(v int) string { return fmt.Sprintf("v%02d", v%concValues) }
+
+// setProcs runs the rest of the test at GOMAXPROCS(n) — the one thing
+// that sets how many workers a stream's first pull opens its partition
+// cursors with — and restores the previous value when the test ends.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 // buildConcStore creates a fractured store with nFrac fractures of
 // batch tuples each, plus a bulk-loaded base. Identical inputs produce
@@ -81,8 +91,7 @@ func buildConcStore(t testing.TB, nFrac, batch int) (*Store, *sim.Disk) {
 func TestParallelismInvariance(t *testing.T) {
 	serial, serialDisk := buildConcStore(t, 6, 40)
 	parallel, parallelDisk := buildConcStore(t, 6, 40)
-	serial.SetParallelism(1)
-	parallel.SetParallelism(7) // deliberately not a divisor of the partition count
+	setProcs(t, 1) // restores the host's width at the end
 
 	if got, want := serialDisk.Stats(), parallelDisk.Stats(); got != want {
 		t.Fatalf("builds diverged before queries: %v vs %v", got, want)
@@ -101,7 +110,9 @@ func TestParallelismInvariance(t *testing.T) {
 		{"topk", func(s *Store) ([]upi.Result, Stats, error) { return s.TopK(context.Background(), concValue(2), 5) }},
 	}
 	for _, tc := range cases {
+		runtime.GOMAXPROCS(1)
 		rs1, st1, err1 := tc.run(serial)
+		runtime.GOMAXPROCS(5) // deliberately not a divisor of the 7 partitions
 		rs2, st2, err2 := tc.run(parallel)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("%s: errors %v / %v", tc.name, err1, err2)
@@ -166,7 +177,7 @@ func TestInFlightQuerySurvivesMerge(t *testing.T) {
 // merges and flushes run; meant for -race.
 func TestConcurrentQueriesAndMerges(t *testing.T) {
 	s, _ := buildConcStore(t, 4, 20)
-	s.SetParallelism(4)
+	setProcs(t, 4)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	errs := make(chan error, 16)

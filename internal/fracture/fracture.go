@@ -23,11 +23,10 @@
 // momentarily; a Flush (explicit or buffer-triggered) holds the write
 // lock while the new fracture is bulk-built, the paper's one
 // sequential write. A query's first pull opens the per-partition
-// cursors across a bounded worker pool (Config.Parallelism); each
-// partition records its I/O on a private sim.Tape that is replayed as
-// one batch when the partition finishes, so the modeled cost is
-// identical to a serial scan regardless of how the goroutines
-// interleave.
+// cursors across min(GOMAXPROCS, partitions) workers; each partition
+// records its I/O on a private sim.Tape that is replayed as one batch
+// when the partition finishes, so the modeled cost is identical to a
+// serial scan regardless of how the goroutines interleave.
 //
 // Merge may run in the background (see StartAutoMerge): it snapshots
 // the partitions to fold under the write lock, builds the new main
@@ -38,13 +37,13 @@
 // Queries have one executor, Prepared.Stream: per-partition pull-based
 // cursors under a k-way merge, each partition's tape replayed and its
 // pin released the moment its cursor is exhausted. Store.Run and
-// Prepared.Collect drain it into a slice.
+// Prepared.Collect drain it into a slice. PrepareAll runs that same
+// merge over the partitions of several stores, the shards of a table.
 package fracture
 
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -74,11 +73,6 @@ type Config struct {
 	// BufferTuples is the insert-buffer capacity; reaching it triggers
 	// an automatic flush. 0 means flush only on explicit Flush calls.
 	BufferTuples int
-	// Parallelism bounds the worker goroutines a query's first pull
-	// opens its partition cursors with, across the main UPI and the
-	// fractures. 0 means GOMAXPROCS; 1 opens them serially. The
-	// modeled I/O cost of a query is the same at every setting.
-	Parallelism int
 	// StatsStaleness is the statistics-staleness threshold the facade
 	// applies to the table's catalog (the fracture layer itself does
 	// not read it; it lives here so one struct carries the whole table
@@ -122,8 +116,7 @@ type Store struct {
 	mainRef   *partRef // lifetime of the current main's files
 	mainGen   int      // generation of the current main (for the manifest)
 	fractures []*fract
-	fracGens  []int // generation number of each fracture (for file names)
-	gen       int   // generation counter for fracture / main file names
+	gen       int // generation counter for fracture / main file names
 
 	// wal is the write-ahead log, present only on durable stores. Its
 	// appends are serialized by mu, in buffer-mutation order.
@@ -156,6 +149,7 @@ type Store struct {
 // flushed with it. The delete set applies to *older* data (the main
 // UPI and earlier fractures), never to this fracture's own inserts.
 type fract struct {
+	gen     int // names the fracture's files
 	table   *upi.Table
 	deleted map[uint64]bool
 	ref     *partRef
@@ -281,7 +275,7 @@ func (s *Store) initDurable() error {
 	if err := syncTableFiles(s.fs, s.main); err != nil {
 		return err
 	}
-	if err := writeManifest(s.fs, s.name, s.mainGen, nil); err != nil {
+	if err := writeManifest(s.fs, s.name, s.mainGen, s.main, nil); err != nil {
 		return err
 	}
 	w, err := createWAL(s.fs, s.name, s.opts.Metrics)
@@ -370,23 +364,6 @@ func (s *Store) SetStats(c *stats.Catalog) {
 		}
 	}
 	s.mu.Unlock()
-}
-
-// SetParallelism changes the first-pull partition fan-out width
-// (0 = GOMAXPROCS, 1 = serial). Modeled query costs do not depend on
-// it.
-func (s *Store) SetParallelism(n int) {
-	s.mu.Lock()
-	s.opts.Parallelism = n
-	s.mu.Unlock()
-}
-
-// parallelismLocked resolves the effective worker count.
-func (s *Store) parallelismLocked() int {
-	if s.opts.Parallelism <= 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.opts.Parallelism
 }
 
 // Insert buffers a tuple, adding it if the ID is new and replacing
@@ -563,6 +540,7 @@ func (s *Store) flushLocked() error {
 	if err := s.writeDelSet(id, deleted); err != nil {
 		return err
 	}
+	fractures := append(s.fractures, &fract{gen: id, table: tab, deleted: deleted, ref: newPartRef(s.fs)})
 	// Durable flush ordering: fsync the fracture's files, commit the
 	// new partition list through the manifest rename, and only then
 	// drop the WAL records the fracture now covers. A crash at any
@@ -578,12 +556,11 @@ func (s *Store) flushLocked() error {
 		if err := s.fs.Sync(s.delSetFile(id)); err != nil {
 			return err
 		}
-		if err := writeManifest(s.fs, s.name, s.mainGen, append(append([]int(nil), s.fracGens...), id)); err != nil {
+		if err := writeManifest(s.fs, s.name, s.mainGen, s.main, fractures); err != nil {
 			return err
 		}
 	}
-	s.fractures = append(s.fractures, &fract{table: tab, deleted: deleted, ref: newPartRef(s.fs)})
-	s.fracGens = append(s.fracGens, id)
+	s.fractures = fractures
 	s.opts.Metrics.Flushes.Inc()
 	s.bufTuples = make(map[uint64]*tuple.Tuple)
 	s.bufOrder = nil

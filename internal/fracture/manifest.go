@@ -13,7 +13,13 @@ import (
 
 // The manifest is the durable store's partition catalog: one small
 // text file naming the current main generation and every fracture
-// generation, in flush order. It is written to a temp file, fsynced
+// generation, in flush order, each with the placement parameters that
+// partition was built with ("main 3 cutoff=0.1 maxptr=0"): a query
+// trusts a partition's cutoff when it decides whether to consult the
+// cutoff index, so a partition must reopen with its own values, not
+// with whatever Open's caller passes this time. Lines written before
+// the tokens existed ("main 3") fall back to the caller's options. The
+// manifest is written to a temp file, fsynced
 // and renamed into place, so the rename is the atomic commit point of
 // every flush and merge — a crash before the rename leaves the old
 // manifest (and the half-built files as orphans, removed on the next
@@ -29,11 +35,16 @@ func manifestTmpName(store string) string {
 
 // writeManifest atomically replaces the manifest with the given
 // partition catalog.
-func writeManifest(fs *storage.FS, store string, mainGen int, fracGens []int) error {
+func writeManifest(fs *storage.FS, store string, mainGen int, main *upi.Table, fractures []*fract) error {
 	var b strings.Builder
-	fmt.Fprintf(&b, "main %d\n", mainGen)
-	for _, g := range fracGens {
-		fmt.Fprintf(&b, "frac %d\n", g)
+	line := func(kind string, gen int, t *upi.Table) {
+		o := t.Options()
+		fmt.Fprintf(&b, "%s %d cutoff=%s maxptr=%d\n", kind, gen,
+			strconv.FormatFloat(o.Cutoff, 'g', -1, 64), o.MaxPointers)
+	}
+	line("main", mainGen, main)
+	for _, f := range fractures {
+		line("frac", f.gen, f.table)
 	}
 	tmp := manifestTmpName(store)
 	fs.Sideband(tmp)
@@ -51,53 +62,69 @@ func writeManifest(fs *storage.FS, store string, mainGen int, fracGens []int) er
 	return nil
 }
 
-// readManifest loads the partition catalog. ok is false if no manifest
-// exists (legacy or non-durable store).
-func readManifest(fs *storage.FS, store string) (mainGen int, fracGens []int, ok bool, err error) {
+// readManifest loads the partition catalog. built maps each named
+// generation to the options to open it with: the caller's, with the
+// placement parameters the manifest recorded for that partition laid
+// over. It is nil if no manifest exists (legacy or non-durable store).
+func readManifest(fs *storage.FS, store string, caller upi.Options) (mainGen int, fracGens []int, built map[int]upi.Options, err error) {
 	name := manifestName(store)
 	if !fs.Exists(name) {
-		return 0, nil, false, nil
+		return 0, nil, nil, nil
 	}
 	fs.Sideband(name)
 	f, err := fs.Open(name)
 	if err != nil {
-		return 0, nil, false, err
+		return 0, nil, nil, err
 	}
 	data := make([]byte, f.Size())
 	if len(data) > 0 {
 		if err := f.ReadAt(data, 0); err != nil {
-			return 0, nil, false, err
+			return 0, nil, nil, err
 		}
 	}
 	mainGen = -1
+	built = make(map[int]upi.Options)
 	sc := bufio.NewScanner(strings.NewReader(string(data)))
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" {
 			continue
 		}
-		kind, num, found := strings.Cut(line, " ")
-		if !found {
-			return 0, nil, false, fmt.Errorf("fracture: corrupt manifest line %q", line)
+		f := strings.Fields(line)
+		if len(f) != 2 && len(f) != 4 {
+			return 0, nil, nil, fmt.Errorf("fracture: corrupt manifest line %q", line)
 		}
-		n, err := strconv.Atoi(num)
-		if err != nil {
-			return 0, nil, false, fmt.Errorf("fracture: corrupt manifest line %q", line)
+		n, err := strconv.Atoi(f[1])
+		o := caller
+		if err != nil || len(f) == 4 && !parsePlacement(f[2], f[3], &o) {
+			return 0, nil, nil, fmt.Errorf("fracture: corrupt manifest line %q", line)
 		}
-		switch kind {
+		built[n] = o
+		switch f[0] {
 		case "main":
 			mainGen = n
 		case "frac":
 			fracGens = append(fracGens, n)
 		default:
-			return 0, nil, false, fmt.Errorf("fracture: corrupt manifest line %q", line)
+			return 0, nil, nil, fmt.Errorf("fracture: corrupt manifest line %q", line)
 		}
 	}
 	if mainGen < 0 {
-		return 0, nil, false, fmt.Errorf("fracture: manifest for %q names no main partition", store)
+		return 0, nil, nil, fmt.Errorf("fracture: manifest for %q names no main partition", store)
 	}
 	sort.Ints(fracGens)
-	return mainGen, fracGens, true, nil
+	return mainGen, fracGens, built, nil
+}
+
+// parsePlacement reads a manifest line's "cutoff=<c>" and "maxptr=<n>"
+// tokens into o; false means they are not that.
+func parsePlacement(cutoff, maxPtr string, o *upi.Options) bool {
+	c, okC := strings.CutPrefix(cutoff, "cutoff=")
+	m, okM := strings.CutPrefix(maxPtr, "maxptr=")
+	var errC, errM error
+	o.Cutoff, errC = strconv.ParseFloat(c, 64)
+	o.MaxPointers, errM = strconv.Atoi(m)
+	return okC && okM && errC == nil && errM == nil
 }
 
 // removeOrphans deletes partition files of generations the manifest

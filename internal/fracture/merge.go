@@ -250,7 +250,7 @@ func (s *Store) swapMerged(newMain *upi.Table, newGen, nMerged int) error {
 	if s.opts.Durable {
 		err := syncTableFiles(s.fs, newMain)
 		if err == nil {
-			err = writeManifest(s.fs, s.name, newGen, s.fracGens[nMerged:])
+			err = writeManifest(s.fs, s.name, newGen, newMain, s.fractures[nMerged:])
 		}
 		if err != nil {
 			s.mu.Unlock()
@@ -265,17 +265,15 @@ func (s *Store) swapMerged(newMain *upi.Table, newGen, nMerged int) error {
 	oldMain := s.main
 	oldMainRef := s.mainRef
 	merged := s.fractures[:nMerged]
-	mergedGens := s.fracGens[:nMerged]
 	s.main = newMain
 	s.mainRef = newPartRef(s.fs)
 	s.mainGen = newGen
 	s.fractures = append([]*fract(nil), s.fractures[nMerged:]...)
-	s.fracGens = append([]int(nil), s.fracGens[nMerged:]...)
 	s.mu.Unlock()
 
 	oldMainRef.doom(oldMain.Files())
-	for i, f := range merged {
-		f.ref.doom(append(f.table.Files(), s.delSetFile(mergedGens[i])))
+	for _, f := range merged {
+		f.ref.doom(append(f.table.Files(), s.delSetFile(f.gen)))
 	}
 	return nil
 }

@@ -26,13 +26,28 @@ import (
 // Opening a durable store with opts.Durable unset downgrades it: the
 // WAL is replayed one last time, then the WAL and manifest are removed
 // so they cannot go stale beside future unlogged writes.
+//
+// Every partition the manifest describes is opened with the cutoff and
+// pointer cap it was built with; opts.UPI's values apply to future
+// flushes and to the next merge, which rebuilds the main UPI with them
+// (the retuning of Section 4.2). Nothing but the manifest records them:
+// a non-durable store, or a manifest older than the recording, opens
+// every partition with opts.UPI, so the caller must pass the values
+// they were built with or queries below the true cutoff miss rows.
 func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*Store, error) {
 	opts.UPI = opts.UPI.WithDefaults()
 	s := newShell(fs, name, attr, secAttrs, opts)
 
-	mainGen, fracGens, fromManifest, err := readManifest(fs, name)
+	mainGen, fracGens, built, err := readManifest(fs, name, opts.UPI)
 	if err != nil {
 		return nil, err
+	}
+	fromManifest := built != nil
+	optsOf := func(gen int) upi.Options { // caller's, unless the manifest knows better
+		if o, ok := built[gen]; ok {
+			return o
+		}
+		return opts.UPI
 	}
 	if fromManifest {
 		// Partition files the manifest does not name are debris of a
@@ -44,7 +59,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 			return nil, err
 		}
 	}
-	main, err := upi.Open(fs, s.mainName(mainGen), attr, secAttrs, opts.UPI)
+	main, err := upi.Open(fs, s.mainName(mainGen), attr, secAttrs, optsOf(mainGen))
 	if err != nil {
 		return nil, err
 	}
@@ -52,7 +67,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 	s.mainGen = mainGen
 	s.gen = mainGen
 	for _, g := range fracGens {
-		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, opts.UPI)
+		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, optsOf(g))
 		if err != nil {
 			return nil, err
 		}
@@ -60,11 +75,8 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 		if err != nil {
 			return nil, err
 		}
-		s.fractures = append(s.fractures, &fract{table: tab, deleted: deleted, ref: newPartRef(fs)})
-		s.fracGens = append(s.fracGens, g)
-		if g > s.gen {
-			s.gen = g
-		}
+		s.fractures = append(s.fractures, &fract{gen: g, table: tab, deleted: deleted, ref: newPartRef(fs)})
+		s.gen = max(s.gen, g)
 	}
 	if err := s.recoverWAL(fromManifest); err != nil {
 		return nil, err
@@ -110,7 +122,7 @@ func (s *Store) recoverWAL(hadManifest bool) error {
 		if !hadManifest {
 			// Upgrade: give a legacy store its manifest so the next
 			// open trusts the catalog, not the file scan.
-			return writeManifest(s.fs, s.name, s.mainGen, s.fracGens)
+			return writeManifest(s.fs, s.name, s.mainGen, s.main, s.fractures)
 		}
 		return nil
 	}

@@ -5,7 +5,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"upidb/internal/upi"
 )
 
 func TestOpenRoundTrip(t *testing.T) {
@@ -154,5 +157,155 @@ func TestOpenDropsUnflushedBuffer(t *testing.T) {
 	}
 	if re.BufferedInserts() != 0 {
 		t.Fatal("buffer should be empty after reopen")
+	}
+}
+
+// sweep answers every PTQ of the randomTuples value universe at a low,
+// a middle and a high threshold and renders each answer, so two stores
+// (or one store at two moments) compare with one string equality.
+func sweep(t *testing.T, s *Store) string {
+	t.Helper()
+	var b strings.Builder
+	for _, qt := range []float64{0.05, 0.3, 0.7} {
+		for v := 0; v < 14; v++ {
+			val := fmt.Sprintf("v%02d", v)
+			rs, _, err := s.Query(context.Background(), val, qt)
+			if err != nil {
+				t.Fatalf("%s@%v: %v", val, qt, err)
+			}
+			fmt.Fprintf(&b, "%s@%v:", val, qt)
+			for _, r := range rs {
+				fmt.Fprintf(&b, " %d/%.9f", r.Tuple.ID, r.Confidence)
+			}
+			b.WriteByte('\n')
+		}
+	}
+	return b.String()
+}
+
+// TestReopenWithDifferentCutoff: a durable store's partitions were
+// built at cutoff 0.4; reopening it at cutoff 0.01 must not make
+// queries between the two trust the new value and skip the cutoff
+// index. The manifest records each partition's own parameters; the
+// caller's apply to the next flush and to the next merge, which
+// rebuilds the main UPI with them.
+func TestReopenWithDifferentCutoff(t *testing.T) {
+	fs := newFS()
+	rng := rand.New(rand.NewSource(31))
+	built := Config{UPI: upi.Options{Cutoff: 0.4, PageSize: 512}, Durable: true}
+	s, err := BulkLoad(fs, "t", "X", []string{"Y"}, built, randomTuples(t, rng, 1, 400))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range randomTuples(t, rng, 1000, 100) {
+		if err := s.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := sweep(t, s)
+	if err := s.FlushPages(); err != nil {
+		t.Fatal(err)
+	}
+
+	retuned := Config{UPI: upi.Options{Cutoff: 0.01, PageSize: 512}, Durable: true}
+	re, err := Open(fs, "t", "X", []string{"Y"}, retuned)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep(t, re); got != want {
+		t.Fatalf("answers changed across a reopen with another cutoff:\n got %s\nwant %s", got, want)
+	}
+	if got := re.Main().Options().Cutoff; got != 0.4 {
+		t.Fatalf("main reopened at cutoff %v, built at 0.4", got)
+	}
+	if got := re.FractureOptions().Cutoff; got != 0.01 {
+		t.Fatalf("future fractures use cutoff %v, caller asked for 0.01", got)
+	}
+	// The merge sees partitions unlike the current options and rebuilds.
+	if err := re.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := re.Main().Options().Cutoff; got != 0.01 {
+		t.Fatalf("merged main has cutoff %v, want the retuned 0.01", got)
+	}
+	if got := sweep(t, re); got != want {
+		t.Fatalf("answers changed across the retuning merge:\n got %s\nwant %s", got, want)
+	}
+	// And the rebuilt main's own cutoff is what the next open sees.
+	if err := re.FlushPages(); err != nil {
+		t.Fatal(err)
+	}
+	again, err := Open(fs, "t", "X", []string{"Y"}, built)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := again.Main().Options().Cutoff; got != 0.01 {
+		t.Fatalf("second reopen: main at cutoff %v, rebuilt at 0.01", got)
+	}
+	if got := sweep(t, again); got != want {
+		t.Fatal("answers changed across the second reopen")
+	}
+}
+
+// TestOldManifestStillOpens: a manifest written before placement
+// parameters were recorded has bare "main <gen>" / "frac <gen>" lines;
+// it opens with the caller's options, and the next commit records them.
+func TestOldManifestStillOpens(t *testing.T) {
+	fs := newFS()
+	rng := rand.New(rand.NewSource(37))
+	cfg := defaultOpts()
+	cfg.Durable = true
+	s, err := BulkLoad(fs, "t", "X", []string{"Y"}, cfg, randomTuples(t, rng, 1, 120))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range randomTuples(t, rng, 1000, 40) {
+		if err := s.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := sweep(t, s)
+	if err := s.FlushPages(); err != nil {
+		t.Fatal(err)
+	}
+	old := fmt.Sprintf("main %d\nfrac %d\n", s.mainGen, s.fractures[0].gen)
+	fs.Sideband(manifestName("t")) // as writeManifest does: never charged
+	if err := fs.Create(manifestName("t")).WriteAt([]byte(old), 0); err != nil {
+		t.Fatal(err)
+	}
+
+	re, err := Open(fs, "t", "X", []string{"Y"}, cfg)
+	if err != nil {
+		t.Fatalf("old-format manifest refused: %v", err)
+	}
+	if re.NumFractures() != 1 {
+		t.Fatalf("%d fractures from the old manifest, want 1", re.NumFractures())
+	}
+	if got := sweep(t, re); got != want {
+		t.Fatal("answers changed across a reopen from an old-format manifest")
+	}
+	if err := re.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	mainGen, fracGens, built, err := readManifest(fs, "t", upi.Options{Cutoff: 0.9})
+	if err != nil || built == nil || len(fracGens) != 0 {
+		t.Fatalf("manifest after merge: %v, fractures %v, err %v", built, fracGens, err)
+	}
+	if got := built[mainGen].Cutoff; got != cfg.UPI.Cutoff {
+		t.Fatalf("merge committed cutoff %v for the main, built at %v", got, cfg.UPI.Cutoff)
+	}
+	for _, bad := range []string{"main 1 cutoff=0.1\n", "main 1 cutoff=x maxptr=0\n", "main 1 maxptr=0 cutoff=0.1\n", "main\n"} {
+		if err := fs.Create(manifestName("t")).WriteAt([]byte(bad), 0); err != nil {
+			t.Fatal(err)
+		}
+		if _, _, _, err := readManifest(fs, "t", cfg.UPI); err == nil {
+			t.Fatalf("corrupt manifest %q accepted", bad)
+		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"upidb/internal/obs"
+	"upidb/internal/storage"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
 )
@@ -55,12 +56,6 @@ type Req struct {
 	K     int     // result bound (KindTopK)
 	// Tailored enables tailored secondary-index access (Section 3.2).
 	Tailored bool
-	// Parallelism overrides, for this query only, how many partition
-	// cursors the stream's first pull opens concurrently (0 = store
-	// default). Later pulls are demand-driven and serial. For
-	// KindSecondary and KindScan, whose cursors do all their I/O on the
-	// first pull, that is the whole execution.
-	Parallelism int
 	// Trace, when set, receives span events (partition scan start/end)
 	// as the query executes. It may be called from the concurrent
 	// first-pull workers; see TraceFunc.
@@ -81,18 +76,20 @@ type snapshot struct {
 	// maps instead of materializing their union keeps snapshotting
 	// O(buffer) — delete sets now carry every upserted ID, so unions
 	// would grow with all inserts since the last merge.
-	killers     [][]map[uint64]bool
-	pins        []*partRef
-	bufResults  []upi.Result
-	parallelism int
-	met         *obs.EngineMetrics
+	killers [][]map[uint64]bool
+	pins    []*partRef
+	// bufResults are the RAM-buffer matches; the stream sorts them and
+	// consumes them from the front.
+	bufResults []upi.Result
+	fs         *storage.FS
+	met        *obs.EngineMetrics
 
-	// mu guards pinned. Pins are normally released by the single
-	// consumer (the merged stream, partition by partition), but an
-	// abandoned Prepared may be released by a GC cleanup on another
-	// goroutine, so the bookkeeping is locked and idempotent.
-	mu     sync.Mutex
-	pinned []bool
+	// mu guards the entries of pins, each nil once released. Pins are
+	// normally released by the single consumer (the merged stream,
+	// partition by partition), but an abandoned Prepared may be released
+	// by a GC cleanup on another goroutine, so the bookkeeping is locked
+	// and idempotent.
+	mu sync.Mutex
 }
 
 // killedBy reports whether any of the delete sets holds id.
@@ -109,9 +106,8 @@ func killedBy(sets []map[uint64]bool, id uint64) bool {
 // buffer under the read lock. match returns the confidence of a
 // buffered tuple and whether it qualifies; buffer evaluation is pure
 // CPU, so doing it under the lock keeps the snapshot consistent at no
-// I/O cost. parallelism > 0 overrides the store default for this
-// query. Fails with ErrClosed once the store is closed.
-func (s *Store) snapshotFor(parallelism int, match func(*tuple.Tuple) (float64, bool)) (*snapshot, error) {
+// I/O cost. Fails with ErrClosed once the store is closed.
+func (s *Store) snapshotFor(match func(*tuple.Tuple) (float64, bool)) (*snapshot, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	if s.closed {
@@ -119,14 +115,11 @@ func (s *Store) snapshotFor(parallelism int, match func(*tuple.Tuple) (float64, 
 	}
 	n := 1 + len(s.fractures)
 	snap := &snapshot{
-		parts:       make([]*upi.Table, n),
-		killers:     make([][]map[uint64]bool, n),
-		pins:        make([]*partRef, n),
-		parallelism: s.parallelismLocked(),
-		met:         s.opts.Metrics,
-	}
-	if parallelism > 0 {
-		snap.parallelism = parallelism
+		parts:   make([]*upi.Table, n),
+		killers: make([][]map[uint64]bool, n),
+		pins:    make([]*partRef, n),
+		fs:      s.fs,
+		met:     s.opts.Metrics,
 	}
 	// The buffer's tombstones keep changing after the snapshot is
 	// released, so copy them once; fracture delete sets are immutable
@@ -150,10 +143,8 @@ func (s *Store) snapshotFor(parallelism int, match func(*tuple.Tuple) (float64, 
 		}
 		snap.killers[p] = append(sets, bufDel)
 	}
-	snap.pinned = make([]bool, n)
-	for i, p := range snap.pins {
+	for _, p := range snap.pins {
 		p.pin()
-		snap.pinned[i] = true
 	}
 	for _, id := range s.bufOrder {
 		tup := s.bufTuples[id]
@@ -170,19 +161,12 @@ func (s *Store) snapshotFor(parallelism int, match func(*tuple.Tuple) (float64, 
 // partitions' files alive.
 func (snap *snapshot) unpinPart(i int) {
 	snap.mu.Lock()
-	wasPinned := snap.pinned[i]
-	snap.pinned[i] = false
+	pin := snap.pins[i]
+	snap.pins[i] = nil
 	snap.mu.Unlock()
-	if wasPinned {
-		snap.pins[i].unpin()
+	if pin != nil {
+		pin.unpin()
 		snap.met.PinReleases.Inc()
-	}
-}
-
-// release unpins every partition still pinned. Idempotent.
-func (snap *snapshot) release() {
-	for i := range snap.pins {
-		snap.unpinPart(i)
 	}
 }
 
@@ -196,8 +180,9 @@ type execPlan struct {
 	empty  bool // trivially empty query (top-k with k <= 0)
 }
 
-// compileReq maps a Req onto its execution plan.
-func (s *Store) compileReq(req Req) (execPlan, error) {
+// compileReq maps a Req onto its execution plan. primary is the
+// table's primary attribute, the same on every store of one table.
+func compileReq(primary string, req Req) (execPlan, error) {
 	var p execPlan
 	switch req.Kind {
 	case KindPTQ:
@@ -205,7 +190,7 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 			// conf > 0 mirrors the on-disk paths: a tuple without the
 			// value among its alternatives never matches, even at qt=0
 			// (it has no heap entry under the value either).
-			conf := tup.Confidence(s.attr, req.Value)
+			conf := tup.Confidence(primary, req.Value)
 			return conf, conf > 0 && conf >= req.QT
 		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
@@ -225,7 +210,7 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 		}
 		p.k = req.K
 		p.match = func(tup *tuple.Tuple) (float64, bool) {
-			conf := tup.Confidence(s.attr, req.Value)
+			conf := tup.Confidence(primary, req.Value)
 			return conf, conf > 0
 		}
 		// Top-k is the PTQ with no threshold: the stream's k bound counts
@@ -237,7 +222,7 @@ func (s *Store) compileReq(req Req) (execPlan, error) {
 	case KindScan:
 		attr := req.Attr
 		if attr == "" {
-			attr = s.attr
+			attr = primary
 		}
 		p.match = func(tup *tuple.Tuple) (float64, bool) {
 			conf := tup.Confidence(attr, req.Value)
@@ -279,22 +264,35 @@ type Prepared struct {
 // partition set. A done context fails fast with ErrCanceled before
 // any partition is pinned or any modeled I/O charged.
 func (s *Store) Prepare(ctx context.Context, req Req) (*Prepared, error) {
+	return PrepareAll(ctx, []*Store{s}, req)
+}
+
+// PrepareAll is Prepare over every store of one table (its hash
+// shards): req is compiled once, each store is snapshotted and pinned
+// in order (a failure releases the ones before it), and the returned
+// Prepared's stream merges the partitions of all of them; trace events
+// name a store by its index in stores.
+func PrepareAll(ctx context.Context, stores []*Store, req Req) (*Prepared, error) {
 	if err := upi.CtxErr(ctx); err != nil {
 		return nil, err
 	}
-	plan, err := s.compileReq(req)
+	plan, err := compileReq(stores[0].attr, req)
 	if err != nil {
 		return nil, err
 	}
-	st := &Stream{s: s, cursor: plan.cursor, trace: req.Trace, k: plan.k}
+	st := &Stream{cursor: plan.cursor, trace: req.Trace, k: plan.k, snaps: make([]*snapshot, 0, len(stores))}
 	p := &Prepared{st: st}
 	if plan.empty {
 		st.done = true
 		return p, nil
 	}
-	st.snap, err = s.snapshotFor(req.Parallelism, plan.match)
-	if err != nil {
-		return nil, err
+	for _, s := range stores {
+		snap, err := s.snapshotFor(plan.match)
+		if err != nil {
+			st.releasePins()
+			return nil, err
+		}
+		st.snaps = append(st.snaps, snap)
 	}
 	return p, nil
 }
@@ -317,9 +315,7 @@ func (p *Prepared) Collect(ctx context.Context) ([]upi.Result, Stats, error) {
 // release on their own.
 func (p *Prepared) Release() {
 	p.used = true
-	if p.st.snap != nil {
-		p.st.snap.release()
-	}
+	p.st.releasePins()
 }
 
 // errConsumed reports a second consumption of a Prepared.
@@ -363,6 +359,7 @@ func collectLiveTuples(parts []*upi.Table, deletes []map[uint64]bool) ([]*tuple.
 	byID := make(map[uint64]*tuple.Tuple)
 	for i, t := range parts {
 		deleted := deletes[i]
+		var scanErr error
 		err := t.ScanHeap(func(id uint64, enc []byte) bool {
 			if deleted[id] {
 				return true
@@ -372,11 +369,15 @@ func collectLiveTuples(parts []*upi.Table, deletes []map[uint64]bool) ([]*tuple.
 			}
 			tup, err := tuple.Decode(enc)
 			if err != nil {
+				scanErr = fmt.Errorf("fracture: merge: tuple %d in %s: %w", id, t.Name(), err)
 				return false
 			}
 			byID[id] = tup
 			return true
 		})
+		if err == nil {
+			err = scanErr
+		}
 		if err != nil {
 			return nil, err
 		}

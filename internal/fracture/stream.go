@@ -2,6 +2,8 @@ package fracture
 
 import (
 	"context"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -9,15 +11,16 @@ import (
 	"upidb/internal/upi"
 )
 
-// Stream is the executor of a fractured-UPI query: a k-way merge of the
-// per-partition confidence-sorted cursors (plus the RAM insert buffer),
-// yielding the globally next-best result while slower partitions have
-// read only as many heap pages as their own pulls demanded. It mirrors
-// the cursor discipline of kWayMerge — every source is already sorted,
-// keep picking the best head — applied to query results instead of
-// B+Tree entries.
+// Stream is the engine's one result merge: a k-way merge of the
+// confidence-sorted cursors of every partition of every store the query
+// was prepared over (one store, or every shard of a table), plus each
+// store's RAM insert-buffer matches, yielding the globally next-best
+// result while slower partitions have read only as many heap pages as
+// their own pulls demanded. It mirrors the cursor discipline of
+// kWayMerge — every source is already sorted, keep picking the best
+// head — applied to query results instead of B+Tree entries.
 //
-// Results arrive in upi.ResultBefore order and pass the
+// Results arrive in upi.ResultBefore order and pass their own store's
 // pending-delete/upsert supersedence filter at yield time. For a top-k
 // query the stream stops after k yields and cancels the remaining
 // partition cursors, so pages they never reached are never read — and
@@ -30,9 +33,10 @@ import (
 // the same moment. Each partition is charged a table-open cost (the
 // Nfrac × Costinit term of the Section 6 cost model) plus its scan
 // I/O. Partition tapes never share files, so the replayed total for a
-// full drain is exactly the serial scan's, at any parallelism. The
-// first pull primes every partition cursor across Parallelism workers;
-// after that, pulls are demand-driven.
+// full drain is exactly the serial scan's, however many cores prime
+// the cursors and whichever partitions share the merge. The first pull
+// primes every partition cursor across min(GOMAXPROCS, partitions)
+// workers; after that, pulls are demand-driven.
 //
 // A Stream is single-consumer and not safe for concurrent use. The
 // context is checked between pulls; a cancelled stream terminates with
@@ -40,26 +44,29 @@ import (
 // consumed and releases every partition pin.
 type Stream struct {
 	ctx    context.Context
-	s      *Store
-	snap   *snapshot
 	cursor func(ctx context.Context, t *upi.Table) *upi.Cursor
 	trace  TraceFunc
 	k      int // stop after this many yields (0 = drain everything)
 
-	primed  bool
-	parts   []*streamPart
-	buf     []upi.Result // sorted RAM-buffer matches
-	bufIdx  int
+	snaps []*snapshot // one per store, in shard order
+	// parts holds every merge source, nil until the first pull primes
+	// them: the on-disk partitions of every store first (shard-major),
+	// then one RAM-buffer source per store.
+	parts   []streamPart
 	yielded int
 	stats   Stats
 	done    bool
 	err     error
 }
 
-// streamPart is one partition's side of the merge. cur, tape and
+// streamPart is one source of the merge: partition idx of store shard
+// under that store's snapshot (its delete filter, its pin) or, with
+// idx == bufferPart, that store's RAM-buffer matches. cur, tape and
 // release stay nil for a partition whose scan never started (the
-// context was done before its turn).
+// context was done before its turn) and for a buffer source.
 type streamPart struct {
+	snap    *snapshot
+	shard   int
 	idx     int
 	cur     *upi.Cursor
 	tape    *sim.Tape
@@ -70,6 +77,9 @@ type streamPart struct {
 	// replayed, stats folded in, pin released.
 	finished bool
 }
+
+// bufferPart is the streamPart.idx of a store's RAM-buffer source.
+const bufferPart = -1
 
 // Stream hands out the Prepared's executor. A Prepared that was already
 // consumed (or released) returns a stream that fails immediately.
@@ -83,83 +93,100 @@ func (p *Prepared) Stream(ctx context.Context) *Stream {
 }
 
 // prime opens every partition cursor and positions it on its first
-// live result, fanning the openings out across snapshot.parallelism
-// workers — so the expensive first pull (which for secondary and
-// full-scan partitions is their whole execution) overlaps across
-// partitions. The RAM-buffer matches are sorted here too; they
-// participate in the merge as a zero-I/O source.
+// live result, fanning the openings out across min(GOMAXPROCS,
+// partitions) workers — so the expensive first pull (which for
+// secondary and full-scan partitions is their whole execution) overlaps
+// across partitions, of one store or of many. The RAM-buffer matches
+// are sorted here too; they participate in the merge as zero-I/O
+// sources.
 func (st *Stream) prime() error {
-	st.primed = true
-	snap := st.snap
-	n := len(snap.parts)
+	n := 0
+	for _, snap := range st.snaps {
+		n += len(snap.parts)
+	}
 	st.stats.PartitionsRead = n
-	st.parts = make([]*streamPart, n)
-	st.buf = snap.bufResults
-	upi.SortResults(st.buf)
+	st.parts = make([]streamPart, 0, n+len(st.snaps))
+	for shard, snap := range st.snaps {
+		for i := range snap.parts {
+			st.parts = append(st.parts, streamPart{snap: snap, shard: shard, idx: i})
+		}
+	}
+	for shard, snap := range st.snaps {
+		st.parts = append(st.parts, streamPart{snap: snap, shard: shard, idx: bufferPart})
+	}
 
 	errs := make([]error, n)
 	open := func(i int) {
-		p := &streamPart{idx: i}
-		st.parts[i] = p
+		p := &st.parts[i]
 		if err := upi.CtxErr(st.ctx); err != nil {
 			errs[i] = err
 			return
 		}
-		t := snap.parts[i]
-		snap.met.ScanPartitions.Inc()
-		st.trace.emit(TraceScanStart, i, t.Name())
+		t := p.snap.parts[p.idx]
+		p.snap.met.ScanPartitions.Inc()
+		st.trace.emit(TraceScanStart, p.shard, p.idx, t.Name())
 		p.tape = sim.NewTape()
-		p.release = st.s.fs.RouteTo(t.Files(), p.tape)
+		p.release = p.snap.fs.RouteTo(t.Files(), p.tape)
 		p.tape.Open(t.Name())
 		p.cur = st.cursor(st.ctx, t)
-		errs[i] = st.advance(p)
+		errs[i] = p.advance()
 	}
 
-	if workers := min(snap.parallelism, n); workers <= 1 {
-		for i := 0; i < n; i++ {
+	// The caller is one of the workers: a query over one partition, or
+	// on one core, starts no goroutine.
+	var next atomic.Int32
+	work := func() {
+		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
 			open(i)
 		}
-	} else {
-		var next atomic.Int32
-		next.Store(-1)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					i := int(next.Add(1))
-					if i >= n {
-						return
-					}
-					open(i)
-				}
-			}()
-		}
-		wg.Wait()
 	}
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), n); w > 1; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work()
+		}()
+	}
+	work()
+	wg.Wait()
 
 	for i := 0; i < n; i++ {
 		if errs[i] != nil {
 			return errs[i]
 		}
 	}
+	for i := n; i < len(st.parts); i++ {
+		p := &st.parts[i]
+		upi.SortResults(p.snap.bufResults)
+		_ = p.advance() // a buffer source cannot fail
+	}
 	// Partitions that turned out empty are finalized immediately, so
 	// their pins and tapes do not linger for the stream's lifetime.
-	for _, p := range st.parts {
-		if !p.hasHead {
+	for i := range st.parts {
+		if p := &st.parts[i]; !p.hasHead {
 			st.finalizePart(p)
 		}
 	}
 	return nil
 }
 
-// advance pulls the next live result (one that passes the supersedence
-// filter) into p.head. It does not finalize on exhaustion — callers
-// decide when to fold the partition in, because prime runs advance
-// concurrently and finalization charges the shared disk.
-func (st *Stream) advance(p *streamPart) error {
-	killers := st.snap.killers[p.idx]
+// advance pulls the source's next live result (one that passes its
+// store's supersedence filter) into p.head. It does not finalize on
+// exhaustion — callers decide when to fold the partition in, because
+// prime runs advance concurrently and finalization charges the shared
+// disk.
+func (p *streamPart) advance() error {
+	if p.idx == bufferPart {
+		// Buffered tuples are the newest version of their ID: nothing
+		// supersedes them.
+		buf := p.snap.bufResults
+		if p.hasHead = len(buf) > 0; p.hasHead {
+			p.head, p.snap.bufResults = buf[0], buf[1:]
+		}
+		return nil
+	}
+	killers := p.snap.killers[p.idx]
 	for {
 		r, ok, err := p.cur.Next()
 		if err != nil {
@@ -182,9 +209,10 @@ func (st *Stream) advance(p *streamPart) error {
 // stream: close the cursor so no further pages can be read, stop
 // routing, replay the consumed I/O in one batch, fold the statistics
 // in and release the partition's pin. A partition whose scan never
-// started has nothing to fold in and no span to end.
+// started has nothing to fold in and no span to end; a buffer source
+// holds no pin either.
 func (st *Stream) finalizePart(p *streamPart) {
-	if p.finished {
+	if p.finished || p.idx == bufferPart {
 		return
 	}
 	p.finished = true
@@ -192,10 +220,10 @@ func (st *Stream) finalizePart(p *streamPart) {
 		p.cur.Close()
 		st.stats.QueryStats = addStats(st.stats.QueryStats, p.cur.Stats())
 		p.release()
-		st.stats.ModeledTime += st.s.fs.Disk().Replay(p.tape)
-		st.trace.emit(TraceScanEnd, p.idx, st.snap.parts[p.idx].Name())
+		st.stats.ModeledTime += p.snap.fs.Disk().Replay(p.tape)
+		st.trace.emit(TraceScanEnd, p.shard, p.idx, p.snap.parts[p.idx].Name())
 	}
-	st.snap.unpinPart(p.idx)
+	p.snap.unpinPart(p.idx)
 }
 
 // finish terminates the stream: every remaining partition is
@@ -207,10 +235,20 @@ func (st *Stream) finish(err error) {
 	}
 	st.done = true
 	st.err = err
-	for _, p := range st.parts {
-		st.finalizePart(p)
+	for i := range st.parts {
+		st.finalizePart(&st.parts[i])
 	}
-	st.snap.release()
+	st.releasePins()
+}
+
+// releasePins unpins every partition of every store still pinned.
+// Idempotent.
+func (st *Stream) releasePins() {
+	for _, snap := range st.snaps {
+		for i := range snap.pins {
+			snap.unpinPart(i)
+		}
+	}
 }
 
 // Next returns the globally next-best result. ok is false when the
@@ -225,26 +263,19 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 		st.finish(err)
 		return upi.Result{}, false, err
 	}
-	if !st.primed {
+	if st.parts == nil {
 		if err := st.prime(); err != nil {
 			st.finish(err)
 			return upi.Result{}, false, err
 		}
 	}
-	if st.k > 0 && st.yielded >= st.k {
-		// Top-k early termination: every live cursor's next candidate
-		// ranks at or below the k-th yielded result, so the remaining
-		// scans can only produce discards. Cancel them; unread pages
-		// are never charged.
-		st.finish(nil)
-		return upi.Result{}, false, nil
-	}
 
-	// Pick the best head among the partition cursors and the buffer —
-	// the same pick-the-smallest-cursor discipline as kWayMerge, with
+	// Pick the best head among the sources — the same
+	// pick-the-smallest-cursor discipline as kWayMerge, with
 	// (Confidence DESC, ID ASC) in place of key order.
 	var best *streamPart
-	for _, p := range st.parts {
+	for i := range st.parts {
+		p := &st.parts[i]
 		if !p.hasHead {
 			continue
 		}
@@ -252,28 +283,39 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 			best = p
 		}
 	}
-	useBuf := st.bufIdx < len(st.buf) &&
-		(best == nil || upi.ResultBefore(st.buf[st.bufIdx], best.head))
-
-	switch {
-	case useBuf:
-		r = st.buf[st.bufIdx]
-		st.bufIdx++
-		st.stats.BufferHits++
-	case best != nil:
-		r = best.head
-		if err := st.advance(best); err != nil {
-			st.finish(err)
-			return upi.Result{}, false, err
-		}
-		if !best.hasHead {
-			st.finalizePart(best)
-		}
-	default:
+	// Top-k early termination: every live cursor's next candidate ranks
+	// at or below the k-th yielded result, so the remaining scans can
+	// only produce discards. Cancel them; unread pages are never
+	// charged. It only counts as an early termination when it cut work
+	// short: some source still held a head.
+	cut := st.k > 0 && st.yielded >= st.k
+	if cut && best != nil {
+		best.snap.met.TopKEarlyTerm.Inc()
+	}
+	if cut || best == nil {
 		st.finish(nil)
 		return upi.Result{}, false, nil
 	}
+	r = best.head
+	if err := best.advance(); err != nil {
+		st.finish(err)
+		return upi.Result{}, false, err
+	}
+	if !best.hasHead {
+		st.finalizePart(best)
+	}
+	if best.idx == bufferPart {
+		st.stats.BufferHits++
+	}
 	st.yielded++
+	best.snap.met.StreamYields.Inc()
+	if st.trace != nil {
+		st.trace(TraceEvent{
+			Kind:   TraceYield,
+			Shard:  best.shard,
+			Detail: fmt.Sprintf("tuple %d conf %.6f", r.Tuple.ID, r.Confidence),
+		})
+	}
 	return r, true, nil
 }
 
@@ -282,8 +324,8 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 // Idempotent; exhaustion and errors imply it.
 func (st *Stream) Close() { st.finish(st.err) }
 
-// Stats reports what the stream has touched so far. Counters are
-// final once the stream is exhausted, failed or closed; a partition's
-// scan statistics and modeled time fold in when that partition
-// finishes.
+// Stats reports what the stream has touched so far, summed over every
+// store it merges. Counters are final once the stream is exhausted,
+// failed or closed; a partition's scan statistics and modeled time fold
+// in when that partition finishes.
 func (st *Stream) Stats() Stats { return st.stats }

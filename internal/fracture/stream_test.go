@@ -16,6 +16,7 @@ import (
 	"testing"
 	"time"
 
+	"upidb/internal/obs"
 	"upidb/internal/prob"
 	"upidb/internal/sim"
 	"upidb/internal/storage"
@@ -108,6 +109,7 @@ func TestStreamMatchesCollect(t *testing.T) {
 		{Kind: KindScan, Value: concValue(5), QT: 0.1},
 	}
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
+		setProcs(t, par)
 		s, _ := buildConcStore(t, 5, 30)
 		live := concLive(5, 30)
 		// Leave work in the RAM buffer so the merge crosses every
@@ -124,7 +126,6 @@ func TestStreamMatchesCollect(t *testing.T) {
 		}
 		delete(live, 7)
 		for qi, req := range reqs {
-			req.Parallelism = par
 			want := oracleRows(live, "X", req)
 			if len(want) == 0 {
 				t.Fatalf("q=%d: oracle is empty; parity vacuous", qi)
@@ -175,7 +176,7 @@ func TestStreamModeledCostMatchesCollect(t *testing.T) {
 		t.Fatal("serial per-partition drains charged nothing")
 	}
 	for _, par := range []int{1, 4} {
-		req.Parallelism = par
+		setProcs(t, par)
 		if err := s.DropCaches(); err != nil {
 			t.Fatal(err)
 		}
@@ -223,6 +224,7 @@ func coldCost(t *testing.T, s *Store, fn func()) time.Duration {
 // while the top-k fills its k results from the main partition and
 // never pulls any fracture past its first head.
 func TestStreamTopKEarlyTermination(t *testing.T) {
+	setProcs(t, 1)
 	hot := func(id uint64, conf float64) *tuple.Tuple {
 		x, err := prob.NewDiscrete([]prob.Alternative{{Value: "hot", Prob: conf}})
 		if err != nil {
@@ -271,11 +273,11 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 		}
 	}
 
-	req := Req{Kind: KindTopK, Value: "hot", K: 20, Parallelism: 1}
+	req := Req{Kind: KindTopK, Value: "hot", K: 20}
 
 	var want []upi.Result
 	fullCost := coldCost(t, s, func() {
-		want, _, err = s.Run(context.Background(), Req{Kind: KindPTQ, Value: "hot", Parallelism: 1})
+		want, _, err = s.Run(context.Background(), Req{Kind: KindPTQ, Value: "hot"})
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -331,8 +333,9 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 // so a merge can reclaim the old generation immediately. Cancelling
 // mid-stream behaves the same and stops charging.
 func TestStreamReleasesPinsIncrementally(t *testing.T) {
+	setProcs(t, 1)
 	s, disk := buildConcStore(t, 5, 30)
-	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05, Parallelism: 1}
+	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05}
 
 	// Partial drain + Close.
 	prep, err := s.Prepare(context.Background(), req)
@@ -402,8 +405,9 @@ func TestStreamReleasesPinsIncrementally(t *testing.T) {
 // finishes on the generation it pinned, even though the merge swapped
 // and doomed those partitions midway.
 func TestStreamSurvivesConcurrentMerge(t *testing.T) {
+	setProcs(t, 1)
 	s, _ := buildConcStore(t, 5, 30)
-	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05, Parallelism: 1}
+	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05}
 	want, _, err := s.Run(context.Background(), req)
 	if err != nil {
 		t.Fatal(err)
@@ -469,6 +473,42 @@ func TestPreparedSingleConsumption(t *testing.T) {
 	for _, name := range s.fs.List() {
 		if strings.Contains(name, ".frac") {
 			t.Fatalf("released Prepared leaked pin on %s", name)
+		}
+	}
+}
+
+// TestPrepareAllFailureReleasesPins: when store i of the merge refuses
+// its snapshot, the stores pinned before it are released — as many pin
+// releases as pins taken — so their next merge removes the old files.
+func TestPrepareAllFailureReleasesPins(t *testing.T) {
+	met := obs.NewEngineMetrics(obs.NewRegistry())
+	stores := make([]*Store, 3)
+	pinned := 0
+	for i := range stores {
+		stores[i], _ = buildConcStore(t, 3, 10)
+		stores[i].opts.Metrics = met
+		if i < 2 {
+			pinned += 1 + stores[i].NumFractures()
+		}
+	}
+	if err := stores[2].Close(); err != nil {
+		t.Fatal(err)
+	}
+	_, err := PrepareAll(context.Background(), stores, Req{Kind: KindPTQ, Value: concValue(1), QT: 0.1})
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("PrepareAll over a closed store: %v", err)
+	}
+	if got := met.PinReleases.Value(); got != int64(pinned) {
+		t.Fatalf("%d pins released, %d taken before the failure", got, pinned)
+	}
+	for i, s := range stores[:2] {
+		if err := s.Merge(); err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range s.fs.List() {
+			if strings.Contains(name, ".frac") {
+				t.Fatalf("store %d: failed PrepareAll leaked a pin on %s", i, name)
+			}
 		}
 	}
 }

@@ -20,9 +20,8 @@ const (
 	// refused (deadline below modeled cost), or unpriced (heuristic
 	// route, no cost-based admission). Emitted by the facade.
 	TraceAdmission = "admission"
-	// TraceDispatch marks one shard receiving its per-shard request
-	// during scatter. Emitted once per shard, before the shard's
-	// partition snapshot is pinned.
+	// TraceDispatch marks one shard being handed the request. Emitted
+	// once per shard, before any shard's partition snapshot is pinned.
 	TraceDispatch = "shard.dispatch"
 	// TraceScanStart marks one partition cursor starting.
 	TraceScanStart = "partition.scan.start"
@@ -56,8 +55,8 @@ type TraceEvent struct {
 type TraceFunc func(TraceEvent)
 
 // emit calls fn if set. The nil check keeps untraced queries free.
-func (fn TraceFunc) emit(kind string, part int, detail string) {
+func (fn TraceFunc) emit(kind string, shard, part int, detail string) {
 	if fn != nil {
-		fn(TraceEvent{Kind: kind, Part: part, Detail: detail})
+		fn(TraceEvent{Kind: kind, Shard: shard, Part: part, Detail: detail})
 	}
 }

@@ -1,11 +1,16 @@
 package fracture
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 
+	"upidb/internal/btree"
+	"upidb/internal/storage"
 	"upidb/internal/upi"
 )
 
@@ -106,5 +111,98 @@ func TestSetFractureOptionsValidates(t *testing.T) {
 	}
 	if err := s.SetFractureOptions(upi.Options{Cutoff: -1}); err == nil {
 		t.Fatal("invalid options accepted")
+	}
+}
+
+// truncateLastValue shortens, in place and on the flushed page, the
+// value of the last entry of the tree's first non-empty leaf. The last
+// entry is the one whose shrinking leaves the page's framing valid, so
+// the B+Tree still reads the page and only the tuple decoder can object.
+// It returns the page and its original bytes for restoring.
+func truncateLastValue(t *testing.T, tree *btree.Tree) (storage.PageID, []byte) {
+	t.Helper()
+	pager := tree.Pager()
+	if err := pager.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for id := storage.PageID(1); id < pager.NumPages(); id++ { // page 0 is the meta page
+		cached, err := pager.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := int(binary.BigEndian.Uint16(cached[1:]))
+		if cached[0] != 1 || n == 0 { // not a leaf, or an empty one
+			continue
+		}
+		orig := bytes.Clone(cached)
+		page := bytes.Clone(cached)
+		off := 1 + 2 + 4 // leaf header: type, key count, next leaf
+		for i := 0; i < n-1; i++ {
+			off += 4 + int(binary.BigEndian.Uint16(page[off:])) + int(binary.BigEndian.Uint16(page[off+2:]))
+		}
+		vlen := binary.BigEndian.Uint16(page[off+2:])
+		binary.BigEndian.PutUint16(page[off+2:], vlen-5)
+		if err := pager.Write(id, page); err != nil {
+			t.Fatal(err)
+		}
+		return id, orig
+	}
+	t.Fatal("no non-empty leaf page")
+	return 0, nil
+}
+
+// TestMergeFailsOnCorruptTuple: with partitions built under different
+// cutoffs Merge rebuilds the main UPI from every live tuple; a tuple it
+// cannot decode must fail the merge. (It used to end the heap scan
+// early without an error, so the merge installed a main holding only
+// the tuples before the bad one and doomed the old partitions.) The old
+// generation stays in place and answers every query as before.
+func TestMergeFailsOnCorruptTuple(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	fs := newFS()
+	s, err := BulkLoad(fs, "t", "X", []string{"Y"}, defaultOpts(), randomTuples(t, rng, 1, 300))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.SetFractureOptions(upi.Options{Cutoff: 0.45, PageSize: 512}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range randomTuples(t, rng, 1000, 100) {
+		if err := s.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	want := sweep(t, s)
+	files := fmt.Sprint(fs.List())
+
+	heap := s.Main().Heap()
+	page, orig := truncateLastValue(t, heap)
+	err = s.Merge()
+	if err == nil || !strings.Contains(err.Error(), "tuple") {
+		t.Fatalf("merge over a truncated tuple: error %v, want the decode error", err)
+	}
+	if s.NumFractures() != 1 || s.Main().Heap() != heap {
+		t.Fatalf("failed merge changed the partition set: %d fractures, main swapped: %v", s.NumFractures(), s.Main().Heap() != heap)
+	}
+
+	// With the page restored the untouched old generation answers
+	// exactly as before, from exactly the files it had.
+	if err := heap.Pager().Write(page, orig); err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep(t, s); got != want {
+		t.Fatal("answers changed after a failed merge")
+	}
+	if got := fmt.Sprint(fs.List()); got != files {
+		t.Fatalf("failed merge changed the files:\n got %s\nwant %s", got, files)
+	}
+	if err := s.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if got := sweep(t, s); got != want {
+		t.Fatal("answers changed across the merge that followed")
 	}
 }

@@ -586,9 +586,9 @@ type EngineMetrics struct {
 	Scatters       *Counter
 	ScanPartitions *Counter
 	StreamYields   *Counter
-	// TopKEarlyTerm counts cross-shard top-k streams that stopped with
-	// at least one shard still holding results — scans cancelled by the
-	// k-th yield.
+	// TopKEarlyTerm counts top-k streams that stopped with at least one
+	// partition still holding results — scans cancelled by the k-th
+	// yield.
 	TopKEarlyTerm *Counter
 
 	// Plan-cache traffic: hits serve a previously costed plan verbatim,
@@ -615,7 +615,7 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		Scatters:        r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
 		ScanPartitions:  r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
 		StreamYields:    r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
-		TopKEarlyTerm:   r.Counter("upidb_shard_topk_early_terminations_total", "Cross-shard top-k streams that cancelled remaining shard scans at the k-th yield."),
+		TopKEarlyTerm:   r.Counter("upidb_shard_topk_early_terminations_total", "Top-k streams that cancelled remaining partition scans at the k-th yield."),
 		PlanCacheHits:   r.Counter("upidb_plan_cache_hits_total", "Planner requests answered from the generation-guarded plan cache."),
 		PlanCacheMisses: r.Counter("upidb_plan_cache_misses_total", "Planner requests that costed a fresh plan."),
 		MergeSeconds:    r.Histogram("upidb_fracture_merge_seconds", "Wall-clock merge duration.", WallBuckets),

@@ -19,7 +19,6 @@
 package planner
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"time"
@@ -29,7 +28,6 @@ import (
 	"upidb/internal/histogram"
 	"upidb/internal/obs"
 	"upidb/internal/sim"
-	"upidb/internal/upi"
 )
 
 // ErrNoStats reports planning without the needed statistics: either no
@@ -260,26 +258,14 @@ func Explain(plans []Plan) string {
 // i.e. whether PlanPTQ can cost plans for it.
 func (p *Planner) HasHistogram(attr string) bool { return p.src.Histogram(attr) != nil }
 
-// Execute runs the query with the cheapest plan and returns the
-// results along with the plan that was chosen and the execution
-// statistics. The context is honored by the underlying store scan;
-// parallelism overrides the store's partition fan-out for this query
-// (0 = store default).
-func (p *Planner) Execute(ctx context.Context, attr, value string, qt float64, parallelism int) ([]upi.Result, Plan, fracture.Stats, error) {
-	plans, err := p.PlanPTQ(attr, value, qt)
-	if err != nil {
-		return nil, Plan{}, fracture.Stats{}, err
-	}
-	rs, st, err := p.ExecutePlan(ctx, plans[0], value, qt, parallelism)
-	return rs, plans[0], st, err
-}
-
 // PlanReq translates a costed plan into the fractured store's query
-// descriptor, without executing anything. Callers that need lazy or
-// streaming execution build the Req here and hand it to Store.Prepare
-// themselves; ExecutePlan is the materialized shorthand.
-func PlanReq(pl Plan, value string, qt float64, parallelism int) (fracture.Req, error) {
-	req := fracture.Req{Value: value, QT: qt, Parallelism: parallelism}
+// descriptor, without executing anything: callers hand the Req to
+// Store.Prepare (or Run) themselves. Splitting planning from execution
+// lets them make admission decisions — e.g. comparing the plan's
+// estimated cost against a context deadline — before any partition is
+// pinned.
+func PlanReq(pl Plan, value string, qt float64) (fracture.Req, error) {
+	req := fracture.Req{Value: value, QT: qt}
 	switch pl.Kind {
 	case PrimaryScan:
 		req.Kind = fracture.KindPTQ
@@ -300,16 +286,4 @@ func PlanReq(pl Plan, value string, qt float64, parallelism int) (fracture.Req, 
 		return fracture.Req{}, fmt.Errorf("planner: unknown plan %v", pl.Kind)
 	}
 	return req, nil
-}
-
-// ExecutePlan runs a PTQ with one specific plan (normally plans[0]
-// from PlanPTQ). Splitting planning from execution lets callers make
-// admission decisions — e.g. comparing the plan's estimated cost
-// against a context deadline — before any partition is pinned.
-func (p *Planner) ExecutePlan(ctx context.Context, pl Plan, value string, qt float64, parallelism int) ([]upi.Result, fracture.Stats, error) {
-	req, err := PlanReq(pl, value, qt, parallelism)
-	if err != nil {
-		return nil, fracture.Stats{}, err
-	}
-	return p.store.Run(ctx, req)
 }

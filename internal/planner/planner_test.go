@@ -98,10 +98,25 @@ func TestUnknownAttribute(t *testing.T) {
 
 func TestExecuteMatchesDirectQuery(t *testing.T) {
 	p, store, _ := testPlanner(t)
-	rs, plan, _, err := p.Execute(context.Background(), dataset.AttrInstitution, dataset.MITInstitution, 0.3, 0)
-	if err != nil {
-		t.Fatal(err)
+	// run executes the cheapest plan the way the facade does: PlanReq,
+	// then the store runs the descriptor.
+	run := func(attr, value string, qt float64) ([]upi.Result, Plan) {
+		t.Helper()
+		plans, err := p.PlanPTQ(attr, value, qt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		req, err := PlanReq(plans[0], value, qt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs, _, err := store.Run(context.Background(), req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rs, plans[0]
 	}
+	rs, plan := run(dataset.AttrInstitution, dataset.MITInstitution, 0.3)
 	direct, _, err := store.Query(context.Background(), dataset.MITInstitution, 0.3)
 	if err != nil {
 		t.Fatal(err)
@@ -110,10 +125,7 @@ func TestExecuteMatchesDirectQuery(t *testing.T) {
 		t.Fatalf("planner answer %d != direct %d (plan %v)", len(rs), len(direct), plan.Kind)
 	}
 	// Secondary attribute execution also agrees.
-	rs, _, _, err = p.Execute(context.Background(), dataset.AttrCountry, dataset.JapanCountry, 0.3, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rs, _ = run(dataset.AttrCountry, dataset.JapanCountry, 0.3)
 	directSec, _, err := store.QuerySecondary(context.Background(), dataset.AttrCountry, dataset.JapanCountry, 0.3, true)
 	if err != nil {
 		t.Fatal(err)

@@ -6,11 +6,12 @@
 // writes and merges with cores.
 //
 // Tuples are routed by a fixed hash of the primary ID: Insert and
-// Delete touch exactly one shard, while queries scatter to every shard
-// and gather their per-shard streams through a k-way merge into one
-// globally confidence-ordered stream (see Prepared). A table with one
-// shard is byte-identical to an unsharded fracture.Store — same file
-// names, same modeled costs — so sharding is strictly opt-in.
+// Delete touch exactly one shard, while a query snapshots every shard
+// and runs the fracture layer's one k-way merge over all their
+// partitions (see Prepare): a shard is nothing but a subset of the
+// partitions that merge reads. A table with one shard is byte-identical
+// to an unsharded fracture.Store — same file names, same modeled costs —
+// so sharding is strictly opt-in.
 //
 // Shard i of table "name" stores its partitions under the store name
 // "name.shard<i>" (a single-shard table uses plain "name"), which
@@ -329,14 +330,6 @@ func (t *Table) DropCaches() error {
 	return t.each((*fracture.Store).DropCaches)
 }
 
-// SetParallelism sets the per-query partition fan-out width on every
-// shard.
-func (t *Table) SetParallelism(n int) {
-	for _, s := range t.stores {
-		s.SetParallelism(n)
-	}
-}
-
 // StartAutoMerge starts one background merger per shard.
 func (t *Table) StartAutoMerge(opts fracture.AutoMergeOptions) error {
 	return t.each(func(s *fracture.Store) error { return s.StartAutoMerge(opts) })
@@ -552,42 +545,23 @@ func (t *Table) HasHistogram(attr string) bool {
 	return true
 }
 
-// Prepare compiles req and pins a consistent snapshot on every shard
-// (the scatter half of scatter-gather). Each shard receives the same
-// request; per-shard trace events are stamped with the shard index and
-// a dispatch event is emitted per shard. On any failure the already
-// pinned shards are released and the error returned. The gather half
-// is the returned Prepared's Stream.
-func (t *Table) Prepare(ctx context.Context, req fracture.Req) (*Prepared, error) {
-	trace := req.Trace
-	preps := make([]*fracture.Prepared, len(t.stores))
-	for i, s := range t.stores {
-		sub := req
-		sub.Trace = stampShard(trace, i)
-		t.met.Scatters.Inc()
-		if trace != nil {
-			trace(fracture.TraceEvent{Kind: fracture.TraceDispatch, Shard: i, Detail: storeName(t.name, i, len(t.stores))})
-		}
-		p, err := s.Prepare(ctx, sub)
-		if err != nil {
-			for _, done := range preps[:i] {
-				done.Release()
-			}
-			return nil, err
-		}
-		preps[i] = p
-	}
-	return &Prepared{preps: preps, k: req.K, trace: trace, met: t.met}, nil
-}
+// Prepared and Stream are the fracture layer's: a sharded query is one
+// merge over every shard's partitions, not a merge of per-shard merges.
+type (
+	Prepared = fracture.Prepared
+	Stream   = fracture.Stream
+)
 
-// stampShard wraps a trace function so every event the shard's engine
-// emits carries the shard index.
-func stampShard(fn fracture.TraceFunc, i int) fracture.TraceFunc {
-	if fn == nil {
-		return nil
+// Prepare counts and traces one dispatch per shard, then hands every
+// shard's store to the one merge: fracture.PrepareAll compiles req
+// once, pins a consistent snapshot on each shard and stamps scan and
+// yield events with the shard index.
+func (t *Table) Prepare(ctx context.Context, req fracture.Req) (*Prepared, error) {
+	for i := range t.stores {
+		t.met.Scatters.Inc()
+		if req.Trace != nil {
+			req.Trace(fracture.TraceEvent{Kind: fracture.TraceDispatch, Shard: i, Detail: storeName(t.name, i, len(t.stores))})
+		}
 	}
-	return func(ev fracture.TraceEvent) {
-		ev.Shard = i
-		fn(ev)
-	}
+	return fracture.PrepareAll(ctx, t.stores, req)
 }

@@ -10,12 +10,15 @@ package shard
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"upidb/internal/fracture"
@@ -29,6 +32,15 @@ import (
 const parityValues = 7
 
 func parityVal(v int) string { return fmt.Sprintf("v%02d", v%parityValues) }
+
+// setProcs runs the rest of the test at GOMAXPROCS(n) — the one thing
+// that sets how many workers a stream's first pull opens its partition
+// cursors with — and restores the previous value when the test ends.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
 
 func parityTuple(id uint64, v int) *tuple.Tuple {
 	p := 0.3 + float64((id*7+uint64(v)*13)%60)/100
@@ -282,6 +294,7 @@ func TestShardParity(t *testing.T) {
 // mains rich in high-confidence matches, fractures full of below-cutoff
 // alternatives the top-k never has to chase.
 func TestShardTopKTermination(t *testing.T) {
+	setProcs(t, 1)
 	hot := func(id uint64, conf float64) *tuple.Tuple {
 		x, err := prob.NewDiscrete([]prob.Alternative{{Value: "hot", Prob: conf}})
 		if err != nil {
@@ -329,12 +342,12 @@ func TestShardTopKTermination(t *testing.T) {
 	}
 
 	ctx := context.Background()
-	req := fracture.Req{Kind: fracture.KindTopK, Value: "hot", K: 20, Parallelism: 1}
+	req := fracture.Req{Kind: fracture.KindTopK, Value: "hot", K: 20}
 
 	if err := tab.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	prep, err := tab.Prepare(ctx, fracture.Req{Kind: fracture.KindPTQ, Value: "hot", Parallelism: 1})
+	prep, err := tab.Prepare(ctx, fracture.Req{Kind: fracture.KindPTQ, Value: "hot"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -528,6 +541,157 @@ func TestShardTrace(t *testing.T) {
 	}
 	if yields != len(got) {
 		t.Fatalf("%d yield events for %d results", yields, len(got))
+	}
+}
+
+// TestShardYieldNamesProducingShard: at shard counts 1, 2 and 7 every
+// merge.yield event names the shard that owns the yielded tuple —
+// for rows read from a partition's heap and for rows served from a
+// shard's RAM buffer alike.
+func TestShardYieldNamesProducingShard(t *testing.T) {
+	for _, n := range []int{1, 2, 7} {
+		tab, _ := buildSharded(t, n)
+		heapRows, bufRows := 0, 0
+		for v := 0; v < parityValues; v++ {
+			var yields []fracture.TraceEvent
+			req := fracture.Req{
+				Kind: fracture.KindPTQ, Value: parityVal(v), QT: 0.05,
+				Trace: func(ev fracture.TraceEvent) {
+					if ev.Kind == fracture.TraceYield {
+						yields = append(yields, ev) // yields come from the consumer's goroutine
+					}
+				},
+			}
+			prep, err := tab.Prepare(context.Background(), req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stream := prep.Stream(context.Background())
+			got := drain(t, stream)
+			if len(yields) != len(got) {
+				t.Fatalf("n=%d v=%d: %d yield events for %d rows", n, v, len(yields), len(got))
+			}
+			for i, r := range got {
+				if want := shardOf(r.Tuple.ID, n); yields[i].Shard != want {
+					t.Fatalf("n=%d v=%d: tuple %d yielded as shard %d, owned by shard %d (%s)",
+						n, v, r.Tuple.ID, yields[i].Shard, want, yields[i].Detail)
+				}
+			}
+			bufRows += stream.Stats().BufferHits
+			heapRows += len(got) - stream.Stats().BufferHits
+		}
+		if heapRows == 0 || bufRows == 0 {
+			t.Fatalf("n=%d: %d heap rows and %d buffer rows yielded; both kinds must be covered", n, heapRows, bufRows)
+		}
+		tab.Close()
+	}
+}
+
+// countdownCtx is a context whose Err starts returning
+// context.Canceled after budget calls: a cancellation that lands
+// mid-execution without racing a timer.
+type countdownCtx struct {
+	context.Context
+	budget atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.budget.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestShardCancelMidPrime: a cancellation that lands while the one
+// merge is still opening the cursors of a 3-shard table (5 partitions
+// per shard, 8 workers) ends every scan it started exactly once, under
+// the same (Shard, Part) it started under, emits nothing for the
+// partitions it never reached, and returns every pin.
+func TestShardCancelMidPrime(t *testing.T) {
+	setProcs(t, 8)
+	tab, fs := buildSharded(t, 3)
+	defer tab.Close()
+	total := 3 + tab.NumFractures()
+
+	var mu sync.Mutex
+	starts, ends := map[[2]int]int{}, map[[2]int]int{}
+	req := fracture.Req{
+		Kind: fracture.KindSecondary, Attr: "Y", Value: "y" + parityVal(2), QT: 0.05, Tailored: true,
+		Trace: func(ev fracture.TraceEvent) {
+			mu.Lock()
+			defer mu.Unlock()
+			switch ev.Kind {
+			case fracture.TraceScanStart:
+				starts[[2]int{ev.Shard, ev.Part}]++
+			case fracture.TraceScanEnd:
+				ends[[2]int{ev.Shard, ev.Part}]++
+			}
+		},
+	}
+	// Prepare and the first pull's entry gate take one check each; the
+	// rest run out while partitions are still being opened.
+	ctx := &countdownCtx{Context: context.Background()}
+	ctx.budget.Store(6)
+	prep, err := tab.Prepare(ctx, req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := prep.Collect(ctx); !errors.Is(err, upi.ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if len(starts) == 0 || len(starts) >= total {
+		t.Fatalf("%d of %d partitions started; the cancellation must land mid-prime", len(starts), total)
+	}
+	if !reflect.DeepEqual(starts, ends) {
+		t.Fatalf("scan spans do not pair up by (shard, part):\n starts %v\n ends   %v", starts, ends)
+	}
+	for key, n := range starts {
+		if n != 1 {
+			t.Fatalf("partition %v started %d times", key, n)
+		}
+	}
+	if err := tab.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range fs.List() {
+		if strings.Contains(name, ".frac") {
+			t.Fatalf("leaked pin after the cancelled prime: %s", name)
+		}
+	}
+}
+
+// TestOnePartitionQueryStartsNoGoroutine: a query over one shard with
+// one partition opens its cursor on the caller's goroutine — the scan
+// starts with no more goroutines alive than before the query.
+func TestOnePartitionQueryStartsNoGoroutine(t *testing.T) {
+	setProcs(t, 4)
+	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
+	tab, err := BulkLoad(fs, "one", "X", []string{"Y"}, parityCfg(), 1, sim.DefaultParams(), parityBase())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tab.Close()
+	before := runtime.NumGoroutine()
+	during := -1
+	req := fracture.Req{
+		Kind: fracture.KindPTQ, Value: parityVal(3), QT: 0.05,
+		Trace: func(ev fracture.TraceEvent) {
+			if ev.Kind == fracture.TraceScanStart {
+				during = runtime.NumGoroutine()
+			}
+		},
+	}
+	prep, err := tab.Prepare(context.Background(), req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stream := prep.Stream(context.Background())
+	defer stream.Close()
+	if _, ok, err := stream.Next(); !ok || err != nil {
+		t.Fatalf("first pull: ok=%v err=%v", ok, err)
+	}
+	if during != before {
+		t.Fatalf("%d goroutines alive when the one partition's scan started, %d before the query", during, before)
 	}
 }
 

@@ -181,22 +181,6 @@ func WithBufferTuples(n int) Option {
 	}
 }
 
-// WithParallelism bounds the worker goroutines a query's first pull
-// opens its partition cursors with, across the main UPI and the
-// fractures (0 = GOMAXPROCS, 1 = serial); later pulls are
-// demand-driven. Secondary and full-scan plans do all their I/O on
-// that first pull, so for them it is the width of the whole execution.
-// Modeled query costs are identical at every setting; only wall-clock
-// time changes.
-func WithParallelism(n int) Option {
-	return func(c *config) {
-		if !c.tableScoped("WithParallelism") {
-			return
-		}
-		c.table.Parallelism = n
-	}
-}
-
 // WithStatsStaleness sets the staleness ratio (unabsorbed statistics
 // deltas over tracked tuples) up to which Run trusts the table's
 // statistics catalog and routes PTQs through the cost-based planner
@@ -215,14 +199,14 @@ func WithStatsStaleness(r float64) Option {
 // independent stores, shard-per-core style: every shard owns its own
 // RAM buffer, fracture set, merge pipeline, statistics catalog and —
 // when durable — WAL and manifest, so mutations and merges scale with
-// cores while queries scatter-gather one globally confidence-ordered
-// stream. At database scope it sets the default every table inherits;
-// at table scope it overrides that default for one table. n must be
-// at least 1 (1 = the unsharded engine, byte-identical layout and
-// modeled costs); anything lower is rejected with ErrInvalidShards
-// when the option list is resolved. On OpenTable the persisted shard
-// count is authoritative — an explicit n that contradicts it errors
-// rather than silently resharding.
+// cores while a query merges every shard's partitions into one globally
+// confidence-ordered stream. At database scope it sets the default
+// every table inherits; at table scope it overrides that default for
+// one table. n must be at least 1 (1 = the unsharded engine,
+// byte-identical layout and modeled costs); anything lower is rejected
+// with ErrInvalidShards when the option list is resolved. On OpenTable
+// the persisted shard count is authoritative — an explicit n that
+// contradicts it errors rather than silently resharding.
 func WithShards(n int) Option {
 	return func(c *config) {
 		if !c.tableScoped("WithShards") {

@@ -56,11 +56,6 @@ func TestFacadePlannerByDefault(t *testing.T) {
 	if err != nil || again.Info().PlanSource != PlanSourceCached || again.Len() != res.Len() {
 		t.Fatalf("cached repeat: %v %q %d results", err, again.Info().PlanSource, again.Len())
 	}
-	// Per-query parallelism rides through the planner path.
-	serial, err := authors.Run(ctx, PTQ("Institution", "MIT", 0.1).WithPlanner().WithParallelism(1))
-	if err != nil || serial.Len() != 2 {
-		t.Fatalf("planned serial query: %v %d", err, serial.Len())
-	}
 	// Top-k ignores the planner and routes heuristically.
 	topk, err := authors.Run(ctx, TopKQuery("MIT", 2))
 	if err != nil || topk.Info().PlanSource != PlanSourceHeuristic {

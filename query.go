@@ -57,7 +57,7 @@ func (k Kind) spatial() bool { return k == KindCircle || k == KindSegment }
 // each option returns a modified copy, so descriptors are values that
 // can be stored, reused and shared between goroutines:
 //
-//	q := upidb.PTQ("", "MIT", 0.1).WithParallelism(4).WithStats()
+//	q := upidb.PTQ("", "MIT", 0.1).WithStats()
 //	res, err := table.Run(ctx, q)
 type Query struct {
 	kind  Kind
@@ -70,7 +70,6 @@ type Query struct {
 	center Point
 	radius float64
 
-	parallelism int
 	usePlanner  bool
 	heuristic   bool
 	wantStats   bool
@@ -106,17 +105,6 @@ func Circle(q Point, radius, threshold float64) Query {
 // rejects it.
 func Segment(segment string, qt float64) Query {
 	return Query{kind: KindSegment, value: segment, qt: qt}
-}
-
-// WithParallelism overrides, for this query only, how many partition
-// cursors the first pull opens concurrently (0 = table default, 1 =
-// serial); later pulls are demand-driven. Secondary and full-scan
-// plans do all their I/O on that first pull, so for them it is the
-// width of the whole execution. Modeled query costs are identical at
-// every setting; only wall-clock time changes.
-func (q Query) WithParallelism(n int) Query {
-	q.parallelism = n
-	return q
 }
 
 // WithPlanner forces the query through the cost-based planner — which
@@ -498,7 +486,7 @@ func (t *Table) routeSource(attr string, q Query) string {
 // secondary access. The returned handle is unconsumed — the partition
 // set is pinned, but no scan happens until it is consumed.
 func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
-	req := fracture.Req{Value: q.value, Parallelism: q.parallelism, Trace: fracture.TraceFunc(q.trace)}
+	req := fracture.Req{Value: q.value, Trace: fracture.TraceFunc(q.trace)}
 	switch {
 	case q.kind == KindTopK:
 		req.Kind = fracture.KindTopK
@@ -580,7 +568,7 @@ func (t *Table) runPlanned(ctx context.Context, q Query, attr, source string, st
 	}
 	t.db.met.admissions.With("admitted").Inc()
 	t.db.met.routes.With(source).Inc()
-	req, err := planner.PlanReq(best, q.value, q.qt, q.parallelism)
+	req, err := planner.PlanReq(best, q.value, q.qt)
 	if err != nil {
 		return nil, err
 	}

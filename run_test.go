@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 )
@@ -72,13 +73,31 @@ func fracturedMutate(t testing.TB, m interface {
 	check(m.Delete(55))
 }
 
+// hostProcs is the GOMAXPROCS the test binary started with.
+var hostProcs = runtime.GOMAXPROCS(0)
+
+// setProcs runs the rest of the test at GOMAXPROCS(n) (0 = the host's)
+// — the one thing that sets how many workers a query's first pull
+// opens its partition cursors with — and restores the previous value
+// when the test ends.
+func setProcs(t testing.TB, n int) {
+	t.Helper()
+	if n <= 0 {
+		n = hostProcs
+	}
+	old := runtime.GOMAXPROCS(n)
+	t.Cleanup(func() { runtime.GOMAXPROCS(old) })
+}
+
 // fracturedTable builds a table with a bulk-loaded main, several
 // fractures, pending deletes and a RAM buffer, so queries cross every
-// partition type.
+// partition type. The rest of the test queries it at fan-out width par
+// (see setProcs).
 func fracturedTable(t *testing.T, db *DB, par int) *Table {
 	t.Helper()
+	setProcs(t, par)
 	tab, err := db.BulkLoadTable(fmt.Sprintf("runtest%d", par), "X", []string{"Y"},
-		fracturedBase(t), WithCutoff(0.15), WithParallelism(par))
+		fracturedBase(t), WithCutoff(0.15))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,33 +278,6 @@ func TestRunStreamingMatchesCollect(t *testing.T) {
 				t.Fatalf("par=%d q=%d: diverged from serial baseline", par, qi)
 			}
 		}
-	}
-}
-
-// TestRunPerQueryParallelism: WithParallelism overrides the table
-// default for one query without changing results or the table's
-// setting for later queries.
-func TestRunPerQueryParallelism(t *testing.T) {
-	db := mustCreate(t)
-	tab := fracturedTable(t, db, 1)
-	ctx := context.Background()
-	base, err := tab.Run(ctx, PTQ("", "v01", 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	wide, err := tab.Run(ctx, PTQ("", "v01", 0.05).WithParallelism(8))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Collect(), wide.Collect()) {
-		t.Fatal("per-query parallelism changed results")
-	}
-	again, err := tab.Run(ctx, PTQ("", "v01", 0.05))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Collect(), again.Collect()) {
-		t.Fatal("table default parallelism was clobbered by a per-query override")
 	}
 }
 

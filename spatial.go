@@ -257,8 +257,7 @@ func (r *SpatialResults) Info() QueryInfo {
 // Info().PlanSource reports which happened. On the planner path, a ctx
 // deadline shorter than the cheapest plan's modeled cost is refused up
 // front with ErrCanceled — zero modeled I/O — the same deadline-aware
-// admission discrete PTQs get. WithParallelism is accepted but inert:
-// a spatial table is a single partition.
+// admission discrete PTQs get.
 //
 // Run is safe for concurrent use alongside Insert.
 func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error) {

@@ -23,6 +23,7 @@ import (
 // and never pulls any fracture past its first head.
 func hotTable(t *testing.T, db *DB) *Table {
 	t.Helper()
+	setProcs(t, 1)
 	hot := func(id uint64, conf float64) *Tuple {
 		x, err := NewDiscrete([]Alternative{{Value: "hot", Prob: conf}})
 		if err != nil {
@@ -43,7 +44,7 @@ func hotTable(t *testing.T, db *DB) *Table {
 		base = append(base, hot(id, 0.5+float64(i)*0.008))
 		id++
 	}
-	tab, err := db.BulkLoadTable("hottab", "X", nil, base, WithCutoff(0.15), WithParallelism(1))
+	tab, err := db.BulkLoadTable("hottab", "X", nil, base, WithCutoff(0.15))
 	if err != nil {
 		t.Fatal(err)
 	}

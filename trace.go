@@ -23,9 +23,9 @@ const (
 	// route). Emitted exactly once per Run, before any shard is
 	// touched.
 	TraceAdmission = fracture.TraceAdmission
-	// TraceDispatch marks one shard receiving its per-shard request
-	// during scatter (Shard identifies it; Detail is the shard's store
-	// name).
+	// TraceDispatch marks one shard being handed the request, before
+	// any shard's snapshot is pinned (Shard identifies it; Detail is the
+	// shard's store name).
 	TraceDispatch = fracture.TraceDispatch
 	// TraceScanStart marks one partition cursor starting (Shard + Part
 	// identify the partition; Detail is its table name).

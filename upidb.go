@@ -92,13 +92,13 @@
 // write lock for the duration of the fracture build (one sequential
 // write) and a merge builds its new generation without the lock.
 //
-// Each query's first pull additionally opens its partition cursors
-// across a bounded worker pool sized by WithParallelism (default
-// GOMAXPROCS); later pulls are demand-driven. Modeled I/O stays
-// deterministic at every parallelism: each partition records its I/O
-// on a private tape that is replayed against the simulated disk as one
-// batch, so the reported cost is identical to a serial scan no matter
-// how the goroutines interleave.
+// Each query's first pull additionally opens its partition cursors —
+// of every shard, in one merge — across min(GOMAXPROCS, partitions)
+// workers; later pulls are demand-driven. Modeled I/O stays
+// deterministic however many cores prime the cursors: each partition
+// records its I/O on a private tape that is replayed against the
+// simulated disk as one batch, so the reported cost is identical to a
+// serial scan no matter how the goroutines interleave.
 //
 // Merging can run in the background (Table.StartAutoMerge): when the
 // fracture count or size crosses a threshold, a goroutine folds the
@@ -361,8 +361,8 @@ func (db *DB) Close() error {
 // get planned routing without ever touching BuildStats.
 //
 // A table built WithShards(n) is hash-partitioned by tuple ID across n
-// independent stores: mutations touch only the owning shard, queries
-// scatter to every shard and gather one globally confidence-ordered
+// independent stores: mutations touch only the owning shard, a query
+// merges every shard's partitions into one globally confidence-ordered
 // stream, and per-shard statistics/costs aggregate transparently in
 // StatsInfo and QueryInfo. The default is one shard — the unsharded
 // engine, byte-identical layout and costs.
@@ -408,11 +408,6 @@ func (t *Table) Merge() error { return t.shards.Merge() }
 // hold. Close returns the first background-merge error, like
 // StopAutoMerge; closing twice is safe.
 func (t *Table) Close() error { return t.shards.Close() }
-
-// SetParallelism changes the per-query partition fan-out width within
-// each shard (0 = GOMAXPROCS, 1 = serial). Modeled query costs do not
-// depend on it; only wall-clock time changes.
-func (t *Table) SetParallelism(n int) { t.shards.SetParallelism(n) }
 
 // AutoMergeOptions tune the background merger of a table.
 type AutoMergeOptions = fracture.AutoMergeOptions
