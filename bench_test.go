@@ -185,3 +185,90 @@ func BenchmarkFacadeInsertFlushQuery(b *testing.B) {
 		}
 	}
 }
+
+// benchResultsTable is a one-partition table of realistic author tuples
+// and the query the Results benchmarks drain: every author of the most
+// popular institution, a few hundred rows.
+func benchResultsTable(b *testing.B) (*upidb.Table, upidb.Query, int) {
+	b.Helper()
+	tuples := benchTuples(b, 20000)
+	db, err := upidb.Create("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = db.Close() })
+	tab, err := db.BulkLoadTable("t", dataset.AttrInstitution,
+		[]string{dataset.AttrCountry}, tuples, upidb.WithCutoff(0.1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	q := upidb.PTQ("", dataset.MITInstitution, 0.1).WithHeuristic()
+	res, err := tab.Run(context.Background(), q)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := res.Len()
+	if rows < 50 {
+		b.Fatalf("benchmark query has %d rows", rows)
+	}
+	return tab, q, rows
+}
+
+// benchResults times drain — one Run consumed to the end — and reports
+// it per row.
+func benchResults(b *testing.B, drain func(*upidb.Results) int) {
+	tab, q, rows := benchResultsTable(b)
+	run := func() {
+		res, err := tab.Run(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if n := drain(res); n != rows {
+			b.Fatalf("drained %d rows, want %d", n, rows)
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	b.ReportMetric(testing.AllocsPerRun(5, run)/float64(rows), "allocs/row")
+}
+
+// BenchmarkResultsRows drains a query through Results.Rows: IDs and
+// confidences, no tuple built.
+func BenchmarkResultsRows(b *testing.B) {
+	var sink uint64
+	benchResults(b, func(res *upidb.Results) int {
+		n := 0
+		for row, err := range res.Rows() {
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += row.ID
+			n++
+		}
+		return n
+	})
+	_ = sink
+}
+
+// BenchmarkResultsAll drains the same query through Results.All: the
+// same stream with every tuple built.
+func BenchmarkResultsAll(b *testing.B) {
+	var sink uint64
+	benchResults(b, func(res *upidb.Results) int {
+		n := 0
+		for r, err := range res.All() {
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += r.Tuple.ID
+			n++
+		}
+		return n
+	})
+	_ = sink
+}

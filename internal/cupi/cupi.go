@@ -469,13 +469,14 @@ func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64
 		return Result{}, false, err
 	}
 	stats.Fetched++
-	// Integrate first, decode only a row that qualifies. ObservationLoc
-	// validates the whole record, so a corrupt row fails the query
-	// whether or not it would have qualified.
-	_, loc, err := tuple.ObservationLoc(rec)
+	// Integrate first, build only a row that qualifies, from the one
+	// framing walk. The walk validates the whole record, so a corrupt row
+	// fails the query whether or not it would have qualified.
+	view, err := tuple.ValidateObservation(rec)
 	if err != nil {
 		return Result{}, false, err
 	}
+	loc := view.Loc()
 	conf := loc.ProbInCircle(q, radius)
 	if !c.accepted || c.mbr != loc.MBR() {
 		if !c.accepted {
@@ -485,11 +486,7 @@ func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64
 			return Result{}, false, nil
 		}
 	}
-	o, err := tuple.DecodeObservation(rec)
-	if err != nil {
-		return Result{}, false, err
-	}
-	return Result{Obs: o, Confidence: conf}, true, nil
+	return Result{Obs: view.Build(), Confidence: conf}, true, nil
 }
 
 // QueryCircle answers the paper's Query 4 on the continuous UPI:

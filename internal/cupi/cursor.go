@@ -239,13 +239,12 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 // simply yields in heap order, materializing nothing beyond the
 // current page.
 func (t *Table) ScanCircleCursor(ctx context.Context, q prob.Point, radius, threshold float64) *Cursor {
-	return t.scanCursor(ctx, func(loc prob.ConstrainedGaussian, rec []byte) (Result, bool, error) {
-		conf := loc.ProbInCircle(q, radius)
+	return t.scanCursor(ctx, func(row tuple.ObservationView) (Result, bool) {
+		conf := row.Loc().ProbInCircle(q, radius)
 		if conf < threshold {
-			return Result{}, false, nil
+			return Result{}, false
 		}
-		o, err := tuple.DecodeObservation(rec)
-		return Result{Obs: o, Confidence: conf}, true, err
+		return Result{Obs: row.Build(), Confidence: conf}, true
 	}, true)
 }
 
@@ -254,21 +253,19 @@ func (t *Table) ScanCircleCursor(ctx context.Context, q prob.Point, radius, thre
 // confidence order: a full scan has no confidence-sorted index to
 // follow; consumers needing the canonical order should Collect.
 func (t *Table) ScanSegmentCursor(ctx context.Context, seg string, qt float64) *Cursor {
-	return t.scanCursor(ctx, func(_ prob.ConstrainedGaussian, rec []byte) (Result, bool, error) {
-		o, err := tuple.DecodeObservation(rec)
-		if err != nil {
-			return Result{}, false, err
-		}
+	return t.scanCursor(ctx, func(row tuple.ObservationView) (Result, bool) {
+		o := row.Build()
 		conf := o.Segment.P(seg)
-		return Result{Obs: o, Confidence: conf}, conf > 0 && conf >= qt, nil
+		return Result{Obs: o, Confidence: conf}, conf > 0 && conf >= qt
 	}, false)
 }
 
 // scanCursor streams a sequential heap scan with an in-flight filter,
 // yielding qualifying observations in heap order. match sees each
-// committed row's location and its (already validated) record, and
-// decodes the record only if it needs more than the location.
-func (t *Table) scanCursor(ctx context.Context, match func(loc prob.ConstrainedGaussian, rec []byte) (Result, bool, error), integrates bool) *Cursor {
+// committed row as the validated view of its record — the row's one
+// framing walk — and builds the observation only if it needs more than
+// the location.
+func (t *Table) scanCursor(ctx context.Context, match func(row tuple.ObservationView) (Result, bool), integrates bool) *Cursor {
 	return newCursor(func(c *Cursor, yield func(Result) bool) error {
 		if err := upi.CtxErr(ctx); err != nil {
 			return err
@@ -292,20 +289,16 @@ func (t *Table) scanCursor(ctx context.Context, match func(loc prob.ConstrainedG
 				}
 			}
 			n++
-			id, loc, derr := tuple.ObservationLoc(rec)
+			row, derr := tuple.ValidateObservation(rec)
 			if derr != nil {
 				scanErr = derr
 				return false
 			}
-			if committed, ok := t.rows[id]; !ok || committed != rid {
+			if committed, ok := t.rows[row.ID()]; !ok || committed != rid {
 				return true
 			}
 			c.stats.Fetched++
-			r, ok, merr := match(loc, rec)
-			if merr != nil {
-				scanErr = merr
-				return false
-			}
+			r, ok := match(row)
 			if integrates {
 				c.stats.Integrations++
 			}

@@ -39,6 +39,15 @@
 // pin released the moment its cursor is exhausted. Store.Run and
 // Prepared.Collect drain it into a slice. PrepareAll runs that same
 // merge over the partitions of several stores, the shards of a table.
+//
+// The stream never dereferences a tuple: it orders heads, applies the
+// supersedence filter, counts top-k yields and names trace events from
+// upi.Result's ID and Confidence alone, so a heap row travels through it
+// as a validated encoding (see upi.Result) and a row that is superseded
+// or cut by top-k is never built. Tuples are built where somebody
+// receives them: Prepared.Collect here, Results.All/Collect and
+// Row.Tuple at the facade. The files an unbuilt row points into may be
+// deleted by a merge while it is held; the bytes it aliases stay.
 package fracture
 
 import (

@@ -197,7 +197,7 @@ func (p *streamPart) advance() error {
 			p.hasHead = false
 			return nil
 		}
-		if killedBy(killers, r.Tuple.ID) {
+		if killedBy(killers, r.ID()) {
 			continue
 		}
 		p.head, p.hasHead = r, true
@@ -313,7 +313,7 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 		st.trace(TraceEvent{
 			Kind:   TraceYield,
 			Shard:  best.shard,
-			Detail: fmt.Sprintf("tuple %d conf %.6f", r.Tuple.ID, r.Confidence),
+			Detail: fmt.Sprintf("tuple %d conf %.6f", r.ID(), r.Confidence),
 		})
 	}
 	return r, true, nil

@@ -299,9 +299,9 @@ func TestStreamTopKEarlyTermination(t *testing.T) {
 		if err != nil || !ok {
 			t.Fatalf("first pull: ok=%v err=%v", ok, err)
 		}
-		if first.Tuple.ID != want[0].Tuple.ID || first.Confidence != want[0].Confidence {
+		if first.ID() != want[0].Tuple.ID || first.Confidence != want[0].Confidence {
 			t.Fatalf("first streamed result %d/%v, want %d/%v",
-				first.Tuple.ID, first.Confidence, want[0].Tuple.ID, want[0].Confidence)
+				first.ID(), first.Confidence, want[0].Tuple.ID, want[0].Confidence)
 		}
 		stream.Close()
 	})

@@ -29,11 +29,12 @@
 //     while Drain waits for in-flight requests to finish. SIGTERM in
 //     cmd/upiserve triggers exactly this, then closes the DB.
 //
-// Query responses stream as NDJSON riding Results.All: one
+// Query responses stream as NDJSON riding Results.Rows: one
 // {"id","confidence"} object per result as the globally merged stream
-// yields it, then one trailer object carrying counts, the plan and
-// aggregated statistics. Mid-stream failures surface as an {"error"}
-// line — the status code is already on the wire.
+// yields it — no tuple is built to serve a query — then one trailer
+// object carrying counts, the plan and aggregated statistics.
+// Mid-stream failures surface as an {"error"} line — the status code is
+// already on the wire.
 package server
 
 import (
@@ -41,6 +42,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -272,11 +274,42 @@ type queryRequest struct {
 	Route string `json:"route"`
 }
 
-// resultLine is one streamed NDJSON result.
+// resultLine is one streamed NDJSON result. The query handler writes it
+// with appendResultLine; the struct is the wire contract that function
+// is tested against.
 type resultLine struct {
 	ID         uint64  `json:"id"`
 	Confidence float64 `json:"confidence"`
 }
+
+// appendResultLine appends the bytes json.Encoder.Encode(resultLine{id,
+// conf}) writes — newline included — without reflecting or allocating.
+// The float follows encoding/json's rule: shortest 'f' form unless the
+// magnitude is below 1e-6 or at least 1e21, then 'e' with a one-digit
+// exponent written as e-9, not e-09. A non-finite confidence, which
+// encoding/json refuses, appends nothing.
+func appendResultLine(dst []byte, id uint64, conf float64) []byte {
+	if math.IsNaN(conf) || math.IsInf(conf, 0) {
+		return dst
+	}
+	dst = append(dst, `{"id":`...)
+	dst = strconv.AppendUint(dst, id, 10)
+	dst = append(dst, `,"confidence":`...)
+	format := byte('f')
+	if abs := math.Abs(conf); abs != 0 && (abs < 1e-6 || abs >= 1e21) {
+		format = 'e'
+	}
+	dst = strconv.AppendFloat(dst, conf, format, -1, 64)
+	if n := len(dst); format == 'e' && n >= 4 && dst[n-4] == 'e' && (dst[n-3] == '-' || dst[n-3] == '+') && dst[n-2] == '0' {
+		dst[n-2] = dst[n-1]
+		dst = dst[:n-1]
+	}
+	return append(dst, '}', '\n')
+}
+
+// rowsPerFlush is how many result lines the query handler buffers
+// before writing and flushing them to the client.
+const rowsPerFlush = 64
 
 // trailerLine closes a successful query stream.
 type trailerLine struct {
@@ -389,21 +422,34 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
 	enc := json.NewEncoder(w)
-	for result, err := range res.All() {
+	// Result lines need the ID and the confidence only, so the handler
+	// ranges over Rows — no tuple is built on this path — and appends
+	// them to one buffer written out every rowsPerFlush rows.
+	lines := make([]byte, 0, 4096)
+	writeLines := func() {
+		_, _ = w.Write(lines)
+		lines = lines[:0]
+	}
+	for row, err := range res.Rows() {
 		if err != nil {
 			// The 200 is already on the wire; the error line is the
 			// in-band failure contract NDJSON consumers check for.
+			writeLines()
 			_ = enc.Encode(map[string]string{"error": err.Error()})
 			f := fields(shards, res.Info().Partitions)
 			f["stream_error"] = err.Error()
 			return http.StatusOK, f
 		}
-		_ = enc.Encode(resultLine{ID: result.Tuple.ID, Confidence: result.Confidence})
+		lines = appendResultLine(lines, row.ID, row.Confidence)
 		count++
-		if flusher != nil && count%64 == 0 {
-			flusher.Flush()
+		if count%rowsPerFlush == 0 {
+			writeLines()
+			if flusher != nil {
+				flusher.Flush()
+			}
 		}
 	}
+	writeLines()
 	info := res.Info()
 	_ = enc.Encode(trailerLine{
 		Done:       true,

@@ -50,20 +50,48 @@ func AppendEncodeObservation(dst []byte, o *Observation) []byte {
 // EncodeObservation returns the binary encoding of o.
 func EncodeObservation(o *Observation) []byte { return AppendEncodeObservation(nil, o) }
 
-// DecodeObservation parses an observation from b. The returned
-// observation owns copies of all data; its segment values share one
-// backing string (the encoded segment list), so an observation costs
-// four allocations however many alternatives it has.
-func DecodeObservation(b []byte) (*Observation, error) {
-	f, err := walkObservation(b)
+// ObservationView is a validated observation encoding — the observation
+// codec's counterpart of View: the proof that walkObservation accepted
+// the bytes, plus the fixed-width fields it read on the way, so that a
+// circle query can integrate over Loc first and Build only the rows it
+// yields, from that one framing walk. It aliases the encoding; only
+// ValidateObservation hands out a non-zero one.
+type ObservationView struct {
+	enc []byte
+	f   obsFrame
+}
+
+// ValidateObservation checks the framing of enc (the codec's one
+// validator, walkObservation) and returns the view an observation can
+// later be built from, without allocating or copying.
+func ValidateObservation(enc []byte) (ObservationView, error) {
+	f, err := walkObservation(enc)
 	if err != nil {
-		return nil, err
+		return ObservationView{}, err
+	}
+	return ObservationView{enc: enc, f: f}, nil
+}
+
+// ID is the observation's ID.
+func (v ObservationView) ID() uint64 { return v.f.id }
+
+// Loc is the observation's location distribution.
+func (v ObservationView) Loc() prob.ConstrainedGaussian { return v.f.loc }
+
+// Build constructs the observation. It owns copies of all data; its
+// segment values share one backing string (the encoded segment list),
+// so an observation costs four allocations however many alternatives
+// it has. The zero view builds nil.
+func (v ObservationView) Build() *Observation {
+	if v.enc == nil {
+		return nil
 	}
 	// The framing is valid: the reads below cannot fail.
+	f := v.f
 	o := &Observation{ID: f.id, Loc: f.loc, Speed: f.speed, Direction: f.direction}
 	if f.nSeg > 0 {
 		o.Segment = make(prob.Discrete, f.nSeg)
-		d := decoder{buf: b[obsSegOff:f.payloadOff]}
+		d := decoder{buf: v.enc[obsSegOff:f.payloadOff]}
 		blob := string(d.buf)
 		for i := range o.Segment {
 			n := len(d.bytes16())
@@ -71,19 +99,28 @@ func DecodeObservation(b []byte) (*Observation, error) {
 			o.Segment[i].Prob = math.Float64frombits(d.u64())
 		}
 	}
-	if payload := b[f.payloadOff+4:]; len(payload) > 0 {
+	if payload := v.enc[f.payloadOff+4:]; len(payload) > 0 {
 		o.Payload = append([]byte(nil), payload...)
 	}
-	return o, nil
+	return o
+}
+
+// DecodeObservation parses an observation from b: ValidateObservation,
+// then Build. The returned observation owns copies of all data.
+func DecodeObservation(b []byte) (*Observation, error) {
+	v, err := ValidateObservation(b)
+	if err != nil {
+		return nil, err
+	}
+	return v.Build(), nil
 }
 
 // ObservationLoc returns what DecodeObservation(b) would report as the
 // observation's ID and Loc — and the same error for an encoding it
-// rejects — without building the observation or allocating. A circle
-// query uses it to integrate first and decode only the rows it yields.
+// rejects — without building the observation or allocating.
 func ObservationLoc(b []byte) (uint64, prob.ConstrainedGaussian, error) {
-	f, err := walkObservation(b)
-	return f.id, f.loc, err
+	v, err := ValidateObservation(b)
+	return v.ID(), v.Loc(), err
 }
 
 // obsSegOff is where the segment alternatives start: after the ID, the

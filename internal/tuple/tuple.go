@@ -7,6 +7,15 @@
 // (Name, Journal, ...), uncertain discrete attributes (Institution,
 // Country, ...), and an opaque payload standing in for the remaining
 // row width.
+//
+// Reading has one seam: Validate checks an encoding's framing (walk, the
+// codec's only validator) and returns a View of it; View.Build makes the
+// *Tuple from what that walk learned, with no second pass and no way to
+// fail. Decode is the two composed. A reader that needs only the ID or a
+// confidence stops after the first half (View.ID, EncodedConfidence) and
+// allocates nothing; the query path carries Views up to the caller and
+// builds there. The observation codec has the same seam
+// (ValidateObservation, ObservationView.Build, DecodeObservation).
 package tuple
 
 import (
@@ -121,19 +130,41 @@ func AppendEncode(dst []byte, t *Tuple) []byte {
 // Encode returns the binary encoding of t.
 func Encode(t *Tuple) []byte { return AppendEncode(nil, t) }
 
-// Decode parses a tuple from b. The returned tuple owns copies of all
-// data; b may be reused. All of the tuple's strings share one backing
-// string (the encoding up to the payload) and all of its distributions
-// one backing array, so a tuple costs a fixed handful of allocations
-// however many fields it has.
-func Decode(b []byte) (*Tuple, error) {
-	f, err := walk(b, "", "")
+// View is a validated encoding: the proof that walk accepted enc, plus
+// what walk learned about it, so that Build needs no second framing pass.
+// A View aliases enc — it is valid for as long as those bytes are not
+// overwritten — and only Validate hands out a non-zero one.
+type View struct {
+	enc        []byte
+	payloadOff int // offset of the payload's length field
+	nAlts      int // alternatives, summed over the uncertain attributes
+}
+
+// Validate checks the framing of enc (the codec's one validator, walk)
+// and returns the view a tuple can later be built from. It does not
+// allocate and does not copy: the view aliases enc.
+func Validate(enc []byte) (View, error) {
+	f, err := walk(enc, "", "")
 	if err != nil {
-		return nil, err
+		return View{}, err
+	}
+	return View{enc: enc, payloadOff: f.payloadOff, nAlts: f.nAlts}, nil
+}
+
+// ID is the tuple ID of the encoding the view was validated from.
+func (v View) ID() uint64 { return binary.BigEndian.Uint64(v.enc) }
+
+// Build constructs the tuple. The tuple owns copies of all data: its
+// strings share one backing string (the encoding up to the payload) and
+// its distributions one backing array, so a tuple costs a fixed handful
+// of allocations however many fields it has. The zero View builds nil.
+func (v View) Build() *Tuple {
+	if v.enc == nil {
+		return nil
 	}
 	// The framing is valid: the reads below cannot fail.
-	blob := string(b[:f.payloadOff])
-	d := decoder{buf: b}
+	blob := string(v.enc[:v.payloadOff])
+	d := decoder{buf: v.enc}
 	str16 := func() string {
 		n := len(d.bytes16())
 		return blob[d.off-n : d.off]
@@ -148,7 +179,7 @@ func Decode(b []byte) (*Tuple, error) {
 	}
 	if nUnc := int(d.u16()); nUnc > 0 {
 		t.Unc = make([]UncField, nUnc)
-		alts := make(prob.Discrete, f.nAlts)
+		alts := make(prob.Discrete, v.nAlts)
 		for i := range t.Unc {
 			t.Unc[i].Name = str16()
 			nAlts := int(d.u16())
@@ -164,7 +195,17 @@ func Decode(b []byte) (*Tuple, error) {
 	if plen := int(d.u32()); plen > 0 {
 		t.Payload = append([]byte(nil), d.take(plen)...)
 	}
-	return t, nil
+	return t
+}
+
+// Decode parses a tuple from b: Validate, then Build. The returned
+// tuple owns copies of all data; b may be reused.
+func Decode(b []byte) (*Tuple, error) {
+	v, err := Validate(b)
+	if err != nil {
+		return nil, err
+	}
+	return v.Build(), nil
 }
 
 // EncodedConfidence returns what Decode(enc) followed by

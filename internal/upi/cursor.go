@@ -19,6 +19,12 @@ import (
 // ctxCheckEvery scanned entries); once it is done, Next fails with an
 // error wrapping ErrCanceled and no further pages are read.
 //
+// Rows scanned off the heap (QueryCursor and TopKCursor, down to the
+// cutoff merge) arrive unbuilt — ID and Confidence set, the tuple still
+// a validated view of the leaf page, see Result; rows fetched through
+// the cutoff or a secondary index and full-scan matches arrive built.
+// Result.Build is the same whichever it is.
+//
 // A Cursor is single-consumer and not safe for concurrent use. Callers
 // must Close it when done (Close is idempotent and implied by
 // exhaustion or error).
@@ -84,8 +90,8 @@ func (c *Cursor) Close() {
 func (c *Cursor) Stats() QueryStats { return c.stats }
 
 // Drain pulls next — the Next of a Cursor or of a merged stream above
-// it — to exhaustion and returns the rows in arrival order, or nil and
-// the error that ended the stream.
+// it — to exhaustion and returns the rows, built, in arrival order, or
+// nil and the error that ended the stream.
 func Drain(next func() (Result, bool, error)) ([]Result, error) {
 	var results []Result
 	for {
@@ -96,7 +102,7 @@ func Drain(next func() (Result, bool, error)) ([]Result, error) {
 		if !ok {
 			return results, nil
 		}
-		results = append(results, r)
+		results = append(results, r.Build())
 	}
 }
 
@@ -169,12 +175,14 @@ func (t *Table) heapCursor(ctx context.Context, value string, qt float64, k int)
 				return false
 			}
 			c.stats.HeapEntries++
-			tup, err := tuple.Decode(v)
+			// The one framing walk of this row; whoever receives the
+			// tuple builds it from the view.
+			view, err := tuple.Validate(v)
 			if err != nil {
 				scanErr = err
 				return false
 			}
-			r := Result{Tuple: tup, Confidence: conf}
+			r := Result{Confidence: conf, View: view}
 			if qt < t.opts.Cutoff && conf < t.opts.Cutoff {
 				// The scan is confidence-sorted: once below the cutoff
 				// it never rises back, so no later heap entry can

@@ -11,9 +11,50 @@ import (
 
 // Result is one query answer: a tuple and the possible-world
 // confidence with which it satisfies the predicate.
+//
+// A result travels in one of two forms. Built, Tuple is set and View is
+// zero; that is what the executors that hold their whole answer before
+// yielding (QuerySecondary, FullScan, the cutoff-index chase), the RAM
+// buffer and the materialized calls (Query, TopK, Drain) produce.
+// Unbuilt, Tuple is nil and View is the validated encoding of the tuple,
+// aliasing the heap leaf it was scanned from; that is what the streaming
+// heap scan (QueryCursor, TopKCursor) yields, so that a row a merge above
+// discards is never built. Everything an order or a filter needs — ID
+// and Confidence — is available in both forms; Build turns the second
+// into the first, from the framing walk the scan already did.
+//
+// An unbuilt result is valid until the next write to the table it came
+// from (btree.Scan's aliasing rule). A fractured partition is never
+// written after its bulk build and the pager never recycles a page
+// buffer, so on a fractured table it is valid for the life of the
+// value, across eviction, unpinning and the merge that deletes the
+// partition's files; on a bare Table that is written in place it is
+// valid until the next Insert or Delete, which is why Query and TopK
+// build before returning. A held unbuilt result keeps its 8 KB page —
+// under a full scan's read-ahead, the page's whole 64-page run —
+// reachable.
 type Result struct {
 	Tuple      *tuple.Tuple
 	Confidence float64
+	// View is the tuple's validated encoding while Tuple is nil.
+	View tuple.View
+}
+
+// ID is the tuple ID of the result, built or not.
+func (r Result) ID() uint64 {
+	if r.Tuple != nil {
+		return r.Tuple.ID
+	}
+	return r.View.ID()
+}
+
+// Build returns r in built form: Tuple set, View dropped (a built
+// result never keeps a page alive). A built r is returned unchanged.
+func (r Result) Build() Result {
+	if r.Tuple == nil {
+		r.Tuple, r.View = r.View.Build(), tuple.View{}
+	}
+	return r
 }
 
 // QueryStats reports what one query touched, for cost-model validation.
@@ -330,7 +371,7 @@ func ResultBefore(a, b Result) bool {
 	if a.Confidence != b.Confidence {
 		return a.Confidence > b.Confidence
 	}
-	return a.Tuple.ID < b.Tuple.ID
+	return a.ID() < b.ID()
 }
 
 // SortResults orders rs by ResultBefore.

@@ -10,6 +10,16 @@
 // by pointer entries in the cutoff index (Algorithm 1). Probabilistic
 // threshold queries then run as one index seek plus a sequential leaf
 // scan (Algorithm 2).
+//
+// Everything that scan orders and filters by — value, confidence, tuple
+// ID — is in the heap key, so the streaming cursors (QueryCursor,
+// TopKCursor) validate each scanned tuple body once (tuple.Validate) and
+// yield it unbuilt: a Result carrying the confidence and the validated
+// view, which aliases the leaf page. The *tuple.Tuple is built from that
+// view, without a second framing walk, by whoever hands tuples to a
+// caller (Drain, and so Query and TopK, here; the merged stream's
+// consumers above). See Result for the two forms and how long an
+// unbuilt one stays valid.
 package upi
 
 import (

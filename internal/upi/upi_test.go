@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"upidb/internal/prob"
@@ -662,5 +663,98 @@ func TestFullScanAllocationsFollowMatches(t *testing.T) {
 	}
 	if perMatch := small / matches; perMatch > 12 {
 		t.Fatalf("%.1f allocations per matching row", perMatch)
+	}
+}
+
+// TestHeapCursorYieldsUnbuiltRows: QueryCursor and TopKCursor hand out
+// what the heap scan validated, unbuilt — ID and confidence readable,
+// the tuple one Build away and equal to what the materialized call
+// returns — while rows chased through the cutoff index arrive built;
+// Query and TopK return every row built, with no view left in it. The
+// cursor's allocations do not follow the rows it yields.
+func TestHeapCursorYieldsUnbuiltRows(t *testing.T) {
+	var tuples []*tuple.Tuple
+	for i := 0; i < 600; i++ {
+		p := 0.2 + float64(i%70)/100
+		if i%3 == 0 {
+			p = 0.05 // below the cutoff: a cutoff-index pointer, not a heap entry
+		}
+		d, err := prob.NewDiscrete([]prob.Alternative{{Value: fmt.Sprintf("inst%04d", i), Prob: 0.95 - p}, {Value: "MIT", Prob: p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples = append(tuples, &tuple.Tuple{ID: uint64(i + 1), Existence: 1,
+			Unc: []tuple.UncField{{Name: "Institution", Dist: d}}, Payload: bytes.Repeat([]byte{1}, 64)})
+	}
+	tab, err := BulkBuild(newFS(), "t", "Institution", nil, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	want, _, err := tab.Query(ctx, "MIT", 0.01)
+	if err != nil || len(want) != 600 {
+		t.Fatalf("Query: %d rows, err %v", len(want), err)
+	}
+	for _, r := range want {
+		if r.Tuple == nil || !reflect.DeepEqual(r, Result{Tuple: r.Tuple, Confidence: r.Confidence}) {
+			t.Fatalf("Query returned an unbuilt row: %+v", r)
+		}
+	}
+	c := tab.QueryCursor(ctx, "MIT", 0.01)
+	defer c.Close()
+	unbuilt := 0
+	for i := 0; ; i++ {
+		r, ok, err := c.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			if i != len(want) {
+				t.Fatalf("cursor yielded %d rows, Query %d", i, len(want))
+			}
+			break
+		}
+		if r.Tuple == nil {
+			unbuilt++
+			if r.Confidence < 0.1 {
+				t.Fatalf("row %d (confidence %v) is below the cutoff yet unbuilt", r.ID(), r.Confidence)
+			}
+		}
+		if r.ID() != want[i].Tuple.ID || r.Confidence != want[i].Confidence || !reflect.DeepEqual(r.Build(), want[i]) {
+			t.Fatalf("row %d: cursor %d/%v, Query %d/%v", i, r.ID(), r.Confidence, want[i].Tuple.ID, want[i].Confidence)
+		}
+	}
+	if unbuilt != 400 {
+		t.Fatalf("%d rows arrived unbuilt, want the 400 heap entries", unbuilt)
+	}
+	top, _, err := tab.TopK(ctx, "MIT", 5)
+	if err != nil || !reflect.DeepEqual(top, want[:5]) {
+		t.Fatalf("TopK: %v, err %v", top, err)
+	}
+
+	drain := func(qt float64, rows int) float64 {
+		return testing.AllocsPerRun(10, func() {
+			c := tab.QueryCursor(ctx, "MIT", qt)
+			defer c.Close()
+			n := 0
+			for {
+				_, ok, err := c.Next()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !ok {
+					break
+				}
+				n++
+			}
+			if n != rows {
+				t.Fatalf("qt %v: %d rows, want %d", qt, n, rows)
+			}
+		})
+	}
+	few, many := drain(0.85, 26), drain(0.1, 400)
+	t.Logf("heap cursor: %.0f allocations for 26 rows, %.0f for 400", few, many)
+	if many > few+6 { // a few more leaf slot tables, nothing per row
+		t.Fatalf("the heap cursor allocates per row: %.0f for 26 rows, %.0f for 400", few, many)
 	}
 }

@@ -428,24 +428,20 @@ func (u *Index) QueryCircle(q prob.Point, radius, threshold float64) ([]Result, 
 			continue
 		}
 		stats.Fetched++
-		// Integrate first, decode only a row that qualifies;
-		// ObservationLoc still validates the whole record.
-		_, loc, err := tuple.ObservationLoc(rec)
+		// Integrate first, build only a row that qualifies; the one
+		// framing walk still validates the whole record.
+		view, err := tuple.ValidateObservation(rec)
 		if err != nil {
 			return nil, stats, err
 		}
-		conf := loc.ProbInCircle(q, radius)
+		conf := view.Loc().ProbInCircle(q, radius)
 		if !r.c.accepted {
 			stats.Integrations++
 			if conf < threshold {
 				continue
 			}
 		}
-		o, err := tuple.DecodeObservation(rec)
-		if err != nil {
-			return nil, stats, err
-		}
-		results = append(results, Result{Obs: o, Confidence: conf})
+		results = append(results, Result{Obs: view.Build(), Confidence: conf})
 	}
 	SortResults(results)
 	return results, stats, nil

@@ -12,6 +12,7 @@ import (
 	"upidb/internal/fracture"
 	"upidb/internal/planner"
 	"upidb/internal/shard"
+	"upidb/internal/tuple"
 	"upidb/internal/upi"
 )
 
@@ -190,19 +191,20 @@ const (
 // of the per-partition confidence-sorted cursors that yields the
 // globally next-best result while slower partitions are still
 // scanning, and that stops a top-k query scanning (and charging
-// modeled I/O) as soon as the k-th result is out. All hands the rows
-// to the caller as they arrive; Collect, Len, Err and Info run the
-// same loop to the end and keep the rows.
+// modeled I/O) as soon as the k-th result is out. Rows hands the rows
+// to the caller as they arrive, each tuple still in its validated
+// encoding; All is the same stream with every tuple built; Collect,
+// Len, Err and Info run the same loop to the end and keep the answer.
 //
-// After a complete drain (either way) the handle is reusable: All
-// replays the kept results and Collect returns them. After a *partial*
-// drain the handle is spent — a second All yields ErrStreamConsumed,
-// and Collect/Len report an empty set — so a half-consumed stream can
-// never silently resume mid-query.
+// After a complete drain (any way) the handle is reusable: Rows and All
+// replay the kept answer and Collect returns it. After a *partial*
+// drain the handle is spent — a second All or Rows yields
+// ErrStreamConsumed, and Collect/Len report an empty set — so a
+// half-consumed stream can never silently resume mid-query.
 //
 // Execution errors (a context cancelled mid-stream, a corrupt page)
-// surface in All's error slot and through Err; Collect returns nil in
-// that case. A Results handle is not safe for concurrent use. A
+// surface in the iterators' error slot and through Err; Collect returns
+// nil in that case. A Results handle is not safe for concurrent use. A
 // handle that is never consumed releases its partition pins when
 // garbage-collected (or on Close).
 type Results struct {
@@ -217,10 +219,45 @@ type Results struct {
 	kindLabel string
 	started   time.Time
 
-	state   resState
+	state resState
+	// A drained handle keeps its answer in the form its first consumer
+	// asked for: results (built tuples; All, Collect, Len, Err, Info) or
+	// rows (as they arrived; Rows). At most one is non-nil; materialize
+	// turns rows into results.
 	results []Result
+	rows    []Row
 	info    QueryInfo
 	err     error
+}
+
+// Result is one query answer handed to a caller: the tuple and the
+// possible-world confidence with which it satisfies the predicate.
+type Result struct {
+	Tuple      *Tuple
+	Confidence float64
+}
+
+// Row is one query answer as the engine carries it: the tuple's ID and
+// confidence (both read off the UPI heap key and the validated
+// encoding), and the tuple itself on demand. See Results.Rows.
+type Row struct {
+	ID         uint64
+	Confidence float64
+	tup        *Tuple     // nil while the row is unbuilt
+	view       tuple.View // the validated encoding while tup is nil
+}
+
+// Tuple returns the row's tuple. A row that arrived unbuilt builds a
+// fresh tuple on every call — keep the return value rather than calling
+// twice; a row from the RAM insert buffer, from an executor that holds
+// its whole answer (secondary, full-scan and cutoff-index routes) or
+// replayed from a handle drained through All returns the one tuple it
+// already has.
+func (r Row) Tuple() *Tuple {
+	if r.tup != nil {
+		return r.tup
+	}
+	return r.view.Build()
 }
 
 // newLazyResults wraps a prepared query into an unconsumed handle and
@@ -247,7 +284,7 @@ func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, plan, so
 // info.
 func (r *Results) drain() {
 	if r.state == statePending {
-		for range r.All() {
+		for range r.stream(true) {
 		}
 	}
 }
@@ -288,12 +325,64 @@ func (r *Results) fillInfo(st fracture.Stats) {
 //
 // After a full drain, All replays the same results; after a partial
 // drain it yields ErrStreamConsumed (see Results).
+//
+// All is Rows with every tuple built as it is handed over: same rows,
+// same order, same states, same accounting.
 func (r *Results) All() iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
+		for row, err := range r.stream(true) {
+			if !yield(Result{Tuple: row.tup, Confidence: row.Confidence}, err) {
+				return
+			}
+		}
+	}
+}
+
+// Rows is All without the last step: the same stream — same rows, same
+// order, same partial-drain, re-entrancy and Close behaviour, same Info
+// — but a tuple is built only when the caller asks for it:
+//
+//	for row, err := range res.Rows() {
+//		if err != nil { ... }
+//		fmt.Println(row.ID, row.Confidence) // no tuple was built
+//		t := row.Tuple()                    // now one was
+//	}
+//
+// A caller that needs only IDs and confidences (upiserve's NDJSON
+// handler is one) builds nothing; a row superseded by a newer delete or
+// upsert, or cut by top-k, is never built on any path.
+//
+// Lifetime: an unbuilt row aliases the heap page it was scanned from. A
+// partition of a table is never rewritten in place and page buffers are
+// never recycled, so a Row — and the handle that keeps the rows for
+// replay — stays valid for as long as it is held: across cache eviction,
+// later inserts, flushes, and the merge that deletes the files of the
+// partition it came from. What it costs is memory: each distinct page
+// (8 KB) a held unbuilt row points into stays reachable until the row is
+// dropped, so build (or copy out what you need) before keeping rows for
+// long.
+//
+// After a full drain through Rows, Rows replays the rows as they
+// arrived, and All and Collect build them.
+func (r *Results) Rows() iter.Seq2[Row, error] { return r.stream(false) }
+
+// stream is the handle's one state machine and the only place a query
+// executes. build selects the last step — whether each tuple is built as
+// it is handed over — and with it the form the answer is kept in.
+func (r *Results) stream(build bool) iter.Seq2[Row, error] {
+	return func(yield func(Row, error) bool) {
 		switch r.state {
 		case stateDrained:
+			if build {
+				r.materialize()
+			}
+			for _, row := range r.rows {
+				if !yield(row, nil) {
+					return
+				}
+			}
 			for _, res := range r.results {
-				if !yield(res, nil) {
+				if !yield(Row{ID: res.Tuple.ID, Confidence: res.Confidence, tup: res.Tuple}, nil) {
 					return
 				}
 			}
@@ -305,9 +394,9 @@ func (r *Results) All() iter.Seq2[Result, error] {
 				if err != nil {
 					r.state = stateFailed
 					r.err = err
-					r.results = nil
+					r.results, r.rows = nil, nil
 					r.fillInfo(st.Stats())
-					yield(Result{}, err)
+					yield(Row{}, err)
 					return
 				}
 				if !ok {
@@ -315,12 +404,19 @@ func (r *Results) All() iter.Seq2[Result, error] {
 					r.fillInfo(st.Stats())
 					return
 				}
-				r.results = append(r.results, res)
-				if !yield(res, nil) {
+				if build {
+					res = res.Build()
+					r.results = append(r.results, Result{Tuple: res.Tuple, Confidence: res.Confidence})
+				}
+				row := Row{ID: res.ID(), Confidence: res.Confidence, tup: res.Tuple, view: res.View}
+				if !build {
+					r.rows = append(r.rows, row)
+				}
+				if !yield(row, nil) {
 					st.Close()
 					r.state = statePartial
 					r.err = ErrStreamConsumed
-					r.results = nil
+					r.results, r.rows = nil, nil
 					r.fillInfo(st.Stats())
 					if r.met != nil {
 						r.met.partialDrains.Inc()
@@ -329,14 +425,26 @@ func (r *Results) All() iter.Seq2[Result, error] {
 				}
 			}
 		case stateStreaming, statePartial:
-			// Either a re-entrant All while another iterator is still
+			// Either a re-entrant iterator while another is still
 			// mid-drain, or a handle spent by a partial drain: never
 			// resume (or double-consume) the underlying stream.
-			yield(Result{}, ErrStreamConsumed)
+			yield(Row{}, ErrStreamConsumed)
 		case stateFailed:
-			yield(Result{}, r.err)
+			yield(Row{}, r.err)
 		}
 	}
+}
+
+// materialize turns an answer kept as rows into built results.
+func (r *Results) materialize() {
+	if r.rows == nil {
+		return
+	}
+	r.results = make([]Result, len(r.rows))
+	for i, row := range r.rows {
+		r.results[i] = Result{Tuple: row.Tuple(), Confidence: row.Confidence}
+	}
+	r.rows = nil
 }
 
 // Collect returns all results as a slice, in the same order All yields
@@ -350,6 +458,7 @@ func (r *Results) Collect() []Result {
 	if r.state != stateDrained {
 		return nil
 	}
+	r.materialize()
 	return slices.Clone(r.results)
 }
 
@@ -360,7 +469,7 @@ func (r *Results) Len() int {
 	if r.state != stateDrained {
 		return 0
 	}
-	return len(r.results)
+	return len(r.results) + len(r.rows)
 }
 
 // Err returns the terminal error of the handle's execution: nil after

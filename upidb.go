@@ -122,7 +122,6 @@ import (
 	"upidb/internal/stats"
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
-	"upidb/internal/upi"
 	"upidb/internal/utree"
 )
 
@@ -147,8 +146,6 @@ type (
 	Point = prob.Point
 	// ConstrainedGaussian is a truncated isotropic Gaussian in 2-D.
 	ConstrainedGaussian = prob.ConstrainedGaussian
-	// Result is a query answer: tuple plus confidence.
-	Result = upi.Result
 	// SpatialResult is a spatial query answer: observation plus
 	// appearance probability.
 	SpatialResult = utree.Result
