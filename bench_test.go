@@ -202,7 +202,7 @@ func benchResultsTable(b *testing.B) (*upidb.Table, upidb.Query, int) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	q := upidb.PTQ("", dataset.MITInstitution, 0.1).WithHeuristic()
+	q := upidb.PTQ("", dataset.MITInstitution, 0.1)
 	res, err := tab.Run(context.Background(), q)
 	if err != nil {
 		b.Fatal(err)

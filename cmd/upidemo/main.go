@@ -102,12 +102,15 @@ func main() {
 		fmt.Printf("  #%d %-6s confidence=%.0f%%\n", i+1, name, r.Confidence*100)
 	}
 
+	// The table was created empty, so it has no statistics until
+	// BuildStats; the first listing is headed by the default route, the
+	// second by the plan WithPlanner would run.
 	fmt.Println("\nCost-based planning (EXPLAIN):")
 	must(authors.BuildStats(rows))
 	res, err = authors.Run(ctx, upidb.PTQ("Institution", "MIT", 0.05).WithExplain())
 	must(err)
 	fmt.Print(res.Info().Explain)
-	res, err = authors.Run(ctx, upidb.PTQ("Country", "US", 0.8).WithExplain())
+	res, err = authors.Run(ctx, upidb.PTQ("Country", "US", 0.8).WithPlanner().WithExplain())
 	must(err)
 	fmt.Print(res.Info().Explain)
 

@@ -2,12 +2,13 @@ package upidb
 
 // Facade-level durability tests: the Create/Open lifecycle over the
 // real-disk backend, WAL recovery of acknowledged-but-unflushed writes
-// through the public API, the reopen-with-stale-stats contract (a
-// reopened table stays on heuristic routing until its first merge
-// reseeds the catalog), and option-scope validation.
+// through the public API, reopen parity of StatsInfo (a reopened table
+// reports what it reported before Close and has no statistics), and
+// option-scope validation.
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -68,10 +69,10 @@ func verifyLive(t *testing.T, tab *Table, live map[uint64]bool) {
 // TestFacadeDiskDurableRoundTrip: Create(dir) stores real files with
 // durable tables by default; after Close, Open(dir)+OpenTable recovers
 // every acknowledged write — flushed fractures, the WAL-logged RAM
-// buffer, and pending deletes. The reopened table starts with an
-// unseeded catalog (heuristic routing) until its first merge reseeds
-// it and planner routing resumes — the reopen-with-stale-stats
-// contract, end to end.
+// buffer, and pending deletes — and reports the same StatsInfo it did
+// before Close. Statistics are not persisted and nothing rebuilds them:
+// the reopened table answers WithPlanner with ErrNoStats, before and
+// after a merge.
 func TestFacadeDiskDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir)
@@ -107,6 +108,7 @@ func TestFacadeDiskDurableRoundTrip(t *testing.T) {
 		delete(live, id)
 	}
 	verifyLive(t, tab, live)
+	before := tab.StatsInfo()
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -122,31 +124,19 @@ func TestFacadeDiskDurableRoundTrip(t *testing.T) {
 	}
 	verifyLive(t, rtab, live)
 
-	// Reopened content is unknown to the catalog: heuristic routing
-	// until the first merge re-derives the histograms.
-	if si := rtab.StatsInfo(); si.Seeded {
-		t.Fatalf("reopened table should start unseeded: %+v", si)
+	if got := rtab.StatsInfo(); !reflect.DeepEqual(got, before) {
+		t.Fatalf("StatsInfo changed across reopen:\n before %+v\n after  %+v", before, got)
 	}
 	ctx := context.Background()
-	res, err := rtab.Run(ctx, PTQ("", "v01", 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := res.Info().PlanSource; src != PlanSourceHeuristic {
-		t.Fatalf("pre-merge routing: %q, want heuristic", src)
+	planned := PTQ("", "v01", 0.5).WithPlanner()
+	if _, err := rtab.Run(ctx, planned); !errors.Is(err, ErrNoStats) {
+		t.Fatalf("WithPlanner on a reopened table: %v, want ErrNoStats", err)
 	}
 	if err := rtab.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	if si := rtab.StatsInfo(); !si.Seeded || si.Rebuilds != 1 {
-		t.Fatalf("merge should reseed the catalog: %+v", si)
-	}
-	res, err = rtab.Run(ctx, PTQ("", "v01", 0.5))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := res.Info().PlanSource; src != PlanSourceStats {
-		t.Fatalf("post-merge routing: %q, want stats", src)
+	if _, err := rtab.Run(ctx, planned); !errors.Is(err, ErrNoStats) {
+		t.Fatalf("WithPlanner after a merge: %v, want ErrNoStats (nothing but BuildStats builds statistics)", err)
 	}
 	verifyLive(t, rtab, live)
 }
@@ -181,7 +171,7 @@ func TestFacadeReopenWithDifferentCutoff(t *testing.T) {
 	ctx := context.Background()
 	others := func(tab *Table) []Result {
 		t.Helper()
-		res, err := tab.Run(ctx, PTQ("", "other", 0.05).WithHeuristic())
+		res, err := tab.Run(ctx, PTQ("", "other", 0.05))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 // Example cartel: continuous UPI over uncertain GPS observations —
 // the paper's Queries 4 and 5 through the unified Run(ctx, Query)
-// spatial API (planner routing, EXPLAIN, streaming, per-query stats).
+// spatial API (default and opt-in planner routing, EXPLAIN, streaming,
+// per-query stats).
 package main
 
 import (
@@ -34,12 +35,13 @@ func main() {
 		float64(cars.SizeBytes())/(1<<20), cars.StatsInfo())
 
 	// Query 4: all cars within 400 m of downtown with appearance
-	// probability >= 0.5 — planner-routed, with per-query modeled cost.
+	// probability >= 0.5 — routed by cost because it says WithPlanner
+	// (the default would be the R-Tree probe), with per-query modeled cost.
 	q4 := upidb.Circle(upidb.Point{X: 0, Y: 0}, 400, 0.5)
 	if err := cars.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := cars.Run(ctx, q4.WithStats())
+	res, err := cars.Run(ctx, q4.WithStats().WithPlanner())
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -53,7 +55,8 @@ func main() {
 			r.Obs.ID, r.Obs.Loc.Center.X, r.Obs.Loc.Center.Y, r.Confidence, r.Obs.Speed)
 	}
 
-	// The same query as an EXPLAIN: the costed plans, nothing executed.
+	// The same query as an EXPLAIN: the costed plans and the route a
+	// default Run would take, nothing executed.
 	ex, err := cars.Run(ctx, q4.WithExplain())
 	if err != nil {
 		log.Fatal(err)
@@ -61,8 +64,8 @@ func main() {
 	fmt.Printf("\nEXPLAIN Query 4:\n%s", ex.Info().Explain)
 
 	// Query 5: cars on the busiest road segment, streamed on the
-	// segment-index path (pinned with WithHeuristic) — results arrive
-	// in confidence order while the index scan is still running.
+	// segment-index path (the default route) — results arrive in
+	// confidence order while the index scan is still running.
 	counts := map[string]int{}
 	for _, o := range c.Observations {
 		counts[o.Segment.First().Value]++
@@ -76,7 +79,7 @@ func main() {
 	if err := cars.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	res, err = cars.Run(ctx, upidb.Segment(seg, 0.3).WithHeuristic())
+	res, err = cars.Run(ctx, upidb.Segment(seg, 0.3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -93,8 +96,7 @@ func main() {
 	}
 	fmt.Printf("  ... %d cars total\n", n)
 
-	// Live insert: a new observation is immediately queryable (and its
-	// statistics delta is absorbed, so routing stays planner-fresh).
+	// Live insert: a new observation is immediately queryable.
 	segDist, err := upidb.NewDiscrete([]upidb.Alternative{{Value: seg, Prob: 1.0}})
 	if err != nil {
 		log.Fatal(err)

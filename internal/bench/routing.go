@@ -13,13 +13,12 @@ import (
 // the heuristic both face a realistically fractured table.
 const routingBatches = 6
 
-// PlannerRouting compares the self-maintained planner routing (the
-// Table.Run default: a fresh statistics catalog picks the cheapest
-// costed plan) against the fixed heuristic routing (WithHeuristic:
-// primary → clustered UPI scan, secondary → tailored secondary
-// access) on the paper's query mix over a fractured authors table.
-// Modeled cold-cache runtimes, deterministic per scale/seed; this is
-// the perf-trajectory baseline for planner-by-default.
+// PlannerRouting compares the opt-in planner routing (WithPlanner: the
+// cheapest plan costed from histograms of the table's live tuples)
+// against the default fixed routing (primary → clustered UPI scan,
+// secondary → tailored secondary access) on the paper's query mix over
+// a fractured authors table. Modeled cold-cache runtimes, deterministic
+// per scale/seed: on the modeled device the planner's choices pay.
 func PlannerRouting(ctx context.Context, e *Env) (*Experiment, error) {
 	d, err := e.DBLP()
 	if err != nil {
@@ -52,14 +51,18 @@ func PlannerRouting(ctx context.Context, e *Env) (*Experiment, error) {
 			return nil, err
 		}
 	}
+	// Nothing maintains statistics: cost from the tuples now live, not
+	// from the ones the bulk load saw.
+	if err := tab.BuildStats(w.live); err != nil {
+		return nil, err
+	}
 
 	exp := &Experiment{
 		ID:      "planner-routing",
-		Title:   fmt.Sprintf("Planner-by-default vs heuristic routing (%d fractures)", tab.NumFractures()),
+		Title:   fmt.Sprintf("Opt-in planner vs default routing (%d fractures)", tab.NumFractures()),
 		XLabel:  "query",
 		Columns: []string{"Planner [s]", "Heuristic [s]", "Results"},
-		Notes: fmt.Sprintf("default Run plans from the self-maintained catalog (staleness %.1f%%); WithHeuristic pins the fixed pre-catalog routing",
-			tab.StatsInfo().Staleness*100),
+		Notes:   "Planner runs WithPlanner over BuildStats(live tuples); Heuristic is the default Run's fixed routing",
 	}
 	queries := []struct {
 		label string
@@ -73,17 +76,19 @@ func PlannerRouting(ctx context.Context, e *Env) (*Experiment, error) {
 		if err := tab.DropCaches(); err != nil {
 			return nil, err
 		}
-		planned, err := tab.Run(ctx, qc.q.WithStats())
+		planned, err := tab.Run(ctx, qc.q.WithStats().WithPlanner())
 		if err != nil {
 			return nil, err
 		}
-		if src := planned.Info().PlanSource; src != upidb.PlanSourceStats {
-			return nil, fmt.Errorf("bench: %s not planner-routed (source %q)", qc.label, src)
+		// Handles execute on first consumption: drain this one before
+		// the caches are dropped for the next.
+		if err := planned.Err(); err != nil {
+			return nil, err
 		}
 		if err := tab.DropCaches(); err != nil {
 			return nil, err
 		}
-		heur, err := tab.Run(ctx, qc.q.WithStats().WithHeuristic())
+		heur, err := tab.Run(ctx, qc.q.WithStats())
 		if err != nil {
 			return nil, err
 		}

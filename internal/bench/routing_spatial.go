@@ -9,11 +9,11 @@ import (
 	"upidb/internal/sim"
 )
 
-// SpatialRouting compares the spatial planner routing (the
-// SpatialTable.Run default: the spatial statistics catalog picks the
-// cheapest of R-Tree probe, segment-index scan and sequential full
-// scan) against both forced physical paths on the paper's Query 4/5
-// mix. The planner and forced-index columns run through the facade
+// SpatialRouting compares the opt-in spatial planner routing
+// (WithPlanner: the spatial statistics catalog picks the cheapest of
+// R-Tree probe, segment-index scan and sequential full scan) against
+// both fixed physical paths on the paper's Query 4/5 mix. The planner
+// and index columns run through the facade
 // (WithStats modeled time); the full-scan column runs the same
 // predicates on an identical continuous UPI built on a private disk,
 // since the facade deliberately exposes no force-full-scan knob.
@@ -86,16 +86,16 @@ func SpatialRouting(ctx context.Context, e *Env) (*Experiment, error) {
 
 	exp := &Experiment{
 		ID:      "spatial-routing",
-		Title:   fmt.Sprintf("Spatial planner vs forced index vs full scan (%d observations)", len(c.Observations)),
+		Title:   fmt.Sprintf("Opt-in spatial planner vs default index routing vs full scan (%d observations)", len(c.Observations)),
 		XLabel:  "query",
 		Columns: []string{"Planner [s]", "Index [s]", "Full scan [s]", "Results"},
-		Notes:   "default spatial Run plans from the grid/segment statistics catalog; Index pins the fixed R-Tree/segment-index routing (WithHeuristic); Full scan filters the whole clustered heap",
+		Notes:   "Planner runs WithPlanner over the grid/segment statistics catalog; Index is the default Run's fixed R-Tree/segment-index routing; Full scan filters the whole clustered heap",
 	}
 	for _, qc := range queries {
 		if err := tab.DropCaches(); err != nil {
 			return nil, err
 		}
-		planned, err := tab.Run(ctx, qc.q.WithStats())
+		planned, err := tab.Run(ctx, qc.q.WithStats().WithPlanner())
 		if err != nil {
 			return nil, err
 		}
@@ -103,13 +103,10 @@ func SpatialRouting(ctx context.Context, e *Env) (*Experiment, error) {
 		if err := planned.Err(); err != nil {
 			return nil, err
 		}
-		if src := planned.Info().PlanSource; src != upidb.PlanSourceStats {
-			return nil, fmt.Errorf("bench: %s not planner-routed (source %q)", qc.label, src)
-		}
 		if err := tab.DropCaches(); err != nil {
 			return nil, err
 		}
-		forced, err := tab.Run(ctx, qc.q.WithStats().WithHeuristic())
+		forced, err := tab.Run(ctx, qc.q.WithStats())
 		if err != nil {
 			return nil, err
 		}

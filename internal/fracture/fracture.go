@@ -58,7 +58,6 @@ import (
 	"sync"
 
 	"upidb/internal/obs"
-	"upidb/internal/stats"
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
@@ -82,12 +81,6 @@ type Config struct {
 	// BufferTuples is the insert-buffer capacity; reaching it triggers
 	// an automatic flush. 0 means flush only on explicit Flush calls.
 	BufferTuples int
-	// StatsStaleness is the statistics-staleness threshold the facade
-	// applies to the table's catalog (the fracture layer itself does
-	// not read it; it lives here so one struct carries the whole table
-	// configuration). 0 means the catalog default; negative disables
-	// automatic planner routing.
-	StatsStaleness float64
 	// Durable, when true, gives the store crash-consistency: every
 	// Insert/Delete is WAL-logged and fsynced before it is
 	// acknowledged, flushes and merges commit through an atomically
@@ -137,11 +130,6 @@ type Store struct {
 	bufOrder  []uint64
 	// Pending delete set: IDs deleted since the last flush.
 	bufDeletes map[uint64]bool
-
-	// cat, when set, receives statistics deltas: inserts and deletes
-	// feed it incrementally, and merges re-derive it from their
-	// whole-heap scan.
-	cat *stats.Catalog
 
 	// am is the background merger, if StartAutoMerge is active.
 	// amFailed holds a merger that died on a merge error until
@@ -350,31 +338,6 @@ func (s *Store) FractureOptions() upi.Options {
 	return s.opts.UPI
 }
 
-// SetStats attaches a statistics catalog: from now on every Insert
-// and Delete applies its delta to the catalog, and every Merge
-// re-derives it from the merge's own whole-heap scan. The caller is
-// responsible for seeding the catalog with the table's pre-existing
-// content (or leaving it unseeded so routing falls back to heuristics
-// until the first merge).
-func (s *Store) SetStats(c *stats.Catalog) {
-	s.mu.Lock()
-	s.cat = c
-	if c != nil {
-		// A WAL-recovered store may already hold buffered operations
-		// that predate the catalog attachment; feed their deltas now so
-		// the catalog sees exactly what a crash-free run would have.
-		for _, id := range s.bufOrder {
-			c.AddTuple(s.bufTuples[id])
-		}
-		for id := range s.bufDeletes {
-			if _, buffered := s.bufTuples[id]; !buffered {
-				c.NoteDeleteID(id)
-			}
-		}
-	}
-	s.mu.Unlock()
-}
-
 // Insert buffers a tuple, adding it if the ID is new and replacing
 // any existing version otherwise (upsert): the ID joins the pending
 // delete set, which applies only to partitions older than the
@@ -405,9 +368,8 @@ func (s *Store) Insert(tup *tuple.Tuple) error {
 	s.applyInsertLocked(tup)
 	s.opts.Metrics.Inserts.Inc()
 	if replacing {
-		// An upsert of an on-disk version is only visible as statistics
-		// staleness; this counts the detectable kind — a replaced
-		// still-buffered version.
+		// Only the detectable kind is counted: a replaced still-buffered
+		// version. An upsert of an on-disk version looks like an insert.
 		s.opts.Metrics.Upserts.Inc()
 	}
 	var err error
@@ -427,17 +389,6 @@ func (s *Store) Insert(tup *tuple.Tuple) error {
 // applyInsertLocked is the buffer mutation of Insert, shared with WAL
 // replay. Callers must hold mu.
 func (s *Store) applyInsertLocked(tup *tuple.Tuple) {
-	if s.cat != nil {
-		// Absorb the delta: the new version counts immediately; a
-		// replaced buffered version is subtracted exactly. (A replaced
-		// on-disk version stays counted — AddTuple detects the
-		// duplicate ID and tallies it as an unabsorbed delta until the
-		// next merge re-derivation.)
-		if old, exists := s.bufTuples[tup.ID]; exists {
-			s.cat.RemoveTuple(old)
-		}
-		s.cat.AddTuple(tup)
-	}
 	s.bufDeletes[tup.ID] = true
 	if _, exists := s.bufTuples[tup.ID]; !exists {
 		s.bufOrder = append(s.bufOrder, tup.ID)
@@ -467,15 +418,10 @@ func (s *Store) Delete(id uint64) error {
 // applyDeleteLocked is the buffer mutation of Delete, shared with WAL
 // replay. Callers must hold mu.
 func (s *Store) applyDeleteLocked(id uint64) {
-	if old, buffered := s.bufTuples[id]; buffered {
-		// The buffered version never reached disk; cancel it and
-		// subtract its statistics delta exactly, since the content is
-		// known. The ID stays in the pending delete set (Insert put it
-		// there), which keeps any older on-disk version deleted.
-		if s.cat != nil {
-			s.cat.RemoveTuple(old)
-			s.cat.NoteDeleteID(id)
-		}
+	if _, buffered := s.bufTuples[id]; buffered {
+		// The buffered version never reached disk; cancel it. The ID
+		// stays in the pending delete set (Insert put it there), which
+		// keeps any older on-disk version deleted.
 		delete(s.bufTuples, id)
 		for i, bid := range s.bufOrder {
 			if bid == id {
@@ -484,12 +430,6 @@ func (s *Store) applyDeleteLocked(id uint64) {
 			}
 		}
 		return
-	}
-	// An on-disk tuple is known only by ID; the catalog cannot subtract
-	// its histogram contribution, so the delete counts as staleness
-	// until a merge re-derives the statistics.
-	if s.cat != nil {
-		s.cat.NoteDeleteID(id)
 	}
 	s.bufDeletes[id] = true
 }

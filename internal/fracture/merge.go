@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"upidb/internal/btree"
-	"upidb/internal/stats"
 	"upidb/internal/storage"
 	"upidb/internal/upi"
 )
@@ -42,12 +41,6 @@ type mergeSnapshot struct {
 // their caches, and I/O attribution between overlapping scans of one
 // file is approximate). Total disk accounting stays exactly-once;
 // queries that do not overlap a merge keep fully deterministic costs.
-//
-// When a statistics catalog is attached (SetStats), the merge also
-// re-derives it for free: the live entries the merge is already
-// reading are fed to a stats.Rebuild, which atomically replaces the
-// catalog's histograms once the new main is swapped in — so every
-// merge resets statistics staleness to zero without any extra I/O.
 func (s *Store) Merge() error {
 	// One merge at a time; a second caller (or the background merger)
 	// waits rather than building a competing generation.
@@ -82,14 +75,6 @@ func (s *Store) Merge() error {
 		snap.deletes = append(snap.deletes, s.deletesAfterLocked(i))
 	}
 	snap.homogene = s.partitionsHomogeneousLocked()
-	// The statistics rebuild must begin inside this critical section:
-	// everything in the snapshot is fed by the merge scan below, and
-	// everything arriving after the unlock reaches the rebuild through
-	// the live delta hooks — never both.
-	var rb *stats.Rebuild
-	if s.cat != nil {
-		rb = s.cat.BeginRebuild()
-	}
 	s.mu.Unlock()
 
 	// Build the new main generation without holding the store lock.
@@ -100,19 +85,16 @@ func (s *Store) Merge() error {
 		err     error
 	)
 	if snap.homogene {
-		newMain, err = s.mergeByCursor(snap, rb)
+		newMain, err = s.mergeByCursor(snap)
 	} else {
-		newMain, err = s.mergeByRebuild(snap, rb)
+		newMain, err = s.mergeByRebuild(snap)
 	}
 	if err != nil {
-		rb.Abort()
 		return err
 	}
 	if err := s.swapMerged(newMain, snap.newGen, snap.nMerged); err != nil {
-		rb.Abort()
 		return err
 	}
-	rb.Commit()
 	s.opts.Metrics.Merges.Inc()
 	s.opts.Metrics.MergeSeconds.Observe(time.Since(mergeStart).Seconds())
 	return nil
@@ -139,10 +121,9 @@ func (s *Store) partitionsHomogeneousLocked() bool {
 // mergeByCursor performs the entry-level k-way merge. Entry-level
 // merging preserves each entry's heap-vs-cutoff placement, which is
 // only correct when every partition was built with the same parameters
-// as the merged result (snap.homogene). The heap pass — which sees
-// every live entry — additionally feeds the statistics rebuild.
-func (s *Store) mergeByCursor(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Table, error) {
-	mergeInto := func(file string, pick func(t *upi.Table) *btree.Tree, feed func(id uint64, val []byte)) (*btree.Tree, error) {
+// as the merged result (snap.homogene).
+func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
+	mergeInto := func(file string, pick func(t *upi.Table) *btree.Tree) (*btree.Tree, error) {
 		p, err := storage.NewPager(s.fs.Create(file), snap.opts.PageSize)
 		if err != nil {
 			return nil, err
@@ -175,7 +156,7 @@ func (s *Store) mergeByCursor(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Table
 				deleted:  snap.deletes[i],
 			}
 		}
-		err = kWayMerge(curs, b, feed)
+		err = kWayMerge(curs, b)
 		for _, release := range releases {
 			release()
 		}
@@ -189,14 +170,10 @@ func (s *Store) mergeByCursor(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Table
 		return t, p.Flush()
 	}
 
-	var feed func(id uint64, val []byte)
-	if rb != nil {
-		feed = rb.FeedEntry
-	}
-	if _, err := mergeInto(upi.HeapFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.Heap() }, feed); err != nil {
+	if _, err := mergeInto(upi.HeapFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.Heap() }); err != nil {
 		return nil, err
 	}
-	if _, err := mergeInto(upi.CutoffFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.CutoffIndex() }, nil); err != nil {
+	if _, err := mergeInto(upi.CutoffFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.CutoffIndex() }); err != nil {
 		return nil, err
 	}
 	for _, attr := range s.secAttrs {
@@ -204,7 +181,7 @@ func (s *Store) mergeByCursor(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Table
 		if _, err := mergeInto(upi.SecFileName(snap.newName, a), func(t *upi.Table) *btree.Tree {
 			sec, _ := t.Secondary(a)
 			return sec
-		}, nil); err != nil {
+		}); err != nil {
 			return nil, err
 		}
 	}
@@ -213,9 +190,8 @@ func (s *Store) mergeByCursor(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Table
 
 // mergeByRebuild collects every live tuple (sequential heap scans,
 // oldest partition first) and bulk-builds a fresh main UPI with the
-// current options. The collected tuples double as the statistics
-// rebuild's feed.
-func (s *Store) mergeByRebuild(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Table, error) {
+// current options.
+func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
 	releases := make([]func(), len(snap.parts))
 	for i, src := range snap.parts {
 		releases[i] = src.Heap().Pager().PushPrefetch(mergeReadAhead)
@@ -226,11 +202,6 @@ func (s *Store) mergeByRebuild(snap mergeSnapshot, rb *stats.Rebuild) (*upi.Tabl
 	}
 	if err != nil {
 		return nil, err
-	}
-	if rb != nil {
-		for _, t := range tuples {
-			rb.FeedTuple(t)
-		}
 	}
 	return upi.BulkBuild(s.fs, snap.newName, s.attr, s.secAttrs, snap.opts, tuples)
 }
@@ -291,10 +262,8 @@ type mergeCursor struct {
 
 // kWayMerge drains the cursors in global key order into the builder,
 // applying each source's delete filter and letting the
-// highest-priority (newest) source win duplicate keys. feed, when
-// non-nil, receives every surviving entry (tuple ID plus value) — the
-// statistics piggyback on the scan the merge performs anyway.
-func kWayMerge(curs []*mergeCursor, b *btree.Builder, feed func(id uint64, val []byte)) error {
+// highest-priority (newest) source win duplicate keys.
+func kWayMerge(curs []*mergeCursor, b *btree.Builder) error {
 	for {
 		// Find the smallest current key.
 		var minKey []byte
@@ -332,9 +301,6 @@ func kWayMerge(curs []*mergeCursor, b *btree.Builder, feed func(id uint64, val [
 		if bestPriority >= 0 {
 			if err := b.Add(minKey, bestVal); err != nil {
 				return err
-			}
-			if feed != nil {
-				feed(id, bestVal)
 			}
 		}
 	}

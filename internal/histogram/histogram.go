@@ -10,11 +10,11 @@
 // of attribute X have a probability of 20% or more."
 //
 // Histograms are incremental: beyond the batch Build used at load
-// time, Add and Remove apply single-tuple deltas, which is what lets
-// the stats.Catalog keep estimates fresh on every insert and delete
-// instead of requiring a periodic full re-derivation. All methods are
-// safe for concurrent use, so the planner may read a histogram while
-// the maintenance path mutates it.
+// time and by BuildStats, Add and Remove apply single-tuple deltas,
+// which is how a spatial table's stats.SpatialCatalog absorbs each
+// insert into its segment histogram. All methods are safe for
+// concurrent use, so the planner may read a histogram while an insert
+// mutates it.
 package histogram
 
 import (
@@ -110,8 +110,8 @@ func (h *Histogram) Remove(t *tuple.Tuple) bool {
 // AddSized applies one tuple's contribution scaled by sign (+1 add,
 // -1 subtract) with the tuple's encoded payload size supplied by the
 // caller — the hot-path variant for callers maintaining several
-// histograms of the same tuple (the stats catalog), which would
-// otherwise re-serialize the tuple once per attribute.
+// histograms of the same tuple, which would otherwise re-serialize the
+// tuple once per attribute.
 func (h *Histogram) AddSized(t *tuple.Tuple, encBytes, sign int64) bool {
 	dist, ok := t.Uncertain(h.attr)
 	if !ok {

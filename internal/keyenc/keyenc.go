@@ -27,7 +27,7 @@ const (
 )
 
 // AppendString appends the ascending order-preserving encoding of s.
-func AppendString(dst []byte, s string) []byte {
+func AppendString[S string | []byte](dst []byte, s S) []byte {
 	for i := 0; i < len(s); i++ {
 		c := s[i]
 		if c == strEscape {

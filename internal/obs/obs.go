@@ -591,12 +591,6 @@ type EngineMetrics struct {
 	// yield.
 	TopKEarlyTerm *Counter
 
-	// Plan-cache traffic: hits serve a previously costed plan verbatim,
-	// misses cost one fresh. Only planner-routed queries on catalogs
-	// with a generation number count.
-	PlanCacheHits   *Counter
-	PlanCacheMisses *Counter
-
 	MergeSeconds    *Histogram // wall-clock merge duration
 	WALFsyncSeconds *Histogram // wall-clock fsync time per WAL append
 }
@@ -616,8 +610,6 @@ func NewEngineMetrics(r *Registry) *EngineMetrics {
 		ScanPartitions:  r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
 		StreamYields:    r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
 		TopKEarlyTerm:   r.Counter("upidb_shard_topk_early_terminations_total", "Top-k streams that cancelled remaining partition scans at the k-th yield."),
-		PlanCacheHits:   r.Counter("upidb_plan_cache_hits_total", "Planner requests answered from the generation-guarded plan cache."),
-		PlanCacheMisses: r.Counter("upidb_plan_cache_misses_total", "Planner requests that costed a fresh plan."),
 		MergeSeconds:    r.Histogram("upidb_fracture_merge_seconds", "Wall-clock merge duration.", WallBuckets),
 		WALFsyncSeconds: r.Histogram("upidb_wal_fsync_seconds", "Wall-clock fsync time per WAL append.", WallBuckets),
 	}

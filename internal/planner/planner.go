@@ -16,6 +16,13 @@
 // Estimates come from the Section 6.1 histograms and the Section 6.2/
 // 6.3 cost models, so Explain output shows exactly the terms the paper
 // defines.
+//
+// The models price a seeking disk (10 ms per seek): on that device the
+// cheapest plan is often not the one a fixed rule would pick. Nothing
+// routes through this package unless a query asks for it (WithPlanner,
+// WithExplain), and nothing keeps its inputs current: a histogram set
+// describes the tuples it was built from, by a bulk load or BuildStats,
+// until the next BuildStats replaces it.
 package planner
 
 import (
@@ -26,7 +33,6 @@ import (
 	"upidb/internal/costmodel"
 	"upidb/internal/fracture"
 	"upidb/internal/histogram"
-	"upidb/internal/obs"
 	"upidb/internal/sim"
 )
 
@@ -78,63 +84,27 @@ type Plan struct {
 	Detail string
 }
 
-// StatsSource supplies the planner's statistics. Histogram returns the
-// live histogram for an attribute, or nil when no usable statistics
-// exist for it (PlanPTQ then fails with ErrNoStats). stats.Catalog is
-// the production implementation; StaticStats adapts a fixed map.
-type StatsSource interface {
-	Histogram(attr string) *histogram.Histogram
-}
-
-// StaticStats adapts a fixed attribute→histogram map into a
-// StatsSource, for callers that build statistics once by hand.
+// StaticStats is the statistics the planner costs from: one Section 6.1
+// histogram per attribute, built once (by a bulk load or BuildStats)
+// and never updated. An attribute without an entry cannot be costed
+// (PlanPTQ fails with ErrNoStats).
 type StaticStats map[string]*histogram.Histogram
 
-// Histogram returns the mapped histogram (nil when absent).
-func (m StaticStats) Histogram(attr string) *histogram.Histogram { return m[attr] }
-
-// Planner holds the statistics and parameters needed to cost plans for
-// one table. It reads statistics live from its StatsSource on every
-// PlanPTQ call, so estimates track inserts, deletes and merges without
-// the planner being rebuilt.
+// Planner costs plans for one fractured-UPI store from a fixed set of
+// histograms and the store's live geometry (size, height, fracture
+// count). It holds nothing mutable, so building one per costing is as
+// good as keeping one.
 type Planner struct {
 	store *fracture.Store
-	src   StatsSource
+	stats StaticStats
 	disk  sim.Params
-
-	// gen and cache are set when src carries a generation number
-	// (GenSource); they let repeated query shapes reuse costed plans —
-	// see cache.go. met is nil-safe and defaults to a no-op sink.
-	gen   GenSource
-	cache *planCache
-	met   *obs.EngineMetrics
 }
 
-// New creates a planner for a fractured-UPI table reading statistics
-// from src. Attribute coverage is checked per query: PlanPTQ fails
-// with ErrNoStats for attributes src has no histogram for.
-//
-// When src also implements GenSource (stats.Catalog does), the planner
-// caches costed plans keyed on the query shape and serves them back
-// while the source's generation and the table's partition layout are
-// unchanged. A plain StatsSource gets no cache: without a generation
-// number there is no safe invalidation signal.
-func New(store *fracture.Store, src StatsSource, disk sim.Params) *Planner {
-	p := &Planner{store: store, src: src, disk: disk, met: &obs.EngineMetrics{}}
-	if gs, ok := src.(GenSource); ok {
-		p.gen = gs
-		p.cache = &planCache{entries: make(map[planKey][]Plan)}
-	}
-	return p
-}
-
-// SetMetrics wires the counters plan-cache traffic reports into. Must
-// be called before the planner is shared; nil restores the no-op sink.
-func (p *Planner) SetMetrics(met *obs.EngineMetrics) {
-	if met == nil {
-		met = &obs.EngineMetrics{}
-	}
-	p.met = met
+// New creates a planner for store costing from stats. Attribute
+// coverage is checked per query: PlanPTQ fails with ErrNoStats for
+// attributes stats has no histogram for.
+func New(store *fracture.Store, stats StaticStats, disk sim.Params) *Planner {
+	return &Planner{store: store, stats: stats, disk: disk}
 }
 
 // params assembles cost-model parameters from the live table state.
@@ -151,22 +121,14 @@ func (p *Planner) params() costmodel.Params {
 
 // PlanPTQ costs the available plans for "attr = value AND confidence
 // >= qt" and returns them all, cheapest first. attr may be the primary
-// attribute or any secondary attribute with a histogram. Repeated
-// shapes are served from the plan cache when one is enabled; use
-// PlanPTQCached to learn whether a result came from it.
+// attribute or any secondary attribute with a histogram.
 func (p *Planner) PlanPTQ(attr, value string, qt float64) ([]Plan, error) {
-	plans, _, err := p.PlanPTQCached(attr, value, qt)
-	return plans, err
-}
-
-// planPTQ is the uncached costing pass.
-func (p *Planner) planPTQ(attr, value string, qt float64) ([]Plan, error) {
 	main := p.store.Main()
 	cm := p.params()
 	cutoff := main.Options().Cutoff
 
 	var plans []Plan
-	hist := p.src.Histogram(attr)
+	hist := p.stats[attr]
 	if hist == nil {
 		return nil, fmt.Errorf("%w: no histogram for attribute %q", ErrNoStats, attr)
 	}
@@ -253,10 +215,6 @@ func Explain(plans []Plan) string {
 	}
 	return out
 }
-
-// HasHistogram reports whether the statistics source covers attr,
-// i.e. whether PlanPTQ can cost plans for it.
-func (p *Planner) HasHistogram(attr string) bool { return p.src.Histogram(attr) != nil }
 
 // PlanReq translates a costed plan into the fractured store's query
 // descriptor, without executing anything: callers hand the Req to

@@ -49,8 +49,8 @@ func TestMissingHistogramIsErrNoStats(t *testing.T) {
 	if _, err := p.PlanPTQ(dataset.AttrInstitution, dataset.MITInstitution, 0.3); !errors.Is(err, ErrNoStats) {
 		t.Fatalf("uncovered primary attribute: %v", err)
 	}
-	if p.HasHistogram(dataset.AttrInstitution) || !p.HasHistogram(dataset.AttrCountry) {
-		t.Fatal("HasHistogram coverage wrong")
+	if _, err := p.PlanPTQ(dataset.AttrCountry, dataset.JapanCountry, 0.3); err != nil {
+		t.Fatalf("covered secondary attribute: %v", err)
 	}
 }
 

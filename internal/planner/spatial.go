@@ -45,11 +45,6 @@ func NewSpatial(tab *cupi.Table, cat *stats.SpatialCatalog, disk sim.Params) *Sp
 	return &Spatial{tab: tab, cat: cat, disk: disk}
 }
 
-// Fresh reports whether the statistics are complete enough for
-// automatic planner routing (spatial catalogs never go stale; see
-// stats.SpatialCatalog).
-func (p *Spatial) Fresh() bool { return p.cat.Fresh() }
-
 // read returns the modeled sequential-read time for n bytes.
 func (p *Spatial) read(bytes float64) time.Duration {
 	if bytes < 0 {

@@ -38,9 +38,6 @@ func newSpatialFixture(t *testing.T, n int) (*cupi.Table, *stats.SpatialCatalog,
 func TestSpatialPlannerRoutesByCoverage(t *testing.T) {
 	tab, cat, c := newSpatialFixture(t, 25000)
 	p := NewSpatial(tab, cat, sim.DefaultParams())
-	if !p.Fresh() {
-		t.Fatal("seeded spatial planner must be fresh")
-	}
 	center := c.Extent.Center()
 
 	// A tiny circle: the R-Tree probe must win.
@@ -109,9 +106,6 @@ func TestSpatialPlannerSegment(t *testing.T) {
 func TestSpatialPlannerNoStats(t *testing.T) {
 	tab, _, _ := newSpatialFixture(t, 200)
 	p := NewSpatial(tab, stats.NewSpatialCatalog(), sim.DefaultParams())
-	if p.Fresh() {
-		t.Fatal("unseeded planner must not be fresh")
-	}
 	if _, err := p.PlanCircle(prob.Point{}, 100, 0.5); !errors.Is(err, ErrNoStats) {
 		t.Fatalf("PlanCircle without stats: %v", err)
 	}

@@ -190,15 +190,14 @@ func TestQueryBodyIsTheEncodersBytes(t *testing.T) {
 	}{
 		{"flat", queryRequest{Value: "none", QT: 0.1}, upidb.PTQ("", "none", 0.1)},
 		{"flat", queryRequest{Value: "few", QT: 0.1}, upidb.PTQ("", "few", 0.1)},
-		{"flat", queryRequest{Value: "many", QT: 0.1, Route: "heuristic"}, upidb.PTQ("", "many", 0.1).WithHeuristic()},
 		{"flat", queryRequest{Value: "many", QT: 0.1, Route: "planner"}, upidb.PTQ("", "many", 0.1).WithPlanner()},
 		{"flat", queryRequest{Kind: "topk", Value: "many", K: 64}, upidb.TopKQuery("many", 64)},
 		{"flat", queryRequest{Kind: "topk", Value: "many", K: 128}, upidb.TopKQuery("many", 128)},
 		{"flat", queryRequest{Attr: "Y", Value: "ymany", QT: 0.5}, upidb.PTQ("Y", "ymany", 0.5)},
 		{"frac", queryRequest{Value: "many", QT: 0.05}, upidb.PTQ("", "many", 0.05)},
-		{"frac", queryRequest{Value: "many", QT: 0.05, Route: "heuristic"}, upidb.PTQ("", "many", 0.05).WithHeuristic()},
+		{"frac", queryRequest{Value: "many", QT: 0.05, Route: "planner"}, upidb.PTQ("", "many", 0.05).WithPlanner()},
 		{"frac", queryRequest{Kind: "topk", Value: "many", K: 70}, upidb.TopKQuery("many", 70)},
-		{"frac", queryRequest{Attr: "Y", Value: "ymany", QT: 0.5, Route: "heuristic"}, upidb.PTQ("Y", "ymany", 0.5).WithHeuristic()},
+		{"frac", queryRequest{Attr: "Y", Value: "ymany", QT: 0.5, Route: "planner"}, upidb.PTQ("Y", "ymany", 0.5).WithPlanner()},
 	}
 	ctx := context.Background()
 	for i, rq := range requests {
@@ -206,8 +205,8 @@ func TestQueryBodyIsTheEncodersBytes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Once to warm pages and the plan cache, so the modeled time and
-		// the plan source of the two executions below agree.
+		// Once to warm pages, so the modeled times of the two executions
+		// below agree.
 		serve(t, srv, httptest.NewRecorder(), rq.table, string(body))
 
 		tab := db.Table(rq.table)
@@ -259,7 +258,7 @@ func TestQueryBodyIsTheEncodersBytes(t *testing.T) {
 func TestQueryHandlerAllocatesNothingPerRow(t *testing.T) {
 	_, srv := rowsServer(t)
 	allocs := func(value string, want int) float64 {
-		body := fmt.Sprintf(`{"value":%q,"qt":0.2,"route":"heuristic"}`, value)
+		body := fmt.Sprintf(`{"value":%q,"qt":0.2}`, value)
 		lines := 0
 		n := testing.AllocsPerRun(20, func() {
 			w := &discard{h: make(http.Header)}
@@ -310,7 +309,7 @@ func TestQueryStreamCorruptBody(t *testing.T) {
 	before := db.Metrics().Counters[series]
 
 	rec := httptest.NewRecorder()
-	serve(t, srv, rec, "frac", fmt.Sprintf(`{"value":%q,"qt":0,"route":"heuristic"}`, c.Value))
+	serve(t, srv, rec, "frac", fmt.Sprintf(`{"value":%q,"qt":0}`, c.Value))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body)
 	}
@@ -342,7 +341,7 @@ func TestQueryStreamCorruptBody(t *testing.T) {
 // row (query execution included, the network excluded).
 func BenchmarkHandleQueryRows(b *testing.B) {
 	_, srv := rowsServer(b)
-	const body, rows = `{"value":"many","qt":0.2,"route":"heuristic"}`, 500
+	const body, rows = `{"value":"many","qt":0.2}`, 500
 	w := &discard{h: make(http.Header)}
 	serve(b, srv, w, "flat", body)
 	b.ReportAllocs()

@@ -5,8 +5,8 @@
 //	POST /v1/tables/{table}/query    run a PTQ or top-k, stream NDJSON
 //	POST /v1/tables/{table}/insert   upsert one tuple
 //	POST /v1/tables/{table}/delete   delete by tuple ID
-//	GET  /v1/tables/{table}/stats    statistics-catalog + table state,
-//	                                 with a per-shard breakdown
+//	GET  /v1/tables/{table}/stats    table state with a per-shard
+//	                                 breakdown
 //	GET  /metrics                    Prometheus text exposition
 //	GET  /healthz                    liveness (503 while draining)
 //	GET  /debug/pprof/...            profiling (Config.EnablePprof only)
@@ -19,11 +19,13 @@
 //     answers 429 + Retry-After immediately instead of queueing
 //     unboundedly — overload sheds at the door, the worker-token
 //     pattern.
-//   - Admission by deadline: every request runs under a context
-//     deadline (per-request timeout_ms, else Config.DefaultTimeout),
-//     which flows into the engine's deadline admission — a query whose
-//     modeled cost exceeds the remaining deadline is refused with 504
-//     before any partition is pinned.
+//   - Deadlines: every request runs under a context deadline
+//     (per-request timeout_ms, else Config.DefaultTimeout), which bounds
+//     real time — 504 if it has passed before the query starts, an
+//     in-band error line if it fires mid-stream. Only a request that
+//     asks for "route":"planner" is priced: the engine then refuses it
+//     with 504 before any partition is pinned when the cheapest plan's
+//     modeled cost exceeds the remaining deadline.
 //   - Graceful drain: BeginDrain flips the server to refusing new work
 //     (503, and healthz goes unhealthy so load balancers steer away)
 //     while Drain waits for in-flight requests to finish. SIGTERM in
@@ -266,11 +268,13 @@ type queryRequest struct {
 	Value string  `json:"value"`
 	QT    float64 `json:"qt"`
 	K     int     `json:"k"`
-	// TimeoutMS bounds this request; it feeds the context deadline and
-	// therefore the engine's deadline admission. 0 uses the server
-	// default.
+	// TimeoutMS bounds this request's real time through the context
+	// deadline; under "route":"planner" the same deadline is also the
+	// budget the cheapest plan's modeled cost is admitted against. 0
+	// uses the server default.
 	TimeoutMS int `json:"timeout_ms"`
-	// Route forces "planner" or "heuristic" routing ("" = automatic).
+	// Route is "" (the engine's fixed routing rule) or "planner"
+	// (cost-based routing and admission, Query.WithPlanner).
 	Route string `json:"route"`
 }
 
@@ -330,6 +334,9 @@ func queryStatus(err error) int {
 	switch {
 	case errors.Is(err, upidb.ErrUnknownAttr):
 		return http.StatusBadRequest
+	case errors.Is(err, upidb.ErrNoStats):
+		// "route":"planner" on a table nobody has built statistics for.
+		return http.StatusConflict
 	case errors.Is(err, upidb.ErrCanceled):
 		// Deadline admission refusal or mid-flight cancellation: the
 		// deadline budget was the limiting factor either way.
@@ -375,10 +382,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	case "":
 	case "planner":
 		q = q.WithPlanner()
-	case "heuristic":
-		q = q.WithHeuristic()
 	default:
-		errorBody(w, http.StatusBadRequest, "unknown route %q (want \"planner\" or \"heuristic\")", req.Route)
+		errorBody(w, http.StatusBadRequest, "unknown route %q (want \"planner\" or none)", req.Route)
 		return http.StatusBadRequest, nil
 	}
 
@@ -579,37 +584,29 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (int, map[
 }
 
 // shardStatsLine is one shard's slice in the stats response — the
-// skew view: a hot shard shows up as an outlier tuple count, a
-// lagging merge as an outlier fracture count or staleness.
+// skew view: a hot shard shows up as an outlier size or buffer, a
+// lagging merge as an outlier fracture count.
 type shardStatsLine struct {
-	Shard           int     `json:"shard"`
-	Tuples          int64   `json:"tuples"`
-	Fractures       int     `json:"fractures"`
-	BufferedInserts int     `json:"buffered_inserts"`
-	SizeBytes       int64   `json:"size_bytes"`
-	Staleness       float64 `json:"staleness"`
-	Unabsorbed      int64   `json:"unabsorbed_deltas"`
+	Shard           int   `json:"shard"`
+	Fractures       int   `json:"fractures"`
+	BufferedInserts int   `json:"buffered_inserts"`
+	SizeBytes       int64 `json:"size_bytes"`
 }
 
 // statsResponse is the wire form of GET /stats.
 type statsResponse struct {
-	Table         string           `json:"table"`
-	PrimaryAttr   string           `json:"primary_attr"`
-	Secondary     []string         `json:"secondary_attrs"`
-	Shards        int              `json:"shards"`
-	Fractures     int              `json:"fractures"`
-	SizeBytes     int64            `json:"size_bytes"`
-	Seeded        bool             `json:"stats_seeded"`
-	Staleness     float64          `json:"stats_staleness"`
-	Threshold     float64          `json:"stats_threshold"`
-	Rebuilds      int              `json:"stats_rebuilds"`
-	TrackedTuples int64            `json:"tracked_tuples"`
-	Unabsorbed    int64            `json:"unabsorbed_deltas"`
-	PerShard      []shardStatsLine `json:"per_shard"`
+	Table       string           `json:"table"`
+	PrimaryAttr string           `json:"primary_attr"`
+	Secondary   []string         `json:"secondary_attrs"`
+	Shards      int              `json:"shards"`
+	Fractures   int              `json:"fractures"`
+	SizeBytes   int64            `json:"size_bytes"`
+	Seeded      bool             `json:"stats_seeded"`
+	PerShard    []shardStatsLine `json:"per_shard"`
 }
 
-// handleStats reports table and statistics-catalog state: the
-// aggregates over shards plus the per-shard breakdown.
+// handleStats reports table state: the aggregates over shards, whether
+// the planner has histograms to cost from, and the per-shard breakdown.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (int, map[string]any) {
 	t, status := s.table(w, r)
 	if t == nil {
@@ -618,31 +615,18 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (int, map[s
 	si := t.StatsInfo()
 	perShard := make([]shardStatsLine, len(si.Shards))
 	for i, sh := range si.Shards {
-		perShard[i] = shardStatsLine{
-			Shard:           sh.Shard,
-			Tuples:          sh.Tuples,
-			Fractures:       sh.Fractures,
-			BufferedInserts: sh.BufferedInserts,
-			SizeBytes:       sh.SizeBytes,
-			Staleness:       sh.Staleness,
-			Unabsorbed:      sh.Unabsorbed,
-		}
+		perShard[i] = shardStatsLine(sh)
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(statsResponse{
-		Table:         t.Name(),
-		PrimaryAttr:   t.PrimaryAttr(),
-		Secondary:     t.SecondaryAttrs(),
-		Shards:        t.NumShards(),
-		Fractures:     t.NumFractures(),
-		SizeBytes:     t.SizeBytes(),
-		Seeded:        si.Seeded,
-		Staleness:     si.Staleness,
-		Threshold:     si.Threshold,
-		Rebuilds:      si.Rebuilds,
-		TrackedTuples: si.TrackedTuples,
-		Unabsorbed:    si.Unabsorbed,
-		PerShard:      perShard,
+		Table:       t.Name(),
+		PrimaryAttr: t.PrimaryAttr(),
+		Secondary:   t.SecondaryAttrs(),
+		Shards:      t.NumShards(),
+		Fractures:   t.NumFractures(),
+		SizeBytes:   t.SizeBytes(),
+		Seeded:      si.Seeded,
+		PerShard:    perShard,
 	})
 	return http.StatusOK, map[string]any{"table": t.Name(), "shards": t.NumShards()}
 }

@@ -1,9 +1,8 @@
 // Package shard hash-partitions one logical uncertain table across N
 // independent fracture.Stores — the shard-per-core architecture. Each
 // shard owns a full vertical slice of the engine: its own RAM insert
-// buffer, fracture set, merge pipeline, WAL+manifest (when durable),
-// statistics catalog and planner, so shards share no locks and scale
-// writes and merges with cores.
+// buffer, fracture set, merge pipeline and WAL+manifest (when durable),
+// so shards share no locks and scale writes and merges with cores.
 //
 // Tuples are routed by a fixed hash of the primary ID: Insert and
 // Delete touch exactly one shard, while a query snapshots every shard
@@ -19,19 +18,27 @@
 // free: crash recovery is the unsharded machinery applied per shard.
 // The shard count itself is persisted in a sideband "name.shards"
 // file, so Open rediscovers the layout without being told.
+//
+// The table also holds what the opt-in planner costs from: one
+// attribute→histogram set per shard, built by BulkLoad from the tuples
+// it is handed and replaced by BuildStats. Nothing else writes it — no
+// insert, delete, flush or merge — and a table created empty or reopened
+// has none, so PlanPTQ answers ErrNoStats there until BuildStats.
 package shard
 
 import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
+	"sync/atomic"
 
 	"upidb/internal/fracture"
+	"upidb/internal/histogram"
 	"upidb/internal/obs"
 	"upidb/internal/planner"
 	"upidb/internal/sim"
-	"upidb/internal/stats"
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
 )
@@ -41,13 +48,16 @@ import (
 // its shards are: mutations lock only the owning shard, queries
 // snapshot every shard independently.
 type Table struct {
-	fs       *storage.FS
-	name     string
-	disk     sim.Params
-	stores   []*fracture.Store
-	cats     []*stats.Catalog
-	planners []*planner.Planner
-	met      *obs.EngineMetrics
+	fs     *storage.FS
+	name   string
+	disk   sim.Params
+	stores []*fracture.Store
+	met    *obs.EngineMetrics
+
+	// stats is each shard's histogram set, indexed like stores; a shard
+	// without statistics holds a nil set. BuildStats swaps the whole
+	// slice, so a costing pass reads one consistent generation.
+	stats atomic.Pointer[[]planner.StaticStats]
 }
 
 // shardsFile is the sideband file persisting the shard count of one
@@ -132,33 +142,16 @@ func readShardsFile(fs *storage.FS, name string) (int, error) {
 	return n, nil
 }
 
-// newTable assembles the Table around per-shard stores, giving each
-// shard its own statistics catalog (wired into the store's delta and
-// merge-rebuild hooks) and planner. A shared catalog would not work:
-// each shard's merge atomically replaces its catalog's content from
-// that merge's own heap stream, which must only ever describe that
-// shard's tuples.
-func newTable(fs *storage.FS, name string, disk sim.Params, stores []*fracture.Store, cfg fracture.Config, known bool) *Table {
+// newTable assembles the Table around per-shard stores, with no
+// statistics.
+func newTable(fs *storage.FS, name string, disk sim.Params, stores []*fracture.Store, cfg fracture.Config) *Table {
 	met := cfg.Metrics
 	if met == nil {
 		met = &obs.EngineMetrics{}
 	}
-	t := &Table{
-		fs:       fs,
-		name:     name,
-		disk:     disk,
-		stores:   stores,
-		cats:     make([]*stats.Catalog, len(stores)),
-		planners: make([]*planner.Planner, len(stores)),
-		met:      met,
-	}
-	for i, s := range stores {
-		cat := stats.NewCatalog(s.Main().Attr(), s.Main().SecondaryAttrs(), cfg.StatsStaleness, known)
-		s.SetStats(cat)
-		t.cats[i] = cat
-		t.planners[i] = planner.New(s, cat, disk)
-		t.planners[i].SetMetrics(met)
-	}
+	t := &Table{fs: fs, name: name, disk: disk, stores: stores, met: met}
+	none := make([]planner.StaticStats, len(stores))
+	t.stats.Store(&none)
 	return t
 }
 
@@ -172,9 +165,7 @@ func closeAll(stores []*fracture.Store) {
 }
 
 // New creates an empty sharded table with n shards (n < 1 defaults to
-// GOMAXPROCS). Every shard starts with complete (empty) statistics, so
-// planner routing works from the first query, matching the unsharded
-// create path.
+// GOMAXPROCS).
 func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, disk sim.Params) (*Table, error) {
 	n = resolveNew(n)
 	if err := writeShardsFile(fs, name, n, cfg.Durable); err != nil {
@@ -189,13 +180,12 @@ func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Conf
 		}
 		stores[i] = s
 	}
-	return newTable(fs, name, disk, stores, cfg, true), nil
+	return newTable(fs, name, disk, stores, cfg), nil
 }
 
 // BulkLoad creates a sharded table whose shards are bulk-built from
-// the tuples owned by each (sequential I/O only, per shard). Each
-// shard's catalog is seeded from its own slice, so the table owns
-// complete cardinality knowledge immediately.
+// the tuples owned by each (sequential I/O only, per shard), and builds
+// every attribute's histograms from the same tuples.
 func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, disk sim.Params, tuples []*tuple.Tuple) (*Table, error) {
 	n = resolveNew(n)
 	if err := writeShardsFile(fs, name, n, cfg.Durable); err != nil {
@@ -211,12 +201,10 @@ func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture
 		}
 		stores[i] = s
 	}
-	t := newTable(fs, name, disk, stores, cfg, false)
-	for i, cat := range t.cats {
-		if err := cat.Seed(parts[i]); err != nil {
-			closeAll(stores)
-			return nil, err
-		}
+	t := newTable(fs, name, disk, stores, cfg)
+	if err := t.buildStats(parts, t.attrs()); err != nil {
+		closeAll(stores)
+		return nil, err
 	}
 	return t, nil
 }
@@ -254,7 +242,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Con
 		}
 		stores[i] = s
 	}
-	return newTable(fs, name, disk, stores, cfg, false), nil
+	return newTable(fs, name, disk, stores, cfg), nil
 }
 
 // partition splits tuples by owning shard, preserving order within
@@ -280,9 +268,10 @@ func (t *Table) Attr() string { return t.stores[0].Main().Attr() }
 // SecondaryAttrs returns the secondary-indexed attributes.
 func (t *Table) SecondaryAttrs() []string { return t.stores[0].Main().SecondaryAttrs() }
 
-// Catalog exposes shard i's statistics catalog (tests and diagnostics;
-// shard 0 of a single-shard table is the whole table).
-func (t *Table) Catalog(i int) *stats.Catalog { return t.cats[i] }
+// attrs returns every indexed attribute, primary first.
+func (t *Table) attrs() []string {
+	return append([]string{t.Attr()}, t.SecondaryAttrs()...)
+}
 
 // Insert routes the tuple to its owning shard (buffered there; an
 // upsert exactly like the unsharded store's).
@@ -319,16 +308,9 @@ func (t *Table) Merge() error { return t.each((*fracture.Store).Merge) }
 // safe.
 func (t *Table) Close() error { return t.each((*fracture.Store).Close) }
 
-// DropCaches empties every shard's buffer pools and plan cache — after
-// it, every query cold-starts: pages re-read, plans re-costed. This is
-// what keeps upibench's cold-cache modeled runs deterministic with the
-// plan cache on.
-func (t *Table) DropCaches() error {
-	for _, p := range t.planners {
-		p.DropPlanCache()
-	}
-	return t.each((*fracture.Store).DropCaches)
-}
+// DropCaches empties every shard's buffer pools: the next query
+// re-reads its pages.
+func (t *Table) DropCaches() error { return t.each((*fracture.Store).DropCaches) }
 
 // StartAutoMerge starts one background merger per shard.
 func (t *Table) StartAutoMerge(opts fracture.AutoMergeOptions) error {
@@ -367,28 +349,47 @@ func (t *Table) BufferedInserts() int {
 	return n
 }
 
-// Seed seeds every shard's statistics catalog from the sample tuples
-// it owns (the BuildStats path). Every shard is seeded, including
-// shards the sample happens to leave empty — a sample is a statement
-// about the whole table.
-func (t *Table) Seed(sample []*tuple.Tuple, attrs ...string) error {
-	parts := partition(sample, len(t.stores))
-	for i, cat := range t.cats {
-		if err := cat.Seed(parts[i], attrs...); err != nil {
-			return err
+// BuildStats replaces the table's statistics with histograms of attrs
+// (every indexed attribute when none is named) built from the sample
+// tuples each shard owns. The replacement is whole and atomic: an
+// attribute not named loses its histogram, a shard the sample leaves
+// empty gets empty histograms (a sample is a statement about the whole
+// table), and a concurrent PlanPTQ sees the old set or the new one.
+func (t *Table) BuildStats(sample []*tuple.Tuple, attrs ...string) error {
+	all := t.attrs()
+	if len(attrs) == 0 {
+		attrs = all
+	}
+	for _, a := range attrs {
+		if !slices.Contains(all, a) {
+			return fmt.Errorf("shard: table %q has no indexed attribute %q", t.name, a)
 		}
 	}
+	return t.buildStats(partition(sample, len(t.stores)), attrs)
+}
+
+// buildStats builds one histogram per attribute and shard from the
+// shard's own tuples and installs the result.
+func (t *Table) buildStats(parts [][]*tuple.Tuple, attrs []string) error {
+	built := make([]planner.StaticStats, len(parts))
+	for i, part := range parts {
+		built[i] = make(planner.StaticStats, len(attrs))
+		for _, a := range attrs {
+			h, err := histogram.Build(a, part)
+			if err != nil {
+				return err
+			}
+			built[i][a] = h
+		}
+	}
+	t.stats.Store(&built)
 	return nil
 }
 
-// Fresh reports whether every shard's statistics for attr are complete
-// and within the staleness threshold — the gate for automatic planner
-// routing. One stale shard degrades the whole table to heuristic
-// routing: a cost estimate summed over shards is only as good as its
-// worst input.
-func (t *Table) Fresh(attr string) bool {
-	for _, cat := range t.cats {
-		if !cat.Fresh(attr) {
+// HasHistogram reports whether every shard can cost plans for attr.
+func (t *Table) HasHistogram(attr string) bool {
+	for _, st := range *t.stats.Load() {
+		if st[attr] == nil {
 			return false
 		}
 	}
@@ -396,16 +397,13 @@ func (t *Table) Fresh(attr string) bool {
 }
 
 // ShardStats is one shard's slice of the table: the per-shard
-// breakdown operators read to spot skew (hot shards, lagging merges,
-// stale statistics) that the table-level sums hide.
+// breakdown operators read to spot skew (hot shards, lagging merges)
+// that the table-level sums hide.
 type ShardStats struct {
 	Shard           int
-	Tuples          int64
 	Fractures       int
 	BufferedInserts int
 	SizeBytes       int64
-	Staleness       float64
-	Unabsorbed      int64
 }
 
 // PerShardStats reports every shard's individual state, in shard
@@ -417,53 +415,16 @@ func (t *Table) PerShardStats() []ShardStats {
 	for i, s := range t.stores {
 		out[i] = ShardStats{
 			Shard:           i,
-			Tuples:          t.cats[i].TotalTuples(),
 			Fractures:       s.NumFractures(),
 			BufferedInserts: s.BufferedInserts(),
 			SizeBytes:       s.SizeBytes(),
-			Staleness:       t.cats[i].Staleness(),
-			Unabsorbed:      t.cats[i].Unabsorbed(),
 		}
 	}
 	return out
 }
 
-// ShardTuples returns the tuple count tracked by shard i's catalog
-// (cheap: one atomic read — suitable for scrape-time gauges).
-func (t *Table) ShardTuples(i int) int64 { return t.cats[i].TotalTuples() }
-
 // ShardFractures returns shard i's current fracture count.
 func (t *Table) ShardFractures(i int) int { return t.stores[i].NumFractures() }
-
-// StatsSummary aggregates the per-shard catalog states: counts sum,
-// Seeded requires every shard, staleness is the pooled unabsorbed
-// ratio, and the threshold is shared (all shards inherit the same
-// configuration).
-type StatsSummary struct {
-	Seeded     bool
-	Staleness  float64
-	Threshold  float64
-	Rebuilds   int
-	Tracked    int64
-	Unabsorbed int64
-}
-
-// StatsSummary reports the aggregated statistics-catalog state.
-func (t *Table) StatsSummary() StatsSummary {
-	sum := StatsSummary{Seeded: true, Threshold: t.cats[0].Threshold()}
-	for _, cat := range t.cats {
-		if !cat.Seeded(t.Attr()) {
-			sum.Seeded = false
-		}
-		sum.Rebuilds += cat.Rebuilds()
-		sum.Tracked += cat.TotalTuples()
-		sum.Unabsorbed += cat.Unabsorbed()
-	}
-	if sum.Unabsorbed > 0 {
-		sum.Staleness = float64(sum.Unabsorbed) / float64(sum.Tracked+sum.Unabsorbed)
-	}
-	return sum
-}
 
 // PlanPTQ costs the candidate plans for "attr = value AND confidence
 // >= qt" across every shard and returns the summed plans, cheapest
@@ -474,41 +435,27 @@ func (t *Table) StatsSummary() StatsSummary {
 // with the planner's ErrNoStats if any shard lacks a histogram for
 // attr.
 func (t *Table) PlanPTQ(attr, value string, qt float64) ([]planner.Plan, error) {
-	plans, _, err := t.PlanPTQCached(attr, value, qt)
-	return plans, err
-}
-
-// PlanPTQCached is PlanPTQ plus provenance: cached reports whether
-// every shard served its plans from its generation-guarded plan cache.
-// A single fresh costing anywhere makes the whole answer fresh — the
-// summed costs then reflect at least one re-read of live statistics.
-func (t *Table) PlanPTQCached(attr, value string, qt float64) ([]planner.Plan, bool, error) {
-	first, cached, err := t.planners[0].PlanPTQCached(attr, value, qt)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(t.planners) == 1 {
-		return first, cached, nil
+	stats := *t.stats.Load()
+	plans, err := planner.New(t.stores[0], stats[0], t.disk).PlanPTQ(attr, value, qt)
+	if err != nil || len(t.stores) == 1 {
+		return plans, err
 	}
 	// Sum by kind across shards, keeping shard 0's detail as the
 	// exemplar.
-	byKind := make(map[planner.PlanKind]*planner.Plan, len(first))
-	plans := make([]planner.Plan, len(first))
-	copy(plans, first)
+	byKind := make(map[planner.PlanKind]*planner.Plan, len(plans))
 	for i := range plans {
-		plans[i].Detail = fmt.Sprintf("sum over %d shards; shard0: %s", len(t.planners), plans[i].Detail)
+		plans[i].Detail = fmt.Sprintf("sum over %d shards; shard0: %s", len(t.stores), plans[i].Detail)
 		byKind[plans[i].Kind] = &plans[i]
 	}
-	for _, p := range t.planners[1:] {
-		more, hit, err := p.PlanPTQCached(attr, value, qt)
+	for i, s := range t.stores[1:] {
+		more, err := planner.New(s, stats[i+1], t.disk).PlanPTQ(attr, value, qt)
 		if err != nil {
-			return nil, false, err
+			return nil, err
 		}
-		cached = cached && hit
 		for _, pl := range more {
 			agg, ok := byKind[pl.Kind]
 			if !ok { // defensive: kind sets are identical by construction
-				return nil, false, fmt.Errorf("shard: plan kind %v missing on shard 0", pl.Kind)
+				return nil, fmt.Errorf("shard: plan kind %v missing on shard 0", pl.Kind)
 			}
 			agg.EstimatedCost += pl.EstimatedCost
 			agg.EstimatedRows += pl.EstimatedRows
@@ -520,29 +467,14 @@ func (t *Table) PlanPTQCached(attr, value string, qt float64) ([]planner.Plan, b
 			plans[j-1], plans[j] = plans[j], plans[j-1]
 		}
 	}
-	return plans, cached, nil
+	return plans, nil
 }
 
-// Generation sums the per-shard catalog generations. Each shard's
-// number is monotonically nondecreasing, so any statistics transition
-// anywhere strictly increases the sum — a cheap freshness token for
-// table-level consumers (Explain output, tests).
-func (t *Table) Generation() uint64 {
-	var g uint64
-	for _, cat := range t.cats {
-		g += cat.Generation()
-	}
-	return g
-}
-
-// HasHistogram reports whether every shard can cost plans for attr.
-func (t *Table) HasHistogram(attr string) bool {
-	for _, p := range t.planners {
-		if !p.HasHistogram(attr) {
-			return false
-		}
-	}
-	return true
+// PlanPTQCached is the frozen benchmark's (benchmark/ladder.go): it
+// costs like PlanPTQ and always reports an uncached costing.
+func (t *Table) PlanPTQCached(attr, value string, qt float64) ([]planner.Plan, bool, error) {
+	plans, err := t.PlanPTQ(attr, value, qt)
+	return plans, false, err
 }
 
 // Prepared and Stream are the fracture layer's: a sharded query is one

@@ -1,3 +1,6 @@
+// Package stats holds the statistics a spatial table keeps about itself
+// for the spatial planner: see SpatialCatalog. (Discrete tables keep a
+// plain histogram set; see shard.Table.BuildStats.)
 package stats
 
 import (
@@ -18,8 +21,7 @@ const GridN = 32
 // histogram is registered under.
 const SegmentAttr = "Segment"
 
-// SpatialCatalog is the continuous-UPI counterpart of Catalog: the
-// self-maintaining statistics of one spatial table. It holds
+// SpatialCatalog is the statistics of one spatial table. It holds
 //
 //   - a fixed-grid 2-D histogram of observation MBR centroids
 //     (Section 6.1 generalized to two dimensions), which estimates how
@@ -28,8 +30,8 @@ const SegmentAttr = "Segment"
 //     attribute (the ordinary Section 6.1 histogram over the segment
 //     distribution), which estimates segment-index entry counts.
 //
-// Both are kept fresh by Insert deltas exactly like discrete tables:
-// the facade feeds every committed spatial Insert to AddObservation.
+// Both are kept exact by Insert deltas: the facade feeds every committed
+// spatial Insert to AddObservation.
 // Spatial tables have no deletes and no merge, so there is no
 // unabsorbed-delta channel — a seeded spatial catalog never goes
 // stale. All methods are safe for concurrent use.

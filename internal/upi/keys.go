@@ -16,9 +16,16 @@ import (
 
 // HeapKey encodes the composite key.
 func HeapKey(value string, conf float64, id uint64) []byte {
-	k := keyenc.AppendString(nil, value)
-	k = keyenc.AppendFloat64Desc(k, conf)
-	return keyenc.AppendUint64(k, id)
+	// Terminator, confidence and ID are 18 bytes; a value without
+	// escapes fills the buffer exactly.
+	return appendHeapKey(make([]byte, 0, len(value)+18), value, conf, id)
+}
+
+// appendHeapKey appends the composite key to dst.
+func appendHeapKey[S string | []byte](dst []byte, value S, conf float64, id uint64) []byte {
+	dst = keyenc.AppendString(dst, value)
+	dst = keyenc.AppendFloat64Desc(dst, conf)
+	return keyenc.AppendUint64(dst, id)
 }
 
 // DecodeHeapKey parses a composite key. Index scans that only rank and
@@ -88,20 +95,45 @@ func appendPointer(dst []byte, p Pointer) []byte {
 	return binary.BigEndian.AppendUint64(dst, math.Float64bits(p.Conf))
 }
 
-func decodePointer(b []byte) (Pointer, []byte, error) {
+// pointerList is an encoded pointer list whose framing has been
+// checked: the count and the bytes of exactly that many pointers. It
+// aliases the buffer it was parsed from.
+type pointerList struct {
+	n int
+	b []byte
+}
+
+// parsePointers is the pointer-list codec's one validator: it checks
+// the framing of every pointer and builds nothing.
+func parsePointers(b []byte) (pointerList, error) {
 	if len(b) < 2 {
-		return Pointer{}, nil, fmt.Errorf("upi: short pointer")
+		return pointerList{}, fmt.Errorf("upi: short pointer list")
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	if len(b) < n+8 {
-		return Pointer{}, nil, fmt.Errorf("upi: truncated pointer")
+	l := pointerList{n: int(binary.BigEndian.Uint16(b)), b: b[2:]}
+	rest := l.b
+	for i := 0; i < l.n; i++ {
+		if len(rest) < 2 {
+			return pointerList{}, fmt.Errorf("upi: short pointer")
+		}
+		n := int(binary.BigEndian.Uint16(rest))
+		if len(rest) < 2+n+8 {
+			return pointerList{}, fmt.Errorf("upi: truncated pointer")
+		}
+		rest = rest[2+n+8:]
 	}
-	p := Pointer{
-		Value: string(b[:n]),
-		Conf:  math.Float64frombits(binary.BigEndian.Uint64(b[n:])),
+	if len(rest) != 0 {
+		return pointerList{}, fmt.Errorf("upi: pointer list has %d trailing bytes", len(rest))
 	}
-	return p, b[n+8:], nil
+	return l, nil
+}
+
+// next splits the first pointer off a non-empty list: its value (still
+// aliasing the buffer) and confidence, and the list of the others.
+func (l pointerList) next() (value []byte, conf float64, rest pointerList) {
+	n := int(binary.BigEndian.Uint16(l.b))
+	value = l.b[2 : 2+n]
+	conf = math.Float64frombits(binary.BigEndian.Uint64(l.b[2+n:]))
+	return value, conf, pointerList{n: l.n - 1, b: l.b[2+n+8:]}
 }
 
 // EncodePointers serializes a pointer list (a secondary-index entry
@@ -116,22 +148,15 @@ func EncodePointers(ps []Pointer) []byte {
 
 // DecodePointers parses a pointer list.
 func DecodePointers(b []byte) ([]Pointer, error) {
-	if len(b) < 2 {
-		return nil, fmt.Errorf("upi: short pointer list")
+	l, err := parsePointers(b)
+	if err != nil {
+		return nil, err
 	}
-	n := int(binary.BigEndian.Uint16(b))
-	b = b[2:]
-	ps := make([]Pointer, 0, n)
-	for i := 0; i < n; i++ {
-		p, rest, err := decodePointer(b)
-		if err != nil {
-			return nil, err
-		}
-		ps = append(ps, p)
-		b = rest
-	}
-	if len(b) != 0 {
-		return nil, fmt.Errorf("upi: pointer list has %d trailing bytes", len(b))
+	ps := make([]Pointer, l.n)
+	for i := range ps {
+		var value []byte
+		value, ps[i].Conf, l = l.next()
+		ps[i].Value = string(value)
 	}
 	return ps, nil
 }

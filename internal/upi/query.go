@@ -169,10 +169,12 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 	if !ok {
 		return nil, stats, fmt.Errorf("%w: no secondary index on %q", ErrUnknownAttr, attr)
 	}
+	// Entries keep their pointer lists encoded, where the index pages
+	// hold them: one pointer per entry is used, so none is built.
 	type secEntry struct {
 		id   uint64
 		conf float64
-		ptrs []Pointer
+		ptrs pointerList
 	}
 	var entries []secEntry
 	start, end := ValuePrefix(value), ValuePrefixEnd(value)
@@ -191,7 +193,10 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 		if conf < qt {
 			return false
 		}
-		ps, err := DecodePointers(v)
+		ps, err := parsePointers(v)
+		if err == nil && ps.n == 0 {
+			err = fmt.Errorf("upi: secondary entry of tuple %d has no pointer", id)
+		}
 		if err != nil {
 			scanErr = err
 			return false
@@ -207,54 +212,65 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 	}
 	stats.SecondaryEntries = len(entries)
 
-	// Choose one pointer per entry.
-	chosen := make([]Pointer, len(entries))
+	// Choose one pointer per entry and write its heap key. The keys share
+	// one buffer; refs[i] says where entry i's lies in it.
+	type fetchRef struct {
+		off, end int
+		conf     float64
+	}
+	refs := make([]fetchRef, len(entries))
+	var keys []byte
+	choose := func(i int, value []byte, conf float64) {
+		off := len(keys)
+		keys = appendHeapKey(keys, value, conf, entries[i].id)
+		refs[i] = fetchRef{off: off, end: len(keys), conf: entries[i].conf}
+	}
 	if !tailored {
 		for i, e := range entries {
-			chosen[i] = e.ptrs[0]
+			value, conf, _ := e.ptrs.next()
+			choose(i, value, conf)
 		}
 	} else {
 		// Algorithm 3, pass 1: single-pointer entries are forced moves;
 		// record the heap regions (primary values) they commit us to.
 		seen := make(map[string]bool)
 		for i, e := range entries {
-			if len(e.ptrs) == 1 {
-				chosen[i] = e.ptrs[0]
-				seen[e.ptrs[0].Value] = true
+			if e.ptrs.n == 1 {
+				value, conf, _ := e.ptrs.next()
+				choose(i, value, conf)
+				if !seen[string(value)] {
+					seen[string(value)] = true
+				}
 			}
 		}
 		// Pass 2: multi-pointer entries reuse a committed region when
 		// any of their pointers lands in one.
 		for i, e := range entries {
-			if len(e.ptrs) == 1 {
+			if e.ptrs.n == 1 {
 				continue
 			}
 			picked := false
-			for _, p := range e.ptrs {
-				if seen[p.Value] {
-					chosen[i] = p
+			for l := e.ptrs; l.n > 0 && !picked; {
+				var value []byte
+				var conf float64
+				value, conf, l = l.next()
+				if seen[string(value)] {
+					choose(i, value, conf)
 					picked = true
 					stats.ReusedPointers++
-					break
 				}
 			}
 			if !picked {
-				chosen[i] = e.ptrs[0]
-				seen[e.ptrs[0].Value] = true
+				value, conf, _ := e.ptrs.next()
+				choose(i, value, conf)
+				seen[string(value)] = true
 			}
 		}
 	}
 
 	// Fetch tuples in heap order (bitmap-scan discipline).
-	type fetchRef struct {
-		key  []byte
-		conf float64
-	}
-	refs := make([]fetchRef, len(entries))
-	for i, e := range entries {
-		refs[i] = fetchRef{key: chosen[i].HeapKey(e.id), conf: e.conf}
-	}
-	slices.SortFunc(refs, func(a, b fetchRef) int { return bytes.Compare(a.key, b.key) })
+	key := func(r fetchRef) []byte { return keys[r.off:r.end] }
+	slices.SortFunc(refs, func(a, b fetchRef) int { return bytes.Compare(key(a), key(b)) })
 	results := make([]Result, 0, len(refs))
 	for i, r := range refs {
 		if i%ctxCheckEvery == 0 {
@@ -262,12 +278,12 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 				return nil, stats, err
 			}
 		}
-		v, ok, err := t.heap.Get(r.key)
+		v, ok, err := t.heap.Get(key(r))
 		if err != nil {
 			return nil, stats, err
 		}
 		if !ok {
-			return nil, stats, fmt.Errorf("upi: dangling secondary pointer %x", r.key)
+			return nil, stats, fmt.Errorf("upi: dangling secondary pointer %x", key(r))
 		}
 		tup, err := tuple.Decode(v)
 		if err != nil {

@@ -758,3 +758,62 @@ func TestHeapCursorYieldsUnbuiltRows(t *testing.T) {
 		t.Fatalf("the heap cursor allocates per row: %.0f for 26 rows, %.0f for 400", few, many)
 	}
 }
+
+// TestTailoredSecondaryAllocationsPerRow: tailored secondary access
+// chooses each entry's pointer from the encoded list and builds every
+// heap key into one buffer, so what a row costs beyond the index and
+// heap lookups is its tuple: two warm tables answering 100 and 500
+// rows differ by the tuples' allocations and the results slice, not by
+// pointer lists, their value strings or per-row keys.
+func TestTailoredSecondaryAllocationsPerRow(t *testing.T) {
+	build := func(matches int) *Table {
+		var tuples []*tuple.Tuple
+		for i := 0; i < matches+300; i++ {
+			country := "Elsewhere"
+			if i < matches {
+				country = "Japan"
+			}
+			// Three heap alternatives per tuple: a three-pointer list.
+			instD, err := prob.NewDiscrete([]prob.Alternative{
+				{Value: fmt.Sprintf("institution-%04d", i%40), Prob: 0.5},
+				{Value: "MIT", Prob: 0.3}, {Value: "Brown University", Prob: 0.2}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			countryD, err := prob.NewDiscrete([]prob.Alternative{{Value: country, Prob: 1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples = append(tuples, &tuple.Tuple{
+				ID: uint64(i + 1), Existence: 0.9,
+				Det:     []tuple.DetField{{Name: "Name", Value: fmt.Sprint("author", i)}},
+				Unc:     []tuple.UncField{{Name: "Institution", Dist: instD}, {Name: "Country", Dist: countryD}},
+				Payload: bytes.Repeat([]byte{1}, 64),
+			})
+		}
+		tab, err := BulkBuild(newFS(), "t", "Institution", []string{"Country"}, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	measure := func(matches int) float64 {
+		tab := build(matches)
+		query := func() {
+			res, stats, err := tab.QuerySecondary(context.Background(), "Country", "Japan", 0.5, true)
+			if err != nil || len(res) != matches || stats.SecondaryEntries != matches {
+				t.Fatalf("tailored secondary: %d results, %d entries, err %v", len(res), stats.SecondaryEntries, err)
+			}
+		}
+		query() // warm the buffer pool: pager misses allocate per page
+		return testing.AllocsPerRun(5, query)
+	}
+	small, large := measure(100), measure(500)
+	perRow := (large - small) / 400
+	t.Logf("100 rows: %.0f allocations; 500 rows: %.0f; %.2f per row", small, large, perRow)
+	// Building the tuple is 7 for this shape; the pointer list (1 + 3)
+	// and the key (4, grown from nothing) were 8 more.
+	if perRow > 7.5 {
+		t.Fatalf("%.2f allocations per row, want <= 7.5", perRow)
+	}
+}

@@ -30,7 +30,7 @@ type (
 // merges, scatter/scan/yield counts, ...) live in obs.EngineMetrics
 // and reach the same registry through fracture.Config.Metrics.
 type dbMetrics struct {
-	routes        *obs.CounterVec // {source}: stats | heuristic | forced
+	routes        *obs.CounterVec // {source}: heuristic | forced
 	admissions    *obs.CounterVec // {verdict}: admitted | refused | unpriced
 	plannedCost   *obs.Histogram  // modeled cost of the chosen plan, at admission
 	partialDrains *obs.Counter    // streaming All abandoned mid-drain
@@ -38,7 +38,6 @@ type dbMetrics struct {
 	queryWall    *obs.HistogramVec // {kind}: observed end-to-end wall-clock
 	queryModeled *obs.HistogramVec // {kind}: modeled disk time actually charged
 
-	shardTuples    *obs.GaugeFuncVec // {table,shard}: catalog-tracked tuples
 	shardFractures *obs.GaugeFuncVec // {table,shard}: current fracture count
 }
 
@@ -52,25 +51,22 @@ func newDBMetrics(r *obs.Registry) *dbMetrics {
 		partialDrains: r.Counter("upidb_stream_partial_drains_total", "Streaming iterations abandoned before exhaustion."),
 		queryWall:     r.HistogramVec("upidb_query_wall_seconds", "Observed end-to-end query wall-clock, by plan/query kind.", obs.WallBuckets, "kind"),
 		queryModeled:  r.HistogramVec("upidb_query_modeled_seconds", "Modeled disk time charged per query, by plan/query kind.", obs.CostBuckets, "kind"),
-		shardTuples:   r.GaugeFuncVec("upidb_shard_tuples", "Catalog-tracked tuples per shard.", "table", "shard"),
 		shardFractures: r.GaugeFuncVec("upidb_shard_fractures", "Current fracture count per shard.",
 			"table", "shard"),
 	}
 }
 
-// registerShardGauges binds the per-shard tuple/fracture gauge
-// functions for one table. The gauges are evaluated at scrape time —
-// one atomic read each — so the write path never maintains them;
-// re-attaching a table (close + reopen) replaces the bindings.
+// registerShardGauges binds the per-shard fracture gauge functions for
+// one table. The gauges are evaluated at scrape time, so the write path
+// never maintains them; re-attaching a table (close + reopen) replaces
+// the bindings.
 func (m *dbMetrics) registerShardGauges(shards *shard.Table) {
 	if m == nil {
 		return
 	}
 	name := shards.Name()
 	for i := 0; i < shards.NumShards(); i++ {
-		label := strconv.Itoa(i)
-		m.shardTuples.Register(func() float64 { return float64(shards.ShardTuples(i)) }, name, label)
-		m.shardFractures.Register(func() float64 { return float64(shards.ShardFractures(i)) }, name, label)
+		m.shardFractures.Register(func() float64 { return float64(shards.ShardFractures(i)) }, name, strconv.Itoa(i))
 	}
 }
 

@@ -46,8 +46,9 @@ func counterDelta(before, after MetricsSnapshot, series string) int64 {
 	return after.Counters[series] - before.Counters[series]
 }
 
-// TestMetricsTraceParity: for a PTQ, a broad (full-scan-leaning)
-// secondary PTQ, and a top-k query, at 1, 2, and 7 shards, the
+// TestMetricsTraceParity: for a PTQ and a broad (full-scan-leaning)
+// secondary PTQ on both routings (the default rule and WithPlanner) and
+// a top-k query, at 1, 2, and 7 shards, the
 // scatter/scan/yield counter deltas equal the TraceDispatch /
 // TraceScanStart / TraceYield event counts a trace callback sees — and
 // running the identical query untraced moves the counters by exactly
@@ -56,6 +57,8 @@ func TestMetricsTraceParity(t *testing.T) {
 	queries := []Query{
 		PTQ("", "v03", 0.05),
 		PTQ("Y", "yv02", 0.01),
+		PTQ("", "v03", 0.05).WithPlanner(),
+		PTQ("Y", "yv02", 0.01).WithPlanner(),
 		TopKQuery("v04", 9),
 	}
 	for _, shards := range []int{1, 2, 7} {
@@ -246,7 +249,8 @@ func TestMetricsPartialDrain(t *testing.T) {
 }
 
 // TestStatsInfoPerShard: the per-shard breakdown covers every shard and
-// sums back to the table-level aggregates.
+// sums back to the table-level figures, and the scrape-time fracture
+// gauges agree with it.
 func TestStatsInfoPerShard(t *testing.T) {
 	db := mustCreate(t)
 	tab := buildMetricsTable(t, db, "pershard", 3)
@@ -254,39 +258,36 @@ func TestStatsInfoPerShard(t *testing.T) {
 	if len(si.Shards) != 3 {
 		t.Fatalf("per-shard entries = %d, want 3", len(si.Shards))
 	}
-	var tuples, unabsorbed int64
+	var size int64
 	var fractures int
 	for i, s := range si.Shards {
 		if s.Shard != i {
 			t.Errorf("entry %d has shard index %d", i, s.Shard)
 		}
-		if s.Staleness < 0 || s.Staleness > 1 {
-			t.Errorf("shard %d staleness %g out of [0,1]", i, s.Staleness)
-		}
-		tuples += s.Tuples
-		unabsorbed += s.Unabsorbed
+		size += s.SizeBytes
 		fractures += s.Fractures
 	}
-	if tuples != si.TrackedTuples {
-		t.Errorf("per-shard tuples sum %d != tracked %d", tuples, si.TrackedTuples)
+	if size != tab.SizeBytes() {
+		t.Errorf("per-shard sizes sum %d != table size %d", size, tab.SizeBytes())
 	}
-	if unabsorbed != si.Unabsorbed {
-		t.Errorf("per-shard unabsorbed sum %d != total %d", unabsorbed, si.Unabsorbed)
+	if fractures == 0 || fractures != tab.NumFractures() {
+		t.Errorf("per-shard fractures sum %d, table reports %d (want equal and > 0)", fractures, tab.NumFractures())
 	}
-	if fractures == 0 {
-		t.Error("no fractures reported across shards after flushes")
-	}
-	// The scrape-time shard gauges agree with the same breakdown.
 	m := db.Metrics()
 	for i, s := range si.Shards {
-		series := fmt.Sprintf(`upidb_shard_tuples{shard="%d",table="pershard"}`, i)
-		alt := fmt.Sprintf(`upidb_shard_tuples{table="pershard",shard="%d"}`, i)
+		series := fmt.Sprintf(`upidb_shard_fractures{shard="%d",table="pershard"}`, i)
+		alt := fmt.Sprintf(`upidb_shard_fractures{table="pershard",shard="%d"}`, i)
 		got, ok := m.Gauges[series]
 		if !ok {
 			got, ok = m.Gauges[alt]
 		}
-		if !ok || int64(got) != s.Tuples {
-			t.Errorf("shard %d tuple gauge = %g (present=%v), want %d", i, got, ok, s.Tuples)
+		if !ok || int(got) != s.Fractures {
+			t.Errorf("shard %d fracture gauge = %g (present=%v), want %d", i, got, ok, s.Fractures)
+		}
+	}
+	for name := range m.Gauges {
+		if strings.HasPrefix(name, "upidb_shard_tuples") {
+			t.Errorf("tuple-count gauge %s still exposed", name)
 		}
 	}
 }
@@ -319,7 +320,7 @@ func TestDBPrometheusExposition(t *testing.T) {
 		"# TYPE upidb_stream_yields_total counter",
 		"# TYPE upidb_query_wall_seconds histogram",
 		"# TYPE upidb_fracture_partitions gauge",
-		"# TYPE upidb_shard_tuples gauge",
+		"# TYPE upidb_shard_fractures gauge",
 		`upidb_query_wall_seconds_bucket{`,
 	} {
 		if !strings.Contains(out, want) {

@@ -57,7 +57,7 @@ func (c *config) dbOnly(name string) bool {
 
 // tableScoped accepts db scope (sets the inherited default) and table
 // scope (per-table override), and rejects spatial scope: a spatial
-// table has no fractures, buffer or statistics catalog to tune.
+// table has no fractures or buffer to tune.
 func (c *config) tableScoped(name string) bool {
 	if c.scope == scopeSpatial {
 		c.setErr(fmt.Errorf("upidb: %s is a table-level option; pass it to Create, Open or a discrete-table constructor", name))
@@ -181,24 +181,10 @@ func WithBufferTuples(n int) Option {
 	}
 }
 
-// WithStatsStaleness sets the staleness ratio (unabsorbed statistics
-// deltas over tracked tuples) up to which Run trusts the table's
-// statistics catalog and routes PTQs through the cost-based planner
-// automatically. 0 means the default (10%); a negative value disables
-// automatic planner routing entirely.
-func WithStatsStaleness(r float64) Option {
-	return func(c *config) {
-		if !c.tableScoped("WithStatsStaleness") {
-			return
-		}
-		c.table.StatsStaleness = r
-	}
-}
-
 // WithShards hash-partitions each table the option reaches across n
 // independent stores, shard-per-core style: every shard owns its own
-// RAM buffer, fracture set, merge pipeline, statistics catalog and —
-// when durable — WAL and manifest, so mutations and merges scale with
+// RAM buffer, fracture set, merge pipeline and — when durable — WAL and
+// manifest, so mutations and merges scale with
 // cores while a query merges every shard's partitions into one globally
 // confidence-ordered stream. At database scope it sets the default
 // every table inherits; at table scope it overrides that default for

@@ -5,69 +5,42 @@ import "upidb/internal/shard"
 // How a query was routed, reported as QueryInfo.PlanSource and in the
 // first line of Explain output.
 const (
-	// PlanSourceStats marks automatic planner routing from a fresh
-	// statistics catalog.
-	PlanSourceStats = "stats"
-	// PlanSourceHeuristic marks the fixed heuristic routing (primary →
-	// UPI scan, secondary → tailored secondary access), used when
-	// statistics are absent or stale, or under WithHeuristic.
+	// PlanSourceHeuristic marks the fixed routing rule every query
+	// follows unless it asks for the planner: primary PTQ → clustered
+	// UPI scan, secondary PTQ → tailored secondary access, top-k → heap
+	// scan; circle → R-Tree probe, segment → segment index.
 	PlanSourceHeuristic = "heuristic"
-	// PlanSourceForced marks planner routing demanded by WithPlanner
-	// regardless of catalog freshness.
+	// PlanSourceForced marks cost-based routing demanded by WithPlanner.
 	PlanSourceForced = "forced"
-	// PlanSourceCached marks planner routing whose plans were served
-	// from the generation-guarded plan cache: a repeat of a shape the
-	// planner already costed, with the statistics catalogs and
-	// partition layouts unchanged since. The plans — and therefore the
-	// routing, admission verdict, results, statistics and modeled cost —
-	// are identical to a fresh costing; only the provenance differs.
-	PlanSourceCached = "cached-plan"
 )
 
-// BuildStats seeds the table's statistics catalog from a
-// representative sample of tuples (paper Section 6.1). It is now a
-// thin wrapper: every table maintains its catalog automatically —
-// bulk loads seed it, inserts and deletes apply incremental deltas,
-// and merges re-derive it from their own whole-heap scan — so calling
-// BuildStats is only needed to bootstrap statistics for a reopened
-// table before its first merge, or to replace them with a curated
-// sample. With explicit attrs only those attributes are seeded; the
-// rest are reset to unseeded.
-// On a sharded table the sample is partitioned by owning shard and
-// each shard's catalog seeded from its own slice.
+// BuildStats replaces the table's statistics — the per-attribute
+// value/probability histograms of paper Section 6.1 that WithPlanner
+// and WithExplain cost plans from — with histograms built from sample.
+// Statistics have two producers and no maintainer: BulkLoadTable builds
+// them from the tuples it loads, BuildStats replaces them; no insert,
+// delete, flush or merge touches them, so they describe the sample, not
+// the table, until the next call. A table created empty or reopened has
+// none (WithPlanner answers ErrNoStats) until BuildStats.
+//
+// With explicit attrs only those attributes get a histogram and every
+// other attribute loses its own; naming an attribute the table does not
+// index is an error. On a sharded table each shard's histograms are
+// built from the sample tuples it owns. The replacement is atomic and
+// safe beside concurrent queries and writes: a WithPlanner run costs
+// from the old statistics or the new ones, never a mixture.
 func (t *Table) BuildStats(sample []*Tuple, attrs ...string) error {
-	return t.shards.Seed(sample, attrs...)
+	return t.shards.BuildStats(sample, attrs...)
 }
 
-// StatsInfo is a snapshot of a table's statistics-catalog state — the
-// inputs to Run's automatic routing decision.
+// StatsInfo is a snapshot of a table's state by shard, and whether the
+// opt-in planner has anything to cost from.
 type StatsInfo struct {
-	// Seeded reports whether the primary attribute has complete
-	// statistics (from a bulk load, BuildStats, a merge re-derivation,
-	// or because the table was created empty).
+	// Seeded reports whether every shard holds a histogram for the
+	// primary attribute (from a bulk load or BuildStats).
 	Seeded bool
-	// Staleness is the unabsorbed-delta ratio in [0, 1]: deletes of
-	// on-disk tuples (known only by ID) that the histograms could not
-	// subtract, over tracked tuples. Each merge resets it to zero.
-	Staleness float64
-	// Threshold is the staleness ratio up to which Run trusts the
-	// catalog and routes through the planner automatically; negative
-	// means automatic routing is disabled.
-	Threshold float64
-	// Rebuilds counts the merge re-derivations absorbed so far.
-	Rebuilds int
-	// TrackedTuples is the number of tuples the catalog currently
-	// summarizes; Unabsorbed is the raw unabsorbed-delta count.
-	TrackedTuples int64
-	Unabsorbed    int64
-	// Generation is the summed per-shard catalog generation — the token
-	// the plan cache keys its validity on. Seeding, merge re-derivations
-	// and staleness-threshold transitions advance it; a cached plan is
-	// only ever served while it is unchanged.
-	Generation uint64
-	// Shards is the per-shard breakdown (tuples, fractures, buffered
-	// inserts, size, staleness per shard), in shard order — the view
-	// that exposes skew the table-level sums above hide. A one-shard
+	// Shards is the per-shard breakdown (fractures, buffered inserts,
+	// size), in shard order — the view that exposes skew. A one-shard
 	// table reports one entry describing the whole table.
 	Shards []ShardStatsInfo
 }
@@ -75,20 +48,11 @@ type StatsInfo struct {
 // ShardStatsInfo is one shard's slice of a table's state.
 type ShardStatsInfo = shard.ShardStats
 
-// StatsInfo reports the current state of the table's statistics
-// catalogs. On a sharded table the per-shard catalogs aggregate:
-// counts sum, Seeded requires every shard, Staleness is the pooled
-// unabsorbed ratio.
+// StatsInfo reports whether the table has statistics and the state of
+// each shard.
 func (t *Table) StatsInfo() StatsInfo {
-	sum := t.shards.StatsSummary()
 	return StatsInfo{
-		Seeded:        sum.Seeded,
-		Staleness:     sum.Staleness,
-		Threshold:     sum.Threshold,
-		Rebuilds:      sum.Rebuilds,
-		TrackedTuples: sum.Tracked,
-		Unabsorbed:    sum.Unabsorbed,
-		Generation:    t.shards.Generation(),
-		Shards:        t.shards.PerShardStats(),
+		Seeded: t.shards.HasHistogram(t.shards.Attr()),
+		Shards: t.shards.PerShardStats(),
 	}
 }

@@ -2,7 +2,6 @@ package upidb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"runtime"
@@ -72,7 +71,6 @@ type Query struct {
 	radius float64
 
 	usePlanner  bool
-	heuristic   bool
 	wantStats   bool
 	explainOnly bool
 	trace       TraceFunc
@@ -108,26 +106,19 @@ func Segment(segment string, qt float64) Query {
 	return Query{kind: KindSegment, value: segment, qt: qt}
 }
 
-// WithPlanner forces the query through the cost-based planner — which
-// picks the cheapest access path (primary scan, tailored secondary, or
-// full scan) from the statistics catalog's histograms — even when the
-// catalog is stale. Run already consults the planner automatically
-// whenever the catalog is fresh, so this is a force-flag, not the
-// gate; it fails with ErrNoStats if the queried attribute has no
-// seeded statistics at all. Planner routing applies to PTQs; a top-k
-// query ignores it.
+// WithPlanner routes the query by cost instead of by the fixed rule:
+// the planner prices the candidate access paths (primary scan, tailored
+// secondary access, full scan; R-Tree probe, segment index, full heap
+// scan on a spatial table) from the table's statistics and Run executes
+// the cheapest. A deadline on ctx is then compared against that plan's
+// modeled cost (see Run). It fails with ErrNoStats if the queried
+// attribute has no histogram — statistics come from a bulk load or
+// BuildStats and from nowhere else. The prices are modeled seconds of a
+// seeking disk (10 ms per seek); on a device that does not seek, the
+// plan that is cheapest in the model is often not the fastest. Planner
+// routing applies to PTQs and spatial queries; a top-k query ignores it.
 func (q Query) WithPlanner() Query {
 	q.usePlanner = true
-	return q
-}
-
-// WithHeuristic pins the query to the fixed heuristic routing (primary
-// attribute → clustered UPI scan, secondary attribute → tailored
-// secondary access), bypassing the statistics catalog and the planner
-// entirely — the pre-catalog behavior. Mostly useful for measuring the
-// planner's benefit; WithPlanner wins if both are set.
-func (q Query) WithHeuristic() Query {
-	q.heuristic = true
 	return q
 }
 
@@ -143,12 +134,11 @@ func (q Query) WithStats() Query {
 
 // WithExplain turns the query into a plan-only request: Run costs the
 // candidate plans without executing anything, and Info().Explain holds
-// the EXPLAIN-style listing, headed by the routing decision Run would
-// have made — planner from fresh stats, stale-fallback heuristic, or
-// forced WithPlanner. Costing requires seeded statistics for the
-// queried attribute (ErrNoStats otherwise). Only PTQ queries can be
-// explained; Run rejects a top-k explain request instead of silently
-// executing it.
+// the EXPLAIN-style listing, headed by the route Run would take — the
+// fixed rule, or the cheapest plan under WithPlanner; Info().Plan names
+// it. Costing requires a histogram for the queried attribute
+// (ErrNoStats otherwise). Only PTQ queries can be explained; Run rejects
+// a top-k explain request instead of silently executing it.
 func (q Query) WithExplain() Query {
 	q.explainOnly = true
 	return q
@@ -520,15 +510,17 @@ func (r *Results) Info() QueryInfo {
 // modeled I/O consumed so far and nothing more, and releases every
 // partition pin; it surfaces in All's error slot and through Err.
 //
-// A PTQ routes through the cost-based planner automatically whenever
-// the table's statistics catalog is fresh (staleness at or below the
-// WithStatsStaleness threshold); when statistics are absent
-// or stale — or under WithHeuristic — the fixed heuristic routing
-// runs instead. Info().PlanSource reports which happened. On the
-// planner path, a deadline on ctx is compared against the chosen
-// plan's modeled cost: a query that cannot finish in time is refused
-// immediately with ErrCanceled — zero modeled I/O, zero pinned
-// partitions — instead of being admitted and cancelled midway.
+// Routing is a fixed rule: a PTQ on the primary attribute and a top-k
+// scan the clustered UPI, a PTQ on a secondary attribute uses tailored
+// secondary access. Run executes no planner code and reads no
+// statistics; Info().PlanSource is PlanSourceHeuristic. Only a PTQ built
+// WithPlanner is routed by cost (PlanSourceForced): the planner prices
+// the candidate plans from the table's histograms, Run executes the
+// cheapest, and a deadline on ctx is compared against that plan's
+// modeled cost — a query that cannot finish in time is refused
+// immediately with ErrCanceled, zero modeled I/O and zero pinned
+// partitions, instead of being admitted and cancelled midway. Without
+// WithPlanner a deadline bounds real time only, through ctx.
 //
 // Run is safe for concurrent use alongside inserts, deletes, flushes
 // and merges; it sees a consistent snapshot of the table (main UPI +
@@ -556,44 +548,16 @@ func (t *Table) Run(ctx context.Context, q Query) (*Results, error) {
 	}
 	// started anchors the observed-wall-clock histogram.
 	started := time.Now()
-	if q.kind == KindPTQ {
-		source := t.routeSource(attr, q)
-		if q.explainOnly || source == PlanSourceForced {
-			return t.runPlanned(ctx, q, attr, source, started)
-		}
-		if source == PlanSourceStats {
-			res, err := t.runPlanned(ctx, q, attr, source, started)
-			if err == nil || !errors.Is(err, ErrNoStats) {
-				return res, err
-			}
-			// A concurrent subset re-seed dropped this attribute's
-			// statistics between the freshness check and planning;
-			// degrade to the heuristic route like any stale catalog.
-		}
+	if q.kind == KindPTQ && (q.usePlanner || q.explainOnly) {
+		return t.runPlanned(ctx, q, attr, primary, started)
 	}
 	return t.runHeuristic(ctx, q, attr, primary, started)
 }
 
-// routeSource decides how Run will route a PTQ, without executing
-// anything: forced planner, automatic planner from fresh statistics,
-// or the heuristic fallback.
-func (t *Table) routeSource(attr string, q Query) string {
-	switch {
-	case q.usePlanner:
-		return PlanSourceForced
-	case q.heuristic:
-		return PlanSourceHeuristic
-	case t.shards.Fresh(attr):
-		return PlanSourceStats
-	default:
-		return PlanSourceHeuristic
-	}
-}
-
-// runHeuristic prepares the fixed pre-planner routing: top-k and
-// primary PTQs scan the clustered UPI, secondary PTQs use tailored
-// secondary access. The returned handle is unconsumed — the partition
-// set is pinned, but no scan happens until it is consumed.
+// runHeuristic prepares the fixed routing: top-k and primary PTQs scan
+// the clustered UPI, secondary PTQs use tailored secondary access. The
+// returned handle is unconsumed — the partition set is pinned, but no
+// scan happens until it is consumed.
 func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
 	req := fracture.Req{Value: q.value, Trace: fracture.TraceFunc(q.trace)}
 	switch {
@@ -609,7 +573,7 @@ func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string,
 		req.QT = q.qt
 		req.Tailored = true
 	}
-	q.emitAdmission("admitted: heuristic route, not cost-priced")
+	q.emitAdmission("admitted: fixed route, not cost-priced")
 	t.db.met.admissions.With("unpriced").Inc()
 	t.db.met.routes.With(PlanSourceHeuristic).Inc()
 	prep, err := t.shards.Prepare(ctx, req)
@@ -629,25 +593,18 @@ func (q Query) emitAdmission(detail string) {
 
 // runPlanned costs a PTQ through the cost-based planner and — unless
 // the query is explain-only — admits and executes the cheapest plan.
-func (t *Table) runPlanned(ctx context.Context, q Query, attr, source string, started time.Time) (*Results, error) {
-	plans, cached, err := t.shards.PlanPTQCached(attr, q.value, q.qt)
+func (t *Table) runPlanned(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
+	plans, err := t.shards.PlanPTQ(attr, q.value, q.qt)
 	if err != nil {
 		return nil, err
 	}
-	if cached && source != PlanSourceHeuristic {
-		// The plans were served from the generation-guarded plan cache
-		// (identical to what fresh costing would produce — same
-		// generation, same fracture layout). Routing, admission and
-		// execution proceed unchanged; only the provenance differs. A
-		// heuristic-routed explain keeps its heuristic label: the planner
-		// ran for display only, not for routing.
-		source = PlanSourceCached
-	}
 	best := plans[0]
 	if q.explainOnly {
-		info := QueryInfo{PlanSource: source, Plan: best.Kind.String()}
-		info.Explain = t.explainRouting(source, q.heuristic) + planner.Explain(plans)
-		return &Results{state: stateDrained, info: info}, nil
+		fixed := planner.PrimaryScan
+		if attr != primary {
+			fixed = planner.SecondaryTailored
+		}
+		return &Results{state: stateDrained, info: explainInfo(q, fixed, plans)}, nil
 	}
 	t.db.met.plannedCost.Observe(best.EstimatedCost.Seconds())
 	// Deadline-aware admission: if the remaining deadline cannot cover
@@ -676,7 +633,7 @@ func (t *Table) runPlanned(ctx context.Context, q Query, attr, source string, st
 			best.EstimatedCost.Round(time.Millisecond), best.Kind))
 	}
 	t.db.met.admissions.With("admitted").Inc()
-	t.db.met.routes.With(source).Inc()
+	t.db.met.routes.With(PlanSourceForced).Inc()
 	req, err := planner.PlanReq(best, q.value, q.qt)
 	if err != nil {
 		return nil, err
@@ -686,27 +643,19 @@ func (t *Table) runPlanned(ctx context.Context, q Query, attr, source string, st
 	if err != nil {
 		return nil, err
 	}
-	return newLazyResults(ctx, prep, q, best.Kind.String(), source, t.db.met, best.Kind.String(), started), nil
+	return newLazyResults(ctx, prep, q, best.Kind.String(), PlanSourceForced, t.db.met, best.Kind.String(), started), nil
 }
 
-// explainRouting renders the routing line heading Explain output.
-// heuristicForced distinguishes an explicit WithHeuristic from the
-// stale/absent-stats fallback.
-func (t *Table) explainRouting(source string, heuristicForced bool) string {
-	si := t.StatsInfo()
-	switch {
-	case source == PlanSourceStats:
-		return fmt.Sprintf("routing: planner, fresh stats (staleness %.1f%% <= %.0f%%, %d merge rebuilds)\n",
-			si.Staleness*100, si.Threshold*100, si.Rebuilds)
-	case source == PlanSourceCached:
-		return fmt.Sprintf("routing: planner, cached plan (generation %d unchanged since costing)\n",
-			t.shards.Generation())
-	case source == PlanSourceForced:
-		return "routing: planner, forced by WithPlanner\n"
-	case heuristicForced:
-		return "routing: heuristic, forced by WithHeuristic\n"
-	default:
-		return fmt.Sprintf("routing: heuristic fallback (stats stale or absent: staleness %.1f%%, threshold %.0f%%)\n",
-			si.Staleness*100, si.Threshold*100)
+// explainInfo is what a WithExplain run reports, on either table kind:
+// the costed plans, headed by the route Run would take — the cheapest
+// plan under WithPlanner, the fixed rule's otherwise.
+func explainInfo(q Query, fixed planner.PlanKind, plans []planner.Plan) QueryInfo {
+	info := QueryInfo{PlanSource: PlanSourceHeuristic, Plan: fixed.String(),
+		Explain: fmt.Sprintf("routing: fixed rule, %v (WithPlanner not set)\n", fixed)}
+	if q.usePlanner {
+		info = QueryInfo{PlanSource: PlanSourceForced, Plan: plans[0].Kind.String(),
+			Explain: "routing: planner, forced by WithPlanner\n"}
 	}
+	info.Explain += planner.Explain(plans)
+	return info
 }

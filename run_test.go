@@ -307,3 +307,59 @@ func TestRunModeledCostParallelismInvariant(t *testing.T) {
 		}
 	}
 }
+
+// TestRunDeadlineAdmission: a WithPlanner Run whose remaining deadline
+// is below the cheapest plan's modeled cost is refused up front —
+// ErrCanceled, zero modeled I/O, zero pinned partitions — while a
+// generous deadline admits the same query, and the default route under
+// the short deadline is not priced at all: it runs.
+func TestRunDeadlineAdmission(t *testing.T) {
+	db := mustCreate(t)
+	tab := fracturedTable(t, db, 0)
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	if si := tab.StatsInfo(); !si.Seeded {
+		t.Fatalf("table should have histograms: %+v", si)
+	}
+	// The table spans 5 partitions; every plan models at least 4 file
+	// opens (100 ms each), so 200 ms of wall deadline can never cover
+	// the modeled service time.
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	before := db.DiskStats()
+	_, err := tab.Run(ctx, PTQ("", "v01", 0.05).WithPlanner())
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("want ErrCanceled from admission, got %v", err)
+	}
+	if errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("admission should refuse before the deadline expires: %v", err)
+	}
+	if d := db.DiskStats().Sub(before); d.Elapsed != 0 || d.BytesRead != 0 || d.FileOpens != 0 {
+		t.Fatalf("refused query charged modeled I/O: %v", d)
+	}
+	// Zero pinned partitions: a merge right after the refusal must be
+	// able to remove the old generation's files immediately.
+	if err := tab.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if db.fs.Exists("runtest0.main0.upi.heap") {
+		t.Fatal("old main generation survived the merge: the refused query leaked a pin")
+	}
+	// The default route never asked to be priced in modeled seconds: the
+	// same deadline bounds its real time only.
+	res, err := tab.Run(ctx, PTQ("", "v01", 0.05))
+	if err != nil || res.Err() != nil || res.Len() == 0 {
+		t.Fatalf("unpriced query under the short deadline: %v / %v, %d results", err, res.Err(), res.Len())
+	}
+	// A deadline with headroom admits and completes the same query.
+	ctxOK, cancelOK := context.WithTimeout(context.Background(), time.Hour)
+	defer cancelOK()
+	res, err = tab.Run(ctxOK, PTQ("", "v01", 0.05).WithPlanner())
+	if err != nil || res.Len() == 0 {
+		t.Fatalf("admitted query: %v, %d results", err, res.Len())
+	}
+	if res.Info().PlanSource != PlanSourceForced {
+		t.Fatalf("admitted query source: %q", res.Info().PlanSource)
+	}
+}

@@ -123,7 +123,6 @@ func TestFacadeShardParity(t *testing.T) {
 		for _, route := range []func(Query) Query{
 			func(q Query) Query { return q },
 			Query.WithPlanner,
-			Query.WithHeuristic,
 		} {
 			want := collectKeys(t, ref, route(q))
 			got := collectKeys(t, sharded, route(q))

@@ -2,7 +2,6 @@ package upidb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"iter"
 	"slices"
@@ -16,10 +15,8 @@ import (
 )
 
 // SpatialStatsInfo is a snapshot of a spatial table's statistics
-// catalog — the inputs to Run's automatic routing decision. Spatial
-// catalogs absorb every Insert delta and have no unabsorbed channel
-// (no deletes, no out-of-band updates), so a seeded catalog is always
-// fresh.
+// catalog — what WithPlanner costs from. Spatial catalogs absorb every
+// Insert and there are no deletes, so a seeded catalog is exact.
 type SpatialStatsInfo struct {
 	// Seeded reports whether the catalog describes the complete table
 	// (always true for tables built with BulkLoadSpatial).
@@ -246,18 +243,16 @@ func (r *SpatialResults) Info() QueryInfo {
 // control; the returned handle executes on first consumption (All
 // streams, Collect/Len/Info force the materialized drain).
 //
-// Routing mirrors the discrete engine: the query goes through the
-// cost-based spatial planner — choosing between the R-Tree probe, the
-// segment-index scan and a sequential full heap scan from the spatial
-// statistics catalog — whenever the catalog is fresh (always, for
-// tables built with BulkLoadSpatial, since every Insert applies its
-// delta); WithHeuristic pins the fixed legacy routing (circle →
-// R-Tree probe, segment → segment index), WithPlanner forces planning,
-// and WithExplain returns the costed plans without executing.
-// Info().PlanSource reports which happened. On the planner path, a ctx
-// deadline shorter than the cheapest plan's modeled cost is refused up
-// front with ErrCanceled — zero modeled I/O — the same deadline-aware
-// admission discrete PTQs get.
+// Routing mirrors the discrete engine: a fixed rule (circle → R-Tree
+// probe, segment → segment index) unless the query says WithPlanner,
+// which sends it through the cost-based spatial planner — choosing
+// between the R-Tree probe, the segment-index scan and a sequential
+// full heap scan from the spatial statistics catalog; WithExplain
+// returns the costed plans without executing. Info().PlanSource reports
+// which happened. On the planner path, a ctx deadline shorter than the
+// cheapest plan's modeled cost is refused up front with ErrCanceled —
+// zero modeled I/O — the same deadline-aware admission discrete PTQs
+// get.
 //
 // Run is safe for concurrent use alongside Insert.
 func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error) {
@@ -270,50 +265,31 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 	if s.tab.Closed() {
 		return nil, ErrClosed
 	}
-	source := s.routeSource(q)
-	// The heuristic physical plan: the legacy fixed routing.
-	physical := planner.RTreeProbe
+	// The fixed rule's physical plan.
+	source, physical, planName := PlanSourceHeuristic, planner.RTreeProbe, ""
 	if q.kind == KindSegment {
 		physical = planner.SegmentScan
 	}
-	planName := ""
-	if q.explainOnly || source != PlanSourceHeuristic {
+	if q.usePlanner || q.explainOnly {
 		plans, err := s.plan(q)
-		switch {
-		case err == nil:
-			best := plans[0]
-			if q.explainOnly {
-				// Report the plan the routing would actually execute: the
-				// cheapest costed plan on a planner route, the fixed
-				// physical path on a heuristic one (the listing still
-				// shows what each candidate would have cost).
-				executed := best.Kind
-				if source == PlanSourceHeuristic {
-					executed = physical
-				}
-				info := QueryInfo{PlanSource: source, Plan: executed.String()}
-				info.Explain = s.explainRouting(source, q.heuristic) + planner.Explain(plans)
-				return &SpatialResults{state: stateDrained, info: info}, nil
-			}
-			// Deadline-aware admission, identical to the discrete path:
-			// refuse a query whose remaining deadline cannot cover even
-			// the cheapest plan's modeled cost, before any I/O.
-			if dl, ok := ctx.Deadline(); ok {
-				if remain := time.Until(dl); remain < best.EstimatedCost {
-					return nil, fmt.Errorf(
-						"%w: admission refused: remaining deadline %v is below the cheapest plan's modeled cost %v (%v)",
-						ErrCanceled, remain.Round(time.Millisecond),
-						best.EstimatedCost.Round(time.Millisecond), best.Kind)
-				}
-			}
-			physical = best.Kind
-			planName = best.Kind.String()
-		case source == PlanSourceStats && errors.Is(err, ErrNoStats):
-			// Degrade to the heuristic route like a stale discrete
-			// catalog would.
-			source = PlanSourceHeuristic
-		default:
+		if err != nil {
 			return nil, err
+		}
+		if q.explainOnly {
+			return &SpatialResults{state: stateDrained, info: explainInfo(q, physical, plans)}, nil
+		}
+		best := plans[0]
+		source, physical, planName = PlanSourceForced, best.Kind, best.Kind.String()
+		// Deadline-aware admission, identical to the discrete path:
+		// refuse a query whose remaining deadline cannot cover even the
+		// cheapest plan's modeled cost, before any I/O.
+		if dl, ok := ctx.Deadline(); ok {
+			if remain := time.Until(dl); remain < best.EstimatedCost {
+				return nil, fmt.Errorf(
+					"%w: admission refused: remaining deadline %v is below the cheapest plan's modeled cost %v (%v)",
+					ErrCanceled, remain.Round(time.Millisecond),
+					best.EstimatedCost.Round(time.Millisecond), best.Kind)
+			}
 		}
 	}
 	r := &SpatialResults{
@@ -355,41 +331,10 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 	return r, nil
 }
 
-// routeSource decides how Run will route a spatial query, without
-// executing anything.
-func (s *SpatialTable) routeSource(q Query) string {
-	switch {
-	case q.usePlanner:
-		return PlanSourceForced
-	case q.heuristic:
-		return PlanSourceHeuristic
-	case s.planner.Fresh():
-		return PlanSourceStats
-	default:
-		return PlanSourceHeuristic
-	}
-}
-
 // plan costs the candidate plans for q, cheapest first.
 func (s *SpatialTable) plan(q Query) ([]planner.Plan, error) {
 	if q.kind == KindCircle {
 		return s.planner.PlanCircle(q.center, q.radius, q.qt)
 	}
 	return s.planner.PlanSegment(q.value, q.qt)
-}
-
-// explainRouting renders the routing line heading spatial Explain
-// output.
-func (s *SpatialTable) explainRouting(source string, heuristicForced bool) string {
-	si := s.StatsInfo()
-	switch {
-	case source == PlanSourceStats:
-		return fmt.Sprintf("routing: planner, fresh spatial stats (%d observations)\n", si.Observations)
-	case source == PlanSourceForced:
-		return "routing: planner, forced by WithPlanner\n"
-	case heuristicForced:
-		return "routing: heuristic, forced by WithHeuristic\n"
-	default:
-		return "routing: heuristic fallback (spatial statistics unseeded)\n"
-	}
 }

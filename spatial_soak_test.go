@@ -166,8 +166,10 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 					errs <- fmt.Errorf("reader %d round %d collect: %w", rr, i, err)
 					return
 				}
-				// Streaming consumption, fully drained.
-				res, err = tab.Run(ctx, Circle(queryPoints[qi], soakRadius, soakCircTh))
+				// Streaming consumption, fully drained, routed by the
+				// planner: the catalog it costs from absorbs the
+				// writers' inserts meanwhile.
+				res, err = tab.Run(ctx, Circle(queryPoints[qi], soakRadius, soakCircTh).WithPlanner())
 				if err != nil {
 					errs <- err
 					return
@@ -198,8 +200,8 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 					}
 					break
 				}
-				// Segment query via the planner-default route.
-				sres, err := tab.Run(ctx, Segment("seg03", soakSegQT))
+				// Segment query via the planner's route.
+				sres, err := tab.Run(ctx, Segment("seg03", soakSegQT).WithPlanner())
 				if err != nil {
 					errs <- err
 					return
@@ -244,7 +246,7 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 	}
 	for qi, q := range queryPoints {
 		truth := soakCircleTruth(allIDs, q, soakRadius, soakCircTh)
-		res, err := tab.Run(ctx, Circle(q, soakRadius, soakCircTh).WithStats())
+		res, err := tab.Run(ctx, Circle(q, soakRadius, soakCircTh).WithStats().WithPlanner())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -257,7 +259,7 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 				t.Fatalf("final circle %d: result %d mismatch", qi, r.Obs.ID)
 			}
 		}
-		if src := res.Info().PlanSource; src != PlanSourceStats {
+		if src := res.Info().PlanSource; src != PlanSourceForced {
 			t.Fatalf("final circle %d not planner-routed after %d inserts: %q", qi, len(allIDs)-baseN, src)
 		}
 	}

@@ -1,8 +1,8 @@
 package upidb
 
 // Facade tests for spatial Run parity: golden equivalence of the
-// planner-routed Run(ctx, Circle/Segment) against the fixed heuristic
-// routing, planner routing and PlanSource reporting,
+// planner-routed Run(ctx, Circle/Segment) against the default fixed
+// routing, PlanSource reporting,
 // streamed-vs-collected parity, deadline admission with zero modeled
 // I/O, and the DB.Close contract on spatial tables.
 
@@ -62,10 +62,9 @@ func sameSpatialResults(t *testing.T, what string, got, want []SpatialResult) {
 	}
 }
 
-// TestSpatialRunGolden: planner-routed Run(ctx, Circle/Segment) must
-// return results identical to the fixed heuristic routing
-// (WithHeuristic) on a golden workload, with PlanSource reporting
-// fresh-stats planner routing.
+// TestSpatialRunGolden: Run(ctx, Circle/Segment) WithPlanner must
+// return results identical to the default fixed routing on a golden
+// workload, each reporting its own PlanSource.
 func TestSpatialRunGolden(t *testing.T) {
 	_, tab, c := spatialFixture(t, 4000)
 	ctx := context.Background()
@@ -76,12 +75,15 @@ func TestSpatialRunGolden(t *testing.T) {
 	center := c.Extent.Center()
 	for _, radius := range []float64{120, 400, 900} {
 		for _, th := range []float64{0.3, 0.6} {
-			hres, err := tab.Run(ctx, Circle(center, radius, th).WithHeuristic())
+			hres, err := tab.Run(ctx, Circle(center, radius, th))
 			if err != nil {
 				t.Fatal(err)
 			}
 			legacy := hres.Collect()
-			res, err := tab.Run(ctx, Circle(center, radius, th))
+			if info := hres.Info(); info.PlanSource != PlanSourceHeuristic || info.Plan != "" {
+				t.Fatalf("default circle r=%v: source %q plan %q", radius, info.PlanSource, info.Plan)
+			}
+			res, err := tab.Run(ctx, Circle(center, radius, th).WithPlanner())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -89,8 +91,8 @@ func TestSpatialRunGolden(t *testing.T) {
 			if err := res.Err(); err != nil {
 				t.Fatal(err)
 			}
-			if src := res.Info().PlanSource; src != PlanSourceStats {
-				t.Fatalf("circle r=%v PlanSource %q, want %q", radius, src, PlanSourceStats)
+			if src := res.Info().PlanSource; src != PlanSourceForced {
+				t.Fatalf("circle r=%v PlanSource %q, want %q", radius, src, PlanSourceForced)
 			}
 			if res.Info().Plan == "" {
 				t.Fatalf("planner-routed run reported no plan")
@@ -100,31 +102,25 @@ func TestSpatialRunGolden(t *testing.T) {
 
 	seg := busySegment(c)
 	for _, qt := range []float64{0.2, 0.5, 0.8} {
-		hres, err := tab.Run(ctx, Segment(seg, qt).WithHeuristic())
+		hres, err := tab.Run(ctx, Segment(seg, qt))
 		if err != nil {
 			t.Fatal(err)
 		}
 		legacy := hres.Collect()
-		res, err := tab.Run(ctx, Segment(seg, qt))
+		if src := hres.Info().PlanSource; src != PlanSourceHeuristic {
+			t.Fatalf("default segment qt=%v PlanSource %q", qt, src)
+		}
+		res, err := tab.Run(ctx, Segment(seg, qt).WithPlanner())
 		if err != nil {
 			t.Fatal(err)
 		}
 		sameSpatialResults(t, "segment", res.Collect(), legacy)
-		if src := res.Info().PlanSource; src != PlanSourceStats {
-			t.Fatalf("segment qt=%v PlanSource %q, want %q", qt, src, PlanSourceStats)
+		if src := res.Info().PlanSource; src != PlanSourceForced {
+			t.Fatalf("segment qt=%v PlanSource %q, want %q", qt, src, PlanSourceForced)
 		}
 		if len(legacy) > 0 && res.Info().HeapEntries == 0 {
 			t.Fatalf("segment qt=%v reported zero heap entries for %d results", qt, len(legacy))
 		}
-	}
-
-	// WithHeuristic pins the fixed routing and reports it.
-	res, err := tab.Run(ctx, Circle(center, 400, 0.5).WithHeuristic())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if src := res.Info().PlanSource; src != PlanSourceHeuristic {
-		t.Fatalf("WithHeuristic PlanSource %q", src)
 	}
 }
 
@@ -148,12 +144,12 @@ func TestSpatialStreamParity(t *testing.T) {
 		return out
 	}
 
-	// Segment on the index plan (pinned via WithHeuristic — the
-	// planner may legitimately route an unselective segment query to a
-	// full scan, whose stream is heap-ordered): exact order parity,
-	// because the index streams in the canonical confidence order.
+	// Segment on the index plan (the default route — the planner may
+	// legitimately route an unselective segment query to a full scan,
+	// whose stream is heap-ordered): exact order parity, because the
+	// index streams in the canonical confidence order.
 	seg := busySegment(c)
-	sq := Segment(seg, 0.3).WithHeuristic()
+	sq := Segment(seg, 0.3)
 	collected, err := tab.Run(ctx, sq)
 	if err != nil {
 		t.Fatal(err)
@@ -165,12 +161,12 @@ func TestSpatialStreamParity(t *testing.T) {
 	}
 	streamed := drain(streamedRes)
 	sameSpatialResults(t, "segment stream order", streamed, want)
-	// The planner-default route must produce the same canonical set.
-	planned, err := tab.Run(ctx, Segment(seg, 0.3))
+	// The planner's route must produce the same canonical set.
+	planned, err := tab.Run(ctx, sq.WithPlanner())
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameSpatialResults(t, "segment planned vs heuristic", planned.Collect(), want)
+	sameSpatialResults(t, "segment planned vs default", planned.Collect(), want)
 	// A fully drained handle replays and reports canonical Collect.
 	sameSpatialResults(t, "segment stream collect-after-drain", streamedRes.Collect(), want)
 	if streamedRes.Len() != len(want) {
@@ -223,8 +219,9 @@ func TestSpatialStreamParity(t *testing.T) {
 	}
 }
 
-// TestSpatialAdmission: a deadline below the cheapest plan's modeled
-// cost must be refused with ErrCanceled before any modeled I/O.
+// TestSpatialAdmission: under WithPlanner a deadline below the cheapest
+// plan's modeled cost must be refused with ErrCanceled before any
+// modeled I/O; the default route is not priced and runs.
 func TestSpatialAdmission(t *testing.T) {
 	db, tab, c := spatialFixture(t, 2500)
 	if err := tab.tab.DropCaches(); err != nil {
@@ -235,20 +232,27 @@ func TestSpatialAdmission(t *testing.T) {
 	defer cancel()
 	// Every plan costs at least Costinit = 100 ms modeled, far above
 	// the 5 ms deadline.
-	_, err := tab.Run(ctx, Circle(c.Extent.Center(), 300, 0.5))
+	_, err := tab.Run(ctx, Circle(c.Extent.Center(), 300, 0.5).WithPlanner())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("admission: %v", err)
 	}
 	if errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("refusal must not claim the deadline already expired: %v", err)
 	}
-	_, err = tab.Run(ctx, Segment(busySegment(c), 0.5))
+	_, err = tab.Run(ctx, Segment(busySegment(c), 0.5).WithPlanner())
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("segment admission: %v", err)
 	}
 	after := db.DiskStats()
 	if d := after.Sub(before); d.BytesRead != 0 || d.Seeks != 0 || d.Elapsed != 0 {
 		t.Fatalf("admission refusal charged I/O: %+v", d)
+	}
+	// The same deadline on the default route bounds real time only.
+	long, cancelLong := context.WithTimeout(context.Background(), 90*time.Millisecond)
+	defer cancelLong()
+	res, err := tab.Run(long, Segment(busySegment(c), 0.5))
+	if err != nil || res.Err() != nil || res.Len() == 0 {
+		t.Fatalf("unpriced segment under a deadline below its modeled cost: %v / %v, %d rows", err, res.Err(), res.Len())
 	}
 }
 
@@ -265,7 +269,7 @@ func TestSpatialExplainAndStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	ex := res.Info().Explain
-	if !strings.Contains(ex, "routing: planner, fresh spatial stats") ||
+	if !strings.HasPrefix(ex, "routing: fixed rule, RTreeProbe") || res.Info().Plan != "RTreeProbe" ||
 		!strings.Contains(ex, "RTreeProbe") || !strings.Contains(ex, "SpatialFullScan") {
 		t.Fatalf("explain output:\n%s", ex)
 	}

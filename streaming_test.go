@@ -92,7 +92,7 @@ func TestRunStreamsGoldenVsCollect(t *testing.T) {
 		PTQ("", "v03", 0.4),
 		PTQ("Y", "yv02", 0.1),
 		PTQ("", "v02", 0.1).WithPlanner(),
-		PTQ("", "v02", 0.1).WithHeuristic(),
+		PTQ("Y", "yv02", 0.1).WithPlanner(),
 		TopKQuery("v04", 7),
 	}
 	ctx := context.Background()
@@ -186,10 +186,10 @@ func TestRunTopKStreamEarlyTermination(t *testing.T) {
 		return db.DiskStats().Sub(before).Elapsed
 	}
 
-	// WithHeuristic pins the unbounded PTQ to the clustered scan the
-	// top-k uses; the planner would route it to a full heap scan.
+	// The unbounded PTQ's default route is the clustered scan the top-k
+	// uses.
 	var want []Result
-	fullCost := cold(PTQ("", "hot", 0).WithHeuristic(), func(res *Results) { want = res.Collect() })
+	fullCost := cold(PTQ("", "hot", 0), func(res *Results) { want = res.Collect() })
 	if len(want) <= q.k || fullCost <= 0 {
 		t.Fatalf("unbounded drain: %d rows, cost %v", len(want), fullCost)
 	}

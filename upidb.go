@@ -59,20 +59,21 @@
 // Spatial tables (the paper's Section 5 continuous UPI over uncertain
 // 2-D observations, BulkLoadSpatial) share the same regime: Circle and
 // Segment descriptors executed by SpatialTable.Run with identical
-// streaming, planner routing, admission and error semantics, backed by
-// a spatial statistics catalog (a 2-D grid histogram of observation
-// centroids plus a segment-attribute histogram) absorbed per insert.
+// streaming, routing, admission and error semantics.
 //
-// Statistics maintain themselves: every table owns a catalog of
-// per-attribute value/probability histograms (Section 6.1) that
-// absorbs insert and delete deltas as they happen and is re-derived
-// for free from each merge's whole-heap scan. Run therefore routes
-// PTQs through the cost-based planner automatically whenever the
-// catalog is fresh (see StatsInfo), falling back to heuristic routing
-// when statistics are absent or stale — and a Run whose context
-// deadline is shorter than the chosen plan's modeled cost is refused
+// Run routes by a fixed rule (primary PTQ and top-k → clustered UPI
+// scan, secondary PTQ → tailored access; circle → R-Tree probe, segment
+// → segment index) and executes no planner code. The paper's cost
+// models (Section 6) are there for whoever asks: a query built
+// WithPlanner is routed to the cheapest plan the models price from the
+// table's per-attribute histograms (Section 6.1), and a Run whose
+// context deadline is shorter than that plan's modeled cost is refused
 // up front with ErrCanceled, before pinning any partition or charging
-// any modeled I/O (deadline-aware admission control).
+// any modeled I/O. Histograms are built by a bulk load and replaced by
+// BuildStats; nothing maintains them in between. The models price a
+// seeking disk, so WithPlanner is for the modeled device (upibench);
+// on the disk backend with a warm OS cache the fixed rule was the
+// faster route on every shape probed (README, "Statistics & planning").
 //
 // All I/O is charged to a deterministic disk model using the paper's
 // cost constants (10 ms seek, 20 ms/MB read, 50 ms/MB write), so query
@@ -246,10 +247,8 @@ func (db *DB) Table(name string) *Table {
 
 // CreateTable creates an empty fractured-UPI table clustered on the
 // uncertain attribute primaryAttr, with secondary indexes on secAttrs.
-// The table's statistics catalog starts complete (an empty table has
-// nothing unknown) and absorbs every subsequent insert and delete, so
-// Run routes through the cost-based planner from the first query.
-// With WithShards(n) the table is hash-partitioned by tuple ID across
+// It has no statistics: WithPlanner and WithExplain answer ErrNoStats
+// until BuildStats. With WithShards(n) the table is hash-partitioned by tuple ID across
 // n independent stores (shard-per-core); see README "Serving &
 // sharding".
 func (db *DB) CreateTable(name, primaryAttr string, secAttrs []string, opts ...Option) (*Table, error) {
@@ -269,9 +268,10 @@ func (db *DB) CreateTable(name, primaryAttr string, secAttrs []string, opts ...O
 
 // BulkLoadTable creates a fractured-UPI table whose main partitions
 // are bulk-built from tuples with sequential I/O only (each shard
-// receives the tuples it owns). The statistics catalog is seeded from
-// the same tuples, so the engine owns complete cardinality knowledge
-// without a separate BuildStats pass.
+// receives the tuples it owns). Every attribute's histograms are built
+// from the same tuples, so WithPlanner works without a separate
+// BuildStats pass — and keeps costing from those tuples, whatever is
+// inserted or deleted afterwards, until BuildStats replaces them.
 func (db *DB) BulkLoadTable(name, primaryAttr string, secAttrs []string, tuples []*Tuple, opts ...Option) (*Table, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
@@ -291,10 +291,8 @@ func (db *DB) BulkLoadTable(name, primaryAttr string, secAttrs []string, tuples 
 // On a durable table every acknowledged write survives: each shard's
 // manifest names its authoritative partitions and its write-ahead log
 // replays the RAM insert buffer and pending deletes. On a non-durable
-// table only flushed state survives. Either way the on-disk content is
-// unknown to the statistics catalog, so Run uses heuristic routing
-// until BuildStats seeds it or the first merge re-derives it. The
-// persisted shard count is authoritative: omitting WithShards accepts
+// table only flushed state survives. Statistics are not persisted: a
+// reopened table has none until BuildStats. The persisted shard count is authoritative: omitting WithShards accepts
 // whatever the table was created with, and a contradictory explicit
 // count is an error.
 func (db *DB) OpenTable(name, primaryAttr string, secAttrs []string, opts ...Option) (*Table, error) {
@@ -350,18 +348,10 @@ func (db *DB) Close() error {
 // buffered in RAM and reach disk on Flush (or automatically when the
 // buffer fills); queries always see the freshest data.
 //
-// Every table owns a self-maintaining statistics catalog: inserts and
-// deletes apply histogram deltas as they happen, and each merge
-// re-derives the histograms from its own whole-heap scan. Run consults
-// the cost-based planner automatically whenever the catalog is fresh
-// enough (see WithStatsStaleness and StatsInfo), so callers
-// get planned routing without ever touching BuildStats.
-//
 // A table built WithShards(n) is hash-partitioned by tuple ID across n
 // independent stores: mutations touch only the owning shard, a query
 // merges every shard's partitions into one globally confidence-ordered
-// stream, and per-shard statistics/costs aggregate transparently in
-// StatsInfo and QueryInfo. The default is one shard — the unsharded
+// stream, and per-shard costs aggregate transparently in QueryInfo. The default is one shard — the unsharded
 // engine, byte-identical layout and costs.
 type Table struct {
 	db     *DB
@@ -428,11 +418,8 @@ func (t *Table) NumFractures() int { return t.shards.NumFractures() }
 // SizeBytes returns the table's total on-disk size over all shards.
 func (t *Table) SizeBytes() int64 { return t.shards.SizeBytes() }
 
-// DropCaches empties all buffer pools and the per-shard plan caches:
-// the next query of any shape runs fully cold — pages re-read, plans
-// re-costed. upibench wraps every modeled measurement in DropCaches,
-// which is why its cold-cache numbers stay deterministic with the
-// plan cache on.
+// DropCaches empties all buffer pools: the next query re-reads its
+// pages. upibench wraps every modeled measurement in DropCaches.
 func (t *Table) DropCaches() error { return t.shards.DropCaches() }
 
 // QueryInfo reports the modeled cost of one query and what it
@@ -451,15 +438,11 @@ type QueryInfo struct {
 	Partitions int
 	// BufferHits counts results served from the RAM insert buffer.
 	BufferHits int
-	// Plan names the access path the planner chose (planner-routed
-	// runs only — automatic or forced).
+	// Plan names the access path the planner chose (WithPlanner runs),
+	// or the route that would run (WithExplain); empty on a default run.
 	Plan string
-	// PlanSource reports how the query was routed: PlanSourceStats
-	// (fresh catalog, automatic planner), PlanSourceCached (planner
-	// route whose plans were served from the generation-guarded plan
-	// cache — a repeat of an already-costed shape), PlanSourceHeuristic
-	// (stats absent or stale — or WithHeuristic — so the fixed
-	// heuristic routing ran), or PlanSourceForced (WithPlanner).
+	// PlanSource reports how the query was routed: PlanSourceHeuristic
+	// (the fixed rule) or PlanSourceForced (by cost, under WithPlanner).
 	PlanSource string
 	// Candidates is the number of R-Tree candidates or segment-index
 	// entries a spatial query examined (spatial Run only).
@@ -483,13 +466,15 @@ func (q QueryInfo) String() string {
 
 // SpatialTable is a continuous UPI (Section 5) over uncertain 2-D
 // observations, with a secondary index on the uncertain segment
-// attribute. Like discrete tables it is safe for concurrent use, owns
-// a self-maintaining statistics catalog (a 2-D grid histogram of
-// observation centroids plus a segment-attribute histogram, absorbed
-// delta by delta on every Insert), and serves every query through
-// Run(ctx, Query) — Circle and Segment descriptors routed through the
-// cost-based spatial planner with the same PlanSource/WithExplain/
-// WithStats/deadline-admission contract as Table.Run.
+// attribute. Like discrete tables it is safe for concurrent use and
+// serves every query through Run(ctx, Query) — Circle and Segment
+// descriptors with the same routing contract as Table.Run: the fixed
+// rule by default, the cost-based spatial planner under WithPlanner,
+// with the same PlanSource/WithExplain/WithStats/deadline-admission
+// behaviour. What the spatial planner costs from is a catalog the table
+// keeps itself (a 2-D grid histogram of observation centroids plus a
+// segment-attribute histogram); spatial tables have no deletes, so
+// absorbing each Insert keeps it exact.
 type SpatialTable struct {
 	db      *DB
 	tab     *cupi.Table
@@ -503,8 +488,7 @@ type SpatialTable struct {
 // the same scope validation: a database- or table-level option passed
 // here errors instead of being silently ignored. Like table creation,
 // it fails with ErrClosed once the DB is closed. The spatial
-// statistics catalog is seeded from the same observations, so Run
-// routes through the cost-based spatial planner from the first query.
+// statistics catalog is seeded from the same observations.
 func (db *DB) BulkLoadSpatial(name string, obs []*Observation, opts ...Option) (*SpatialTable, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
