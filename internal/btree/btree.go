@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 
 	"upidb/internal/storage"
 )
@@ -155,14 +156,22 @@ func (t *Tree) allocNode(leaf bool) (*node, error) {
 // maxEntry returns the largest leaf entry that fits a page.
 func (t *Tree) maxEntry() int { return t.pager.PageSize() - leafHeader }
 
+// slotTables lends Get the scratch slot table a descent parses pages
+// into (cursors keep their own). The value Get returns aliases the
+// page, not the table, so the table goes back before Get returns.
+var slotTables = sync.Pool{New: func() any { return new([]slot) }}
+
 // Get returns the value stored under key. The value aliases the
 // pager's page: decode or copy it before the next write to the tree,
 // which may overwrite those bytes in place.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) {
-	pg, err := t.descendToLeaf(key, nil)
+	scratch := slotTables.Get().(*[]slot)
+	defer slotTables.Put(scratch)
+	pg, err := t.descendToLeaf(key, *scratch)
 	if err != nil {
 		return nil, false, err
 	}
+	*scratch = pg.slots
 	i := pg.lowerBound(key)
 	if i < len(pg.slots) && bytes.Equal(pg.key(i), key) {
 		return pg.val(i), true, nil

@@ -2,6 +2,7 @@ package btree
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 
 	"upidb/internal/storage"
@@ -16,11 +17,28 @@ const bulkFill = 0.9
 // order. Pages are allocated and written sequentially, which is what
 // makes flushing a fracture or merging fractures a sequential write on
 // the simulated disk (paper Section 4).
+//
+// Leaf entries are written straight into the page buffer Alloc
+// returned, in node.serialize's layout, and the header is patched when
+// the leaf closes: adding an entry copies its bytes once and allocates
+// nothing.
 type Builder struct {
-	pager    *storage.Pager
-	limit    int
-	cur      *node
+	pager *storage.Pager
+	limit int
+
+	// The open leaf: leaf is its page buffer (nil when none is open),
+	// off the end of its entries and nkeys their count. Add opens a leaf
+	// only to put an entry in it, so an open leaf is never empty.
+	leafID storage.PageID
+	leaf   []byte
+	off    int
+	nkeys  int
+
+	// firstKey and lastKey alias the leaves' pages, which the pager
+	// never recycles and nothing rewrites during the build.
+	firstKey []byte // the open leaf's smallest key
 	lastKey  []byte
+
 	count    int64
 	leaves   int64
 	finished bool
@@ -53,58 +71,63 @@ func (b *Builder) Add(key, val []byte) error {
 	if b.finished {
 		return fmt.Errorf("btree: Add after Finish")
 	}
-	if leafEntrySize(key, val) > b.pager.PageSize()-leafHeader {
+	size := leafEntrySize(key, val)
+	if size > b.pager.PageSize()-leafHeader {
 		return ErrKeyTooLarge
 	}
-	if b.lastKey != nil && bytes.Compare(key, b.lastKey) <= 0 {
+	if b.count > 0 && bytes.Compare(key, b.lastKey) <= 0 {
 		return fmt.Errorf("btree: bulk keys not strictly ascending")
 	}
-	b.lastKey = append(b.lastKey[:0], key...)
-
-	if b.cur == nil {
-		n, err := b.newLeaf()
-		if err != nil {
+	if b.leaf != nil && b.off+size > b.limit {
+		// Leaves are allocated consecutively and nothing else allocates
+		// during a bulk load, so the next leaf is the next page.
+		if err := b.closeLeaf(b.leafID + 1); err != nil {
 			return err
 		}
-		b.cur = n
 	}
-	if len(b.cur.keys) > 0 && b.cur.size()+leafEntrySize(key, val) > b.limit {
-		if err := b.closeLeaf(); err != nil {
+	if b.leaf == nil {
+		if err := b.newLeaf(); err != nil {
 			return err
 		}
-		n, err := b.newLeaf()
-		if err != nil {
-			return err
-		}
-		b.cur = n
 	}
-	b.cur.keys = append(b.cur.keys, append([]byte(nil), key...))
-	b.cur.vals = append(b.cur.vals, append([]byte(nil), val...))
+	binary.BigEndian.PutUint16(b.leaf[b.off:], uint16(len(key)))
+	binary.BigEndian.PutUint16(b.leaf[b.off+2:], uint16(len(val)))
+	k := b.off + 4
+	end := k + copy(b.leaf[k:], key)
+	copy(b.leaf[end:], val)
+	b.lastKey = b.leaf[k:end:end]
+	if b.nkeys == 0 {
+		b.firstKey = b.lastKey
+	}
+	b.off += size
+	b.nkeys++
 	b.count++
 	return nil
 }
 
-func (b *Builder) newLeaf() (*node, error) {
-	id, _, err := b.pager.Alloc()
+func (b *Builder) newLeaf() error {
+	id, buf, err := b.pager.Alloc()
 	if err != nil {
-		return nil, err
-	}
-	b.leaves++
-	return &node{id: id, leaf: true, next: storage.InvalidPage}, nil
-}
-
-func (b *Builder) closeLeaf() error {
-	n := b.cur
-	b.cur = nil
-	// Leaves are allocated consecutively, so the next leaf (if any)
-	// will be the next page. Patch the chain when it is created: we
-	// know the next leaf's ID in advance because allocation is
-	// sequential and nothing else allocates during a bulk load.
-	n.next = n.id + 1
-	if err := b.writeNode(n); err != nil {
 		return err
 	}
-	b.push(0, sep{key: append([]byte(nil), n.keys[0]...), id: n.id})
+	b.leafID, b.leaf, b.off, b.nkeys = id, buf, leafHeader, 0
+	b.leaves++
+	return nil
+}
+
+// closeLeaf writes the open leaf's header, chaining it to next, and
+// hands the page back to the pager, which records it dirty and most
+// recently used exactly as a Write of its serialized node would.
+func (b *Builder) closeLeaf(next storage.PageID) error {
+	buf := b.leaf
+	b.leaf = nil
+	buf[0] = nodeLeaf
+	binary.BigEndian.PutUint16(buf[1:], uint16(b.nkeys))
+	binary.BigEndian.PutUint32(buf[3:], uint32(next))
+	if err := b.pager.Write(b.leafID, buf); err != nil {
+		return err
+	}
+	b.push(0, sep{key: b.firstKey, id: b.leafID})
 	return nil
 }
 
@@ -125,38 +148,21 @@ func (b *Builder) push(level int, s sep) {
 
 // Finish writes out the remaining pages, builds the internal levels
 // bottom-up and returns the completed tree. An empty build yields a
-// valid empty tree.
+// valid empty tree: a single empty root leaf.
 func (b *Builder) Finish() (*Tree, error) {
 	if b.finished {
 		return nil, fmt.Errorf("btree: double Finish")
 	}
 	b.finished = true
 
-	if b.cur == nil && b.count == 0 {
-		// Empty tree: single empty root leaf.
-		id, _, err := b.pager.Alloc()
-		if err != nil {
+	if b.leaf == nil {
+		if err := b.newLeaf(); err != nil {
 			return nil, err
 		}
-		b.leaves = 1
-		t := &Tree{pager: b.pager, root: id, height: 1, leaves: 1}
-		if err := t.writeNode(&node{id: id, leaf: true, next: storage.InvalidPage}); err != nil {
-			return nil, err
-		}
-		if err := t.writeMeta(); err != nil {
-			return nil, err
-		}
-		return t, nil
 	}
 	// Final leaf terminates the chain.
-	if b.cur != nil {
-		n := b.cur
-		b.cur = nil
-		n.next = storage.InvalidPage
-		if err := b.writeNode(n); err != nil {
-			return nil, err
-		}
-		b.push(0, sep{key: append([]byte(nil), n.keys[0]...), id: n.id})
+	if err := b.closeLeaf(storage.InvalidPage); err != nil {
+		return nil, err
 	}
 
 	height := 1
@@ -179,7 +185,7 @@ func (b *Builder) Finish() (*Tree, error) {
 			if err := b.writeNode(cur); err != nil {
 				return err
 			}
-			b.push(level+1, sep{key: b.firstKeyOf(cur), id: cur.id})
+			b.push(level+1, sep{key: cur.firstKey, id: cur.id})
 			cur = nil
 			return nil
 		}
@@ -220,7 +226,3 @@ func (b *Builder) Finish() (*Tree, error) {
 	}
 	return t, nil
 }
-
-// firstKeyOf returns the smallest key reachable under an internal node
-// built during this bulk load (recorded when the node was started).
-func (b *Builder) firstKeyOf(n *node) []byte { return n.firstKey }

@@ -16,7 +16,7 @@ import (
 
 func newFS() *storage.FS { return storage.NewFS(sim.NewDisk(sim.DefaultParams())) }
 
-func mkTuple(t *testing.T, id uint64, exist float64, alts ...prob.Alternative) *tuple.Tuple {
+func mkTuple(t testing.TB, id uint64, exist float64, alts ...prob.Alternative) *tuple.Tuple {
 	t.Helper()
 	d, err := prob.NewDiscrete(alts)
 	if err != nil {
@@ -35,7 +35,7 @@ func defaultOpts() Config {
 	return Config{UPI: upi.Options{Cutoff: 0.1, PageSize: 512}}
 }
 
-func randomTuples(t *testing.T, rng *rand.Rand, startID uint64, n int) []*tuple.Tuple {
+func randomTuples(t testing.TB, rng *rand.Rand, startID uint64, n int) []*tuple.Tuple {
 	t.Helper()
 	out := make([]*tuple.Tuple, 0, n)
 	for i := 0; i < n; i++ {

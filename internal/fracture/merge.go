@@ -262,8 +262,11 @@ type mergeCursor struct {
 
 // kWayMerge drains the cursors in global key order into the builder,
 // applying each source's delete filter and letting the
-// highest-priority (newest) source win duplicate keys.
+// highest-priority (newest) source win duplicate keys. The winning key
+// and value are staged in two buffers reused for every entry; the
+// builder copies them into its page.
 func kWayMerge(curs []*mergeCursor, b *btree.Builder) error {
+	var keyBuf, valBuf []byte
 	for {
 		// Find the smallest current key.
 		var minKey []byte
@@ -278,28 +281,25 @@ func kWayMerge(curs []*mergeCursor, b *btree.Builder) error {
 		if minKey == nil {
 			break
 		}
-		minKey = append([]byte(nil), minKey...)
-		_, id, err := upi.DecodeConfID(minKey)
+		keyBuf = append(keyBuf[:0], minKey...)
+		_, id, err := upi.DecodeConfID(keyBuf)
 		if err != nil {
 			return err
 		}
 		// Collect all cursors at that key; pick the newest live entry.
-		var (
-			bestPriority = -1
-			bestVal      []byte
-		)
+		bestPriority := -1
 		for _, mc := range curs {
-			if !mc.c.Valid() || !bytes.Equal(mc.c.Key(), minKey) {
+			if !mc.c.Valid() || !bytes.Equal(mc.c.Key(), keyBuf) {
 				continue
 			}
 			if !mc.deleted[id] && mc.priority > bestPriority {
 				bestPriority = mc.priority
-				bestVal = append(bestVal[:0], mc.c.Value()...)
+				valBuf = append(valBuf[:0], mc.c.Value()...)
 			}
 			mc.c.Next()
 		}
 		if bestPriority >= 0 {
-			if err := b.Add(minKey, bestVal); err != nil {
+			if err := b.Add(keyBuf, valBuf); err != nil {
 				return err
 			}
 		}

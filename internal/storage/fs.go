@@ -13,6 +13,12 @@
 // paper's prototype: hot pages are served from the buffer pool for
 // free, cold pages pay modeled disk time, and DropCache reproduces the
 // paper's cold-cache experimental setting.
+//
+// The buffer pool allocates page bytes and nothing else on the read
+// path: a hit allocates nothing, a miss one buffer for its read-ahead
+// run, and no miss asks the backend for the file's size. Those buffers
+// are never recycled (see Pager), which is what lets B+Tree views and
+// unbuilt result rows alias them.
 package storage
 
 import (

@@ -1,8 +1,9 @@
 package storage
 
 import (
-	"container/list"
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 )
 
@@ -40,6 +41,13 @@ const DefaultCachePages = 512
 // per file, excluded from that file's readers by the owning table's
 // lock: a reader never observes a page mid-change.
 //
+// Page bytes are therefore the only thing the pool allocates: a hit
+// allocates nothing, a miss one buffer for its whole read-ahead run.
+// The pool's bookkeeping is a table of frames, reused through a free
+// list and linked into the LRU list by index, and the pager counts the
+// pages it has written to the file itself, so a miss never asks the
+// backend for the file size.
+//
 // The methods themselves are safe for concurrent use (the pool is
 // mutex-guarded; partition cursors of parallel queries read one pager
 // concurrently).
@@ -50,16 +58,25 @@ type Pager struct {
 	prefetch int // pages fetched per read miss (>=1)
 
 	mu           sync.Mutex
-	prefetchRefs int                      // active PushPrefetch holds
-	cache        map[PageID]*list.Element // -> *cachedPage
-	lru          *list.List               // front = most recently used
-	nPage        PageID                   // number of pages in file
+	prefetchRefs int              // active PushPrefetch holds
+	index        map[PageID]int32 // cached page -> its frame
+	frames       []frame
+	head, tail   int32 // LRU list; head = most recently used, -1 = empty
+	free         int32 // unused frames, linked through next; -1 = none
+	nPage        PageID
+	// onDisk is how many pages the file holds: the size NewPager found,
+	// advanced by every successful page write. Every page below nPage
+	// is cached, below onDisk, or both.
+	onDisk PageID
 }
 
-type cachedPage struct {
-	id    PageID
-	data  []byte
-	dirty bool
+// frame is one buffer-pool slot, linked into the LRU list (or the free
+// list) by index.
+type frame struct {
+	id         PageID
+	data       []byte
+	dirty      bool
+	prev, next int32
 }
 
 // NewPager creates a pager over f with the given page size. Any
@@ -73,14 +90,18 @@ func NewPager(f *File, pageSize int) (*Pager, error) {
 		return nil, fmt.Errorf("storage: file %s size %d not a multiple of page size %d",
 			f.Name(), size, pageSize)
 	}
+	n := PageID(size / int64(pageSize))
 	return &Pager{
 		f:        f,
 		pageSize: pageSize,
 		maxPages: DefaultCachePages,
 		prefetch: 1,
-		cache:    make(map[PageID]*list.Element),
-		lru:      list.New(),
-		nPage:    PageID(size / int64(pageSize)),
+		index:    make(map[PageID]int32),
+		head:     -1,
+		tail:     -1,
+		free:     -1,
+		nPage:    n,
+		onDisk:   n,
 	}, nil
 }
 
@@ -153,11 +174,11 @@ func (p *Pager) Alloc() (PageID, []byte, error) {
 	defer p.mu.Unlock()
 	id := p.nPage
 	p.nPage++
-	cp := &cachedPage{id: id, data: make([]byte, p.pageSize), dirty: true}
-	if err := p.insertLocked(cp); err != nil {
+	data := make([]byte, p.pageSize)
+	if err := p.insertLocked(id, data, true); err != nil {
 		return 0, nil, err
 	}
-	return id, cp.data, nil
+	return id, data, nil
 }
 
 // Read returns the contents of page id, through the buffer pool. The
@@ -172,9 +193,9 @@ func (p *Pager) readLocked(id PageID) ([]byte, error) {
 	if id >= p.nPage {
 		return nil, fmt.Errorf("storage: read page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
-	if el, ok := p.cache[id]; ok {
-		p.lru.MoveToFront(el)
-		return el.Value.(*cachedPage).data, nil
+	if fi, ok := p.index[id]; ok {
+		p.moveToFront(fi)
+		return p.frames[fi].data, nil
 	}
 	// Determine the read-ahead run: contiguous pages starting at id
 	// that are on disk, not cached (cached copies may be newer), and
@@ -186,19 +207,18 @@ func (p *Pager) readLocked(id PageID) ([]byte, error) {
 	if run < 1 {
 		run = 1
 	}
-	onDisk := PageID(p.f.Size() / int64(p.pageSize))
 	for n := 1; n < run; n++ {
 		next := id + PageID(n)
-		if next >= onDisk {
+		if next >= p.onDisk {
 			run = n
 			break
 		}
-		if _, cached := p.cache[next]; cached {
+		if _, cached := p.index[next]; cached {
 			run = n
 			break
 		}
 	}
-	if id+PageID(run) > onDisk {
+	if id+PageID(run) > p.onDisk {
 		run = 1 // requested page may live only beyond the flushed tail
 	}
 	data := make([]byte, run*p.pageSize)
@@ -208,20 +228,20 @@ func (p *Pager) readLocked(id PageID) ([]byte, error) {
 	// Insert read-ahead pages first, the requested page last, so the
 	// requested page is the most recently used.
 	for n := run - 1; n >= 1; n-- {
-		cp := &cachedPage{id: id + PageID(n), data: data[n*p.pageSize : (n+1)*p.pageSize : (n+1)*p.pageSize]}
-		if err := p.insertLocked(cp); err != nil {
+		if err := p.insertLocked(id+PageID(n), data[n*p.pageSize:(n+1)*p.pageSize:(n+1)*p.pageSize], false); err != nil {
 			return nil, err
 		}
 	}
-	cp := &cachedPage{id: id, data: data[:p.pageSize:p.pageSize]}
-	if err := p.insertLocked(cp); err != nil {
+	page := data[:p.pageSize:p.pageSize]
+	if err := p.insertLocked(id, page, false); err != nil {
 		return nil, err
 	}
-	return cp.data, nil
+	return page, nil
 }
 
 // Write replaces the contents of page id and marks it dirty. data must
-// be exactly one page.
+// be exactly one page. data may be the cached page itself (a buffer
+// from Alloc or Read filled in place), in which case nothing is copied.
 func (p *Pager) Write(id PageID, data []byte) error {
 	if len(data) != p.pageSize {
 		return fmt.Errorf("storage: write page %d: got %d bytes, want %d", id, len(data), p.pageSize)
@@ -231,15 +251,16 @@ func (p *Pager) Write(id PageID, data []byte) error {
 	if id >= p.nPage {
 		return fmt.Errorf("storage: write page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
-	if el, ok := p.cache[id]; ok {
-		cp := el.Value.(*cachedPage)
-		copy(cp.data, data)
-		cp.dirty = true
-		p.lru.MoveToFront(el)
+	if fi, ok := p.index[id]; ok {
+		f := &p.frames[fi]
+		if &f.data[0] != &data[0] {
+			copy(f.data, data)
+		}
+		f.dirty = true
+		p.moveToFront(fi)
 		return nil
 	}
-	cp := &cachedPage{id: id, data: append([]byte(nil), data...), dirty: true}
-	return p.insertLocked(cp)
+	return p.insertLocked(id, append([]byte(nil), data...), true)
 }
 
 // MarkDirty flags a cached page (previously obtained from Read or
@@ -247,31 +268,88 @@ func (p *Pager) Write(id PageID, data []byte) error {
 func (p *Pager) MarkDirty(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if el, ok := p.cache[id]; ok {
-		el.Value.(*cachedPage).dirty = true
-		p.lru.MoveToFront(el)
+	if fi, ok := p.index[id]; ok {
+		p.frames[fi].dirty = true
+		p.moveToFront(fi)
 	}
 }
 
-func (p *Pager) insertLocked(cp *cachedPage) error {
-	p.cache[cp.id] = p.lru.PushFront(cp)
+// insertLocked caches data as page id at the front of the LRU list,
+// then evicts down to the pool's capacity.
+func (p *Pager) insertLocked(id PageID, data []byte, dirty bool) error {
+	fi := p.free
+	if fi >= 0 {
+		p.free = p.frames[fi].next
+	} else {
+		fi = int32(len(p.frames))
+		p.frames = append(p.frames, frame{})
+	}
+	p.frames[fi] = frame{id: id, data: data, dirty: dirty}
+	p.pushFront(fi)
+	p.index[id] = fi
 	return p.evictLocked()
 }
 
 func (p *Pager) evictLocked() error {
-	for p.lru.Len() > p.maxPages {
-		el := p.lru.Back()
-		cp := el.Value.(*cachedPage)
-		if cp.dirty {
-			if err := p.f.WriteAt(cp.data, int64(cp.id)*int64(p.pageSize)); err != nil {
+	for len(p.index) > p.maxPages {
+		fi := p.tail
+		f := &p.frames[fi]
+		if f.dirty {
+			if err := p.writeBackLocked(f); err != nil {
 				return err
 			}
-			cp.dirty = false
 		}
-		p.lru.Remove(el)
-		delete(p.cache, cp.id)
+		p.unlink(fi)
+		delete(p.index, f.id)
+		*f = frame{next: p.free}
+		p.free = fi
 	}
 	return nil
+}
+
+// writeBackLocked writes a dirty frame to the file and counts the page
+// as on disk once the write has succeeded.
+func (p *Pager) writeBackLocked(f *frame) error {
+	if err := p.f.WriteAt(f.data, int64(f.id)*int64(p.pageSize)); err != nil {
+		return err
+	}
+	f.dirty = false
+	if f.id >= p.onDisk {
+		p.onDisk = f.id + 1
+	}
+	return nil
+}
+
+func (p *Pager) pushFront(fi int32) {
+	f := &p.frames[fi]
+	f.prev, f.next = -1, p.head
+	if p.head >= 0 {
+		p.frames[p.head].prev = fi
+	} else {
+		p.tail = fi
+	}
+	p.head = fi
+}
+
+func (p *Pager) unlink(fi int32) {
+	f := &p.frames[fi]
+	if f.prev >= 0 {
+		p.frames[f.prev].next = f.next
+	} else {
+		p.head = f.next
+	}
+	if f.next >= 0 {
+		p.frames[f.next].prev = f.prev
+	} else {
+		p.tail = f.prev
+	}
+}
+
+func (p *Pager) moveToFront(fi int32) {
+	if p.head != fi {
+		p.unlink(fi)
+		p.pushFront(fi)
+	}
 }
 
 // Flush writes all dirty pages to the file in page order (one mostly
@@ -283,24 +361,19 @@ func (p *Pager) Flush() error {
 }
 
 func (p *Pager) flushLocked() error {
-	dirty := make([]*cachedPage, 0)
-	for _, el := range p.cache {
-		if cp := el.Value.(*cachedPage); cp.dirty {
-			dirty = append(dirty, cp)
+	var dirty []int32
+	for fi := p.head; fi >= 0; fi = p.frames[fi].next {
+		if p.frames[fi].dirty {
+			dirty = append(dirty, fi)
 		}
 	}
 	// Write in ascending page order so flushes of bulk loads are
 	// sequential on the simulated disk.
-	for i := 1; i < len(dirty); i++ {
-		for j := i; j > 0 && dirty[j-1].id > dirty[j].id; j-- {
-			dirty[j-1], dirty[j] = dirty[j], dirty[j-1]
-		}
-	}
-	for _, cp := range dirty {
-		if err := p.f.WriteAt(cp.data, int64(cp.id)*int64(p.pageSize)); err != nil {
+	slices.SortFunc(dirty, func(a, b int32) int { return cmp.Compare(p.frames[a].id, p.frames[b].id) })
+	for _, fi := range dirty {
+		if err := p.writeBackLocked(&p.frames[fi]); err != nil {
 			return err
 		}
-		cp.dirty = false
 	}
 	return nil
 }
@@ -314,8 +387,10 @@ func (p *Pager) DropCache() error {
 	if err := p.flushLocked(); err != nil {
 		return err
 	}
-	p.cache = make(map[PageID]*list.Element)
-	p.lru.Init()
+	clear(p.frames) // drop the data references; the frames stay for reuse
+	p.frames = p.frames[:0]
+	clear(p.index)
+	p.head, p.tail, p.free = -1, -1, -1
 	return nil
 }
 
@@ -323,5 +398,5 @@ func (p *Pager) DropCache() error {
 func (p *Pager) CachedPages() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.lru.Len()
+	return len(p.index)
 }
