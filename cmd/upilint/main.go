@@ -1,6 +1,6 @@
 // Command upilint is the engine's multichecker: it bundles the custom
 // analyzers that encode upidb's load-bearing invariants (lockcheck,
-// sentinelcheck, ctxcheck, sidebandcheck) and exits non-zero when any
+// sentinelcheck, ctxcheck) and exits non-zero when any
 // diagnostic survives targeted //lint: suppression. The general-purpose
 // passes (go vet, staticcheck) run from upstream in CI.
 //
@@ -23,7 +23,6 @@ import (
 	"upidb/internal/lint/ctxcheck"
 	"upidb/internal/lint/lockcheck"
 	"upidb/internal/lint/sentinelcheck"
-	"upidb/internal/lint/sidebandcheck"
 )
 
 // all is the registry, in catalog order.
@@ -31,7 +30,6 @@ var all = []*lint.Analyzer{
 	lockcheck.Analyzer,
 	sentinelcheck.Analyzer,
 	ctxcheck.Analyzer,
-	sidebandcheck.Analyzer,
 }
 
 func main() {

@@ -54,14 +54,14 @@ func SpatialRouting(ctx context.Context, e *Env) (*Experiment, error) {
 	type spatialQuery struct {
 		label string
 		q     upidb.Query
-		scan  func(ctx context.Context) (int, error)
+		scan  func(ctx context.Context, tab *cupi.Table) (int, error)
 	}
 	circle := func(radius, th float64) spatialQuery {
 		return spatialQuery{
 			label: fmt.Sprintf("Q4 r=%.0f qt=%.1f", radius, th),
 			q:     upidb.Circle(q, radius, th),
-			scan: func(ctx context.Context) (int, error) {
-				rs, _, err := scanTab.FullScanCircle(ctx, q, radius, th)
+			scan: func(ctx context.Context, tab *cupi.Table) (int, error) {
+				rs, _, err := tab.FullScanCircle(ctx, q, radius, th)
 				return len(rs), err
 			},
 		}
@@ -70,8 +70,8 @@ func SpatialRouting(ctx context.Context, e *Env) (*Experiment, error) {
 		return spatialQuery{
 			label: fmt.Sprintf("Q5 %s qt=%.1f", seg, qt),
 			q:     upidb.Segment(seg, qt),
-			scan: func(ctx context.Context) (int, error) {
-				rs, _, err := scanTab.FullScanSegment(ctx, seg, qt)
+			scan: func(ctx context.Context, tab *cupi.Table) (int, error) {
+				rs, _, err := tab.FullScanSegment(ctx, seg, qt)
 				return len(rs), err
 			},
 		}
@@ -121,10 +121,8 @@ func SpatialRouting(ctx context.Context, e *Env) (*Experiment, error) {
 			return nil, err
 		}
 		tape := sim.NewTape()
-		release := scanFS.RouteTo(scanTab.Files(), tape)
 		tape.Open(scanTab.Name())
-		nScan, serr := qc.scan(ctx)
-		release()
+		nScan, serr := qc.scan(ctx, scanTab.View(tape))
 		scanDur := scanDisk.Replay(tape)
 		if serr != nil {
 			return nil, serr

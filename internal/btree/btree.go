@@ -104,11 +104,26 @@ func (t *Tree) Leaves() int64 { return t.leaves }
 // Pager exposes the underlying pager (for cache control in benchmarks).
 func (t *Tree) Pager() *storage.Pager { return t.pager }
 
+// View reads the tree through one reader's view of its pager (see
+// storage.View): the pages it misses are charged to that reader's
+// Recorder, fetched readAhead pages at a time. A view is a value;
+// taking one allocates nothing. The Tree's own Get, Scan and NewCursor
+// read through View(nil, 1).
+type View struct {
+	t  *Tree
+	pv storage.View
+}
+
+// View returns a view of the tree charging rec (the disk when nil).
+func (t *Tree) View(rec storage.Recorder, readAhead int) View {
+	return View{t: t, pv: t.pager.View(rec, readAhead)}
+}
+
 // readPage parses page id in place: the view aliases the pager's
 // buffer, which the pager never recycles and only this tree's writer
 // changes. It is the read path's page access.
-func (t *Tree) readPage(id storage.PageID, slots []slot) (page, error) {
-	buf, err := t.pager.Read(id)
+func (v View) readPage(id storage.PageID, slots []slot) (page, error) {
+	buf, err := v.pv.Read(id)
 	if err != nil {
 		return page{}, err
 	}
@@ -164,10 +179,13 @@ var slotTables = sync.Pool{New: func() any { return new([]slot) }}
 // Get returns the value stored under key. The value aliases the
 // pager's page: decode or copy it before the next write to the tree,
 // which may overwrite those bytes in place.
-func (t *Tree) Get(key []byte) ([]byte, bool, error) {
+func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.View(nil, 1).Get(key) }
+
+// Get is Tree.Get through the view.
+func (v View) Get(key []byte) ([]byte, bool, error) {
 	scratch := slotTables.Get().(*[]slot)
 	defer slotTables.Put(scratch)
-	pg, err := t.descendToLeaf(key, *scratch)
+	pg, err := v.descendToLeaf(key, *scratch)
 	if err != nil {
 		return nil, false, err
 	}
@@ -181,10 +199,10 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) {
 
 // descendToLeaf returns the leaf that key routes to. slots is scratch
 // for the leaf's slot table (see parsePage).
-func (t *Tree) descendToLeaf(key []byte, slots []slot) (page, error) {
-	pg, err := t.readPage(t.root, slots)
+func (v View) descendToLeaf(key []byte, slots []slot) (page, error) {
+	pg, err := v.readPage(v.t.root, slots)
 	for err == nil && !pg.leaf {
-		pg, err = t.readPage(pg.childFor(key), pg.slots)
+		pg, err = v.readPage(pg.childFor(key), pg.slots)
 	}
 	return pg, err
 }
@@ -337,14 +355,15 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 		return false, nil
 	}
 	// Collapse the root when an internal root loses all separators.
-	root, err := t.readPage(t.root, nil)
+	v := t.View(nil, 1)
+	root, err := v.readPage(t.root, nil)
 	if err != nil {
 		return false, err
 	}
 	for !root.leaf && len(root.slots) == 0 {
 		t.root = root.child(0)
 		t.height--
-		if root, err = t.readPage(t.root, root.slots); err != nil {
+		if root, err = v.readPage(t.root, root.slots); err != nil {
 			return false, err
 		}
 	}

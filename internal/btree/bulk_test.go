@@ -125,7 +125,7 @@ func TestBuilderLeavesEqualSerializedNodes(t *testing.T) {
 				// Descend to the first leaf, then walk the chain.
 				id := tr.root
 				for h := 1; h < tr.Height(); h++ {
-					pg, err := tr.readPage(id, nil)
+					pg, err := tr.View(nil, 1).readPage(id, nil)
 					if err != nil || pg.leaf {
 						t.Fatalf("level %d: %v leaf=%v", h, err, pg.leaf)
 					}

@@ -13,7 +13,7 @@ import (
 // yields undefined (but memory-safe: no panic, no out-of-page read)
 // entries.
 type Cursor struct {
-	t   *Tree
+	v   View
 	pg  page // current leaf; pg.buf == nil when unpositioned or exhausted
 	idx int
 	err error
@@ -23,7 +23,7 @@ type Cursor struct {
 // returns the cursor for chaining. This is the UPI.seekTo of the
 // paper's Algorithm 2.
 func (c *Cursor) Seek(target []byte) *Cursor {
-	pg, err := c.t.descendToLeaf(target, c.pg.slots)
+	pg, err := c.v.descendToLeaf(target, c.pg.slots)
 	if err != nil {
 		c.fail(err)
 		return c
@@ -36,9 +36,9 @@ func (c *Cursor) Seek(target []byte) *Cursor {
 
 // First positions the cursor at the smallest entry.
 func (c *Cursor) First() *Cursor {
-	pg, err := c.t.readPage(c.t.root, c.pg.slots)
+	pg, err := c.v.readPage(c.v.t.root, c.pg.slots)
 	for err == nil && !pg.leaf {
-		pg, err = c.t.readPage(pg.child(0), pg.slots)
+		pg, err = c.v.readPage(pg.child(0), pg.slots)
 	}
 	if err != nil {
 		c.fail(err)
@@ -62,7 +62,7 @@ func (c *Cursor) skipToNonEmpty() {
 			c.pg = page{}
 			return
 		}
-		pg, err := c.t.readPage(c.pg.next, c.pg.slots)
+		pg, err := c.v.readPage(c.pg.next, c.pg.slots)
 		if err != nil {
 			c.fail(err)
 			return
@@ -95,14 +95,22 @@ func (c *Cursor) Next() {
 }
 
 // NewCursor returns an unpositioned cursor; call Seek or First.
-func (t *Tree) NewCursor() *Cursor { return &Cursor{t: t} }
+func (t *Tree) NewCursor() *Cursor { return t.View(nil, 1).NewCursor() }
+
+// NewCursor is Tree.NewCursor through the view.
+func (v View) NewCursor() *Cursor { return &Cursor{v: v} }
 
 // Scan calls fn for every entry with start <= key < end in order.
 // A nil start begins at the first key; a nil end scans to the last.
 // fn returning false stops the scan early. key and val alias the page,
 // like Cursor.Key: fn may keep them until the next write to the tree.
 func (t *Tree) Scan(start, end []byte, fn func(key, val []byte) bool) error {
-	c := t.NewCursor()
+	return t.View(nil, 1).Scan(start, end, fn)
+}
+
+// Scan is Tree.Scan through the view.
+func (v View) Scan(start, end []byte, fn func(key, val []byte) bool) error {
+	c := v.NewCursor()
 	if start == nil {
 		c.First()
 	} else {

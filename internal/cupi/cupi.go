@@ -89,6 +89,14 @@ func (o Options) withDefaults() Options {
 // segment attribute. Safe for concurrent use (see the package comment
 // for the locking discipline).
 type Table struct {
+	*table
+	// rec receives the I/O charges of this handle's reads; nil charges
+	// the disk (see View).
+	rec storage.Recorder
+}
+
+// table is the state every view of one Table shares.
+type table struct {
 	fs   *storage.FS
 	name string
 	opts Options
@@ -119,7 +127,7 @@ type Stats = utree.Stats
 // index bulk-loaded.
 func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Options) (*Table, error) {
 	opts = opts.withDefaults()
-	t := &Table{fs: fs, name: name, opts: opts, rows: make(map[uint64]heapfile.RowID, len(obs))}
+	t := &Table{table: &table{fs: fs, name: name, opts: opts, rows: make(map[uint64]heapfile.RowID, len(obs))}}
 
 	byID := make(map[uint64]*tuple.Observation, len(obs))
 	entries := make([]rtree.Entry, 0, len(obs))
@@ -304,6 +312,15 @@ func (t *Table) checkOpenRLocked() error {
 	return nil
 }
 
+// View returns a handle on the same table whose queries and cursors
+// charge the pages they miss to rec instead of the disk. The lock, the
+// committed rows and the buffer pools stay shared: a page another
+// reader cached is a free hit. A view is for reading; it costs one
+// allocation.
+func (t *Table) View(rec storage.Recorder) *Table {
+	return &Table{table: t.table, rec: rec}
+}
+
 // RTree exposes the R-Tree. Intended for bulk-load-time inspection;
 // direct traversals are not synchronized with concurrent inserts.
 func (t *Table) RTree() *rtree.Tree { return t.rt }
@@ -316,12 +333,6 @@ func (t *Table) SegmentIndex() *btree.Tree { return t.segIdx }
 
 // Name returns the table name files are derived from.
 func (t *Table) Name() string { return t.name }
-
-// Files lists the table's on-disk files, the routing set for
-// per-query tape accounting.
-func (t *Table) Files() []string {
-	return []string{t.name + ".cupi.rtree", t.name + ".cupi.heap", t.name + ".cupi.seg"}
-}
 
 // Geometry is a snapshot of the table's physical shape — the inputs
 // the spatial planner's cost formulas need.
@@ -447,7 +458,7 @@ func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob
 		seen   = make(map[uint64]bool)
 		ctxErr error
 	)
-	err := t.rt.SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
+	err := t.rt.View(t.rec, 1).SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
 		if ctxErr = upi.CtxErr(ctx); ctxErr != nil {
 			return false
 		}
@@ -464,7 +475,7 @@ func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob
 // ok is false when the row vanished or the confidence is below the
 // threshold.
 func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64, stats *Stats) (Result, bool, error) {
-	rec, ok, err := t.heap.Get(c.rid)
+	rec, ok, err := t.heap.View(t.rec, 1).Get(c.rid)
 	if err != nil || !ok {
 		return Result{}, false, err
 	}
@@ -550,7 +561,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 		scanErr error
 	)
 	start, end := upi.ValuePrefix(seg), upi.ValuePrefixEnd(seg)
-	err := t.segIdx.Scan(start, end, func(k, v []byte) bool {
+	err := t.segIdx.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
 		conf, id, err := upi.DecodeConfID(k)
 		if err != nil {
 			scanErr = err
@@ -583,6 +594,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 // artifacts of a failed insert and are skipped.
 func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Stats) ([]Result, error) {
 	slices.SortFunc(entries, func(a, b segEntry) int { return a.rid.Compare(b.rid) })
+	heap := t.heap.View(t.rec, 1)
 	var results []Result
 	for i, e := range entries {
 		if i%64 == 0 {
@@ -593,7 +605,7 @@ func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Sta
 		if committed, ok := t.rows[e.id]; !ok || committed != e.rid {
 			continue
 		}
-		rec, ok, err := t.heap.Get(e.rid)
+		rec, ok, err := heap.Get(e.rid)
 		if err != nil {
 			return nil, err
 		}

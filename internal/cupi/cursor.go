@@ -129,7 +129,7 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 		if err := t.checkOpenRLocked(); err != nil {
 			return err
 		}
-		lc := t.rt.LeafCursor(queryMBR)
+		lc := t.rt.View(t.rec, 1).LeafCursor(queryMBR)
 		defer lc.Close()
 		seen := make(map[uint64]bool)
 		for {
@@ -182,7 +182,8 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 		var scanErr error
 		stopped := false
 		start, end := upi.ValuePrefix(seg), upi.ValuePrefixEnd(seg)
-		err := t.segIdx.Scan(start, end, func(k, v []byte) bool {
+		heap := t.heap.View(t.rec, 1)
+		err := t.segIdx.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
 			if scanErr = upi.CtxErr(ctx); scanErr != nil {
 				return false
 			}
@@ -203,7 +204,7 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 			if committed, ok := t.rows[id]; !ok || committed != rid {
 				return true // stale entry of a failed insert
 			}
-			rec, ok, err := t.heap.Get(rid)
+			rec, ok, err := heap.Get(rid)
 			if err != nil {
 				scanErr = err
 				return false
@@ -260,6 +261,10 @@ func (t *Table) ScanSegmentCursor(ctx context.Context, seg string, qt float64) *
 	}, false)
 }
 
+// scanReadAhead is the read-ahead window (pages) of a full heap scan:
+// one seek per run of pages, the Costscan assumption.
+const scanReadAhead = 64
+
 // scanCursor streams a sequential heap scan with an in-flight filter,
 // yielding qualifying observations in heap order. match sees each
 // committed row as the validated view of its record — the row's one
@@ -275,14 +280,12 @@ func (t *Table) scanCursor(ctx context.Context, match func(row tuple.Observation
 		if err := t.checkOpenRLocked(); err != nil {
 			return err
 		}
-		release := t.heap.Pager().PushPrefetch(64)
-		defer release()
 		var (
 			scanErr error
 			stopped bool
 			n       int
 		)
-		err := t.heap.Scan(func(rid heapfile.RowID, rec []byte) bool {
+		err := t.heap.View(t.rec, scanReadAhead).Scan(func(rid heapfile.RowID, rec []byte) bool {
 			if n%64 == 0 {
 				if scanErr = upi.CtxErr(ctx); scanErr != nil {
 					return false

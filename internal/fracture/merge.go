@@ -35,12 +35,9 @@ type mergeSnapshot struct {
 // was building survive the swap untouched. Old partition files are
 // removed once the last in-flight query over them finishes.
 //
-// Queries that overlap the build window read the same source
-// partitions the merge is scanning, so their modeled cost can vary
-// with timing (the merge widens those pagers' read-ahead and warms
-// their caches, and I/O attribution between overlapping scans of one
-// file is approximate). Total disk accounting stays exactly-once;
-// queries that do not overlap a merge keep fully deterministic costs.
+// The merge reads its sources through their shared buffer pools and
+// charges the disk; a query overlapping the build window is charged
+// only its own misses, so a page the merge cached is a free hit for it.
 func (s *Store) Merge() error {
 	// One merge at a time; a second caller (or the background merger)
 	// waits rather than building a competing generation.
@@ -140,27 +137,18 @@ func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
 		// Sources oldest-to-newest: main then fractures. Priority grows
 		// with recency; on duplicate keys the newest version wins.
 		curs := make([]*mergeCursor, len(snap.parts))
-		releases := make([]func(), len(snap.parts))
 		for i, src := range snap.parts {
-			tree := pick(src)
 			// Sequential read-ahead: the merge reads every source file
 			// front to back, so one seek covers a whole run of pages
 			// ("the cost of merging is about the same as the cost of
-			// sequentially reading all files"). Reference-counted so an
-			// overlapping full scan of the same partition cannot strip
-			// the window mid-merge (or vice versa).
-			releases[i] = tree.Pager().PushPrefetch(mergeReadAhead)
+			// sequentially reading all files").
 			curs[i] = &mergeCursor{
-				c:        tree.NewCursor().First(),
+				c:        pick(src).View(nil, mergeReadAhead).NewCursor().First(),
 				priority: i,
 				deleted:  snap.deletes[i],
 			}
 		}
-		err = kWayMerge(curs, b)
-		for _, release := range releases {
-			release()
-		}
-		if err != nil {
+		if err := kWayMerge(curs, b); err != nil {
 			return nil, err
 		}
 		t, err := b.Finish()
@@ -188,18 +176,11 @@ func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
 	return upi.Open(s.fs, snap.newName, s.attr, s.secAttrs, snap.opts)
 }
 
-// mergeByRebuild collects every live tuple (sequential heap scans,
-// oldest partition first) and bulk-builds a fresh main UPI with the
-// current options.
+// mergeByRebuild collects every live tuple (sequential heap scans with
+// upi.ScanHeap's read-ahead, oldest partition first) and bulk-builds a
+// fresh main UPI with the current options.
 func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
-	releases := make([]func(), len(snap.parts))
-	for i, src := range snap.parts {
-		releases[i] = src.Heap().Pager().PushPrefetch(mergeReadAhead)
-	}
 	tuples, err := collectLiveTuples(snap.parts, snap.deletes)
-	for _, release := range releases {
-		release()
-	}
 	if err != nil {
 		return nil, err
 	}

@@ -26,17 +26,20 @@ import (
 // partition cursors, so pages they never reached are never read — and
 // never charged.
 //
-// Accounting: each partition records its I/O on a private tape as its
-// pages are consumed; the tape is replayed against the shared disk in
-// one batch the moment that partition's cursor is exhausted (or when
-// the stream terminates early), and the partition's pin is released at
-// the same moment. Each partition is charged a table-open cost (the
+// Accounting: each partition's cursor reads through a view of the
+// partition (upi.Table.View) that records the pages it misses on a
+// private tape; the tape is replayed against the shared disk in one
+// batch the moment that partition's cursor is exhausted (or when the
+// stream terminates early), and the partition's pin is released at the
+// same moment. Each partition is charged a table-open cost (the
 // Nfrac × Costinit term of the Section 6 cost model) plus its scan
-// I/O. Partition tapes never share files, so the replayed total for a
-// full drain is exactly the serial scan's, however many cores prime
-// the cursors and whichever partitions share the merge. The first pull
-// primes every partition cursor across min(GOMAXPROCS, partitions)
-// workers; after that, pulls are demand-driven.
+// I/O. A tape holds this query's misses and nothing else: the replayed
+// total for a full drain is exactly the serial scan's however many
+// cores prime the cursors, and other queries and merges reading the
+// same partitions never land on it (a page one of them cached is a
+// free hit). The first pull primes every partition cursor across
+// min(GOMAXPROCS, partitions) workers; after that, pulls are
+// demand-driven.
 //
 // A Stream is single-consumer and not safe for concurrent use. The
 // context is checked between pulls; a cancelled stream terminates with
@@ -61,16 +64,15 @@ type Stream struct {
 
 // streamPart is one source of the merge: partition idx of store shard
 // under that store's snapshot (its delete filter, its pin) or, with
-// idx == bufferPart, that store's RAM-buffer matches. cur, tape and
-// release stay nil for a partition whose scan never started (the
-// context was done before its turn) and for a buffer source.
+// idx == bufferPart, that store's RAM-buffer matches. cur and tape
+// stay nil for a partition whose scan never started (the context was
+// done before its turn) and for a buffer source.
 type streamPart struct {
 	snap    *snapshot
 	shard   int
 	idx     int
 	cur     *upi.Cursor
 	tape    *sim.Tape
-	release func() // tape routing release
 	head    upi.Result
 	hasHead bool
 	// finished marks the partition finalized: cursor closed, tape
@@ -126,9 +128,8 @@ func (st *Stream) prime() error {
 		p.snap.met.ScanPartitions.Inc()
 		st.trace.emit(TraceScanStart, p.shard, p.idx, t.Name())
 		p.tape = sim.NewTape()
-		p.release = p.snap.fs.RouteTo(t.Files(), p.tape)
 		p.tape.Open(t.Name())
-		p.cur = st.cursor(st.ctx, t)
+		p.cur = st.cursor(st.ctx, t.View(p.tape))
 		errs[i] = p.advance()
 	}
 
@@ -206,8 +207,8 @@ func (p *streamPart) advance() error {
 }
 
 // finalizePart folds an exhausted (or abandoned) partition into the
-// stream: close the cursor so no further pages can be read, stop
-// routing, replay the consumed I/O in one batch, fold the statistics
+// stream: close the cursor so no further pages can be read, replay the
+// consumed I/O in one batch, fold the statistics
 // in and release the partition's pin. A partition whose scan never
 // started has nothing to fold in and no span to end; a buffer source
 // holds no pin either.
@@ -219,7 +220,6 @@ func (st *Stream) finalizePart(p *streamPart) {
 	if p.cur != nil {
 		p.cur.Close()
 		st.stats.QueryStats = addStats(st.stats.QueryStats, p.cur.Stats())
-		p.release()
 		st.stats.ModeledTime += p.snap.fs.Disk().Replay(p.tape)
 		st.trace.emit(TraceScanEnd, p.shard, p.idx, p.snap.parts[p.idx].Name())
 	}

@@ -171,9 +171,26 @@ func (h *Heap) Append(rec []byte) (RowID, error) {
 	return RowID{Page: id, Slot: 0}, nil
 }
 
+// View reads the heap through one reader's view of its pager (see
+// storage.View): the pages it misses are charged to that reader's
+// Recorder, fetched readAhead pages at a time. A view is a value; the
+// Heap's own Get and Scan read through View(nil, 1).
+type View struct {
+	h  *Heap
+	pv storage.View
+}
+
+// View returns a view of the heap charging rec (the disk when nil).
+func (h *Heap) View(rec storage.Recorder, readAhead int) View {
+	return View{h: h, pv: h.pager.View(rec, readAhead)}
+}
+
 // Get returns the record at id, or ok=false if it was deleted.
-func (h *Heap) Get(id RowID) ([]byte, bool, error) {
-	buf, err := h.pager.Read(id.Page)
+func (h *Heap) Get(id RowID) ([]byte, bool, error) { return h.View(nil, 1).Get(id) }
+
+// Get is Heap.Get through the view.
+func (v View) Get(id RowID) ([]byte, bool, error) {
+	buf, err := v.pv.Read(id.Page)
 	if err != nil {
 		return nil, false, err
 	}
@@ -209,9 +226,12 @@ func (h *Heap) Delete(id RowID) (bool, error) {
 
 // Scan visits all live records in physical order (one sequential pass).
 // fn returning false stops early.
-func (h *Heap) Scan(fn func(id RowID, rec []byte) bool) error {
-	for pg := storage.PageID(0); pg < h.pager.NumPages(); pg++ {
-		buf, err := h.pager.Read(pg)
+func (h *Heap) Scan(fn func(id RowID, rec []byte) bool) error { return h.View(nil, 1).Scan(fn) }
+
+// Scan is Heap.Scan through the view.
+func (v View) Scan(fn func(id RowID, rec []byte) bool) error {
+	for pg := storage.PageID(0); pg < v.h.pager.NumPages(); pg++ {
+		buf, err := v.pv.Read(pg)
 		if err != nil {
 			return err
 		}

@@ -2,8 +2,8 @@
 // spirit of golang.org/x/tools/go/analysis, built entirely on the
 // standard library so the repository carries no third-party
 // dependency. It exists to encode the engine's load-bearing invariants
-// — the cupi locking discipline, sideband registration of durability
-// files, errors.Is against the typed sentinels, context propagation —
+// — the cupi locking discipline, errors.Is against the typed
+// sentinels, context propagation —
 // as compile-time checks instead of reviewer memory.
 //
 // An Analyzer inspects one type-checked package at a time through a

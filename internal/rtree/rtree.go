@@ -167,8 +167,22 @@ type nodeView struct {
 	n    int // entries on the page
 }
 
-func (t *Tree) viewNode(id storage.PageID) (nodeView, error) {
-	buf, err := t.pager.Read(id)
+// View reads the tree through one reader's view of its pager (see
+// storage.View): the node pages it misses are charged to that reader's
+// Recorder. A view is a value; the Tree's own searches read through
+// View(nil, 1).
+type View struct {
+	t  *Tree
+	pv storage.View
+}
+
+// View returns a view of the tree charging rec (the disk when nil).
+func (t *Tree) View(rec storage.Recorder, readAhead int) View {
+	return View{t: t, pv: t.pager.View(rec, readAhead)}
+}
+
+func (tv View) viewNode(id storage.PageID) (nodeView, error) {
+	buf, err := tv.pv.Read(id)
 	if err != nil {
 		return nodeView{}, err
 	}
@@ -176,8 +190,8 @@ func (t *Tree) viewNode(id storage.PageID) (nodeView, error) {
 		return nodeView{}, fmt.Errorf("rtree: page %d has bad node type %d", id, buf[0])
 	}
 	cnt := int(binary.BigEndian.Uint16(buf[1:]))
-	if cnt > t.MaxEntries() {
-		return nodeView{}, fmt.Errorf("rtree: page %d claims %d entries, max %d", id, cnt, t.MaxEntries())
+	if cnt > tv.t.MaxEntries() {
+		return nodeView{}, fmt.Errorf("rtree: page %d claims %d entries, max %d", id, cnt, tv.t.MaxEntries())
 	}
 	return nodeView{buf: buf, leaf: buf[0] == nodeLeaf, n: cnt}, nil
 }
@@ -223,7 +237,7 @@ func (v nodeView) entries() []Entry {
 // readNode materializes a node for the mutating paths (insert, split,
 // root growth), which edit and rewrite its entries.
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
-	v, err := t.viewNode(id)
+	v, err := t.View(nil, 1).viewNode(id)
 	if err != nil {
 		return nil, err
 	}
@@ -241,12 +255,12 @@ func (t *Tree) allocNode(leaf bool) (*node, error) {
 // Search visits every leaf entry whose MBR intersects r. fn returning
 // false stops the search.
 func (t *Tree) Search(r prob.Rect, fn func(e Entry) bool) error {
-	_, err := t.search(t.root, r, fn)
+	_, err := t.View(nil, 1).search(t.root, r, fn)
 	return err
 }
 
-func (t *Tree) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bool, error) {
-	v, err := t.viewNode(id)
+func (tv View) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bool, error) {
+	v, err := tv.viewNode(id)
 	if err != nil {
 		return false, err
 	}
@@ -259,7 +273,7 @@ func (t *Tree) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bo
 				return false, nil
 			}
 		} else {
-			cont, err := t.search(v.child(i), r, fn)
+			cont, err := tv.search(v.child(i), r, fn)
 			if err != nil || !cont {
 				return cont, err
 			}
@@ -272,12 +286,17 @@ func (t *Tree) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bo
 // DFS order. The continuous UPI uses the grouping to read one heap
 // region per leaf (Section 5).
 func (t *Tree) SearchLeaves(r prob.Rect, fn func(leafID storage.PageID, matches []Entry) bool) error {
-	_, err := t.searchLeaves(t.root, r, fn)
+	return t.View(nil, 1).SearchLeaves(r, fn)
+}
+
+// SearchLeaves is Tree.SearchLeaves through the view.
+func (tv View) SearchLeaves(r prob.Rect, fn func(leafID storage.PageID, matches []Entry) bool) error {
+	_, err := tv.searchLeaves(tv.t.root, r, fn)
 	return err
 }
 
-func (t *Tree) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.PageID, []Entry) bool) (bool, error) {
-	v, err := t.viewNode(id)
+func (tv View) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.PageID, []Entry) bool) (bool, error) {
+	v, err := tv.viewNode(id)
 	if err != nil {
 		return false, err
 	}
@@ -303,7 +322,7 @@ func (t *Tree) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.Page
 		if !v.mbr(i).Intersects(r) {
 			continue
 		}
-		cont, err := t.searchLeaves(v.child(i), r, fn)
+		cont, err := tv.searchLeaves(v.child(i), r, fn)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -333,10 +352,13 @@ type LeafCursor struct {
 
 // LeafCursor starts a lazy SearchLeaves(r): the same leaves, in the
 // same DFS order, delivered one Next call at a time.
-func (t *Tree) LeafCursor(r prob.Rect) *LeafCursor {
+func (t *Tree) LeafCursor(r prob.Rect) *LeafCursor { return t.View(nil, 1).LeafCursor(r) }
+
+// LeafCursor is Tree.LeafCursor through the view.
+func (tv View) LeafCursor(r prob.Rect) *LeafCursor {
 	c := &LeafCursor{}
 	seq := func(yield func(LeafHit, error) bool) {
-		err := t.SearchLeaves(r, func(id storage.PageID, matches []Entry) bool {
+		err := tv.SearchLeaves(r, func(id storage.PageID, matches []Entry) bool {
 			return yield(LeafHit{Leaf: id, Matches: matches}, nil)
 		})
 		if err != nil {
@@ -381,12 +403,12 @@ func (c *LeafCursor) Close() {
 // Leaves visits every leaf in DFS order ("hierarchical node location"
 // order), which is the clustering order of the continuous UPI heap.
 func (t *Tree) Leaves(fn func(leafID storage.PageID, entries []Entry) bool) error {
-	_, err := t.leaves(t.root, fn)
+	_, err := t.View(nil, 1).leaves(t.root, fn)
 	return err
 }
 
-func (t *Tree) leaves(id storage.PageID, fn func(storage.PageID, []Entry) bool) (bool, error) {
-	v, err := t.viewNode(id)
+func (tv View) leaves(id storage.PageID, fn func(storage.PageID, []Entry) bool) (bool, error) {
+	v, err := tv.viewNode(id)
 	if err != nil {
 		return false, err
 	}
@@ -394,7 +416,7 @@ func (t *Tree) leaves(id storage.PageID, fn func(storage.PageID, []Entry) bool) 
 		return fn(id, v.entries()), nil
 	}
 	for i := 0; i < v.n; i++ {
-		cont, err := t.leaves(v.child(i), fn)
+		cont, err := tv.leaves(v.child(i), fn)
 		if err != nil || !cont {
 			return cont, err
 		}

@@ -102,7 +102,7 @@ func resolveNew(n int) int {
 }
 
 // writeShardsFile persists the shard count (multi-shard tables only).
-// The file is sideband: never routed, never charged.
+// The file is sideband: charged to nobody.
 func writeShardsFile(fs *storage.FS, name string, n int, durable bool) error {
 	if n == 1 {
 		return nil

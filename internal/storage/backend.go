@@ -11,7 +11,7 @@ import (
 )
 
 // Backend is the byte store underneath an FS. The FS keeps all I/O
-// accounting (sim.Disk charges, per-query RouteTo recorders) and
+// accounting (sim.Disk charges, per-reader View recorders) and
 // delegates the bytes themselves here, so the same engine runs over an
 // in-memory simulation (MemBackend, the default) or real files on a
 // real disk (DiskBackend) without either layer knowing about the

@@ -192,14 +192,23 @@ func TestSidebandUnchargedAndUnrouted(t *testing.T) {
 		t.Fatalf("sideband charged disk: %+v", d)
 	}
 
-	// A route claiming both files must only capture the regular one.
+	// A reader's recorder captures the regular file only.
 	tape := sim.NewTape()
-	release := fs.RouteTo([]string{"wal", "data"}, tape)
-	w.WriteAt(make([]byte, 10), 0)
-	q.WriteAt(make([]byte, 10), 0)
-	release()
+	w.writeAt(tape, make([]byte, 10), 0)
+	q.writeAt(tape, make([]byte, 10), 0)
+	w.readAt(tape, make([]byte, 10), 0)
 	if got := tape.Len(); got != 1 {
 		t.Fatalf("tape captured %d ops, want 1 (the data write only)", got)
+	}
+
+	// The class is fixed when the handle is made: marking a name later
+	// leaves an open handle charged and uncharges the next one.
+	fs.Sideband("data")
+	before = disk.Stats()
+	q.WriteAt(make([]byte, 10), 0)
+	fs.Create("data").WriteAt(make([]byte, 10), 0)
+	if d := disk.Stats().Sub(before); d.BytesWritten != 10 {
+		t.Fatalf("wrote %d charged bytes, want 10 (the handle made before the mark)", d.BytesWritten)
 	}
 
 	// The mark follows a rename and dies with Remove.

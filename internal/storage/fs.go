@@ -14,6 +14,12 @@
 // free, cold pages pay modeled disk time, and DropCache reproduces the
 // paper's cold-cache experimental setting.
 //
+// Accounting travels with the reader. A query reads a Pager through
+// its own View, which charges the pages it misses to the query's
+// Recorder (a sim.Tape) instead of the disk, so its modeled cost is
+// exactly its own I/O however many queries and merges share the file.
+// Sideband files (WAL, manifest) are charged to nobody.
+//
 // The buffer pool allocates page bytes and nothing else on the read
 // path: a hit allocates nothing, a miss one buffer for its read-ahead
 // run, and no miss asks the backend for the file's size. Those buffers
@@ -35,22 +41,14 @@ type FS struct {
 	backend Backend
 
 	mu       sync.Mutex
-	routes   map[string]routeEntry
-	routeSeq uint64
 	sideband map[string]bool
 }
 
-// Recorder receives the I/O charges of routed files in place of the
-// disk. *sim.Tape implements it.
+// Recorder receives the I/O charges of one reader in place of the disk
+// (see View). *sim.Tape implements it.
 type Recorder interface {
-	Open(file string)
 	Read(file string, off, n int64)
 	Write(file string, off, n int64)
-}
-
-type routeEntry struct {
-	rec   Recorder
-	token uint64
 }
 
 // NewFS returns an empty file system charging I/O to disk, storing
@@ -72,11 +70,11 @@ func (fs *FS) Disk() *sim.Disk { return fs.disk }
 func (fs *FS) Backend() Backend { return fs.backend }
 
 // Sideband marks the named file as accounting-exempt: its I/O is never
-// charged to the disk and never diverted by RouteTo, so durability
+// charged, to the disk or to any reader's Recorder, so durability
 // bookkeeping (WAL appends, manifest writes) cannot perturb modeled
-// query costs or be attributed to a concurrent query's per-query
-// stats. The mark survives Create/truncate and follows the file
-// through Rename; Remove clears it.
+// query costs. A handle's class is fixed when Create or Open returns
+// it, so mark the name first. The mark survives Create/truncate and
+// follows the file through Rename; Remove clears it.
 func (fs *FS) Sideband(name string) {
 	fs.mu.Lock()
 	defer fs.mu.Unlock()
@@ -93,61 +91,14 @@ func (fs *FS) IsSideband(name string) bool {
 	return fs.sideband[name]
 }
 
-// RouteTo diverts the I/O charges of the named files to rec instead of
-// the disk until the returned release function is called. A parallel
-// query routes each partition's files to a private sim.Tape, then
-// replays the tapes in partition order for deterministic accounting.
-// Sideband files are never routed: a WAL or manifest name in files is
-// silently skipped, so durability appends cannot land on a query's
-// recorder.
-//
-// Routes nest last-writer-wins: if a second RouteTo claims a file, the
-// newer route receives subsequent charges and the older release leaves
-// it untouched, so every operation is charged to exactly one sink.
-// Consequently, when two actors scan the same files at the same time
-// (two queries on one table, or a query overlapping a background
-// merge), totals remain exactly-once but the split *between* their
-// recorders is approximate — per-query determinism is guaranteed only
-// for scans that do not share files with concurrent activity.
-func (fs *FS) RouteTo(files []string, rec Recorder) (release func()) {
-	fs.mu.Lock()
-	if fs.routes == nil {
-		fs.routes = make(map[string]routeEntry)
+// handle returns a handle on name with its charge class resolved, and
+// charges a charged file's open cost (Costinit) to the disk.
+func (fs *FS) handle(name string, err error) *File {
+	f := &File{fs: fs, name: name, err: err, sideband: fs.IsSideband(name)}
+	if !f.sideband {
+		fs.disk.Open(name)
 	}
-	fs.routeSeq++
-	token := fs.routeSeq
-	routed := make([]string, 0, len(files))
-	for _, name := range files {
-		if fs.sideband[name] {
-			continue
-		}
-		fs.routes[name] = routeEntry{rec: rec, token: token}
-		routed = append(routed, name)
-	}
-	fs.mu.Unlock()
-	return func() {
-		fs.mu.Lock()
-		for _, name := range routed {
-			if e, ok := fs.routes[name]; ok && e.token == token {
-				delete(fs.routes, name)
-			}
-		}
-		fs.mu.Unlock()
-	}
-}
-
-// sink classifies where charges for name go: the routed recorder, the
-// disk (rec nil, charge true), or nowhere (sideband).
-func (fs *FS) sink(name string) (rec Recorder, charge bool) {
-	fs.mu.Lock()
-	defer fs.mu.Unlock()
-	if fs.sideband[name] {
-		return nil, false
-	}
-	if e, ok := fs.routes[name]; ok {
-		return e.rec, true
-	}
-	return nil, true
+	return f
 }
 
 // Create creates (or truncates) a file and returns an open handle.
@@ -158,10 +109,7 @@ func (fs *FS) Create(name string) *File {
 	if err != nil {
 		err = fmt.Errorf("storage: create %s: %w", name, err)
 	}
-	if _, charge := fs.sink(name); charge {
-		fs.disk.Open(name)
-	}
-	return &File{fs: fs, name: name, err: err}
+	return fs.handle(name, err)
 }
 
 // Open opens an existing file, charging the file-open cost (Costinit).
@@ -169,10 +117,7 @@ func (fs *FS) Open(name string) (*File, error) {
 	if !fs.backend.Exists(name) {
 		return nil, fmt.Errorf("storage: open %s: no such file", name)
 	}
-	if _, charge := fs.sink(name); charge {
-		fs.disk.Open(name)
-	}
-	return &File{fs: fs, name: name}, nil
+	return fs.handle(name, nil), nil
 }
 
 // Exists reports whether a file with the given name exists.
@@ -237,11 +182,14 @@ func (fs *FS) Sync(name string) error {
 }
 
 // File is a handle on one file of an FS. The handle itself carries no
-// position; all access is by explicit offset.
+// position; all access is by explicit offset. Whether its I/O is
+// charged was settled when Create or Open returned it, so reads and
+// writes take no lock of the FS.
 type File struct {
-	fs   *FS
-	name string
-	err  error // deferred Create failure
+	fs       *FS
+	name     string
+	err      error // deferred Create failure
+	sideband bool
 }
 
 // Name returns the file's name.
@@ -254,35 +202,43 @@ func (f *File) Size() int64 {
 
 // ReadAt reads len(p) bytes at offset off, charging the disk. Reading
 // past the end of the file is an error.
-func (f *File) ReadAt(p []byte, off int64) error {
+func (f *File) ReadAt(p []byte, off int64) error { return f.readAt(nil, p, off) }
+
+// WriteAt writes len(p) bytes at offset off, growing the file if the
+// write extends past its end, and charges the disk.
+func (f *File) WriteAt(p []byte, off int64) error { return f.writeAt(nil, p, off) }
+
+// readAt is ReadAt charging rec in place of the disk when rec is set.
+func (f *File) readAt(rec Recorder, p []byte, off int64) error {
 	if f.err != nil {
 		return f.err
 	}
 	if err := f.fs.backend.ReadAt(f.name, p, off); err != nil {
 		return err
 	}
-	rec, charge := f.fs.sink(f.name)
-	if rec != nil {
+	switch {
+	case f.sideband:
+	case rec != nil:
 		rec.Read(f.name, off, int64(len(p)))
-	} else if charge {
+	default:
 		f.fs.disk.Read(f.name, off, int64(len(p)))
 	}
 	return nil
 }
 
-// WriteAt writes len(p) bytes at offset off, growing the file if the
-// write extends past its end, and charges the disk.
-func (f *File) WriteAt(p []byte, off int64) error {
+// writeAt is WriteAt charging rec in place of the disk when rec is set.
+func (f *File) writeAt(rec Recorder, p []byte, off int64) error {
 	if f.err != nil {
 		return f.err
 	}
 	if err := f.fs.backend.WriteAt(f.name, p, off); err != nil {
 		return err
 	}
-	rec, charge := f.fs.sink(f.name)
-	if rec != nil {
+	switch {
+	case f.sideband:
+	case rec != nil:
 		rec.Write(f.name, off, int64(len(p)))
-	} else if charge {
+	default:
 		f.fs.disk.Write(f.name, off, int64(len(p)))
 	}
 	return nil

@@ -48,6 +48,11 @@ const DefaultCachePages = 512
 // pages it has written to the file itself, so a miss never asks the
 // backend for the file size.
 //
+// The pool is shared by every reader of the file; what a reader pays
+// for it is its own. Read and the mutating methods charge the disk and
+// fetch one page per miss. A reader that keeps its own account, or
+// scans sequentially, reads through a View instead (see View).
+//
 // The methods themselves are safe for concurrent use (the pool is
 // mutex-guarded; partition cursors of parallel queries read one pager
 // concurrently).
@@ -55,15 +60,13 @@ type Pager struct {
 	f        *File
 	pageSize int
 	maxPages int
-	prefetch int // pages fetched per read miss (>=1)
 
-	mu           sync.Mutex
-	prefetchRefs int              // active PushPrefetch holds
-	index        map[PageID]int32 // cached page -> its frame
-	frames       []frame
-	head, tail   int32 // LRU list; head = most recently used, -1 = empty
-	free         int32 // unused frames, linked through next; -1 = none
-	nPage        PageID
+	mu         sync.Mutex
+	index      map[PageID]int32 // cached page -> its frame
+	frames     []frame
+	head, tail int32 // LRU list; head = most recently used, -1 = empty
+	free       int32 // unused frames, linked through next; -1 = none
+	nPage      PageID
 	// onDisk is how many pages the file holds: the size NewPager found,
 	// advanced by every successful page write. Every page below nPage
 	// is cached, below onDisk, or both.
@@ -95,7 +98,6 @@ func NewPager(f *File, pageSize int) (*Pager, error) {
 		f:        f,
 		pageSize: pageSize,
 		maxPages: DefaultCachePages,
-		prefetch: 1,
 		index:    make(map[PageID]int32),
 		head:     -1,
 		tail:     -1,
@@ -105,44 +107,32 @@ func NewPager(f *File, pageSize int) (*Pager, error) {
 	}, nil
 }
 
-// SetPrefetch sets how many contiguous pages one read miss fetches in
-// a single disk operation. It models sequential read-ahead: a merge or
-// table scan that enables it pays one seek per run of pages instead of
-// one per page. The default of 1 disables read-ahead.
-func (p *Pager) SetPrefetch(pages int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pages < 1 {
-		pages = 1
-	}
-	p.prefetch = pages
+// View is one reader's window on a Pager: it reads through the shared
+// buffer pool, and the misses it takes — and the write-backs of dirty
+// pages those misses evict — are charged to its Recorder, or to the
+// disk when that is nil. A page another reader cached is a free hit.
+// A view is a value; taking one allocates nothing.
+type View struct {
+	p         *Pager
+	rec       Recorder
+	readAhead int
 }
 
-// PushPrefetch raises the read-ahead window to at least pages and
-// returns a release function. Holds are reference-counted: concurrent
-// sequential readers of the same file (a full scan overlapping a
-// merge, two overlapping scans) keep the widest requested window until
-// the *last* hold releases, which restores the default of 1 — so one
-// reader finishing cannot strip the read-ahead out from under another
-// mid-scan.
-func (p *Pager) PushPrefetch(pages int) (release func()) {
-	p.mu.Lock()
-	p.prefetchRefs++
-	if pages > p.prefetch {
-		p.prefetch = pages
-	}
-	p.mu.Unlock()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			p.mu.Lock()
-			p.prefetchRefs--
-			if p.prefetchRefs == 0 {
-				p.prefetch = 1
-			}
-			p.mu.Unlock()
-		})
-	}
+// View returns a view charging rec (the disk when nil) whose every read
+// miss fetches up to readAhead contiguous pages in a single disk
+// operation. Read-ahead models a sequential reader — a merge or a table
+// scan — paying one seek per run of pages instead of one per page;
+// values below 1 mean no read-ahead.
+func (p *Pager) View(rec Recorder, readAhead int) View {
+	return View{p: p, rec: rec, readAhead: readAhead}
+}
+
+// Read returns the contents of page id, through the buffer pool, like
+// Pager.Read.
+func (v View) Read(id PageID) ([]byte, error) {
+	v.p.mu.Lock()
+	defer v.p.mu.Unlock()
+	return v.p.readLocked(v.rec, id, v.readAhead)
 }
 
 // PageSize returns the page size in bytes.
@@ -163,7 +153,7 @@ func (p *Pager) SetCacheLimit(pages int) error {
 		pages = 1
 	}
 	p.maxPages = pages
-	return p.evictLocked()
+	return p.evictLocked(nil)
 }
 
 // Alloc appends a new zeroed page to the file and returns its ID and a
@@ -175,21 +165,22 @@ func (p *Pager) Alloc() (PageID, []byte, error) {
 	id := p.nPage
 	p.nPage++
 	data := make([]byte, p.pageSize)
-	if err := p.insertLocked(id, data, true); err != nil {
+	if err := p.insertLocked(nil, id, data, true); err != nil {
 		return 0, nil, err
 	}
 	return id, data, nil
 }
 
-// Read returns the contents of page id, through the buffer pool. The
-// returned slice aliases the cached page: mutate it only via Write.
+// Read returns the contents of page id, through the buffer pool,
+// charging a miss to the disk. The returned slice aliases the cached
+// page: mutate it only via Write.
 func (p *Pager) Read(id PageID) ([]byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.readLocked(id)
+	return p.View(nil, 1).Read(id)
 }
 
-func (p *Pager) readLocked(id PageID) ([]byte, error) {
+// readLocked serves a read of page id for a reader charging rec with
+// the given read-ahead window.
+func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) ([]byte, error) {
 	if id >= p.nPage {
 		return nil, fmt.Errorf("storage: read page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
@@ -200,7 +191,7 @@ func (p *Pager) readLocked(id PageID) ([]byte, error) {
 	// Determine the read-ahead run: contiguous pages starting at id
 	// that are on disk, not cached (cached copies may be newer), and
 	// within half the pool so the run cannot evict itself.
-	run := p.prefetch
+	run := readAhead
 	if max := p.maxPages / 2; run > max {
 		run = max
 	}
@@ -222,18 +213,18 @@ func (p *Pager) readLocked(id PageID) ([]byte, error) {
 		run = 1 // requested page may live only beyond the flushed tail
 	}
 	data := make([]byte, run*p.pageSize)
-	if err := p.f.ReadAt(data, int64(id)*int64(p.pageSize)); err != nil {
+	if err := p.f.readAt(rec, data, int64(id)*int64(p.pageSize)); err != nil {
 		return nil, err
 	}
 	// Insert read-ahead pages first, the requested page last, so the
 	// requested page is the most recently used.
 	for n := run - 1; n >= 1; n-- {
-		if err := p.insertLocked(id+PageID(n), data[n*p.pageSize:(n+1)*p.pageSize:(n+1)*p.pageSize], false); err != nil {
+		if err := p.insertLocked(rec, id+PageID(n), data[n*p.pageSize:(n+1)*p.pageSize:(n+1)*p.pageSize], false); err != nil {
 			return nil, err
 		}
 	}
 	page := data[:p.pageSize:p.pageSize]
-	if err := p.insertLocked(id, page, false); err != nil {
+	if err := p.insertLocked(rec, id, page, false); err != nil {
 		return nil, err
 	}
 	return page, nil
@@ -260,7 +251,7 @@ func (p *Pager) Write(id PageID, data []byte) error {
 		p.moveToFront(fi)
 		return nil
 	}
-	return p.insertLocked(id, append([]byte(nil), data...), true)
+	return p.insertLocked(nil, id, append([]byte(nil), data...), true)
 }
 
 // MarkDirty flags a cached page (previously obtained from Read or
@@ -275,8 +266,9 @@ func (p *Pager) MarkDirty(id PageID) {
 }
 
 // insertLocked caches data as page id at the front of the LRU list,
-// then evicts down to the pool's capacity.
-func (p *Pager) insertLocked(id PageID, data []byte, dirty bool) error {
+// then evicts down to the pool's capacity, charging write-backs to rec
+// (the disk when nil).
+func (p *Pager) insertLocked(rec Recorder, id PageID, data []byte, dirty bool) error {
 	fi := p.free
 	if fi >= 0 {
 		p.free = p.frames[fi].next
@@ -287,15 +279,15 @@ func (p *Pager) insertLocked(id PageID, data []byte, dirty bool) error {
 	p.frames[fi] = frame{id: id, data: data, dirty: dirty}
 	p.pushFront(fi)
 	p.index[id] = fi
-	return p.evictLocked()
+	return p.evictLocked(rec)
 }
 
-func (p *Pager) evictLocked() error {
+func (p *Pager) evictLocked(rec Recorder) error {
 	for len(p.index) > p.maxPages {
 		fi := p.tail
 		f := &p.frames[fi]
 		if f.dirty {
-			if err := p.writeBackLocked(f); err != nil {
+			if err := p.writeBackLocked(rec, f); err != nil {
 				return err
 			}
 		}
@@ -309,8 +301,8 @@ func (p *Pager) evictLocked() error {
 
 // writeBackLocked writes a dirty frame to the file and counts the page
 // as on disk once the write has succeeded.
-func (p *Pager) writeBackLocked(f *frame) error {
-	if err := p.f.WriteAt(f.data, int64(f.id)*int64(p.pageSize)); err != nil {
+func (p *Pager) writeBackLocked(rec Recorder, f *frame) error {
+	if err := p.f.writeAt(rec, f.data, int64(f.id)*int64(p.pageSize)); err != nil {
 		return err
 	}
 	f.dirty = false
@@ -371,7 +363,7 @@ func (p *Pager) flushLocked() error {
 	// sequential on the simulated disk.
 	slices.SortFunc(dirty, func(a, b int32) int { return cmp.Compare(p.frames[a].id, p.frames[b].id) })
 	for _, fi := range dirty {
-		if err := p.writeBackLocked(&p.frames[fi]); err != nil {
+		if err := p.writeBackLocked(nil, &p.frames[fi]); err != nil {
 			return err
 		}
 	}

@@ -58,11 +58,11 @@ func (b *countingBackend) Size(name string) (int64, bool) {
 // that learns how many pages are on disk by asking the file on every
 // miss. The Pager must make the same transfers in the same order.
 type lruModel struct {
-	f                            *File
-	pageSize, maxPages, prefetch int
-	lru                          *list.List // of *modelPage; front = most recent
-	cache                        map[PageID]*list.Element
-	nPage                        PageID
+	f                  *File
+	pageSize, maxPages int
+	lru                *list.List // of *modelPage; front = most recent
+	cache              map[PageID]*list.Element
+	nPage              PageID
 }
 
 type modelPage struct {
@@ -71,7 +71,8 @@ type modelPage struct {
 	dirty bool
 }
 
-func (m *lruModel) read(id PageID) ([]byte, error) {
+// read fetches up to readAhead pages on a miss.
+func (m *lruModel) read(id PageID, readAhead int) ([]byte, error) {
 	if id >= m.nPage {
 		return nil, errors.New("model: page out of range")
 	}
@@ -79,7 +80,7 @@ func (m *lruModel) read(id PageID) ([]byte, error) {
 		m.lru.MoveToFront(el)
 		return el.Value.(*modelPage).data, nil
 	}
-	run := max(min(m.prefetch, m.maxPages/2), 1)
+	run := max(min(readAhead, m.maxPages/2), 1)
 	onDisk := PageID(m.f.Size() / int64(m.pageSize))
 	for n := 1; n < run; n++ {
 		if next := id + PageID(n); next >= onDisk || m.cache[next] != nil {
@@ -153,14 +154,13 @@ func (m *lruModel) flush() error {
 // poolPair drives a Pager and the model through the same history, each
 // over its own logging backend.
 type poolPair struct {
-	t        *testing.T
-	p        *Pager
-	m        *lruModel
-	pb, mb   *countingBackend // pager's and model's backends
-	pf, mf   *FaultBackend
-	releases []func() // PushPrefetch holds on the pager
-	mRefs    int      // the model's matching holds
-	truth    map[PageID][]byte
+	t      *testing.T
+	p      *Pager
+	m      *lruModel
+	pb, mb *countingBackend // pager's and model's backends
+	pf, mf *FaultBackend
+	ahead  int // read-ahead window of the current reader's view
+	truth  map[PageID][]byte
 }
 
 const modelPageSize = 64
@@ -180,8 +180,8 @@ func newPoolPair(t *testing.T) *poolPair {
 	}
 	pb.sizes = 0 // NewPager's one Size is allowed
 	return &poolPair{
-		t: t, p: p, pb: pb, mb: mb, pf: pf, mf: mf,
-		m: &lruModel{f: mfile, pageSize: modelPageSize, maxPages: DefaultCachePages, prefetch: 1,
+		t: t, p: p, pb: pb, mb: mb, pf: pf, mf: mf, ahead: 1,
+		m: &lruModel{f: mfile, pageSize: modelPageSize, maxPages: DefaultCachePages,
 			lru: list.New(), cache: make(map[PageID]*list.Element)},
 		truth: make(map[PageID][]byte),
 	}
@@ -236,9 +236,9 @@ func tail(log []ioEvent) []ioEvent { return log[max(0, len(log)-4):] }
 
 func (pp *poolPair) read(id PageID) {
 	pp.t.Helper()
-	got, perr := pp.p.Read(id)
-	want, merr := pp.m.read(id)
-	step := fmt.Sprintf("Read(%d)", id)
+	got, perr := pp.p.View(nil, pp.ahead).Read(id)
+	want, merr := pp.m.read(id, pp.ahead)
+	step := fmt.Sprintf("Read(%d, ahead %d)", id, pp.ahead)
 	pp.sameErr(step, perr, merr)
 	if perr == nil && (!bytes.Equal(got, want) || !bytes.Equal(got, pp.truth[id])) {
 		pp.t.Fatalf("%s: pager %x, model %x, last written %x", step, got[:8], want[:8], pp.truth[id][:8])
@@ -275,8 +275,8 @@ func (pp *poolPair) write(id PageID, fill byte) {
 // then announces it.
 func (pp *poolPair) markDirty(id PageID, fill byte) {
 	pp.t.Helper()
-	got, perr := pp.p.Read(id)
-	want, merr := pp.m.read(id)
+	got, perr := pp.p.View(nil, pp.ahead).Read(id)
+	want, merr := pp.m.read(id, pp.ahead)
 	pp.sameErr(fmt.Sprintf("Read(%d) for MarkDirty", id), perr, merr)
 	if perr != nil {
 		pp.check("MarkDirty")
@@ -299,20 +299,6 @@ func (pp *poolPair) setCacheLimit(n int) {
 	merr := pp.m.evict()
 	pp.sameErr(fmt.Sprintf("SetCacheLimit(%d)", n), perr, merr)
 	pp.check(fmt.Sprintf("SetCacheLimit(%d)", n))
-}
-
-func (pp *poolPair) pushPrefetch(n int) {
-	pp.releases = append(pp.releases, pp.p.PushPrefetch(n))
-	pp.mRefs++
-	pp.m.prefetch = max(pp.m.prefetch, n)
-}
-
-func (pp *poolPair) releasePrefetch(i int) {
-	pp.releases[i]()
-	pp.releases = slices.Delete(pp.releases, i, i+1)
-	if pp.mRefs--; pp.mRefs == 0 {
-		pp.m.prefetch = 1
-	}
 }
 
 func (pp *poolPair) flush() {
@@ -370,11 +356,9 @@ func (pp *poolPair) step(rng *rand.Rand, last *PageID) {
 		}
 	case op < 80:
 		pp.setCacheLimit(rng.Intn(14))
-	case op < 88:
-		if len(pp.releases) > 0 && rng.Intn(2) == 0 {
-			pp.releasePrefetch(rng.Intn(len(pp.releases)))
-		} else {
-			pp.pushPrefetch(2 + rng.Intn(10))
+	case op < 88: // the next reads come from another reader's view
+		if pp.ahead = 1; rng.Intn(2) == 0 {
+			pp.ahead = 2 + rng.Intn(10)
 		}
 	case op < 95:
 		pp.flush()
@@ -416,9 +400,7 @@ func TestPagerEvictionWriteFailure(t *testing.T) {
 	for i := 0; i < 300; i++ {
 		pp.step(rng, &last)
 	}
-	for len(pp.releases) > 0 {
-		pp.releasePrefetch(0)
-	}
+	pp.ahead = 1
 	pp.setCacheLimit(4)
 	for i := 0; i < 4; i++ { // the pool now holds four dirty pages
 		if err := pp.alloc(byte(i + 1)); err != nil {
@@ -462,13 +444,13 @@ func TestPagerReadMissNeverStatsTheFile(t *testing.T) {
 	}
 	fillPages(t, p, 64)
 	cb.sizes = 0
-	for _, prefetch := range []int{1, 4, 16} {
-		p.SetPrefetch(prefetch)
+	for _, ahead := range []int{1, 4, 16} {
+		v := p.View(nil, ahead)
 		if err := p.DropCache(); err != nil {
 			t.Fatal(err)
 		}
 		for i := 0; i < 64; i++ {
-			got, err := p.Read(PageID(i))
+			got, err := v.Read(PageID(i))
 			if err != nil || got[0] != byte(i) {
 				t.Fatalf("page %d: %v %d", i, err, got[0])
 			}
@@ -498,13 +480,13 @@ func TestPagerReadAllocations(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, run := range []int{1, 4} {
-		p.SetPrefetch(run)
+		v := p.View(sim.NewTape(), run)
 		if err := p.DropCache(); err != nil {
 			t.Fatal(err)
 		}
 		next := PageID(0)
 		if allocs := testing.AllocsPerRun(300, func() {
-			if _, err := p.Read(next); err != nil {
+			if _, err := v.Read(next); err != nil {
 				t.Fatal(err)
 			}
 			next = (next + PageID(run)) % 400 // every read misses
@@ -568,9 +550,10 @@ func BenchmarkPagerReadMiss(b *testing.B) {
 }
 
 // TestPagerConcurrentReaders: four readers over overlapping page ranges
-// (hits, misses, read-ahead runs), a writer allocating, rewriting and
-// flushing, and a goroutine moving the pool limit and the read-ahead
-// window. What changes page bytes in place (Alloc's fill, Write) holds
+// (hits, misses, read-ahead runs), each through views of its own with
+// its own recorder and windows, a writer allocating, rewriting and
+// flushing, and a goroutine moving the pool limit. What changes page
+// bytes in place (Alloc's fill, Write) holds
 // rw exclusively, the way a table's writer excludes that file's
 // readers; SetCacheLimit, whose evictions read dirty pages, holds it
 // shared like a reader. Every read returns the bytes last written. Run
@@ -604,6 +587,7 @@ func TestPagerConcurrentReaders(t *testing.T) {
 		}(seed)
 	}
 	for r := 0; r < 4; r++ {
+		tape := sim.NewTape()
 		run(2000, func(i int, rng *rand.Rand) error {
 			rw.RLock()
 			defer rw.RUnlock()
@@ -611,7 +595,7 @@ func TestPagerConcurrentReaders(t *testing.T) {
 			if i%5 == 0 {
 				id = pages - 1 - PageID(rng.Intn(8)) // freshly allocated pages
 			}
-			got, err := p.Read(id)
+			got, err := p.View(tape, 1+rng.Intn(6)).Read(id)
 			if err == nil && got[0] != truth[id] {
 				err = fmt.Errorf("reader %d: page %d holds %d, last written %d", r, id, got[0], truth[id])
 			}
@@ -640,8 +624,6 @@ func TestPagerConcurrentReaders(t *testing.T) {
 		}
 	})
 	run(1500, func(i int, rng *rand.Rand) error {
-		release := p.PushPrefetch(2 + rng.Intn(6))
-		defer release()
 		rw.RLock()
 		defer rw.RUnlock()
 		return p.SetCacheLimit(4 + rng.Intn(20))

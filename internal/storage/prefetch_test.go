@@ -36,10 +36,10 @@ func fillPages(t *testing.T, p *Pager, n int) {
 func TestPrefetchReadsRunInOneOp(t *testing.T) {
 	p, disk := newPrefetchPager(t)
 	fillPages(t, p, 100)
-	p.SetPrefetch(16)
+	v := p.View(nil, 16)
 	before := disk.Stats()
 	for i := 0; i < 32; i++ {
-		got, err := p.Read(PageID(i))
+		got, err := v.Read(PageID(i))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -60,7 +60,6 @@ func TestPrefetchReadsRunInOneOp(t *testing.T) {
 func TestPrefetchStopsAtCachedPage(t *testing.T) {
 	p, disk := newPrefetchPager(t)
 	fillPages(t, p, 20)
-	p.SetPrefetch(16)
 	// Warm page 5 and dirty it with a value newer than disk.
 	if _, err := p.Read(5); err != nil {
 		t.Fatal(err)
@@ -71,7 +70,7 @@ func TestPrefetchStopsAtCachedPage(t *testing.T) {
 	_ = disk
 	// Reading page 0 with a 16-page window must not clobber cached
 	// page 5.
-	if _, err := p.Read(0); err != nil {
+	if _, err := p.View(nil, 16).Read(0); err != nil {
 		t.Fatal(err)
 	}
 	got, err := p.Read(5)
@@ -86,8 +85,7 @@ func TestPrefetchStopsAtCachedPage(t *testing.T) {
 func TestPrefetchClampsToFileEnd(t *testing.T) {
 	p, _ := newPrefetchPager(t)
 	fillPages(t, p, 10)
-	p.SetPrefetch(64)
-	got, err := p.Read(8) // only pages 8,9 remain on disk
+	got, err := p.View(nil, 64).Read(8) // only pages 8,9 remain on disk
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,8 +103,8 @@ func TestPrefetchClampsToCache(t *testing.T) {
 	if err := p.SetCacheLimit(8); err != nil {
 		t.Fatal(err)
 	}
-	p.SetPrefetch(100) // larger than the pool: clamped to maxPages/2
-	got, err := p.Read(0)
+	// A window larger than the pool is clamped to maxPages/2.
+	got, err := p.View(nil, 100).Read(0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,9 +126,12 @@ func TestPrefetchDisabledByDefault(t *testing.T) {
 	if d := disk.Stats().Sub(before); d.BytesRead != 64 {
 		t.Fatalf("default read fetched %d bytes", d.BytesRead)
 	}
-	p.SetPrefetch(0) // invalid values clamp to 1
-	if _, err := p.Read(1); err != nil {
+	before = disk.Stats()
+	if _, err := p.View(nil, 0).Read(1); err != nil { // invalid windows clamp to 1
 		t.Fatal(err)
+	}
+	if d := disk.Stats().Sub(before); d.BytesRead != 64 {
+		t.Fatalf("a zero window fetched %d bytes", d.BytesRead)
 	}
 }
 
@@ -145,11 +146,11 @@ func TestEvictedPageSliceStaysIntact(t *testing.T) {
 	if err := p.SetCacheLimit(8); err != nil {
 		t.Fatal(err)
 	}
-	p.SetPrefetch(4)
+	v := p.View(nil, 4)
 	held := make(map[PageID][]byte)
 	want := make(map[PageID][]byte)
 	for _, id := range []PageID{0, 1, 3} { // 0 requested; 1 and 3 read ahead
-		got, err := p.Read(id)
+		got, err := v.Read(id)
 		if err != nil {
 			t.Fatal(err)
 		}

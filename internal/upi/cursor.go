@@ -157,7 +157,7 @@ func (t *Table) heapCursor(ctx context.Context, value string, qt float64, k int)
 		stopped := false
 		start, end := ValuePrefix(value), ValuePrefixEnd(value)
 		var scanErr error
-		err := t.heap.Scan(start, end, func(kk, v []byte) bool {
+		err := t.heap.View(t.rec, 1).Scan(start, end, func(kk, v []byte) bool {
 			if k > 0 && c.stats.HeapEntries >= k {
 				return false
 			}

@@ -100,7 +100,7 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 	var refs []ref
 	start, end := ValuePrefix(value), ValuePrefixEnd(value)
 	var scanErr error
-	err := t.cutoff.Scan(start, end, func(k, v []byte) bool {
+	err := t.cutoff.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
 		if len(refs)%ctxCheckEvery == 0 {
 			if scanErr = CtxErr(ctx); scanErr != nil {
 				return false
@@ -129,6 +129,7 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 		return nil, 0, err
 	}
 	slices.SortFunc(refs, func(a, b ref) int { return bytes.Compare(a.heapKey, b.heapKey) })
+	heap := t.heap.View(t.rec, 1)
 	results := make([]Result, 0, len(refs))
 	for i, r := range refs {
 		if i%ctxCheckEvery == 0 {
@@ -136,7 +137,7 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 				return nil, len(refs), err
 			}
 		}
-		v, ok, err := t.heap.Get(r.heapKey)
+		v, ok, err := heap.Get(r.heapKey)
 		if err != nil {
 			return nil, len(refs), err
 		}
@@ -179,7 +180,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 	var entries []secEntry
 	start, end := ValuePrefix(value), ValuePrefixEnd(value)
 	var scanErr error
-	err := sec.Scan(start, end, func(k, v []byte) bool {
+	err := sec.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
 		if len(entries)%ctxCheckEvery == 0 {
 			if scanErr = CtxErr(ctx); scanErr != nil {
 				return false
@@ -271,6 +272,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 	// Fetch tuples in heap order (bitmap-scan discipline).
 	key := func(r fetchRef) []byte { return keys[r.off:r.end] }
 	slices.SortFunc(refs, func(a, b fetchRef) int { return bytes.Compare(key(a), key(b)) })
+	heap := t.heap.View(t.rec, 1)
 	results := make([]Result, 0, len(refs))
 	for i, r := range refs {
 		if i%ctxCheckEvery == 0 {
@@ -278,7 +280,7 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 				return nil, stats, err
 			}
 		}
-		v, ok, err := t.heap.Get(key(r))
+		v, ok, err := heap.Get(key(r))
 		if err != nil {
 			return nil, stats, err
 		}
@@ -307,10 +309,9 @@ func (t *Table) TopK(ctx context.Context, value string, k int) ([]Result, QueryS
 	return drainCursor(t.TopKCursor(ctx, value, k))
 }
 
-// scanReadAhead is the sequential read-ahead window (pages) a full
-// scan runs the heap pager with, so the modeled cost matches the
-// Costscan assumption of one seek per run of pages rather than one
-// per page.
+// scanReadAhead is the sequential read-ahead window (pages) ScanHeap
+// reads the heap with, so the modeled cost matches the Costscan
+// assumption of one seek per run of pages rather than one per page.
 const scanReadAhead = 64
 
 // FullScan answers the PTQ "attr = value AND confidence >= qt" by
@@ -329,11 +330,6 @@ func (t *Table) FullScan(ctx context.Context, attr, value string, qt float64) ([
 	if attr == "" {
 		attr = t.attr
 	}
-	// Reference-counted hold: a concurrent scan or merge of the same
-	// heap keeps its read-ahead until the last sequential reader is
-	// done.
-	release := t.heap.Pager().PushPrefetch(scanReadAhead)
-	defer release()
 	// Every tuple has at least one heap entry, so the entry count
 	// bounds the distinct IDs.
 	seen := make(map[uint64]struct{}, t.heap.Count())
@@ -403,13 +399,14 @@ func SortResults(rs []Result) {
 	})
 }
 
-// ScanHeap visits every heap entry in key order. Used by histogram
-// construction and fracture merging.
+// ScanHeap visits every heap entry in key order, reading the heap
+// front to back with a scanReadAhead window. Used by FullScan and by
+// the rebuild path of a fracture merge.
 //
 //lint:noctx callers thread cancellation through fn — FullScan and fracture merging both check ctx in their callbacks
 func (t *Table) ScanHeap(fn func(id uint64, enc []byte) bool) error {
 	var scanErr error
-	err := t.heap.Scan(nil, nil, func(k, v []byte) bool {
+	err := t.heap.View(t.rec, scanReadAhead).Scan(nil, nil, func(k, v []byte) bool {
 		_, id, err := DecodeConfID(k)
 		if err != nil {
 			scanErr = err

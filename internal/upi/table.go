@@ -85,6 +85,21 @@ type Table struct {
 	cutoff      *btree.Tree
 	secondaries map[string]*btree.Tree
 	secAttrs    []string // stable iteration order
+
+	// rec receives the I/O charges of this table's reads; nil charges
+	// the disk (see View).
+	rec storage.Recorder
+}
+
+// View returns a handle on the same table whose reads — every query,
+// cursor and heap scan run through it — charge the pages they miss to
+// rec instead of the disk. The buffer pools stay shared: a page another
+// reader cached is a free hit. A view is for reading; it costs one
+// allocation.
+func (t *Table) View(rec storage.Recorder) *Table {
+	v := *t
+	v.rec = rec
+	return &v
 }
 
 // Create initializes an empty UPI named name on fs, clustered on the

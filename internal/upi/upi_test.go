@@ -817,3 +817,44 @@ func TestTailoredSecondaryAllocationsPerRow(t *testing.T) {
 		t.Fatalf("%.2f allocations per row, want <= 7.5", perRow)
 	}
 }
+
+// TestViewChargesItsRecorder: a query through a view charges its tape
+// and not the disk, and replaying the tape charges what the same query
+// run plainly charges the disk, cold. The handle — tape and view — costs
+// two allocations.
+func TestViewChargesItsRecorder(t *testing.T) {
+	tab := createExample(t, 0.1)
+	ctx := context.Background()
+	disk := tab.fs.Disk()
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := disk.Stats()
+	want, _, err := tab.Query(ctx, "MIT", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plain := disk.Stats().Sub(before)
+
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	tape := sim.NewTape()
+	before = disk.Stats()
+	got, _, err := tab.View(tape).Query(ctx, "MIT", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := disk.Stats().Sub(before); d != (sim.Stats{}) {
+		t.Fatalf("a query through a view charged the disk %v", d)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("view answered %v, table %v", got, want)
+	}
+	if cost := disk.Replay(tape); cost != plain.Elapsed || cost == 0 {
+		t.Fatalf("tape replays %v, the plain query charged %v", cost, plain.Elapsed)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { tab.View(sim.NewTape()) }); allocs > 2 {
+		t.Fatalf("a tape and a view cost %v allocations, want at most 2", allocs)
+	}
+}

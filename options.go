@@ -242,7 +242,7 @@ func WithHeapPageSize(n int) Option {
 }
 
 // markerFile is the database marker distinguishing Create from Open.
-// It is sideband: no modeled charge, never routed.
+// It is sideband: charged to nobody.
 const markerFile = "upidb.meta"
 
 // Create initializes a new database. With dir == "" (and no backend

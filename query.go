@@ -125,7 +125,8 @@ func (q Query) WithPlanner() Query {
 // WithStats additionally reports the modeled disk time of the query
 // as Info().ModeledTime — the cost of exactly this query's I/O
 // (derived from its own partition tapes), unpolluted by concurrent
-// queries or merges. Structural statistics (entries scanned,
+// queries or merges. The buffer pools are shared, so a page another
+// reader cached is a free hit. Structural statistics (entries scanned,
 // partitions read, plan chosen) are collected regardless.
 func (q Query) WithStats() Query {
 	q.wantStats = true

@@ -70,10 +70,10 @@ type SpatialResults struct {
 	s         *SpatialTable
 	wantStats bool
 
-	// collect and cursor execute the routed plan; finishTape is set
-	// while I/O routing is active.
-	collect func(ctx context.Context) ([]SpatialResult, cupi.Stats, error)
-	cursor  func(ctx context.Context) *cupi.Cursor
+	// collect and cursor execute the routed plan over tab, a view of
+	// the table charging this query's tape.
+	collect func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error)
+	cursor  func(ctx context.Context, tab *cupi.Table) *cupi.Cursor
 
 	state   resState
 	results []SpatialResult
@@ -81,19 +81,15 @@ type SpatialResults struct {
 	err     error
 }
 
-// routeTape starts recording this query's I/O on a private tape.
-// finish releases the routing, replays the tape against the simulated
-// disk and returns the modeled time — the same per-query accounting
-// discipline fracture uses (under concurrent queries on the same
-// table, routing is last-writer-wins, the known overlap caveat).
-func (r *SpatialResults) routeTape() (finish func() time.Duration) {
+// startTape starts recording this query's I/O on a private tape: tab
+// is a view of the table charging the pages this query misses to it.
+// finish replays the tape against the simulated disk and returns the
+// modeled time — the same per-query accounting discipline fracture
+// uses, exact however many queries read the table at once.
+func (r *SpatialResults) startTape() (tab *cupi.Table, finish func() time.Duration) {
 	tape := sim.NewTape()
-	release := r.s.db.fs.RouteTo(r.s.tab.Files(), tape)
 	tape.Open(r.s.tab.Name())
-	return func() time.Duration {
-		release()
-		return r.s.db.disk.Replay(tape)
-	}
+	return r.s.tab.View(tape), func() time.Duration { return r.s.db.disk.Replay(tape) }
 }
 
 // fillInfo folds the execution statistics into the query info, keeping
@@ -112,8 +108,8 @@ func (r *SpatialResults) materialize() {
 	if r.state != statePending {
 		return
 	}
-	finish := r.routeTape()
-	rs, st, err := r.collect(r.ctx)
+	tab, finish := r.startTape()
+	rs, st, err := r.collect(r.ctx, tab)
 	r.fillInfo(st, finish())
 	if err != nil {
 		r.state = stateFailed
@@ -143,8 +139,8 @@ func (r *SpatialResults) All() iter.Seq2[SpatialResult, error] {
 				}
 			}
 		case statePending:
-			cur := r.cursor(r.ctx)
-			finish := r.routeTape()
+			tab, finish := r.startTape()
+			cur := r.cursor(r.ctx, tab)
 			r.state = stateStreaming
 			for {
 				res, ok, err := cur.Next()
@@ -300,32 +296,32 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 	}
 	switch {
 	case q.kind == KindCircle && physical == planner.SpatialScan:
-		r.collect = func(ctx context.Context) ([]SpatialResult, cupi.Stats, error) {
-			return s.tab.FullScanCircle(ctx, q.center, q.radius, q.qt)
+		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
+			return tab.FullScanCircle(ctx, q.center, q.radius, q.qt)
 		}
-		r.cursor = func(ctx context.Context) *cupi.Cursor {
-			return s.tab.ScanCircleCursor(ctx, q.center, q.radius, q.qt)
+		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
+			return tab.ScanCircleCursor(ctx, q.center, q.radius, q.qt)
 		}
 	case q.kind == KindCircle:
-		r.collect = func(ctx context.Context) ([]SpatialResult, cupi.Stats, error) {
-			return s.tab.QueryCircle(ctx, q.center, q.radius, q.qt)
+		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
+			return tab.QueryCircle(ctx, q.center, q.radius, q.qt)
 		}
-		r.cursor = func(ctx context.Context) *cupi.Cursor {
-			return s.tab.CircleCursor(ctx, q.center, q.radius, q.qt)
+		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
+			return tab.CircleCursor(ctx, q.center, q.radius, q.qt)
 		}
 	case physical == planner.SpatialScan:
-		r.collect = func(ctx context.Context) ([]SpatialResult, cupi.Stats, error) {
-			return s.tab.FullScanSegment(ctx, q.value, q.qt)
+		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
+			return tab.FullScanSegment(ctx, q.value, q.qt)
 		}
-		r.cursor = func(ctx context.Context) *cupi.Cursor {
-			return s.tab.ScanSegmentCursor(ctx, q.value, q.qt)
+		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
+			return tab.ScanSegmentCursor(ctx, q.value, q.qt)
 		}
 	default:
-		r.collect = func(ctx context.Context) ([]SpatialResult, cupi.Stats, error) {
-			return s.tab.QuerySegment(ctx, q.value, q.qt)
+		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
+			return tab.QuerySegment(ctx, q.value, q.qt)
 		}
-		r.cursor = func(ctx context.Context) *cupi.Cursor {
-			return s.tab.SegmentCursor(ctx, q.value, q.qt)
+		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
+			return tab.SegmentCursor(ctx, q.value, q.qt)
 		}
 	}
 	return r, nil
