@@ -76,10 +76,10 @@ func main() {
 		must(authors.DropCaches())
 		res, err := authors.Run(ctx, upidb.PTQ("", "MIT", qt).WithStats())
 		must(err)
-		fmt.Printf("  QT=%.2f -> %d rows  [%s]\n", qt, res.Len(), res.Info())
+		rs := res.Collect()
+		fmt.Printf("  QT=%.2f -> %d rows  [%s]\n", qt, len(rs), res.Info())
 		must(res.Err())
-		for r, rerr := range res.All() {
-			must(rerr)
+		for _, r := range rs {
 			name, _ := r.Tuple.DetValue("Name")
 			fmt.Printf("    %-6s confidence=%.0f%%\n", name, r.Confidence*100)
 		}

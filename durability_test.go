@@ -175,10 +175,11 @@ func TestFacadeReopenWithDifferentCutoff(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		rs := res.Collect()
 		if err := res.Err(); err != nil {
 			t.Fatal(err)
 		}
-		return res.Collect()
+		return rs
 	}
 	want := others(tab)
 	if len(want) != 70 {

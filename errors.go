@@ -44,12 +44,12 @@ var (
 	// engine.
 	ErrInvalidShards = errors.New("upidb: WithShards requires at least 1 shard")
 
-	// ErrStreamConsumed reports a Results handle consumed twice after a
-	// partial drain: an All iterator was abandoned mid-stream (the
-	// consumer broke out before exhaustion), so the remaining results
-	// were discarded and their scans cancelled. A second All yields
-	// this error instead of silently resuming mid-stream; Collect and
-	// Len report an empty result set and Err returns it. Run the query
-	// again for a fresh stream.
-	ErrStreamConsumed = errors.New("upidb: result stream already partially consumed")
+	// ErrStreamConsumed reports a Results or SpatialResults handle
+	// consumed twice. A handle executes once and keeps no rows: after
+	// any consumption — a full or abandoned All/Rows drain, Collect, or
+	// Len/Err/Info on an unconsumed handle — a second All or Rows
+	// yields this error instead of replaying or silently resuming
+	// mid-stream, and Collect returns nil. After an abandoned drain Err
+	// returns it too. Run the query again for a fresh stream.
+	ErrStreamConsumed = errors.New("upidb: result stream already consumed")
 )

@@ -228,7 +228,9 @@ func (st *Stream) finalizePart(p *streamPart) {
 
 // finish terminates the stream: every remaining partition is
 // finalized (charging only the I/O its cursor actually consumed) and
-// the terminal error, if any, is made sticky.
+// the terminal error, if any, is made sticky. The sources are dropped,
+// so no page a head or cursor aliased stays reachable through the
+// stream.
 func (st *Stream) finish(err error) {
 	if st.done {
 		return
@@ -239,6 +241,7 @@ func (st *Stream) finish(err error) {
 		st.finalizePart(&st.parts[i])
 	}
 	st.releasePins()
+	st.parts = nil
 }
 
 // releasePins unpins every partition of every store still pinned.

@@ -28,7 +28,7 @@ import (
 // n tuples (primary X over 16 values, secondary Y over 8), flushed and
 // merged, with statistics built from those tuples so "route":"planner"
 // has something to cost from.
-func newTestServer(t *testing.T, cfg Config, n int) (*Server, *httptest.Server) {
+func newTestServer(t testing.TB, cfg Config, n int) (*Server, *httptest.Server) {
 	t.Helper()
 	db, err := upidb.Create("")
 	if err != nil {

@@ -345,10 +345,19 @@ func TestBuildStatsRacesPlannerRuns(t *testing.T) {
 					return
 				default:
 				}
-				res, err := tab.Run(ctx, shapes[(r+i)%len(shapes)])
+				q := shapes[(r+i)%len(shapes)]
+				res, err := tab.Run(ctx, q)
 				if err != nil {
 					errs <- fmt.Errorf("reader %d iter %d: %w", r, i, err)
 					return
+				}
+				if q.explainOnly {
+					// A plan-only handle has no rows to stream.
+					if res.Info().Explain == "" {
+						errs <- fmt.Errorf("reader %d iter %d: empty explain", r, i)
+						return
+					}
+					continue
 				}
 				prev := 2.0 // above any confidence
 				for rr, err := range res.All() {

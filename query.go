@@ -139,7 +139,9 @@ func (q Query) WithStats() Query {
 // fixed rule, or the cheapest plan under WithPlanner; Info().Plan names
 // it. Costing requires a histogram for the queried attribute
 // (ErrNoStats otherwise). Only PTQ queries can be explained; Run rejects
-// a top-k explain request instead of silently executing it.
+// a top-k explain request instead of silently executing it. An explain
+// handle executes nothing and is spent from the start: All and Rows
+// yield ErrStreamConsumed and Collect returns nil.
 func (q Query) WithExplain() Query {
 	q.explainOnly = true
 	return q
@@ -158,22 +160,19 @@ func (q Query) WithTrace(fn TraceFunc) Query {
 }
 
 // resState records where a Results handle's one execution loop (see
-// Results.All) stands, or how it ended.
+// Results.All) stands.
 type resState int
 
 const (
 	// statePending: prepared (partitions pinned) but not yet executed.
 	statePending resState = iota
-	// stateStreaming: the loop is running under an All iterator;
-	// accessors are inert until it finishes.
+	// stateStreaming: the loop is running under an iterator; accessors
+	// are inert until it finishes.
 	stateStreaming
-	// stateDrained: fully consumed; results holds the complete set.
-	stateDrained
-	// statePartial: a streaming All was abandoned mid-drain; the
-	// remaining scans were cancelled and the handle is spent.
-	statePartial
-	// stateFailed: execution failed; err holds the cause.
-	stateFailed
+	// stateDone: the one execution is over and the handle is spent. err
+	// is nil after a complete drain, the cause after a failure, and
+	// ErrStreamConsumed after an abandoned drain or Close.
+	stateDone
 )
 
 // Results is the answer to one Run call. The query's partition set is
@@ -184,14 +183,17 @@ const (
 // scanning, and that stops a top-k query scanning (and charging
 // modeled I/O) as soon as the k-th result is out. Rows hands the rows
 // to the caller as they arrive, each tuple still in its validated
-// encoding; All is the same stream with every tuple built; Collect,
-// Len, Err and Info run the same loop to the end and keep the answer.
+// encoding; All is the same stream with every tuple built; Collect
+// drains it into a slice the caller owns; Len, Err and Info on an
+// unconsumed handle drain it with nobody listening.
 //
-// After a complete drain (any way) the handle is reusable: Rows and All
-// replay the kept answer and Collect returns it. After a *partial*
-// drain the handle is spent — a second All or Rows yields
-// ErrStreamConsumed, and Collect/Len report an empty set — so a
-// half-consumed stream can never silently resume mid-query.
+// A handle is consumed once and keeps no rows. Any consumption spends
+// it: afterwards All and Rows yield ErrStreamConsumed and Collect
+// returns nil, so a stream can never silently resume or replay. Err,
+// Len and Info keep reporting the one execution: after a complete drain
+// Err is nil and Len is the number of rows it handed out; after a
+// partial drain Err is ErrStreamConsumed and Len is 0. Run the query
+// again for a second pass.
 //
 // Execution errors (a context cancelled mid-stream, a corrupt page)
 // surface in the iterators' error slot and through Err; Collect returns
@@ -211,14 +213,11 @@ type Results struct {
 	started   time.Time
 
 	state resState
-	// A drained handle keeps its answer in the form its first consumer
-	// asked for: results (built tuples; All, Collect, Len, Err, Info) or
-	// rows (as they arrived; Rows). At most one is non-nil; materialize
-	// turns rows into results.
-	results []Result
-	rows    []Row
-	info    QueryInfo
-	err     error
+	// n counts the rows handed out; Len reports it after a complete
+	// drain.
+	n    int
+	info QueryInfo
+	err  error
 }
 
 // Result is one query answer handed to a caller: the tuple and the
@@ -240,10 +239,9 @@ type Row struct {
 
 // Tuple returns the row's tuple. A row that arrived unbuilt builds a
 // fresh tuple on every call — keep the return value rather than calling
-// twice; a row from the RAM insert buffer, from an executor that holds
-// its whole answer (secondary, full-scan and cutoff-index routes) or
-// replayed from a handle drained through All returns the one tuple it
-// already has.
+// twice; a row from the RAM insert buffer or from an executor that holds
+// its whole answer (secondary, full-scan and cutoff-index routes)
+// returns the one tuple it already has.
 func (r Row) Tuple() *Tuple {
 	if r.tup != nil {
 		return r.tup
@@ -270,19 +268,21 @@ func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, plan, so
 	return r
 }
 
-// drain runs a still-pending query to the end: the loop All runs, with
-// nobody listening. The outcome is left in state, results, err and
+// drain runs a still-pending query to the end: the loop Rows runs, with
+// nobody listening and nothing built. The outcome is left in n, err and
 // info.
 func (r *Results) drain() {
 	if r.state == statePending {
-		for range r.stream(true) {
+		for range r.stream(false) {
 		}
 	}
 }
 
-// fillInfo folds the execution statistics into the query info,
-// keeping the routing fields chosen at Run time.
-func (r *Results) fillInfo(st fracture.Stats) {
+// finish is the execution loop's one terminal transition: it spends the
+// handle, keeps the outcome and folds the execution statistics into the
+// query info, keeping the routing fields chosen at Run time.
+func (r *Results) finish(st fracture.Stats, err error) {
+	r.state, r.err = stateDone, err
 	r.info.HeapEntries = st.HeapEntries
 	r.info.CutoffPointers = st.CutoffPointers
 	r.info.Partitions = st.PartitionsRead
@@ -290,9 +290,9 @@ func (r *Results) fillInfo(st fracture.Stats) {
 	if r.wantStats {
 		r.info.ModeledTime = st.ModeledTime
 	}
-	// fillInfo is the execution loop's terminal funnel — it runs once
-	// per handle — so the observed-vs-modeled pair is recorded here,
-	// regardless of WithStats (the engine always computes ModeledTime).
+	// finish runs once per handle, so the observed-vs-modeled pair is
+	// recorded here, regardless of WithStats (the engine always computes
+	// ModeledTime).
 	if r.met != nil {
 		r.met.queryWall.With(r.kindLabel).Observe(time.Since(r.started).Seconds())
 		r.met.queryModeled.With(r.kindLabel).Observe(st.ModeledTime.Seconds())
@@ -314,8 +314,9 @@ func (r *Results) fillInfo(st fracture.Stats) {
 // (ErrCanceled when the context is cancelled between pulls) and
 // terminates the iteration.
 //
-// After a full drain, All replays the same results; after a partial
-// drain it yields ErrStreamConsumed (see Results).
+// On a handle already consumed — fully, partially, or by Len, Err,
+// Info or Collect — All yields ErrStreamConsumed, or the execution
+// error of a failed handle (see Results).
 //
 // All is Rows with every tuple built as it is handed over: same rows,
 // same order, same states, same accounting.
@@ -345,122 +346,83 @@ func (r *Results) All() iter.Seq2[Result, error] {
 //
 // Lifetime: an unbuilt row aliases the heap page it was scanned from. A
 // partition of a table is never rewritten in place and page buffers are
-// never recycled, so a Row — and the handle that keeps the rows for
-// replay — stays valid for as long as it is held: across cache eviction,
-// later inserts, flushes, and the merge that deletes the files of the
-// partition it came from. What it costs is memory: each distinct page
-// (8 KB) a held unbuilt row points into stays reachable until the row is
-// dropped, so build (or copy out what you need) before keeping rows for
-// long.
-//
-// After a full drain through Rows, Rows replays the rows as they
-// arrived, and All and Collect build them.
+// never recycled, so a Row stays valid for as long as it is held: across
+// cache eviction, later inserts, flushes, and the merge that deletes the
+// files of the partition it came from. What it costs is memory: each
+// distinct page (8 KB) a held unbuilt row points into stays reachable
+// until the row is dropped, so build (or copy out what you need) before
+// keeping rows for long. The handle itself keeps no row.
 func (r *Results) Rows() iter.Seq2[Row, error] { return r.stream(false) }
 
 // stream is the handle's one state machine and the only place a query
-// executes. build selects the last step — whether each tuple is built as
-// it is handed over — and with it the form the answer is kept in.
+// executes. build selects the last step: whether each tuple is built as
+// it is handed over.
 func (r *Results) stream(build bool) iter.Seq2[Row, error] {
 	return func(yield func(Row, error) bool) {
-		switch r.state {
-		case stateDrained:
+		if r.state != statePending {
+			// A re-entrant iterator while another is mid-drain, or a
+			// spent handle: never resume, double-consume or replay.
+			err := r.err
+			if err == nil {
+				err = ErrStreamConsumed
+			}
+			yield(Row{}, err)
+			return
+		}
+		st := r.prep.Stream(r.ctx)
+		r.state = stateStreaming
+		for {
+			res, ok, err := st.Next()
+			if err != nil {
+				r.finish(st.Stats(), err)
+				yield(Row{}, err)
+				return
+			}
+			if !ok {
+				r.finish(st.Stats(), nil)
+				return
+			}
 			if build {
-				r.materialize()
+				res = res.Build()
 			}
-			for _, row := range r.rows {
-				if !yield(row, nil) {
-					return
+			r.n++
+			if !yield(Row{ID: res.ID(), Confidence: res.Confidence, tup: res.Tuple, view: res.View}, nil) {
+				st.Close()
+				r.finish(st.Stats(), ErrStreamConsumed)
+				if r.met != nil {
+					r.met.partialDrains.Inc()
 				}
+				return
 			}
-			for _, res := range r.results {
-				if !yield(Row{ID: res.Tuple.ID, Confidence: res.Confidence, tup: res.Tuple}, nil) {
-					return
-				}
-			}
-		case statePending:
-			st := r.prep.Stream(r.ctx)
-			r.state = stateStreaming
-			for {
-				res, ok, err := st.Next()
-				if err != nil {
-					r.state = stateFailed
-					r.err = err
-					r.results, r.rows = nil, nil
-					r.fillInfo(st.Stats())
-					yield(Row{}, err)
-					return
-				}
-				if !ok {
-					r.state = stateDrained
-					r.fillInfo(st.Stats())
-					return
-				}
-				if build {
-					res = res.Build()
-					r.results = append(r.results, Result{Tuple: res.Tuple, Confidence: res.Confidence})
-				}
-				row := Row{ID: res.ID(), Confidence: res.Confidence, tup: res.Tuple, view: res.View}
-				if !build {
-					r.rows = append(r.rows, row)
-				}
-				if !yield(row, nil) {
-					st.Close()
-					r.state = statePartial
-					r.err = ErrStreamConsumed
-					r.results, r.rows = nil, nil
-					r.fillInfo(st.Stats())
-					if r.met != nil {
-						r.met.partialDrains.Inc()
-					}
-					return
-				}
-			}
-		case stateStreaming, statePartial:
-			// Either a re-entrant iterator while another is still
-			// mid-drain, or a handle spent by a partial drain: never
-			// resume (or double-consume) the underlying stream.
-			yield(Row{}, ErrStreamConsumed)
-		case stateFailed:
-			yield(Row{}, r.err)
 		}
 	}
 }
 
-// materialize turns an answer kept as rows into built results.
-func (r *Results) materialize() {
-	if r.rows == nil {
-		return
-	}
-	r.results = make([]Result, len(r.rows))
-	for i, row := range r.rows {
-		r.results[i] = Result{Tuple: row.Tuple(), Confidence: row.Confidence}
-	}
-	r.rows = nil
-}
-
-// Collect returns all results as a slice, in the same order All yields
-// them. On an unconsumed handle it drains the stream first — the same
-// execution All performs, so a top-k Collect stops scanning at the
-// k-th result. It returns nil when execution failed, the handle was
-// partially drained, or an All iterator is still mid-drain; Err
-// reports why.
+// Collect returns all results as a slice the caller owns, in the order
+// All yields them. On an unconsumed handle it drains the stream — the
+// same execution All performs, so a top-k Collect stops scanning at the
+// k-th result. It returns nil when execution failed or the handle was
+// already consumed; Err reports why a drain failed.
 func (r *Results) Collect() []Result {
-	r.drain()
-	if r.state != stateDrained {
-		return nil
+	var out []Result
+	for res, err := range r.All() {
+		if err != nil {
+			return nil
+		}
+		out = append(out, res)
 	}
-	r.materialize()
-	return slices.Clone(r.results)
+	return out
 }
 
-// Len returns the number of results Collect would return, draining an
-// unconsumed handle first (0 after a failure or a partial drain).
+// Len returns the number of rows the handle's complete drain handed out,
+// draining an unconsumed handle first (0 after a failure or a partial
+// drain).
 func (r *Results) Len() int {
 	r.drain()
-	if r.state != stateDrained {
+	if r.state != stateDone || r.err != nil {
 		return 0
 	}
-	return len(r.results) + len(r.rows)
+	return r.n
 }
 
 // Err returns the terminal error of the handle's execution: nil after
@@ -479,8 +441,7 @@ func (r *Results) Err() error {
 // turned out not to matter. Idempotent.
 func (r *Results) Close() {
 	if r.state == statePending {
-		r.state = statePartial
-		r.err = ErrStreamConsumed
+		r.state, r.err = stateDone, ErrStreamConsumed
 		r.prep.Release()
 	}
 }
@@ -605,7 +566,7 @@ func (t *Table) runPlanned(ctx context.Context, q Query, attr, primary string, s
 		if attr != primary {
 			fixed = planner.SecondaryTailored
 		}
-		return &Results{state: stateDrained, info: explainInfo(q, fixed, plans)}, nil
+		return &Results{state: stateDone, info: explainInfo(q, fixed, plans)}, nil
 	}
 	t.db.met.plannedCost.Observe(best.EstimatedCost.Seconds())
 	// Deadline-aware admission: if the remaining deadline cannot cover

@@ -119,8 +119,7 @@ func drainRows(t testing.TB, res *Results) []Row {
 // RAM buffer holding deletes and upserts of flushed tuples: Rows yields
 // the (ID, confidence) sequence All yields, which is the oracle's;
 // Row.Tuple is All's tuple; Info is identical; and a handle drained
-// through Rows replays its rows and hands built tuples to All and
-// Collect.
+// through Rows reports the drain through Len and Err.
 func TestRowsMatchAllOnEveryRoute(t *testing.T) {
 	queries := []Query{
 		PTQ("", "v01", 0.4),
@@ -208,26 +207,8 @@ func TestRowsMatchAllOnEveryRoute(t *testing.T) {
 							t.Fatalf("%s: implausible Info %+v", label, ai)
 						}
 
-						// The drained handle replays the rows as they came,
-						// and builds them for whoever wants tuples.
 						if n := rowsRes.Len(); n != len(all) {
 							t.Fatalf("%s: Len after Rows = %d, want %d", label, n, len(all))
-						}
-						if again := drainRows(t, rowsRes); !reflect.DeepEqual(again, rows) {
-							t.Fatalf("%s: Rows replay diverged", label)
-						}
-						if got := rowsRes.Collect(); !reflect.DeepEqual(got, all) {
-							t.Fatalf("%s: Collect after a drained Rows diverged from All", label)
-						}
-						if got := streamAll(t, rowsRes); !reflect.DeepEqual(got, all) {
-							t.Fatalf("%s: All after a drained Rows diverged from All", label)
-						}
-						// And a handle drained through All replays through
-						// Rows with the tuples it already built.
-						for i, row := range drainRows(t, allRes) {
-							if row.ID != all[i].Tuple.ID || row.Confidence != all[i].Confidence || row.Tuple() != all[i].Tuple {
-								t.Fatalf("%s row %d: Rows replay after All diverged", label, i)
-							}
 						}
 						if err := rowsRes.Err(); err != nil {
 							t.Fatalf("%s: Err after Rows: %v", label, err)

@@ -257,6 +257,10 @@ func TestRunStreamingMatchesCollect(t *testing.T) {
 				t.Fatalf("par=%d q=%d: %v", par, qi, err)
 			}
 			collected := res.Collect()
+			res, err = tab.Run(context.Background(), q)
+			if err != nil {
+				t.Fatalf("par=%d q=%d: %v", par, qi, err)
+			}
 			var streamed []key
 			for r, err := range res.All() {
 				if err != nil {

@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"iter"
-	"slices"
 	"time"
 
 	"upidb/internal/cupi"
@@ -35,8 +34,9 @@ func (s *SpatialTable) StatsInfo() SpatialStatsInfo {
 }
 
 // SpatialResults is the answer to one SpatialTable.Run call — the
-// spatial counterpart of Results, with the same lazy consumption
-// contract. Unlike Results it keeps two executors, because here they
+// spatial counterpart of Results, with the same consumption contract:
+// the handle executes on first consumption, is consumed once and keeps
+// no rows. Unlike Results it keeps two executors, because here they
 // are different I/O algorithms serving different consumers: collect's
 // sorted sweep (cupi QuerySegment and friends) fetches heap pages in
 // key order, cursor's per-row fetch (SegmentCursor) reads only what a
@@ -45,22 +45,24 @@ func (s *SpatialTable) StatsInfo() SpatialStatsInfo {
 //   - All streams incrementally: R-Tree node pages, segment-index
 //     pages and heap fetches happen only as the loop demands them, and
 //     breaking out stops the remaining I/O (it is never charged).
-//   - Collect and Len force the full materialized drain and return the
-//     canonical ordering (confidence DESC, observation ID ASC).
+//   - Collect runs the materialized drain and returns a slice the
+//     caller owns, in the canonical ordering (confidence DESC,
+//     observation ID ASC); Len, Err and Info on an unconsumed handle run
+//     the same drain.
 //
 // Streaming order depends on the plan: a SegmentIndexScan streams in
 // the canonical confidence order (the segment index's native key
 // order), while an RTreeProbe or SpatialFullScan streams in refinement
 // order (clustered heap order) — circle confidences are computed by
 // integration at fetch time, so confidence-ordered delivery would
-// require draining everything first. Collect always reports canonical
-// order, even after a full All drain.
+// require draining everything first. Only Collect reports canonical
+// order.
 //
-// After a complete drain the handle is reusable (All replays, Collect
-// returns the set); after a partial streaming drain it is spent — a
-// second All yields ErrStreamConsumed and Collect/Len report an empty
-// set. Execution errors surface in All's error slot and through Err;
-// a SpatialResults handle is not safe for concurrent use.
+// Any consumption spends the handle: afterwards All yields
+// ErrStreamConsumed and Collect returns nil, while Err, Len and Info
+// keep reporting the one execution (Len is 0 after a failure or a
+// partial drain). Execution errors surface in All's error slot and
+// through Err; a SpatialResults handle is not safe for concurrent use.
 //
 // While an All stream is mid-drain it holds the spatial table's read
 // lock, so Insert waits for it; do not Insert from the goroutine that
@@ -75,10 +77,12 @@ type SpatialResults struct {
 	collect func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error)
 	cursor  func(ctx context.Context, tab *cupi.Table) *cupi.Cursor
 
-	state   resState
-	results []SpatialResult
-	info    QueryInfo
-	err     error
+	state resState
+	// n counts the results handed out; Len reports it after a complete
+	// drain.
+	n    int
+	info QueryInfo
+	err  error
 }
 
 // startTape starts recording this query's I/O on a private tape: tab
@@ -92,9 +96,11 @@ func (r *SpatialResults) startTape() (tab *cupi.Table, finish func() time.Durati
 	return r.s.tab.View(tape), func() time.Duration { return r.s.db.disk.Replay(tape) }
 }
 
-// fillInfo folds the execution statistics into the query info, keeping
-// the routing fields chosen at Run time.
-func (r *SpatialResults) fillInfo(st cupi.Stats, modeled time.Duration) {
+// finish is the one terminal transition: it spends the handle, keeps
+// the outcome and folds the execution statistics into the query info,
+// keeping the routing fields chosen at Run time.
+func (r *SpatialResults) finish(st cupi.Stats, modeled time.Duration, err error) {
+	r.state, r.err = stateDone, err
 	r.info.HeapEntries = st.Fetched
 	r.info.Candidates = st.Candidates
 	r.info.Partitions = 1
@@ -103,21 +109,22 @@ func (r *SpatialResults) fillInfo(st cupi.Stats, modeled time.Duration) {
 	}
 }
 
-// materialize executes a still-pending query the materialized way.
-func (r *SpatialResults) materialize() {
+// drain executes a still-pending query the materialized way and hands
+// over its results in the canonical order (nil on failure or when the
+// handle was already consumed).
+func (r *SpatialResults) drain() []SpatialResult {
 	if r.state != statePending {
-		return
+		return nil
 	}
-	tab, finish := r.startTape()
+	tab, modeled := r.startTape()
 	rs, st, err := r.collect(r.ctx, tab)
-	r.fillInfo(st, finish())
+	r.finish(st, modeled(), err)
 	if err != nil {
-		r.state = stateFailed
-		r.err = err
-		return
+		return nil
 	}
-	r.results = rs
-	r.state = stateDrained
+	r.n = len(rs)
+	utree.SortResults(rs)
+	return rs
 }
 
 // All returns an iterator over the results:
@@ -127,85 +134,65 @@ func (r *SpatialResults) materialize() {
 // On an unconsumed handle, All executes the query incrementally (see
 // SpatialResults for the delivery order per plan). Breaking out of the
 // loop cancels the rest of the scan; pages it never read are never
-// charged. After a full drain, All replays the same results; after a
-// partial drain it yields ErrStreamConsumed.
+// charged. On a consumed handle All yields ErrStreamConsumed, or the
+// execution error of a failed handle.
 func (r *SpatialResults) All() iter.Seq2[SpatialResult, error] {
 	return func(yield func(SpatialResult, error) bool) {
-		switch r.state {
-		case stateDrained:
-			for _, res := range r.results {
-				if !yield(res, nil) {
-					return
-				}
+		if r.state != statePending {
+			err := r.err
+			if err == nil {
+				err = ErrStreamConsumed
 			}
-		case statePending:
-			tab, finish := r.startTape()
-			cur := r.cursor(r.ctx, tab)
-			r.state = stateStreaming
-			for {
-				res, ok, err := cur.Next()
-				if err != nil {
-					r.state = stateFailed
-					r.err = err
-					r.results = nil
-					r.fillInfo(cur.Stats(), finish())
-					yield(SpatialResult{}, err)
-					return
-				}
-				if !ok {
-					r.state = stateDrained
-					r.fillInfo(cur.Stats(), finish())
-					return
-				}
-				r.results = append(r.results, res)
-				if !yield(res, nil) {
-					cur.Close()
-					r.state = statePartial
-					r.err = ErrStreamConsumed
-					r.results = nil
-					r.fillInfo(cur.Stats(), finish())
-					return
-				}
+			yield(SpatialResult{}, err)
+			return
+		}
+		tab, modeled := r.startTape()
+		cur := r.cursor(r.ctx, tab)
+		r.state = stateStreaming
+		for {
+			res, ok, err := cur.Next()
+			if err != nil {
+				r.finish(cur.Stats(), modeled(), err)
+				yield(SpatialResult{}, err)
+				return
 			}
-		case stateStreaming, statePartial:
-			yield(SpatialResult{}, ErrStreamConsumed)
-		case stateFailed:
-			yield(SpatialResult{}, r.err)
+			if !ok {
+				r.finish(cur.Stats(), modeled(), nil)
+				return
+			}
+			r.n++
+			if !yield(res, nil) {
+				cur.Close()
+				r.finish(cur.Stats(), modeled(), ErrStreamConsumed)
+				return
+			}
 		}
 	}
 }
 
 // Collect returns all results in the canonical order (confidence DESC,
-// ID ASC), forcing the full materialized drain on an unconsumed
-// handle. It returns nil when execution failed or the handle was
-// partially drained; Err reports why.
-func (r *SpatialResults) Collect() []SpatialResult {
-	r.materialize()
-	if r.state != stateDrained {
-		return nil
-	}
-	out := slices.Clone(r.results)
-	utree.SortResults(out)
-	return out
-}
+// ID ASC) as a slice the caller owns, running the materialized drain
+// on an unconsumed handle. It returns nil when execution failed or the
+// handle was already consumed; Err reports why a drain failed.
+func (r *SpatialResults) Collect() []SpatialResult { return r.drain() }
 
-// Len returns the number of results Collect would return, forcing the
-// full drain on an unconsumed handle (0 after a failure or a partial
-// drain).
+// Len returns the number of results the handle's complete drain handed
+// out, running the materialized drain on an unconsumed handle (0 after
+// a failure or a partial drain).
 func (r *SpatialResults) Len() int {
-	r.materialize()
-	if r.state != stateDrained {
+	r.drain()
+	if r.state != stateDone || r.err != nil {
 		return 0
 	}
-	return len(r.results)
+	return r.n
 }
 
 // Err returns the terminal error of the handle's execution: nil after
 // a successful full drain, the failure cause (e.g. ErrCanceled) after
 // an error, ErrStreamConsumed after a partial drain. On an unconsumed
-// handle it forces the materialized drain first.
+// handle it runs the materialized drain first.
 func (r *SpatialResults) Err() error {
-	r.materialize()
+	r.drain()
 	return r.err
 }
 
@@ -215,19 +202,18 @@ func (r *SpatialResults) Err() error {
 // Idempotent.
 func (r *SpatialResults) Close() {
 	if r.state == statePending {
-		r.state = statePartial
-		r.err = ErrStreamConsumed
+		r.state, r.err = stateDone, ErrStreamConsumed
 	}
 }
 
 // Info reports what the query touched and cost. ModeledTime is only
 // measured when the query was built WithStats; Plan and Explain are
 // only set for planner-routed / WithExplain runs. On an unconsumed
-// handle Info forces the full materialized drain so the counters are
+// handle Info runs the materialized drain so the counters are
 // complete; after a streaming consumption it reports what the stream
 // actually touched.
 func (r *SpatialResults) Info() QueryInfo {
-	r.materialize()
+	r.drain()
 	return r.info
 }
 
@@ -237,7 +223,7 @@ func (r *SpatialResults) Info() QueryInfo {
 // ErrCanceled before any modeled I/O is charged, and Run itself
 // performs no scan — it validates, routes and applies admission
 // control; the returned handle executes on first consumption (All
-// streams, Collect/Len/Info force the materialized drain).
+// streams, Collect/Len/Err/Info run the materialized drain).
 //
 // Routing mirrors the discrete engine: a fixed rule (circle → R-Tree
 // probe, segment → segment index) unless the query says WithPlanner,
@@ -272,7 +258,7 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 			return nil, err
 		}
 		if q.explainOnly {
-			return &SpatialResults{state: stateDrained, info: explainInfo(q, physical, plans)}, nil
+			return &SpatialResults{state: stateDone, info: explainInfo(q, physical, plans)}, nil
 		}
 		best := plans[0]
 		source, physical, planName = PlanSourceForced, best.Kind, best.Kind.String()

@@ -71,6 +71,10 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("Query 1: %+v", rs)
 	}
 	// Streaming iteration yields the same rows in the same order.
+	res, err = authors.Run(ctx, PTQ("", "MIT", 0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
 	i := 0
 	for r, err := range res.All() {
 		if err != nil {
@@ -86,13 +90,19 @@ func TestFacadeEndToEnd(t *testing.T) {
 	}
 	// Secondary PTQ with tailored access.
 	res, err = authors.Run(ctx, PTQ("Country", "Japan", 0.3))
-	if err != nil || res.Len() != 1 || res.Collect()[0].Tuple.ID != 3 {
-		t.Fatalf("secondary: %v %+v", err, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := res.Collect(); len(rs) != 1 || rs[0].Tuple.ID != 3 {
+		t.Fatalf("secondary: %+v", rs)
 	}
 	// Top-k.
 	res, err = authors.Run(ctx, TopKQuery("MIT", 1))
-	if err != nil || res.Len() != 1 || res.Collect()[0].Tuple.ID != 2 {
-		t.Fatalf("topk: %v %+v", err, res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rs := res.Collect(); len(rs) != 1 || rs[0].Tuple.ID != 2 {
+		t.Fatalf("topk: %+v", rs)
 	}
 	// Delete and flush + merge lifecycle.
 	if err := authors.Delete(2); err != nil {
@@ -102,8 +112,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	res, _ = authors.Run(ctx, PTQ("", "MIT", 0.1))
-	if res.Len() != 1 || res.Collect()[0].Tuple.ID != 1 {
-		t.Fatalf("after delete: %+v", res.Collect())
+	if rs := res.Collect(); len(rs) != 1 || rs[0].Tuple.ID != 1 {
+		t.Fatalf("after delete: %+v", rs)
 	}
 	if err := authors.Merge(); err != nil {
 		t.Fatal(err)
@@ -112,8 +122,8 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatalf("fractures after merge: %d", authors.NumFractures())
 	}
 	res, _ = authors.Run(ctx, PTQ("", "MIT", 0.1))
-	if res.Len() != 1 {
-		t.Fatalf("after merge: %+v", res.Collect())
+	if rs := res.Collect(); len(rs) != 1 {
+		t.Fatalf("after merge: %+v", rs)
 	}
 	if authors.SizeBytes() == 0 || db.TotalSizeBytes() == 0 {
 		t.Fatal("sizes should be positive")
