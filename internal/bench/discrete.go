@@ -38,9 +38,10 @@ func buildAuthorPII(tuples []*tuple.Tuple) (*pii.Table, *sim.Disk, error) {
 	return tab, disk, err
 }
 
-// pickSelectiveValue returns an institution matched by roughly
-// 1/500th of the tuples MIT matches — the "selective query" of
-// Figure 3 (300 vs 37,000 authors in the paper).
+// pickSelectiveValue returns the institution whose alternative count is
+// closest to 1/100th of MIT's (at least 3) — the "selective query" of
+// Figure 3 (300 vs 37,000 authors in the paper). Ties go to the name
+// that sorts first, so the pick does not depend on map order.
 func pickSelectiveValue(tuples []*tuple.Tuple) string {
 	counts := make(map[string]int)
 	mit := 0
@@ -66,7 +67,7 @@ func pickSelectiveValue(tuples []*tuple.Tuple) string {
 		if diff < 0 {
 			diff = -diff
 		}
-		if diff < bestDiff {
+		if diff < bestDiff || diff == bestDiff && v < best {
 			best, bestDiff = v, diff
 		}
 	}

@@ -7,12 +7,20 @@ import (
 )
 
 // AutoMergeOptions tune the background merger.
+//
+// A merge the count trigger starts is partial while the fractures are
+// small: as long as their combined on-disk bytes stay below an eighth
+// of main's, it folds them into one new fracture and leaves main
+// untouched; from an eighth on, it folds them into a new main. A merge
+// with fewer than two fractures to fold is always a full fold, so
+// MaxFractures 1 rewrites main every time.
 type AutoMergeOptions struct {
 	// MaxFractures triggers a merge when the fracture count reaches
 	// this value. 0 disables the count trigger.
 	MaxFractures int
-	// MaxFractureBytes triggers a merge when the total on-disk size of
-	// the fractures reaches this value. 0 disables the size trigger.
+	// MaxFractureBytes triggers a full merge into main when the total
+	// on-disk size of the fractures reaches this value. 0 disables the
+	// size trigger.
 	MaxFractureBytes int64
 	// Interval is the polling period between threshold checks; flushes
 	// additionally kick an immediate check. Default 100ms.
@@ -40,10 +48,12 @@ func (a *autoMerger) kick() {
 
 // StartAutoMerge launches a background goroutine that merges the store
 // whenever the fracture count or total fracture size crosses the given
-// thresholds. Queries keep running during a background merge and
-// in-flight ones finish on the generation they started on; the swap to
-// the merged main is atomic. At least one threshold must be set.
-// Returns an error if an auto-merger is already running.
+// thresholds: into a new main, or while the fractures are small next to
+// main into one new fracture (see AutoMergeOptions). Queries keep
+// running during a background merge and in-flight ones finish on the
+// generation they started on; the swap to the merged partition is
+// atomic. At least one threshold must be set. Returns an error if an
+// auto-merger is already running.
 func (s *Store) StartAutoMerge(opts AutoMergeOptions) error {
 	if opts.MaxFractures <= 0 && opts.MaxFractureBytes <= 0 {
 		return fmt.Errorf("fracture: auto-merge needs MaxFractures or MaxFractureBytes")
@@ -80,10 +90,11 @@ func (s *Store) StartAutoMerge(opts AutoMergeOptions) error {
 			case <-ticker.C:
 			case <-am.kicks:
 			}
-			if !s.shouldMerge(am.opts) {
+			due, full := s.mergeDue(am.opts)
+			if !due {
 				continue
 			}
-			if err := s.Merge(); err != nil {
+			if err := s.merge(!full); err != nil {
 				am.errMu.Lock()
 				if am.err == nil {
 					am.err = err
@@ -105,15 +116,15 @@ func (s *Store) StartAutoMerge(opts AutoMergeOptions) error {
 	return nil
 }
 
-// shouldMerge checks the auto-merge thresholds.
-func (s *Store) shouldMerge(opts AutoMergeOptions) bool {
-	if opts.MaxFractures > 0 && s.NumFractures() >= opts.MaxFractures {
-		return true
+// mergeDue checks the auto-merge thresholds: whether a merge is due,
+// and whether it must be a full fold because the size trigger fired.
+func (s *Store) mergeDue(opts AutoMergeOptions) (due, full bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	if opts.MaxFractureBytes > 0 && s.fractureBytesLocked() >= opts.MaxFractureBytes {
+		return true, true
 	}
-	if opts.MaxFractureBytes > 0 && s.fractureBytes() >= opts.MaxFractureBytes {
-		return true
-	}
-	return false
+	return opts.MaxFractures > 0 && len(s.fractures) >= opts.MaxFractures, false
 }
 
 // StopAutoMerge stops the background merger, waits for any in-progress

@@ -11,6 +11,7 @@ import (
 	"upidb/internal/prob"
 	"upidb/internal/sim"
 	"upidb/internal/storage"
+	"upidb/internal/tuple"
 )
 
 // The crash suite proves the durability contract: inject a failure at
@@ -37,16 +38,48 @@ type crashRig struct {
 	live map[uint64]bool
 }
 
-func newCrashRig(t *testing.T) *crashRig {
+// newCrashRig starts the rig on an empty store, or with base > 0 on a
+// store whose main is bulk-loaded with IDs 1000 to 1000+base-1.
+func newCrashRig(t *testing.T, base int) *crashRig {
 	t.Helper()
 	mem := storage.NewMemBackend()
 	fb := storage.NewFaultBackend(mem)
 	fs := storage.NewFSOn(sim.NewDisk(sim.DefaultParams()), fb)
-	s, err := NewStore(fs, "t", "X", []string{"Y"}, durableOpts())
+	r := &crashRig{t: t, mem: mem, fb: fb, live: make(map[uint64]bool)}
+	var tuples []*tuple.Tuple
+	for id := uint64(1000); id < uint64(1000+base); id++ {
+		tuples = append(tuples, mkTuple(t, id, 1.0, prob.Alternative{Value: crashVal(id), Prob: 0.9}))
+		r.live[id] = true
+	}
+	var err error
+	if base > 0 {
+		r.s, err = BulkLoad(fs, "t", "X", []string{"Y"}, durableOpts(), tuples)
+	} else {
+		r.s, err = NewStore(fs, "t", "X", []string{"Y"}, durableOpts())
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &crashRig{t: t, mem: mem, fb: fb, s: s, live: make(map[uint64]bool)}
+	return r
+}
+
+// partialMerge runs a merge that may stay partial, after checking the
+// store is one it stays partial on.
+func (r *crashRig) partialMerge() error {
+	r.t.Helper()
+	r.s.mu.RLock()
+	fits, mainGen := r.s.partialFitsLocked(), r.s.mainGen
+	r.s.mu.RUnlock()
+	if !fits {
+		r.t.Fatal("setup: the fractures do not make a partial merge")
+	}
+	if err := r.s.merge(true); err != nil {
+		return err
+	}
+	if r.s.mainGen != mainGen || r.s.NumFractures() != 1 {
+		r.t.Fatalf("partial merge left main generation %d (was %d) and %d fractures", r.s.mainGen, mainGen, r.s.NumFractures())
+	}
+	return nil
 }
 
 func (r *crashRig) insert(id uint64) error {
@@ -125,8 +158,11 @@ func (r *crashRig) verify(s *Store) {
 
 func TestCrashRecoveryMatrix(t *testing.T) {
 	cases := []struct {
-		name  string
-		fault storage.Fault
+		name string
+		// partial cases start from a bulk-loaded main and a second
+		// flushed fracture, so that run can fold the fractures into one.
+		partial bool
+		fault   storage.Fault
 		// run performs the operation expected to hit the failpoint;
 		// wantErr says whether that operation must surface the
 		// injection.
@@ -225,6 +261,49 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			wantErr: true,
 		},
 		{
+			name:    "partial-merge-fracture-write",
+			partial: true,
+			fault:   storage.Fault{Op: storage.OpWrite, Name: ".frac"},
+			run:     (*crashRig).partialMerge,
+			wantErr: true,
+		},
+		{
+			name:    "partial-merge-fracture-sync",
+			partial: true,
+			fault:   storage.Fault{Op: storage.OpSync, Name: ".frac"},
+			run:     (*crashRig).partialMerge,
+			wantErr: true,
+		},
+		{
+			name:    "partial-merge-delset-write",
+			partial: true,
+			fault:   storage.Fault{Op: storage.OpWrite, Name: ".delset"},
+			run:     (*crashRig).partialMerge,
+			wantErr: true,
+		},
+		{
+			name:    "partial-merge-delset-sync",
+			partial: true,
+			fault:   storage.Fault{Op: storage.OpSync, Name: ".delset"},
+			run:     (*crashRig).partialMerge,
+			wantErr: true,
+		},
+		{
+			name:    "partial-merge-manifest-rename",
+			partial: true,
+			fault:   storage.Fault{Op: storage.OpRename, Name: ".manifest.tmp"},
+			run:     (*crashRig).partialMerge,
+			wantErr: true,
+		},
+		{
+			// A partial merge that commits, then a kill with writes
+			// still buffered beside the merged fracture.
+			name:    "partial-merge-committed",
+			partial: true,
+			run:     (*crashRig).partialMerge,
+			wantErr: false,
+		},
+		{
 			// No fault at all: a clean kill with a populated buffer.
 			name:    "kill-with-buffered-writes",
 			run:     func(r *crashRig) error { return nil },
@@ -233,7 +312,19 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			r := newCrashRig(t)
+			base := 0
+			if tc.partial {
+				base = 1500
+			}
+			r := newCrashRig(t, base)
+			if tc.partial {
+				// The oldest fracture supersedes and deletes a version
+				// of main: the merged fracture must keep doing so.
+				r.mustInsert(1005, 1005)
+				if err := r.delete(1006); err != nil {
+					t.Fatal(err)
+				}
+			}
 			// Phase 1 (all acknowledged): one flushed fracture, one
 			// buffered batch, a couple of deletes spanning both.
 			r.mustInsert(1, 20)
@@ -246,6 +337,30 @@ func TestCrashRecoveryMatrix(t *testing.T) {
 			}
 			if err := r.delete(25); err != nil { // buffered delete
 				t.Fatal(err)
+			}
+			if tc.partial {
+				// A second fracture that upserts and deletes versions
+				// of the first one and of main, then writes that stay
+				// buffered through the merge.
+				if err := r.s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				r.mustInsert(10, 12)
+				r.mustInsert(1000, 1002)
+				for _, id := range []uint64{21, 1003} {
+					if err := r.delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := r.s.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				r.mustInsert(31, 35)
+				for _, id := range []uint64{2, 1004} {
+					if err := r.delete(id); err != nil {
+						t.Fatal(err)
+					}
+				}
 			}
 
 			if tc.fault.Op != "" {
@@ -363,7 +478,7 @@ func TestDurableRoundTripOnDisk(t *testing.T) {
 // failpoint, reopen, exact verification — then keep going on the
 // recovered store.
 func TestCrashRecoverySoak(t *testing.T) {
-	r := newCrashRig(t)
+	r := newCrashRig(t, 0)
 	rng := rand.New(rand.NewSource(47))
 	faults := []storage.Fault{
 		{Op: storage.OpWrite, Name: ".wal"},

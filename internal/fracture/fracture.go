@@ -11,7 +11,9 @@
 // and drop tuples present in any applicable delete set. Merge folds
 // all fractures back into the main UPI with one sequential k-way merge
 // pass, restoring query performance (Figure 10) and physically
-// dropping deleted and superseded versions.
+// dropping deleted and superseded versions. The background merger also
+// folds fractures into one another while they are small next to main,
+// so main is rewritten only once they have grown to an eighth of it.
 //
 // # Concurrency
 //
@@ -30,7 +32,8 @@
 //
 // Merge may run in the background (see StartAutoMerge): it snapshots
 // the partitions to fold under the write lock, builds the new main
-// generation without holding any lock, and atomically swaps it in.
+// generation (or merged fracture) without holding any lock, and
+// atomically swaps it in.
 // Old partition files are reference-counted and removed only after the
 // last in-flight query over the previous generation finishes.
 //
@@ -53,6 +56,7 @@ package fracture
 import (
 	"encoding/binary"
 	"fmt"
+	"maps"
 	"sort"
 	"strings"
 	"sync"
@@ -542,20 +546,15 @@ func (s *Store) writeDelSet(id int, deleted map[uint64]bool) error {
 }
 
 // deletesAfterLocked returns the union of the delete sets of fractures
-// with index > i, plus the in-RAM pending deletes. An entry stored in
-// fracture i (or, with i == -1, in the main UPI) is live iff its ID is
-// absent from this set. Callers must hold mu (either mode). Only the
-// (rare) merge path materializes these unions; the per-query snapshot
+// with index > i: an entry stored in fracture i (or, with i == -1, in
+// the main UPI) is live at the store's disk state iff its ID is absent
+// from this set. Callers must hold mu (either mode). Only the (rare)
+// merge path materializes these unions; the per-query snapshot
 // references the immutable per-fracture sets directly instead.
 func (s *Store) deletesAfterLocked(i int) map[uint64]bool {
 	out := make(map[uint64]bool)
 	for j := i + 1; j < len(s.fractures); j++ {
-		for id := range s.fractures[j].deleted {
-			out[id] = true
-		}
-	}
-	for id := range s.bufDeletes {
-		out[id] = true
+		maps.Copy(out, s.fractures[j].deleted)
 	}
 	return out
 }
@@ -577,11 +576,10 @@ func (s *Store) SizeBytes() int64 {
 	return total
 }
 
-// fractureBytes returns the on-disk size of the fractures alone (the
-// size-based auto-merge trigger).
-func (s *Store) fractureBytes() int64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+// fractureBytesLocked returns the on-disk size of the fractures alone
+// (the size-based auto-merge trigger, and what a partial merge weighs
+// against main). Callers must hold mu (either mode).
+func (s *Store) fractureBytesLocked() int64 {
 	var total int64
 	for _, f := range s.fractures {
 		total += f.table.SizeBytes()

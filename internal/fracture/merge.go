@@ -2,6 +2,7 @@ package fracture
 
 import (
 	"bytes"
+	"maps"
 	"time"
 
 	"upidb/internal/btree"
@@ -11,22 +12,37 @@ import (
 
 // mergeSnapshot is everything a merge needs from the store, captured
 // under the write lock so the build can proceed without holding it.
+//
+// A merge folds the partition range [first, n) of the store, where
+// partition 0 is main, partition i >= 1 is fracture i-1 and n is the
+// partition count at snapshot time. The full fold is the range that
+// starts at main: it builds a new main. A partial fold starts at the
+// oldest fracture and builds one new fracture, leaving main as it is.
 type mergeSnapshot struct {
-	parts    []*upi.Table // index 0 = main, then the fractures to fold
+	first    int          // 0: full fold into main; 1: partial fold into a fracture
+	parts    []*upi.Table // the partitions [first, n), oldest first
 	deletes  []map[uint64]bool
-	nMerged  int // number of fractures being folded
-	newGen   int // generation of the main UPI being built
+	folded   []*fract // every fracture at snapshot time: the ones being folded
+	newGen   int      // generation of the partition being built
 	newName  string
 	opts     upi.Options
 	homogene bool
 }
+
+// partialMergeShare is the ratio of main's on-disk bytes to the
+// fractures' below which a background merge folds the fractures into
+// one another instead of into main: main is rewritten only once they
+// have grown to an eighth of it.
+const partialMergeShare = 8
 
 // Merge folds every fracture (and the RAM buffer) back into a fresh
 // main UPI (Section 4.3): "The merging process is essentially a
 // parallel sort-merge operation. Each file is already sorted
 // internally, so we open cursors on all fractures in parallel and keep
 // picking the smallest key from amongst all cursors." The new files
-// are written sequentially.
+// are written sequentially. Merge always rewrites main; only the
+// background merger (StartAutoMerge) also folds fractures into one
+// another.
 //
 // Merge is concurrency-friendly: it snapshots the partitions to fold
 // under the write lock, builds the new main generation with no lock
@@ -38,7 +54,13 @@ type mergeSnapshot struct {
 // The merge reads its sources through their shared buffer pools and
 // charges the disk; a query overlapping the build window is charged
 // only its own misses, so a page the merge cached is a free hit for it.
-func (s *Store) Merge() error {
+func (s *Store) Merge() error { return s.merge(false) }
+
+// merge runs one merge. With partialOK, a store whose fractures fit a
+// partial fold (partialFitsLocked) folds them into one new fracture;
+// otherwise, and always without partialOK, it flushes the RAM buffer
+// and folds every fracture into a new main.
+func (s *Store) merge(partialOK bool) error {
 	// One merge at a time; a second caller (or the background merger)
 	// waits rather than building a competing generation.
 	s.mergeMu.Lock()
@@ -50,65 +72,90 @@ func (s *Store) Merge() error {
 		s.mu.Unlock()
 		return ErrClosed
 	}
-	// Buffered changes become one final fracture so the merge only
-	// deals with on-disk partitions.
-	if err := s.flushLocked(); err != nil {
+	first := 0
+	if partialOK && s.partialFitsLocked() {
+		first = 1
+	} else if err := s.flushLocked(); err != nil {
+		// Buffered changes become one final fracture so the full fold
+		// only deals with on-disk partitions.
 		s.mu.Unlock()
 		return err
 	}
-	s.gen++
-	snap := mergeSnapshot{
-		parts:   make([]*upi.Table, 0, 1+len(s.fractures)),
-		deletes: make([]map[uint64]bool, 0, 1+len(s.fractures)),
-		nMerged: len(s.fractures),
-		newGen:  s.gen,
-		newName: s.mainName(s.gen),
-		opts:    s.opts.UPI,
-	}
-	snap.parts = append(snap.parts, s.main)
-	snap.deletes = append(snap.deletes, s.deletesAfterLocked(-1))
-	for i, f := range s.fractures {
-		snap.parts = append(snap.parts, f.table)
-		snap.deletes = append(snap.deletes, s.deletesAfterLocked(i))
-	}
-	snap.homogene = s.partitionsHomogeneousLocked()
+	snap := s.mergeSnapshotLocked(first)
 	s.mu.Unlock()
 
-	// Build the new main generation without holding the store lock.
-	// The source partitions are immutable on disk, and mergeMu keeps
-	// any other merge from removing them mid-read.
+	// Build the new partition without holding the store lock. The
+	// source partitions are immutable on disk, and mergeMu keeps any
+	// other merge from removing them mid-read.
 	var (
-		newMain *upi.Table
-		err     error
+		merged *upi.Table
+		err    error
 	)
 	if snap.homogene {
-		newMain, err = s.mergeByCursor(snap)
+		merged, err = s.mergeByCursor(snap)
 	} else {
-		newMain, err = s.mergeByRebuild(snap)
+		merged, err = s.mergeByRebuild(snap)
 	}
 	if err != nil {
 		return err
 	}
-	if err := s.swapMerged(newMain, snap.newGen, snap.nMerged); err != nil {
+	written, err := s.swapMerged(snap, merged)
+	if err != nil {
 		return err
 	}
 	s.opts.Metrics.Merges.Inc()
+	if snap.first == 0 {
+		s.opts.Metrics.MainRewrites.Inc()
+	}
+	s.opts.Metrics.MergeWrittenBytes.Add(written)
 	s.opts.Metrics.MergeSeconds.Observe(time.Since(mergeStart).Seconds())
 	return nil
 }
 
-// partitionsHomogeneousLocked reports whether the main UPI and every
-// fracture share the placement-relevant parameters of the current
-// options. Callers must hold mu.
-func (s *Store) partitionsHomogeneousLocked() bool {
-	same := func(o upi.Options) bool {
-		return o.Cutoff == s.opts.UPI.Cutoff && o.MaxPointers == s.opts.UPI.MaxPointers
+// partialFitsLocked reports whether a merge may fold the fractures
+// into one another: there are at least two, and they weigh less than
+// 1/partialMergeShare of main. Callers must hold mu (either mode).
+func (s *Store) partialFitsLocked() bool {
+	return len(s.fractures) >= 2 && partialMergeShare*s.fractureBytesLocked() < s.main.SizeBytes()
+}
+
+// mergeSnapshotLocked captures the partitions [first, n) and their
+// delete filters, and claims the generation of the partition the merge
+// builds. Partition p's filter is the union of the delete sets of the
+// fractures newer than it; the RAM buffer's pending deletes are not
+// part of it (a full fold has just flushed them, and a partial fold
+// leaves them to apply at query time, like any newer partition's).
+// Callers must hold mu.
+func (s *Store) mergeSnapshotLocked(first int) mergeSnapshot {
+	s.gen++
+	snap := mergeSnapshot{
+		first:   first,
+		folded:  s.fractures,
+		newGen:  s.gen,
+		newName: s.mainName(s.gen),
+		opts:    s.opts.UPI,
 	}
-	if !same(s.main.Options()) {
-		return false
+	if first > 0 {
+		snap.newName = s.fracName(s.gen)
 	}
-	for _, f := range s.fractures {
-		if !same(f.table.Options()) {
+	for p := first; p <= len(s.fractures); p++ {
+		t := s.main
+		if p > 0 {
+			t = s.fractures[p-1].table
+		}
+		snap.parts = append(snap.parts, t)
+		snap.deletes = append(snap.deletes, s.deletesAfterLocked(p-1))
+	}
+	snap.homogene = homogeneous(snap.parts, snap.opts)
+	return snap
+}
+
+// homogeneous reports whether every partition shares the
+// placement-relevant parameters of o, the options the merged partition
+// is built with.
+func homogeneous(parts []*upi.Table, o upi.Options) bool {
+	for _, t := range parts {
+		if p := t.Options(); p.Cutoff != o.Cutoff || p.MaxPointers != o.MaxPointers {
 			return false
 		}
 	}
@@ -134,8 +181,8 @@ func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// Sources oldest-to-newest: main then fractures. Priority grows
-		// with recency; on duplicate keys the newest version wins.
+		// Sources oldest-to-newest. Priority grows with recency; on
+		// duplicate keys the newest version wins.
 		curs := make([]*mergeCursor, len(snap.parts))
 		for i, src := range snap.parts {
 			// Sequential read-ahead: the merge reads every source file
@@ -177,8 +224,8 @@ func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
 }
 
 // mergeByRebuild collects every live tuple (sequential heap scans with
-// upi.ScanHeap's read-ahead, oldest partition first) and bulk-builds a
-// fresh main UPI with the current options.
+// upi.ScanHeap's read-ahead, oldest partition first) and bulk-builds
+// the merged partition with the current options.
 func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
 	tuples, err := collectLiveTuples(snap.parts, snap.deletes)
 	if err != nil {
@@ -187,47 +234,94 @@ func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
 	return upi.BulkBuild(s.fs, snap.newName, s.attr, s.secAttrs, snap.opts, tuples)
 }
 
-// swapMerged atomically installs the merged main UPI, drops the folded
-// fractures (keeping any flushed while the merge was building) and
-// dooms the replaced partitions' files: they disappear as soon as the
-// last in-flight query over the old generation releases its snapshot.
+// swapMerged atomically installs the merged partition — a new main, or
+// for a partial fold a new fracture in front of the fractures flushed
+// while the merge was building — drops the folded fractures and dooms
+// the replaced partitions' files: they disappear as soon as the last
+// in-flight query over the old generation releases its snapshot. It
+// returns the bytes the merge wrote.
+//
+// A merged fracture keeps the union of the folded fractures' delete
+// sets: its own entries are already filtered by them, but they still
+// kill main's superseded and deleted versions. It is written like a
+// flush's fracture, with its generation, claimed at snapshot time,
+// older than any fracture flushed during the build.
 //
 // On a durable store the manifest rename is the commit point: the new
-// main's files are fsynced and the manifest rewritten *before* the
+// partition's files are fsynced and the manifest rewritten *before* the
 // in-memory swap, so a failure (or crash) before the rename changes
 // nothing — the new files are removed (or swept as orphans on the next
 // open) and the old generation remains authoritative.
-func (s *Store) swapMerged(newMain *upi.Table, newGen, nMerged int) error {
-	s.mu.Lock()
-	if s.opts.Durable {
-		err := syncTableFiles(s.fs, newMain)
-		if err == nil {
-			err = writeManifest(s.fs, s.name, newGen, newMain, s.fractures[nMerged:])
+func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error) {
+	files := merged.Files()
+	var nf *fract
+	if snap.first > 0 {
+		nf = &fract{gen: snap.newGen, table: merged, deleted: make(map[uint64]bool), ref: newPartRef(s.fs)}
+		for _, f := range snap.folded {
+			maps.Copy(nf.deleted, f.deleted)
 		}
-		if err != nil {
-			s.mu.Unlock()
-			for _, f := range newMain.Files() {
-				if s.fs.Exists(f) {
-					_ = s.fs.Remove(f)
-				}
+		files = append(files, s.delSetFile(nf.gen))
+	}
+	abort := func(err error) (int64, error) {
+		for _, f := range files {
+			if s.fs.Exists(f) {
+				_ = s.fs.Remove(f)
 			}
-			return err
+		}
+		return 0, err
+	}
+	var err error
+	if nf != nil {
+		err = s.writeDelSet(nf.gen, nf.deleted)
+	}
+	if err == nil && s.opts.Durable {
+		// The new files are complete and nothing refers to them yet, so
+		// they are fsynced before the lock is taken.
+		for _, f := range files {
+			if err = s.fs.Sync(f); err != nil {
+				break
+			}
 		}
 	}
-	oldMain := s.main
-	oldMainRef := s.mainRef
-	merged := s.fractures[:nMerged]
-	s.main = newMain
-	s.mainRef = newPartRef(s.fs)
-	s.mainGen = newGen
-	s.fractures = append([]*fract(nil), s.fractures[nMerged:]...)
+	if err != nil {
+		return abort(err)
+	}
+
+	s.mu.Lock()
+	main, mainGen := s.main, s.mainGen
+	var fractures []*fract
+	if nf != nil {
+		fractures = append(fractures, nf)
+	} else {
+		main, mainGen = merged, snap.newGen
+	}
+	fractures = append(fractures, s.fractures[len(snap.folded):]...)
+	if s.opts.Durable {
+		if err := writeManifest(s.fs, s.name, mainGen, main, fractures); err != nil {
+			s.mu.Unlock()
+			return abort(err)
+		}
+	}
+	oldMain, oldMainRef := s.main, s.mainRef
+	if nf == nil {
+		s.main = main
+		s.mainRef = newPartRef(s.fs)
+		s.mainGen = mainGen
+	}
+	s.fractures = fractures
 	s.mu.Unlock()
 
-	oldMainRef.doom(oldMain.Files())
-	for _, f := range merged {
+	if nf == nil {
+		oldMainRef.doom(oldMain.Files())
+	}
+	for _, f := range snap.folded {
 		f.ref.doom(append(f.table.Files(), s.delSetFile(f.gen)))
 	}
-	return nil
+	var written int64
+	for _, f := range files {
+		written += s.fs.Size(f)
+	}
+	return written, nil
 }
 
 // mergeReadAhead is the per-source read-ahead window (pages) during a

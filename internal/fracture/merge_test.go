@@ -36,15 +36,9 @@ func newMergeStore(tb testing.TB) (*Store, mergeSnapshot, int64) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	snap := mergeSnapshot{nMerged: len(s.fractures), newGen: 99, newName: s.mainName(99), opts: s.opts.UPI, homogene: true}
-	parts := []*upi.Table{s.main}
-	for _, f := range s.fractures {
-		parts = append(parts, f.table)
-	}
+	snap := s.mergeSnapshotLocked(0)
 	var entries int64
-	for i, part := range parts {
-		snap.parts = append(snap.parts, part)
-		snap.deletes = append(snap.deletes, s.deletesAfterLocked(i-1))
+	for _, part := range snap.parts {
 		sec, _ := part.Secondary("Y")
 		entries += part.Heap().Count() + part.CutoffIndex().Count() + sec.Count()
 	}

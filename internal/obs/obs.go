@@ -576,9 +576,15 @@ type EngineMetrics struct {
 	Deletes     *Counter
 	Upserts     *Counter // Inserts that replaced a still-buffered version
 	Flushes     *Counter // non-empty buffer flushes (fractures written)
-	Merges      *Counter
+	Merges      *Counter // both shapes: into main and fractures into one
 	WALAppends  *Counter
 	PinReleases *Counter // partition pins released by query execution
+	// MainRewrites counts the merges that wrote a new main generation;
+	// MergeWrittenBytes the bytes every merge wrote (files of the merged
+	// partition, its delete set included), so write amplification reads
+	// as a ratio of counters.
+	MainRewrites      *Counter
+	MergeWrittenBytes *Counter
 	// Query fan-out, counted where it happens (not through the trace
 	// hooks, which exist only for queries that attached a TraceFunc):
 	// per-shard dispatches, partition cursors opened, merged-stream
@@ -599,18 +605,20 @@ type EngineMetrics struct {
 // a nil registry yields a usable all-no-op bundle.
 func NewEngineMetrics(r *Registry) *EngineMetrics {
 	return &EngineMetrics{
-		Inserts:         r.Counter("upidb_fracture_inserts_total", "Tuples accepted by Insert (upserts included)."),
-		Deletes:         r.Counter("upidb_fracture_deletes_total", "Tombstones accepted by Delete."),
-		Upserts:         r.Counter("upidb_fracture_upserts_total", "Inserts that replaced a still-buffered version of the same ID."),
-		Flushes:         r.Counter("upidb_fracture_flushes_total", "RAM-buffer flushes that wrote a new fracture."),
-		Merges:          r.Counter("upidb_fracture_merges_total", "Merges folding fractures back into a new main generation."),
-		WALAppends:      r.Counter("upidb_wal_appends_total", "Acknowledged write-ahead-log record appends."),
-		PinReleases:     r.Counter("upidb_stream_pin_releases_total", "Partition pins released by query execution."),
-		Scatters:        r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
-		ScanPartitions:  r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
-		StreamYields:    r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
-		TopKEarlyTerm:   r.Counter("upidb_shard_topk_early_terminations_total", "Top-k streams that cancelled remaining partition scans at the k-th yield."),
-		MergeSeconds:    r.Histogram("upidb_fracture_merge_seconds", "Wall-clock merge duration.", WallBuckets),
-		WALFsyncSeconds: r.Histogram("upidb_wal_fsync_seconds", "Wall-clock fsync time per WAL append.", WallBuckets),
+		Inserts:           r.Counter("upidb_fracture_inserts_total", "Tuples accepted by Insert (upserts included)."),
+		Deletes:           r.Counter("upidb_fracture_deletes_total", "Tombstones accepted by Delete."),
+		Upserts:           r.Counter("upidb_fracture_upserts_total", "Inserts that replaced a still-buffered version of the same ID."),
+		Flushes:           r.Counter("upidb_fracture_flushes_total", "RAM-buffer flushes that wrote a new fracture."),
+		Merges:            r.Counter("upidb_fracture_merges_total", "Merges, into a new main generation or of fractures into one new fracture."),
+		MainRewrites:      r.Counter("upidb_fracture_main_rewrites_total", "Merges that folded every fracture into a new main generation."),
+		MergeWrittenBytes: r.Counter("upidb_fracture_merge_written_bytes_total", "Bytes written by merges: the merged partition's files."),
+		WALAppends:        r.Counter("upidb_wal_appends_total", "Acknowledged write-ahead-log record appends."),
+		PinReleases:       r.Counter("upidb_stream_pin_releases_total", "Partition pins released by query execution."),
+		Scatters:          r.Counter("upidb_shard_scatters_total", "Per-shard query dispatches (scatter fan-out)."),
+		ScanPartitions:    r.Counter("upidb_scan_partitions_total", "Partition scans and cursors started."),
+		StreamYields:      r.Counter("upidb_stream_yields_total", "Results yielded by merged streams."),
+		TopKEarlyTerm:     r.Counter("upidb_shard_topk_early_terminations_total", "Top-k streams that cancelled remaining partition scans at the k-th yield."),
+		MergeSeconds:      r.Histogram("upidb_fracture_merge_seconds", "Wall-clock merge duration.", WallBuckets),
+		WALFsyncSeconds:   r.Histogram("upidb_wal_fsync_seconds", "Wall-clock fsync time per WAL append.", WallBuckets),
 	}
 }

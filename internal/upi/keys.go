@@ -80,13 +80,12 @@ func ValuePrefixEnd(value string) []byte { return keyenc.PrefixEnd(ValuePrefix(v
 // Pointer references one heap entry of a tuple: the alternative value
 // it is clustered under and that alternative's confidence. Together
 // with the tuple ID (carried alongside) it reconstructs the heap key.
+// Readers do not build Pointers: they walk the encoded list with
+// parsePointers and pointerList.next.
 type Pointer struct {
 	Value string
 	Conf  float64
 }
-
-// HeapKey returns the heap key this pointer resolves to for tuple id.
-func (p Pointer) HeapKey(id uint64) []byte { return HeapKey(p.Value, p.Conf, id) }
 
 // appendPointer serializes one pointer.
 func appendPointer(dst []byte, p Pointer) []byte {
@@ -144,19 +143,4 @@ func EncodePointers(ps []Pointer) []byte {
 		out = appendPointer(out, p)
 	}
 	return out
-}
-
-// DecodePointers parses a pointer list.
-func DecodePointers(b []byte) ([]Pointer, error) {
-	l, err := parsePointers(b)
-	if err != nil {
-		return nil, err
-	}
-	ps := make([]Pointer, l.n)
-	for i := range ps {
-		var value []byte
-		value, ps[i].Conf, l = l.next()
-		ps[i].Value = string(value)
-	}
-	return ps, nil
 }

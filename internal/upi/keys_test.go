@@ -129,7 +129,7 @@ func TestPointersRoundTrip(t *testing.T) {
 			}
 			ps[i] = Pointer{Value: vals[i], Conf: float64(confs[i]) / math.MaxUint16}
 		}
-		got, err := DecodePointers(EncodePointers(ps))
+		got, err := decodePointers(EncodePointers(ps))
 		if err != nil || len(got) != n {
 			return false
 		}
@@ -148,11 +148,11 @@ func TestPointersRoundTrip(t *testing.T) {
 func TestPointersDecodeErrors(t *testing.T) {
 	enc := EncodePointers([]Pointer{{Value: "MIT", Conf: 0.95}})
 	for _, n := range []int{0, 1, 3, len(enc) - 1} {
-		if _, err := DecodePointers(enc[:n]); err == nil {
+		if _, err := decodePointers(enc[:n]); err == nil {
 			t.Fatalf("truncation to %d accepted", n)
 		}
 	}
-	if _, err := DecodePointers(append(enc, 1)); err == nil {
+	if _, err := decodePointers(append(enc, 1)); err == nil {
 		t.Fatal("trailing bytes accepted")
 	}
 }
@@ -179,9 +179,30 @@ func TestValuePrefixBounds(t *testing.T) {
 	}
 }
 
+// decodePointers builds the pointers of an encoded list.
+func decodePointers(b []byte) ([]Pointer, error) {
+	l, err := parsePointers(b)
+	if err != nil {
+		return nil, err
+	}
+	ps := make([]Pointer, l.n)
+	for i := range ps {
+		var value []byte
+		value, ps[i].Conf, l = l.next()
+		ps[i].Value = string(value)
+	}
+	return ps, nil
+}
+
+// TestPointerHeapKey: the heap key a parsed pointer resolves to is the
+// one its tuple's entry was stored under.
 func TestPointerHeapKey(t *testing.T) {
-	p := Pointer{Value: "MIT", Conf: 0.95}
-	if !bytes.Equal(p.HeapKey(7), HeapKey("MIT", 0.95, 7)) {
-		t.Fatal("Pointer.HeapKey mismatch")
+	l, err := parsePointers(EncodePointers([]Pointer{{Value: "MIT", Conf: 0.95}}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	value, conf, _ := l.next()
+	if !bytes.Equal(appendHeapKey(nil, value, conf, 7), HeapKey("MIT", 0.95, 7)) {
+		t.Fatal("pointer heap key mismatch")
 	}
 }

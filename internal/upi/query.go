@@ -91,13 +91,18 @@ func (t *Table) Query(ctx context.Context, value string, qt float64) ([]Result, 
 
 // queryCutoff performs the second half of Algorithm 2: collect
 // matching cutoff pointers, sort them in heap order (the bitmap-scan
-// discipline that produces saturation), then fetch each tuple.
+// discipline that produces saturation), then fetch each tuple. The heap
+// keys the pointers resolve to share one buffer; refs[i] says where
+// pointer i's lies in it.
 func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Result, int, error) {
 	type ref struct {
-		heapKey []byte
-		conf    float64 // confidence of the *queried* value, not the pointed-to one
+		off, end int
+		conf     float64 // confidence of the *queried* value, not the pointed-to one
 	}
-	var refs []ref
+	var (
+		refs []ref
+		keys []byte
+	)
 	start, end := ValuePrefix(value), ValuePrefixEnd(value)
 	var scanErr error
 	err := t.cutoff.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
@@ -114,12 +119,18 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 		if conf < qt {
 			return false
 		}
-		ps, err := DecodePointers(v)
-		if err != nil || len(ps) != 1 {
+		ps, err := parsePointers(v)
+		if err == nil && ps.n != 1 {
+			err = fmt.Errorf("%d pointers", ps.n)
+		}
+		if err != nil {
 			scanErr = fmt.Errorf("upi: bad cutoff entry: %w", err)
 			return false
 		}
-		refs = append(refs, ref{heapKey: ps[0].HeapKey(id), conf: conf})
+		ptrValue, ptrConf, _ := ps.next()
+		off := len(keys)
+		keys = appendHeapKey(keys, ptrValue, ptrConf, id)
+		refs = append(refs, ref{off: off, end: len(keys), conf: conf})
 		return true
 	})
 	if err == nil {
@@ -128,7 +139,8 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 	if err != nil {
 		return nil, 0, err
 	}
-	slices.SortFunc(refs, func(a, b ref) int { return bytes.Compare(a.heapKey, b.heapKey) })
+	key := func(r ref) []byte { return keys[r.off:r.end] }
+	slices.SortFunc(refs, func(a, b ref) int { return bytes.Compare(key(a), key(b)) })
 	heap := t.heap.View(t.rec, 1)
 	results := make([]Result, 0, len(refs))
 	for i, r := range refs {
@@ -137,12 +149,12 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 				return nil, len(refs), err
 			}
 		}
-		v, ok, err := heap.Get(r.heapKey)
+		v, ok, err := heap.Get(key(r))
 		if err != nil {
 			return nil, len(refs), err
 		}
 		if !ok {
-			return nil, len(refs), fmt.Errorf("upi: dangling cutoff pointer %x", r.heapKey)
+			return nil, len(refs), fmt.Errorf("upi: dangling cutoff pointer %x", key(r))
 		}
 		tup, err := tuple.Decode(v)
 		if err != nil {

@@ -128,7 +128,7 @@ func TestPaperTable3Cutoff(t *testing.T) {
 		if value != "UCB" || id != 2 || math.Abs(conf-0.05) > 1e-9 {
 			t.Fatalf("cutoff entry: %s %v %d", value, conf, id)
 		}
-		ps, err := DecodePointers(v)
+		ps, err := decodePointers(v)
 		if err != nil || len(ps) != 1 || ps[0].Value != "MIT" || math.Abs(ps[0].Conf-0.95) > 1e-9 {
 			t.Fatalf("cutoff pointer: %+v %v", ps, err)
 		}
@@ -279,7 +279,7 @@ func TestSecondaryIndexTable5(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ps, err := DecodePointers(v)
+		ps, err := decodePointers(v)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -456,7 +456,7 @@ func TestMaxPointersCap(t *testing.T) {
 	}
 	sec, _ := tab.Secondary("Y")
 	sec.Scan(nil, nil, func(_, v []byte) bool {
-		ps, err := DecodePointers(v)
+		ps, err := decodePointers(v)
 		if err != nil || len(ps) != 2 {
 			t.Fatalf("pointers: %+v %v", ps, err)
 		}
@@ -856,5 +856,61 @@ func TestViewChargesItsRecorder(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { tab.View(sim.NewTape()) }); allocs > 2 {
 		t.Fatalf("a tape and a view cost %v allocations, want at most 2", allocs)
+	}
+}
+
+// TestCutoffChaseAllocationsPerRow: the cutoff-index chase reads each
+// entry's one pointer in place and builds every heap key into one
+// buffer, so what a chased row costs beyond the index and heap lookups
+// is its tuple: two warm tables chasing 100 and 500 pointers differ by
+// the tuples' allocations and amortized slice growth, not by a pointer
+// slice, a value string and a key per pointer.
+func TestCutoffChaseAllocationsPerRow(t *testing.T) {
+	build := func(matches int) *Table {
+		var tuples []*tuple.Tuple
+		for i := 0; i < matches+300; i++ {
+			rare := "Elsewhere"
+			if i < matches {
+				rare = "Tiny College"
+			}
+			// The rare alternative's confidence (0.9 * 0.05) is below
+			// the cutoff: it lives only in the cutoff index.
+			instD, err := prob.NewDiscrete([]prob.Alternative{
+				{Value: fmt.Sprintf("institution-%04d", i%40), Prob: 0.95}, {Value: rare, Prob: 0.05}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			tuples = append(tuples, &tuple.Tuple{
+				ID: uint64(i + 1), Existence: 0.9,
+				Det:     []tuple.DetField{{Name: "Name", Value: fmt.Sprint("author", i)}},
+				Unc:     []tuple.UncField{{Name: "Institution", Dist: instD}},
+				Payload: bytes.Repeat([]byte{1}, 64),
+			})
+		}
+		tab, err := BulkBuild(newFS(), "t", "Institution", nil, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return tab
+	}
+	measure := func(matches int) float64 {
+		tab := build(matches)
+		query := func() {
+			res, stats, err := tab.Query(context.Background(), "Tiny College", 0.01)
+			if err != nil || len(res) != matches || stats.CutoffPointers != matches {
+				t.Fatalf("cutoff chase: %d results, %d pointers, err %v", len(res), stats.CutoffPointers, err)
+			}
+		}
+		query() // warm the buffer pool: pager misses allocate per page
+		return testing.AllocsPerRun(5, query)
+	}
+	small, large := measure(100), measure(500)
+	perRow := (large - small) / 400
+	t.Logf("100 rows: %.0f allocations; 500 rows: %.0f; %.2f per row", small, large, perRow)
+	// Building the tuple and growing the slices is 6 for this shape (7
+	// under the race detector); a pointer slice, its value string and a
+	// heap key per pointer were 3 more.
+	if perRow > 7.5 {
+		t.Fatalf("%.2f allocations per row, want <= 7.5", perRow)
 	}
 }

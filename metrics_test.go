@@ -210,6 +210,12 @@ func TestEngineMetricsCounters(t *testing.T) {
 	if got := m.Counters["upidb_fracture_merges_total"]; got != 1 {
 		t.Errorf("merges = %d, want 1", got)
 	}
+	if got := m.Counters["upidb_fracture_main_rewrites_total"]; got != 1 {
+		t.Errorf("main rewrites = %d, want 1 (Merge always folds into main)", got)
+	}
+	if got, size := m.Counters["upidb_fracture_merge_written_bytes_total"], tab.SizeBytes(); got != size {
+		t.Errorf("merge written bytes = %d, want the merged main's %d", got, size)
+	}
 	appends := m.Counters["upidb_wal_appends_total"]
 	if appends < inserts+deletes {
 		t.Errorf("wal appends = %d, want >= %d", appends, inserts+deletes)

@@ -207,8 +207,10 @@ func WithShards(n int) Option {
 }
 
 // WithAutoMerge starts the background merger on every table the
-// option reaches: fractures are folded into the main UPI whenever
-// their count or total size crosses the given thresholds.
+// option reaches: whenever the fractures' count or total size crosses
+// the given thresholds, they are merged — into one new fracture while
+// they weigh less than an eighth of the main UPI, into a new main
+// otherwise (see AutoMergeOptions).
 func WithAutoMerge(opts AutoMergeOptions) Option {
 	return func(c *config) {
 		if !c.tableScoped("WithAutoMerge") {

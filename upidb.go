@@ -103,7 +103,9 @@
 //
 // Merging can run in the background (Table.StartAutoMerge): when the
 // fracture count or size crosses a threshold, a goroutine folds the
-// fractures into a new main generation and swaps it in atomically.
+// fractures into a new main generation — or, while they weigh less
+// than an eighth of main, into one new fracture — and swaps it in
+// atomically.
 // In-flight queries finish on the generation they started on; replaced
 // partition files are reference-counted and removed only after the
 // last such query completes.
@@ -386,7 +388,8 @@ func (t *Table) Delete(id uint64) error { return t.shards.Delete(id) }
 func (t *Table) Flush() error { return t.shards.Flush() }
 
 // Merge folds all fractures back into the main UPI with one
-// sequential pass per shard, restoring query performance.
+// sequential pass per shard, restoring query performance. Unlike the
+// background merger, it always rewrites main.
 func (t *Table) Merge() error { return t.shards.Merge() }
 
 // Close stops the table's background mergers (if any) and marks the
@@ -396,14 +399,20 @@ func (t *Table) Merge() error { return t.shards.Merge() }
 // StopAutoMerge; closing twice is safe.
 func (t *Table) Close() error { return t.shards.Close() }
 
-// AutoMergeOptions tune the background merger of a table.
+// AutoMergeOptions tune the background merger of a table. A merge the
+// MaxFractures trigger starts folds the fractures into one new fracture
+// while their on-disk bytes stay below an eighth of main's, and rewrites
+// main from then on; the MaxFractureBytes trigger always rewrites main.
+// A merge with fewer than two fractures to fold always rewrites main.
 type AutoMergeOptions = fracture.AutoMergeOptions
 
 // StartAutoMerge launches one background goroutine per shard that
 // merges the shard whenever its fracture count or total fracture size
-// crosses a threshold. Queries keep running during a background merge;
-// the swap to the merged main is atomic and in-flight queries finish
-// on the generation they started on.
+// crosses a threshold: into one new fracture while the fractures weigh
+// less than an eighth of main, into a new main otherwise. Queries keep
+// running during a background merge; the swap to the merged partition
+// is atomic and in-flight queries finish on the generation they
+// started on.
 func (t *Table) StartAutoMerge(opts AutoMergeOptions) error { return t.shards.StartAutoMerge(opts) }
 
 // StopAutoMerge stops the background mergers, waiting for in-progress
