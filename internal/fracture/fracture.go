@@ -54,6 +54,7 @@
 package fracture
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -303,6 +304,19 @@ func (s *Store) Main() *upi.Table {
 	return s.main
 }
 
+// Partitions returns the current partitions: main, then the fractures
+// from oldest to newest. Like Main, the list may be stale by the time
+// the caller reads it.
+func (s *Store) Partitions() []*upi.Table {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	parts := []*upi.Table{s.main}
+	for _, f := range s.fractures {
+		parts = append(parts, f.table)
+	}
+	return parts
+}
+
 // NumFractures returns the current fracture count (Nfrac in the cost
 // model).
 func (s *Store) NumFractures() int {
@@ -324,14 +338,20 @@ func (s *Store) BufferedInserts() int {
 // share the same parameters... we propose to dynamically tune these
 // parameters by analyzing recent query workloads... whenever the
 // insert buffer is flushed"). Existing partitions are unaffected;
-// a later Merge rebuilds the main UPI with the current options.
+// a later Merge rebuilds the main UPI with the current options. Unless
+// o sets CachePages, the new partitions keep the store's buffer pool
+// size in bytes, whatever page size o asks for.
 func (s *Store) SetFractureOptions(o upi.Options) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if o.CachePages == 0 {
+		cur := s.opts.UPI
+		o.CachePages = max(1, cur.CachePages*cur.PageSize/cmp.Or(o.PageSize, storage.DefaultPageSize))
+	}
 	s.opts.UPI = o.WithDefaults()
-	s.mu.Unlock()
 	return nil
 }
 

@@ -172,10 +172,8 @@ func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		if cp := snap.opts.CachePages; cp > 0 {
-			if err := p.SetCacheLimit(cp); err != nil {
-				return nil, err
-			}
+		if err := p.SetCacheLimit(snap.opts.CachePages); err != nil {
+			return nil, err
 		}
 		b, err := btree.NewBuilder(p)
 		if err != nil {

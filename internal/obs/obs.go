@@ -177,6 +177,9 @@ func (t metricType) String() string {
 // gaugeFn is a scrape-time evaluated gauge series.
 type gaugeFn func() float64
 
+// counterFn is a scrape-time evaluated counter series.
+type counterFn func() int64
+
 // family is one metric name: help, type, label schema and the series
 // (label-value combinations) registered under it.
 type family struct {
@@ -187,7 +190,7 @@ type family struct {
 	buckets []float64 // histogram families only
 
 	mu     sync.Mutex
-	series map[string]any // label key → *Counter | *Gauge | *Histogram | gaugeFn
+	series map[string]any // label key → *Counter | *Gauge | *Histogram | gaugeFn | counterFn
 }
 
 // labelKey renders the inner label list (`a="x",b="y"`), in schema
@@ -310,6 +313,17 @@ func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
 	f.set("", gaugeFn(fn))
 }
 
+// CounterFunc registers an unlabeled counter whose value is read at
+// snapshot/scrape time from a count something else keeps. fn must be
+// safe to call from any goroutine and must never decrease.
+func (r *Registry) CounterFunc(name, help string, fn func() int64) {
+	if r == nil {
+		return
+	}
+	f := r.family(name, help, typeCounter, nil, nil)
+	f.set("", counterFn(fn))
+}
+
 // CounterVec is a counter family with labels.
 type CounterVec struct{ f *family }
 
@@ -428,6 +442,8 @@ func (r *Registry) Snapshot() Snapshot {
 			switch m := m.(type) {
 			case *Counter:
 				s.Counters[name] = m.Value()
+			case counterFn:
+				s.Counters[name] = m()
 			case *Gauge:
 				s.Gauges[name] = m.Value()
 			case gaugeFn:
@@ -488,6 +504,8 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 			switch m := series[key].(type) {
 			case *Counter:
 				writeSeries(&b, f.name, key, strconv.FormatInt(m.Value(), 10))
+			case counterFn:
+				writeSeries(&b, f.name, key, strconv.FormatInt(m(), 10))
 			case *Gauge:
 				writeSeries(&b, f.name, key, formatFloat(m.Value()))
 			case gaugeFn:

@@ -53,6 +53,7 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	r.Gauge("y", "").Set(1)
 	r.Histogram("z", "", WallBuckets).Observe(1)
 	r.GaugeFunc("f", "", func() float64 { return 1 })
+	r.CounterFunc("cf", "", func() int64 { return 1 })
 	r.CounterVec("cv", "", "a").With("1").Inc()
 	r.GaugeVec("gv", "", "a").With("1").Set(1)
 	r.HistogramVec("hv", "", WallBuckets, "a").With("1").Observe(1)
@@ -126,6 +127,7 @@ func TestWritePrometheusFormat(t *testing.T) {
 	h.Observe(0.5)
 	h.Observe(5)
 	r.GaugeFunc("live", "Live gauge.", func() float64 { return 3 })
+	r.CounterFunc("kept_total", "Kept elsewhere.", func() int64 { return 4 })
 
 	var b strings.Builder
 	if err := r.WritePrometheus(&b); err != nil {
@@ -145,12 +147,17 @@ func TestWritePrometheusFormat(t *testing.T) {
 		"lat_seconds_sum 5.55",
 		"lat_seconds_count 3",
 		"live 3",
+		"# TYPE kept_total counter",
+		"kept_total 4",
 		// Label escaping: backslash and quote escaped in exposition.
 		`req_total{kind="we\"ird\\v"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("exposition missing %q; got:\n%s", want, out)
 		}
+	}
+	if got := r.Snapshot().Counters["kept_total"]; got != 4 {
+		t.Errorf("snapshot kept_total = %d, want 4", got)
 	}
 }
 

@@ -262,6 +262,9 @@ func (t *Table) Name() string { return t.name }
 // NumShards returns the shard count.
 func (t *Table) NumShards() int { return len(t.stores) }
 
+// Store returns shard i's fracture store.
+func (t *Table) Store(i int) *fracture.Store { return t.stores[i] }
+
 // Attr returns the primary (clustered) uncertain attribute.
 func (t *Table) Attr() string { return t.stores[0].Main().Attr() }
 

@@ -24,12 +24,15 @@
 // path: a hit allocates nothing, a miss one buffer for its read-ahead
 // run, and no miss asks the backend for the file's size. Those buffers
 // are never recycled (see Pager), which is what lets B+Tree views and
-// unbuilt result rows alias them.
+// unbuilt result rows alias them. The FS counts the hits, misses and
+// evictions of every pool over it (PoolStats), one atomic add each,
+// taken under the pool's own lock.
 package storage
 
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"upidb/internal/sim"
 )
@@ -42,6 +45,28 @@ type FS struct {
 
 	mu       sync.Mutex
 	sideband map[string]bool
+
+	// The buffer-pool events of every pager over this file system,
+	// counted under each pager's own lock (see PoolStats).
+	hits, misses, evictions atomic.Int64
+}
+
+// PoolStats counts buffer-pool events.
+type PoolStats struct {
+	// Hits counts page reads served from a pool.
+	Hits int64
+	// Misses counts page reads that went to the file; a miss fetches
+	// its whole read-ahead run in one transfer and counts once.
+	Misses int64
+	// Evictions counts pages dropped to keep a pool within its limit
+	// (DropCache empties a pool without counting).
+	Evictions int64
+}
+
+// PoolStats returns the buffer-pool events of every pager over this
+// file system so far.
+func (fs *FS) PoolStats() PoolStats {
+	return PoolStats{Hits: fs.hits.Load(), Misses: fs.misses.Load(), Evictions: fs.evictions.Load()}
 }
 
 // Recorder receives the I/O charges of one reader in place of the disk

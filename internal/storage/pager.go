@@ -25,9 +25,12 @@ type PageID uint32
 // InvalidPage is a sentinel PageID that never refers to a real page.
 const InvalidPage PageID = ^PageID(0)
 
-// DefaultCachePages is the default buffer-pool capacity per pager.
-// 512 pages x 8 KiB = 4 MiB, small relative to the tables the
-// experiments build, mirroring the paper's cold-cache regime.
+// DefaultCachePages is the buffer-pool capacity of a pager nobody
+// sizes: 512 pages, 4 MiB at 8 KiB, small relative to the tables the
+// experiments build, mirroring the paper's cold-cache regime. The
+// index packages (upi, fracture, shard, cupi, ...) and the experiment
+// harnesses run with it, so every modeled figure does; the upidb
+// facade sizes its tables' pools in bytes instead.
 const DefaultCachePages = 512
 
 // Pager provides fixed-size pages over a File with an LRU buffer pool.
@@ -156,6 +159,13 @@ func (p *Pager) SetCacheLimit(pages int) error {
 	return p.evictLocked(nil)
 }
 
+// CacheLimit returns the buffer-pool capacity in pages.
+func (p *Pager) CacheLimit() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.maxPages
+}
+
 // Alloc appends a new zeroed page to the file and returns its ID and a
 // writable buffer for it. The page is born dirty in the cache; it is
 // written to disk on eviction or Flush.
@@ -185,9 +195,11 @@ func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) ([]byte, erro
 		return nil, fmt.Errorf("storage: read page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
 	if fi, ok := p.index[id]; ok {
+		p.f.fs.hits.Add(1)
 		p.moveToFront(fi)
 		return p.frames[fi].data, nil
 	}
+	p.f.fs.misses.Add(1)
 	// Determine the read-ahead run: contiguous pages starting at id
 	// that are on disk, not cached (cached copies may be newer), and
 	// within half the pool so the run cannot evict itself.
@@ -295,6 +307,7 @@ func (p *Pager) evictLocked(rec Recorder) error {
 		delete(p.index, f.id)
 		*f = frame{next: p.free}
 		p.free = fi
+		p.f.fs.evictions.Add(1)
 	}
 	return nil
 }

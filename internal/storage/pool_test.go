@@ -63,6 +63,7 @@ type lruModel struct {
 	lru                *list.List // of *modelPage; front = most recent
 	cache              map[PageID]*list.Element
 	nPage              PageID
+	stats              PoolStats // what the pager's FS must have counted
 }
 
 type modelPage struct {
@@ -77,9 +78,11 @@ func (m *lruModel) read(id PageID, readAhead int) ([]byte, error) {
 		return nil, errors.New("model: page out of range")
 	}
 	if el, ok := m.cache[id]; ok {
+		m.stats.Hits++
 		m.lru.MoveToFront(el)
 		return el.Value.(*modelPage).data, nil
 	}
+	m.stats.Misses++
 	run := max(min(readAhead, m.maxPages/2), 1)
 	onDisk := PageID(m.f.Size() / int64(m.pageSize))
 	for n := 1; n < run; n++ {
@@ -119,6 +122,7 @@ func (m *lruModel) evict() error {
 		}
 		m.lru.Remove(m.cache[pg.id])
 		delete(m.cache, pg.id)
+		m.stats.Evictions++
 	}
 	return nil
 }
@@ -204,6 +208,9 @@ func (pp *poolPair) check(step string) {
 	}
 	if got, want := p.CachedPages(), m.lru.Len(); got != want {
 		pp.t.Fatalf("%s: CachedPages %d, model %d", step, got, want)
+	}
+	if got := p.f.fs.PoolStats(); got != m.stats {
+		pp.t.Fatalf("%s: pool counters %+v, model %+v", step, got, m.stats)
 	}
 	if pp.pb.sizes != 0 {
 		pp.t.Fatalf("%s: pager asked the backend for the file size %d times", step, pp.pb.sizes)
@@ -632,5 +639,63 @@ func TestPagerConcurrentReaders(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+}
+
+// TestPoolCountersUnderConcurrentReaders: readers sharing two pagers of
+// one FS through views of their own count every read exactly once, as
+// a hit or a miss, and every page a miss brought in and the pool let go
+// as an eviction, however the readers interleave. Run it under -race.
+func TestPoolCountersUnderConcurrentReaders(t *testing.T) {
+	fs := NewFS(sim.NewDisk(sim.DefaultParams()))
+	var pagers []*Pager
+	for _, name := range []string{"a", "b"} {
+		p, err := NewPager(fs.Create(name), 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fillPages(t, p, 96)
+		if err := p.SetCacheLimit(24); err != nil {
+			t.Fatal(err)
+		}
+		pagers = append(pagers, p)
+	}
+	before := fs.PoolStats() // fillPages' evictions
+	const readers, reads = 4, 3000
+	var wg sync.WaitGroup
+	errc := make(chan error, readers)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func(r int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(r)))
+			for i := 0; i < reads; i++ {
+				p := pagers[rng.Intn(len(pagers))]
+				id := PageID(rng.Intn(32)) // mostly cached: hits and misses both
+				if rng.Intn(4) == 0 {
+					id = PageID(rng.Intn(96))
+				}
+				if _, err := p.View(nil, 1).Read(id); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}(r)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	got := fs.PoolStats()
+	hits, misses, evictions := got.Hits-before.Hits, got.Misses-before.Misses, got.Evictions-before.Evictions
+	if hits+misses != readers*reads || hits == 0 || misses == 0 {
+		t.Fatalf("%d hits + %d misses, want %d reads of both kinds", hits, misses, readers*reads)
+	}
+	// Without read-ahead a miss caches one page: what is not cached at
+	// the end was evicted.
+	cached := int64(pagers[0].CachedPages() + pagers[1].CachedPages())
+	if evictions != misses-cached {
+		t.Fatalf("%d evictions, want %d misses - %d cached", evictions, misses, cached)
 	}
 }

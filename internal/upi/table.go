@@ -42,8 +42,11 @@ type Options struct {
 	MaxPointers int
 	// PageSize is the B+Tree page size (default storage.DefaultPageSize).
 	PageSize int
-	// CachePages is the per-file buffer-pool capacity (default
-	// storage.DefaultCachePages).
+	// CachePages is the buffer-pool capacity, in pages, of each of the
+	// UPI's files: heap, cutoff index and every secondary index. The
+	// default, storage.DefaultCachePages, is the paper's cold-cache
+	// regime the experiments run in; upidb tables set it to a fixed
+	// byte budget divided by PageSize.
 	CachePages int
 }
 
@@ -245,7 +248,7 @@ func (t *Table) SizeBytes() int64 {
 
 // Flush writes all dirty pages through to the simulated disk.
 func (t *Table) Flush() error {
-	for _, tr := range t.allTrees() {
+	for _, tr := range t.Trees() {
 		if err := tr.Pager().Flush(); err != nil {
 			return err
 		}
@@ -256,7 +259,7 @@ func (t *Table) Flush() error {
 // DropCaches flushes and empties every buffer pool: the cold-cache
 // state the paper measures queries in.
 func (t *Table) DropCaches() error {
-	for _, tr := range t.allTrees() {
+	for _, tr := range t.Trees() {
 		if err := tr.Pager().DropCache(); err != nil {
 			return err
 		}
@@ -264,7 +267,9 @@ func (t *Table) DropCaches() error {
 	return nil
 }
 
-func (t *Table) allTrees() []*btree.Tree {
+// Trees returns the B+Tree of each of the UPI's files: heap, cutoff
+// index, then the secondary indexes.
+func (t *Table) Trees() []*btree.Tree {
 	trees := []*btree.Tree{t.heap, t.cutoff}
 	for _, a := range t.secAttrs {
 		trees = append(trees, t.secondaries[a])

@@ -327,9 +327,82 @@ func TestDBPrometheusExposition(t *testing.T) {
 		"# TYPE upidb_query_wall_seconds histogram",
 		"# TYPE upidb_fracture_partitions gauge",
 		"# TYPE upidb_shard_fractures gauge",
+		"# TYPE upidb_bufferpool_misses_total counter",
 		`upidb_query_wall_seconds_bucket{`,
 	} {
 		if !strings.Contains(out, want) {
+			t.Errorf("exposition missing %q", want)
+		}
+	}
+}
+
+// TestBufferPoolMetrics: the bufferpool families count what the
+// database's pools did. A query over emptied pools misses, the same
+// query again only hits, and pools of one page evict; every scrape
+// agrees with the file system's own counts.
+func TestBufferPoolMetrics(t *testing.T) {
+	db := mustCreate(t)
+	tab := buildMetricsTable(t, db, "pool", 2)
+	run := func(tab *Table) MetricsSnapshot {
+		t.Helper()
+		res, err := tab.Run(context.Background(), PTQ("", "v03", 0.05))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(res.Collect()) == 0 {
+			t.Fatal("query yielded nothing")
+		}
+		m := db.Metrics()
+		ps := db.fs.PoolStats()
+		for series, want := range map[string]int64{
+			"upidb_bufferpool_hits_total":      ps.Hits,
+			"upidb_bufferpool_misses_total":    ps.Misses,
+			"upidb_bufferpool_evictions_total": ps.Evictions,
+		} {
+			if got := m.Counters[series]; got != want {
+				t.Errorf("%s = %d, file system counted %d", series, got, want)
+			}
+		}
+		return m
+	}
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.Metrics()
+	cold := run(tab)
+	if got := counterDelta(before, cold, "upidb_bufferpool_misses_total"); got == 0 {
+		t.Error("a query over emptied pools took no misses")
+	}
+	warm := run(tab)
+	if got := counterDelta(cold, warm, "upidb_bufferpool_misses_total"); got != 0 {
+		t.Errorf("the same query again took %d misses, want 0", got)
+	}
+	if got := counterDelta(cold, warm, "upidb_bufferpool_hits_total"); got == 0 {
+		t.Error("the same query again took no hits")
+	}
+	if got := counterDelta(before, warm, "upidb_bufferpool_evictions_total"); got != 0 {
+		t.Errorf("%d evictions from 32 MiB pools holding a small table", got)
+	}
+
+	onePagePools(db)
+	tiny := buildMetricsTable(t, db, "tiny", 2)
+	before = db.Metrics()
+	after := run(tiny)
+	if got := counterDelta(before, after, "upidb_bufferpool_evictions_total"); got == 0 {
+		t.Error("one-page pools evicted nothing")
+	}
+
+	var b strings.Builder
+	if err := db.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	final := db.fs.PoolStats()
+	for _, want := range []string{
+		fmt.Sprintf("upidb_bufferpool_hits_total %d\n", final.Hits),
+		fmt.Sprintf("upidb_bufferpool_misses_total %d\n", final.Misses),
+		fmt.Sprintf("upidb_bufferpool_evictions_total %d\n", final.Evictions),
+	} {
+		if !strings.Contains(b.String(), want) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}

@@ -1,10 +1,9 @@
 package upidb
 
-// Tests for the unified Run API: cancellation semantics, typed
-// sentinels, per-query options, streaming-vs-Collect equivalence, and
-// golden equivalence of the deprecated wrappers.
-
-//lint:file-ignore SA1019 the golden tests intentionally exercise the deprecated wrappers against Run.
+// Tests for the unified Run API: cancellation and deadline semantics,
+// typed sentinels, closed tables, streaming-vs-Collect equivalence,
+// modeled costs that do not depend on the fan-out width, and deadline
+// admission of WithPlanner runs.
 
 import (
 	"context"

@@ -428,7 +428,9 @@ func (t *Table) NumFractures() int { return t.shards.NumFractures() }
 func (t *Table) SizeBytes() int64 { return t.shards.SizeBytes() }
 
 // DropCaches empties all buffer pools: the next query re-reads its
-// pages. upibench wraps every modeled measurement in DropCaches.
+// pages. Each file of the table has a pool of up to 32 MiB, and this is
+// how to give that memory back. upibench wraps every modeled
+// measurement in DropCaches.
 func (t *Table) DropCaches() error { return t.shards.DropCaches() }
 
 // QueryInfo reports the modeled cost of one query and what it
