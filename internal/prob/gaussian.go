@@ -78,16 +78,22 @@ type ConstrainedGaussian struct {
 	Bound  float64 // truncation radius; must be > 0
 }
 
-// Validate checks the distribution parameters.
+// Validate checks the distribution parameters: a finite centre and a
+// finite, positive sigma and bound.
 func (g ConstrainedGaussian) Validate() error {
-	if g.Sigma <= 0 {
-		return fmt.Errorf("prob: sigma %v must be positive", g.Sigma)
+	if !finite(g.Center.X) || !finite(g.Center.Y) {
+		return fmt.Errorf("prob: centre %v must be finite", g.Center)
 	}
-	if g.Bound <= 0 {
-		return fmt.Errorf("prob: bound %v must be positive", g.Bound)
+	if !(g.Sigma > 0) || !finite(g.Sigma) {
+		return fmt.Errorf("prob: sigma %v must be positive and finite", g.Sigma)
+	}
+	if !(g.Bound > 0) || !finite(g.Bound) {
+		return fmt.Errorf("prob: bound %v must be positive and finite", g.Bound)
 	}
 	return nil
 }
+
+func finite(f float64) bool { return !math.IsNaN(f) && !math.IsInf(f, 0) }
 
 // MBR returns the minimum bounding rectangle of the uncertainty
 // region (the truncation disk).
@@ -132,105 +138,115 @@ func (g ConstrainedGaussian) QuantileRadius(p float64) float64 {
 	return math.Sqrt(-2 * g.Sigma * g.Sigma * math.Log(inner))
 }
 
-// probGridN is the resolution of the deterministic grid integrator: a
-// 48×48 midpoint rule over the box both disks share. A cell the edge
-// of either disk cuts counts whole or not at all, so against a 1-D
-// radial quadrature the absolute error for the dataset's σ = 20,
-// Bound = 100 reaches 6.2e-3 for query radii up to 100 m and 1.7e-2 at
-// 300 m (prob_test.go pins both). That is not small next to the 0.05
-// threshold steps the experiments sweep, but changing the rule moves
-// result sets at the threshold, so it is a constant of the goldens.
-const probGridN = 48
+// circleNodes is the size of the Gauss–Legendre rule ProbInCircle
+// integrates with.
+const circleNodes = 24
+
+// The rule, mapped to t ∈ [0, π] and tabulated once: the node's share
+// of the integration interval, (1 − cos t)/2, and its weight w·sin(t)/4
+// (the rule's weight times the Jacobian π/2 · sin(t)/2 of the two
+// substitutions, times the 1/π of the arc share).
+var circleShare, circleWeight [circleNodes]float64
+
+func init() {
+	const n = circleNodes
+	for i := 0; i < n; i++ {
+		// Newton's method for the i-th root of the Legendre polynomial
+		// P_n, from the usual asymptotic guess.
+		x := math.Cos(math.Pi * (float64(i) + 0.75) / (n + 0.5))
+		var dp float64
+		for iter := 0; iter < 100; iter++ {
+			p0, p1 := 1.0, x
+			for k := 2; k <= n; k++ {
+				p0, p1 = p1, (float64(2*k-1)*x*p1-float64(k-1)*p0)/float64(k)
+			}
+			dp = n * (x*p1 - p0) / (x*x - 1)
+			dx := p1 / dp
+			x -= dx
+			if math.Abs(dx) < 1e-16 {
+				break
+			}
+		}
+		w := 2 / ((1 - x*x) * dp * dp)
+		t := math.Pi * (1 + x) / 2
+		half := math.Sin(t / 2)
+		circleShare[i] = half * half
+		circleWeight[i] = w * math.Sin(t) / 4
+	}
+}
 
 // ProbInCircle returns the probability that the (truncated) position
-// falls within the disk of the given radius around q, by deterministic
-// grid integration over the intersection of the two disks.
+// falls within the disk of the given radius around q.
+//
+// In polar coordinates about the object centre, at distance d from q,
+// the circle of radius r lies wholly inside the query disk (radius R)
+// for r < R − d, wholly outside for r < d − R or r > R + d, and in
+// between has the share A(r) = acos((r² + d² − R²)/2rd)/π inside it.
+// With F(r) = 1 − e^{−r²/2σ²} and a = |R − d| the probability is
+//
+//	[1{R ≥ d}·F(min(a, Bound)) + ∫ₐᵇ (r/σ²)·e^{−r²/2σ²}·A(r) dr] / F(Bound)
+//
+// with b = min(R + d, Bound, a + 8σ): beyond a + 8σ the density holds
+// less than e^{−32}, and the cap keeps the rule's nodes on a Gaussian
+// far narrower than the disks. A meets both ends of [a, b] like a
+// square root, so the integral is taken in t, with
+// r = a + (b − a)(1 − cos t)/2, where the integrand is smooth, by a
+// 24-node Gauss–Legendre rule: 24 exponentials and 24 arc cosines, no
+// allocation. Against a 2 000-node Simpson integration of the same radial form (prob_test.go) the
+// measured error is at most 2e-10 for the dataset's σ = 20,
+// Bound = 100 at radii up to 300 m (tested to 1e-9), and 1.4e-9 for
+// σ in [1, 50], Bound in [1, 150] and radii to 300 m drawn at random
+// (tested to 1e-8). The answer depends on q only through d, so it does
+// not change when the query is rotated about the object. Disjoint and
+// containing disks are exactly 0 and 1.
 func (g ConstrainedGaussian) ProbInCircle(q Point, radius float64) float64 {
 	// Fast paths: disjoint or fully containing query regions.
-	centerDist := g.Center.Dist(q)
-	if centerDist >= radius+g.Bound {
+	d := g.Center.Dist(q)
+	if d >= radius+g.Bound {
 		return 0
 	}
-	if centerDist+g.Bound <= radius {
+	if d+g.Bound <= radius {
 		return 1
 	}
-	// Integrate the truncated Gaussian density over the intersection
-	// of the two disks' bounding boxes, so grid resolution adapts to
-	// the (possibly small) query region.
-	qBox := Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
-	box := g.MBR().Intersection(qBox)
-	if box.Area() == 0 {
-		return 0
+	// Lengths are in units of σ from here on. A σ above 1e100·Bound is
+	// taken as 1e100·Bound: the density is flat over the disk to within
+	// 1e-200 either way, and (Bound/σ)² must not underflow.
+	sigma := min(g.Sigma, 1e100*g.Bound)
+	a := math.Abs(radius-d) / sigma
+	bound := g.Bound / sigma
+	p := 0.0
+	if radius >= d {
+		p = radialCDF(min(a, bound))
 	}
-	// The density separates, exp(-(dx²+dy²)/2σ²) = ex(x)·ey(y), so the
-	// grid needs one exponential per column and per row, and a column's
-	// mass is ex times a difference of prefix sums of ey over the rows
-	// whose midpoints lie in both disks.
-	twoSigma2 := 2 * g.Sigma * g.Sigma
-	stepX := (box.MaxX - box.MinX) / probGridN
-	stepY := (box.MaxY - box.MinY) / probGridN
-	var (
-		ys   [probGridN]float64     // row midpoints
-		pref [probGridN + 1]float64 // pref[j] = ey of rows [0, j)
-	)
-	for j := range ys {
-		ys[j] = box.MinY + (float64(j)+0.5)*stepY
-		dy := ys[j] - g.Center.Y
-		pref[j+1] = pref[j] + math.Exp(-(dy*dy)/twoSigma2)
+	// The circles the query's edge crosses span a ≤ u ≤ a + width. With
+	// δ = u − a and D = d/σ the arc share's cosine (u² + D² − R²/σ²)/2uD
+	// is (δ(2a + δ)/2D ∓ a)/u, − when R ≥ d: no two large terms cancel
+	// when d or R dwarfs σ, and δ/D stays within [0, 2]. Past u = 40 the
+	// density underflows; a band narrower than 1e-300 holds no mass a
+	// float can carry.
+	width := min(2*(min(radius, d)/sigma), bound-a, 8)
+	if width > 1e-300 && a < 40 {
+		invD := sigma / d
+		signedA := a
+		if radius >= d {
+			signedA = -a
+		}
+		sum := 0.0
+		for i, share := range circleShare {
+			delta := width * share
+			u := a + delta
+			cos := (delta*invD*(2*a+delta)/2 + signedA) / u
+			sum += circleWeight[i] * u * math.Exp(-u*u/2) * math.Acos(min(max(cos, -1), 1))
+		}
+		p += sum * width
 	}
-	bound2, radius2 := g.Bound*g.Bound, radius*radius
-	sum := 0.0
-	for i := 0; i < probGridN; i++ {
-		x := box.MinX + (float64(i)+0.5)*stepX
-		dxc, dxq := x-g.Center.X, x-q.X
-		// Squared half-heights of the two disks' chords at x; the rows
-		// inside both are one contiguous run.
-		hc2, hq2 := bound2-dxc*dxc, radius2-dxq*dxq
-		if hc2 < 0 || hq2 < 0 {
-			continue
-		}
-		hc, hq := math.Sqrt(hc2), math.Sqrt(hq2)
-		yLo := math.Max(g.Center.Y-hc, q.Y-hq)
-		yHi := math.Min(g.Center.Y+hc, q.Y+hq)
-		lo := clampRow(math.Ceil((yLo-box.MinY)/stepY - 0.5))
-		hi := clampRow(math.Floor((yHi-box.MinY)/stepY-0.5) + 1)
-		// The square roots only estimate the run; the squared-distance
-		// test on the midpoints themselves decides its two ends.
-		inside := func(j int) bool {
-			dyc, dyq := ys[j]-g.Center.Y, ys[j]-q.Y
-			return dxc*dxc+dyc*dyc <= bound2 && dxq*dxq+dyq*dyq <= radius2
-		}
-		for lo > 0 && inside(lo-1) {
-			lo--
-		}
-		for lo < hi && !inside(lo) {
-			lo++
-		}
-		for hi < probGridN && inside(hi) {
-			hi++
-		}
-		for hi > lo && !inside(hi-1) {
-			hi--
-		}
-		if lo < hi {
-			sum += math.Exp(-(dxc*dxc)/twoSigma2) * (pref[hi] - pref[lo])
-		}
+	p /= radialCDF(bound)
+	if p > 1 {
+		p = 1
 	}
-	sum *= stepX * stepY / (2 * math.Pi * g.Sigma * g.Sigma * g.truncNorm())
-	if sum > 1 {
-		sum = 1
-	}
-	return sum
+	return p
 }
 
-// clampRow converts a fractional row bound to an index in
-// [0, probGridN].
-func clampRow(f float64) int {
-	if !(f > 0) {
-		return 0
-	}
-	if f > probGridN {
-		return probGridN
-	}
-	return int(f)
-}
+// radialCDF is the untruncated radial CDF at u standard deviations,
+// 1 − e^{−u²/2}, accurate for small u too.
+func radialCDF(u float64) float64 { return -math.Expm1(-u * u / 2) }

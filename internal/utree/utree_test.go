@@ -1,6 +1,7 @@
 package utree
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -204,5 +205,52 @@ func TestSizeAndCaches(t *testing.T) {
 	// Query still works from cold caches.
 	if _, _, err := u.QueryCircle(prob.Point{}, 300, 0.5); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRejectsNonFiniteLocation: Insert and BulkBuild refuse an
+// observation whose centre, sigma or bound is not a finite number, and
+// the index answers as before.
+func TestRejectsNonFiniteLocation(t *testing.T) {
+	c := smallCartel(t, 300)
+	fs := newFS()
+	u, err := BulkBuild(fs, "u", c.Observations, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q := prob.Point{X: 0, Y: 0}
+	want := bruteQuery(c.Observations, q, 500, 0.4)
+	n := 0
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*tuple.Observation){
+			"centre x": func(o *tuple.Observation) { o.Loc.Center.X = v },
+			"centre y": func(o *tuple.Observation) { o.Loc.Center.Y = v },
+			"sigma":    func(o *tuple.Observation) { o.Loc.Sigma = v },
+			"bound":    func(o *tuple.Observation) { o.Loc.Bound = v },
+		} {
+			bad := *c.Observations[0]
+			bad.ID = uint64(len(c.Observations) + 1000 + n)
+			set(&bad)
+			if err := u.Insert(&bad); err == nil {
+				t.Errorf("Insert with %s = %v accepted", field, v)
+			}
+			n++
+			obs := append(append([]*tuple.Observation(nil), c.Observations[:10]...), &bad)
+			if _, err := BulkBuild(fs, fmt.Sprintf("bad%d", n), obs, Options{}); err == nil {
+				t.Errorf("BulkBuild with %s = %v accepted", field, v)
+			}
+		}
+	}
+	got, _, err := u.QueryCircle(q, 500, 0.4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("got %d results, want %d", len(got), len(want))
+	}
+	for _, r := range got {
+		if w, ok := want[r.Obs.ID]; !ok || math.Abs(w-r.Confidence) > 1e-9 {
+			t.Fatalf("result %d with confidence %v, want %v (present %v)", r.Obs.ID, r.Confidence, w, ok)
+		}
 	}
 }

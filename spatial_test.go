@@ -9,6 +9,7 @@ package upidb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -334,5 +335,55 @@ func TestSpatialKindRouting(t *testing.T) {
 	}
 	if _, err := stab.Run(ctx, PTQ("", "v", 0.5)); err == nil || !strings.Contains(err.Error(), "not a spatial") {
 		t.Fatalf("spatial Run accepted a PTQ: %v", err)
+	}
+}
+
+// TestSpatialRejectsNonFiniteLocation: an observation whose centre,
+// sigma or bound is NaN or infinite is refused by Insert and by
+// BulkLoadSpatial, and leaves the table answering as before (a NaN
+// bound used to reach the R-Tree and panic in its insert).
+func TestSpatialRejectsNonFiniteLocation(t *testing.T) {
+	db, tab, c := spatialFixture(t, 2000)
+	ctx := context.Background()
+	circle := func() []SpatialResult {
+		t.Helper()
+		res, err := tab.Run(ctx, Circle(c.Extent.Center(), 400, 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := res.Collect()
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	before, info := circle(), tab.StatsInfo()
+	if len(before) == 0 {
+		t.Fatal("the circle query finds nothing")
+	}
+	n := 0
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for field, set := range map[string]func(*Observation){
+			"centre x": func(o *Observation) { o.Loc.Center.X = v },
+			"centre y": func(o *Observation) { o.Loc.Center.Y = v },
+			"sigma":    func(o *Observation) { o.Loc.Sigma = v },
+			"bound":    func(o *Observation) { o.Loc.Bound = v },
+		} {
+			bad := *c.Observations[0]
+			bad.ID = uint64(len(c.Observations) + 1000 + n)
+			set(&bad)
+			if err := tab.Insert(&bad); err == nil {
+				t.Errorf("Insert with %s = %v accepted", field, v)
+			}
+			obs := append(append([]*Observation(nil), c.Observations[:10]...), &bad)
+			n++
+			if _, err := db.BulkLoadSpatial(fmt.Sprintf("bad%d", n), obs); err == nil {
+				t.Errorf("BulkLoadSpatial with %s = %v accepted", field, v)
+			}
+		}
+	}
+	sameSpatialResults(t, "circle after refused inserts", circle(), before)
+	if got := tab.StatsInfo(); got != info {
+		t.Fatalf("statistics moved: %+v, was %+v", got, info)
 	}
 }
