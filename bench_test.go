@@ -7,9 +7,8 @@ package upidb_test
 // headline modeled runtime as a custom metric (modeled_ms), alongside
 // the usual wall-clock ns/op of regenerating the experiment.
 //
-// This file is an external test package (upidb_test): internal/bench
-// itself imports the upidb facade for the planner-routing experiment,
-// so importing it from inside package upidb would be an import cycle.
+// This file is an external test package (upidb_test): it drives the
+// facade as a caller outside the package would.
 //
 // Run everything with:
 //

@@ -37,7 +37,7 @@ type report struct {
 
 func main() {
 	var (
-		experiment = flag.String("experiment", "all", "comma-separated experiment IDs (fig3..fig12, table7, table8, planner-routing, spatial-routing, streaming-latency) or 'all'")
+		experiment = flag.String("experiment", "all", "comma-separated experiment IDs (fig3..fig12, table7, table8, streaming-latency, ablation-pointers, ablation-size) or 'all'")
 		scale      = flag.Float64("scale", 1.0, "dataset scale factor (1.0 = 70k authors, 130k publications, 150k observations)")
 		seed       = flag.Int64("seed", 1, "dataset generation seed")
 		jsonOut    = flag.String("json", "", "also write the regenerated experiments as JSON to this file (CI perf trajectory)")

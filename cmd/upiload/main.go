@@ -137,8 +137,8 @@ func discoverPrimary(client *http.Client, base, table string) (string, error) {
 }
 
 // scrapeServerMetrics pulls the server's /metrics exposition and
-// extracts the server-side admission picture — engine admission
-// verdicts and HTTP refusal counters — so the final report shows the
+// extracts the server-side refusal picture — HTTP refusal counters and
+// engine insert and yield counts — so the final report shows the
 // server's view next to the client-side percentiles. Best-effort: any
 // failure returns nil and the report simply omits the section.
 func scrapeServerMetrics(client *http.Client, base string) map[string]float64 {
@@ -152,13 +152,10 @@ func scrapeServerMetrics(client *http.Client, base string) map[string]float64 {
 		return nil
 	}
 	want := map[string]string{
-		`upidb_admission_total{verdict="admitted"}`: "admission_admitted",
-		`upidb_admission_total{verdict="refused"}`:  "admission_refused",
-		`upidb_admission_total{verdict="unpriced"}`: "admission_unpriced",
-		"upidb_http_overload_refusals_total":        "http_overload_refusals",
-		"upidb_http_deadline_refusals_total":        "http_deadline_refusals",
-		"upidb_fracture_inserts_total":              "engine_inserts",
-		"upidb_stream_yields_total":                 "engine_yields",
+		"upidb_http_overload_refusals_total": "http_overload_refusals",
+		"upidb_http_deadline_refusals_total": "http_deadline_refusals",
+		"upidb_fracture_inserts_total":       "engine_inserts",
+		"upidb_stream_yields_total":          "engine_yields",
 	}
 	out := map[string]float64{}
 	for _, line := range strings.Split(string(body), "\n") {
@@ -356,7 +353,7 @@ func main() {
 		}
 	}
 	// Scrape the server's own counters while it is still up, so the
-	// report pairs its admission/refusal view with the client's.
+	// report pairs its refusal view with the client's.
 	report.Server = scrapeServerMetrics(client, base)
 
 	out, err := json.MarshalIndent(report, "", "  ")

@@ -61,7 +61,6 @@ func parseTableSpec(v string) (tableSpec, error) {
 func preload(t *upidb.Table, n int) error {
 	primary := t.PrimaryAttr()
 	secondary := t.SecondaryAttrs()
-	tuples := make([]*upidb.Tuple, 0, n)
 	for i := 0; i < n; i++ {
 		tup := &upidb.Tuple{ID: uint64(i + 1), Existence: 1}
 		main, err := upidb.NewDiscrete([]upidb.Alternative{
@@ -84,18 +83,12 @@ func preload(t *upidb.Table, n int) error {
 		if err := t.Insert(tup); err != nil {
 			return err
 		}
-		tuples = append(tuples, tup)
 	}
 	// Flush + merge so the preload lives in a compact main partition.
 	if err := t.Flush(); err != nil {
 		return err
 	}
-	if err := t.Merge(); err != nil {
-		return err
-	}
-	// Statistics for "route":"planner" requests: they describe the
-	// preload and nothing written afterwards.
-	return t.BuildStats(tuples)
+	return t.Merge()
 }
 
 func main() {

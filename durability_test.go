@@ -8,7 +8,6 @@ package upidb
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"reflect"
 	"testing"
@@ -70,9 +69,7 @@ func verifyLive(t *testing.T, tab *Table, live map[uint64]bool) {
 // durable tables by default; after Close, Open(dir)+OpenTable recovers
 // every acknowledged write — flushed fractures, the WAL-logged RAM
 // buffer, and pending deletes — and reports the same StatsInfo it did
-// before Close. Statistics are not persisted and nothing rebuilds them:
-// the reopened table answers WithPlanner with ErrNoStats, before and
-// after a merge.
+// before Close; a merge of the reopened table loses nothing.
 func TestFacadeDiskDurableRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	db, err := Create(dir)
@@ -127,16 +124,8 @@ func TestFacadeDiskDurableRoundTrip(t *testing.T) {
 	if got := rtab.StatsInfo(); !reflect.DeepEqual(got, before) {
 		t.Fatalf("StatsInfo changed across reopen:\n before %+v\n after  %+v", before, got)
 	}
-	ctx := context.Background()
-	planned := PTQ("", "v01", 0.5).WithPlanner()
-	if _, err := rtab.Run(ctx, planned); !errors.Is(err, ErrNoStats) {
-		t.Fatalf("WithPlanner on a reopened table: %v, want ErrNoStats", err)
-	}
 	if err := rtab.Merge(); err != nil {
 		t.Fatal(err)
-	}
-	if _, err := rtab.Run(ctx, planned); !errors.Is(err, ErrNoStats) {
-		t.Fatalf("WithPlanner after a merge: %v, want ErrNoStats (nothing but BuildStats builds statistics)", err)
 	}
 	verifyLive(t, rtab, live)
 }

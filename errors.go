@@ -4,7 +4,6 @@ import (
 	"errors"
 
 	"upidb/internal/fracture"
-	"upidb/internal/planner"
 	"upidb/internal/upi"
 )
 
@@ -17,22 +16,11 @@ var (
 	// secondary-indexed one.
 	ErrUnknownAttr = upi.ErrUnknownAttr
 
-	// ErrNoStats reports a forced planned query (WithPlanner or
-	// WithExplain) on an attribute without seeded statistics: the
-	// table was reopened and
-	// has not merged yet, or a BuildStats subset dropped the
-	// attribute. Automatic routing never returns it — Run falls back
-	// to heuristic routing instead.
-	ErrNoStats = planner.ErrNoStats
-
-	// ErrCanceled reports a query stopped by its context, or refused
-	// by deadline-aware admission. For a context stop, returned errors
-	// wrap both ErrCanceled and the context's own error, so
+	// ErrCanceled reports a query stopped by its context. Returned
+	// errors wrap both ErrCanceled and the context's own error, so
 	// errors.Is(err, context.Canceled) (or context.DeadlineExceeded)
-	// also matches; an admission refusal (remaining deadline below the
-	// plan's modeled cost) wraps ErrCanceled alone, since the deadline
-	// had not yet expired. A query that fails either way has charged
-	// no further modeled I/O and holds no partition pins.
+	// also matches. A query stopped this way has charged no further
+	// modeled I/O and holds no partition pins.
 	ErrCanceled = upi.ErrCanceled
 
 	// ErrClosed reports an operation on a table after Table.Close or

@@ -1,7 +1,6 @@
 // Example cartel: continuous UPI over uncertain GPS observations —
 // the paper's Queries 4 and 5 through the unified Run(ctx, Query)
-// spatial API (default and opt-in planner routing, EXPLAIN, streaming,
-// per-query stats).
+// spatial API (fixed routing, EXPLAIN, streaming, per-query stats).
 package main
 
 import (
@@ -31,32 +30,30 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("continuous UPI size: %.1f MB (spatial stats: %+v)\n",
-		float64(cars.SizeBytes())/(1<<20), cars.StatsInfo())
+	fmt.Printf("continuous UPI size: %.1f MB\n", float64(cars.SizeBytes())/(1<<20))
 
 	// Query 4: all cars within 400 m of downtown with appearance
-	// probability >= 0.5 — routed by cost because it says WithPlanner
-	// (the default would be the R-Tree probe), with per-query modeled cost.
+	// probability >= 0.5 — an R-Tree probe, with per-query modeled cost.
 	q4 := upidb.Circle(upidb.Point{X: 0, Y: 0}, 400, 0.5)
 	if err := cars.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := cars.Run(ctx, q4.WithStats().WithPlanner())
+	res, err := cars.Run(ctx, q4.WithStats())
 	if err != nil {
 		log.Fatal(err)
 	}
 	rs := res.Collect()
 	info := res.Info()
 	fmt.Printf("\nQuery 4 (within 400m of downtown, threshold 0.5): %d cars\n", len(rs))
-	fmt.Printf("  routed by %q to plan %s; %d candidates, %d fetched, modeled cost %v\n",
-		info.PlanSource, info.Plan, info.Candidates, info.HeapEntries, info.ModeledTime)
+	fmt.Printf("  %d candidates, %d fetched, modeled cost %v\n",
+		info.Candidates, info.HeapEntries, info.ModeledTime)
 	for _, r := range rs[:min(3, len(rs))] {
 		fmt.Printf("  car %d at (%.0f, %.0f) with probability %.2f, speed %.1f m/s\n",
 			r.Obs.ID, r.Obs.Loc.Center.X, r.Obs.Loc.Center.Y, r.Confidence, r.Obs.Speed)
 	}
 
-	// The same query as an EXPLAIN: the costed plans and the route a
-	// default Run would take, nothing executed.
+	// The same query as an EXPLAIN: the route Run takes, nothing
+	// executed.
 	ex, err := cars.Run(ctx, q4.WithExplain())
 	if err != nil {
 		log.Fatal(err)
@@ -114,8 +111,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("\nafter live insert, %d cars within 200m of downtown (source %q)\n",
-		res.Len(), res.Info().PlanSource)
+	fmt.Printf("\nafter live insert, %d cars within 200m of downtown\n", res.Len())
 }
 
 func min(a, b int) int {

@@ -207,8 +207,6 @@ func Registered() []struct {
 		{"fig12", Fig12CutoffModel},
 		{"table7", Table7Maintenance},
 		{"table8", Table8Merging},
-		{"planner-routing", PlannerRouting},
-		{"spatial-routing", SpatialRouting},
 		{"streaming-latency", StreamingLatency},
 		{"ablation-pointers", AblationMaxPointers},
 		{"ablation-size", AblationCutoffSize},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"math"
 	"sync"
 	"testing"
@@ -117,14 +118,11 @@ func TestInsertAllOrNothing(t *testing.T) {
 			if found != 1 {
 				t.Fatalf("retried insert appears %d times in segment results, want 1", found)
 			}
-			// Full scans must agree (they see physical rows and rely on
-			// the commit filter to hide the failed insert's leftovers).
-			fs, _, err := tab.FullScanCircle(context.Background(), prob.Point{X: 500, Y: 500}, 1e6, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(fs) != 41 {
-				t.Fatalf("full scan sees %d observations, want 41", len(fs))
+			// The circle route agrees with a brute force over the
+			// observations this test committed: the failed insert's
+			// leftovers change no confidence.
+			if want := bruteQuery(append(base, o), prob.Point{X: 500, Y: 500}, 1e6, 0); !maps.Equal(all, want) {
+				t.Fatalf("after retry: circle results differ from the brute force over the committed observations")
 			}
 		})
 	}
@@ -187,12 +185,23 @@ func TestCursorsMatchMaterialized(t *testing.T) {
 		t.Fatal(err)
 	}
 	sameSet("CircleCursor", drain(tab.CircleCursor(ctx, q, radius, th)), want)
-	fsWant, _, err := tab.FullScanCircle(ctx, q, radius, th)
-	if err != nil {
-		t.Fatal(err)
+	// The reference is a brute force over the observations loaded.
+	loaded := c.Observations[:1200]
+	sameBrute := func(what string, got []Result, brute map[uint64]float64) {
+		t.Helper()
+		if len(got) == 0 {
+			t.Fatalf("%s: no results; the check is vacuous", what)
+		}
+		if gs := asSet(got); len(got) != len(brute) || len(gs) != len(brute) {
+			t.Fatalf("%s: %d results, brute force %d", what, len(got), len(brute))
+		}
+		for _, r := range got {
+			if bc, ok := brute[r.Obs.ID]; !ok || math.Abs(bc-r.Confidence) > 1e-12 {
+				t.Fatalf("%s: observation %d confidence %v, brute force %v (present %v)", what, r.Obs.ID, r.Confidence, bc, ok)
+			}
+		}
 	}
-	sameSet("FullScanCircle vs QueryCircle", fsWant, want)
-	sameSet("ScanCircleCursor", drain(tab.ScanCircleCursor(ctx, q, radius, th)), want)
+	sameBrute("QueryCircle vs brute force", want, bruteQuery(loaded, q, radius, th))
 
 	seg := c.Observations[0].Segment.First().Value
 	const qt = 0.25
@@ -210,12 +219,13 @@ func TestCursorsMatchMaterialized(t *testing.T) {
 				i, segGot[i].Obs.ID, segWant[i].Obs.ID)
 		}
 	}
-	fsSeg, _, err := tab.FullScanSegment(ctx, seg, qt)
-	if err != nil {
-		t.Fatal(err)
+	segBrute := make(map[uint64]float64)
+	for _, o := range loaded {
+		if p := o.Segment.P(seg); p > 0 && p >= qt {
+			segBrute[o.ID] = p
+		}
 	}
-	sameSet("FullScanSegment vs QuerySegment", fsSeg, segWant)
-	sameSet("ScanSegmentCursor", drain(tab.ScanSegmentCursor(ctx, seg, qt)), segWant)
+	sameBrute("QuerySegment vs brute force", segWant, segBrute)
 
 	// Abandoning a cursor mid-drain must release the read lock so a
 	// writer can proceed.
@@ -252,9 +262,6 @@ func TestCloseSemantics(t *testing.T) {
 	}
 	if _, _, err := tab.QuerySegment(ctx, "s", 0.5); !errors.Is(err, upi.ErrClosed) {
 		t.Fatalf("QuerySegment after Close: %v", err)
-	}
-	if _, _, err := tab.FullScanCircle(ctx, prob.Point{}, 100, 0.5); !errors.Is(err, upi.ErrClosed) {
-		t.Fatalf("FullScanCircle after Close: %v", err)
 	}
 	cur := tab.CircleCursor(ctx, prob.Point{}, 100, 0.5)
 	if _, _, err := cur.Next(); !errors.Is(err, upi.ErrClosed) {

@@ -334,41 +334,6 @@ func (t *Table) SegmentIndex() *btree.Tree { return t.segIdx }
 // Name returns the table name files are derived from.
 func (t *Table) Name() string { return t.name }
 
-// Geometry is a snapshot of the table's physical shape — the inputs
-// the spatial planner's cost formulas need.
-type Geometry struct {
-	// Observations is the number of committed observations.
-	Observations int64
-	// RTreeHeight is the R-Tree height (1 = root is a leaf);
-	// RTreeFanout the node capacity in entries.
-	RTreeHeight int
-	RTreeFanout int
-	// NodePageSize and HeapPageSize are the configured page sizes.
-	NodePageSize int
-	HeapPageSize int
-	// HeapBytes and SegBytes are the on-disk file sizes.
-	HeapBytes int64
-	SegBytes  int64
-	// SegHeight is the segment B-Tree height.
-	SegHeight int
-}
-
-// Geometry returns the current physical shape of the table.
-func (t *Table) Geometry() Geometry {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return Geometry{
-		Observations: int64(len(t.rows)),
-		RTreeHeight:  t.rt.Height(),
-		RTreeFanout:  t.rt.MaxEntries(),
-		NodePageSize: t.opts.NodePageSize,
-		HeapPageSize: t.opts.HeapPageSize,
-		HeapBytes:    t.fs.Size(t.name + ".cupi.heap"),
-		SegBytes:     t.fs.Size(t.name + ".cupi.seg"),
-		SegHeight:    t.segIdx.Height(),
-	}
-}
-
 // SizeBytes returns the total on-disk size.
 func (t *Table) SizeBytes() int64 {
 	return t.fs.Size(t.name+".cupi.rtree") + t.fs.Size(t.name+".cupi.heap") + t.fs.Size(t.name+".cupi.seg")
@@ -651,21 +616,4 @@ func (t *Table) QuerySegment(ctx context.Context, seg string, qt float64) ([]Res
 		return nil, stats, err
 	}
 	return rs, stats, nil
-}
-
-// FullScanCircle answers a circle query by scanning the whole heap
-// sequentially and integrating every committed observation — the
-// physical form of the spatial planner's SpatialFullScan plan, which
-// wins once a query region covers most of the extent and the R-Tree
-// probe would touch nearly every leaf anyway. It is the materialized
-// drain of ScanCircleCursor, byte-identical in results, stats and I/O.
-func (t *Table) FullScanCircle(ctx context.Context, q prob.Point, radius, threshold float64) ([]Result, Stats, error) {
-	return drainCursor(t.ScanCircleCursor(ctx, q, radius, threshold))
-}
-
-// FullScanSegment answers a segment PTQ by scanning the whole heap
-// sequentially, without touching the segment index. It is the
-// materialized drain of ScanSegmentCursor.
-func (t *Table) FullScanSegment(ctx context.Context, seg string, qt float64) ([]Result, Stats, error) {
-	return drainCursor(t.ScanSegmentCursor(ctx, seg, qt))
 }

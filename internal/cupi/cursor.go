@@ -4,7 +4,6 @@ import (
 	"context"
 	"iter"
 
-	"upidb/internal/heapfile"
 	"upidb/internal/prob"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
@@ -91,26 +90,6 @@ func (c *Cursor) Close() {
 // cursor is exhausted, failed or closed. Updated between pulls, so
 // reading it from the consuming goroutine is race-free.
 func (c *Cursor) Stats() Stats { return c.stats }
-
-// drainCursor exhausts a cursor into a canonically sorted slice — the
-// bridge from the pull-based executors back to the materialized call
-// shape (same results, stats and I/O as consuming the cursor).
-func drainCursor(c *Cursor) ([]Result, Stats, error) {
-	defer c.Close()
-	var out []Result
-	for {
-		r, ok, err := c.Next()
-		if err != nil {
-			return nil, c.stats, err
-		}
-		if !ok {
-			break
-		}
-		out = append(out, r)
-	}
-	utree.SortResults(out)
-	return out, c.stats, nil
-}
 
 // CircleCursor streams a circle query: the R-Tree traversal runs
 // lazily leaf by leaf (via rtree.LeafCursor), each leaf's candidates
@@ -219,93 +198,6 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 			}
 			c.stats.Fetched++
 			if !yield(Result{Obs: o, Confidence: conf}) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = scanErr
-		}
-		if stopped {
-			return nil
-		}
-		return err
-	})
-}
-
-// ScanCircleCursor streams the SpatialFullScan plan for a circle
-// query. A full scan filters in heap order with no index; to keep its
-// streamed order identical to CircleCursor-style refinement order it
-// simply yields in heap order, materializing nothing beyond the
-// current page.
-func (t *Table) ScanCircleCursor(ctx context.Context, q prob.Point, radius, threshold float64) *Cursor {
-	return t.scanCursor(ctx, func(row tuple.ObservationView) (Result, bool) {
-		conf := row.Loc().ProbInCircle(q, radius)
-		if conf < threshold {
-			return Result{}, false
-		}
-		return Result{Obs: row.Build(), Confidence: conf}, true
-	}, true)
-}
-
-// ScanSegmentCursor streams the SpatialFullScan plan for a segment
-// PTQ, in heap order. Note this differs from SegmentCursor's
-// confidence order: a full scan has no confidence-sorted index to
-// follow; consumers needing the canonical order should Collect.
-func (t *Table) ScanSegmentCursor(ctx context.Context, seg string, qt float64) *Cursor {
-	return t.scanCursor(ctx, func(row tuple.ObservationView) (Result, bool) {
-		o := row.Build()
-		conf := o.Segment.P(seg)
-		return Result{Obs: o, Confidence: conf}, conf > 0 && conf >= qt
-	}, false)
-}
-
-// scanReadAhead is the read-ahead window (pages) of a full heap scan:
-// one seek per run of pages, the Costscan assumption.
-const scanReadAhead = 64
-
-// scanCursor streams a sequential heap scan with an in-flight filter,
-// yielding qualifying observations in heap order. match sees each
-// committed row as the validated view of its record — the row's one
-// framing walk — and builds the observation only if it needs more than
-// the location.
-func (t *Table) scanCursor(ctx context.Context, match func(row tuple.ObservationView) (Result, bool), integrates bool) *Cursor {
-	return newCursor(func(c *Cursor, yield func(Result) bool) error {
-		if err := upi.CtxErr(ctx); err != nil {
-			return err
-		}
-		t.mu.RLock()
-		defer t.mu.RUnlock()
-		if err := t.checkOpenRLocked(); err != nil {
-			return err
-		}
-		var (
-			scanErr error
-			stopped bool
-			n       int
-		)
-		err := t.heap.View(t.rec, scanReadAhead).Scan(func(rid heapfile.RowID, rec []byte) bool {
-			if n%64 == 0 {
-				if scanErr = upi.CtxErr(ctx); scanErr != nil {
-					return false
-				}
-			}
-			n++
-			row, derr := tuple.ValidateObservation(rec)
-			if derr != nil {
-				scanErr = derr
-				return false
-			}
-			if committed, ok := t.rows[row.ID()]; !ok || committed != rid {
-				return true
-			}
-			c.stats.Fetched++
-			r, ok := match(row)
-			if integrates {
-				c.stats.Integrations++
-			}
-			if ok && !yield(r) {
 				stopped = true
 				return false
 			}

@@ -16,6 +16,7 @@ import (
 
 	"upidb/internal/prob"
 	"upidb/internal/tuple"
+	"upidb/internal/utree"
 )
 
 func TestCircleRoutesMatchBruteForce(t *testing.T) {
@@ -95,14 +96,10 @@ func TestCircleRoutesMatchBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scanned, _, err := tab.FullScanCircle(ctx, qu.q, qu.radius, qu.threshold)
-		if err != nil {
-			t.Fatal(err)
-		}
 		if curStats != matStats {
 			t.Errorf("%+v: CircleCursor stats %+v, QueryCircle stats %+v", qu, curStats, matStats)
 		}
-		for route, got := range map[string][]Result{"QueryCircle": mat, "CircleCursor": streamed, "FullScanCircle": scanned} {
+		for route, got := range map[string][]Result{"QueryCircle": mat, "CircleCursor": streamed} {
 			if len(got) != len(want) {
 				t.Fatalf("%+v: %s returned %d results, brute force %d", qu, route, len(got), len(want))
 			}
@@ -155,10 +152,6 @@ func TestTruncatedRecordFailsRejectingQuery(t *testing.T) {
 	routes := map[string]func() ([]Result, error){
 		"QueryCircle": func() ([]Result, error) {
 			rs, _, err := tab.QueryCircle(ctx, q, radius, threshold)
-			return rs, err
-		},
-		"FullScanCircle": func() ([]Result, error) {
-			rs, _, err := tab.FullScanCircle(ctx, q, radius, threshold)
 			return rs, err
 		},
 		"CircleCursor": func() ([]Result, error) {
@@ -224,4 +217,24 @@ func BenchmarkCircleCursor(b *testing.B) {
 		rows += len(rs)
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
+// drainCursor exhausts a cursor into a canonically sorted slice — the
+// bridge from the pull-based executors back to the materialized call
+// shape (same results, stats and I/O as consuming the cursor).
+func drainCursor(c *Cursor) ([]Result, Stats, error) {
+	defer c.Close()
+	var out []Result
+	for {
+		r, ok, err := c.Next()
+		if err != nil {
+			return nil, c.stats, err
+		}
+		if !ok {
+			break
+		}
+		out = append(out, r)
+	}
+	utree.SortResults(out)
+	return out, c.stats, nil
 }

@@ -39,11 +39,6 @@ const (
 	KindSecondary
 	// KindTopK is a top-k query on the primary attribute.
 	KindTopK
-	// KindScan is a PTQ executed as a sequential full scan of every
-	// partition's heap with an in-flight filter — the physical form of
-	// the planner's FullScan plan. Attr may name any attribute ("" =
-	// primary); no index is consulted.
-	KindScan
 )
 
 // Req is one query descriptor: the predicate plus per-query execution
@@ -218,18 +213,6 @@ func compileReq(primary string, req Req) (execPlan, error) {
 		// not cap its own scan at k entries that may all be superseded.
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
 			return t.QueryCursor(ctx, req.Value, 0)
-		}
-	case KindScan:
-		attr := req.Attr
-		if attr == "" {
-			attr = primary
-		}
-		p.match = func(tup *tuple.Tuple) (float64, bool) {
-			conf := tup.Confidence(attr, req.Value)
-			return conf, conf > 0 && conf >= req.QT
-		}
-		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
-			return t.ScanCursor(ctx, attr, req.Value, req.QT)
 		}
 	default:
 		return execPlan{}, fmt.Errorf("fracture: unknown query kind %d", req.Kind)

@@ -97,7 +97,7 @@ func (p *Prepared) Stream(ctx context.Context) *Stream {
 // prime opens every partition cursor and positions it on its first
 // live result, fanning the openings out across min(GOMAXPROCS,
 // partitions) workers — so the expensive first pull (which for
-// secondary and full-scan partitions is their whole execution) overlaps
+// secondary partitions is their whole execution) overlaps
 // across partitions, of one store or of many. The RAM-buffer matches
 // are sorted here too; they participate in the merge as zero-I/O
 // sources.

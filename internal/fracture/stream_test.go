@@ -106,7 +106,6 @@ func TestStreamMatchesCollect(t *testing.T) {
 		{Kind: KindPTQ, Value: concValue(3), QT: 0.4},
 		{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true},
 		{Kind: KindTopK, Value: concValue(4), K: 9},
-		{Kind: KindScan, Value: concValue(5), QT: 0.1},
 	}
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {
 		setProcs(t, par)

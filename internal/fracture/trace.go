@@ -4,7 +4,7 @@ package fracture
 // (upidb.Query.WithTrace on the facade); the engine then emits one
 // TraceEvent per span milestone as execution proceeds — shard
 // dispatch, per-partition scan start/end, merged-stream yields and the
-// admission verdict — giving servers a substrate for per-request
+// admission — giving servers a substrate for per-request
 // metrics without touching the result path. With no TraceFunc set the
 // hooks cost one nil check, and no event is built.
 //
@@ -16,9 +16,8 @@ package fracture
 
 // The trace event kinds the engine emits.
 const (
-	// TraceAdmission is the admission verdict of a Run: admitted,
-	// refused (deadline below modeled cost), or unpriced (heuristic
-	// route, no cost-based admission). Emitted by the facade.
+	// TraceAdmission marks a Run admitted onto its fixed route.
+	// Emitted by the facade.
 	TraceAdmission = "admission"
 	// TraceDispatch marks one shard being handed the request. Emitted
 	// once per shard, before any shard's partition snapshot is pinned.

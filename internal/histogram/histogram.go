@@ -9,12 +9,10 @@
 // probability histogram might indicate that 5% of the possible values
 // of attribute X have a probability of 20% or more."
 //
-// Histograms are incremental: beyond the batch Build used at load
-// time and by BuildStats, Add and Remove apply single-tuple deltas,
-// which is how a spatial table's stats.SpatialCatalog absorbs each
-// insert into its segment histogram. All methods are safe for
-// concurrent use, so the planner may read a histogram while an insert
-// mutates it.
+// The experiments (fig3, fig11, fig12, the ablation) and
+// examples/tuning build histograms with Build; Add and Remove apply
+// single-tuple deltas. All methods are safe for concurrent use, so an
+// estimate may read a histogram while a delta mutates it.
 package histogram
 
 import (

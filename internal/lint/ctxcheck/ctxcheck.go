@@ -1,6 +1,6 @@
 // Package ctxcheck enforces the engine's context-propagation
 // discipline, established when Run(ctx, Query) was plumbed
-// facade→planner→fracture→upi→cupi: cancellation must reach every
+// facade→shard→fracture→upi→cupi: cancellation must reach every
 // I/O-performing path, so
 //
 //   - context.Background() / context.TODO() are forbidden outside
@@ -11,8 +11,8 @@
 //     whole call graph relies on;
 //   - exported query-shaped methods (Query*/Scan*/Stream*/Run/
 //     *Cursor) on store/table/cursor types must take a context —
-//     a query path without one cannot be cancelled or admission-
-//     checked at all.
+//     a query path without one cannot be cancelled or bounded by a
+//     deadline at all.
 //
 // Intentional exceptions carry a //lint:noctx marker with a rationale.
 package ctxcheck
@@ -121,5 +121,5 @@ func checkQueryShape(pass *lint.Pass, fd *ast.FuncDecl) {
 			return
 		}
 	}
-	pass.Reportf(fd.Name.Pos(), "%s.%s performs query I/O but takes no context.Context; it cannot be cancelled or admission-checked (document an exception with //lint:noctx)", recv, fd.Name.Name)
+	pass.Reportf(fd.Name.Pos(), "%s.%s performs query I/O but takes no context.Context; it cannot be cancelled or bounded by a deadline (document an exception with //lint:noctx)", recv, fd.Name.Name)
 }

@@ -1,7 +1,7 @@
 // Package obs is the engine's dependency-free metrics substrate: a
 // registry of atomic counters, gauges and fixed-bucket histograms with
 // a typed snapshot API and a hand-rolled Prometheus text-exposition
-// encoder. It exists so every layer — fracture, shard, planner,
+// encoder. It exists so every layer — fracture, shard, facade,
 // streaming, server — can be instrumented without importing anything
 // beyond the standard library, and without measurable cost on scan-
 // worker hot paths: an increment is one atomic add, a histogram

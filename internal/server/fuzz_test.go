@@ -18,7 +18,8 @@ import (
 // NDJSON stream: result lines followed by a done trailer whose count is
 // the number of result lines. The one other ending of a 200 is an
 // in-band cancellation line, when the body's own timeout_ms expired
-// after the rows started flowing.
+// after the rows started flowing. A body that decodes with a non-empty
+// "route" is refused with 400: routing is fixed.
 //
 //	go test -run '^$' -fuzz '^FuzzQueryBody$' -fuzztime 15s ./internal/server
 func FuzzQueryBody(f *testing.F) {
@@ -28,10 +29,10 @@ func FuzzQueryBody(f *testing.F) {
 		`{"kind":"topk","value":"v3","k":5}`,
 		`{"value":"v1","qt":0.1}`,
 		`{"value":"v1"}`,
-		`{"value":"v1","qt":0.1,"timeout_ms":150,"route":"planner"}`,
 		`{"value":"v1","qt":0.1,"timeout_ms":150}`,
 		`{"value":"v1","qt":0.1,"timeout_ms":1,"route":""}`,
-		`{"value":"v1","qt":0.1,"timeout_ms":1,"route":"planner"}`,
+		`{"route":"planner"}`,
+		`{"value":"v1","qt":0.1,"timeout_ms":150,"route":"planner"}`,
 		`{not json`,
 		`{"kind":"scan"}`,
 		`{"kind":"topk","value":"v1"}`,
@@ -46,7 +47,7 @@ func FuzzQueryBody(f *testing.F) {
 	h := srv.Handler()
 	deliberate := map[int]bool{
 		http.StatusOK: true, http.StatusBadRequest: true, http.StatusNotFound: true,
-		http.StatusConflict: true, http.StatusTooManyRequests: true,
+		http.StatusTooManyRequests:    true,
 		http.StatusServiceUnavailable: true, http.StatusGatewayTimeout: true,
 	}
 	f.Fuzz(func(t *testing.T, body []byte) {
@@ -54,6 +55,10 @@ func FuzzQueryBody(f *testing.F) {
 		h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/tables/authors/query", bytes.NewReader(body)))
 		if !deliberate[rec.Code] {
 			t.Fatalf("body %q: status %d: %s", body, rec.Code, rec.Body)
+		}
+		var req queryRequest
+		if json.Unmarshal(body, &req) == nil && req.Route != "" && rec.Code != http.StatusBadRequest {
+			t.Fatalf("body %q names route %q: status %d, want 400", body, req.Route, rec.Code)
 		}
 		if rec.Code != http.StatusOK {
 			return

@@ -177,7 +177,7 @@ func serve(t testing.TB, srv *Server, w http.ResponseWriter, table, body string)
 
 // TestQueryBodyIsTheEncodersBytes: for a fixed table and request set —
 // no rows, fewer than one flush batch, exactly one, several, a top-k, a
-// secondary PTQ, both routings, a fractured two-shard table — the
+// secondary PTQ, a fractured two-shard table — the
 // response body is byte for byte what the handler produced when every
 // line went through json.Encoder over Results.All: the result lines, in
 // order, then the trailer.
@@ -190,14 +190,13 @@ func TestQueryBodyIsTheEncodersBytes(t *testing.T) {
 	}{
 		{"flat", queryRequest{Value: "none", QT: 0.1}, upidb.PTQ("", "none", 0.1)},
 		{"flat", queryRequest{Value: "few", QT: 0.1}, upidb.PTQ("", "few", 0.1)},
-		{"flat", queryRequest{Value: "many", QT: 0.1, Route: "planner"}, upidb.PTQ("", "many", 0.1).WithPlanner()},
+		{"flat", queryRequest{Value: "many", QT: 0.1}, upidb.PTQ("", "many", 0.1)},
 		{"flat", queryRequest{Kind: "topk", Value: "many", K: 64}, upidb.TopKQuery("many", 64)},
 		{"flat", queryRequest{Kind: "topk", Value: "many", K: 128}, upidb.TopKQuery("many", 128)},
 		{"flat", queryRequest{Attr: "Y", Value: "ymany", QT: 0.5}, upidb.PTQ("Y", "ymany", 0.5)},
 		{"frac", queryRequest{Value: "many", QT: 0.05}, upidb.PTQ("", "many", 0.05)},
-		{"frac", queryRequest{Value: "many", QT: 0.05, Route: "planner"}, upidb.PTQ("", "many", 0.05).WithPlanner()},
 		{"frac", queryRequest{Kind: "topk", Value: "many", K: 70}, upidb.TopKQuery("many", 70)},
-		{"frac", queryRequest{Attr: "Y", Value: "ymany", QT: 0.5, Route: "planner"}, upidb.PTQ("Y", "ymany", 0.5).WithPlanner()},
+		{"frac", queryRequest{Attr: "Y", Value: "ymany", QT: 0.5}, upidb.PTQ("Y", "ymany", 0.5)},
 	}
 	ctx := context.Background()
 	for i, rq := range requests {
@@ -229,7 +228,7 @@ func TestQueryBodyIsTheEncodersBytes(t *testing.T) {
 		info := res.Info()
 		shards := tab.NumShards()
 		if err := enc.Encode(trailerLine{
-			Done: true, Count: count, Plan: info.Plan, PlanSource: info.PlanSource,
+			Done: true, Count: count,
 			Partitions: info.Partitions, Shards: shards, Dispatches: int64(shards),
 			Scans: int64(info.Partitions), Yields: int64(count), ModeledMS: info.ModeledTime.Milliseconds(),
 		}); err != nil {

@@ -22,10 +22,9 @@
 //   - Deadlines: every request runs under a context deadline
 //     (per-request timeout_ms, else Config.DefaultTimeout), which bounds
 //     real time — 504 if it has passed before the query starts, an
-//     in-band error line if it fires mid-stream. Only a request that
-//     asks for "route":"planner" is priced: the engine then refuses it
-//     with 504 before any partition is pinned when the cheapest plan's
-//     modeled cost exceeds the remaining deadline.
+//     in-band error line if it fires mid-stream. Nothing is priced:
+//     every query takes the engine's one fixed route, and a request
+//     naming a "route" is refused with 400.
 //   - Graceful drain: BeginDrain flips the server to refusing new work
 //     (503, and healthz goes unhealthy so load balancers steer away)
 //     while Drain waits for in-flight requests to finish. SIGTERM in
@@ -34,7 +33,7 @@
 // Query responses stream as NDJSON riding Results.Rows: one
 // {"id","confidence"} object per result as the globally merged stream
 // yields it — no tuple is built to serve a query — then one trailer
-// object carrying counts, the plan and aggregated statistics.
+// object carrying counts and aggregated statistics.
 // Mid-stream failures surface as an {"error"} line — the status code is
 // already on the wire.
 package server
@@ -82,7 +81,7 @@ type serverMetrics struct {
 	latency  *obs.HistogramVec // {endpoint}: end-to-end service time
 	inflight *obs.Gauge        // requests currently being served
 	overload *obs.Counter      // 429s shed by the token bucket
-	deadline *obs.Counter      // 504s (deadline admission or mid-flight)
+	deadline *obs.Counter      // 504s (deadline passed before or during the query)
 }
 
 func newServerMetrics(r *upidb.MetricsRegistry) *serverMetrics {
@@ -91,7 +90,7 @@ func newServerMetrics(r *upidb.MetricsRegistry) *serverMetrics {
 		latency:  r.HistogramVec("upidb_http_request_seconds", "End-to-end request service time, by endpoint.", obs.WallBuckets, "endpoint"),
 		inflight: r.Gauge("upidb_http_inflight", "Requests currently being served."),
 		overload: r.Counter("upidb_http_overload_refusals_total", "Requests shed with 429 by the admission token bucket."),
-		deadline: r.Counter("upidb_http_deadline_refusals_total", "Requests answered 504: deadline admission or mid-flight deadline."),
+		deadline: r.Counter("upidb_http_deadline_refusals_total", "Requests answered 504: deadline passed before or during the query."),
 	}
 }
 
@@ -229,8 +228,8 @@ func (s *Server) record(endpoint string, status int, elapsed time.Duration, r *h
 }
 
 // handleMetrics serves the Prometheus text exposition of every metric
-// family — engine (fracture/WAL/merge), shard, planner/admission and
-// server alike, since they share the DB's registry.
+// family — engine (fracture/WAL/merge), shard, query and server
+// alike, since they share the DB's registry.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	_ = s.db.WritePrometheus(w)
@@ -269,12 +268,10 @@ type queryRequest struct {
 	QT    float64 `json:"qt"`
 	K     int     `json:"k"`
 	// TimeoutMS bounds this request's real time through the context
-	// deadline; under "route":"planner" the same deadline is also the
-	// budget the cheapest plan's modeled cost is admitted against. 0
-	// uses the server default.
+	// deadline. 0 uses the server default.
 	TimeoutMS int `json:"timeout_ms"`
-	// Route is "" (the engine's fixed routing rule) or "planner"
-	// (cost-based routing and admission, Query.WithPlanner).
+	// Route must be empty: routing is fixed, and a request that asks
+	// for a route is refused rather than silently served another way.
 	Route string `json:"route"`
 }
 
@@ -317,16 +314,14 @@ const rowsPerFlush = 64
 
 // trailerLine closes a successful query stream.
 type trailerLine struct {
-	Done       bool   `json:"done"`
-	Count      int    `json:"count"`
-	Plan       string `json:"plan,omitempty"`
-	PlanSource string `json:"plan_source,omitempty"`
-	Partitions int    `json:"partitions"`
-	Shards     int    `json:"shards"`
-	Dispatches int64  `json:"dispatches"`
-	Scans      int64  `json:"scans"`
-	Yields     int64  `json:"yields"`
-	ModeledMS  int64  `json:"modeled_ms"`
+	Done       bool  `json:"done"`
+	Count      int   `json:"count"`
+	Partitions int   `json:"partitions"`
+	Shards     int   `json:"shards"`
+	Dispatches int64 `json:"dispatches"`
+	Scans      int64 `json:"scans"`
+	Yields     int64 `json:"yields"`
+	ModeledMS  int64 `json:"modeled_ms"`
 }
 
 // queryStatus maps an engine error onto an HTTP status.
@@ -334,12 +329,8 @@ func queryStatus(err error) int {
 	switch {
 	case errors.Is(err, upidb.ErrUnknownAttr):
 		return http.StatusBadRequest
-	case errors.Is(err, upidb.ErrNoStats):
-		// "route":"planner" on a table nobody has built statistics for.
-		return http.StatusConflict
 	case errors.Is(err, upidb.ErrCanceled):
-		// Deadline admission refusal or mid-flight cancellation: the
-		// deadline budget was the limiting factor either way.
+		// The deadline passed before the query started.
 		return http.StatusGatewayTimeout
 	case errors.Is(err, upidb.ErrClosed):
 		return http.StatusServiceUnavailable
@@ -378,12 +369,8 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 		errorBody(w, http.StatusBadRequest, "unknown query kind %q (want \"ptq\" or \"topk\")", req.Kind)
 		return http.StatusBadRequest, nil
 	}
-	switch strings.ToLower(req.Route) {
-	case "":
-	case "planner":
-		q = q.WithPlanner()
-	default:
-		errorBody(w, http.StatusBadRequest, "unknown route %q (want \"planner\" or none)", req.Route)
+	if req.Route != "" {
+		errorBody(w, http.StatusBadRequest, "route %q refused: routing is fixed (omit \"route\")", req.Route)
 		return http.StatusBadRequest, nil
 	}
 
@@ -459,8 +446,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	_ = enc.Encode(trailerLine{
 		Done:       true,
 		Count:      count,
-		Plan:       info.Plan,
-		PlanSource: info.PlanSource,
 		Partitions: info.Partitions,
 		Shards:     shards,
 		Dispatches: int64(shards),
@@ -473,12 +458,6 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	}
 	f := fields(shards, info.Partitions)
 	f["count"] = count
-	if info.Plan != "" {
-		f["plan"] = info.Plan
-	}
-	if info.PlanSource != "" {
-		f["plan_source"] = info.PlanSource
-	}
 	return http.StatusOK, f
 }
 
@@ -601,12 +580,11 @@ type statsResponse struct {
 	Shards      int              `json:"shards"`
 	Fractures   int              `json:"fractures"`
 	SizeBytes   int64            `json:"size_bytes"`
-	Seeded      bool             `json:"stats_seeded"`
 	PerShard    []shardStatsLine `json:"per_shard"`
 }
 
-// handleStats reports table state: the aggregates over shards, whether
-// the planner has histograms to cost from, and the per-shard breakdown.
+// handleStats reports table state: the aggregates over shards and the
+// per-shard breakdown.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (int, map[string]any) {
 	t, status := s.table(w, r)
 	if t == nil {
@@ -625,7 +603,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (int, map[s
 		Shards:      t.NumShards(),
 		Fractures:   t.NumFractures(),
 		SizeBytes:   t.SizeBytes(),
-		Seeded:      si.Seeded,
 		PerShard:    perShard,
 	})
 	return http.StatusOK, map[string]any{"table": t.Name(), "shards": t.NumShards()}

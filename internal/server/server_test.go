@@ -2,7 +2,7 @@ package server
 
 // httptest suite for the HTTP front end: NDJSON query streaming with a
 // well-formed trailer, token-bucket overload (429 + Retry-After, never
-// a 5xx), deadline propagation into the engine's admission (504),
+// a 5xx), deadline propagation into the engine (504),
 // graceful drain (503 everywhere, healthz included, and Drain returns
 // with zero requests in flight), and the 400/404 rejection surface.
 
@@ -26,8 +26,7 @@ import (
 
 // newTestServer builds an in-memory DB with one sharded table holding
 // n tuples (primary X over 16 values, secondary Y over 8), flushed and
-// merged, with statistics built from those tuples so "route":"planner"
-// has something to cost from.
+// merged.
 func newTestServer(t testing.TB, cfg Config, n int) (*Server, *httptest.Server) {
 	t.Helper()
 	db, err := upidb.Create("")
@@ -39,7 +38,6 @@ func newTestServer(t testing.TB, cfg Config, n int) (*Server, *httptest.Server) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tuples []*upidb.Tuple
 	for i := 0; i < n; i++ {
 		x, err := upidb.NewDiscrete([]upidb.Alternative{
 			{Value: fmt.Sprintf("v%d", i%16), Prob: 0.7},
@@ -57,7 +55,6 @@ func newTestServer(t testing.TB, cfg Config, n int) (*Server, *httptest.Server) 
 		if err := tab.Insert(tup); err != nil {
 			t.Fatal(err)
 		}
-		tuples = append(tuples, tup)
 	}
 	if n > 0 {
 		if err := tab.Flush(); err != nil {
@@ -66,9 +63,6 @@ func newTestServer(t testing.TB, cfg Config, n int) (*Server, *httptest.Server) 
 		if err := tab.Merge(); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := tab.BuildStats(tuples); err != nil {
-		t.Fatal(err)
 	}
 	srv := New(db, cfg)
 	ts := httptest.NewServer(srv.Handler())
@@ -227,13 +221,17 @@ func TestQueryStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats statsResponse
-	if err := json.NewDecoder(resp.Body).Decode(&stats); err != nil {
+	raw, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
-	if stats.Table != "authors" || stats.PrimaryAttr != "X" || stats.Shards != 2 || !stats.Seeded {
-		t.Fatalf("stats: %+v", stats)
+	var stats statsResponse
+	if err := json.Unmarshal(raw, &stats); err != nil {
+		t.Fatal(err)
+	}
+	if stats.Table != "authors" || stats.PrimaryAttr != "X" || stats.Shards != 2 || strings.Contains(string(raw), "seeded") {
+		t.Fatalf("stats: %s", raw)
 	}
 }
 
@@ -241,11 +239,7 @@ func TestQueryStream(t *testing.T) {
 // parameters and unknown tables are refused before touching the
 // engine.
 func TestRejections(t *testing.T) {
-	srv, ts := newTestServer(t, Config{}, 40)
-	// A table created empty has no statistics to plan from.
-	if _, err := srv.db.CreateTable("bare", "X", nil); err != nil {
-		t.Fatal(err)
-	}
+	_, ts := newTestServer(t, Config{}, 40)
 	cases := []struct {
 		name   string
 		path   string
@@ -255,9 +249,6 @@ func TestRejections(t *testing.T) {
 		{"bad json", "/v1/tables/authors/query", "{not json", http.StatusBadRequest},
 		{"bad kind", "/v1/tables/authors/query", `{"kind":"scan"}`, http.StatusBadRequest},
 		{"topk without k", "/v1/tables/authors/query", `{"kind":"topk","value":"v1"}`, http.StatusBadRequest},
-		{"bad route", "/v1/tables/authors/query", `{"value":"v1","route":"warp"}`, http.StatusBadRequest},
-		{"removed route", "/v1/tables/authors/query", `{"value":"v1","route":"heuristic"}`, http.StatusBadRequest},
-		{"planner without statistics", "/v1/tables/bare/query", `{"value":"v1","route":"planner"}`, http.StatusConflict},
 		{"unknown attr", "/v1/tables/authors/query", `{"attr":"Z","value":"v1"}`, http.StatusBadRequest},
 		{"unknown table", "/v1/tables/nosuch/query", `{"value":"v1"}`, http.StatusNotFound},
 		{"insert id 0", "/v1/tables/authors/insert", `{"id":0}`, http.StatusBadRequest},
@@ -326,44 +317,58 @@ func TestOverload(t *testing.T) {
 	}
 }
 
-// TestDeadlinePropagation: timeout_ms is priced in modeled seconds only
-// for a request that asks for "route":"planner" — refused with 504
-// before it starts when the cheapest plan's modeled cost exceeds it. The
-// same body without a route is bounded in real time only: it answers
-// 200 with every row, routed by the fixed rule. A microscopic timeout
-// still surfaces as 504, not 500, on either route.
+// TestDeadlinePropagation: timeout_ms bounds real time and nothing is
+// priced. A 150 ms budget is below the modeled cost of the query (two
+// shards model at least two 100 ms file opens) and far above its real
+// time (about a millisecond): it answers 200 with every row. A
+// microscopic timeout surfaces as 504, not 500.
 func TestDeadlinePropagation(t *testing.T) {
 	_, ts := newTestServer(t, Config{}, 3000)
-	// Two shards model at least two 100 ms file opens; the query itself
-	// runs in about a millisecond.
-	body := map[string]any{"value": "v1", "qt": 0.1, "timeout_ms": 150}
-	body["route"] = "planner"
-	resp := post(t, ts.URL+"/v1/tables/authors/query", body)
-	raw, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusGatewayTimeout || !strings.Contains(string(raw), "admission refused") {
-		t.Fatalf("priced request: want 504 admission refused, got %s: %s", resp.Status, raw)
-	}
-	delete(body, "route")
-	rows, trailer := queryNDJSON(t, ts, body)
+	rows, trailer := queryNDJSON(t, ts, map[string]any{"value": "v1", "qt": 0.1, "timeout_ms": 150})
 	// v1 is the 0.7 alternative of every 16th tuple and the 0.3
 	// alternative of another 16th.
 	if want := 3000/16 + (3000+10)/16; len(rows) != want || trailer.Count != want {
-		t.Fatalf("unpriced request: %d rows (trailer %d), want %d", len(rows), trailer.Count, want)
+		t.Fatalf("150 ms request: %d rows (trailer %d), want %d", len(rows), trailer.Count, want)
 	}
-	if trailer.PlanSource != upidb.PlanSourceHeuristic || trailer.Plan != "" {
-		t.Fatalf("unpriced request trailer: source %q plan %q", trailer.PlanSource, trailer.Plan)
+	if trailer.ModeledMS < 150 {
+		t.Fatalf("modeled cost %d ms; the request was meant to be under-budgeted in modeled time", trailer.ModeledMS)
 	}
-	for _, route := range []string{"", "planner"} {
-		resp := post(t, ts.URL+"/v1/tables/authors/query",
-			map[string]any{"value": "v1", "qt": 0.1, "timeout_ms": 1, "route": route})
+	resp := post(t, ts.URL+"/v1/tables/authors/query", map[string]any{"value": "v1", "qt": 0.1, "timeout_ms": 1})
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	// The query may win the race against a 1 ms timer; what it may not
+	// do is fail with anything but a deadline.
+	if resp.StatusCode != http.StatusGatewayTimeout && resp.StatusCode != http.StatusOK {
+		t.Fatalf("1 ms request: got %s: %s", resp.Status, raw)
+	}
+}
+
+// TestRouteFieldRefused: routing is fixed, so a request naming any
+// route is refused with 400 and says why, before touching the engine;
+// an empty route is the same as none.
+func TestRouteFieldRefused(t *testing.T) {
+	_, ts := newTestServer(t, Config{}, 40)
+	for _, body := range []string{
+		`{"route":"planner"}`,
+		`{"value":"v1","qt":0.1,"route":"planner"}`,
+		`{"kind":"topk","value":"v1","k":3,"route":"planner"}`,
+		`{"value":"v1","route":"heuristic"}`,
+		`{"value":"v1","route":"warp"}`,
+	} {
+		resp, err := http.Post(ts.URL+"/v1/tables/authors/query", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
 		raw, _ := io.ReadAll(resp.Body)
 		resp.Body.Close()
-		// The default route may win the race against a 1 ms timer; what
-		// it may not do is fail with anything but a deadline.
-		if resp.StatusCode != http.StatusGatewayTimeout && !(route == "" && resp.StatusCode == http.StatusOK) {
-			t.Fatalf("route %q under 1 ms: got %s: %s", route, resp.Status, raw)
+		var doc map[string]string
+		if resp.StatusCode != http.StatusBadRequest || json.Unmarshal(raw, &doc) != nil || !strings.Contains(doc["error"], "routing is fixed") {
+			t.Errorf("%s: got %s %s, want 400 saying routing is fixed", body, resp.Status, raw)
 		}
+	}
+	rows, trailer := queryNDJSON(t, ts, map[string]any{"value": "v1", "qt": 0.1, "route": ""})
+	if len(rows) == 0 || trailer.Count != len(rows) {
+		t.Fatalf("empty route: %d rows, trailer count %d", len(rows), trailer.Count)
 	}
 }
 
@@ -465,7 +470,6 @@ func TestMetricsEndpoint(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE upidb_fracture_inserts_total counter",
 		"# TYPE upidb_shard_scatters_total counter",
-		"# TYPE upidb_planner_route_total counter",
 		"# TYPE upidb_http_requests_total counter",
 		"# TYPE upidb_http_request_seconds histogram",
 		"# TYPE upidb_http_inflight gauge",
@@ -476,7 +480,7 @@ func TestMetricsEndpoint(t *testing.T) {
 			t.Errorf("scrape missing %q", want)
 		}
 	}
-	for _, gone := range []string{"upidb_plan_cache_", "upidb_shard_tuples"} {
+	for _, gone := range []string{"upidb_plan_cache_", "upidb_shard_tuples", "upidb_planner_", "upidb_admission_"} {
 		if strings.Contains(out, gone) {
 			t.Errorf("scrape still exposes %q", gone)
 		}

@@ -18,26 +18,16 @@
 // free: crash recovery is the unsharded machinery applied per shard.
 // The shard count itself is persisted in a sideband "name.shards"
 // file, so Open rediscovers the layout without being told.
-//
-// The table also holds what the opt-in planner costs from: one
-// attribute→histogram set per shard, built by BulkLoad from the tuples
-// it is handed and replaced by BuildStats. Nothing else writes it — no
-// insert, delete, flush or merge — and a table created empty or reopened
-// has none, so PlanPTQ answers ErrNoStats there until BuildStats.
 package shard
 
 import (
 	"context"
 	"fmt"
 	"runtime"
-	"slices"
 	"strings"
-	"sync/atomic"
 
 	"upidb/internal/fracture"
-	"upidb/internal/histogram"
 	"upidb/internal/obs"
-	"upidb/internal/planner"
 	"upidb/internal/sim"
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
@@ -50,14 +40,8 @@ import (
 type Table struct {
 	fs     *storage.FS
 	name   string
-	disk   sim.Params
 	stores []*fracture.Store
 	met    *obs.EngineMetrics
-
-	// stats is each shard's histogram set, indexed like stores; a shard
-	// without statistics holds a nil set. BuildStats swaps the whole
-	// slice, so a costing pass reads one consistent generation.
-	stats atomic.Pointer[[]planner.StaticStats]
 }
 
 // shardsFile is the sideband file persisting the shard count of one
@@ -142,17 +126,13 @@ func readShardsFile(fs *storage.FS, name string) (int, error) {
 	return n, nil
 }
 
-// newTable assembles the Table around per-shard stores, with no
-// statistics.
-func newTable(fs *storage.FS, name string, disk sim.Params, stores []*fracture.Store, cfg fracture.Config) *Table {
+// newTable assembles the Table around per-shard stores.
+func newTable(fs *storage.FS, name string, stores []*fracture.Store, cfg fracture.Config) *Table {
 	met := cfg.Metrics
 	if met == nil {
 		met = &obs.EngineMetrics{}
 	}
-	t := &Table{fs: fs, name: name, disk: disk, stores: stores, met: met}
-	none := make([]planner.StaticStats, len(stores))
-	t.stats.Store(&none)
-	return t
+	return &Table{fs: fs, name: name, stores: stores, met: met}
 }
 
 // closeAll closes stores built so far when a constructor fails midway.
@@ -166,7 +146,7 @@ func closeAll(stores []*fracture.Store) {
 
 // New creates an empty sharded table with n shards (n < 1 defaults to
 // GOMAXPROCS).
-func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, disk sim.Params) (*Table, error) {
+func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int) (*Table, error) {
 	n = resolveNew(n)
 	if err := writeShardsFile(fs, name, n, cfg.Durable); err != nil {
 		return nil, err
@@ -180,13 +160,14 @@ func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Conf
 		}
 		stores[i] = s
 	}
-	return newTable(fs, name, disk, stores, cfg), nil
+	return newTable(fs, name, stores, cfg), nil
 }
 
 // BulkLoad creates a sharded table whose shards are bulk-built from
-// the tuples owned by each (sequential I/O only, per shard), and builds
-// every attribute's histograms from the same tuples.
-func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, disk sim.Params, tuples []*tuple.Tuple) (*Table, error) {
+// the tuples owned by each (sequential I/O only, per shard). The
+// sim.Params argument is unused; the frozen benchmark
+// (benchmark/ladder.go) still passes one.
+func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, _ sim.Params, tuples []*tuple.Tuple) (*Table, error) {
 	n = resolveNew(n)
 	if err := writeShardsFile(fs, name, n, cfg.Durable); err != nil {
 		return nil, err
@@ -201,12 +182,7 @@ func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture
 		}
 		stores[i] = s
 	}
-	t := newTable(fs, name, disk, stores, cfg)
-	if err := t.buildStats(parts, t.attrs()); err != nil {
-		closeAll(stores)
-		return nil, err
-	}
-	return t, nil
+	return newTable(fs, name, stores, cfg), nil
 }
 
 // Open reloads a sharded table from storage. The persisted shard count
@@ -216,7 +192,7 @@ func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture
 // an error rather than a silent resharding. Recovery is the unsharded
 // machinery applied shard by shard: each shard replays its own WAL
 // against its own manifest.
-func Open(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, disk sim.Params) (*Table, error) {
+func Open(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int) (*Table, error) {
 	persisted, err := readShardsFile(fs, name)
 	if err != nil {
 		return nil, err
@@ -242,7 +218,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Con
 		}
 		stores[i] = s
 	}
-	return newTable(fs, name, disk, stores, cfg), nil
+	return newTable(fs, name, stores, cfg), nil
 }
 
 // partition splits tuples by owning shard, preserving order within
@@ -270,11 +246,6 @@ func (t *Table) Attr() string { return t.stores[0].Main().Attr() }
 
 // SecondaryAttrs returns the secondary-indexed attributes.
 func (t *Table) SecondaryAttrs() []string { return t.stores[0].Main().SecondaryAttrs() }
-
-// attrs returns every indexed attribute, primary first.
-func (t *Table) attrs() []string {
-	return append([]string{t.Attr()}, t.SecondaryAttrs()...)
-}
 
 // Insert routes the tuple to its owning shard (buffered there; an
 // upsert exactly like the unsharded store's).
@@ -352,53 +323,6 @@ func (t *Table) BufferedInserts() int {
 	return n
 }
 
-// BuildStats replaces the table's statistics with histograms of attrs
-// (every indexed attribute when none is named) built from the sample
-// tuples each shard owns. The replacement is whole and atomic: an
-// attribute not named loses its histogram, a shard the sample leaves
-// empty gets empty histograms (a sample is a statement about the whole
-// table), and a concurrent PlanPTQ sees the old set or the new one.
-func (t *Table) BuildStats(sample []*tuple.Tuple, attrs ...string) error {
-	all := t.attrs()
-	if len(attrs) == 0 {
-		attrs = all
-	}
-	for _, a := range attrs {
-		if !slices.Contains(all, a) {
-			return fmt.Errorf("shard: table %q has no indexed attribute %q", t.name, a)
-		}
-	}
-	return t.buildStats(partition(sample, len(t.stores)), attrs)
-}
-
-// buildStats builds one histogram per attribute and shard from the
-// shard's own tuples and installs the result.
-func (t *Table) buildStats(parts [][]*tuple.Tuple, attrs []string) error {
-	built := make([]planner.StaticStats, len(parts))
-	for i, part := range parts {
-		built[i] = make(planner.StaticStats, len(attrs))
-		for _, a := range attrs {
-			h, err := histogram.Build(a, part)
-			if err != nil {
-				return err
-			}
-			built[i][a] = h
-		}
-	}
-	t.stats.Store(&built)
-	return nil
-}
-
-// HasHistogram reports whether every shard can cost plans for attr.
-func (t *Table) HasHistogram(attr string) bool {
-	for _, st := range *t.stats.Load() {
-		if st[attr] == nil {
-			return false
-		}
-	}
-	return true
-}
-
 // ShardStats is one shard's slice of the table: the per-shard
 // breakdown operators read to spot skew (hot shards, lagging merges)
 // that the table-level sums hide.
@@ -429,55 +353,11 @@ func (t *Table) PerShardStats() []ShardStats {
 // ShardFractures returns shard i's current fracture count.
 func (t *Table) ShardFractures(i int) int { return t.stores[i].NumFractures() }
 
-// PlanPTQ costs the candidate plans for "attr = value AND confidence
-// >= qt" across every shard and returns the summed plans, cheapest
-// first. Every shard offers the same plan kinds (the kind set depends
-// only on whether attr is primary), so per-kind summation is exact:
-// the scatter executes the same physical plan on every shard, and the
-// table-level cost of a plan is the sum of its per-shard costs. Fails
-// with the planner's ErrNoStats if any shard lacks a histogram for
-// attr.
-func (t *Table) PlanPTQ(attr, value string, qt float64) ([]planner.Plan, error) {
-	stats := *t.stats.Load()
-	plans, err := planner.New(t.stores[0], stats[0], t.disk).PlanPTQ(attr, value, qt)
-	if err != nil || len(t.stores) == 1 {
-		return plans, err
-	}
-	// Sum by kind across shards, keeping shard 0's detail as the
-	// exemplar.
-	byKind := make(map[planner.PlanKind]*planner.Plan, len(plans))
-	for i := range plans {
-		plans[i].Detail = fmt.Sprintf("sum over %d shards; shard0: %s", len(t.stores), plans[i].Detail)
-		byKind[plans[i].Kind] = &plans[i]
-	}
-	for i, s := range t.stores[1:] {
-		more, err := planner.New(s, stats[i+1], t.disk).PlanPTQ(attr, value, qt)
-		if err != nil {
-			return nil, err
-		}
-		for _, pl := range more {
-			agg, ok := byKind[pl.Kind]
-			if !ok { // defensive: kind sets are identical by construction
-				return nil, fmt.Errorf("shard: plan kind %v missing on shard 0", pl.Kind)
-			}
-			agg.EstimatedCost += pl.EstimatedCost
-			agg.EstimatedRows += pl.EstimatedRows
-		}
-	}
-	// Cheapest first (insertion sort; the slice has 2 entries).
-	for i := 1; i < len(plans); i++ {
-		for j := i; j > 0 && plans[j].EstimatedCost < plans[j-1].EstimatedCost; j-- {
-			plans[j-1], plans[j] = plans[j], plans[j-1]
-		}
-	}
-	return plans, nil
-}
-
-// PlanPTQCached is the frozen benchmark's (benchmark/ladder.go): it
-// costs like PlanPTQ and always reports an uncached costing.
-func (t *Table) PlanPTQCached(attr, value string, qt float64) ([]planner.Plan, bool, error) {
-	plans, err := t.PlanPTQ(attr, value, qt)
-	return plans, false, err
+// PlanPTQCached is a no-op kept for the frozen benchmark's planner
+// rungs (benchmark/ladder.go), which time it and discard its result.
+// Queries have one fixed route and nothing plans them.
+func (t *Table) PlanPTQCached(attr, value string, qt float64) (struct{}, bool, error) {
+	return struct{}{}, false, nil
 }
 
 // Prepared and Stream are the fracture layer's: a sharded query is one

@@ -201,7 +201,6 @@ func parityReqs() []fracture.Req {
 		{Kind: fracture.KindPTQ, Value: parityVal(3), QT: 0.4},
 		{Kind: fracture.KindSecondary, Attr: "Y", Value: "y" + parityVal(2), QT: 0.05, Tailored: true},
 		{Kind: fracture.KindTopK, Value: parityVal(4), K: 9},
-		{Kind: fracture.KindScan, Value: parityVal(5), QT: 0.1},
 	}
 }
 
@@ -410,7 +409,7 @@ func TestShardPersistence(t *testing.T) {
 	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
 	cfg := parityCfg()
 	cfg.Durable = true // Open needs each shard's manifest
-	tab, err := New(fs, "persist", "X", []string{"Y"}, cfg, 3, sim.DefaultParams())
+	tab, err := New(fs, "persist", "X", []string{"Y"}, cfg, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -435,7 +434,7 @@ func TestShardPersistence(t *testing.T) {
 	}
 
 	// Open without naming a count: the persisted one wins.
-	tab, err = Open(fs, "persist", "X", []string{"Y"}, cfg, -1, sim.DefaultParams())
+	tab, err = Open(fs, "persist", "X", []string{"Y"}, cfg, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -458,7 +457,7 @@ func TestShardPersistence(t *testing.T) {
 	}
 
 	// Open with a contradicting explicit count: refused, not resharded.
-	if _, err := Open(fs, "persist", "X", []string{"Y"}, cfg, 5, sim.DefaultParams()); err == nil {
+	if _, err := Open(fs, "persist", "X", []string{"Y"}, cfg, 5); err == nil {
 		t.Fatal("open with wrong shard count succeeded")
 	} else if !strings.Contains(err.Error(), "resharding") {
 		t.Fatalf("want resharding refusal, got: %v", err)
@@ -466,7 +465,7 @@ func TestShardPersistence(t *testing.T) {
 
 	// Legacy layout: a single-shard table writes no shards file and
 	// reopens as one shard; demanding more is refused.
-	single, err := New(fs, "legacy", "X", nil, cfg, 1, sim.DefaultParams())
+	single, err := New(fs, "legacy", "X", nil, cfg, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -476,7 +475,7 @@ func TestShardPersistence(t *testing.T) {
 	if err := single.Close(); err != nil {
 		t.Fatal(err)
 	}
-	reopened, err := Open(fs, "legacy", "X", nil, cfg, -1, sim.DefaultParams())
+	reopened, err := Open(fs, "legacy", "X", nil, cfg, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -486,7 +485,7 @@ func TestShardPersistence(t *testing.T) {
 	if err := reopened.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(fs, "legacy", "X", nil, cfg, 4, sim.DefaultParams()); err == nil {
+	if _, err := Open(fs, "legacy", "X", nil, cfg, 4); err == nil {
 		t.Fatal("open of legacy layout with 4 shards succeeded")
 	}
 }

@@ -211,8 +211,8 @@ func Decode(b []byte) (*Tuple, error) {
 // EncodedConfidence returns what Decode(enc) followed by
 // Confidence(attr, value) would — the same confidence, and the same
 // error for an encoding Decode rejects — without building the tuple or
-// allocating. A full scan uses it to decode only the rows that pass
-// its threshold.
+// allocating. A filtering heap scan (upi.ScanCursor) uses it to decode
+// only the rows that pass its threshold.
 func EncodedConfidence(enc []byte, attr, value string) (float64, error) {
 	f, err := walk(enc, attr, value)
 	if err != nil || !f.hasAttr {

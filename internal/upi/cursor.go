@@ -11,7 +11,7 @@ import (
 // arrive in (Confidence DESC, tuple ID ASC) order, and the underlying
 // index pages are read only as pulls demand them. A cursor is the
 // streaming form of the collect-then-return executors (Query, TopK,
-// QuerySecondary, FullScan): draining one to exhaustion yields exactly
+// QuerySecondary): draining one to exhaustion yields exactly
 // the same results, statistics and I/O pattern as the materialized
 // call.
 //
@@ -22,7 +22,7 @@ import (
 // Rows scanned off the heap (QueryCursor and TopKCursor, down to the
 // cutoff merge) arrive unbuilt — ID and Confidence set, the tuple still
 // a validated view of the leaf page, see Result; rows fetched through
-// the cutoff or a secondary index and full-scan matches arrive built.
+// the cutoff or a secondary index arrive built.
 // Result.Build is the same whichever it is.
 //
 // A Cursor is single-consumer and not safe for concurrent use. Callers
@@ -253,19 +253,61 @@ func (t *Table) SecondaryCursor(ctx context.Context, attr, value string, qt floa
 	return c
 }
 
-// ScanCursor is the streaming form of FullScan. A full scan cannot
-// yield in confidence order before reading the whole heap (the heap is
-// value-sorted, not globally confidence-sorted), so it materializes on
-// the first pull and streams the sorted results.
+// ScanCursor answers "attr = value AND confidence >= qt" by reading the
+// whole heap sequentially and filtering, with no index ("" = the
+// primary attribute). No query route reaches it: it is kept for the
+// frozen benchmark's upi.scan_ns_per_entry rung (benchmark/ladder.go).
+// The heap is value-sorted, not confidence-sorted, so the cursor
+// materializes on the first pull and streams the sorted results.
 func (t *Table) ScanCursor(ctx context.Context, attr, value string, qt float64) *Cursor {
+	if attr == "" {
+		attr = t.attr
+	}
 	var c *Cursor
 	c = newCursor(func(yield func(Result) bool) error {
-		rs, st, err := t.FullScan(ctx, attr, value, qt)
-		c.stats = st
+		if err := CtxErr(ctx); err != nil {
+			return err
+		}
+		// Every tuple has at least one heap entry, so the entry count
+		// bounds the distinct IDs.
+		seen := make(map[uint64]struct{}, t.heap.Count())
+		var results []Result
+		var scanErr error
+		err := t.ScanHeap(func(id uint64, enc []byte) bool {
+			if c.stats.HeapEntries%ctxCheckEvery == 0 {
+				if scanErr = CtxErr(ctx); scanErr != nil {
+					return false
+				}
+			}
+			c.stats.HeapEntries++
+			if _, dup := seen[id]; dup {
+				return true // another alternative of an already-decided tuple
+			}
+			seen[id] = struct{}{}
+			// Filter on the encoding and build only the results.
+			conf, err := tuple.EncodedConfidence(enc, attr, value)
+			if err != nil {
+				scanErr = err
+				return false
+			}
+			if conf > 0 && conf >= qt {
+				tup, err := tuple.Decode(enc)
+				if err != nil {
+					scanErr = err
+					return false
+				}
+				results = append(results, Result{Tuple: tup, Confidence: conf})
+			}
+			return true
+		})
+		if err == nil {
+			err = scanErr
+		}
 		if err != nil {
 			return err
 		}
-		for _, r := range rs {
+		SortResults(results)
+		for _, r := range results {
 			if !yield(r) {
 				return nil
 			}

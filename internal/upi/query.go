@@ -14,7 +14,7 @@ import (
 //
 // A result travels in one of two forms. Built, Tuple is set and View is
 // zero; that is what the executors that hold their whole answer before
-// yielding (QuerySecondary, FullScan, the cutoff-index chase), the RAM
+// yielding (QuerySecondary, the cutoff-index chase), the RAM
 // buffer and the materialized calls (Query, TopK, Drain) produce.
 // Unbuilt, Tuple is nil and View is the validated encoding of the tuple,
 // aliasing the heap leaf it was scanned from; that is what the streaming
@@ -30,8 +30,7 @@ import (
 // value, across eviction, unpinning and the merge that deletes the
 // partition's files; on a bare Table that is written in place it is
 // valid until the next Insert or Delete, which is why Query and TopK
-// build before returning. A held unbuilt result keeps its 8 KB page —
-// under a full scan's read-ahead, the page's whole 64-page run —
+// build before returning. A held unbuilt result keeps its 8 KB page
 // reachable.
 type Result struct {
 	Tuple      *tuple.Tuple
@@ -326,65 +325,6 @@ func (t *Table) TopK(ctx context.Context, value string, k int) ([]Result, QueryS
 // assumption of one seek per run of pages rather than one per page.
 const scanReadAhead = 64
 
-// FullScan answers the PTQ "attr = value AND confidence >= qt" by
-// reading the whole heap file sequentially and filtering — the
-// physical execution of the planner's FullScan plan. It touches no
-// secondary or cutoff index: every live tuple keeps at least its
-// first alternative in the heap, entries are deduplicated by tuple
-// ID, and the confidence is recomputed from the tuple itself, so
-// results are exact for any attribute and any threshold (including
-// below the cutoff). attr "" means the primary attribute.
-func (t *Table) FullScan(ctx context.Context, attr, value string, qt float64) ([]Result, QueryStats, error) {
-	var stats QueryStats
-	if err := CtxErr(ctx); err != nil {
-		return nil, stats, err
-	}
-	if attr == "" {
-		attr = t.attr
-	}
-	// Every tuple has at least one heap entry, so the entry count
-	// bounds the distinct IDs.
-	seen := make(map[uint64]struct{}, t.heap.Count())
-	var results []Result
-	var scanErr error
-	err := t.ScanHeap(func(id uint64, enc []byte) bool {
-		if stats.HeapEntries%ctxCheckEvery == 0 {
-			if scanErr = CtxErr(ctx); scanErr != nil {
-				return false
-			}
-		}
-		stats.HeapEntries++
-		if _, dup := seen[id]; dup {
-			return true // another alternative of an already-decided tuple
-		}
-		seen[id] = struct{}{}
-		// Filter on the encoding (which validates it as Decode would)
-		// and build only the tuples that are results.
-		conf, err := tuple.EncodedConfidence(enc, attr, value)
-		if err != nil {
-			scanErr = err
-			return false
-		}
-		if conf > 0 && conf >= qt {
-			tup, err := tuple.Decode(enc)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			results = append(results, Result{Tuple: tup, Confidence: conf})
-		}
-		return true
-	})
-	if err == nil {
-		err = scanErr
-	}
-	if err != nil {
-		return nil, stats, err
-	}
-	SortResults(results)
-	return results, stats, nil
-}
-
 // ResultBefore is the engine's one result order: confidence descending,
 // tuple ID ascending. Every access path yields in it and every merge
 // (partitions within a shard, shards within a table) picks heads by
@@ -412,10 +352,10 @@ func SortResults(rs []Result) {
 }
 
 // ScanHeap visits every heap entry in key order, reading the heap
-// front to back with a scanReadAhead window. Used by FullScan and by
-// the rebuild path of a fracture merge.
+// front to back with a scanReadAhead window. Used by the rebuild path
+// of a fracture merge (and ScanCursor).
 //
-//lint:noctx callers thread cancellation through fn — FullScan and fracture merging both check ctx in their callbacks
+//lint:noctx callers thread cancellation through fn — fracture merging and ScanCursor check ctx in their callbacks
 func (t *Table) ScanHeap(fn func(id uint64, enc []byte) bool) error {
 	var scanErr error
 	err := t.heap.View(t.rec, scanReadAhead).Scan(nil, nil, func(k, v []byte) bool {

@@ -640,7 +640,7 @@ func TestFullScanAllocationsFollowMatches(t *testing.T) {
 	}
 	measure := func(tab *Table) (allocs float64, entries int) {
 		scan := func() {
-			res, stats, err := tab.FullScan(context.Background(), "Country", "Japan", 0.5)
+			res, stats, err := drainCursor(tab.ScanCursor(context.Background(), "Country", "Japan", 0.5))
 			if err != nil || len(res) != matches {
 				t.Fatalf("full scan: %d results, err %v", len(res), err)
 			}

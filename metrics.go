@@ -23,17 +23,13 @@ type (
 	MetricsRegistry = obs.Registry
 )
 
-// dbMetrics holds the facade-level metric handles: routing and
-// admission counters incremented where the decisions are made, and the
-// observed-wall-clock vs modeled-cost histograms the admission
-// calibration follow-on needs. Engine-level metrics (inserts, WAL,
-// merges, scatter/scan/yield counts, ...) live in obs.EngineMetrics
-// and reach the same registry through fracture.Config.Metrics.
+// dbMetrics holds the facade-level metric handles: the partial-drain
+// counter and the observed-wall-clock vs modeled-cost histograms.
+// Engine-level metrics (inserts, WAL, merges, scatter/scan/yield
+// counts, ...) live in obs.EngineMetrics and reach the same registry
+// through fracture.Config.Metrics.
 type dbMetrics struct {
-	routes        *obs.CounterVec // {source}: heuristic | forced
-	admissions    *obs.CounterVec // {verdict}: admitted | refused | unpriced
-	plannedCost   *obs.Histogram  // modeled cost of the chosen plan, at admission
-	partialDrains *obs.Counter    // streaming All abandoned mid-drain
+	partialDrains *obs.Counter // streaming All abandoned mid-drain
 
 	queryWall    *obs.HistogramVec // {kind}: observed end-to-end wall-clock
 	queryModeled *obs.HistogramVec // {kind}: modeled disk time actually charged
@@ -45,12 +41,9 @@ type dbMetrics struct {
 // nil registry yields an all-no-op bundle.
 func newDBMetrics(r *obs.Registry) *dbMetrics {
 	return &dbMetrics{
-		routes:        r.CounterVec("upidb_planner_route_total", "Executed queries by routing decision.", "source"),
-		admissions:    r.CounterVec("upidb_admission_total", "Admission-control verdicts for executed queries.", "verdict"),
-		plannedCost:   r.Histogram("upidb_planner_modeled_cost_seconds", "Modeled cost of the chosen plan at admission time.", obs.CostBuckets),
 		partialDrains: r.Counter("upidb_stream_partial_drains_total", "Streaming iterations abandoned before exhaustion."),
-		queryWall:     r.HistogramVec("upidb_query_wall_seconds", "Observed end-to-end query wall-clock, by plan/query kind.", obs.WallBuckets, "kind"),
-		queryModeled:  r.HistogramVec("upidb_query_modeled_seconds", "Modeled disk time charged per query, by plan/query kind.", obs.CostBuckets, "kind"),
+		queryWall:     r.HistogramVec("upidb_query_wall_seconds", "Observed end-to-end query wall-clock, by query kind.", obs.WallBuckets, "kind"),
+		queryModeled:  r.HistogramVec("upidb_query_modeled_seconds", "Modeled disk time charged per query, by query kind.", obs.CostBuckets, "kind"),
 		shardFractures: r.GaugeFuncVec("upidb_shard_fractures", "Current fracture count per shard.",
 			"table", "shard"),
 	}
@@ -71,8 +64,8 @@ func (m *dbMetrics) registerShardGauges(shards *shard.Table) {
 }
 
 // Metrics returns a typed snapshot of every metric series the database
-// maintains — engine (fracture/WAL/merge), shard, planner/admission
-// and streaming families, plus whatever internal consumers (the HTTP
+// maintains — engine (fracture/WAL/merge), shard, query and streaming
+// families, plus whatever internal consumers (the HTTP
 // server) registered on the same registry.
 func (db *DB) Metrics() MetricsSnapshot { return db.reg.Snapshot() }
 

@@ -46,9 +46,8 @@ func counterDelta(before, after MetricsSnapshot, series string) int64 {
 	return after.Counters[series] - before.Counters[series]
 }
 
-// TestMetricsTraceParity: for a PTQ and a broad (full-scan-leaning)
-// secondary PTQ on both routings (the default rule and WithPlanner) and
-// a top-k query, at 1, 2, and 7 shards, the
+// TestMetricsTraceParity: for a PTQ, a broad secondary PTQ and a top-k
+// query, at 1, 2, and 7 shards, the
 // scatter/scan/yield counter deltas equal the TraceDispatch /
 // TraceScanStart / TraceYield event counts a trace callback sees — and
 // running the identical query untraced moves the counters by exactly
@@ -57,8 +56,6 @@ func TestMetricsTraceParity(t *testing.T) {
 	queries := []Query{
 		PTQ("", "v03", 0.05),
 		PTQ("Y", "yv02", 0.01),
-		PTQ("", "v03", 0.05).WithPlanner(),
-		PTQ("Y", "yv02", 0.01).WithPlanner(),
 		TopKQuery("v04", 9),
 	}
 	for _, shards := range []int{1, 2, 7} {
@@ -131,21 +128,8 @@ func TestMetricsTraceParity(t *testing.T) {
 				}
 			}
 		}
-		// Routing and admission verdicts were counted for every run.
 		final := db.Metrics()
-		var routes, verdicts int64
-		for series, v := range final.Counters {
-			if strings.HasPrefix(series, "upidb_planner_route_total{") {
-				routes += v
-			}
-			if strings.HasPrefix(series, "upidb_admission_total{") {
-				verdicts += v
-			}
-		}
 		want := int64(2 * len(queries)) // traced + untraced per query
-		if routes != want || verdicts != want {
-			t.Errorf("shards=%d: routes=%d verdicts=%d, want %d each", shards, routes, verdicts, want)
-		}
 		// Wall-clock and modeled-cost histograms got one observation per
 		// executed query, labeled by kind.
 		var wall, modeled int64
@@ -298,7 +282,7 @@ func TestStatsInfoPerShard(t *testing.T) {
 	}
 }
 
-// TestDBPrometheusExposition: one scrape covers engine, shard, planner
+// TestDBPrometheusExposition: one scrape covers engine, shard, query
 // and streaming families in valid 0.0.4 text format.
 func TestDBPrometheusExposition(t *testing.T) {
 	db := mustCreate(t)
@@ -321,8 +305,6 @@ func TestDBPrometheusExposition(t *testing.T) {
 	for _, want := range []string{
 		"# TYPE upidb_fracture_inserts_total counter",
 		"# TYPE upidb_shard_scatters_total counter",
-		"# TYPE upidb_planner_route_total counter",
-		"# TYPE upidb_admission_total counter",
 		"# TYPE upidb_stream_yields_total counter",
 		"# TYPE upidb_query_wall_seconds histogram",
 		"# TYPE upidb_fracture_partitions gauge",

@@ -325,8 +325,8 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 		return nil, fmt.Errorf("upidb: no database at %q; use Create", dir)
 	}
 	// One registry per DB: every table's engine metrics (inherited via
-	// the defaults config) and the facade's routing/admission/query
-	// metrics report into it.
+	// the defaults config) and the facade's query metrics report into
+	// it.
 	reg := obs.NewRegistry()
 	cfg.table.Metrics = obs.NewEngineMetrics(reg)
 	db := &DB{

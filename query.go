@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"upidb/internal/fracture"
-	"upidb/internal/planner"
 	"upidb/internal/shard"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
@@ -70,7 +69,6 @@ type Query struct {
 	center Point
 	radius float64
 
-	usePlanner  bool
 	wantStats   bool
 	explainOnly bool
 	trace       TraceFunc
@@ -106,22 +104,6 @@ func Segment(segment string, qt float64) Query {
 	return Query{kind: KindSegment, value: segment, qt: qt}
 }
 
-// WithPlanner routes the query by cost instead of by the fixed rule:
-// the planner prices the candidate access paths (primary scan, tailored
-// secondary access, full scan; R-Tree probe, segment index, full heap
-// scan on a spatial table) from the table's statistics and Run executes
-// the cheapest. A deadline on ctx is then compared against that plan's
-// modeled cost (see Run). It fails with ErrNoStats if the queried
-// attribute has no histogram — statistics come from a bulk load or
-// BuildStats and from nowhere else. The prices are modeled seconds of a
-// seeking disk (10 ms per seek); on a device that does not seek, the
-// plan that is cheapest in the model is often not the fastest. Planner
-// routing applies to PTQs and spatial queries; a top-k query ignores it.
-func (q Query) WithPlanner() Query {
-	q.usePlanner = true
-	return q
-}
-
 // WithStats additionally reports the modeled disk time of the query
 // as Info().ModeledTime — the cost of exactly this query's I/O
 // (derived from its own partition tapes), unpolluted by concurrent
@@ -133,15 +115,15 @@ func (q Query) WithStats() Query {
 	return q
 }
 
-// WithExplain turns the query into a plan-only request: Run costs the
-// candidate plans without executing anything, and Info().Explain holds
-// the EXPLAIN-style listing, headed by the route Run would take — the
-// fixed rule, or the cheapest plan under WithPlanner; Info().Plan names
-// it. Costing requires a histogram for the queried attribute
-// (ErrNoStats otherwise). Only PTQ queries can be explained; Run rejects
-// a top-k explain request instead of silently executing it. An explain
-// handle executes nothing and is spent from the start: All and Rows
-// yield ErrStreamConsumed and Collect returns nil.
+// WithExplain turns the query into a route-only request: Run validates
+// the query and reports the route the fixed rule takes for it, without
+// pinning a partition, executing anything or charging modeled I/O.
+// Info().Plan names the route (PrimaryScan, SecondaryTailored,
+// TopKScan, RTreeProbe or SegmentIndexScan) and Info().Explain
+// describes it. The route depends only on the query's kind and
+// attribute, so it is the same on every table. An explain handle is
+// spent from the start: All and Rows yield ErrStreamConsumed and
+// Collect returns nil.
 func (q Query) WithExplain() Query {
 	q.explainOnly = true
 	return q
@@ -240,8 +222,8 @@ type Row struct {
 // Tuple returns the row's tuple. A row that arrived unbuilt builds a
 // fresh tuple on every call — keep the return value rather than calling
 // twice; a row from the RAM insert buffer or from an executor that holds
-// its whole answer (secondary, full-scan and cutoff-index routes)
-// returns the one tuple it already has.
+// its whole answer (secondary and cutoff-index routes) returns the one
+// tuple it already has.
 func (r Row) Tuple() *Tuple {
 	if r.tup != nil {
 		return r.tup
@@ -252,12 +234,11 @@ func (r Row) Tuple() *Tuple {
 // newLazyResults wraps a prepared query into an unconsumed handle and
 // arranges for its partition pins to be dropped if the handle is
 // garbage-collected without ever being consumed.
-func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, plan, source string, met *dbMetrics, kindLabel string, started time.Time) *Results {
+func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, met *dbMetrics, kindLabel string, started time.Time) *Results {
 	r := &Results{
 		ctx:       ctx,
 		prep:      prep,
 		wantStats: q.wantStats,
-		info:      QueryInfo{Plan: plan, PlanSource: source},
 		met:       met,
 		kindLabel: kindLabel,
 		started:   started,
@@ -280,7 +261,7 @@ func (r *Results) drain() {
 
 // finish is the execution loop's one terminal transition: it spends the
 // handle, keeps the outcome and folds the execution statistics into the
-// query info, keeping the routing fields chosen at Run time.
+// query info.
 func (r *Results) finish(st fracture.Stats, err error) {
 	r.state, r.err = stateDone, err
 	r.info.HeapEntries = st.HeapEntries
@@ -448,41 +429,34 @@ func (r *Results) Close() {
 
 // Info reports what the query touched and cost. ModeledTime is only
 // measured when the query was built WithStats; Plan and Explain are
-// only set for planner-routed / WithExplain runs. On an unconsumed
-// handle Info drains the stream first so the counters are complete
-// (the routing fields Plan and PlanSource are available either way).
-// The counters report what the stream actually touched: an
-// early-terminated top-k, a partial drain or a cancelled query is
-// charged the I/O it consumed, not what a full drain would have cost.
+// only set by WithExplain runs. On an unconsumed handle Info drains the
+// stream first so the counters are complete. The counters report what
+// the stream actually touched: an early-terminated top-k, a partial
+// drain or a cancelled query is charged the I/O it consumed, not what a
+// full drain would have cost.
 func (r *Results) Info() QueryInfo {
 	r.drain()
 	return r.info
 }
 
-// Run admits and prepares one query described by q against the table,
-// honoring ctx: a context that is already done fails fast with
-// ErrCanceled before any partition is pinned or any modeled I/O
-// charged. Run itself performs no scan — it validates, routes, applies
-// admission control and pins the partition snapshot; the returned
-// handle executes on first consumption, through one executor: All
-// streams results incrementally (first results flow before the slowest
-// partition finishes; a top-k stops scanning at the k-th result), and
-// Collect/Len/Err/Info drain that same stream. A cancellation
-// mid-execution stops the scans between heap pages, charges the
-// modeled I/O consumed so far and nothing more, and releases every
-// partition pin; it surfaces in All's error slot and through Err.
+// Run prepares one query described by q against the table, honoring
+// ctx: a context that is already done fails fast with ErrCanceled
+// before any partition is pinned or any modeled I/O charged. Run itself
+// performs no scan — it validates, routes and pins the partition
+// snapshot; the returned handle executes on first consumption, through
+// one executor: All streams results incrementally (first results flow
+// before the slowest partition finishes; a top-k stops scanning at the
+// k-th result), and Collect/Len/Err/Info drain that same stream. A
+// cancellation mid-execution stops the scans between heap pages,
+// charges the modeled I/O consumed so far and nothing more, and
+// releases every partition pin; it surfaces in All's error slot and
+// through Err. A deadline on ctx bounds real time.
 //
 // Routing is a fixed rule: a PTQ on the primary attribute and a top-k
-// scan the clustered UPI, a PTQ on a secondary attribute uses tailored
-// secondary access. Run executes no planner code and reads no
-// statistics; Info().PlanSource is PlanSourceHeuristic. Only a PTQ built
-// WithPlanner is routed by cost (PlanSourceForced): the planner prices
-// the candidate plans from the table's histograms, Run executes the
-// cheapest, and a deadline on ctx is compared against that plan's
-// modeled cost — a query that cannot finish in time is refused
-// immediately with ErrCanceled, zero modeled I/O and zero pinned
-// partitions, instead of being admitted and cancelled midway. Without
-// WithPlanner a deadline bounds real time only, through ctx.
+// scan the clustered UPI (chasing the cutoff index below the cutoff), a
+// PTQ on a secondary attribute uses tailored secondary access. Run reads
+// no statistics and prices nothing; WithExplain reports the route
+// without taking it.
 //
 // Run is safe for concurrent use alongside inserts, deletes, flushes
 // and merges; it sees a consistent snapshot of the table (main UPI +
@@ -503,24 +477,6 @@ func (t *Table) Run(ctx context.Context, q Query) (*Results, error) {
 		return nil, fmt.Errorf("%w: %q (primary %q, secondary %v)",
 			ErrUnknownAttr, attr, primary, t.shards.SecondaryAttrs())
 	}
-	if q.explainOnly && q.kind != KindPTQ {
-		// Explain is plan-only by contract; never fall through to a
-		// full execution for a query class the planner can't cost.
-		return nil, fmt.Errorf("upidb: WithExplain supports PTQ queries only")
-	}
-	// started anchors the observed-wall-clock histogram.
-	started := time.Now()
-	if q.kind == KindPTQ && (q.usePlanner || q.explainOnly) {
-		return t.runPlanned(ctx, q, attr, primary, started)
-	}
-	return t.runHeuristic(ctx, q, attr, primary, started)
-}
-
-// runHeuristic prepares the fixed routing: top-k and primary PTQs scan
-// the clustered UPI, secondary PTQs use tailored secondary access. The
-// returned handle is unconsumed — the partition set is pinned, but no
-// scan happens until it is consumed.
-func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
 	req := fracture.Req{Value: q.value, Trace: fracture.TraceFunc(q.trace)}
 	switch {
 	case q.kind == KindTopK:
@@ -535,89 +491,39 @@ func (t *Table) runHeuristic(ctx context.Context, q Query, attr, primary string,
 		req.QT = q.qt
 		req.Tailored = true
 	}
-	q.emitAdmission("admitted: fixed route, not cost-priced")
-	t.db.met.admissions.With("unpriced").Inc()
-	t.db.met.routes.With(PlanSourceHeuristic).Inc()
-	prep, err := t.shards.Prepare(ctx, req)
-	if err != nil {
-		return nil, err
-	}
-	return newLazyResults(ctx, prep, q, "", PlanSourceHeuristic, t.db.met, q.kind.String(), started), nil
-}
-
-// emitAdmission emits the admission-verdict trace event (table-scoped,
-// shard 0).
-func (q Query) emitAdmission(detail string) {
-	if q.trace != nil {
-		q.trace(TraceEvent{Kind: TraceAdmission, Detail: detail})
-	}
-}
-
-// runPlanned costs a PTQ through the cost-based planner and — unless
-// the query is explain-only — admits and executes the cheapest plan.
-func (t *Table) runPlanned(ctx context.Context, q Query, attr, primary string, started time.Time) (*Results, error) {
-	plans, err := t.shards.PlanPTQ(attr, q.value, q.qt)
-	if err != nil {
-		return nil, err
-	}
-	best := plans[0]
 	if q.explainOnly {
-		fixed := planner.PrimaryScan
-		if attr != primary {
-			fixed = planner.SecondaryTailored
-		}
-		return &Results{state: stateDone, info: explainInfo(q, fixed, plans)}, nil
+		return &Results{state: stateDone, info: t.explain(q, req)}, nil
 	}
-	t.db.met.plannedCost.Observe(best.EstimatedCost.Seconds())
-	// Deadline-aware admission: if the remaining deadline cannot cover
-	// even the cheapest plan's modeled service time, refuse up front —
-	// before any partition is pinned or any modeled I/O charged —
-	// rather than admit work that is doomed to be cancelled midway.
-	// The deadline is interpreted as a budget in *modeled* time, the
-	// engine's service-time currency (wall-clock execution on the
-	// simulated disk is far faster); calibrating a modeled-to-wall
-	// ratio for real deployments is a ROADMAP follow-on.
-	if dl, ok := ctx.Deadline(); ok {
-		if remain := time.Until(dl); remain < best.EstimatedCost {
-			q.emitAdmission(fmt.Sprintf("refused: remaining deadline %v below modeled cost %v (%v)",
-				remain.Round(time.Millisecond), best.EstimatedCost.Round(time.Millisecond), best.Kind))
-			t.db.met.admissions.With("refused").Inc()
-			return nil, fmt.Errorf(
-				"%w: admission refused: remaining deadline %v is below the cheapest plan's modeled cost %v (%v on %q)",
-				ErrCanceled, remain.Round(time.Millisecond),
-				best.EstimatedCost.Round(time.Millisecond), best.Kind, best.Attr)
-		} else {
-			q.emitAdmission(fmt.Sprintf("admitted: remaining deadline %v covers modeled cost %v (%v)",
-				remain.Round(time.Millisecond), best.EstimatedCost.Round(time.Millisecond), best.Kind))
-		}
-	} else {
-		q.emitAdmission(fmt.Sprintf("admitted: no deadline, modeled cost %v (%v)",
-			best.EstimatedCost.Round(time.Millisecond), best.Kind))
+	// started anchors the observed-wall-clock histogram.
+	started := time.Now()
+	if q.trace != nil {
+		q.trace(TraceEvent{Kind: TraceAdmission, Detail: "admitted"})
 	}
-	t.db.met.admissions.With("admitted").Inc()
-	t.db.met.routes.With(PlanSourceForced).Inc()
-	req, err := planner.PlanReq(best, q.value, q.qt)
-	if err != nil {
-		return nil, err
-	}
-	req.Trace = fracture.TraceFunc(q.trace)
 	prep, err := t.shards.Prepare(ctx, req)
 	if err != nil {
 		return nil, err
 	}
-	return newLazyResults(ctx, prep, q, best.Kind.String(), PlanSourceForced, t.db.met, best.Kind.String(), started), nil
+	return newLazyResults(ctx, prep, q, t.db.met, q.kind.String(), started), nil
+}
+
+// explain names and describes the route req takes.
+func (t *Table) explain(q Query, req fracture.Req) QueryInfo {
+	primary := t.shards.Attr()
+	switch req.Kind {
+	case fracture.KindTopK:
+		return explainInfo("TopKScan", fmt.Sprintf("clustered UPI scan of %s=%q, stopping at the k-th result (k=%d)", primary, q.value, q.k))
+	case fracture.KindPTQ:
+		detail := fmt.Sprintf("clustered UPI scan of %s=%q down to confidence %v", primary, q.value, q.qt)
+		if cutoff := t.shards.Store(0).Main().Options().Cutoff; q.qt < cutoff {
+			detail += fmt.Sprintf(", then the cutoff index below the cutoff %v", cutoff)
+		}
+		return explainInfo("PrimaryScan", detail)
+	}
+	return explainInfo("SecondaryTailored", fmt.Sprintf("secondary index on %s=%q down to confidence %v, tailored heap access", req.Attr, q.value, q.qt))
 }
 
 // explainInfo is what a WithExplain run reports, on either table kind:
-// the costed plans, headed by the route Run would take — the cheapest
-// plan under WithPlanner, the fixed rule's otherwise.
-func explainInfo(q Query, fixed planner.PlanKind, plans []planner.Plan) QueryInfo {
-	info := QueryInfo{PlanSource: PlanSourceHeuristic, Plan: fixed.String(),
-		Explain: fmt.Sprintf("routing: fixed rule, %v (WithPlanner not set)\n", fixed)}
-	if q.usePlanner {
-		info = QueryInfo{PlanSource: PlanSourceForced, Plan: plans[0].Kind.String(),
-			Explain: "routing: planner, forced by WithPlanner\n"}
-	}
-	info.Explain += planner.Explain(plans)
-	return info
+// the fixed rule's route, named and described.
+func explainInfo(route, detail string) QueryInfo {
+	return QueryInfo{Plan: route, Explain: fmt.Sprintf("routing: fixed rule, %s\n  %s\n", route, detail)}
 }

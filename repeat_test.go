@@ -33,19 +33,16 @@ func runCollect(t *testing.T, run func(context.Context) (*Results, error)) ([][2
 }
 
 // TestPreparedAndCachedParity: at shard counts 1, 2 and 7, for every
-// query kind and routing, a repeat of one descriptor is byte-identical
-// to its first execution — same rows, same order, same statistics, same
-// modeled cost, same provenance: nothing is remembered between runs.
+// query kind, a repeat of one descriptor is byte-identical to its first
+// execution — same rows, same order, same statistics, same modeled
+// cost: nothing is remembered between runs.
 func TestPreparedAndCachedParity(t *testing.T) {
-	queries := []struct {
-		q       Query
-		planned bool // WithPlanner: costed on both executions
-	}{
-		{PTQ("", "v03", 0.05).WithPlanner().WithStats(), true},
-		{PTQ("", "v03", 0.4).WithPlanner().WithStats(), true},
-		{PTQ("Y", "yv02", 0.05).WithPlanner().WithStats(), true},
-		{PTQ("", "v04", 0.1).WithStats(), false},
-		{TopKQuery("v04", 9).WithStats(), false},
+	queries := []Query{
+		PTQ("", "v03", 0.05).WithStats(),
+		PTQ("", "v03", 0.4).WithStats(),
+		PTQ("Y", "yv02", 0.05).WithStats(),
+		PTQ("", "v04", 0.1).WithStats(),
+		TopKQuery("v04", 9).WithStats(),
 	}
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -76,8 +73,8 @@ func TestPreparedAndCachedParity(t *testing.T) {
 			if err := tab.Insert(shardTestTuple(t, id, int(id))); err != nil {
 				t.Fatal(err)
 			}
-			for qi, qc := range queries {
-				run := func(ctx context.Context) (*Results, error) { return tab.Run(ctx, qc.q) }
+			for qi, q := range queries {
+				run := func(ctx context.Context) (*Results, error) { return tab.Run(ctx, q) }
 				// Both executions start from dropped buffer pools, so the
 				// modeled costs are comparable.
 				if err := tab.DropCaches(); err != nil {
@@ -88,12 +85,8 @@ func TestPreparedAndCachedParity(t *testing.T) {
 					t.Fatal(err)
 				}
 				againRes, againInfo := runCollect(t, run)
-				want := PlanSourceHeuristic
-				if qc.planned {
-					want = PlanSourceForced
-				}
-				if firstInfo.PlanSource != want {
-					t.Fatalf("q=%d: plan source %q, want %q", qi, firstInfo.PlanSource, want)
+				if len(firstRes) == 0 {
+					t.Fatalf("q=%d: no rows; the parity is vacuous", qi)
 				}
 				if !reflect.DeepEqual(againRes, firstRes) {
 					t.Fatalf("q=%d: results diverged on the repeat\n got %v\nwant %v", qi, againRes, firstRes)
@@ -226,14 +219,12 @@ func TestSoakPreparedQueries(t *testing.T) {
 	}
 
 	// The descriptors survive everything above; a final execution still
-	// answers and reports a sane provenance.
+	// answers.
 	res, err := tab.Run(context.Background(), shared[0])
 	if err != nil {
 		t.Fatal(err)
 	}
-	for range res.All() {
-	}
-	if src := res.Info().PlanSource; src != PlanSourceHeuristic {
-		t.Fatalf("post-soak plan source: %q", src)
+	if n := res.Len(); n == 0 || res.Err() != nil {
+		t.Fatalf("post-soak execution: %d rows, err %v", n, res.Err())
 	}
 }

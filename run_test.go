@@ -2,8 +2,8 @@ package upidb
 
 // Tests for the unified Run API: cancellation and deadline semantics,
 // typed sentinels, closed tables, streaming-vs-Collect equivalence,
-// modeled costs that do not depend on the fan-out width, and deadline
-// admission of WithPlanner runs.
+// modeled costs that do not depend on the fan-out width, and the one
+// fixed route every query takes (WithExplain names it).
 
 import (
 	"context"
@@ -12,6 +12,7 @@ import (
 	"math"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 )
@@ -311,32 +312,37 @@ func TestRunModeledCostParallelismInvariant(t *testing.T) {
 	}
 }
 
-// TestRunDeadlineAdmission: a WithPlanner Run whose remaining deadline
-// is below the cheapest plan's modeled cost is refused up front —
-// ErrCanceled, zero modeled I/O, zero pinned partitions — while a
-// generous deadline admits the same query, and the default route under
-// the short deadline is not priced at all: it runs.
+// TestRunDeadlineAdmission: nothing is priced. A deadline below the
+// query's modeled cost, and far above its real time, admits the query
+// and it answers in full; a deadline already past is refused with
+// ErrCanceled before any modeled I/O is charged or any partition
+// pinned.
 func TestRunDeadlineAdmission(t *testing.T) {
 	db := mustCreate(t)
 	tab := fracturedTable(t, db, 0)
 	if err := tab.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	if si := tab.StatsInfo(); !si.Seeded {
-		t.Fatalf("table should have histograms: %+v", si)
-	}
-	// The table spans 5 partitions; every plan models at least 4 file
-	// opens (100 ms each), so 200 ms of wall deadline can never cover
-	// the modeled service time.
+	// The table spans 5 partitions, each a 100 ms modeled file open.
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	before := db.DiskStats()
-	_, err := tab.Run(ctx, PTQ("", "v01", 0.05).WithPlanner())
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("want ErrCanceled from admission, got %v", err)
+	res, err := tab.Run(ctx, PTQ("", "v01", 0.05).WithStats())
+	if err != nil || res.Len() == 0 || res.Err() != nil {
+		t.Fatalf("query under a deadline below its modeled cost: %v / %v, %d results", err, res.Err(), res.Len())
 	}
-	if errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("admission should refuse before the deadline expires: %v", err)
+	if m := res.Info().ModeledTime; m <= 200*time.Millisecond {
+		t.Fatalf("modeled cost %v; the deadline was meant to be below it", m)
+	}
+
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	before := db.DiskStats()
+	_, err = tab.Run(expired, PTQ("", "v01", 0.05))
+	if !errors.Is(err, ErrCanceled) || !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("expired deadline: %v, want ErrCanceled wrapping DeadlineExceeded", err)
 	}
 	if d := db.DiskStats().Sub(before); d.Elapsed != 0 || d.BytesRead != 0 || d.FileOpens != 0 {
 		t.Fatalf("refused query charged modeled I/O: %v", d)
@@ -349,20 +355,334 @@ func TestRunDeadlineAdmission(t *testing.T) {
 	if db.fs.Exists("runtest0.main0.upi.heap") {
 		t.Fatal("old main generation survived the merge: the refused query leaked a pin")
 	}
-	// The default route never asked to be priced in modeled seconds: the
-	// same deadline bounds its real time only.
-	res, err := tab.Run(ctx, PTQ("", "v01", 0.05))
-	if err != nil || res.Err() != nil || res.Len() == 0 {
-		t.Fatalf("unpriced query under the short deadline: %v / %v, %d results", err, res.Err(), res.Len())
+}
+
+// TestDefaultRunDoesNotPlan: on a bulk-loaded table a default Run
+// reports no plan, the database exposes no planner or admission family,
+// and Run + Close allocates what the stream set-up allocates; a default
+// circle and segment report no plan either.
+func TestDefaultRunDoesNotPlan(t *testing.T) {
+	db := mustCreate(t)
+	var load []*Tuple
+	for i := 0; i < 200; i++ {
+		load = append(load, shardTestTuple(t, uint64(i+1), i+1))
 	}
-	// A deadline with headroom admits and completes the same query.
-	ctxOK, cancelOK := context.WithTimeout(context.Background(), time.Hour)
-	defer cancelOK()
-	res, err = tab.Run(ctxOK, PTQ("", "v01", 0.05).WithPlanner())
-	if err != nil || res.Len() == 0 {
-		t.Fatalf("admitted query: %v, %d results", err, res.Len())
+	tab, err := db.BulkLoadTable("plain", "X", []string{"Y"}, load, WithCutoff(0.15))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if res.Info().PlanSource != PlanSourceForced {
-		t.Fatalf("admitted query source: %q", res.Info().PlanSource)
+	ctx := context.Background()
+	for _, q := range []Query{PTQ("", "v03", 0.2), PTQ("", "v03", 0.05), PTQ("Y", "yv02", 0.5), TopKQuery("v03", 5)} {
+		res, err := tab.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Len(); n == 0 {
+			t.Fatalf("%v: no rows; check vacuous", q.kind)
+		}
+		if info := res.Info(); info.Plan != "" || info.Explain != "" {
+			t.Fatalf("default %v: plan %q explain %q, want none", q.kind, info.Plan, info.Explain)
+		}
+	}
+	var b strings.Builder
+	if err := db.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	for _, gone := range []string{"upidb_planner_", "upidb_admission_"} {
+		if strings.Contains(b.String(), gone) {
+			t.Errorf("exposition still carries a %s family", gone)
+		}
+	}
+	// Run + Close is validation, one dispatch count per shard and the
+	// snapshot pin: it does not grow with the table.
+	q := PTQ("", "v03", 0.2)
+	allocs := testing.AllocsPerRun(100, func() {
+		res, err := tab.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res.Close()
+	})
+	if allocs > 20 {
+		t.Errorf("default Run+Close allocates %.0f times, want <= 20", allocs)
+	}
+
+	_, cars, c := spatialFixture(t, 400)
+	for _, q := range []Query{Circle(c.Extent.Center(), 400, 0.3), Segment(busySegment(c), 0.2)} {
+		res, err := cars.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := res.Len(); n == 0 {
+			t.Fatalf("%v: no rows; check vacuous", q.kind)
+		}
+		if info := res.Info(); info.Plan != "" || info.Explain != "" {
+			t.Fatalf("default %v: plan %q explain %q, want none", q.kind, info.Plan, info.Explain)
+		}
+	}
+}
+
+// explainQueries are the PTQ and top-k shapes the explain tests list on
+// the exampleTuples tables (cutoff 0.1), with the route each takes.
+var explainQueries = []struct {
+	q      Query
+	route  string
+	cutoff bool // the listing mentions the cutoff-index chase
+}{
+	{PTQ("Institution", "MIT", 0.3), "PrimaryScan", false},
+	{PTQ("", "MIT", 0.05), "PrimaryScan", true},
+	{PTQ("Country", "Japan", 0.3), "SecondaryTailored", false},
+	{TopKQuery("MIT", 2), "TopKScan", false},
+}
+
+// explainOf returns the Explain listing of q on tab.
+func explainOf(t *testing.T, tab *Table, q Query) string {
+	t.Helper()
+	res, err := tab.Run(context.Background(), q.WithExplain())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Info().Explain
+}
+
+// explainAll lists every explainQueries shape on tab.
+func explainAll(t *testing.T, tab *Table) []string {
+	t.Helper()
+	var out []string
+	for _, c := range explainQueries {
+		out = append(out, explainOf(t, tab, c.q))
+	}
+	return out
+}
+
+// TestFacadeExplain: WithExplain names the fixed rule's route for every
+// query kind — a primary PTQ above and below the cutoff, a secondary
+// PTQ, a top-k, a circle and a segment — and takes it nowhere: nothing
+// executes, no modeled I/O is charged and no partition is pinned.
+func TestFacadeExplain(t *testing.T) {
+	db := mustCreate(t)
+	tuples := exampleTuples(t)
+	ctx := context.Background()
+	authors, err := db.BulkLoadTable("authors", "Institution", []string{"Country"}, tuples, WithCutoff(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range explainQueries {
+		before := db.DiskStats()
+		res, err := authors.Run(ctx, c.q.WithExplain())
+		if err != nil {
+			t.Fatalf("%v: %v", c.q.kind, err)
+		}
+		info := res.Info()
+		if info.Plan != c.route || !strings.HasPrefix(info.Explain, "routing: fixed rule, "+c.route+"\n") ||
+			strings.Contains(info.Explain, "cutoff index") != c.cutoff {
+			t.Fatalf("%v: plan %q, explain %q, want route %s", c.q.kind, info.Plan, info.Explain, c.route)
+		}
+		if d := db.DiskStats().Sub(before); d != (DiskStats{}) {
+			t.Fatalf("%v: explain charged modeled I/O: %+v", c.q.kind, d)
+		}
+		if info.Partitions != 0 || res.Len() != 0 || res.Collect() != nil {
+			t.Fatalf("%v: explain executed: %+v", c.q.kind, info)
+		}
+		for _, err := range res.All() {
+			if !errors.Is(err, ErrStreamConsumed) {
+				t.Fatalf("%v: All on an explain handle: %v", c.q.kind, err)
+			}
+		}
+	}
+	want := explainAll(t, authors)
+	if err := authors.Delete(tuples[0].ID); err != nil {
+		t.Fatal(err)
+	}
+	if err := authors.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	// No explain pinned a partition: the merge removes the old main.
+	if err := authors.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	if db.fs.Exists("authors.main0.upi.heap") {
+		t.Fatal("old main generation survived the merge: an explain leaked a pin")
+	}
+	if got := explainAll(t, authors); !reflect.DeepEqual(got, want) {
+		t.Fatalf("merged table explains differently:\n got %q\nwant %q", got, want)
+	}
+
+	_, cars, c := spatialFixture(t, 400)
+	for _, sc := range []struct {
+		q     Query
+		route string
+	}{
+		{Circle(c.Extent.Center(), 400, 0.3), "RTreeProbe"},
+		{Segment(busySegment(c), 0.2), "SegmentIndexScan"},
+	} {
+		before := cars.db.DiskStats()
+		res, err := cars.Run(ctx, sc.q.WithExplain())
+		if err != nil {
+			t.Fatal(err)
+		}
+		info := res.Info()
+		if info.Plan != sc.route || !strings.HasPrefix(info.Explain, "routing: fixed rule, "+sc.route+"\n") {
+			t.Fatalf("%v: plan %q, explain %q, want route %s", sc.q.kind, info.Plan, info.Explain, sc.route)
+		}
+		if d := cars.db.DiskStats().Sub(before); d != (DiskStats{}) || res.Len() != 0 || res.Collect() != nil {
+			t.Fatalf("%v: explain executed or charged I/O: %+v", sc.q.kind, d)
+		}
+	}
+}
+
+// TestExplainFormat: the listing is two lines, the route after
+// "routing: fixed rule, " and an indented description naming the
+// attribute, value and threshold, plus the cutoff-index chase when the
+// threshold is below the table's cutoff.
+func TestExplainFormat(t *testing.T) {
+	db := mustCreate(t)
+	authors, err := db.BulkLoadTable("authors", "Institution", []string{"Country"}, exampleTuples(t), WithCutoff(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		q    Query
+		want string
+	}{
+		{PTQ("", "MIT", 0.05), "routing: fixed rule, PrimaryScan\n" +
+			"  clustered UPI scan of Institution=\"MIT\" down to confidence 0.05, then the cutoff index below the cutoff 0.1\n"},
+		{PTQ("Institution", "MIT", 0.3), "routing: fixed rule, PrimaryScan\n" +
+			"  clustered UPI scan of Institution=\"MIT\" down to confidence 0.3\n"},
+		{PTQ("Country", "Japan", 0.3), "routing: fixed rule, SecondaryTailored\n" +
+			"  secondary index on Country=\"Japan\" down to confidence 0.3, tailored heap access\n"},
+		{TopKQuery("MIT", 2), "routing: fixed rule, TopKScan\n" +
+			"  clustered UPI scan of Institution=\"MIT\", stopping at the k-th result (k=2)\n"},
+	} {
+		if got := explainOf(t, authors, c.q); got != c.want {
+			t.Fatalf("%v:\n got %q\nwant %q", c.q.kind, got, c.want)
+		}
+	}
+}
+
+// TestExplainUnknownAttribute: an attribute the table does not index
+// is ErrUnknownAttr under WithExplain too, so an explain never names a
+// route Run would refuse.
+func TestExplainUnknownAttribute(t *testing.T) {
+	db := mustCreate(t)
+	authors, err := db.BulkLoadTable("authors", "Institution", []string{"Country"}, exampleTuples(t), WithCutoff(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range []Query{PTQ("Nope", "x", 0.1), PTQ("Nope", "x", 0.1).WithExplain()} {
+		if res, err := authors.Run(ctx, q); !errors.Is(err, ErrUnknownAttr) || res != nil {
+			t.Fatalf("unknown attribute: %v %v", res, err)
+		}
+	}
+}
+
+// TestFacadeUnseededCatalog: a created-empty table filled by inserts
+// and a reopened table carry no statistics, and none is needed — each
+// explains the same routes as the bulk-loaded table and answers Run.
+func TestFacadeUnseededCatalog(t *testing.T) {
+	db := mustCreate(t)
+	tuples := exampleTuples(t)
+	ctx := context.Background()
+	authors, err := db.BulkLoadTable("authors", "Institution", []string{"Country"}, tuples, WithCutoff(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := explainAll(t, authors)
+	empty, err := db.CreateTable("born-empty", "Institution", []string{"Country"}, WithCutoff(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tup := range tuples {
+		if err := empty.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := authors.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	re, err := db.OpenTable("authors", "Institution", []string{"Country"}, WithCutoff(0.1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tab := range []*Table{empty, re} {
+		if got := explainAll(t, tab); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s explains differently:\n got %q\nwant %q", tab.Name(), got, want)
+		}
+		for _, c := range []struct {
+			q    Query
+			rows int
+		}{
+			{PTQ("Institution", "MIT", 0.1), 2},
+			{PTQ("Country", "Japan", 0.3), 1},
+		} {
+			res, err := tab.Run(ctx, c.q)
+			if err != nil || res.Len() != c.rows {
+				t.Fatalf("%s %v: %v, %d rows, want %d", tab.Name(), c.q.kind, err, res.Len(), c.rows)
+			}
+		}
+	}
+}
+
+// TestNothingMaintainsStatistics: on a sharded table, inserts, deletes,
+// a fracture per shard and a merge change what a query answers but not
+// the route it takes: the Explain listing reads no data-dependent state.
+func TestNothingMaintainsStatistics(t *testing.T) {
+	db := mustCreate(t)
+	var live []*Tuple
+	for i := 0; i < 210; i++ {
+		live = append(live, shardTestTuple(t, uint64(i+1), i+1))
+	}
+	tab, err := db.BulkLoadTable("still", "X", []string{"Y"}, live, WithCutoff(0.15), WithShards(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	queries := []Query{PTQ("", "v03", 0.2), PTQ("Y", "yv03", 0.5)}
+	var loaded []string
+	var rows []int
+	for _, q := range queries {
+		loaded = append(loaded, explainOf(t, tab, q))
+		res, err := tab.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, res.Len())
+	}
+
+	for i := 0; i < len(live); i += 4 {
+		if live[i].Confidence("X", "v03") > 0 {
+			continue // the value must gain rows, not churn them
+		}
+		if err := tab.Delete(live[i].ID); err != nil {
+			t.Fatal(err)
+		}
+		live[i] = shardTestTuple(t, live[i].ID, 3)
+		if err := tab.Insert(live[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		if got := explainOf(t, tab, q); got != loaded[i] {
+			t.Fatalf("q=%d: listing moved with a fracture per shard\n loaded %q\n now    %q", i, loaded[i], got)
+		}
+		res, err := tab.Run(ctx, q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() <= rows[i] {
+			t.Fatalf("q=%d: %d rows after the moves, %d before; the churn did not reach the answer", i, res.Len(), rows[i])
+		}
+	}
+	if err := tab.Merge(); err != nil {
+		t.Fatal(err)
+	}
+	for i, q := range queries {
+		if got := explainOf(t, tab, q); got != loaded[i] {
+			t.Fatalf("q=%d: listing moved with a merge\n loaded %q\n now    %q", i, loaded[i], got)
+		}
 	}
 }

@@ -120,15 +120,10 @@ func TestFacadeShardParity(t *testing.T) {
 		t.Fatalf("sharded table has %d shards", got)
 	}
 	for qi, q := range shardQueries() {
-		for _, route := range []func(Query) Query{
-			func(q Query) Query { return q },
-			Query.WithPlanner,
-		} {
-			want := collectKeys(t, ref, route(q))
-			got := collectKeys(t, sharded, route(q))
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("q=%d: sharded diverged\n got %v\nwant %v", qi, got, want)
-			}
+		want := collectKeys(t, ref, q)
+		got := collectKeys(t, sharded, q)
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("q=%d: sharded diverged\n got %v\nwant %v", qi, got, want)
 		}
 	}
 }

@@ -7,31 +7,10 @@ import (
 	"time"
 
 	"upidb/internal/cupi"
-	"upidb/internal/planner"
 	"upidb/internal/sim"
 	"upidb/internal/upi"
 	"upidb/internal/utree"
 )
-
-// SpatialStatsInfo is a snapshot of a spatial table's statistics
-// catalog — what WithPlanner costs from. Spatial catalogs absorb every
-// Insert and there are no deletes, so a seeded catalog is exact.
-type SpatialStatsInfo struct {
-	// Seeded reports whether the catalog describes the complete table
-	// (always true for tables built with BulkLoadSpatial).
-	Seeded bool
-	// Observations is the number of observations the catalog tracks.
-	Observations int64
-}
-
-// StatsInfo reports the current state of the spatial statistics
-// catalog.
-func (s *SpatialTable) StatsInfo() SpatialStatsInfo {
-	return SpatialStatsInfo{
-		Seeded:       s.catalog.Seeded(),
-		Observations: s.catalog.TotalObservations(),
-	}
-}
 
 // SpatialResults is the answer to one SpatialTable.Run call — the
 // spatial counterpart of Results, with the same consumption contract:
@@ -50,13 +29,12 @@ func (s *SpatialTable) StatsInfo() SpatialStatsInfo {
 //     observation ID ASC); Len, Err and Info on an unconsumed handle run
 //     the same drain.
 //
-// Streaming order depends on the plan: a SegmentIndexScan streams in
+// Streaming order depends on the route: a segment query streams in
 // the canonical confidence order (the segment index's native key
-// order), while an RTreeProbe or SpatialFullScan streams in refinement
-// order (clustered heap order) — circle confidences are computed by
-// integration at fetch time, so confidence-ordered delivery would
-// require draining everything first. Only Collect reports canonical
-// order.
+// order), while a circle query streams in refinement order (clustered
+// heap order) — circle confidences are computed by integration at
+// fetch time, so confidence-ordered delivery would require draining
+// everything first. Only Collect reports canonical order.
 //
 // Any consumption spends the handle: afterwards All yields
 // ErrStreamConsumed and Collect returns nil, while Err, Len and Info
@@ -72,7 +50,7 @@ type SpatialResults struct {
 	s         *SpatialTable
 	wantStats bool
 
-	// collect and cursor execute the routed plan over tab, a view of
+	// collect and cursor execute the query's route over tab, a view of
 	// the table charging this query's tape.
 	collect func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error)
 	cursor  func(ctx context.Context, tab *cupi.Table) *cupi.Cursor
@@ -97,8 +75,7 @@ func (r *SpatialResults) startTape() (tab *cupi.Table, finish func() time.Durati
 }
 
 // finish is the one terminal transition: it spends the handle, keeps
-// the outcome and folds the execution statistics into the query info,
-// keeping the routing fields chosen at Run time.
+// the outcome and folds the execution statistics into the query info.
 func (r *SpatialResults) finish(st cupi.Stats, modeled time.Duration, err error) {
 	r.state, r.err = stateDone, err
 	r.info.HeapEntries = st.Fetched
@@ -132,7 +109,7 @@ func (r *SpatialResults) drain() []SpatialResult {
 //	for r, err := range res.All() { ... }
 //
 // On an unconsumed handle, All executes the query incrementally (see
-// SpatialResults for the delivery order per plan). Breaking out of the
+// SpatialResults for the delivery order per route). Breaking out of the
 // loop cancels the rest of the scan; pages it never read are never
 // charged. On a consumed handle All yields ErrStreamConsumed, or the
 // execution error of a failed handle.
@@ -208,33 +185,25 @@ func (r *SpatialResults) Close() {
 
 // Info reports what the query touched and cost. ModeledTime is only
 // measured when the query was built WithStats; Plan and Explain are
-// only set for planner-routed / WithExplain runs. On an unconsumed
-// handle Info runs the materialized drain so the counters are
-// complete; after a streaming consumption it reports what the stream
-// actually touched.
+// only set by WithExplain runs. On an unconsumed handle Info runs the
+// materialized drain so the counters are complete; after a streaming
+// consumption it reports what the stream actually touched.
 func (r *SpatialResults) Info() QueryInfo {
 	r.drain()
 	return r.info
 }
 
-// Run admits and prepares one spatial query described by q (a Circle
-// or Segment descriptor; discrete descriptors belong to Table.Run),
-// honoring ctx exactly like Table.Run: a done context fails fast with
-// ErrCanceled before any modeled I/O is charged, and Run itself
-// performs no scan — it validates, routes and applies admission
-// control; the returned handle executes on first consumption (All
-// streams, Collect/Len/Err/Info run the materialized drain).
+// Run prepares one spatial query described by q (a Circle or Segment
+// descriptor; discrete descriptors belong to Table.Run), honoring ctx
+// exactly like Table.Run: a done context fails fast with ErrCanceled
+// before any modeled I/O is charged, and Run itself performs no scan —
+// it validates and routes; the returned handle executes on first
+// consumption (All streams, Collect/Len/Err/Info run the materialized
+// drain).
 //
-// Routing mirrors the discrete engine: a fixed rule (circle → R-Tree
-// probe, segment → segment index) unless the query says WithPlanner,
-// which sends it through the cost-based spatial planner — choosing
-// between the R-Tree probe, the segment-index scan and a sequential
-// full heap scan from the spatial statistics catalog; WithExplain
-// returns the costed plans without executing. Info().PlanSource reports
-// which happened. On the planner path, a ctx deadline shorter than the
-// cheapest plan's modeled cost is refused up front with ErrCanceled —
-// zero modeled I/O — the same deadline-aware admission discrete PTQs
-// get.
+// Routing is a fixed rule, as on a discrete table: a circle probes the
+// R-Tree, a segment query scans the segment index. WithExplain reports
+// the route without taking it.
 //
 // Run is safe for concurrent use alongside Insert.
 func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error) {
@@ -247,62 +216,23 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 	if s.tab.Closed() {
 		return nil, ErrClosed
 	}
-	// The fixed rule's physical plan.
-	source, physical, planName := PlanSourceHeuristic, planner.RTreeProbe, ""
-	if q.kind == KindSegment {
-		physical = planner.SegmentScan
-	}
-	if q.usePlanner || q.explainOnly {
-		plans, err := s.plan(q)
-		if err != nil {
-			return nil, err
-		}
-		if q.explainOnly {
-			return &SpatialResults{state: stateDone, info: explainInfo(q, physical, plans)}, nil
-		}
-		best := plans[0]
-		source, physical, planName = PlanSourceForced, best.Kind, best.Kind.String()
-		// Deadline-aware admission, identical to the discrete path:
-		// refuse a query whose remaining deadline cannot cover even the
-		// cheapest plan's modeled cost, before any I/O.
-		if dl, ok := ctx.Deadline(); ok {
-			if remain := time.Until(dl); remain < best.EstimatedCost {
-				return nil, fmt.Errorf(
-					"%w: admission refused: remaining deadline %v is below the cheapest plan's modeled cost %v (%v)",
-					ErrCanceled, remain.Round(time.Millisecond),
-					best.EstimatedCost.Round(time.Millisecond), best.Kind)
-			}
-		}
-	}
-	r := &SpatialResults{
-		ctx:       ctx,
-		s:         s,
-		wantStats: q.wantStats,
-		info:      QueryInfo{Plan: planName, PlanSource: source},
-	}
 	switch {
-	case q.kind == KindCircle && physical == planner.SpatialScan:
-		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
-			return tab.FullScanCircle(ctx, q.center, q.radius, q.qt)
-		}
-		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
-			return tab.ScanCircleCursor(ctx, q.center, q.radius, q.qt)
-		}
-	case q.kind == KindCircle:
+	case q.explainOnly && q.kind == KindCircle:
+		return &SpatialResults{state: stateDone, info: explainInfo("RTreeProbe",
+			fmt.Sprintf("R-Tree probe within %v of (%v, %v) down to confidence %v, clustered heap fetch", q.radius, q.center.X, q.center.Y, q.qt))}, nil
+	case q.explainOnly:
+		return &SpatialResults{state: stateDone, info: explainInfo("SegmentIndexScan",
+			fmt.Sprintf("segment index on %q down to confidence %v, clustered heap fetch", q.value, q.qt))}, nil
+	}
+	r := &SpatialResults{ctx: ctx, s: s, wantStats: q.wantStats}
+	if q.kind == KindCircle {
 		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
 			return tab.QueryCircle(ctx, q.center, q.radius, q.qt)
 		}
 		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
 			return tab.CircleCursor(ctx, q.center, q.radius, q.qt)
 		}
-	case physical == planner.SpatialScan:
-		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
-			return tab.FullScanSegment(ctx, q.value, q.qt)
-		}
-		r.cursor = func(ctx context.Context, tab *cupi.Table) *cupi.Cursor {
-			return tab.ScanSegmentCursor(ctx, q.value, q.qt)
-		}
-	default:
+	} else {
 		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
 			return tab.QuerySegment(ctx, q.value, q.qt)
 		}
@@ -311,12 +241,4 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 		}
 	}
 	return r, nil
-}
-
-// plan costs the candidate plans for q, cheapest first.
-func (s *SpatialTable) plan(q Query) ([]planner.Plan, error) {
-	if q.kind == KindCircle {
-		return s.planner.PlanCircle(q.center, q.radius, q.qt)
-	}
-	return s.planner.PlanSegment(q.value, q.qt)
 }

@@ -166,10 +166,8 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 					errs <- fmt.Errorf("reader %d round %d collect: %w", rr, i, err)
 					return
 				}
-				// Streaming consumption, fully drained, routed by the
-				// planner: the catalog it costs from absorbs the
-				// writers' inserts meanwhile.
-				res, err = tab.Run(ctx, Circle(queryPoints[qi], soakRadius, soakCircTh).WithPlanner())
+				// Streaming consumption, fully drained.
+				res, err = tab.Run(ctx, Circle(queryPoints[qi], soakRadius, soakCircTh))
 				if err != nil {
 					errs <- err
 					return
@@ -200,8 +198,8 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 					}
 					break
 				}
-				// Segment query via the planner's route.
-				sres, err := tab.Run(ctx, Segment("seg03", soakSegQT).WithPlanner())
+				// Segment query, collected.
+				sres, err := tab.Run(ctx, Segment("seg03", soakSegQT))
 				if err != nil {
 					errs <- err
 					return
@@ -246,7 +244,7 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 	}
 	for qi, q := range queryPoints {
 		truth := soakCircleTruth(allIDs, q, soakRadius, soakCircTh)
-		res, err := tab.Run(ctx, Circle(q, soakRadius, soakCircTh).WithStats().WithPlanner())
+		res, err := tab.Run(ctx, Circle(q, soakRadius, soakCircTh).WithStats())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,9 +256,6 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 			if want, ok := truth[r.Obs.ID]; !ok || math.Abs(want-r.Confidence) > 1e-9 {
 				t.Fatalf("final circle %d: result %d mismatch", qi, r.Obs.ID)
 			}
-		}
-		if src := res.Info().PlanSource; src != PlanSourceForced {
-			t.Fatalf("final circle %d not planner-routed after %d inserts: %q", qi, len(allIDs)-baseN, src)
 		}
 	}
 	truth := soakSegTruth(allIDs, "seg03", soakSegQT)

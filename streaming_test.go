@@ -85,14 +85,13 @@ func streamAll(t *testing.T, res *Results) []Result {
 // TestRunStreamsGoldenVsCollect: consuming a Run through All alone,
 // or through Collect alone, yields exactly the oracle's rows in the
 // oracle's order — at serial, narrow and wide parallelism, across
-// every query class including planner-routed ones.
+// every query class.
 func TestRunStreamsGoldenVsCollect(t *testing.T) {
 	queries := []Query{
 		PTQ("", "v01", 0.05),
 		PTQ("", "v03", 0.4),
 		PTQ("Y", "yv02", 0.1),
-		PTQ("", "v02", 0.1).WithPlanner(),
-		PTQ("Y", "yv02", 0.1).WithPlanner(),
+		PTQ("", "v02", 0.1),
 		TopKQuery("v04", 7),
 	}
 	ctx := context.Background()

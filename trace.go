@@ -17,11 +17,8 @@ type TraceFunc = fracture.TraceFunc
 // The trace event kinds Run emits, in the order a typical query
 // produces them.
 const (
-	// TraceAdmission is the admission verdict: admitted (with the
-	// modeled cost and remaining deadline), refused (deadline below the
-	// cheapest plan's modeled cost), or admitted-unpriced (heuristic
-	// route). Emitted exactly once per Run, before any shard is
-	// touched.
+	// TraceAdmission marks the query admitted onto its fixed route.
+	// Emitted exactly once per Run, before any shard is touched.
 	TraceAdmission = fracture.TraceAdmission
 	// TraceDispatch marks one shard being handed the request, before
 	// any shard's snapshot is pinned (Shard identifies it; Detail is the

@@ -53,27 +53,22 @@
 // layer — a cancelled query stops between heap pages, is charged the
 // modeled I/O it consumed and fails with ErrCanceled. Errors are typed
 // sentinels
-// (ErrUnknownAttr, ErrNoStats, ErrCanceled, ErrClosed,
-// ErrStreamConsumed) shared by all layers.
+// (ErrUnknownAttr, ErrCanceled, ErrClosed, ErrStreamConsumed) shared by
+// all layers.
 //
 // Spatial tables (the paper's Section 5 continuous UPI over uncertain
 // 2-D observations, BulkLoadSpatial) share the same regime: Circle and
 // Segment descriptors executed by SpatialTable.Run with identical
-// streaming, routing, admission and error semantics.
+// streaming, routing and error semantics.
 //
-// Run routes by a fixed rule (primary PTQ and top-k → clustered UPI
-// scan, secondary PTQ → tailored access; circle → R-Tree probe, segment
-// → segment index) and executes no planner code. The paper's cost
-// models (Section 6) are there for whoever asks: a query built
-// WithPlanner is routed to the cheapest plan the models price from the
-// table's per-attribute histograms (Section 6.1), and a Run whose
-// context deadline is shorter than that plan's modeled cost is refused
-// up front with ErrCanceled, before pinning any partition or charging
-// any modeled I/O. Histograms are built by a bulk load and replaced by
-// BuildStats; nothing maintains them in between. The models price a
-// seeking disk, so WithPlanner is for the modeled device (upibench);
-// on the disk backend with a warm OS cache the fixed rule was the
-// faster route on every shape probed (README, "Statistics & planning").
+// Every query has one route, a fixed rule (primary PTQ and top-k →
+// clustered UPI scan, secondary PTQ → tailored access; circle → R-Tree
+// probe, segment → segment index); Run reads no statistics and prices
+// nothing. The paper's cost models (Section 6) serve the other use the
+// paper names, selecting tuning parameters (internal/costmodel,
+// examples/tuning): cost-based routing priced a seeking disk, and on
+// the disk backend with a warm OS cache the fixed rule was the faster
+// route on every shape a workload issues (README, "Routing").
 //
 // All I/O is charged to a deterministic disk model using the paper's
 // cost constants (10 ms seek, 20 ms/MB read, 50 ms/MB write), so query
@@ -118,11 +113,9 @@ import (
 
 	"upidb/internal/cupi"
 	"upidb/internal/fracture"
-	"upidb/internal/planner"
 	"upidb/internal/prob"
 	"upidb/internal/shard"
 	"upidb/internal/sim"
-	"upidb/internal/stats"
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
 	"upidb/internal/utree"
@@ -177,7 +170,7 @@ type DB struct {
 	defaultShards int
 
 	// reg is the database's metrics registry; every table's engine
-	// metrics and the facade's routing/admission/query metrics report
+	// metrics and the facade's query metrics report
 	// into it (see Metrics, WritePrometheus). met holds the
 	// pre-resolved facade handles.
 	reg *MetricsRegistry
@@ -249,8 +242,7 @@ func (db *DB) Table(name string) *Table {
 
 // CreateTable creates an empty fractured-UPI table clustered on the
 // uncertain attribute primaryAttr, with secondary indexes on secAttrs.
-// It has no statistics: WithPlanner and WithExplain answer ErrNoStats
-// until BuildStats. With WithShards(n) the table is hash-partitioned by tuple ID across
+// With WithShards(n) the table is hash-partitioned by tuple ID across
 // n independent stores (shard-per-core); see README "Serving &
 // sharding".
 func (db *DB) CreateTable(name, primaryAttr string, secAttrs []string, opts ...Option) (*Table, error) {
@@ -261,7 +253,7 @@ func (db *DB) CreateTable(name, primaryAttr string, secAttrs []string, opts ...O
 	if err != nil {
 		return nil, err
 	}
-	st, err := shard.New(db.fs, name, primaryAttr, secAttrs, cfg, max(shards, 1), db.disk.Params())
+	st, err := shard.New(db.fs, name, primaryAttr, secAttrs, cfg, max(shards, 1))
 	if err != nil {
 		return nil, err
 	}
@@ -270,10 +262,7 @@ func (db *DB) CreateTable(name, primaryAttr string, secAttrs []string, opts ...O
 
 // BulkLoadTable creates a fractured-UPI table whose main partitions
 // are bulk-built from tuples with sequential I/O only (each shard
-// receives the tuples it owns). Every attribute's histograms are built
-// from the same tuples, so WithPlanner works without a separate
-// BuildStats pass — and keeps costing from those tuples, whatever is
-// inserted or deleted afterwards, until BuildStats replaces them.
+// receives the tuples it owns).
 func (db *DB) BulkLoadTable(name, primaryAttr string, secAttrs []string, tuples []*Tuple, opts ...Option) (*Table, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
@@ -293,8 +282,8 @@ func (db *DB) BulkLoadTable(name, primaryAttr string, secAttrs []string, tuples 
 // On a durable table every acknowledged write survives: each shard's
 // manifest names its authoritative partitions and its write-ahead log
 // replays the RAM insert buffer and pending deletes. On a non-durable
-// table only flushed state survives. Statistics are not persisted: a
-// reopened table has none until BuildStats. The persisted shard count is authoritative: omitting WithShards accepts
+// table only flushed state survives. The persisted shard count is
+// authoritative: omitting WithShards accepts
 // whatever the table was created with, and a contradictory explicit
 // count is an error.
 func (db *DB) OpenTable(name, primaryAttr string, secAttrs []string, opts ...Option) (*Table, error) {
@@ -305,7 +294,7 @@ func (db *DB) OpenTable(name, primaryAttr string, secAttrs []string, opts ...Opt
 	if err != nil {
 		return nil, err
 	}
-	st, err := shard.Open(db.fs, name, primaryAttr, secAttrs, cfg, shards, db.disk.Params())
+	st, err := shard.Open(db.fs, name, primaryAttr, secAttrs, cfg, shards)
 	if err != nil {
 		return nil, err
 	}
@@ -433,6 +422,20 @@ func (t *Table) SizeBytes() int64 { return t.shards.SizeBytes() }
 // measurement in DropCaches.
 func (t *Table) DropCaches() error { return t.shards.DropCaches() }
 
+// StatsInfo is a snapshot of a table's state by shard.
+type StatsInfo struct {
+	// Shards is the per-shard breakdown (fractures, buffered inserts,
+	// size), in shard order — the view that exposes skew. A one-shard
+	// table reports one entry describing the whole table.
+	Shards []ShardStatsInfo
+}
+
+// ShardStatsInfo is one shard's slice of a table's state.
+type ShardStatsInfo = shard.ShardStats
+
+// StatsInfo reports the state of each shard.
+func (t *Table) StatsInfo() StatsInfo { return StatsInfo{Shards: t.shards.PerShardStats()} }
+
 // QueryInfo reports the modeled cost of one query and what it
 // touched.
 type QueryInfo struct {
@@ -449,17 +452,13 @@ type QueryInfo struct {
 	Partitions int
 	// BufferHits counts results served from the RAM insert buffer.
 	BufferHits int
-	// Plan names the access path the planner chose (WithPlanner runs),
-	// or the route that would run (WithExplain); empty on a default run.
+	// Plan names the fixed rule's route for the query (WithExplain runs
+	// only; empty on an executed run).
 	Plan string
-	// PlanSource reports how the query was routed: PlanSourceHeuristic
-	// (the fixed rule) or PlanSourceForced (by cost, under WithPlanner).
-	PlanSource string
 	// Candidates is the number of R-Tree candidates or segment-index
 	// entries a spatial query examined (spatial Run only).
 	Candidates int
-	// Explain is the EXPLAIN-style costed-plan listing (WithExplain
-	// runs only).
+	// Explain describes the route (WithExplain runs only).
 	Explain string
 }
 
@@ -469,9 +468,6 @@ func (q QueryInfo) String() string {
 	if q.Plan != "" {
 		s += " plan=" + q.Plan
 	}
-	if q.PlanSource != "" {
-		s += " source=" + q.PlanSource
-	}
 	return s
 }
 
@@ -479,18 +475,11 @@ func (q QueryInfo) String() string {
 // observations, with a secondary index on the uncertain segment
 // attribute. Like discrete tables it is safe for concurrent use and
 // serves every query through Run(ctx, Query) — Circle and Segment
-// descriptors with the same routing contract as Table.Run: the fixed
-// rule by default, the cost-based spatial planner under WithPlanner,
-// with the same PlanSource/WithExplain/WithStats/deadline-admission
-// behaviour. What the spatial planner costs from is a catalog the table
-// keeps itself (a 2-D grid histogram of observation centroids plus a
-// segment-attribute histogram); spatial tables have no deletes, so
-// absorbing each Insert keeps it exact.
+// descriptors with the same routing contract as Table.Run: one fixed
+// route per query kind, with the same WithExplain/WithStats behaviour.
 type SpatialTable struct {
-	db      *DB
-	tab     *cupi.Table
-	catalog *stats.SpatialCatalog
-	planner *planner.Spatial
+	db  *DB
+	tab *cupi.Table
 }
 
 // BulkLoadSpatial builds a continuous UPI from observations,
@@ -498,8 +487,7 @@ type SpatialTable struct {
 // WithHeapPageSize) — the same options scheme as discrete tables, with
 // the same scope validation: a database- or table-level option passed
 // here errors instead of being silently ignored. Like table creation,
-// it fails with ErrClosed once the DB is closed. The spatial
-// statistics catalog is seeded from the same observations.
+// it fails with ErrClosed once the DB is closed.
 func (db *DB) BulkLoadSpatial(name string, obs []*Observation, opts ...Option) (*SpatialTable, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
@@ -512,14 +500,7 @@ func (db *DB) BulkLoadSpatial(name string, obs []*Observation, opts ...Option) (
 	if err != nil {
 		return nil, err
 	}
-	cat := stats.NewSpatialCatalog()
-	cat.Seed(obs)
-	s := &SpatialTable{
-		db:      db,
-		tab:     tab,
-		catalog: cat,
-		planner: planner.NewSpatial(tab, cat, db.disk.Params()),
-	}
+	s := &SpatialTable{db: db, tab: tab}
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -531,15 +512,9 @@ func (db *DB) BulkLoadSpatial(name string, obs []*Observation, opts ...Option) (
 	return s, nil
 }
 
-// Insert adds one observation after the initial load and absorbs its
-// statistics delta. It fails with ErrClosed once the table is closed.
-func (s *SpatialTable) Insert(o *Observation) error {
-	if err := s.tab.Insert(o); err != nil {
-		return err
-	}
-	s.catalog.AddObservation(o)
-	return nil
-}
+// Insert adds one observation after the initial load. It fails with
+// ErrClosed once the table is closed.
+func (s *SpatialTable) Insert(o *Observation) error { return s.tab.Insert(o) }
 
 // Close marks the spatial table closed: every subsequent query and
 // Insert fails with ErrClosed, matching the DB.Close contract of
