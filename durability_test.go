@@ -277,3 +277,65 @@ func TestFacadeCreateOpenContract(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestNonDurableReopenKeepsCutoff: a table built without durability
+// records each partition's cutoff too, so reopening it with no table
+// options, durable or not, answers what it answered before the close:
+// rows whose confidence sits below the build cutoff live only in the
+// cutoff index, which a partition opened with the default cutoff of 0
+// never consults.
+func TestNonDurableReopenKeepsCutoff(t *testing.T) {
+	tuples := make([]*Tuple, 200)
+	for i := range tuples {
+		p := 0.1 + 0.2*float64(i%5)
+		x, err := NewDiscrete([]Alternative{{Value: "a", Prob: p}, {Value: "b", Prob: 1 - p}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples[i] = &Tuple{ID: uint64(i + 1), Existence: 1, Unc: []UncField{{Name: "X", Dist: x}}}
+	}
+	ptq := func(tab *Table) []Result {
+		t.Helper()
+		res, err := tab.Run(context.Background(), PTQ("", "a", 0.3))
+		if err != nil {
+			t.Fatal(err)
+		}
+		rs := res.Collect()
+		if err := res.Err(); err != nil {
+			t.Fatal(err)
+		}
+		return rs
+	}
+	for _, durable := range []bool{false, true} {
+		t.Run(fmt.Sprintf("reopen-durable=%v", durable), func(t *testing.T) {
+			dir := t.TempDir()
+			db, err := Create(dir, WithDurability(false))
+			if err != nil {
+				t.Fatal(err)
+			}
+			tab, err := db.BulkLoadTable("t", "X", nil, tuples, WithCutoff(0.5))
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := ptq(tab)
+			if len(want) != 160 {
+				t.Fatalf("%d rows before the close, want 160", len(want))
+			}
+			if err := db.Close(); err != nil {
+				t.Fatal(err)
+			}
+			re, err := Open(dir, WithDurability(durable))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer re.Close()
+			rtab, err := re.OpenTable("t", "X", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := ptq(rtab); !reflect.DeepEqual(got, want) {
+				t.Fatalf("%d rows after the reopen, %d before", len(got), len(want))
+			}
+		})
+	}
+}

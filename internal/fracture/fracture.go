@@ -88,12 +88,14 @@ type Config struct {
 	BufferTuples int
 	// Durable, when true, gives the store crash-consistency: every
 	// Insert/Delete is WAL-logged and fsynced before it is
-	// acknowledged, flushes and merges commit through an atomically
-	// renamed manifest, and Open replays the WAL to reconstruct the
-	// RAM buffer. When false (the default), the store keeps the
-	// legacy simulation behavior: no WAL, no manifest, no fsync — and
-	// no extra bytes, so modeled costs are byte-identical to earlier
-	// releases.
+	// acknowledged, flushes and merges fsync their partition files
+	// before the manifest commits them, and Open replays the WAL to
+	// reconstruct the RAM buffer. When false (the default), there is
+	// no WAL and no partition file is fsynced, so unflushed writes do
+	// not survive a reopen. Either way every flush and merge commits
+	// through the manifest, which records each partition's placement
+	// parameters; it is a sideband file, never charged, so modeled
+	// costs do not depend on durability.
 	Durable bool
 	// Metrics, when set, receives engine-level observability counters
 	// and histograms (inserts, flushes, merges, WAL fsync timing, pin
@@ -223,7 +225,7 @@ func NewStore(fs *storage.FS, name, attr string, secAttrs []string, opts Config)
 		return nil, err
 	}
 	s.main = main
-	if err := s.initDurable(); err != nil {
+	if err := s.initFiles(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -239,7 +241,7 @@ func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, opts Config,
 		return nil, err
 	}
 	s.main = main
-	if err := s.initDurable(); err != nil {
+	if err := s.initFiles(); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -264,21 +266,23 @@ func newShell(fs *storage.FS, name, attr string, secAttrs []string, opts Config)
 	return s
 }
 
-// initDurable brings a freshly created durable store to a recoverable
-// on-disk state: main partition fsynced, manifest committed, empty WAL
-// in place. A no-op for non-durable stores.
-func (s *Store) initDurable() error {
-	if !s.opts.Durable {
-		return nil
-	}
-	if err := s.main.Flush(); err != nil {
-		return err
-	}
-	if err := syncTableFiles(s.fs, s.main); err != nil {
-		return err
+// initFiles commits a freshly created store's manifest. A durable
+// store fsyncs its main partition first and gains an empty WAL, so it
+// starts in a recoverable on-disk state.
+func (s *Store) initFiles() error {
+	if s.opts.Durable {
+		if err := s.main.Flush(); err != nil {
+			return err
+		}
+		if err := syncTableFiles(s.fs, s.main); err != nil {
+			return err
+		}
 	}
 	if err := writeManifest(s.fs, s.name, s.mainGen, s.main, nil); err != nil {
 		return err
+	}
+	if !s.opts.Durable {
+		return nil
 	}
 	w, err := createWAL(s.fs, s.name, s.opts.Metrics)
 	if err != nil {
@@ -529,9 +533,9 @@ func (s *Store) flushLocked() error {
 		if err := s.fs.Sync(s.delSetFile(id)); err != nil {
 			return err
 		}
-		if err := writeManifest(s.fs, s.name, s.mainGen, s.main, fractures); err != nil {
-			return err
-		}
+	}
+	if err := writeManifest(s.fs, s.name, s.mainGen, s.main, fractures); err != nil {
+		return err
 	}
 	s.fractures = fractures
 	s.opts.Metrics.Flushes.Inc()

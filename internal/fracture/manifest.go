@@ -11,7 +11,7 @@ import (
 	"upidb/internal/upi"
 )
 
-// The manifest is the durable store's partition catalog: one small
+// The manifest is every store's partition catalog: one small
 // text file naming the current main generation and every fracture
 // generation, in flush order, each with the placement parameters that
 // partition was built with ("main 3 cutoff=0.1 maxptr=0"): a query
@@ -23,10 +23,8 @@ import (
 // and renamed into place, so the rename is the atomic commit point of
 // every flush and merge — a crash before the rename leaves the old
 // manifest (and the half-built files as orphans, removed on the next
-// open); a crash after it leaves the new state fully described.
-//
-// Non-durable stores write no manifest and keep the legacy behavior of
-// discovering partitions by scanning file names.
+// open); a crash after it leaves the new state fully described. It is a
+// sideband file, so its I/O is never charged.
 
 func manifestName(store string) string { return store + ".manifest" }
 func manifestTmpName(store string) string {
@@ -65,16 +63,13 @@ func writeManifest(fs *storage.FS, store string, mainGen int, main *upi.Table, f
 // readManifest loads the partition catalog. built maps each named
 // generation to the options to open it with: the caller's, with the
 // placement parameters the manifest recorded for that partition laid
-// over. It is nil if no manifest exists (legacy or non-durable store).
+// over.
 func readManifest(fs *storage.FS, store string, caller upi.Options) (mainGen int, fracGens []int, built map[int]upi.Options, err error) {
 	name := manifestName(store)
-	if !fs.Exists(name) {
-		return 0, nil, nil, nil
-	}
 	fs.Sideband(name)
 	f, err := fs.Open(name)
 	if err != nil {
-		return 0, nil, nil, err
+		return 0, nil, nil, fmt.Errorf("fracture: open %q: %w", store, err)
 	}
 	data := make([]byte, f.Size())
 	if len(data) > 0 {

@@ -245,9 +245,9 @@ func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
 // flush's fracture, with its generation, claimed at snapshot time,
 // older than any fracture flushed during the build.
 //
-// On a durable store the manifest rename is the commit point: the new
-// partition's files are fsynced and the manifest rewritten *before* the
-// in-memory swap, so a failure (or crash) before the rename changes
+// The manifest rename is the commit point: the new partition's files
+// (fsynced first on a durable store) are named in the manifest *before*
+// the in-memory swap, so a failure (or crash) before the rename changes
 // nothing — the new files are removed (or swept as orphans on the next
 // open) and the old generation remains authoritative.
 func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error) {
@@ -294,11 +294,9 @@ func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error)
 		main, mainGen = merged, snap.newGen
 	}
 	fractures = append(fractures, s.fractures[len(snap.folded):]...)
-	if s.opts.Durable {
-		if err := writeManifest(s.fs, s.name, mainGen, main, fractures); err != nil {
-			s.mu.Unlock()
-			return abort(err)
-		}
+	if err := writeManifest(s.fs, s.name, mainGen, main, fractures); err != nil {
+		s.mu.Unlock()
+		return abort(err)
 	}
 	oldMain, oldMainRef := s.main, s.mainRef
 	if nf == nil {

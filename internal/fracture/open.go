@@ -3,37 +3,27 @@ package fracture
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
-	"strconv"
-	"strings"
 
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
 )
 
-// Open loads an existing fractured UPI from its files. A durable store
-// (one with a manifest) is opened from its manifest — the authoritative
-// partition catalog — with debris of any crashed flush or merge swept
-// away, and its write-ahead log replayed to reconstruct the RAM insert
-// buffer and pending delete set: every acknowledged write survives.
+// Open loads an existing fractured UPI from its files. The manifest is
+// the authoritative partition catalog: partition files it does not name
+// are debris of a crashed flush or merge and are swept away. Every
+// partition it names is opened with the cutoff and pointer cap it was
+// built with; opts.UPI's values apply to future flushes and to the next
+// merge, which rebuilds the main UPI with them (the retuning of Section
+// 4.2). Only a manifest older than that recording opens its partitions
+// with opts.UPI.
 //
-// A store without a manifest is opened the legacy way, by scanning
-// file names for the newest main generation and every fracture in
-// flush order; its RAM buffer is empty after opening (unflushed
-// changes of a non-durable store are lost by design).
-//
-// Opening a durable store with opts.Durable unset downgrades it: the
-// WAL is replayed one last time, then the WAL and manifest are removed
-// so they cannot go stale beside future unlogged writes.
-//
-// Every partition the manifest describes is opened with the cutoff and
-// pointer cap it was built with; opts.UPI's values apply to future
-// flushes and to the next merge, which rebuilds the main UPI with them
-// (the retuning of Section 4.2). Nothing but the manifest records them:
-// a non-durable store, or a manifest older than the recording, opens
-// every partition with opts.UPI, so the caller must pass the values
-// they were built with or queries below the true cutoff miss rows.
+// A durable store's write-ahead log is replayed to reconstruct the RAM
+// insert buffer and pending delete set: every acknowledged write
+// survives. A non-durable store has no log, so its unflushed changes
+// are lost by design. Opening a durable store with opts.Durable unset
+// downgrades it: the WAL is replayed one last time, then removed so it
+// cannot go stale beside future unlogged writes; the manifest stays.
 func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*Store, error) {
 	opts.UPI = opts.UPI.WithDefaults()
 	s := newShell(fs, name, attr, secAttrs, opts)
@@ -42,24 +32,8 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 	if err != nil {
 		return nil, err
 	}
-	fromManifest := built != nil
-	optsOf := func(gen int) upi.Options { // caller's, unless the manifest knows better
-		if o, ok := built[gen]; ok {
-			return o
-		}
-		return opts.UPI
-	}
-	if fromManifest {
-		// Partition files the manifest does not name are debris of a
-		// crashed flush or merge; the WAL (replayed below) holds
-		// anything acknowledged that they contained.
-		removeOrphans(fs, name, mainGen, fracGens)
-	} else {
-		if mainGen, fracGens, err = scanPartitions(fs, name); err != nil {
-			return nil, err
-		}
-	}
-	main, err := upi.Open(fs, s.mainName(mainGen), attr, secAttrs, optsOf(mainGen))
+	removeOrphans(fs, name, mainGen, fracGens)
+	main, err := upi.Open(fs, s.mainName(mainGen), attr, secAttrs, built[mainGen])
 	if err != nil {
 		return nil, err
 	}
@@ -67,7 +41,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 	s.mainGen = mainGen
 	s.gen = mainGen
 	for _, g := range fracGens {
-		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, optsOf(g))
+		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, built[g])
 		if err != nil {
 			return nil, err
 		}
@@ -78,16 +52,16 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 		s.fractures = append(s.fractures, &fract{gen: g, table: tab, deleted: deleted, ref: newPartRef(fs)})
 		s.gen = max(s.gen, g)
 	}
-	if err := s.recoverWAL(fromManifest); err != nil {
+	if err := s.recoverWAL(); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
 // recoverWAL replays an existing WAL into the freshly opened store and
-// arranges the durability mode the caller asked for: durable stores
-// keep (or gain) a live WAL and manifest, non-durable ones shed both.
-func (s *Store) recoverWAL(hadManifest bool) error {
+// arranges the durability mode the caller asked for: a durable store
+// keeps (or gains) a live WAL, a non-durable one sheds it.
+func (s *Store) recoverWAL() error {
 	if s.fs.Exists(walName(s.name)) {
 		w, err := openWAL(s.fs, s.name, s.opts.Metrics, func(recType byte, payload []byte) error {
 			switch recType {
@@ -110,61 +84,21 @@ func (s *Store) recoverWAL(hadManifest bool) error {
 		}
 		if s.opts.Durable {
 			s.wal = w
+			return nil
 		}
-	} else if s.opts.Durable {
-		w, err := createWAL(s.fs, s.name, s.opts.Metrics)
-		if err != nil {
-			return err
-		}
-		s.wal = w
+		// Downgrade: recovered operations now live only in RAM,
+		// matching non-durable semantics; a stale WAL must not linger.
+		return s.fs.Remove(walName(s.name))
 	}
-	if s.opts.Durable {
-		if !hadManifest {
-			// Upgrade: give a legacy store its manifest so the next
-			// open trusts the catalog, not the file scan.
-			return writeManifest(s.fs, s.name, s.mainGen, s.main, s.fractures)
-		}
+	if !s.opts.Durable {
 		return nil
 	}
-	// Downgrade: recovered operations now live only in RAM, matching
-	// non-durable semantics; stale durability files must not linger.
-	for _, f := range []string{walName(s.name), manifestName(s.name)} {
-		if s.fs.Exists(f) {
-			if err := s.fs.Remove(f); err != nil {
-				return err
-			}
-		}
+	w, err := createWAL(s.fs, s.name, s.opts.Metrics)
+	if err != nil {
+		return err
 	}
+	s.wal = w
 	return nil
-}
-
-// scanPartitions finds the newest main generation and the fracture
-// generations (sorted ascending = flush order) from the file listing.
-func scanPartitions(fs *storage.FS, name string) (mainGen int, fracGens []int, err error) {
-	mainGen = -1
-	for _, f := range fs.List() {
-		rest, ok := strings.CutPrefix(f, name+".")
-		if !ok {
-			continue
-		}
-		switch {
-		case strings.HasPrefix(rest, "main") && strings.HasSuffix(rest, ".upi.heap"):
-			n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(rest, "main"), ".upi.heap"))
-			if err == nil && n > mainGen {
-				mainGen = n
-			}
-		case strings.HasPrefix(rest, "frac") && strings.HasSuffix(rest, ".upi.heap"):
-			n, err := strconv.Atoi(strings.TrimSuffix(strings.TrimPrefix(rest, "frac"), ".upi.heap"))
-			if err == nil {
-				fracGens = append(fracGens, n)
-			}
-		}
-	}
-	if mainGen < 0 {
-		return 0, nil, fmt.Errorf("fracture: no main partition found for %q", name)
-	}
-	sort.Ints(fracGens)
-	return mainGen, fracGens, nil
 }
 
 // readDelSet loads one delete-set file written by writeDelSet.

@@ -12,7 +12,6 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"slices"
 
 	"upidb/internal/storage"
 )
@@ -244,29 +243,6 @@ func (v View) Scan(fn func(id RowID, rec []byte) bool) error {
 			if live && !fn(RowID{Page: pg, Slot: uint16(s)}, rec) {
 				return nil
 			}
-		}
-	}
-	return nil
-}
-
-// FetchSorted retrieves the records for the given RowIDs, visiting
-// pages in physical order (the paper: "we always sort pointers in heap
-// order before accessing heap files similarly to PostgreSQL's bitmap
-// index scan"). The callback receives rows in heap order, not in the
-// order ids were supplied. Deleted rows are skipped.
-func (h *Heap) FetchSorted(ids []RowID, fn func(id RowID, rec []byte) bool) error {
-	sorted := slices.Clone(ids)
-	slices.SortFunc(sorted, RowID.Compare)
-	for _, id := range sorted {
-		rec, ok, err := h.Get(id)
-		if err != nil {
-			return err
-		}
-		if !ok {
-			continue
-		}
-		if !fn(id, rec) {
-			return nil
 		}
 	}
 	return nil

@@ -120,34 +120,6 @@ func TestScan(t *testing.T) {
 	}
 }
 
-func TestFetchSortedVisitsHeapOrder(t *testing.T) {
-	h, _, _ := newTestHeap(t, 256)
-	var ids []RowID
-	for i := 0; i < 100; i++ {
-		id, _ := h.Append(rec(i))
-		ids = append(ids, id)
-	}
-	// Request in shuffled order; expect heap order back.
-	shuffled := append([]RowID(nil), ids...)
-	rand.New(rand.NewSource(5)).Shuffle(len(shuffled), func(i, j int) {
-		shuffled[i], shuffled[j] = shuffled[j], shuffled[i]
-	})
-	var prev *RowID
-	n := 0
-	err := h.FetchSorted(shuffled, func(id RowID, _ []byte) bool {
-		if prev != nil && !prev.Less(id) {
-			t.Fatalf("fetch out of heap order: %v then %v", *prev, id)
-		}
-		p := id
-		prev = &p
-		n++
-		return true
-	})
-	if err != nil || n != 100 {
-		t.Fatalf("fetch: %v, n=%d", err, n)
-	}
-}
-
 func TestAppendIsSequentialDeleteIsNot(t *testing.T) {
 	h, disk, p := newTestHeap(t, 256)
 	p.SetCacheLimit(4)
@@ -247,10 +219,7 @@ func TestCorruptSlotFails(t *testing.T) {
 		"Get":    func() error { _, _, err := h.Get(victim); return err },
 		"Delete": func() error { _, err := h.Delete(victim); return err },
 		"Scan":   func() error { return h.Scan(func(RowID, []byte) bool { return true }) },
-		"FetchSorted": func() error {
-			return h.FetchSorted(ids, func(RowID, []byte) bool { return true })
-		},
-		"Open": func() error { _, err := Open(p); return err },
+		"Open":   func() error { _, err := Open(p); return err },
 	}
 	want := fmt.Sprintf("heapfile: slot %d on page %d out of bounds", victim.Slot, victim.Page)
 	for _, c := range []struct {

@@ -169,13 +169,6 @@ func (h *Histogram) DistinctValues() int {
 	return len(h.perValue)
 }
 
-// AvgEntryBytes returns the mean encoded payload size per entry.
-func (h *Histogram) AvgEntryBytes() float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.avgEntryBytesLocked()
-}
-
 func (h *Histogram) avgEntryBytesLocked() float64 {
 	if h.totalEntries == 0 {
 		return 0

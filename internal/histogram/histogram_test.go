@@ -162,7 +162,7 @@ func TestEstimateTableBytesMonotone(t *testing.T) {
 	}
 	// Size at C=0 should count all entries.
 	all := h.EstimateTableBytes(0)
-	if math.Abs(all-float64(h.TotalEntries())*h.AvgEntryBytes()) > 1 {
+	if math.Abs(all-float64(h.totalBytes)) > 1 {
 		t.Fatalf("C=0 size mismatch: %v", all)
 	}
 }
@@ -177,8 +177,8 @@ func histogramsAgree(t *testing.T, a, b *Histogram, values []string) {
 			a.TotalEntries(), b.TotalEntries(), a.TotalTuples(), b.TotalTuples(),
 			a.DistinctValues(), b.DistinctValues())
 	}
-	if math.Abs(a.AvgEntryBytes()-b.AvgEntryBytes()) > 1e-9 {
-		t.Fatalf("avg entry bytes diverged: %v vs %v", a.AvgEntryBytes(), b.AvgEntryBytes())
+	if a.totalBytes != b.totalBytes {
+		t.Fatalf("entry bytes diverged: %d vs %d", a.totalBytes, b.totalBytes)
 	}
 	for _, v := range values {
 		for _, qt := range []float64{0, 0.1, 0.3, 0.5, 0.8} {

@@ -130,20 +130,6 @@ func floatFromBits(u uint64) float64 {
 	return math.Float64frombits(^u)
 }
 
-// AppendFloat64 appends the ascending encoding of f (8 bytes).
-func AppendFloat64(dst []byte, f float64) []byte {
-	return AppendUint64(dst, floatBits(f))
-}
-
-// DecodeFloat64 decodes an ascending float64 from the front of b.
-func DecodeFloat64(b []byte) (float64, []byte, error) {
-	u, rest, err := DecodeUint64(b)
-	if err != nil {
-		return 0, nil, err
-	}
-	return floatFromBits(u), rest, nil
-}
-
 // AppendFloat64Desc appends the DESCENDING encoding of f: larger
 // floats sort earlier. UPI keys use this for the probability component
 // so that within one attribute value, high-probability duplicates come

@@ -112,16 +112,12 @@ func TestFloat64RoundTrip(t *testing.T) {
 	cases := []float64{0, -0.0, 1, -1, 0.5, 0.05, 0.95, math.Inf(1), math.Inf(-1),
 		math.MaxFloat64, -math.MaxFloat64, math.SmallestNonzeroFloat64}
 	for _, f := range cases {
-		got, rest, err := DecodeFloat64(AppendFloat64(nil, f))
+		got, rest, err := DecodeFloat64Desc(AppendFloat64Desc(nil, f))
 		if err != nil || len(rest) != 0 {
 			t.Fatalf("%v: %v", f, err)
 		}
 		if got != f && !(f == 0 && got == 0) { // -0.0 == 0.0 is fine
 			t.Fatalf("%v round-tripped to %v", f, got)
-		}
-		gotD, _, err := DecodeFloat64Desc(AppendFloat64Desc(nil, f))
-		if err != nil || (gotD != f && !(f == 0 && gotD == 0)) {
-			t.Fatalf("desc %v round-tripped to %v (%v)", f, gotD, err)
 		}
 	}
 }
@@ -131,7 +127,6 @@ func TestFloat64Order(t *testing.T) {
 		if math.IsNaN(a) || math.IsNaN(b) {
 			return true
 		}
-		asc := bytes.Compare(AppendFloat64(nil, a), AppendFloat64(nil, b))
 		desc := bytes.Compare(AppendFloat64Desc(nil, a), AppendFloat64Desc(nil, b))
 		want := 0
 		if a < b {
@@ -142,7 +137,7 @@ func TestFloat64Order(t *testing.T) {
 		if a == b { // covers -0.0 vs 0.0: equal floats may encode differently
 			return true
 		}
-		return sign(asc) == want && sign(desc) == -want
+		return sign(desc) == -want
 	}, &quick.Config{MaxCount: 2000})
 	if err != nil {
 		t.Fatal(err)
@@ -214,7 +209,7 @@ func TestDecodeErrors(t *testing.T) {
 	if _, _, err := DecodeString([]byte{0x00, 0x7F}); err == nil {
 		t.Fatal("bad escape should fail")
 	}
-	if _, _, err := DecodeFloat64([]byte{1}); err == nil {
+	if _, _, err := DecodeFloat64Desc([]byte{1}); err == nil {
 		t.Fatal("short float should fail")
 	}
 }

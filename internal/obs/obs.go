@@ -345,26 +345,6 @@ func (v *CounterVec) With(values ...string) *Counter {
 	return v.f.get(key, func() any { return &Counter{} }).(*Counter)
 }
 
-// GaugeVec is a gauge family with labels.
-type GaugeVec struct{ f *family }
-
-// GaugeVec returns the labeled gauge family.
-func (r *Registry) GaugeVec(name, help string, labels ...string) *GaugeVec {
-	if r == nil {
-		return nil
-	}
-	return &GaugeVec{f: r.family(name, help, typeGauge, labels, nil)}
-}
-
-// With returns the gauge for the given label values.
-func (v *GaugeVec) With(values ...string) *Gauge {
-	if v == nil {
-		return nil
-	}
-	key := v.f.labelKey(values)
-	return v.f.get(key, func() any { return &Gauge{} }).(*Gauge)
-}
-
 // HistogramVec is a histogram family with labels.
 type HistogramVec struct{ f *family }
 

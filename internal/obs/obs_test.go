@@ -55,7 +55,6 @@ func TestNilMetricsAreNoOps(t *testing.T) {
 	r.GaugeFunc("f", "", func() float64 { return 1 })
 	r.CounterFunc("cf", "", func() int64 { return 1 })
 	r.CounterVec("cv", "", "a").With("1").Inc()
-	r.GaugeVec("gv", "", "a").With("1").Set(1)
 	r.HistogramVec("hv", "", WallBuckets, "a").With("1").Observe(1)
 	r.GaugeFuncVec("fv", "", "a").Register(func() float64 { return 1 }, "1")
 	if err := r.WritePrometheus(&strings.Builder{}); err != nil {

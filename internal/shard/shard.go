@@ -1,7 +1,7 @@
 // Package shard hash-partitions one logical uncertain table across N
 // independent fracture.Stores — the shard-per-core architecture. Each
 // shard owns a full vertical slice of the engine: its own RAM insert
-// buffer, fracture set, merge pipeline and WAL+manifest (when durable),
+// buffer, fracture set, merge pipeline, manifest and WAL (when durable),
 // so shards share no locks and scale writes and merges with cores.
 //
 // Tuples are routed by a fixed hash of the primary ID: Insert and

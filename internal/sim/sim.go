@@ -167,15 +167,6 @@ func (d *Disk) Elapsed() time.Duration {
 	return d.stats.Elapsed
 }
 
-// ResetStats zeroes the counters but keeps the head position, so a
-// measurement window can be isolated without pretending the head
-// teleported.
-func (d *Disk) ResetStats() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.stats = Stats{}
-}
-
 // Span measures modeled disk activity between its creation and End.
 type Span struct {
 	d     *Disk

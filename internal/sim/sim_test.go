@@ -77,17 +77,6 @@ func TestSpan(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsHead(t *testing.T) {
-	d := NewDisk(DefaultParams())
-	d.Read("f", 0, 100)
-	d.ResetStats()
-	d.Read("f", 100, 100) // still contiguous with pre-reset head
-	st := d.Stats()
-	if st.Seeks != 0 || st.SequentialIO != 1 {
-		t.Fatalf("head position lost across ResetStats: %+v", st)
-	}
-}
-
 func TestZeroByteAccess(t *testing.T) {
 	d := NewDisk(DefaultParams())
 	d.Read("f", 0, 0)

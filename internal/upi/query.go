@@ -353,9 +353,9 @@ func SortResults(rs []Result) {
 
 // ScanHeap visits every heap entry in key order, reading the heap
 // front to back with a scanReadAhead window. Used by the rebuild path
-// of a fracture merge (and ScanCursor).
-//
-//lint:noctx callers thread cancellation through fn — fracture merging and ScanCursor check ctx in their callbacks
+// of a fracture merge (and ScanCursor). It takes no context: callers
+// thread cancellation through fn, and fracture merging and ScanCursor
+// check theirs in their callbacks.
 func (t *Table) ScanHeap(fn func(id uint64, enc []byte) bool) error {
 	var scanErr error
 	err := t.heap.View(t.rec, scanReadAhead).Scan(nil, nil, func(k, v []byte) bool {

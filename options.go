@@ -82,7 +82,7 @@ func (c *config) setErr(err error) {
 
 // WithDiskBackend stores every byte in real files under path, with
 // real fsync — the one-option durability switch. Tables default to
-// Durable (WAL + manifest crash recovery); combine with
+// Durable (WAL crash recovery); combine with
 // WithDurability(false) to run on disk without the WAL.
 func WithDiskBackend(path string) Option {
 	return func(c *config) {
@@ -136,8 +136,10 @@ func WithDiskParams(p sim.Params) Option {
 
 // WithDurability overrides the backend's durability default (disk:
 // on, memory: off). Durable tables WAL-log every Insert/Delete before
-// acknowledging it, commit flushes and merges through an atomically
-// renamed manifest, and recover all acknowledged writes on OpenTable.
+// acknowledging it, fsync each flush and merge before the manifest
+// commits it, and recover all acknowledged writes on OpenTable. A
+// non-durable table reopens with what it had flushed, each partition
+// with the cutoff it was built with.
 func WithDurability(on bool) Option {
 	return func(c *config) {
 		if !c.tableScoped("WithDurability") {
@@ -183,8 +185,8 @@ func WithBufferTuples(n int) Option {
 
 // WithShards hash-partitions each table the option reaches across n
 // independent stores, shard-per-core style: every shard owns its own
-// RAM buffer, fracture set, merge pipeline and — when durable — WAL and
-// manifest, so mutations and merges scale with
+// RAM buffer, fracture set, merge pipeline, manifest and — when
+// durable — WAL, so mutations and merges scale with
 // cores while a query merges every shard's partitions into one globally
 // confidence-ordered stream. At database scope it sets the default
 // every table inherits; at table scope it overrides that default for

@@ -279,10 +279,12 @@ func (db *DB) BulkLoadTable(name, primaryAttr string, secAttrs []string, tuples 
 }
 
 // OpenTable reloads a table previously created on this DB's storage.
-// On a durable table every acknowledged write survives: each shard's
-// manifest names its authoritative partitions and its write-ahead log
-// replays the RAM insert buffer and pending deletes. On a non-durable
-// table only flushed state survives. The persisted shard count is
+// Each shard's manifest names its authoritative partitions, and each
+// partition reopens with the cutoff and pointer cap it was built with;
+// WithCutoff and WithMaxPointers apply to future flushes and the next
+// merge. On a durable table every acknowledged write survives:
+// each shard's write-ahead log replays the RAM insert buffer and
+// pending deletes. On a non-durable table only flushed state survives. The persisted shard count is
 // authoritative: omitting WithShards accepts
 // whatever the table was created with, and a contradictory explicit
 // count is an error.
