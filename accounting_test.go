@@ -1,6 +1,6 @@
 package upidb
 
-// Per-query accounting tests: a query's WithStats figure is its own I/O
+// Per-query accounting tests: a query's modeled time is its own I/O
 // and nothing else, however other queries and merges overlap it, and
 // every file the engine leaves behind is either charged (a partition)
 // or a sideband durability file charged to nobody.
@@ -56,7 +56,7 @@ func pull(t *testing.T, tab *Table, q Query) (step func() bool, res *Results, st
 func TestStatsExactAcrossMerge(t *testing.T) {
 	db := mustCreate(t)
 	tab := fracturedTable(t, db, 1)
-	q := PTQ("", "v01", 0).WithStats()
+	q := PTQ("", "v01", 0)
 	serial := coldModeled(t, tab, q)
 	if err := tab.DropCaches(); err != nil {
 		t.Fatal(err)
@@ -93,7 +93,7 @@ func TestStatsExactAcrossMerge(t *testing.T) {
 func TestStatsExactForOverlappingQueries(t *testing.T) {
 	db := mustCreate(t)
 	tab := fracturedTable(t, db, 1)
-	q1, q3 := PTQ("", "v01", 0).WithStats(), PTQ("", "v03", 0).WithStats()
+	q1, q3 := PTQ("", "v01", 0), PTQ("", "v03", 0)
 	serial3 := coldModeled(t, tab, q3)
 	if err := tab.DropCaches(); err != nil {
 		t.Fatal(err)

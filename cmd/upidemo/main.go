@@ -74,7 +74,7 @@ func main() {
 	fmt.Println("\nQuery 1: SELECT * FROM Author WHERE Institution=MIT")
 	for _, qt := range []float64{0.1, 0.5, 0.96} {
 		must(authors.DropCaches())
-		res, err := authors.Run(ctx, upidb.PTQ("", "MIT", qt).WithStats())
+		res, err := authors.Run(ctx, upidb.PTQ("", "MIT", qt))
 		must(err)
 		rs := res.Collect()
 		fmt.Printf("  QT=%.2f -> %d rows  [%s]\n", qt, len(rs), res.Info())

@@ -264,9 +264,6 @@ func TestFacadeCreateOpenContract(t *testing.T) {
 	if _, err := mdb.CreateTable("t", "X", nil, WithDiskBackend(t.TempDir())); err == nil {
 		t.Fatal("database-level option accepted at table scope")
 	}
-	if _, err := mdb.CreateTable("t", "X", nil, WithDiskParams(DiskParams())); err == nil {
-		t.Fatal("WithDiskParams accepted at table scope")
-	}
 	// Table-scope durability override works: a durable table over the
 	// in-memory backend (non-durable default) gains a WAL.
 	tab, err := mdb.CreateTable("d", "X", nil, WithDurability(true))

@@ -69,7 +69,7 @@ func ExampleTable_Run() {
 			{Name: "Institution", Dist: d},
 		}})
 	}
-	q := upidb.TopKQuery("MIT", 2).WithStats()
+	q := upidb.TopKQuery("MIT", 2)
 	res, _ := authors.Run(context.Background(), q)
 	for _, r := range res.Collect() {
 		fmt.Printf("tuple %d: %.1f\n", r.Tuple.ID, r.Confidence)

@@ -38,7 +38,7 @@ func main() {
 	if err := cars.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := cars.Run(ctx, q4.WithStats())
+	res, err := cars.Run(ctx, q4)
 	if err != nil {
 		log.Fatal(err)
 	}

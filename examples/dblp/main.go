@@ -45,7 +45,7 @@ func main() {
 	if err := authors.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	res, err := authors.Run(ctx, upidb.PTQ("", dataset.MITInstitution, 0.3).WithStats())
+	res, err := authors.Run(ctx, upidb.PTQ("", dataset.MITInstitution, 0.3))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func main() {
 	if err := pubs.DropCaches(); err != nil {
 		log.Fatal(err)
 	}
-	res, err = pubs.Run(ctx, upidb.PTQ("", dataset.MITInstitution, 0.3).WithStats())
+	res, err = pubs.Run(ctx, upidb.PTQ("", dataset.MITInstitution, 0.3))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -2,9 +2,9 @@ package bench
 
 import (
 	"context"
+
 	"upidb/internal/cupi"
 	"upidb/internal/prob"
-	"upidb/internal/utree"
 )
 
 // fig7QueryPoint places the paper's Query 4 center away from downtown
@@ -31,7 +31,7 @@ func Fig7Query4(ctx context.Context, e *Env) (*Experiment, error) {
 		return nil, err
 	}
 	utDisk, utFS := newDisk()
-	ut, err := utree.BulkBuild(utFS, "car", c.Observations, utree.Options{})
+	ut, err := cupi.BulkBuild(utFS, "car", c.Observations, cupi.Options{Unclustered: true})
 	if err != nil {
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func Fig7Query4(ctx context.Context, e *Env) (*Experiment, error) {
 			return nil, err
 		}
 		utDur, err := coldRun(utDisk, ut.DropCaches, func() error {
-			_, _, qerr := ut.QueryCircle(q, radius, 0.5)
+			_, _, qerr := ut.QueryCircle(ctx, q, radius, 0.5)
 			return qerr
 		})
 		if err != nil {
@@ -78,7 +78,7 @@ func Fig8Query5(ctx context.Context, e *Env) (*Experiment, error) {
 		return nil, err
 	}
 	utDisk, utFS := newDisk()
-	ut, err := utree.BulkBuild(utFS, "car", c.Observations, utree.Options{})
+	ut, err := cupi.BulkBuild(utFS, "car", c.Observations, cupi.Options{Unclustered: true})
 	if err != nil {
 		return nil, err
 	}
@@ -109,7 +109,7 @@ func Fig8Query5(ctx context.Context, e *Env) (*Experiment, error) {
 			return nil, err
 		}
 		utDur, err := coldRun(utDisk, ut.DropCaches, func() error {
-			_, qerr := ut.QuerySegment(seg, qt)
+			_, _, qerr := ut.QuerySegment(ctx, seg, qt)
 			return qerr
 		})
 		if err != nil {

@@ -1,18 +1,28 @@
 // Package cupi implements the Continuous UPI of paper Section 5: a
 // primary index for uncertain 2-D attributes built on top of a U-Tree.
 //
-// The R-Tree (small 4 KiB node pages) indexes uncertainty-region MBRs
-// with embedded PCRs; a separate heap file with large 64 KiB pages
-// stores the observations clustered by the hierarchical location of
-// their R-Tree leaf: the heap is written in DFS leaf order, so tuples
-// of one leaf share a heap page and neighboring leaves occupy
-// neighboring pages ("which achieves sequential access similar to a
-// primary index as long as the R-Tree nodes are clustered well").
+// The U-Tree (Tao et al., VLDB 2005) is the page-based R-Tree (small
+// 4 KiB node pages) over uncertainty-region MBRs, each leaf entry
+// fattened with precomputed probabilistically-constrained region (PCR)
+// radii. At query time the PCRs accept or reject most candidates
+// without touching the object; only undecided candidates are fetched
+// and integrated exactly.
+//
+// The objects live in a heap file in one of two layouts:
+//
+//   - Clustered (the default, the continuous UPI): 64 KiB pages written
+//     in DFS leaf order, so tuples of one leaf share a heap page and
+//     neighboring leaves occupy neighboring pages ("which achieves
+//     sequential access similar to a primary index as long as the
+//     R-Tree nodes are clustered well").
+//   - Unclustered (Options.Unclustered, the paper's secondary U-Tree
+//     baseline of Figures 7 and 8): 8 KiB pages appended in arrival
+//     order, so every fetch is a random access.
 //
 // A secondary index on the uncertain road-segment attribute points
-// into this clustered heap; because segment and location are
-// correlated, its pointer targets cluster into few heap pages, which
-// is the effect Figure 8 measures.
+// into the heap; in the clustered layout, because segment and location
+// are correlated, its pointer targets cluster into few heap pages,
+// which is the effect Figure 8 measures.
 //
 // # Concurrency
 //
@@ -44,6 +54,7 @@
 package cupi
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
@@ -58,36 +69,28 @@ import (
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
-	"upidb/internal/utree"
 )
 
-// Options configure a continuous UPI.
+// Options configure a U-Tree table.
 type Options struct {
-	// NodePageSize is the R-Tree node page size (default 4 KiB,
-	// paper Figure 2).
-	NodePageSize int
-	// HeapPageSize is the clustered heap page size (default 64 KiB,
-	// paper Figure 2).
-	HeapPageSize int
-	CachePages   int
+	// Unclustered appends the heap in arrival order on 8 KiB pages (the
+	// secondary U-Tree baseline) instead of writing it in DFS leaf
+	// order on 64 KiB pages (the continuous UPI).
+	Unclustered bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.NodePageSize == 0 {
-		o.NodePageSize = storage.RTreePageSize
+// heapPageSize is the heap file's page size in the configured layout
+// (paper Figure 2 for the clustered one).
+func (o Options) heapPageSize() int {
+	if o.Unclustered {
+		return storage.DefaultPageSize
 	}
-	if o.HeapPageSize == 0 {
-		o.HeapPageSize = storage.HeapPageSize
-	}
-	if o.CachePages == 0 {
-		o.CachePages = storage.DefaultCachePages
-	}
-	return o
+	return storage.HeapPageSize
 }
 
-// Table is a continuous UPI with a secondary index on the uncertain
-// segment attribute. Safe for concurrent use (see the package comment
-// for the locking discipline).
+// Table is a U-Tree with a secondary index on the uncertain segment
+// attribute, over a clustered or unclustered heap. Safe for concurrent
+// use (see the package comment for the locking discipline).
 type Table struct {
 	*table
 	// rec receives the I/O charges of this handle's reads; nil charges
@@ -99,7 +102,6 @@ type Table struct {
 type table struct {
 	fs   *storage.FS
 	name string
-	opts Options
 
 	// mu guards everything below: the trees and the heap are mutated
 	// in place by Insert, so queries hold the read lock for their whole
@@ -117,17 +119,36 @@ type table struct {
 }
 
 // Result is one query answer.
-type Result = utree.Result
+type Result struct {
+	Obs *tuple.Observation
+	// Confidence is the appearance probability within the query region.
+	Confidence float64
+}
 
-// Stats aliases the U-Tree query statistics.
-type Stats = utree.Stats
+// Stats describes the work one query did.
+type Stats struct {
+	Candidates   int // leaf entries whose MBR intersected the query
+	PCRAccepted  int
+	PCRRejected  int
+	Integrations int // exact integrations performed
+	Fetched      int // heap records fetched
+}
 
-// BulkBuild loads observations into a new continuous UPI: STR R-Tree
-// first, then the heap written in DFS leaf order, then the segment
-// index bulk-loaded.
+// SortResults orders results by confidence DESC, ID ASC.
+func SortResults(rs []Result) {
+	slices.SortFunc(rs, func(a, b Result) int {
+		if c := cmp.Compare(b.Confidence, a.Confidence); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.Obs.ID, b.Obs.ID)
+	})
+}
+
+// BulkBuild loads observations into a new table: the STR-loaded
+// R-Tree, the heap in the layout opts selects, then the segment index
+// bulk-loaded.
 func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Options) (*Table, error) {
-	opts = opts.withDefaults()
-	t := &Table{table: &table{fs: fs, name: name, opts: opts, rows: make(map[uint64]heapfile.RowID, len(obs))}}
+	t := &Table{table: &table{fs: fs, name: name, rows: make(map[uint64]heapfile.RowID, len(obs))}}
 
 	byID := make(map[uint64]*tuple.Observation, len(obs))
 	entries := make([]rtree.Entry, 0, len(obs))
@@ -139,14 +160,11 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 			return nil, fmt.Errorf("cupi: duplicate observation ID %d", o.ID)
 		}
 		byID[o.ID] = o
-		entries = append(entries, rtree.Entry{MBR: o.Loc.MBR(), Data: o.ID, Aux: utree.PCRAux(o.Loc)})
+		entries = append(entries, rtree.Entry{MBR: o.Loc.MBR(), Data: o.ID, Aux: pcrAux(o.Loc)})
 	}
 
-	np, err := storage.NewPager(fs.Create(name+".cupi.rtree"), opts.NodePageSize)
+	np, err := storage.NewPager(fs.Create(name+".cupi.rtree"), storage.RTreePageSize)
 	if err != nil {
-		return nil, err
-	}
-	if err := np.SetCacheLimit(opts.CachePages); err != nil {
 		return nil, err
 	}
 	if t.rt, err = rtree.Create(np); err != nil {
@@ -156,31 +174,33 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 		return nil, err
 	}
 
-	// Heap: append in DFS leaf order — the clustering step.
-	hp, err := storage.NewPager(fs.Create(name+".cupi.heap"), opts.HeapPageSize)
+	hp, err := storage.NewPager(fs.Create(name+".cupi.heap"), opts.heapPageSize())
 	if err != nil {
-		return nil, err
-	}
-	if err := hp.SetCacheLimit(opts.CachePages); err != nil {
 		return nil, err
 	}
 	if t.heap, err = heapfile.Create(hp); err != nil {
 		return nil, err
 	}
-	err = t.rt.Leaves(func(_ storage.PageID, es []rtree.Entry) bool {
-		for _, e := range es {
-			o := byID[e.Data]
-			rid, aerr := t.heap.Append(tuple.EncodeObservation(o))
-			if aerr != nil {
-				err = aerr
-				return false
+	// The heap order is the layout: arrival order, or DFS leaf order
+	// (the clustering step).
+	order := obs
+	if !opts.Unclustered {
+		order = make([]*tuple.Observation, 0, len(obs))
+		if err := t.rt.Leaves(func(_ storage.PageID, es []rtree.Entry) bool {
+			for _, e := range es {
+				order = append(order, byID[e.Data])
 			}
-			t.rows[o.ID] = rid
+			return true
+		}); err != nil {
+			return nil, err
 		}
-		return true
-	})
-	if err != nil {
-		return nil, err
+	}
+	for _, o := range order {
+		rid, err := t.heap.Append(tuple.EncodeObservation(o))
+		if err != nil {
+			return nil, err
+		}
+		t.rows[o.ID] = rid
 	}
 
 	// Segment secondary index: {segment, conf DESC, id} -> RowID.
@@ -202,15 +222,12 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 	if err != nil {
 		return nil, err
 	}
-	if err := sp.SetCacheLimit(opts.CachePages); err != nil {
-		return nil, err
-	}
 	sb, err := btree.NewBuilder(sp)
 	if err != nil {
 		return nil, err
 	}
 	for _, s := range segs {
-		if err := sb.Add(s.key, utree.EncodeRowID(s.rid)); err != nil {
+		if err := sb.Add(s.key, encodeRowID(s.rid)); err != nil {
 			return nil, err
 		}
 	}
@@ -221,6 +238,25 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 		return nil, err
 	}
 	return t, nil
+}
+
+// encodeRowID serializes a RowID as a segment-index value.
+func encodeRowID(rid heapfile.RowID) []byte {
+	v := keyenc.AppendUint64(nil, uint64(rid.Page))
+	return keyenc.AppendUint64(v, uint64(rid.Slot))
+}
+
+// decodeRowID parses a RowID produced by encodeRowID.
+func decodeRowID(v []byte) (heapfile.RowID, error) {
+	pg, rest, err := keyenc.DecodeUint64(v)
+	if err != nil {
+		return heapfile.RowID{}, err
+	}
+	slot, _, err := keyenc.DecodeUint64(rest)
+	if err != nil {
+		return heapfile.RowID{}, err
+	}
+	return heapfile.RowID{Page: storage.PageID(pg), Slot: uint16(slot)}, nil
 }
 
 // failpoint fires the injected insert failure for one stage.
@@ -261,7 +297,7 @@ func (t *Table) Insert(o *tuple.Observation) error {
 	if err := t.failpoint("heap"); err != nil {
 		return err
 	}
-	if err := t.rt.Insert(rtree.Entry{MBR: o.Loc.MBR(), Data: o.ID, Aux: utree.PCRAux(o.Loc)}); err != nil {
+	if err := t.rt.Insert(rtree.Entry{MBR: o.Loc.MBR(), Data: o.ID, Aux: pcrAux(o.Loc)}); err != nil {
 		return err
 	}
 	if err := t.failpoint("rtree"); err != nil {
@@ -270,7 +306,7 @@ func (t *Table) Insert(o *tuple.Observation) error {
 	for i, a := range o.Segment {
 		err := t.failpoint(fmt.Sprintf("seg:%d", i))
 		if err == nil {
-			_, err = t.segIdx.Put(upi.HeapKey(a.Value, a.Prob, o.ID), utree.EncodeRowID(rid))
+			_, err = t.segIdx.Put(upi.HeapKey(a.Value, a.Prob, o.ID), encodeRowID(rid))
 		}
 		if err != nil {
 			// Unwind the entries already written so the index never
@@ -325,11 +361,8 @@ func (t *Table) View(rec storage.Recorder) *Table {
 // direct traversals are not synchronized with concurrent inserts.
 func (t *Table) RTree() *rtree.Tree { return t.rt }
 
-// Heap exposes the clustered heap file (same caveat as RTree).
+// Heap exposes the heap file (same caveat as RTree).
 func (t *Table) Heap() *heapfile.Heap { return t.heap }
-
-// SegmentIndex exposes the secondary index tree (same caveat as RTree).
-func (t *Table) SegmentIndex() *btree.Tree { return t.segIdx }
 
 // Name returns the table name files are derived from.
 func (t *Table) Name() string { return t.name }
@@ -390,12 +423,12 @@ type circleCand struct {
 func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, threshold float64, seen map[uint64]bool, stats *Stats, cands []circleCand) []circleCand {
 	for _, e := range es {
 		stats.Candidates++
-		decision := utree.CheckPCR(e.MBR.Center(), e.Aux, q, radius, threshold)
-		if decision == utree.PCRReject {
+		decision := checkPCR(e.MBR.Center(), e.Aux, q, radius, threshold)
+		if decision == pcrReject {
 			stats.PCRRejected++
 			continue
 		}
-		if decision == utree.PCRAccept {
+		if decision == pcrAccept {
 			stats.PCRAccepted++
 		}
 		rid, ok := t.rows[e.Data]
@@ -403,7 +436,7 @@ func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, thr
 			continue
 		}
 		seen[e.Data] = true
-		cands = append(cands, circleCand{rid: rid, mbr: e.MBR, accepted: decision == utree.PCRAccept})
+		cands = append(cands, circleCand{rid: rid, mbr: e.MBR, accepted: decision == pcrAccept})
 	}
 	return cands
 }
@@ -465,11 +498,11 @@ func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64
 	return Result{Obs: view.Build(), Confidence: conf}, true, nil
 }
 
-// QueryCircle answers the paper's Query 4 on the continuous UPI:
-// observations within radius of q with appearance probability >=
-// threshold. Traversal groups candidates by R-Tree leaf; because the
-// heap is clustered in leaf order, the fetch phase reads a compact,
-// mostly sequential run of heap pages. The context is checked between
+// QueryCircle answers the paper's Query 4: observations within radius
+// of q with appearance probability >= threshold. All candidates are
+// fetched in one RowID-ordered sweep: on the clustered heap that is a
+// compact, mostly sequential run of pages; on the unclustered heap it
+// is the baseline's bitmap-scan fetch. The context is checked between
 // R-Tree leaves and between heap fetches; a cancelled query returns
 // upi.ErrCanceled. Results are sorted by confidence DESC, ID ASC.
 func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold float64) ([]Result, Stats, error) {
@@ -502,7 +535,7 @@ func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold
 			results = append(results, r)
 		}
 	}
-	utree.SortResults(results)
+	SortResults(results)
 	return results, stats, nil
 }
 
@@ -535,7 +568,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 		if conf < qt {
 			return false
 		}
-		rid, err := utree.DecodeRowID(v)
+		rid, err := decodeRowID(v)
 		if err != nil {
 			scanErr = err
 			return false
@@ -584,7 +617,7 @@ func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Sta
 		stats.Fetched++
 		results = append(results, Result{Obs: o, Confidence: e.conf})
 	}
-	utree.SortResults(results)
+	SortResults(results)
 	return results, nil
 }
 

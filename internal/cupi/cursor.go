@@ -5,9 +5,10 @@ import (
 	"iter"
 
 	"upidb/internal/prob"
+	"upidb/internal/rtree"
+	"upidb/internal/storage"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
-	"upidb/internal/utree"
 )
 
 // Cursor is a pull-based result stream over the continuous UPI — the
@@ -91,12 +92,13 @@ func (c *Cursor) Close() {
 // reading it from the consuming goroutine is race-free.
 func (c *Cursor) Stats() Stats { return c.stats }
 
-// CircleCursor streams a circle query: the R-Tree traversal runs
-// lazily leaf by leaf (via rtree.LeafCursor), each leaf's candidates
-// are PCR-filtered and fetched from the clustered heap in RowID order,
-// and every qualifying observation is yielded immediately. Draining it
-// produces the same result set as QueryCircle, in refinement order
-// rather than confidence order (see Cursor).
+// CircleCursor streams a circle query: the R-Tree traversal yields
+// from inside SearchLeaves, so node pages are read leaf by leaf as the
+// pulls demand them; each leaf's candidates are PCR-filtered and
+// fetched from the heap in RowID order, and every qualifying
+// observation is yielded immediately. Draining it produces the same
+// result set as QueryCircle, in refinement order rather than
+// confidence order (see Cursor).
 func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshold float64) *Cursor {
 	queryMBR := queryRect(q, radius)
 	return newCursor(func(c *Cursor, yield func(Result) bool) error {
@@ -108,37 +110,35 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 		if err := t.checkOpenRLocked(); err != nil {
 			return err
 		}
-		lc := t.rt.View(t.rec, 1).LeafCursor(queryMBR)
-		defer lc.Close()
 		seen := make(map[uint64]bool)
-		for {
-			hit, ok, err := lc.Next()
-			if err != nil {
-				return err
-			}
-			if !ok {
-				return nil
-			}
-			if err := upi.CtxErr(ctx); err != nil {
-				return err
+		var leafErr error
+		err := t.rt.View(t.rec, 1).SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
+			if leafErr = upi.CtxErr(ctx); leafErr != nil {
+				return false
 			}
 			// PCR-filter this leaf's matches, then fetch its survivors
 			// in RowID order (contiguous for the bulk-loaded region).
-			cands := t.filterLeafCandidates(hit.Matches, q, radius, threshold, seen, &c.stats, nil)
+			cands := t.filterLeafCandidates(es, q, radius, threshold, seen, &c.stats, nil)
 			sortCands(cands)
 			for _, cand := range cands {
 				r, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats)
 				if err != nil {
-					return err
+					leafErr = err
+					return false
 				}
 				if ok && !yield(r) {
-					return nil
+					return false
 				}
-				if err := upi.CtxErr(ctx); err != nil {
-					return err
+				if leafErr = upi.CtxErr(ctx); leafErr != nil {
+					return false
 				}
 			}
+			return true
+		})
+		if err != nil {
+			return err
 		}
+		return leafErr
 	})
 }
 
@@ -175,7 +175,7 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 				return false
 			}
 			c.stats.Candidates++
-			rid, err := utree.DecodeRowID(v)
+			rid, err := decodeRowID(v)
 			if err != nil {
 				scanErr = err
 				return false

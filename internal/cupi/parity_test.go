@@ -16,7 +16,6 @@ import (
 
 	"upidb/internal/prob"
 	"upidb/internal/tuple"
-	"upidb/internal/utree"
 )
 
 func TestCircleRoutesMatchBruteForce(t *testing.T) {
@@ -235,6 +234,6 @@ func drainCursor(c *Cursor) ([]Result, Stats, error) {
 		}
 		out = append(out, r)
 	}
-	utree.SortResults(out)
+	SortResults(out)
 	return out, c.stats, nil
 }

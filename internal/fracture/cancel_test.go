@@ -130,7 +130,7 @@ func TestCancelDuringParallelScan(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	_, _, err := s.Run(ctx, Req{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true, Trace: trace})
+	_, _, err := s.Run(ctx, Req{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Trace: trace})
 	if !errors.Is(err, upi.ErrCanceled) {
 		t.Fatalf("want ErrCanceled, got %v", err)
 	}

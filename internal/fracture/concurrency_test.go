@@ -105,7 +105,7 @@ func TestParallelismInvariance(t *testing.T) {
 		{"ptq", func(s *Store) ([]upi.Result, Stats, error) { return s.Query(context.Background(), concValue(3), 0.1) }},
 		{"ptq-high", func(s *Store) ([]upi.Result, Stats, error) { return s.Query(context.Background(), concValue(5), 0.5) }},
 		{"secondary", func(s *Store) ([]upi.Result, Stats, error) {
-			return s.QuerySecondary(context.Background(), "Y", "y"+concValue(3), 0.1, true)
+			return s.QuerySecondary(context.Background(), "Y", "y"+concValue(3), 0.1)
 		}},
 		{"topk", func(s *Store) ([]upi.Result, Stats, error) { return s.TopK(context.Background(), concValue(2), 5) }},
 	}
@@ -200,7 +200,7 @@ func TestConcurrentQueriesAndMerges(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, _, err := s.QuerySecondary(context.Background(), "Y", "y"+concValue(rng.Intn(concValues)), 0.1, true); err != nil {
+					if _, _, err := s.QuerySecondary(context.Background(), "Y", "y"+concValue(rng.Intn(concValues)), 0.1); err != nil {
 						errs <- err
 						return
 					}

@@ -249,7 +249,7 @@ func TestMatchesPlainUPI(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				sb, _, err := s.QuerySecondary(context.Background(), "Y", "c"+val, qt, true)
+				sb, _, err := s.QuerySecondary(context.Background(), "Y", "c"+val, qt)
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -49,8 +49,6 @@ type Req struct {
 	Value string
 	QT    float64 // threshold (PTQ kinds)
 	K     int     // result bound (KindTopK)
-	// Tailored enables tailored secondary-index access (Section 3.2).
-	Tailored bool
 	// Trace, when set, receives span events (partition scan start/end)
 	// as the query executes. It may be called from the concurrent
 	// first-pull workers; see TraceFunc.
@@ -197,7 +195,7 @@ func compileReq(primary string, req Req) (execPlan, error) {
 			return conf, conf > 0 && conf >= req.QT
 		}
 		p.cursor = func(ctx context.Context, t *upi.Table) *upi.Cursor {
-			return t.SecondaryCursor(ctx, req.Attr, req.Value, req.QT, req.Tailored)
+			return t.SecondaryCursor(ctx, req.Attr, req.Value, req.QT, true)
 		}
 	case KindTopK:
 		if req.K <= 0 {
@@ -312,11 +310,11 @@ func (s *Store) Query(ctx context.Context, value string, qt float64) ([]upi.Resu
 
 // QuerySecondary answers a PTQ on a secondary attribute across all
 // partitions. Each fracture's secondary index points into that
-// fracture's own heap (Section 4.2), so tailored access runs
-// per-partition — which also makes the fan-out embarrassingly
+// fracture's own heap (Section 4.2), so tailored access (Algorithm 3)
+// runs per-partition — which also makes the fan-out embarrassingly
 // parallel.
-func (s *Store) QuerySecondary(ctx context.Context, attr, value string, qt float64, tailored bool) ([]upi.Result, Stats, error) {
-	return s.Run(ctx, Req{Kind: KindSecondary, Attr: attr, Value: value, QT: qt, Tailored: tailored})
+func (s *Store) QuerySecondary(ctx context.Context, attr, value string, qt float64) ([]upi.Result, Stats, error) {
+	return s.Run(ctx, Req{Kind: KindSecondary, Attr: attr, Value: value, QT: qt})
 }
 
 // TopK returns the k highest-confidence matches across all partitions.

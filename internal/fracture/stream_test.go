@@ -104,7 +104,7 @@ func TestStreamMatchesCollect(t *testing.T) {
 	reqs := []Req{
 		{Kind: KindPTQ, Value: concValue(3), QT: 0.05},
 		{Kind: KindPTQ, Value: concValue(3), QT: 0.4},
-		{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05, Tailored: true},
+		{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05},
 		{Kind: KindTopK, Value: concValue(4), K: 9},
 	}
 	for _, par := range []int{1, 2, runtime.GOMAXPROCS(0)} {

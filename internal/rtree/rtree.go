@@ -1,6 +1,6 @@
 // Package rtree implements a page-based R-Tree over 2-D rectangles,
-// the substrate for the U-Tree baseline and the continuous UPI
-// (paper Section 5). Nodes live on small pages (4 KiB by default,
+// the substrate for package cupi's U-Tree and continuous UPI (paper
+// Section 5). Nodes live on small pages (4 KiB by default,
 // matching the paper's Figure 2) accessed through a storage.Pager, so
 // every node touch is charged to the simulated disk.
 //
@@ -13,7 +13,6 @@ package rtree
 import (
 	"encoding/binary"
 	"fmt"
-	"iter"
 	"math"
 	"sort"
 
@@ -328,76 +327,6 @@ func (tv View) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.Page
 		}
 	}
 	return true, nil
-}
-
-// LeafHit is one element of a LeafCursor stream: a leaf page and its
-// entries that matched the query rectangle.
-type LeafHit struct {
-	Leaf    storage.PageID
-	Matches []Entry
-}
-
-// LeafCursor is a pull-based leaf enumeration: the cursor walks the
-// tree in DFS order, but node pages are read only as Next demands
-// them, so an abandoned cursor never touches the subtrees it did not
-// reach — the candidate-enumeration substrate spatial result streaming
-// is built on. A LeafCursor is single-consumer; Close releases it
-// without draining (idempotent, implied by exhaustion or error).
-type LeafCursor struct {
-	next func() (LeafHit, error, bool)
-	stop func()
-	done bool
-	err  error
-}
-
-// LeafCursor starts a lazy SearchLeaves(r): the same leaves, in the
-// same DFS order, delivered one Next call at a time.
-func (t *Tree) LeafCursor(r prob.Rect) *LeafCursor { return t.View(nil, 1).LeafCursor(r) }
-
-// LeafCursor is Tree.LeafCursor through the view.
-func (tv View) LeafCursor(r prob.Rect) *LeafCursor {
-	c := &LeafCursor{}
-	seq := func(yield func(LeafHit, error) bool) {
-		err := tv.SearchLeaves(r, func(id storage.PageID, matches []Entry) bool {
-			return yield(LeafHit{Leaf: id, Matches: matches}, nil)
-		})
-		if err != nil {
-			yield(LeafHit{}, err)
-		}
-	}
-	c.next, c.stop = iter.Pull2(seq)
-	return c
-}
-
-// Next returns the next matching leaf. ok is false when the traversal
-// is exhausted or failed; err is non-nil exactly once, on failure, and
-// sticky afterwards.
-func (c *LeafCursor) Next() (LeafHit, bool, error) {
-	if c.done {
-		return LeafHit{}, false, c.err
-	}
-	h, err, ok := c.next()
-	if !ok {
-		c.done = true
-		c.stop()
-		return LeafHit{}, false, nil
-	}
-	if err != nil {
-		c.done = true
-		c.err = err
-		c.stop()
-		return LeafHit{}, false, err
-	}
-	return h, true, nil
-}
-
-// Close releases the cursor without draining it; unvisited subtrees
-// are never read. Idempotent.
-func (c *LeafCursor) Close() {
-	if !c.done {
-		c.done = true
-		c.stop()
-	}
 }
 
 // Leaves visits every leaf in DFS order ("hierarchical node location"

@@ -287,78 +287,3 @@ func TestOpenPersisted(t *testing.T) {
 		t.Fatal("junk accepted")
 	}
 }
-
-// TestLeafCursorMatchesSearchLeaves: the pull-based cursor must visit
-// exactly the leaves SearchLeaves visits, in the same DFS order, and
-// survive early abandonment.
-func TestLeafCursorMatchesSearchLeaves(t *testing.T) {
-	tr := newTestTree(t, 512)
-	rng := rand.New(rand.NewSource(7))
-	if err := tr.BulkLoad(randomEntries(rng, 900, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 40; i++ {
-		if err := tr.Insert(Entry{MBR: rectAt(rng.Float64()*1000, rng.Float64()*1000, 2), Data: uint64(10_000 + i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, q := range []prob.Rect{rectAt(200, 300, 150), rectAt(500, 500, 600), rectAt(-50, -50, 10)} {
-		type hit struct {
-			leaf storage.PageID
-			ids  []uint64
-		}
-		var want []hit
-		err := tr.SearchLeaves(q, func(id storage.PageID, es []Entry) bool {
-			h := hit{leaf: id}
-			for _, e := range es {
-				h.ids = append(h.ids, e.Data)
-			}
-			want = append(want, h)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		c := tr.LeafCursor(q)
-		var got []hit
-		for {
-			lh, ok, err := c.Next()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !ok {
-				break
-			}
-			h := hit{leaf: lh.Leaf}
-			for _, e := range lh.Matches {
-				h.ids = append(h.ids, e.Data)
-			}
-			got = append(got, h)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("query %+v: %d leaves vs %d", q, len(got), len(want))
-		}
-		for i := range got {
-			if got[i].leaf != want[i].leaf || len(got[i].ids) != len(want[i].ids) {
-				t.Fatalf("query %+v leaf %d differs", q, i)
-			}
-			for j := range got[i].ids {
-				if got[i].ids[j] != want[i].ids[j] {
-					t.Fatalf("query %+v leaf %d entry %d differs", q, i, j)
-				}
-			}
-		}
-		// Early abandonment must not wedge or error later cursors.
-		c2 := tr.LeafCursor(q)
-		if len(want) > 0 {
-			if _, ok, err := c2.Next(); err != nil || !ok {
-				t.Fatalf("partial cursor first pull: ok=%v err=%v", ok, err)
-			}
-		}
-		c2.Close()
-		c2.Close() // idempotent
-		if _, ok, err := c2.Next(); ok || err != nil {
-			t.Fatalf("pull after Close: ok=%v err=%v", ok, err)
-		}
-	}
-}

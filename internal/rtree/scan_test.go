@@ -74,13 +74,19 @@ func grownTree(t testing.TB, n int) (*Tree, *rand.Rand) {
 	return tr, rng
 }
 
+// leafHit is one leaf a traversal visited and the entries it reported.
+type leafHit struct {
+	Leaf    storage.PageID
+	Matches []Entry
+}
+
 func TestInPlaceScansMatchMaterializedTraversal(t *testing.T) {
 	tr, rng := grownTree(t, 600)
 
-	var want, got []LeafHit
-	refLeaves(t, tr, tr.root, nil, func(id storage.PageID, es []Entry) { want = append(want, LeafHit{Leaf: id, Matches: es}) })
+	var want, got []leafHit
+	refLeaves(t, tr, tr.root, nil, func(id storage.PageID, es []Entry) { want = append(want, leafHit{Leaf: id, Matches: es}) })
 	if err := tr.Leaves(func(id storage.PageID, es []Entry) bool {
-		got = append(got, LeafHit{Leaf: id, Matches: es})
+		got = append(got, leafHit{Leaf: id, Matches: es})
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -94,14 +100,14 @@ func TestInPlaceScansMatchMaterializedTraversal(t *testing.T) {
 		want, got = nil, nil
 		var wantFlat, gotFlat []Entry
 		refLeaves(t, tr, tr.root, &query, func(id storage.PageID, es []Entry) {
-			want = append(want, LeafHit{Leaf: id, Matches: es})
+			want = append(want, leafHit{Leaf: id, Matches: es})
 			wantFlat = append(wantFlat, es...)
 		})
 		if err := tr.SearchLeaves(query, func(id storage.PageID, es []Entry) bool {
 			if len(es) != cap(es) {
 				t.Fatalf("leaf %d: matches has len %d, cap %d: not sized once", id, len(es), cap(es))
 			}
-			got = append(got, LeafHit{Leaf: id, Matches: es})
+			got = append(got, leafHit{Leaf: id, Matches: es})
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -173,16 +179,7 @@ func TestCorruptNodePageFails(t *testing.T) {
 		"Search":       func() error { return tr.Search(everything, func(Entry) bool { return true }) },
 		"SearchLeaves": func() error { return tr.SearchLeaves(everything, func(storage.PageID, []Entry) bool { return true }) },
 		"Leaves":       func() error { return tr.Leaves(func(storage.PageID, []Entry) bool { return true }) },
-		"LeafCursor": func() error {
-			c := tr.LeafCursor(everything)
-			defer c.Close()
-			for {
-				if _, ok, err := c.Next(); err != nil || !ok {
-					return err
-				}
-			}
-		},
-		"readNode": func() error { _, err := tr.readNode(leaf); return err },
+		"readNode":     func() error { _, err := tr.readNode(leaf); return err },
 	}
 	cached, err := tr.pager.Read(leaf)
 	if err != nil {

@@ -209,7 +209,7 @@ func TestQueryBodyIsTheEncodersBytes(t *testing.T) {
 		serve(t, srv, httptest.NewRecorder(), rq.table, string(body))
 
 		tab := db.Table(rq.table)
-		res, err := tab.Run(ctx, rq.q.WithStats())
+		res, err := tab.Run(ctx, rq.q)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -401,7 +401,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 		}
 	}
 
-	res, err := t.Run(ctx, q.WithStats())
+	res, err := t.Run(ctx, q)
 	if err != nil {
 		status := queryStatus(err)
 		errorBody(w, status, "%v", err)

@@ -199,7 +199,7 @@ func parityReqs() []fracture.Req {
 	return []fracture.Req{
 		{Kind: fracture.KindPTQ, Value: parityVal(3), QT: 0.05},
 		{Kind: fracture.KindPTQ, Value: parityVal(3), QT: 0.4},
-		{Kind: fracture.KindSecondary, Attr: "Y", Value: "y" + parityVal(2), QT: 0.05, Tailored: true},
+		{Kind: fracture.KindSecondary, Attr: "Y", Value: "y" + parityVal(2), QT: 0.05},
 		{Kind: fracture.KindTopK, Value: parityVal(4), K: 9},
 	}
 }
@@ -615,7 +615,7 @@ func TestShardCancelMidPrime(t *testing.T) {
 	var mu sync.Mutex
 	starts, ends := map[[2]int]int{}, map[[2]int]int{}
 	req := fracture.Req{
-		Kind: fracture.KindSecondary, Attr: "Y", Value: "y" + parityVal(2), QT: 0.05, Tailored: true,
+		Kind: fracture.KindSecondary, Attr: "Y", Value: "y" + parityVal(2), QT: 0.05,
 		Trace: func(ev fracture.TraceEvent) {
 			mu.Lock()
 			defer mu.Unlock()

@@ -3,43 +3,35 @@ package upidb
 import (
 	"fmt"
 
-	"upidb/internal/cupi"
 	"upidb/internal/fracture"
 	"upidb/internal/obs"
 	"upidb/internal/sim"
 	"upidb/internal/storage"
 )
 
-// Option configures a database at Open/Create time, a single discrete
-// table at CreateTable/BulkLoadTable/OpenTable time, or a spatial
-// table at BulkLoadSpatial time. Database-level options (backend
-// selection, disk cost constants) are rejected at table and spatial
-// scope; table-tuning options given at database scope become the
-// defaults every table inherits, and are rejected at spatial scope;
-// spatial options (page sizes) are valid only at spatial scope.
+// Option configures a database at Open/Create time or a single table
+// at CreateTable/BulkLoadTable/OpenTable time. Database-level options
+// (backend selection) are rejected at table scope; table-tuning options
+// given at database scope become the defaults every table inherits.
 type Option func(*config)
 
-// optionScope is where a list of Options is being resolved. Every
-// option validates the scope it is applied at, so a misplaced option
-// fails loudly at resolution time instead of being silently ignored.
+// optionScope is where a list of Options is being resolved. A
+// database-level option checks it, so one passed to a table fails
+// loudly at resolution time instead of being silently ignored.
 type optionScope int
 
 const (
 	scopeDB optionScope = iota
 	scopeTable
-	scopeSpatial
 )
 
 // config accumulates the effect of a list of Options. table holds the
-// one canonical per-table configuration (fracture.Config) and spatial
-// the continuous-UPI configuration; nothing is duplicated beside them.
+// one canonical per-table configuration (fracture.Config); nothing is
+// duplicated beside it.
 type config struct {
-	params    sim.Params
 	dir       string
-	mem       bool
 	backend   storage.Backend
 	table     fracture.Config
-	spatial   cupi.Options
 	durable   *bool
 	autoMerge *fracture.AutoMergeOptions
 	shards    int
@@ -50,25 +42,6 @@ type config struct {
 func (c *config) dbOnly(name string) bool {
 	if c.scope != scopeDB {
 		c.setErr(fmt.Errorf("upidb: %s is a database-level option; pass it to Open or Create", name))
-		return false
-	}
-	return true
-}
-
-// tableScoped accepts db scope (sets the inherited default) and table
-// scope (per-table override), and rejects spatial scope: a spatial
-// table has no fractures or buffer to tune.
-func (c *config) tableScoped(name string) bool {
-	if c.scope == scopeSpatial {
-		c.setErr(fmt.Errorf("upidb: %s is a table-level option; pass it to Create, Open or a discrete-table constructor", name))
-		return false
-	}
-	return true
-}
-
-func (c *config) spatialOnly(name string) bool {
-	if c.scope != scopeSpatial {
-		c.setErr(fmt.Errorf("upidb: %s is a spatial-level option; pass it to BulkLoadSpatial", name))
 		return false
 	}
 	return true
@@ -90,21 +63,6 @@ func WithDiskBackend(path string) Option {
 			return
 		}
 		c.dir = path
-		c.mem = false
-	}
-}
-
-// WithMemBackend stores every byte in memory (the default): runs are
-// hermetic and modeled costs deterministic, and nothing survives the
-// process unless WithDurability(true) pairs it with an
-// externally-shared backend.
-func WithMemBackend() Option {
-	return func(c *config) {
-		if !c.dbOnly("WithMemBackend") {
-			return
-		}
-		c.mem = true
-		c.backend = nil
 	}
 }
 
@@ -118,19 +76,6 @@ func WithBackend(b storage.Backend) Option {
 			return
 		}
 		c.backend = b
-		c.mem = false
-	}
-}
-
-// WithDiskParams sets the simulated-disk cost constants (defaults:
-// the paper's Table 6 values). The model prices every backend's I/O,
-// including the real-disk backend's.
-func WithDiskParams(p sim.Params) Option {
-	return func(c *config) {
-		if !c.dbOnly("WithDiskParams") {
-			return
-		}
-		c.params = p
 	}
 }
 
@@ -142,9 +87,6 @@ func WithDiskParams(p sim.Params) Option {
 // with the cutoff it was built with.
 func WithDurability(on bool) Option {
 	return func(c *config) {
-		if !c.tableScoped("WithDurability") {
-			return
-		}
 		c.durable = &on
 	}
 }
@@ -154,21 +96,7 @@ func WithDurability(on bool) Option {
 // duplicated in the heap file. 0 disables the cutoff index.
 func WithCutoff(c float64) Option {
 	return func(cfg *config) {
-		if !cfg.tableScoped("WithCutoff") {
-			return
-		}
 		cfg.table.UPI.Cutoff = c
-	}
-}
-
-// WithMaxPointers caps pointers per secondary-index entry
-// (0 = unlimited).
-func WithMaxPointers(n int) Option {
-	return func(c *config) {
-		if !c.tableScoped("WithMaxPointers") {
-			return
-		}
-		c.table.UPI.MaxPointers = n
 	}
 }
 
@@ -176,9 +104,6 @@ func WithMaxPointers(n int) Option {
 // automatic flush into a new fracture (0 = manual Flush only).
 func WithBufferTuples(n int) Option {
 	return func(c *config) {
-		if !c.tableScoped("WithBufferTuples") {
-			return
-		}
 		c.table.BufferTuples = n
 	}
 }
@@ -197,9 +122,6 @@ func WithBufferTuples(n int) Option {
 // contradicts it errors rather than silently resharding.
 func WithShards(n int) Option {
 	return func(c *config) {
-		if !c.tableScoped("WithShards") {
-			return
-		}
 		if n < 1 {
 			c.setErr(fmt.Errorf("%w: got %d", ErrInvalidShards, n))
 			return
@@ -215,33 +137,8 @@ func WithShards(n int) Option {
 // otherwise (see AutoMergeOptions).
 func WithAutoMerge(opts AutoMergeOptions) Option {
 	return func(c *config) {
-		if !c.tableScoped("WithAutoMerge") {
-			return
-		}
 		am := opts
 		c.autoMerge = &am
-	}
-}
-
-// WithNodePageSize sets a spatial table's R-Tree node page size
-// (default 4 KiB). Spatial scope only.
-func WithNodePageSize(n int) Option {
-	return func(c *config) {
-		if !c.spatialOnly("WithNodePageSize") {
-			return
-		}
-		c.spatial.NodePageSize = n
-	}
-}
-
-// WithHeapPageSize sets a spatial table's clustered heap page size
-// (default 64 KiB). Spatial scope only.
-func WithHeapPageSize(n int) Option {
-	return func(c *config) {
-		if !c.spatialOnly("WithHeapPageSize") {
-			return
-		}
-		c.spatial.HeapPageSize = n
 	}
 }
 
@@ -276,7 +173,7 @@ func Open(dir string, opts ...Option) (*DB, error) {
 }
 
 func newDB(dir string, create bool, opts []Option) (*DB, error) {
-	cfg := config{params: sim.DefaultParams(), dir: dir}
+	cfg := config{dir: dir}
 	for _, o := range opts {
 		o(&cfg)
 	}
@@ -290,7 +187,7 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 	switch {
 	case cfg.backend != nil:
 		backend = cfg.backend
-	case cfg.dir != "" && !cfg.mem:
+	case cfg.dir != "":
 		b, err := storage.NewDiskBackend(cfg.dir)
 		if err != nil {
 			return nil, err
@@ -307,7 +204,7 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 		cfg.table.Durable = *cfg.durable
 	}
 
-	disk := sim.NewDisk(cfg.params)
+	disk := sim.NewDisk(sim.DefaultParams())
 	fs := storage.NewFSOn(disk, backend)
 	fs.Sideband(markerFile)
 	if create {
@@ -372,19 +269,4 @@ func (db *DB) tableConfig(opts []Option) (fracture.Config, *fracture.AutoMergeOp
 		cfg.table.Durable = *cfg.durable
 	}
 	return cfg.table, cfg.autoMerge, cfg.shards, nil
-}
-
-// spatialConfig resolves the options of one BulkLoadSpatial call.
-// Spatial tables inherit nothing from the database defaults — their
-// only tunables are the page sizes — so resolution starts from zero
-// and rejects every non-spatial option.
-func spatialConfig(opts []Option) (cupi.Options, error) {
-	cfg := config{scope: scopeSpatial}
-	for _, o := range opts {
-		o(&cfg)
-	}
-	if cfg.err != nil {
-		return cupi.Options{}, cfg.err
-	}
-	return cfg.spatial, nil
 }

@@ -2,8 +2,10 @@ package upidb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"iter"
+	"math"
 	"runtime"
 	"slices"
 	"time"
@@ -56,7 +58,7 @@ func (k Kind) spatial() bool { return k == KindCircle || k == KindSegment }
 // each option returns a modified copy, so descriptors are values that
 // can be stored, reused and shared between goroutines:
 //
-//	q := upidb.PTQ("", "MIT", 0.1).WithStats()
+//	q := upidb.PTQ("", "MIT", 0.1).WithTrace(fn)
 //	res, err := table.Run(ctx, q)
 type Query struct {
 	kind  Kind
@@ -69,7 +71,6 @@ type Query struct {
 	center Point
 	radius float64
 
-	wantStats   bool
 	explainOnly bool
 	trace       TraceFunc
 }
@@ -104,15 +105,23 @@ func Segment(segment string, qt float64) Query {
 	return Query{kind: KindSegment, value: segment, qt: qt}
 }
 
-// WithStats additionally reports the modeled disk time of the query
-// as Info().ModeledTime — the cost of exactly this query's I/O
-// (derived from its own partition tapes), unpolluted by concurrent
-// queries or merges. The buffer pools are shared, so a page another
-// reader cached is a free hit. Structural statistics (entries scanned,
-// partitions read, plan chosen) are collected regardless.
-func (q Query) WithStats() Query {
-	q.wantStats = true
-	return q
+// validate refuses the numbers no predicate can compare against: a NaN
+// threshold matches nothing in the RAM buffer and prunes nothing on
+// disk, so its answer would depend on flush state.
+func (q Query) validate() error {
+	if math.IsNaN(q.qt) {
+		return errors.New("upidb: query threshold is NaN")
+	}
+	if q.kind != KindCircle {
+		return nil
+	}
+	if math.IsNaN(q.center.X) || math.IsInf(q.center.X, 0) || math.IsNaN(q.center.Y) || math.IsInf(q.center.Y, 0) {
+		return fmt.Errorf("upidb: circle centre (%v, %v) is not finite", q.center.X, q.center.Y)
+	}
+	if !(q.radius >= 0) || math.IsInf(q.radius, 1) {
+		return fmt.Errorf("upidb: circle radius %v is not a finite non-negative number", q.radius)
+	}
+	return nil
 }
 
 // WithExplain turns the query into a route-only request: Run validates
@@ -183,9 +192,8 @@ const (
 // handle that is never consumed releases its partition pins when
 // garbage-collected (or on Close).
 type Results struct {
-	ctx       context.Context
-	prep      *shard.Prepared
-	wantStats bool
+	ctx  context.Context
+	prep *shard.Prepared
 
 	// met, kindLabel and started feed the observed-wall-clock vs
 	// modeled-cost histograms, at the execution loop's one terminal
@@ -234,11 +242,10 @@ func (r Row) Tuple() *Tuple {
 // newLazyResults wraps a prepared query into an unconsumed handle and
 // arranges for its partition pins to be dropped if the handle is
 // garbage-collected without ever being consumed.
-func newLazyResults(ctx context.Context, prep *shard.Prepared, q Query, met *dbMetrics, kindLabel string, started time.Time) *Results {
+func newLazyResults(ctx context.Context, prep *shard.Prepared, met *dbMetrics, kindLabel string, started time.Time) *Results {
 	r := &Results{
 		ctx:       ctx,
 		prep:      prep,
-		wantStats: q.wantStats,
 		met:       met,
 		kindLabel: kindLabel,
 		started:   started,
@@ -268,12 +275,9 @@ func (r *Results) finish(st fracture.Stats, err error) {
 	r.info.CutoffPointers = st.CutoffPointers
 	r.info.Partitions = st.PartitionsRead
 	r.info.BufferHits = st.BufferHits
-	if r.wantStats {
-		r.info.ModeledTime = st.ModeledTime
-	}
+	r.info.ModeledTime = st.ModeledTime
 	// finish runs once per handle, so the observed-vs-modeled pair is
-	// recorded here, regardless of WithStats (the engine always computes
-	// ModeledTime).
+	// recorded here.
 	if r.met != nil {
 		r.met.queryWall.With(r.kindLabel).Observe(time.Since(r.started).Seconds())
 		r.met.queryModeled.With(r.kindLabel).Observe(st.ModeledTime.Seconds())
@@ -427,8 +431,7 @@ func (r *Results) Close() {
 	}
 }
 
-// Info reports what the query touched and cost. ModeledTime is only
-// measured when the query was built WithStats; Plan and Explain are
+// Info reports what the query touched and cost. Plan and Explain are
 // only set by WithExplain runs. On an unconsumed handle Info drains the
 // stream first so the counters are complete. The counters report what
 // the stream actually touched: an early-terminated top-k, a partial
@@ -458,6 +461,8 @@ func (r *Results) Info() QueryInfo {
 // no statistics and prices nothing; WithExplain reports the route
 // without taking it.
 //
+// Run refuses a NaN threshold, which no confidence compares against.
+//
 // Run is safe for concurrent use alongside inserts, deletes, flushes
 // and merges; it sees a consistent snapshot of the table (main UPI +
 // fractures + RAM buffer) taken at call time.
@@ -467,6 +472,9 @@ func (t *Table) Run(ctx context.Context, q Query) (*Results, error) {
 	}
 	if q.kind.spatial() {
 		return nil, fmt.Errorf("upidb: %v is a spatial query; run it with SpatialTable.Run", q.kind)
+	}
+	if err := q.validate(); err != nil {
+		return nil, err
 	}
 	primary := t.shards.Attr()
 	attr := q.attr
@@ -489,7 +497,6 @@ func (t *Table) Run(ctx context.Context, q Query) (*Results, error) {
 		req.Kind = fracture.KindSecondary
 		req.Attr = attr
 		req.QT = q.qt
-		req.Tailored = true
 	}
 	if q.explainOnly {
 		return &Results{state: stateDone, info: t.explain(q, req)}, nil
@@ -503,7 +510,7 @@ func (t *Table) Run(ctx context.Context, q Query) (*Results, error) {
 	if err != nil {
 		return nil, err
 	}
-	return newLazyResults(ctx, prep, q, t.db.met, q.kind.String(), started), nil
+	return newLazyResults(ctx, prep, t.db.met, q.kind.String(), started), nil
 }
 
 // explain names and describes the route req takes.

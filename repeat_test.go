@@ -12,6 +12,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"upidb/internal/storage"
 )
 
 // runCollect drains one execution and returns its ordered (id,
@@ -38,11 +40,11 @@ func runCollect(t *testing.T, run func(context.Context) (*Results, error)) ([][2
 // cost: nothing is remembered between runs.
 func TestPreparedAndCachedParity(t *testing.T) {
 	queries := []Query{
-		PTQ("", "v03", 0.05).WithStats(),
-		PTQ("", "v03", 0.4).WithStats(),
-		PTQ("Y", "yv02", 0.05).WithStats(),
-		PTQ("", "v04", 0.1).WithStats(),
-		TopKQuery("v04", 9).WithStats(),
+		PTQ("", "v03", 0.05),
+		PTQ("", "v03", 0.4),
+		PTQ("Y", "yv02", 0.05),
+		PTQ("", "v04", 0.1),
+		TopKQuery("v04", 9),
 	}
 	for _, shards := range []int{1, 2, 7} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
@@ -99,37 +101,18 @@ func TestPreparedAndCachedParity(t *testing.T) {
 	}
 }
 
-// TestOptionScopeValidation: every option names its scope, and a
-// misplaced option fails loudly at resolution time.
+// TestOptionScopeValidation: a database-level option passed to a
+// table fails loudly at resolution time.
 func TestOptionScopeValidation(t *testing.T) {
-	if _, err := Create("", WithNodePageSize(4096)); err == nil ||
-		!strings.Contains(err.Error(), "spatial-level option") {
-		t.Fatalf("spatial option at db scope: %v", err)
-	}
 	db := mustCreate(t)
-	if _, err := db.CreateTable("t", "X", nil, WithHeapPageSize(1024)); err == nil ||
-		!strings.Contains(err.Error(), "spatial-level option") {
-		t.Fatalf("spatial option at table scope: %v", err)
-	}
-	if _, err := db.BulkLoadSpatial("s", nil, WithCutoff(0.1)); err == nil ||
-		!strings.Contains(err.Error(), "table-level option") {
-		t.Fatalf("table option at spatial scope: %v", err)
-	}
-	if _, err := db.BulkLoadSpatial("s", nil, WithDiskBackend("/tmp/x")); err == nil ||
-		!strings.Contains(err.Error(), "database-level option") {
-		t.Fatalf("db option at spatial scope: %v", err)
-	}
-
-	// The spatial options land at spatial scope.
-	seg, err := NewDiscrete([]Alternative{{Value: "seg-1", Prob: 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	obs := []*Observation{
-		{ID: 1, Loc: ConstrainedGaussian{Center: Point{X: 0, Y: 0}, Sigma: 10, Bound: 50}, Segment: seg},
-	}
-	if _, err := db.BulkLoadSpatial("fn", obs, WithNodePageSize(2048), WithHeapPageSize(32*1024)); err != nil {
-		t.Fatalf("spatial functional options: %v", err)
+	for name, opt := range map[string]Option{
+		"WithDiskBackend": WithDiskBackend(t.TempDir()),
+		"WithBackend":     WithBackend(storage.NewMemBackend()),
+	} {
+		if _, err := db.CreateTable("t", "X", nil, opt); err == nil ||
+			!strings.Contains(err.Error(), name+" is a database-level option") {
+			t.Fatalf("%s at table scope: %v", name, err)
+		}
 	}
 }
 
@@ -149,7 +132,7 @@ func TestSoakPreparedQueries(t *testing.T) {
 		t.Fatal(err)
 	}
 	shared := []Query{
-		PTQ("", "v03", 0.2).WithStats(),
+		PTQ("", "v03", 0.2),
 		PTQ("Y", "yv02", 0.05),
 		TopKQuery("v04", 7),
 	}

@@ -159,7 +159,7 @@ func TestRowsMatchAllOnEveryRoute(t *testing.T) {
 						t.Fatal(err)
 					}
 				}
-				res, err := tab.Run(ctx, q.WithStats())
+				res, err := tab.Run(ctx, q)
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}

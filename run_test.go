@@ -204,6 +204,69 @@ func TestRunUnknownAttr(t *testing.T) {
 	}
 }
 
+// TestRunRefusesNaNThreshold: a NaN threshold used to match nothing in
+// the RAM buffer and everything below the cutoff on disk, so the same
+// PTQ answered 0 rows before a Flush and 5 after. Run refuses it on
+// both sides of the flush, and SpatialTable.Run refuses it and a
+// circle that is not a finite point and radius.
+func TestRunRefusesNaNThreshold(t *testing.T) {
+	ctx := context.Background()
+	db := mustCreate(t)
+	tab, err := db.CreateTable("t", "X", nil, WithCutoff(0.2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	x, err := NewDiscrete([]Alternative{{Value: "a", Prob: 0.9}, {Value: "b", Prob: 0.1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for id := uint64(1); id <= 5; id++ {
+		if err := tab.Insert(&Tuple{ID: id, Existence: 1, Unc: []UncField{{Name: "X", Dist: x}}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, stage := range []string{"buffered", "flushed"} {
+		if stage == "flushed" {
+			if err := tab.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if res, err := tab.Run(ctx, PTQ("", "b", math.NaN())); err == nil || !strings.Contains(err.Error(), "threshold") {
+			n := -1
+			if res != nil {
+				n = res.Len()
+			}
+			t.Fatalf("%s: NaN threshold: error %v (%d rows), want one naming the threshold", stage, err, n)
+		}
+		if keys := collectKeys(t, tab, PTQ("", "b", 0.1)); len(keys) != 5 {
+			t.Fatalf("%s: PTQ b >= 0.1 returned %d rows, want 5", stage, len(keys))
+		}
+	}
+
+	_, sp, c := spatialFixture(t, 200)
+	at := c.Extent.Center()
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, bad := range []struct {
+		q     Query
+		field string
+	}{
+		{Circle(at, 100, nan), "threshold"},
+		{Segment(busySegment(c), nan), "threshold"},
+		{Circle(Point{X: nan, Y: at.Y}, 100, 0.5), "centre"},
+		{Circle(Point{X: at.X, Y: -inf}, 100, 0.5), "centre"},
+		{Circle(at, nan, 0.5), "radius"},
+		{Circle(at, inf, 0.5), "radius"},
+		{Circle(at, -1, 0.5), "radius"},
+	} {
+		if _, err := sp.Run(ctx, bad.q); err == nil || !strings.Contains(err.Error(), bad.field) {
+			t.Errorf("%v: error %v, want one naming the %s", bad.q.kind, err, bad.field)
+		}
+	}
+	if _, err := sp.Run(ctx, Circle(at, 0, 0.5)); err != nil {
+		t.Fatalf("zero radius refused: %v", err)
+	}
+}
+
 // TestRunClosed: after Close, queries and mutations fail with
 // ErrClosed; Close is idempotent.
 func TestRunClosed(t *testing.T) {
@@ -285,7 +348,7 @@ func TestRunStreamingMatchesCollect(t *testing.T) {
 	}
 }
 
-// TestRunModeledCostParallelismInvariant: WithStats reports the same
+// TestRunModeledCostParallelismInvariant: Info reports the same
 // modeled time at every fan-out width (the tape-replay guarantee
 // surfaced through the new API).
 func TestRunModeledCostParallelismInvariant(t *testing.T) {
@@ -296,7 +359,7 @@ func TestRunModeledCostParallelismInvariant(t *testing.T) {
 		if err := tab.DropCaches(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := tab.Run(context.Background(), PTQ("", "v01", 0.05).WithStats())
+		res, err := tab.Run(context.Background(), PTQ("", "v01", 0.05))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -326,7 +389,7 @@ func TestRunDeadlineAdmission(t *testing.T) {
 	// The table spans 5 partitions, each a 100 ms modeled file open.
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()
-	res, err := tab.Run(ctx, PTQ("", "v01", 0.05).WithStats())
+	res, err := tab.Run(ctx, PTQ("", "v01", 0.05))
 	if err != nil || res.Len() == 0 || res.Err() != nil {
 		t.Fatalf("query under a deadline below its modeled cost: %v / %v, %d results", err, res.Err(), res.Len())
 	}

@@ -9,7 +9,6 @@ import (
 	"upidb/internal/cupi"
 	"upidb/internal/sim"
 	"upidb/internal/upi"
-	"upidb/internal/utree"
 )
 
 // SpatialResults is the answer to one SpatialTable.Run call — the
@@ -46,9 +45,8 @@ import (
 // lock, so Insert waits for it; do not Insert from the goroutine that
 // is consuming the stream.
 type SpatialResults struct {
-	ctx       context.Context
-	s         *SpatialTable
-	wantStats bool
+	ctx context.Context
+	s   *SpatialTable
 
 	// collect and cursor execute the query's route over tab, a view of
 	// the table charging this query's tape.
@@ -81,9 +79,7 @@ func (r *SpatialResults) finish(st cupi.Stats, modeled time.Duration, err error)
 	r.info.HeapEntries = st.Fetched
 	r.info.Candidates = st.Candidates
 	r.info.Partitions = 1
-	if r.wantStats {
-		r.info.ModeledTime = modeled
-	}
+	r.info.ModeledTime = modeled
 }
 
 // drain executes a still-pending query the materialized way and hands
@@ -100,7 +96,7 @@ func (r *SpatialResults) drain() []SpatialResult {
 		return nil
 	}
 	r.n = len(rs)
-	utree.SortResults(rs)
+	cupi.SortResults(rs)
 	return rs
 }
 
@@ -183,8 +179,7 @@ func (r *SpatialResults) Close() {
 	}
 }
 
-// Info reports what the query touched and cost. ModeledTime is only
-// measured when the query was built WithStats; Plan and Explain are
+// Info reports what the query touched and cost. Plan and Explain are
 // only set by WithExplain runs. On an unconsumed handle Info runs the
 // materialized drain so the counters are complete; after a streaming
 // consumption it reports what the stream actually touched.
@@ -205,6 +200,9 @@ func (r *SpatialResults) Info() QueryInfo {
 // R-Tree, a segment query scans the segment index. WithExplain reports
 // the route without taking it.
 //
+// Run refuses a NaN threshold, and a circle whose centre is not finite
+// or whose radius is NaN, infinite or negative.
+//
 // Run is safe for concurrent use alongside Insert.
 func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error) {
 	if err := upi.CtxErr(ctx); err != nil {
@@ -212,6 +210,9 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 	}
 	if !q.kind.spatial() {
 		return nil, fmt.Errorf("upidb: %v is not a spatial query; run it with Table.Run", q.kind)
+	}
+	if err := q.validate(); err != nil {
+		return nil, err
 	}
 	if s.tab.Closed() {
 		return nil, ErrClosed
@@ -224,7 +225,7 @@ func (s *SpatialTable) Run(ctx context.Context, q Query) (*SpatialResults, error
 		return &SpatialResults{state: stateDone, info: explainInfo("SegmentIndexScan",
 			fmt.Sprintf("segment index on %q down to confidence %v, clustered heap fetch", q.value, q.qt))}, nil
 	}
-	r := &SpatialResults{ctx: ctx, s: s, wantStats: q.wantStats}
+	r := &SpatialResults{ctx: ctx, s: s}
 	if q.kind == KindCircle {
 		r.collect = func(ctx context.Context, tab *cupi.Table) ([]SpatialResult, cupi.Stats, error) {
 			return tab.QueryCircle(ctx, q.center, q.radius, q.qt)

@@ -244,7 +244,7 @@ func TestSoakConcurrentSpatial(t *testing.T) {
 	}
 	for qi, q := range queryPoints {
 		truth := soakCircleTruth(allIDs, q, soakRadius, soakCircTh)
-		res, err := tab.Run(ctx, Circle(q, soakRadius, soakCircTh).WithStats())
+		res, err := tab.Run(ctx, Circle(q, soakRadius, soakCircTh))
 		if err != nil {
 			t.Fatal(err)
 		}

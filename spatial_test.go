@@ -14,8 +14,8 @@ import (
 	"testing"
 	"time"
 
+	"upidb/internal/cupi"
 	"upidb/internal/dataset"
-	"upidb/internal/utree"
 )
 
 func spatialFixture(t testing.TB, n int) (*DB, *SpatialTable, *dataset.Cartel) {
@@ -77,7 +77,7 @@ func TestSpatialRunGolden(t *testing.T) {
 				out = append(out, SpatialResult{Obs: o, Confidence: conf})
 			}
 		}
-		utree.SortResults(out)
+		cupi.SortResults(out)
 		return out
 	}
 	check := func(what string, q Query, want []SpatialResult) {
@@ -172,7 +172,7 @@ func TestSpatialStreamParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	cStreamed := drain(cStreamRes)
-	utree.SortResults(cStreamed)
+	cupi.SortResults(cStreamed)
 	sameSpatialResults(t, "circle canonical parity", cStreamed, cWant)
 	if len(cWant) < 5 {
 		t.Fatalf("workload too selective (%d results) to exercise streaming", len(cWant))
@@ -216,7 +216,7 @@ func TestSpatialAdmission(t *testing.T) {
 		if err := tab.tab.DropCaches(); err != nil {
 			t.Fatal(err)
 		}
-		res, err := tab.Run(ctx, q.WithStats())
+		res, err := tab.Run(ctx, q)
 		if err != nil || res.Len() == 0 || res.Err() != nil {
 			t.Fatalf("%v under a deadline below its modeled cost: %v / %v, %d rows", q.kind, err, res.Err(), res.Len())
 		}
@@ -242,7 +242,7 @@ func TestSpatialAdmission(t *testing.T) {
 }
 
 // TestSpatialExplainAndStats: WithExplain names the route without
-// executing; WithStats reports a positive modeled time for a real run.
+// executing; a real run reports a positive modeled time.
 func TestSpatialExplainAndStats(t *testing.T) {
 	db, tab, c := spatialFixture(t, 2500)
 	ctx := context.Background()
@@ -268,13 +268,13 @@ func TestSpatialExplainAndStats(t *testing.T) {
 	if err := tab.tab.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	run, err := tab.Run(ctx, Circle(center, 300, 0.5).WithStats())
+	run, err := tab.Run(ctx, Circle(center, 300, 0.5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	run.Collect()
 	if run.Info().ModeledTime <= 0 {
-		t.Fatalf("WithStats modeled time %v", run.Info().ModeledTime)
+		t.Fatalf("modeled time %v", run.Info().ModeledTime)
 	}
 	if run.Info().Partitions != 1 {
 		t.Fatalf("partitions %d", run.Info().Partitions)

@@ -89,7 +89,7 @@ func TestResultsSpentAfterFirstConsumer(t *testing.T) {
 		}},
 	}
 	ctx := context.Background()
-	q := PTQ("", "v01", 0.05).WithStats()
+	q := PTQ("", "v01", 0.05)
 	for _, backend := range []string{"mem", "disk"} {
 		for _, shards := range []int{1, 2, 7} {
 			var opts []Option
@@ -175,8 +175,8 @@ func TestSpatialResultsSpentAfterFirstConsumer(t *testing.T) {
 	_, tab, c := spatialFixture(t, 1500)
 	ctx := context.Background()
 	queries := map[string]Query{
-		"circle":  Circle(c.Extent.Center(), 500, 0.4).WithStats(),
-		"segment": Segment(busySegment(c), 0.3).WithStats(),
+		"circle":  Circle(c.Extent.Center(), 500, 0.4),
+		"segment": Segment(busySegment(c), 0.3),
 	}
 	for qname, q := range queries {
 		run := func() *SpatialResults {

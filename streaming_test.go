@@ -129,7 +129,7 @@ func TestRunStreamsGoldenVsCollect(t *testing.T) {
 // fracture's TestStreamModeledCostMatchesCollect.)
 func TestRunStreamStatsMatchMaterialized(t *testing.T) {
 	ctx := context.Background()
-	q := PTQ("", "v01", 0.05).WithStats()
+	q := PTQ("", "v01", 0.05)
 	var want QueryInfo
 	for i, par := range []int{1, 4} {
 		db := mustCreate(t)

@@ -118,7 +118,6 @@ import (
 	"upidb/internal/sim"
 	"upidb/internal/storage"
 	"upidb/internal/tuple"
-	"upidb/internal/utree"
 )
 
 // Re-exported data-model types. These are aliases, so values flow
@@ -144,7 +143,7 @@ type (
 	ConstrainedGaussian = prob.ConstrainedGaussian
 	// SpatialResult is a spatial query answer: observation plus
 	// appearance probability.
-	SpatialResult = utree.Result
+	SpatialResult = cupi.Result
 	// DiskStats is a snapshot of simulated-disk activity.
 	DiskStats = sim.Stats
 )
@@ -182,10 +181,6 @@ type DB struct {
 	byName   map[string]*Table
 	spatials []*SpatialTable
 }
-
-// DiskParams returns the paper's default disk cost constants (Table
-// 6), as a starting point for WithDiskParams.
-func DiskParams() sim.Params { return sim.DefaultParams() }
 
 // DiskStats returns the accumulated simulated-disk activity.
 func (db *DB) DiskStats() DiskStats { return db.disk.Stats() }
@@ -281,13 +276,12 @@ func (db *DB) BulkLoadTable(name, primaryAttr string, secAttrs []string, tuples 
 // OpenTable reloads a table previously created on this DB's storage.
 // Each shard's manifest names its authoritative partitions, and each
 // partition reopens with the cutoff and pointer cap it was built with;
-// WithCutoff and WithMaxPointers apply to future flushes and the next
-// merge. On a durable table every acknowledged write survives:
-// each shard's write-ahead log replays the RAM insert buffer and
-// pending deletes. On a non-durable table only flushed state survives. The persisted shard count is
-// authoritative: omitting WithShards accepts
-// whatever the table was created with, and a contradictory explicit
-// count is an error.
+// WithCutoff applies to future flushes and the next merge. On a durable
+// table every acknowledged write survives: each shard's write-ahead log
+// replays the RAM insert buffer and pending deletes. On a non-durable
+// table only flushed state survives. The persisted shard count is
+// authoritative: omitting WithShards accepts whatever the table was
+// created with, and a contradictory explicit count is an error.
 func (db *DB) OpenTable(name, primaryAttr string, secAttrs []string, opts ...Option) (*Table, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
@@ -443,8 +437,8 @@ func (t *Table) StatsInfo() StatsInfo { return StatsInfo{Shards: t.shards.PerSha
 type QueryInfo struct {
 	// ModeledTime is the modeled disk time charged for this query's
 	// own I/O (exact even under concurrency — it is the sum of the
-	// query's replayed partition tapes). Only reported for queries
-	// built WithStats.
+	// query's replayed partition tapes). The buffer pools are shared, so
+	// a page another reader cached is a free hit.
 	ModeledTime time.Duration
 	// HeapEntries is the number of heap-file entries scanned.
 	HeapEntries int
@@ -478,27 +472,21 @@ func (q QueryInfo) String() string {
 // attribute. Like discrete tables it is safe for concurrent use and
 // serves every query through Run(ctx, Query) — Circle and Segment
 // descriptors with the same routing contract as Table.Run: one fixed
-// route per query kind, with the same WithExplain/WithStats behaviour.
+// route per query kind, with the same WithExplain behaviour.
 type SpatialTable struct {
 	db  *DB
 	tab *cupi.Table
 }
 
-// BulkLoadSpatial builds a continuous UPI from observations,
-// configured with spatial-scoped functional options (WithNodePageSize,
-// WithHeapPageSize) — the same options scheme as discrete tables, with
-// the same scope validation: a database- or table-level option passed
-// here errors instead of being silently ignored. Like table creation,
-// it fails with ErrClosed once the DB is closed.
-func (db *DB) BulkLoadSpatial(name string, obs []*Observation, opts ...Option) (*SpatialTable, error) {
+// BulkLoadSpatial builds a continuous UPI from observations: the
+// U-Tree with its heap clustered in R-Tree leaf order, 4 KiB node pages
+// and 64 KiB heap pages (paper Figure 2). Like table creation, it fails
+// with ErrClosed once the DB is closed.
+func (db *DB) BulkLoadSpatial(name string, obs []*Observation) (*SpatialTable, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
-	scfg, err := spatialConfig(opts)
-	if err != nil {
-		return nil, err
-	}
-	tab, err := cupi.BulkBuild(db.fs, name, obs, scfg)
+	tab, err := cupi.BulkBuild(db.fs, name, obs, cupi.Options{})
 	if err != nil {
 		return nil, err
 	}

@@ -140,7 +140,7 @@ func TestFacadeQueryStats(t *testing.T) {
 	if err := authors.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	res, err := authors.Run(context.Background(), PTQ("", "MIT", 0.01).WithStats())
+	res, err := authors.Run(context.Background(), PTQ("", "MIT", 0.01))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,25 +277,5 @@ func TestDBClose(t *testing.T) {
 	}
 	if err := db.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
-	}
-}
-
-func TestFacadeCustomDiskParams(t *testing.T) {
-	p := DiskParams()
-	p.Seek *= 2
-	db := mustCreate(t, WithDiskParams(p))
-	tab, err := db.CreateTable("t", "X", nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	d, _ := NewDiscrete([]Alternative{{Value: "a", Prob: 1}})
-	if err := tab.Insert(&Tuple{ID: 1, Existence: 1, Unc: []UncField{{Name: "X", Dist: d}}}); err != nil {
-		t.Fatal(err)
-	}
-	if err := tab.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	if db.DiskStats().Elapsed == 0 {
-		t.Fatal("disk time should accumulate")
 	}
 }
