@@ -17,8 +17,10 @@ import (
 
 // TestQuickHistoryAgainstOracle runs seeded Put/Delete histories on a
 // 256-byte page against a map, and after every step compares a full
-// Scan and a Get of every live key (plus the key just removed) with
-// the oracle. A history is a sequence of episodes — fill with random
+// Scan, a Seek to the key just written and a Get of every live key
+// (plus the key just removed) with the oracle. These reads run on a
+// warm pool, through the parsed pages the pager keeps, so they fail if
+// a write leaves a page's old slot table in place. A history is a sequence of episodes — fill with random
 // keys, churn, delete a run of consecutive keys, delete from the top
 // down — with values of 0-40 bytes, so that whole subtrees drain next
 // to full ones. The seed source is fixed, so a failure reproduces and
@@ -110,7 +112,7 @@ func sortedKeys(ref map[string][]byte) []string {
 	return keys
 }
 
-// diffOracle compares the tree with ref through Scan and Get and
+// diffOracle compares the tree with ref through Scan, Seek and Get and
 // describes the first difference. touched is probed even when absent.
 func diffOracle(tr *Tree, ref map[string][]byte, touched string) string {
 	keys := sortedKeys(ref)
@@ -130,6 +132,15 @@ func diffOracle(tr *Tree, ref map[string][]byte, touched string) string {
 		return msg
 	case i != len(keys) || tr.Count() != int64(len(keys)):
 		return fmt.Sprintf("scan visited %d, Count %d, oracle holds %d", i, tr.Count(), len(keys))
+	}
+	c := tr.NewCursor().Seek([]byte(touched))
+	switch at := sort.SearchStrings(keys, touched); {
+	case c.Err() != nil:
+		return "seek: " + c.Err().Error()
+	case at == len(keys) && c.Valid():
+		return fmt.Sprintf("seek %s = %q, oracle holds no key at or after it", touched, c.Key())
+	case at < len(keys) && (!c.Valid() || string(c.Key()) != keys[at] || !bytes.Equal(c.Value(), ref[keys[at]])):
+		return fmt.Sprintf("seek %s = valid %v, oracle %s=%x", touched, c.Valid(), keys[at], ref[keys[at]])
 	}
 	for _, k := range append(keys, touched) {
 		got, ok, err := tr.Get([]byte(k))
@@ -201,9 +212,9 @@ func TestCursorSurvivesMutationOfItsLeaf(t *testing.T) {
 	}
 }
 
-// TestReadPathAllocations: a point lookup on a warm pool allocates
-// nothing (Get borrows its slot table), and a scan costs at most one
-// slot table per leaf.
+// TestReadPathAllocations: on a warm pool every page a read visits
+// was parsed when it was loaded, so a point lookup and a seek allocate
+// nothing, and a whole-tree scan allocates at most its Cursor.
 func TestReadPathAllocations(t *testing.T) {
 	tr := newTestTree(t, 512)
 	for i := 0; i < 5000; i++ {
@@ -223,6 +234,15 @@ func TestReadPathAllocations(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm Get: %.0f allocations, want 0", allocs)
 	}
+	c := tr.NewCursor()
+	allocs = testing.AllocsPerRun(200, func() {
+		if c.Seek(key); !c.Valid() || !bytes.Equal(c.Key(), key) {
+			t.Fatal("seek missed", c.Err())
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("warm Seek: %.0f allocations, want 0", allocs)
+	}
 	entries := 0
 	allocs = testing.AllocsPerRun(20, func() {
 		entries = 0
@@ -233,7 +253,7 @@ func TestReadPathAllocations(t *testing.T) {
 	if entries != 5000 {
 		t.Fatalf("scan visited %d", entries)
 	}
-	if limit := float64(tr.Leaves()); allocs > limit {
-		t.Fatalf("Scan of %d entries on %d leaves: %.0f allocations, want <= 1 per leaf", entries, tr.Leaves(), allocs)
+	if allocs > 1 {
+		t.Fatalf("Scan of %d entries on %d leaves: %.0f allocations, want <= 1 (the Cursor)", entries, tr.Leaves(), allocs)
 	}
 }

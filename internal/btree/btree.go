@@ -17,7 +17,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"upidb/internal/storage"
 )
@@ -119,15 +118,25 @@ func (t *Tree) View(rec storage.Recorder, readAhead int) View {
 	return View{t: t, pv: t.pager.View(rec, readAhead)}
 }
 
-// readPage parses page id in place: the view aliases the pager's
-// buffer, which the pager never recycles and only this tree's writer
-// changes. It is the read path's page access.
-func (v View) readPage(id storage.PageID, slots []slot) (page, error) {
-	buf, err := v.pv.Read(id)
+// readPage returns the parsed view of page id that the pager keeps
+// beside the page (storage.View.ReadParsed): the page is parsed once
+// per load into the pool, not once per visit. The view aliases the
+// pager's buffer, which the pager never recycles and only this tree's
+// writer changes; the writer's Write drops the parsed view with it.
+// The slot table is shared by every reader of the page, so the read
+// path only ever reads it. It is the read path's page access.
+func (v View) readPage(id storage.PageID) (page, error) {
+	_, parsed, err := v.pv.ReadParsed(id, func(buf []byte) (any, error) {
+		pg, err := parsePage(id, buf)
+		if err != nil {
+			return nil, err
+		}
+		return &pg, nil
+	})
 	if err != nil {
 		return page{}, err
 	}
-	return parsePage(id, buf, slots)
+	return *parsed.(*page), nil
 }
 
 // readNode is the mutation path's page access: it parses a private
@@ -140,7 +149,7 @@ func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	if err != nil {
 		return nil, err
 	}
-	pg, err := parsePage(id, bytes.Clone(buf), nil)
+	pg, err := parsePage(id, bytes.Clone(buf))
 	if err != nil {
 		return nil, err
 	}
@@ -171,11 +180,6 @@ func (t *Tree) allocNode(leaf bool) (*node, error) {
 // maxEntry returns the largest leaf entry that fits a page.
 func (t *Tree) maxEntry() int { return t.pager.PageSize() - leafHeader }
 
-// slotTables lends Get the scratch slot table a descent parses pages
-// into (cursors keep their own). The value Get returns aliases the
-// page, not the table, so the table goes back before Get returns.
-var slotTables = sync.Pool{New: func() any { return new([]slot) }}
-
 // Get returns the value stored under key. The value aliases the
 // pager's page: decode or copy it before the next write to the tree,
 // which may overwrite those bytes in place.
@@ -183,13 +187,10 @@ func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.View(nil, 1).Get
 
 // Get is Tree.Get through the view.
 func (v View) Get(key []byte) ([]byte, bool, error) {
-	scratch := slotTables.Get().(*[]slot)
-	defer slotTables.Put(scratch)
-	pg, err := v.descendToLeaf(key, *scratch)
+	pg, err := v.descendToLeaf(key)
 	if err != nil {
 		return nil, false, err
 	}
-	*scratch = pg.slots
 	i := pg.lowerBound(key)
 	if i < len(pg.slots) && bytes.Equal(pg.key(i), key) {
 		return pg.val(i), true, nil
@@ -197,12 +198,11 @@ func (v View) Get(key []byte) ([]byte, bool, error) {
 	return nil, false, nil
 }
 
-// descendToLeaf returns the leaf that key routes to. slots is scratch
-// for the leaf's slot table (see parsePage).
-func (v View) descendToLeaf(key []byte, slots []slot) (page, error) {
-	pg, err := v.readPage(v.t.root, slots)
+// descendToLeaf returns the leaf that key routes to.
+func (v View) descendToLeaf(key []byte) (page, error) {
+	pg, err := v.readPage(v.t.root)
 	for err == nil && !pg.leaf {
-		pg, err = v.readPage(pg.childFor(key), pg.slots)
+		pg, err = v.readPage(pg.childFor(key))
 	}
 	return pg, err
 }
@@ -356,14 +356,14 @@ func (t *Tree) Delete(key []byte) (bool, error) {
 	}
 	// Collapse the root when an internal root loses all separators.
 	v := t.View(nil, 1)
-	root, err := v.readPage(t.root, nil)
+	root, err := v.readPage(t.root)
 	if err != nil {
 		return false, err
 	}
 	for !root.leaf && len(root.slots) == 0 {
 		t.root = root.child(0)
 		t.height--
-		if root, err = v.readPage(t.root, root.slots); err != nil {
+		if root, err = v.readPage(t.root); err != nil {
 			return false, err
 		}
 	}

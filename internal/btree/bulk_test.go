@@ -125,7 +125,7 @@ func TestBuilderLeavesEqualSerializedNodes(t *testing.T) {
 				// Descend to the first leaf, then walk the chain.
 				id := tr.root
 				for h := 1; h < tr.Height(); h++ {
-					pg, err := tr.View(nil, 1).readPage(id, nil)
+					pg, err := tr.View(nil, 1).readPage(id)
 					if err != nil || pg.leaf {
 						t.Fatalf("level %d: %v leaf=%v", h, err, pg.leaf)
 					}
@@ -139,7 +139,7 @@ func TestBuilderLeavesEqualSerializedNodes(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					pg, err := parsePage(id, raw, nil)
+					pg, err := parsePage(id, raw)
 					if err != nil || !pg.leaf {
 						t.Fatalf("leaf %d: %v leaf=%v", id, err, pg.leaf)
 					}
@@ -224,6 +224,26 @@ func BenchmarkTreeGet(b *testing.B) {
 			b.Fatal(ok, err)
 		}
 	}
+}
+
+// BenchmarkCursorScan is a warm full scan: the leaf-chain walk of
+// Scan over a tree whose pages all stay in the pool.
+func BenchmarkCursorScan(b *testing.B) {
+	const n = 20000
+	entries := make([]entry, n)
+	for i := range entries {
+		entries[i] = entry{k(i), v(i)}
+	}
+	_, tr := buildCase(b, storage.DefaultPageSize, storage.DefaultCachePages, entries)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		seen := 0
+		if err := tr.Scan(nil, nil, func(_, _ []byte) bool { seen++; return true }); err != nil || seen != n {
+			b.Fatal(seen, err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/entry")
 }
 
 func BenchmarkBulkBuild(b *testing.B) {

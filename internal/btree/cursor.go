@@ -23,7 +23,7 @@ type Cursor struct {
 // returns the cursor for chaining. This is the UPI.seekTo of the
 // paper's Algorithm 2.
 func (c *Cursor) Seek(target []byte) *Cursor {
-	pg, err := c.v.descendToLeaf(target, c.pg.slots)
+	pg, err := c.v.descendToLeaf(target)
 	if err != nil {
 		c.fail(err)
 		return c
@@ -36,9 +36,9 @@ func (c *Cursor) Seek(target []byte) *Cursor {
 
 // First positions the cursor at the smallest entry.
 func (c *Cursor) First() *Cursor {
-	pg, err := c.v.readPage(c.v.t.root, c.pg.slots)
+	pg, err := c.v.readPage(c.v.t.root)
 	for err == nil && !pg.leaf {
-		pg, err = c.v.readPage(pg.child(0), pg.slots)
+		pg, err = c.v.readPage(pg.child(0))
 	}
 	if err != nil {
 		c.fail(err)
@@ -62,7 +62,7 @@ func (c *Cursor) skipToNonEmpty() {
 			c.pg = page{}
 			return
 		}
-		pg, err := c.v.readPage(c.pg.next, c.pg.slots)
+		pg, err := c.v.readPage(c.pg.next)
 		if err != nil {
 			c.fail(err)
 			return

@@ -93,10 +93,15 @@ func (n *node) serialize(pageSize int) ([]byte, error) {
 
 // page is a parsed, read-only view of one serialized node. Keys and
 // values are sub-slices of buf (capacity capped, so an append cannot
-// reach the neighbouring entry); the slot table is the view's only
-// allocation. Every slot was bounds-checked by parsePage against the
-// buffer it indexes, so accessors never fail or panic, even when the
-// buffer's bytes have since been overwritten by the tree's writer.
+// reach the neighbouring entry), located through the slot table. Every
+// slot was bounds-checked by parsePage against the buffer it indexes,
+// so accessors never fail or panic, even when the buffer's bytes have
+// since been overwritten by the tree's writer.
+//
+// On the read path the pager keeps one parsed page per loaded page
+// (View.readPage) and readers work on copies of it: a page's slot
+// table is shared by every reader of that page, and nothing writes
+// into it.
 type page struct {
 	id    storage.PageID
 	buf   []byte // nil = no page (an unpositioned or exhausted cursor)
@@ -114,17 +119,16 @@ type slot struct {
 }
 
 // parsePage validates the framing of one serialized node and returns a
-// view of it that aliases buf. slots is scratch for the slot table
-// (a cursor passes the previous leaf's); nil allocates.
-func parsePage(id storage.PageID, buf []byte, slots []slot) (page, error) {
+// view of it that aliases buf, with a freshly allocated slot table
+// indexing every entry. The read path runs it once per page load (see
+// View.readPage); the mutation path runs it on a private clone (see
+// Tree.readNode).
+func parsePage(id storage.PageID, buf []byte) (page, error) {
 	if len(buf) < leafHeader {
 		return page{}, fmt.Errorf("btree: page %d too short", id)
 	}
 	nkeys := int(binary.BigEndian.Uint16(buf[1:]))
-	if cap(slots) < nkeys {
-		slots = make([]slot, nkeys)
-	}
-	pg := page{id: id, buf: buf, slots: slots[:nkeys]}
+	pg := page{id: id, buf: buf, slots: make([]slot, nkeys)}
 	switch buf[0] {
 	case nodeLeaf:
 		pg.leaf = true

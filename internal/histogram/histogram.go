@@ -10,14 +10,12 @@
 // of attribute X have a probability of 20% or more."
 //
 // The experiments (fig3, fig11, fig12, the ablation) and
-// examples/tuning build histograms with Build; Add and Remove apply
-// single-tuple deltas. All methods are safe for concurrent use, so an
-// estimate may read a histogram while a delta mutates it.
+// examples/tuning build a histogram once with Build and then only read
+// it, so a built histogram is safe for concurrent estimates.
 package histogram
 
 import (
 	"fmt"
-	"sync"
 
 	"upidb/internal/tuple"
 )
@@ -33,7 +31,6 @@ const NumBuckets = 50
 type Histogram struct {
 	attr string
 
-	mu sync.RWMutex
 	// perValue maps each attribute value to its probability buckets.
 	perValue map[string]*valueStats
 	// totals across all values.
@@ -54,13 +51,13 @@ type valueStats struct {
 	entries int64
 }
 
-func (vs *valueStats) add(conf float64, isFirst bool, n int64) {
+func (vs *valueStats) add(conf float64, isFirst bool) {
 	if isFirst {
-		vs.first[bucketOf(conf)] += n
+		vs.first[bucketOf(conf)]++
 	} else {
-		vs.rest[bucketOf(conf)] += n
+		vs.rest[bucketOf(conf)]++
 	}
-	vs.entries += n
+	vs.entries++
 }
 
 // bucketOf maps a confidence to its bucket index.
@@ -75,72 +72,36 @@ func bucketOf(conf float64) int {
 	return b
 }
 
-// New creates an empty histogram for one uncertain attribute.
-func New(attr string) *Histogram {
-	return &Histogram{attr: attr, perValue: make(map[string]*valueStats)}
-}
-
 // Build constructs the histogram for one uncertain attribute from a
 // batch of tuples (the statistics pass a DBA would run at load time).
 func Build(attr string, tuples []*tuple.Tuple) (*Histogram, error) {
-	h := New(attr)
+	h := &Histogram{attr: attr, perValue: make(map[string]*valueStats)}
 	for _, t := range tuples {
-		if !h.Add(t) {
+		if !h.add(t) {
 			return nil, fmt.Errorf("histogram: tuple %d lacks attribute %q", t.ID, attr)
 		}
 	}
 	return h, nil
 }
 
-// Add applies one tuple's contribution. It reports false — and leaves
+// add applies one tuple's contribution. It reports false — and leaves
 // the histogram untouched — when the tuple lacks the attribute.
-func (h *Histogram) Add(t *tuple.Tuple) bool {
-	return h.AddSized(t, int64(len(tuple.Encode(t))), +1)
-}
-
-// Remove subtracts one tuple's contribution, the inverse of Add. The
-// caller must pass the same tuple content that was added; Remove
-// reports false when the tuple lacks the attribute.
-func (h *Histogram) Remove(t *tuple.Tuple) bool {
-	return h.AddSized(t, int64(len(tuple.Encode(t))), -1)
-}
-
-// AddSized applies one tuple's contribution scaled by sign (+1 add,
-// -1 subtract) with the tuple's encoded payload size supplied by the
-// caller — the hot-path variant for callers maintaining several
-// histograms of the same tuple, which would otherwise re-serialize the
-// tuple once per attribute.
-func (h *Histogram) AddSized(t *tuple.Tuple, encBytes, sign int64) bool {
+func (h *Histogram) add(t *tuple.Tuple) bool {
 	dist, ok := t.Uncertain(h.attr)
 	if !ok {
 		return false
 	}
-	enc := encBytes
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	h.totalTuples += sign
+	enc := int64(len(tuple.Encode(t)))
+	h.totalTuples++
 	for i, a := range dist {
-		conf := t.Existence * a.Prob
 		vs := h.perValue[a.Value]
 		if vs == nil {
 			vs = &valueStats{}
 			h.perValue[a.Value] = vs
 		}
-		vs.add(conf, i == 0, sign)
-		if vs.entries <= 0 {
-			delete(h.perValue, a.Value)
-		}
-		h.totalEntries += sign
-		h.totalBytes += sign * enc
-	}
-	if h.totalEntries < 0 {
-		h.totalEntries = 0
-	}
-	if h.totalTuples < 0 {
-		h.totalTuples = 0
-	}
-	if h.totalBytes < 0 {
-		h.totalBytes = 0
+		vs.add(t.Existence*a.Prob, i == 0)
+		h.totalEntries++
+		h.totalBytes += enc
 	}
 	return true
 }
@@ -149,32 +110,13 @@ func (h *Histogram) AddSized(t *tuple.Tuple, encBytes, sign int64) bool {
 func (h *Histogram) Attr() string { return h.attr }
 
 // TotalEntries returns the number of (tuple, alternative) entries.
-func (h *Histogram) TotalEntries() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.totalEntries
-}
+func (h *Histogram) TotalEntries() int64 { return h.totalEntries }
 
 // TotalTuples returns the number of tuples summarized.
-func (h *Histogram) TotalTuples() int64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.totalTuples
-}
+func (h *Histogram) TotalTuples() int64 { return h.totalTuples }
 
 // DistinctValues returns the number of distinct attribute values.
-func (h *Histogram) DistinctValues() int {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return len(h.perValue)
-}
-
-func (h *Histogram) avgEntryBytesLocked() float64 {
-	if h.totalEntries == 0 {
-		return 0
-	}
-	return float64(h.totalBytes) / float64(h.totalEntries)
-}
+func (h *Histogram) DistinctValues() int { return len(h.perValue) }
 
 // bucketsAbove estimates entries in buckets with confidence >= t, with
 // linear interpolation inside the boundary bucket.
@@ -212,12 +154,6 @@ func (vs *valueStats) entriesAbove(t float64) float64 {
 // EstimateEntries estimates how many index entries for value have
 // confidence >= qt (heap-file entries when qt >= C).
 func (h *Histogram) EstimateEntries(value string, qt float64) float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.estimateEntriesLocked(value, qt)
-}
-
-func (h *Histogram) estimateEntriesLocked(value string, qt float64) float64 {
 	vs := h.perValue[value]
 	if vs == nil {
 		return 0
@@ -232,8 +168,6 @@ func (h *Histogram) EstimateCutoffPointers(value string, qt, cutoff float64) flo
 	if qt >= cutoff {
 		return 0
 	}
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	vs := h.perValue[value]
 	if vs == nil {
 		return 0
@@ -249,12 +183,10 @@ func (h *Histogram) EstimateCutoffPointers(value string, qt, cutoff float64) flo
 // on value with threshold qt touches — the Selectivity term of the
 // Section 6 cost models.
 func (h *Histogram) EstimateSelectivity(value string, qt float64) float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
 	if h.totalEntries == 0 {
 		return 0
 	}
-	return h.estimateEntriesLocked(value, qt) / float64(h.totalEntries)
+	return h.EstimateEntries(value, qt) / float64(h.totalEntries)
 }
 
 // EstimateHeapEntriesTotal estimates the number of entries kept in the
@@ -262,12 +194,6 @@ func (h *Histogram) EstimateSelectivity(value string, qt float64) float64 {
 // (Algorithm 1 keeps them unconditionally) plus every non-first
 // alternative with confidence >= C.
 func (h *Histogram) EstimateHeapEntriesTotal(cutoff float64) float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.estimateHeapEntriesTotalLocked(cutoff)
-}
-
-func (h *Histogram) estimateHeapEntriesTotalLocked(cutoff float64) float64 {
 	total := float64(h.totalTuples) // exactly one first alternative per tuple
 	for _, vs := range h.perValue {
 		total += bucketsAbove(&vs.rest, cutoff)
@@ -279,7 +205,8 @@ func (h *Histogram) estimateHeapEntriesTotalLocked(cutoff float64) float64 {
 // threshold ("We also use the histogram to estimate the size of the
 // table for a given cutoff threshold").
 func (h *Histogram) EstimateTableBytes(cutoff float64) float64 {
-	h.mu.RLock()
-	defer h.mu.RUnlock()
-	return h.estimateHeapEntriesTotalLocked(cutoff) * h.avgEntryBytesLocked()
+	if h.totalEntries == 0 {
+		return 0
+	}
+	return h.EstimateHeapEntriesTotal(cutoff) * (float64(h.totalBytes) / float64(h.totalEntries))
 }

@@ -166,104 +166,3 @@ func TestEstimateTableBytesMonotone(t *testing.T) {
 		t.Fatalf("C=0 size mismatch: %v", all)
 	}
 }
-
-// histogramsAgree fails unless a and b produce identical totals and
-// identical estimates for every probed value and threshold.
-func histogramsAgree(t *testing.T, a, b *Histogram, values []string) {
-	t.Helper()
-	if a.TotalEntries() != b.TotalEntries() || a.TotalTuples() != b.TotalTuples() ||
-		a.DistinctValues() != b.DistinctValues() {
-		t.Fatalf("totals diverged: entries %d/%d tuples %d/%d distinct %d/%d",
-			a.TotalEntries(), b.TotalEntries(), a.TotalTuples(), b.TotalTuples(),
-			a.DistinctValues(), b.DistinctValues())
-	}
-	if a.totalBytes != b.totalBytes {
-		t.Fatalf("entry bytes diverged: %d vs %d", a.totalBytes, b.totalBytes)
-	}
-	for _, v := range values {
-		for _, qt := range []float64{0, 0.1, 0.3, 0.5, 0.8} {
-			if ae, be := a.EstimateEntries(v, qt), b.EstimateEntries(v, qt); math.Abs(ae-be) > 1e-9 {
-				t.Fatalf("EstimateEntries(%q, %v): %v vs %v", v, qt, ae, be)
-			}
-			if ap, bp := a.EstimateCutoffPointers(v, qt, 0.4), b.EstimateCutoffPointers(v, qt, 0.4); math.Abs(ap-bp) > 1e-9 {
-				t.Fatalf("EstimateCutoffPointers(%q, %v): %v vs %v", v, qt, ap, bp)
-			}
-		}
-	}
-}
-
-// TestIncrementalAddMatchesBuild: feeding tuples one by one through Add
-// yields exactly the histogram Build produces from the batch.
-func TestIncrementalAddMatchesBuild(t *testing.T) {
-	cfg := dataset.DefaultDBLPConfig()
-	cfg.Authors, cfg.Publications, cfg.Institutions = 2000, 100, 200
-	d, err := dataset.GenerateDBLP(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch, err := Build(dataset.AttrInstitution, d.Authors)
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := New(dataset.AttrInstitution)
-	for _, a := range d.Authors {
-		if !inc.Add(a) {
-			t.Fatalf("tuple %d rejected", a.ID)
-		}
-	}
-	histogramsAgree(t, batch, inc, []string{dataset.MITInstitution})
-}
-
-// TestRemoveInvertsAdd: Remove is the exact inverse of Add, so deltas
-// can cancel a buffered insert without drift.
-func TestRemoveInvertsAdd(t *testing.T) {
-	base := []*tuple.Tuple{
-		mkTuple(t, 1, 1.0, prob.Alternative{Value: "A", Prob: 0.8}, prob.Alternative{Value: "B", Prob: 0.2}),
-		mkTuple(t, 2, 0.5, prob.Alternative{Value: "A", Prob: 1.0}),
-	}
-	want, err := Build("X", base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := New("X")
-	extra := mkTuple(t, 3, 0.7, prob.Alternative{Value: "C", Prob: 0.9}, prob.Alternative{Value: "A", Prob: 0.1})
-	for _, tup := range base {
-		h.Add(tup)
-	}
-	h.Add(extra)
-	h.Remove(extra)
-	histogramsAgree(t, want, h, []string{"A", "B", "C"})
-	// A tuple lacking the attribute is refused without mutation.
-	h2 := New("Y")
-	if h2.Add(base[0]) {
-		t.Fatal("Add accepted a tuple lacking the attribute")
-	}
-	if h2.TotalEntries() != 0 || h2.TotalTuples() != 0 {
-		t.Fatal("rejected Add mutated the histogram")
-	}
-}
-
-// TestConcurrentAddAndEstimate: mutations and reads race cleanly (the
-// planner reads live histograms while the maintenance path mutates
-// them); run with -race.
-func TestConcurrentAddAndEstimate(t *testing.T) {
-	h := New("X")
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for i := 0; i < 500; i++ {
-			h.Add(mkTuple(t, uint64(i+1), 0.9,
-				prob.Alternative{Value: "A", Prob: 0.6}, prob.Alternative{Value: "B", Prob: 0.3}))
-		}
-	}()
-	for i := 0; i < 500; i++ {
-		_ = h.EstimateEntries("A", 0.2)
-		_ = h.EstimateSelectivity("B", 0.1)
-		_ = h.EstimateHeapEntriesTotal(0.1)
-		_ = h.EstimateTableBytes(0.1)
-	}
-	<-done
-	if h.TotalTuples() != 500 {
-		t.Fatalf("tuples: %d", h.TotalTuples())
-	}
-}

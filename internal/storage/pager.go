@@ -44,12 +44,14 @@ const DefaultCachePages = 512
 // per file, excluded from that file's readers by the owning table's
 // lock: a reader never observes a page mid-change.
 //
-// Page bytes are therefore the only thing the pool allocates: a hit
-// allocates nothing, a miss one buffer for its whole read-ahead run.
-// The pool's bookkeeping is a table of frames, reused through a free
-// list and linked into the LRU list by index, and the pager counts the
-// pages it has written to the file itself, so a miss never asks the
-// backend for the file size.
+// A hit allocates nothing, and a miss one buffer for its whole
+// read-ahead run. Besides the bytes, a frame can hold one parsed form
+// of its page (see View.ReadParsed), built on the first such read after
+// the page is loaded and dropped whenever the bytes may change or the
+// frame is evicted. The pool's bookkeeping is a table of frames, reused
+// through a free list and linked into the LRU list by index, and the
+// pager counts the pages it has written to the file itself, so a miss
+// never asks the backend for the file size.
 //
 // The pool is shared by every reader of the file; what a reader pays
 // for it is its own. Read and the mutating methods charge the disk and
@@ -79,8 +81,11 @@ type Pager struct {
 // frame is one buffer-pool slot, linked into the LRU list (or the free
 // list) by index.
 type frame struct {
-	id         PageID
-	data       []byte
+	id   PageID
+	data []byte
+	// parsed is what ReadParsed's parse made of data, nil until then.
+	// Write, MarkDirty, eviction and DropCache reset it.
+	parsed     any
 	dirty      bool
 	prev, next int32
 }
@@ -135,7 +140,40 @@ func (p *Pager) View(rec Recorder, readAhead int) View {
 func (v View) Read(id PageID) ([]byte, error) {
 	v.p.mu.Lock()
 	defer v.p.mu.Unlock()
-	return v.p.readLocked(v.rec, id, v.readAhead)
+	fi, err := v.p.readLocked(v.rec, id, v.readAhead)
+	if err != nil {
+		return nil, err
+	}
+	return v.p.frames[fi].data, nil
+}
+
+// ReadParsed is Read that also returns parse's result for the page,
+// computing it only on the first ReadParsed since the page was loaded
+// or last changed: the pool keeps it beside the page's bytes until a
+// Write or MarkDirty of the page, its eviction or DropCache. parse runs
+// under the pool's lock, so it must be quick and must not call back
+// into the pager. An error from parse is returned and nothing is kept.
+// The kept value is shared by every reader of the page; nobody may
+// modify it.
+//
+// Every caller of one pager must pass the same parse: the pool keeps
+// one parsed form per page, whoever built it.
+func (v View) ReadParsed(id PageID, parse func([]byte) (any, error)) ([]byte, any, error) {
+	v.p.mu.Lock()
+	defer v.p.mu.Unlock()
+	fi, err := v.p.readLocked(v.rec, id, v.readAhead)
+	if err != nil {
+		return nil, nil, err
+	}
+	f := &v.p.frames[fi]
+	if f.parsed == nil {
+		parsed, err := parse(f.data)
+		if err != nil {
+			return nil, nil, err
+		}
+		f.parsed = parsed
+	}
+	return f.data, f.parsed, nil
 }
 
 // PageSize returns the page size in bytes.
@@ -175,7 +213,7 @@ func (p *Pager) Alloc() (PageID, []byte, error) {
 	id := p.nPage
 	p.nPage++
 	data := make([]byte, p.pageSize)
-	if err := p.insertLocked(nil, id, data, true); err != nil {
+	if _, err := p.insertLocked(nil, id, data, true); err != nil {
 		return 0, nil, err
 	}
 	return id, data, nil
@@ -189,15 +227,15 @@ func (p *Pager) Read(id PageID) ([]byte, error) {
 }
 
 // readLocked serves a read of page id for a reader charging rec with
-// the given read-ahead window.
-func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) ([]byte, error) {
+// the given read-ahead window, and returns the frame that holds it.
+func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) (int32, error) {
 	if id >= p.nPage {
-		return nil, fmt.Errorf("storage: read page %d of %d in %s", id, p.nPage, p.f.Name())
+		return -1, fmt.Errorf("storage: read page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
 	if fi, ok := p.index[id]; ok {
 		p.f.fs.hits.Add(1)
 		p.moveToFront(fi)
-		return p.frames[fi].data, nil
+		return fi, nil
 	}
 	p.f.fs.misses.Add(1)
 	// Determine the read-ahead run: contiguous pages starting at id
@@ -226,20 +264,16 @@ func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) ([]byte, erro
 	}
 	data := make([]byte, run*p.pageSize)
 	if err := p.f.readAt(rec, data, int64(id)*int64(p.pageSize)); err != nil {
-		return nil, err
+		return -1, err
 	}
 	// Insert read-ahead pages first, the requested page last, so the
 	// requested page is the most recently used.
 	for n := run - 1; n >= 1; n-- {
-		if err := p.insertLocked(rec, id+PageID(n), data[n*p.pageSize:(n+1)*p.pageSize:(n+1)*p.pageSize], false); err != nil {
-			return nil, err
+		if _, err := p.insertLocked(rec, id+PageID(n), data[n*p.pageSize:(n+1)*p.pageSize:(n+1)*p.pageSize], false); err != nil {
+			return -1, err
 		}
 	}
-	page := data[:p.pageSize:p.pageSize]
-	if err := p.insertLocked(rec, id, page, false); err != nil {
-		return nil, err
-	}
-	return page, nil
+	return p.insertLocked(rec, id, data[:p.pageSize:p.pageSize], false)
 }
 
 // Write replaces the contents of page id and marks it dirty. data must
@@ -259,11 +293,12 @@ func (p *Pager) Write(id PageID, data []byte) error {
 		if &f.data[0] != &data[0] {
 			copy(f.data, data)
 		}
-		f.dirty = true
+		f.dirty, f.parsed = true, nil
 		p.moveToFront(fi)
 		return nil
 	}
-	return p.insertLocked(nil, id, append([]byte(nil), data...), true)
+	_, err := p.insertLocked(nil, id, append([]byte(nil), data...), true)
+	return err
 }
 
 // MarkDirty flags a cached page (previously obtained from Read or
@@ -272,15 +307,17 @@ func (p *Pager) MarkDirty(id PageID) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if fi, ok := p.index[id]; ok {
-		p.frames[fi].dirty = true
+		p.frames[fi].dirty, p.frames[fi].parsed = true, nil
 		p.moveToFront(fi)
 	}
 }
 
 // insertLocked caches data as page id at the front of the LRU list,
 // then evicts down to the pool's capacity, charging write-backs to rec
-// (the disk when nil).
-func (p *Pager) insertLocked(rec Recorder, id PageID, data []byte, dirty bool) error {
+// (the disk when nil). It returns the page's frame, which the eviction
+// never takes: the pool holds at least one page, and this one is the
+// most recently used.
+func (p *Pager) insertLocked(rec Recorder, id PageID, data []byte, dirty bool) (int32, error) {
 	fi := p.free
 	if fi >= 0 {
 		p.free = p.frames[fi].next
@@ -291,7 +328,7 @@ func (p *Pager) insertLocked(rec Recorder, id PageID, data []byte, dirty bool) e
 	p.frames[fi] = frame{id: id, data: data, dirty: dirty}
 	p.pushFront(fi)
 	p.index[id] = fi
-	return p.evictLocked(rec)
+	return fi, p.evictLocked(rec)
 }
 
 func (p *Pager) evictLocked(rec Recorder) error {
@@ -392,7 +429,7 @@ func (p *Pager) DropCache() error {
 	if err := p.flushLocked(); err != nil {
 		return err
 	}
-	clear(p.frames) // drop the data references; the frames stay for reuse
+	clear(p.frames) // drop the data and parsed references; the frames stay for reuse
 	p.frames = p.frames[:0]
 	clear(p.index)
 	p.head, p.tail, p.free = -1, -1, -1
