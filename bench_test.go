@@ -271,3 +271,61 @@ func BenchmarkResultsAll(b *testing.B) {
 	})
 	_ = sink
 }
+
+// BenchmarkResultsFirstRow times a query up to its first row — Run,
+// one row of All, then Close — on a warm table of a main partition and
+// 2 flushed fractures, so every query opens three partition cursors.
+func BenchmarkResultsFirstRow(b *testing.B) {
+	tuples := benchTuples(b, 20000)
+	db, err := upidb.Create("")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(func() { _ = db.Close() })
+	tab, err := db.BulkLoadTable("t", dataset.AttrInstitution,
+		[]string{dataset.AttrCountry}, tuples[:18000], upidb.WithCutoff(0.1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, fracture := range [][]*upidb.Tuple{tuples[18000:19000], tuples[19000:]} {
+		for _, tup := range fracture {
+			if err := tab.Insert(tup); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := tab.Flush(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if n := tab.NumFractures(); n != 2 {
+		b.Fatalf("%d fractures, want 2", n)
+	}
+	q := upidb.PTQ("", dataset.MITInstitution, 0.1)
+	var sink uint64
+	first := func() {
+		res, err := tab.Run(context.Background(), q)
+		if err != nil {
+			b.Fatal(err)
+		}
+		n := 0
+		for r, err := range res.All() {
+			if err != nil {
+				b.Fatal(err)
+			}
+			sink += r.Tuple.ID
+			n++
+			break
+		}
+		res.Close()
+		if n != 1 {
+			b.Fatal("the query yielded no row")
+		}
+	}
+	first() // warm the buffer pools
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		first()
+	}
+	_ = sink
+}

@@ -1,9 +1,11 @@
 package upi
 
 import (
+	"bytes"
 	"context"
-	"iter"
 
+	"upidb/internal/btree"
+	"upidb/internal/keyenc"
 	"upidb/internal/tuple"
 )
 
@@ -13,7 +15,8 @@ import (
 // streaming form of the collect-then-return executors (Query, TopK,
 // QuerySecondary): draining one to exhaustion yields exactly
 // the same results, statistics and I/O pattern as the materialized
-// call.
+// call. Next runs on the goroutine that calls it: a cursor starts no
+// goroutine of its own.
 //
 // The context passed at construction is checked between pulls (every
 // ctxCheckEvery scanned entries); once it is done, Next fails with an
@@ -25,31 +28,32 @@ import (
 // the cutoff or a secondary index arrive built.
 // Result.Build is the same whichever it is.
 //
-// A Cursor is single-consumer and not safe for concurrent use. Callers
-// must Close it when done (Close is idempotent and implied by
-// exhaustion or error).
+// A Cursor is single-consumer and not safe for concurrent use. Close
+// ends it early; one dropped unclosed leaks nothing.
 type Cursor struct {
-	next  func() (Result, error, bool)
-	stop  func()
+	// step computes the rows the cursor produces one pull at a time
+	// (the heap scan of QueryCursor and TopKCursor) or, for the
+	// materialized cursors, all of them at the first pull. It returns
+	// ok false once it has nothing more to yield itself, having left
+	// the rest of the stream, sorted, in rows.
+	step  func(c *Cursor) (r Result, ok bool, err error)
+	rows  []Result
 	stats QueryStats
 	err   error
 	done  bool
-}
 
-// newCursor wraps a push-style body into a pull cursor. The body runs
-// in a coroutine (iter.Pull2) that only advances while Next is being
-// called, so all I/O the body performs is demand-driven; its yield
-// returns false once the consumer stops pulling, at which point the
-// body must return promptly.
-func newCursor(body func(yield func(Result) bool) error) *Cursor {
-	c := &Cursor{}
-	seq := func(yield func(Result, error) bool) {
-		if err := body(func(r Result) bool { return yield(r, nil) }); err != nil {
-			yield(Result{}, err)
-		}
-	}
-	c.next, c.stop = iter.Pull2(seq)
-	return c
+	// The heap scan of QueryCursor and TopKCursor.
+	t       *Table
+	ctx     context.Context
+	value   string
+	qt      float64
+	k       int           // the most rows to yield; 0 is unbounded
+	scan    *btree.Cursor // nil until the first pull
+	end     []byte
+	yielded int
+	// pending holds heap entries below the cutoff: they must wait for
+	// the cutoff merge before they may be yielded in order.
+	pending []Result
 }
 
 // Next returns the next result. ok is false when the stream is
@@ -59,34 +63,31 @@ func (c *Cursor) Next() (r Result, ok bool, err error) {
 	if c.done {
 		return Result{}, false, c.err
 	}
-	r, err, ok = c.next()
-	if !ok {
+	if c.step != nil {
+		r, ok, err = c.step(c)
+		if err != nil {
+			c.done, c.err = true, err
+			return Result{}, false, err
+		}
+		if ok {
+			return r, true, nil
+		}
+		c.step = nil
+	}
+	if len(c.rows) == 0 {
 		c.done = true
-		c.stop()
 		return Result{}, false, nil
 	}
-	if err != nil {
-		c.done = true
-		c.err = err
-		c.stop()
-		return Result{}, false, err
-	}
+	r, c.rows = c.rows[0], c.rows[1:]
 	return r, true, nil
 }
 
-// Close releases the cursor's coroutine without draining it. Pages not
-// yet read are never read (and so never charged). Idempotent.
-func (c *Cursor) Close() {
-	if !c.done {
-		c.done = true
-		c.stop()
-	}
-}
+// Close ends the cursor without draining it: pages not yet read are
+// never read (and so never charged). Idempotent.
+func (c *Cursor) Close() { c.done = true }
 
 // Stats reports what the cursor has touched so far; the counts are
-// final once the cursor is exhausted, failed or closed. They are
-// updated between pulls, so reading them from the consuming goroutine
-// is race-free.
+// final once the cursor is exhausted, failed or closed.
 func (c *Cursor) Stats() QueryStats { return c.stats }
 
 // Drain pulls next — the Next of a Cursor or of a merged stream above
@@ -135,122 +136,111 @@ func (t *Table) QueryCursor(ctx context.Context, value string, qt float64) *Curs
 // heap results, or a k-th result below the cutoff.
 func (t *Table) TopKCursor(ctx context.Context, value string, k int) *Cursor {
 	if k <= 0 {
-		return newCursor(func(func(Result) bool) error { return nil })
+		return &Cursor{}
 	}
 	return t.heapCursor(ctx, value, 0, k)
 }
 
-// heapCursor is the one body behind QueryCursor and TopKCursor: the
+// heapCursor is the one cursor behind QueryCursor and TopKCursor: the
 // confidence-ordered heap scan of value down to qt, then the cutoff
 // merge. k > 0 bounds it to the k best results (and the heap scan to k
 // entries); 0 is unbounded.
 func (t *Table) heapCursor(ctx context.Context, value string, qt float64, k int) *Cursor {
-	var c *Cursor
-	c = newCursor(func(yield func(Result) bool) error {
-		if err := CtxErr(ctx); err != nil {
-			return err
+	return &Cursor{step: (*Cursor).heapStep, t: t, ctx: ctx, value: value, qt: qt, k: k}
+}
+
+// heapStep is one pull of the heap scan. It advances past the row the
+// previous pull yielded only now, so each page is read by the pull that
+// needs it, then scans on to the next row it may yield. Once the scan
+// ends it consults the cutoff index and leaves the merged tail in rows.
+func (c *Cursor) heapStep() (Result, bool, error) {
+	if c.scan == nil {
+		if err := CtxErr(c.ctx); err != nil {
+			return Result{}, false, err
 		}
-		// pending holds heap entries below the cutoff: they must wait
-		// for the cutoff merge before they may be yielded in order.
-		var pending []Result
-		yielded := 0
-		stopped := false
-		start, end := ValuePrefix(value), ValuePrefixEnd(value)
-		var scanErr error
-		err := t.heap.View(t.rec, 1).Scan(start, end, func(kk, v []byte) bool {
-			if k > 0 && c.stats.HeapEntries >= k {
-				return false
-			}
-			if c.stats.HeapEntries%ctxCheckEvery == 0 {
-				if scanErr = CtxErr(ctx); scanErr != nil {
-					return false
-				}
-			}
-			conf, _, err := DecodeConfID(kk)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if conf < qt {
-				return false
-			}
-			c.stats.HeapEntries++
-			// The one framing walk of this row; whoever receives the
-			// tuple builds it from the view.
-			view, err := tuple.Validate(v)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			r := Result{Confidence: conf, View: view}
-			if qt < t.opts.Cutoff && conf < t.opts.Cutoff {
-				// The scan is confidence-sorted: once below the cutoff
-				// it never rises back, so no later heap entry can
-				// out-rank an already-yielded one.
-				pending = append(pending, r)
-				return true
-			}
-			yielded++
-			if !yield(r) {
-				stopped = true
-				return false
-			}
-			return true
-		})
-		if err == nil {
-			err = scanErr
+		start := ValuePrefix(c.value)
+		c.scan = c.t.heap.View(c.t.rec, 1).NewCursor().Seek(start)
+		c.end = keyenc.PrefixEnd(start)
+	} else {
+		c.scan.Next()
+	}
+	cutoff := c.t.opts.Cutoff
+	for ; c.scan.Valid() && bytes.Compare(c.scan.Key(), c.end) < 0; c.scan.Next() {
+		if c.k > 0 && c.stats.HeapEntries >= c.k {
+			break
 		}
-		if err != nil || stopped {
-			return err
+		if c.stats.HeapEntries%ctxCheckEvery == 0 {
+			if err := CtxErr(c.ctx); err != nil {
+				return Result{}, false, err
+			}
 		}
-		if qt >= t.opts.Cutoff || (k > 0 && yielded >= k) {
-			// Nothing in the cutoff index can qualify, or k results at
-			// or above the cutoff are out: nothing can displace them.
-			return nil
-		}
-		cutoffResults, n, err := t.queryCutoff(ctx, value, qt)
-		c.stats.CutoffPointers = n
+		conf, _, err := DecodeConfID(c.scan.Key())
 		if err != nil {
-			return err
+			return Result{}, false, err
 		}
-		pending = append(pending, cutoffResults...)
-		SortResults(pending)
-		for _, r := range pending {
-			if k > 0 && yielded >= k {
-				break
-			}
-			yielded++
-			if !yield(r) {
-				return nil
-			}
+		if conf < c.qt {
+			break
 		}
-		return nil
-	})
-	return c
+		c.stats.HeapEntries++
+		// The one framing walk of this row; whoever receives the tuple
+		// builds it from the view.
+		view, err := tuple.Validate(c.scan.Value())
+		if err != nil {
+			return Result{}, false, err
+		}
+		r := Result{Confidence: conf, View: view}
+		if c.qt < cutoff && conf < cutoff {
+			// The scan is confidence-sorted: once below the cutoff it
+			// never rises back, so no later heap entry can out-rank an
+			// already-yielded one.
+			c.pending = append(c.pending, r)
+			continue
+		}
+		c.yielded++
+		return r, true, nil
+	}
+	if err := c.scan.Err(); err != nil {
+		return Result{}, false, err
+	}
+	if c.qt >= cutoff || (c.k > 0 && c.yielded >= c.k) {
+		// Nothing in the cutoff index can qualify, or k results at or
+		// above the cutoff are out: nothing can displace them.
+		return Result{}, false, nil
+	}
+	cutoffResults, n, err := c.t.queryCutoff(c.ctx, c.value, c.qt)
+	c.stats.CutoffPointers = n
+	if err != nil {
+		return Result{}, false, err
+	}
+	c.rows = append(c.pending, cutoffResults...)
+	SortResults(c.rows)
+	if c.k > 0 {
+		c.rows = c.rows[:min(len(c.rows), c.k-c.yielded)]
+	}
+	return Result{}, false, nil
+}
+
+// materialized returns a cursor that runs fill on its first pull — all
+// of its I/O happens then — and hands out the sorted rows fill
+// returns. A cursor that is never pulled charges nothing.
+func materialized(fill func(st *QueryStats) ([]Result, error)) *Cursor {
+	return &Cursor{step: func(c *Cursor) (Result, bool, error) {
+		rows, err := fill(&c.stats)
+		c.rows = rows
+		return Result{}, false, err
+	}}
 }
 
 // SecondaryCursor is the streaming form of QuerySecondary. Tailored
 // access needs the full matching entry set before any pointer can be
 // chosen (Algorithm 3 is a global analysis), so this cursor
-// materializes on the first pull — all index and heap I/O happens then
-// — and streams the sorted results. A cursor that is never pulled
-// charges nothing.
+// materializes on the first pull and streams the sorted results.
 func (t *Table) SecondaryCursor(ctx context.Context, attr, value string, qt float64, tailored bool) *Cursor {
-	var c *Cursor
-	c = newCursor(func(yield func(Result) bool) error {
-		rs, st, err := t.QuerySecondary(ctx, attr, value, qt, tailored)
-		c.stats = st
-		if err != nil {
-			return err
-		}
-		for _, r := range rs {
-			if !yield(r) {
-				return nil
-			}
-		}
-		return nil
+	return materialized(func(st *QueryStats) ([]Result, error) {
+		rs, s, err := t.QuerySecondary(ctx, attr, value, qt, tailored)
+		*st = s
+		return rs, err
 	})
-	return c
 }
 
 // ScanCursor answers "attr = value AND confidence >= qt" by reading the
@@ -263,10 +253,9 @@ func (t *Table) ScanCursor(ctx context.Context, attr, value string, qt float64) 
 	if attr == "" {
 		attr = t.attr
 	}
-	var c *Cursor
-	c = newCursor(func(yield func(Result) bool) error {
+	return materialized(func(st *QueryStats) ([]Result, error) {
 		if err := CtxErr(ctx); err != nil {
-			return err
+			return nil, err
 		}
 		// Every tuple has at least one heap entry, so the entry count
 		// bounds the distinct IDs.
@@ -274,12 +263,12 @@ func (t *Table) ScanCursor(ctx context.Context, attr, value string, qt float64) 
 		var results []Result
 		var scanErr error
 		err := t.ScanHeap(func(id uint64, enc []byte) bool {
-			if c.stats.HeapEntries%ctxCheckEvery == 0 {
+			if st.HeapEntries%ctxCheckEvery == 0 {
 				if scanErr = CtxErr(ctx); scanErr != nil {
 					return false
 				}
 			}
-			c.stats.HeapEntries++
+			st.HeapEntries++
 			if _, dup := seen[id]; dup {
 				return true // another alternative of an already-decided tuple
 			}
@@ -304,15 +293,9 @@ func (t *Table) ScanCursor(ctx context.Context, attr, value string, qt float64) 
 			err = scanErr
 		}
 		if err != nil {
-			return err
+			return nil, err
 		}
 		SortResults(results)
-		for _, r := range results {
-			if !yield(r) {
-				return nil
-			}
-		}
-		return nil
+		return results, nil
 	})
-	return c
 }

@@ -157,6 +157,34 @@ func TestPointersDecodeErrors(t *testing.T) {
 	}
 }
 
+// FuzzParsePointers throws arbitrary bytes at the pointer-list
+// validator the cutoff chase and the secondary route decode through:
+// it never panics, and a list it accepts is walked by exactly n calls
+// to next, which consume the whole buffer and re-encode to it.
+func FuzzParsePointers(f *testing.F) {
+	f.Add(EncodePointers([]Pointer{{Value: "MIT", Conf: 0.95}}))
+	f.Add(EncodePointers([]Pointer{{Value: "MIT", Conf: 0.5}, {Value: "Brown", Conf: 0.3}, {Value: "", Conf: 0.2}}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		l, err := parsePointers(b)
+		if err != nil {
+			return
+		}
+		ps := make([]Pointer, l.n)
+		rest := l
+		for i := range ps {
+			var value []byte
+			value, ps[i].Conf, rest = rest.next()
+			ps[i].Value = string(value)
+		}
+		if rest.n != 0 || len(rest.b) != 0 {
+			t.Fatalf("%d pointers leave %d bytes and a count of %d", l.n, len(rest.b), rest.n)
+		}
+		if enc := EncodePointers(ps); !bytes.Equal(enc, b) {
+			t.Fatalf("accepted list %x re-encodes to %x", b, enc)
+		}
+	})
+}
+
 func TestValuePrefixBounds(t *testing.T) {
 	// Every heap key for a value sorts within [prefix, prefixEnd).
 	f := func(value string, confBits uint16, id uint64) bool {

@@ -671,7 +671,8 @@ func TestFullScanAllocationsFollowMatches(t *testing.T) {
 // the tuple one Build away and equal to what the materialized call
 // returns — while rows chased through the cutoff index arrive built;
 // Query and TopK return every row built, with no view left in it. The
-// cursor's allocations do not follow the rows it yields.
+// cursor's allocations follow neither the rows it yields nor the
+// leaves it steps through.
 func TestHeapCursorYieldsUnbuiltRows(t *testing.T) {
 	var tuples []*tuple.Tuple
 	for i := 0; i < 600; i++ {
@@ -754,8 +755,11 @@ func TestHeapCursorYieldsUnbuiltRows(t *testing.T) {
 	}
 	few, many := drain(0.85, 26), drain(0.1, 400)
 	t.Logf("heap cursor: %.0f allocations for 26 rows, %.0f for 400", few, many)
-	if many > few+6 { // a few more leaf slot tables, nothing per row
+	if many != few { // the pager keeps each leaf's slot table: nothing per row or per leaf
 		t.Fatalf("the heap cursor allocates per row: %.0f for 26 rows, %.0f for 400", few, many)
+	}
+	if few > 4 { // the cursor, its B+Tree cursor and the scan's key bounds
+		t.Fatalf("a warm heap-cursor drain costs %.0f allocations, want at most 4", few)
 	}
 }
 
