@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"upidb/internal/prob"
+	"upidb/internal/rtree"
 	"upidb/internal/tuple"
 	"upidb/internal/upi"
 )
@@ -123,6 +124,86 @@ func TestInsertAllOrNothing(t *testing.T) {
 			// leftovers change no confidence.
 			if want := bruteQuery(append(base, o), prob.Point{X: 500, Y: 500}, 1e6, 0); !maps.Equal(all, want) {
 				t.Fatalf("after retry: circle results differ from the brute force over the committed observations")
+			}
+		})
+	}
+}
+
+// TestRetriedInsertStreamsOnce fails an insert after its R-Tree entry
+// is written, retries it at the same location, and drains a
+// CircleCursor over the whole extent: the observation must stream
+// exactly once, though the R-Tree now holds it twice. Without a failed
+// insert the R-Tree holds every ID once. Either way the drained cursor
+// returns exactly QueryCircle's rows.
+func TestRetriedInsertStreamsOnce(t *testing.T) {
+	ctx := context.Background()
+	center := prob.Point{X: 500, Y: 500}
+	everywhere := prob.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}
+	const radius = 1e6
+	injected := errors.New("injected")
+	for _, stage := range []string{"none", "rtree", "seg:0"} {
+		t.Run(stage, func(t *testing.T) {
+			var base []*tuple.Observation
+			for id := uint64(1); id <= 40; id++ {
+				base = append(base, testObs(id))
+			}
+			tab, err := BulkBuild(newFS(), "a", base, Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			o := testObs(1000)
+			if stage != "none" {
+				tab.insertFail = func(s string) error {
+					if s == stage {
+						return injected
+					}
+					return nil
+				}
+				if err := tab.Insert(o); !errors.Is(err, injected) {
+					t.Fatalf("Insert: got %v, want injected failure", err)
+				}
+				tab.insertFail = nil
+			}
+			if err := tab.Insert(o); err != nil {
+				t.Fatal(err)
+			}
+			entries := 0
+			if err := tab.RTree().Search(everywhere, func(e rtree.Entry) bool {
+				if e.Data == o.ID {
+					entries++
+				}
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if want := map[bool]int{true: 1, false: 2}[stage == "none"]; entries != want {
+				t.Fatalf("the R-Tree holds observation %d %d times, want %d", o.ID, entries, want)
+			}
+
+			streamed, _, err := drainCursor(tab.CircleCursor(ctx, center, radius, 0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			found := 0
+			for _, r := range streamed {
+				if r.Obs.ID == o.ID {
+					found++
+				}
+			}
+			if found != 1 || len(streamed) != len(base)+1 {
+				t.Fatalf("drained cursor: %d rows, observation %d among them %d times; want %d rows, it once", len(streamed), o.ID, found, len(base)+1)
+			}
+			want, _, err := tab.QueryCircle(ctx, center, radius, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(streamed) != len(want) {
+				t.Fatalf("drained cursor: %d rows, QueryCircle %d", len(streamed), len(want))
+			}
+			for i := range want {
+				if streamed[i].Obs.ID != want[i].Obs.ID || streamed[i].Confidence != want[i].Confidence {
+					t.Fatalf("row %d: cursor (%d, %v), QueryCircle (%d, %v)", i, streamed[i].Obs.ID, streamed[i].Confidence, want[i].Obs.ID, want[i].Confidence)
+				}
 			}
 		})
 	}

@@ -112,6 +112,11 @@ type table struct {
 	heap   *heapfile.Heap
 	segIdx *btree.Tree
 	rows   map[uint64]heapfile.RowID
+	// strays is set once an Insert has failed after its heap append: its
+	// leftovers may include an R-Tree entry, so a retry of the same ID
+	// can put that ID in the R-Tree twice, and circle queries must dedup
+	// candidates by ID from then on.
+	strays bool
 
 	// insertFail, when set (tests only), injects an error after the
 	// named insert stage: "heap", "rtree", "seg:<i>".
@@ -294,6 +299,17 @@ func (t *Table) Insert(o *tuple.Observation) error {
 	if err != nil {
 		return err
 	}
+	if err := t.insertIndexes(o, rid); err != nil {
+		t.strays = true
+		return err
+	}
+	t.rows[o.ID] = rid // commit point: the insert becomes visible
+	return nil
+}
+
+// insertIndexes adds a heap-appended observation to the R-Tree and the
+// segment index under the write lock Insert holds.
+func (t *Table) insertIndexes(o *tuple.Observation, rid heapfile.RowID) error {
 	if err := t.failpoint("heap"); err != nil {
 		return err
 	}
@@ -318,7 +334,6 @@ func (t *Table) Insert(o *tuple.Observation) error {
 			return err
 		}
 	}
-	t.rows[o.ID] = rid // commit point: the insert becomes visible
 	return nil
 }
 
@@ -385,6 +400,21 @@ func (t *Table) Flush() error {
 	return t.segIdx.Pager().Flush()
 }
 
+// SetPoolBytes sizes each of the table's three buffer pools — R-Tree,
+// heap and segment index — to hold n bytes of its file's pages, whatever
+// the file's page size. Without it a pager keeps
+// storage.DefaultCachePages pages, the experiments' cold-cache setting.
+func (t *Table) SetPoolBytes(n int) error {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, p := range []*storage.Pager{t.rt.Pager(), t.heap.Pager(), t.segIdx.Pager()} {
+		if err := p.SetCacheLimit(n / p.PageSize()); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // DropCaches empties all buffer pools (cold-cache state).
 func (t *Table) DropCaches() error {
 	t.mu.Lock()
@@ -415,11 +445,12 @@ type circleCand struct {
 }
 
 // filterLeafCandidates applies the PCR filter, the committed-rows
-// filter and the retried-insert dedup (seen) to one leaf's matching
-// entries, appending the survivors — with their entry MBR captured for
-// refineCand's stale-accept guard — to cands. The caller holds the
-// read lock. Shared by the materialized QueryCircle and the streaming
-// CircleCursor so both apply exactly the same candidate discipline.
+// filter and the retried-insert dedup (seen, nil while the table has no
+// strays) to one leaf's matching entries, appending the survivors —
+// with their entry MBR captured for refineCand's stale-accept guard —
+// to cands. The caller holds the read lock. Shared by the materialized
+// QueryCircle and the streaming CircleCursor so both apply exactly the
+// same candidate discipline.
 func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, threshold float64, seen map[uint64]bool, stats *Stats, cands []circleCand) []circleCand {
 	for _, e := range es {
 		stats.Candidates++
@@ -435,15 +466,17 @@ func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, thr
 		if !ok || seen[e.Data] {
 			continue
 		}
-		seen[e.Data] = true
+		if seen != nil {
+			seen[e.Data] = true
+		}
 		cands = append(cands, circleCand{rid: rid, mbr: e.MBR, accepted: decision == pcrAccept})
 	}
 	return cands
 }
 
 // sortCands orders candidates for the heap sweep. RowIDs are unique
-// within a candidate set (seen dedups observation IDs), so the order is
-// total.
+// within a candidate set (an ID is in the R-Tree once unless the table
+// has strays, and then seen dedups it), so the order is total.
 func sortCands(cands []circleCand) {
 	slices.SortFunc(cands, func(a, b circleCand) int { return a.rid.Compare(b.rid) })
 }
@@ -453,7 +486,7 @@ func sortCands(cands []circleCand) {
 func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob.Point, radius, threshold float64, stats *Stats) ([]circleCand, error) {
 	var (
 		cands  []circleCand
-		seen   = make(map[uint64]bool)
+		seen   = t.newSeenRLocked()
 		ctxErr error
 	)
 	err := t.rt.View(t.rec, 1).SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
@@ -467,6 +500,16 @@ func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob
 		err = ctxErr
 	}
 	return cands, err
+}
+
+// newSeenRLocked returns the dedup set of one circle query: nil unless
+// a failed insert has left strays (see table.strays). The caller holds
+// the read lock.
+func (t *Table) newSeenRLocked() map[uint64]bool {
+	if !t.strays {
+		return nil
+	}
+	return make(map[uint64]bool)
 }
 
 // refineCand fetches one candidate and computes its exact confidence.

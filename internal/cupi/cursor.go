@@ -110,15 +110,18 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 		if err := t.checkOpenRLocked(); err != nil {
 			return err
 		}
-		seen := make(map[uint64]bool)
-		var leafErr error
+		seen := t.newSeenRLocked()
+		var (
+			cands   []circleCand // one leaf's survivors, reused leaf to leaf
+			leafErr error
+		)
 		err := t.rt.View(t.rec, 1).SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
 			if leafErr = upi.CtxErr(ctx); leafErr != nil {
 				return false
 			}
 			// PCR-filter this leaf's matches, then fetch its survivors
 			// in RowID order (contiguous for the bulk-loaded region).
-			cands := t.filterLeafCandidates(es, q, radius, threshold, seen, &c.stats, nil)
+			cands = t.filterLeafCandidates(es, q, radius, threshold, seen, &c.stats, cands[:0])
 			sortCands(cands)
 			for _, cand := range cands {
 				r, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats)

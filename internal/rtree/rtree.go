@@ -14,6 +14,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"upidb/internal/prob"
@@ -129,19 +130,26 @@ func (t *Tree) writeNode(n *node) error {
 		return fmt.Errorf("rtree: node %d overflows: %d > %d", n.id, len(n.entries), t.MaxEntries())
 	}
 	buf := make([]byte, t.pager.PageSize())
-	if n.leaf {
+	encodeNode(buf, n.leaf, n.entries)
+	return t.pager.Write(n.id, buf)
+}
+
+// encodeNode serializes a node's header and entries into the front of
+// buf, which must hold them; the rest of buf is left as it is.
+func encodeNode(buf []byte, leaf bool, entries []Entry) {
+	if leaf {
 		buf[0] = nodeLeaf
 	} else {
 		buf[0] = nodeInternal
 	}
-	binary.BigEndian.PutUint16(buf[1:], uint16(len(n.entries)))
+	binary.BigEndian.PutUint16(buf[1:], uint16(len(entries)))
 	off := headerSize
-	for _, e := range n.entries {
+	for _, e := range entries {
 		for _, f := range []float64{e.MBR.MinX, e.MBR.MinY, e.MBR.MaxX, e.MBR.MaxY} {
 			binary.BigEndian.PutUint64(buf[off:], math.Float64bits(f))
 			off += 8
 		}
-		if n.leaf {
+		if leaf {
 			binary.BigEndian.PutUint64(buf[off:], e.Data)
 		} else {
 			binary.BigEndian.PutUint64(buf[off:], uint64(e.Child))
@@ -152,18 +160,55 @@ func (t *Tree) writeNode(n *node) error {
 			off += 8
 		}
 	}
-	return t.pager.Write(n.id, buf)
 }
 
-// nodeView is a read-only view of one node page where the pager holds
-// it: the framing is validated once, entries are read in place. It is
-// the tree's one page parser — searches scan it directly, the mutating
-// paths materialize it through readNode. A view stays valid until the
-// next write to the tree; search callbacks must not write the tree.
+// nodeView is a node page decoded once per load: the pager keeps it
+// beside the page (storage.View.ReadParsed) until the page is written,
+// evicted or dropped, so searches read decoded MBRs instead of
+// re-decoding the page on every visit. A view is shared by every
+// reader of the page and never modified; a write to the page drops it
+// and the next read decodes a fresh one. The mutating paths clone its
+// entries (readNode).
 type nodeView struct {
-	buf  []byte
-	leaf bool
-	n    int // entries on the page
+	leaf    bool
+	entries []Entry
+}
+
+// parseNode validates the framing of one node page and decodes its
+// entries. It is the tree's one page parser; its errors name the page.
+func parseNode(id storage.PageID, buf []byte, maxEntries int) (*nodeView, error) {
+	if len(buf) < headerSize {
+		return nil, fmt.Errorf("rtree: page %d is %d bytes, shorter than a node header", id, len(buf))
+	}
+	if buf[0] != nodeLeaf && buf[0] != nodeInternal {
+		return nil, fmt.Errorf("rtree: page %d has bad node type %d", id, buf[0])
+	}
+	cnt := int(binary.BigEndian.Uint16(buf[1:]))
+	if cnt > maxEntries {
+		return nil, fmt.Errorf("rtree: page %d claims %d entries, max %d", id, cnt, maxEntries)
+	}
+	if end := headerSize + cnt*entryBytes; end > len(buf) {
+		return nil, fmt.Errorf("rtree: page %d claims %d entries ending at byte %d, past its %d bytes", id, cnt, end, len(buf))
+	}
+	v := &nodeView{leaf: buf[0] == nodeLeaf, entries: make([]Entry, cnt)}
+	f64 := func(off int) float64 { return math.Float64frombits(binary.BigEndian.Uint64(buf[off:])) }
+	for i := range v.entries {
+		e, off := &v.entries[i], headerSize+i*entryBytes
+		e.MBR = prob.Rect{MinX: f64(off), MinY: f64(off + 8), MaxX: f64(off + 16), MaxY: f64(off + 24)}
+		ref := binary.BigEndian.Uint64(buf[off+32:])
+		if v.leaf {
+			e.Data = ref
+		} else {
+			if ref > math.MaxUint32 {
+				return nil, fmt.Errorf("rtree: page %d entry %d points at page %d, past the page-ID range", id, i, ref)
+			}
+			e.Child = storage.PageID(ref)
+		}
+		for j := range e.Aux {
+			e.Aux[j] = f64(off + 40 + 8*j)
+		}
+	}
+	return v, nil
 }
 
 // View reads the tree through one reader's view of its pager (see
@@ -180,67 +225,31 @@ func (t *Tree) View(rec storage.Recorder, readAhead int) View {
 	return View{t: t, pv: t.pager.View(rec, readAhead)}
 }
 
-func (tv View) viewNode(id storage.PageID) (nodeView, error) {
-	buf, err := tv.pv.Read(id)
+// viewNode returns page id's decoded node, parsing the page only on
+// its first read since it was loaded or last written.
+func (tv View) viewNode(id storage.PageID) (*nodeView, error) {
+	_, parsed, err := tv.pv.ReadParsed(id, func(buf []byte) (any, error) {
+		v, err := parseNode(id, buf, tv.t.MaxEntries())
+		if err != nil {
+			return nil, err
+		}
+		return v, nil
+	})
 	if err != nil {
-		return nodeView{}, err
+		return nil, err
 	}
-	if buf[0] != nodeLeaf && buf[0] != nodeInternal {
-		return nodeView{}, fmt.Errorf("rtree: page %d has bad node type %d", id, buf[0])
-	}
-	cnt := int(binary.BigEndian.Uint16(buf[1:]))
-	if cnt > tv.t.MaxEntries() {
-		return nodeView{}, fmt.Errorf("rtree: page %d claims %d entries, max %d", id, cnt, tv.t.MaxEntries())
-	}
-	return nodeView{buf: buf, leaf: buf[0] == nodeLeaf, n: cnt}, nil
-}
-
-func (v nodeView) f64(off int) float64 {
-	return math.Float64frombits(binary.BigEndian.Uint64(v.buf[off:]))
-}
-
-// mbr reads entry i's rectangle.
-func (v nodeView) mbr(i int) prob.Rect {
-	off := headerSize + i*entryBytes
-	return prob.Rect{MinX: v.f64(off), MinY: v.f64(off + 8), MaxX: v.f64(off + 16), MaxY: v.f64(off + 24)}
-}
-
-// child reads internal entry i's child page.
-func (v nodeView) child(i int) storage.PageID {
-	return storage.PageID(binary.BigEndian.Uint64(v.buf[headerSize+i*entryBytes+32:]))
-}
-
-// entry materializes entry i.
-func (v nodeView) entry(i int) Entry {
-	e := Entry{MBR: v.mbr(i)}
-	if v.leaf {
-		e.Data = binary.BigEndian.Uint64(v.buf[headerSize+i*entryBytes+32:])
-	} else {
-		e.Child = v.child(i)
-	}
-	for j := range e.Aux {
-		e.Aux[j] = v.f64(headerSize + i*entryBytes + 40 + 8*j)
-	}
-	return e
-}
-
-// entries materializes the whole page.
-func (v nodeView) entries() []Entry {
-	es := make([]Entry, v.n)
-	for i := range es {
-		es[i] = v.entry(i)
-	}
-	return es
+	return parsed.(*nodeView), nil
 }
 
 // readNode materializes a node for the mutating paths (insert, split,
-// root growth), which edit and rewrite its entries.
+// root growth), which edit and rewrite its entries: it clones the
+// shared decoded entries.
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	v, err := t.View(nil, 1).viewNode(id)
 	if err != nil {
 		return nil, err
 	}
-	return &node{id: id, leaf: v.leaf, entries: v.entries()}, nil
+	return &node{id: id, leaf: v.leaf, entries: slices.Clone(v.entries)}, nil
 }
 
 func (t *Tree) allocNode(leaf bool) (*node, error) {
@@ -263,16 +272,17 @@ func (tv View) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bo
 	if err != nil {
 		return false, err
 	}
-	for i := 0; i < v.n; i++ {
-		if !v.mbr(i).Intersects(r) {
+	for i := range v.entries {
+		e := &v.entries[i]
+		if !e.MBR.Intersects(r) {
 			continue
 		}
 		if v.leaf {
-			if !fn(v.entry(i)) {
+			if !fn(*e) {
 				return false, nil
 			}
 		} else {
-			cont, err := tv.search(v.child(i), r, fn)
+			cont, err := tv.search(e.Child, r, fn)
 			if err != nil || !cont {
 				return cont, err
 			}
@@ -283,45 +293,54 @@ func (tv View) search(id storage.PageID, r prob.Rect, fn func(e Entry) bool) (bo
 
 // SearchLeaves visits matching entries grouped by their leaf node, in
 // DFS order. The continuous UPI uses the grouping to read one heap
-// region per leaf (Section 5).
+// region per leaf (Section 5). matches is one buffer the whole
+// traversal refills: it is valid only until fn returns, so fn copies
+// what it keeps.
 func (t *Tree) SearchLeaves(r prob.Rect, fn func(leafID storage.PageID, matches []Entry) bool) error {
 	return t.View(nil, 1).SearchLeaves(r, fn)
 }
 
 // SearchLeaves is Tree.SearchLeaves through the view.
 func (tv View) SearchLeaves(r prob.Rect, fn func(leafID storage.PageID, matches []Entry) bool) error {
-	_, err := tv.searchLeaves(tv.t.root, r, fn)
+	s := leafSearch{tv: tv, r: r, fn: fn}
+	_, err := s.walk(tv.t.root)
 	return err
 }
 
-func (tv View) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.PageID, []Entry) bool) (bool, error) {
-	v, err := tv.viewNode(id)
+// leafSearch is one SearchLeaves traversal and its matches buffer,
+// sized once for a full leaf on the first leaf it reaches.
+type leafSearch struct {
+	tv      View
+	r       prob.Rect
+	fn      func(storage.PageID, []Entry) bool
+	matches []Entry
+}
+
+func (s *leafSearch) walk(id storage.PageID) (bool, error) {
+	v, err := s.tv.viewNode(id)
 	if err != nil {
 		return false, err
 	}
 	if v.leaf {
-		hits := 0
-		for i := 0; i < v.n; i++ {
-			if v.mbr(i).Intersects(r) {
-				hits++
+		if s.matches == nil {
+			s.matches = make([]Entry, 0, s.tv.t.MaxEntries())
+		}
+		s.matches = s.matches[:0]
+		for i := range v.entries {
+			if v.entries[i].MBR.Intersects(s.r) {
+				s.matches = append(s.matches, v.entries[i])
 			}
 		}
-		if hits == 0 {
+		if len(s.matches) == 0 {
 			return true, nil
 		}
-		matches := make([]Entry, 0, hits)
-		for i := 0; i < v.n; i++ {
-			if v.mbr(i).Intersects(r) {
-				matches = append(matches, v.entry(i))
-			}
-		}
-		return fn(id, matches), nil
+		return s.fn(id, s.matches), nil
 	}
-	for i := 0; i < v.n; i++ {
-		if !v.mbr(i).Intersects(r) {
+	for i := range v.entries {
+		if !v.entries[i].MBR.Intersects(s.r) {
 			continue
 		}
-		cont, err := tv.searchLeaves(v.child(i), r, fn)
+		cont, err := s.walk(v.entries[i].Child)
 		if err != nil || !cont {
 			return cont, err
 		}
@@ -331,6 +350,8 @@ func (tv View) searchLeaves(id storage.PageID, r prob.Rect, fn func(storage.Page
 
 // Leaves visits every leaf in DFS order ("hierarchical node location"
 // order), which is the clustering order of the continuous UPI heap.
+// entries is the leaf's decoded form, shared with every reader of the
+// page: fn may keep it but must not modify it.
 func (t *Tree) Leaves(fn func(leafID storage.PageID, entries []Entry) bool) error {
 	_, err := t.View(nil, 1).leaves(t.root, fn)
 	return err
@@ -342,10 +363,10 @@ func (tv View) leaves(id storage.PageID, fn func(storage.PageID, []Entry) bool) 
 		return false, err
 	}
 	if v.leaf {
-		return fn(id, v.entries()), nil
+		return fn(id, v.entries), nil
 	}
-	for i := 0; i < v.n; i++ {
-		cont, err := tv.leaves(v.child(i), fn)
+	for i := range v.entries {
+		cont, err := tv.leaves(v.entries[i].Child, fn)
 		if err != nil || !cont {
 			return cont, err
 		}

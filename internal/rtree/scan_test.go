@@ -1,15 +1,17 @@
 package rtree
 
-// Search, SearchLeaves and Leaves scan node pages in place (nodeView);
-// insert and split materialize them (readNode). These tests hold the
-// in-place scans to the materialized traversal, to their allocation
-// budget, and to failing — not panicking — on a corrupt page.
+// Search, SearchLeaves and Leaves read the decoded nodes the pager keeps
+// beside their pages (nodeView); insert and split clone them
+// (readNode). These tests hold the searches to the materialized
+// traversal, to their allocation budget, to seeing every write, and to
+// failing — not panicking — on a corrupt page.
 
 import (
 	"bytes"
 	"encoding/binary"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -104,10 +106,8 @@ func TestInPlaceScansMatchMaterializedTraversal(t *testing.T) {
 			wantFlat = append(wantFlat, es...)
 		})
 		if err := tr.SearchLeaves(query, func(id storage.PageID, es []Entry) bool {
-			if len(es) != cap(es) {
-				t.Fatalf("leaf %d: matches has len %d, cap %d: not sized once", id, len(es), cap(es))
-			}
-			got = append(got, leafHit{Leaf: id, Matches: es})
+			// matches is valid only until the callback returns.
+			got = append(got, leafHit{Leaf: id, Matches: slices.Clone(es)})
 			return true
 		}); err != nil {
 			t.Fatal(err)
@@ -157,9 +157,99 @@ func TestSearchAllocations(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	if allocs > float64(leaves)+2 {
-		t.Fatalf("SearchLeaves over %d matching leaves: %.0f allocations, want <= 1 per leaf + O(1)", leaves, allocs)
+	if allocs > 2 {
+		t.Fatalf("SearchLeaves over %d matching leaves: %.0f allocations, want O(1)", leaves, allocs)
 	}
+}
+
+// TestSearchSeesWriteAfterParse caches a leaf's decoded form with a
+// search, then inserts into that leaf — first without a split, then
+// with one — and requires the next Search and SearchLeaves to see every
+// inserted entry: a write must drop the decoded node with the page.
+func TestSearchSeesWriteAfterParse(t *testing.T) {
+	tr := newTestTree(t, 512) // fan-out 7
+	rng := rand.New(rand.NewSource(23))
+	es := randomEntries(rng, 60, 1000)
+	if err := tr.BulkLoad(es); err != nil {
+		t.Fatal(err)
+	}
+	// The fullest leaf, and a point inside its first entry.
+	var leaf storage.PageID
+	var target Entry
+	fullest := 0
+	if err := tr.Leaves(func(id storage.PageID, es []Entry) bool {
+		if len(es) > fullest {
+			leaf, target, fullest = id, es[0], len(es)
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if fullest >= tr.MaxEntries() {
+		t.Fatalf("fullest leaf holds %d of %d entries: no room for an insert without a split", fullest, tr.MaxEntries())
+	}
+	c := target.MBR.Center()
+	query := rectAt(c.X, c.Y, 0.5)
+	nextID := uint64(len(es) + 1)
+	var inserted []uint64
+	check := func(stage string) {
+		t.Helper()
+		found := make(map[uint64]int)
+		if err := tr.Search(query, func(e Entry) bool { found[e.Data]++; return true }); err != nil {
+			t.Fatal(err)
+		}
+		leafFound := make(map[uint64]int)
+		if err := tr.SearchLeaves(query, func(_ storage.PageID, ms []Entry) bool {
+			for _, e := range ms {
+				leafFound[e.Data]++
+			}
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range append([]uint64{target.Data}, inserted...) {
+			if found[id] != 1 || leafFound[id] != 1 {
+				t.Fatalf("%s: entry %d seen %d times by Search, %d by SearchLeaves; want once each", stage, id, found[id], leafFound[id])
+			}
+		}
+	}
+	check("before any insert") // caches the decoded leaf
+	insert := func() {
+		t.Helper()
+		e := Entry{MBR: rectAt(c.X, c.Y, 0.25), Data: nextID}
+		nextID++
+		if err := tr.Insert(e); err != nil {
+			t.Fatal(err)
+		}
+		inserted = append(inserted, e.Data)
+	}
+	leafHolds := func(id uint64) (holds bool, n int) {
+		t.Helper()
+		node, err := tr.readNode(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range node.entries {
+			holds = holds || e.Data == id
+		}
+		return holds, len(node.entries)
+	}
+	pages := tr.pager.NumPages()
+	insert()
+	if tr.pager.NumPages() != pages {
+		t.Fatalf("the first insert allocated %d pages; the leaf had room", tr.pager.NumPages()-pages)
+	}
+	if holds, _ := leafHolds(inserted[0]); !holds {
+		t.Fatalf("entry %d did not go into the cached leaf %d", inserted[0], leaf)
+	}
+	check("after an insert into the cached leaf")
+	for tr.pager.NumPages() == pages {
+		insert()
+	}
+	if _, n := leafHolds(0); n > fullest+len(inserted)-1 {
+		t.Fatalf("leaf %d holds %d entries after the split; it did not split", leaf, n)
+	}
+	check("after the insert that split the leaf")
 }
 
 // TestCorruptNodePageFails overwrites the entry count (then the type

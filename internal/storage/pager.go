@@ -26,11 +26,13 @@ type PageID uint32
 const InvalidPage PageID = ^PageID(0)
 
 // DefaultCachePages is the buffer-pool capacity of a pager nobody
-// sizes: 512 pages, 4 MiB at 8 KiB, small relative to the tables the
+// sizes: 512 pages — 2 MiB of 4 KiB R-Tree nodes, 4 MiB at 8 KiB,
+// 32 MiB of 64 KiB heap pages — small relative to the tables the
 // experiments build, mirroring the paper's cold-cache regime. The
 // index packages (upi, fracture, shard, cupi, ...) and the experiment
 // harnesses run with it, so every modeled figure does; the upidb
-// facade sizes its tables' pools in bytes instead.
+// facade sizes the pools of its discrete and spatial tables in bytes
+// instead.
 const DefaultCachePages = 512
 
 // Pager provides fixed-size pages over a File with an LRU buffer pool.

@@ -142,12 +142,13 @@ func WithAutoMerge(opts AutoMergeOptions) Option {
 	}
 }
 
-// tablePoolBytes is the buffer pool of every file a discrete table
-// opens (main, fractures, merge outputs; heap, cutoff and secondary
-// indexes alike). The index packages default to the paper's 512-page
-// cold-cache pool, an experiment setting; a database serves repeated
-// queries, so it sizes the pool in bytes instead: 4096 pages of 8 KiB,
-// as much as a continuous-UPI heap file already gets.
+// tablePoolBytes is the buffer pool of every file a table opens: for
+// a discrete table its main, fractures and merge outputs (heap, cutoff
+// and secondary indexes alike), 4096 pages of 8 KiB; for a spatial
+// table its R-Tree (8192 pages of 4 KiB), heap (512 of 64 KiB) and
+// segment index (4096 of 8 KiB). The index packages default to the
+// paper's 512-page cold-cache pool, an experiment setting; a database
+// serves repeated queries, so it sizes every pool in bytes instead.
 const tablePoolBytes = 32 << 20
 
 // markerFile is the database marker distinguishing Create from Open.

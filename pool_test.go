@@ -3,13 +3,15 @@ package upidb
 // Buffer-pool sizing: every file a discrete table opens gets a pool of
 // tablePoolBytes, whatever produced it and across a reopen, and a set
 // of popular values larger than the index packages' 512-page pool
-// stays cached from one round of queries to the next.
+// stays cached from one round of queries to the next. So does a
+// spatial table's R-Tree larger than 512 of its 4 KiB nodes.
 
 import (
 	"context"
 	"fmt"
 	"testing"
 
+	"upidb/internal/dataset"
 	"upidb/internal/storage"
 )
 
@@ -149,5 +151,68 @@ func TestHotSetStaysCached(t *testing.T) {
 	}
 	if second := round(); second != 0 {
 		t.Fatalf("second round took %d pool misses over a %d-page heap, want 0", second, heap.NumPages())
+	}
+}
+
+// TestSpatialPoolsHoldTheRTree: a spatial table whose R-Tree is larger
+// than 512 of its 4 KiB nodes gets pools of tablePoolBytes on all three
+// files, and a sweep of circle queries over the whole extent, run a
+// second time, is served from the pools without a single miss.
+func TestSpatialPoolsHoldTheRTree(t *testing.T) {
+	cfg := dataset.DefaultCartelConfig()
+	cfg.Observations = 28000
+	c, err := dataset.GenerateCartel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	db := mustCreate(t)
+	tab, err := db.BulkLoadSpatial("cars", c.Observations)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := tab.tab.RTree().Pager()
+	if size := db.fs.Size("cars.cupi.rtree"); size <= int64(storage.DefaultCachePages*rt.PageSize()) {
+		t.Fatalf("R-Tree file is %d B, want more than a %d-page pool of %d B nodes", size, storage.DefaultCachePages, rt.PageSize())
+	}
+	for _, p := range []*storage.Pager{rt, tab.tab.Heap().Pager()} {
+		if got := p.CacheLimit() * p.PageSize(); got != tablePoolBytes {
+			t.Fatalf("%s has a pool of %d pages x %d B = %d B, want %d", p.File().Name(), p.CacheLimit(), p.PageSize(), got, tablePoolBytes)
+		}
+	}
+	t.Logf("R-Tree: %d pages of %d B", rt.NumPages(), rt.PageSize())
+
+	ctx := context.Background()
+	misses := func() int64 { return db.Metrics().Counters["upidb_bufferpool_misses_total"] }
+	const steps = 6
+	sweep := func() (misses0 int64, rows int) {
+		t.Helper()
+		before := misses()
+		for i := 0; i < steps; i++ {
+			for j := 0; j < steps; j++ {
+				at := Point{
+					X: c.Extent.MinX + (float64(i)+0.5)*(c.Extent.MaxX-c.Extent.MinX)/steps,
+					Y: c.Extent.MinY + (float64(j)+0.5)*(c.Extent.MaxY-c.Extent.MinY)/steps,
+				}
+				res, err := tab.Run(ctx, Circle(at, 1000, 0.5))
+				if err != nil {
+					t.Fatal(err)
+				}
+				rows += len(res.Collect())
+				if err := res.Err(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return misses() - before, rows
+	}
+	if err := tab.DropCaches(); err != nil {
+		t.Fatal(err)
+	}
+	first, rows := sweep()
+	if first == 0 || rows == 0 {
+		t.Fatalf("a sweep over emptied pools took %d misses for %d rows", first, rows)
+	}
+	if second, _ := sweep(); second != 0 {
+		t.Fatalf("second sweep took %d pool misses over a %d-page R-Tree, want 0 (first took %d)", second, rt.NumPages(), first)
 	}
 }

@@ -480,14 +480,18 @@ type SpatialTable struct {
 
 // BulkLoadSpatial builds a continuous UPI from observations: the
 // U-Tree with its heap clustered in R-Tree leaf order, 4 KiB node pages
-// and 64 KiB heap pages (paper Figure 2). Like table creation, it fails
-// with ErrClosed once the DB is closed.
+// and 64 KiB heap pages (paper Figure 2). Each of its three files gets
+// a buffer pool of tablePoolBytes, as a discrete table's do. Like table
+// creation, it fails with ErrClosed once the DB is closed.
 func (db *DB) BulkLoadSpatial(name string, obs []*Observation) (*SpatialTable, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
 	}
 	tab, err := cupi.BulkBuild(db.fs, name, obs, cupi.Options{})
 	if err != nil {
+		return nil, err
+	}
+	if err := tab.SetPoolBytes(tablePoolBytes); err != nil {
 		return nil, err
 	}
 	s := &SpatialTable{db: db, tab: tab}
