@@ -272,6 +272,13 @@ func BenchmarkResultsAll(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkResultsCollect drains the same query through
+// Results.Collect: every tuple built, in batches of tuple.SlabRows rows
+// sized exactly.
+func BenchmarkResultsCollect(b *testing.B) {
+	benchResults(b, func(res *upidb.Results) int { return len(res.Collect()) })
+}
+
 // BenchmarkResultsFirstRow times a query up to its first row — Run,
 // one row of All, then Close — on a warm table of a main partition and
 // 2 flushed fractures, so every query opens three partition cursors.

@@ -514,31 +514,67 @@ func (t *Table) newSeenRLocked() map[uint64]bool {
 
 // refineCand fetches one candidate and computes its exact confidence.
 // ok is false when the row vanished or the confidence is below the
-// threshold.
-func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64, stats *Stats) (Result, bool, error) {
+// threshold. A row that qualifies is left unbuilt in *view, the
+// validated view of its heap record, for the caller's builder: the
+// circle cursor builds it on the consumer's goroutine, so its
+// coroutine's stack holds no build.
+func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64, stats *Stats, view *tuple.ObservationView) (float64, bool, error) {
 	rec, ok, err := t.heap.View(t.rec, 1).Get(c.rid)
 	if err != nil || !ok {
-		return Result{}, false, err
+		return 0, false, err
 	}
 	stats.Fetched++
 	// Integrate first, build only a row that qualifies, from the one
 	// framing walk. The walk validates the whole record, so a corrupt row
 	// fails the query whether or not it would have qualified.
-	view, err := tuple.ValidateObservation(rec)
+	v, err := tuple.ValidateObservation(rec)
 	if err != nil {
-		return Result{}, false, err
+		return 0, false, err
 	}
-	loc := view.Loc()
+	loc := v.Loc()
 	conf := loc.ProbInCircle(q, radius)
 	if !c.accepted || c.mbr != loc.MBR() {
 		if !c.accepted {
 			stats.Integrations++
 		}
 		if conf < threshold {
-			return Result{}, false, nil
+			return 0, false, nil
 		}
 	}
-	return Result{Obs: view.Build(), Confidence: conf}, true, nil
+	*view = v
+	return conf, true, nil
+}
+
+// batch holds up to tuple.SlabRows qualifying rows of a query that
+// holds its whole answer, unbuilt, and builds them into slabs sized
+// exactly for them once it is full or the query ends. The views alias
+// heap pages, so a batch is flushed before the read lock is dropped.
+type batch struct {
+	views [tuple.SlabRows]tuple.ObservationView
+	confs [tuple.SlabRows]float64
+	n     int
+	out   []Result
+}
+
+// add holds one row, building the batch when it is full.
+func (bt *batch) add(v tuple.ObservationView, conf float64) {
+	bt.views[bt.n], bt.confs[bt.n] = v, conf
+	if bt.n++; bt.n == len(bt.views) {
+		bt.flush()
+	}
+}
+
+// flush builds the rows held and returns every row built so far.
+func (bt *batch) flush() []Result {
+	var b tuple.ObservationBuilder
+	for _, v := range bt.views[:bt.n] {
+		b.Reserve(v)
+	}
+	for i, v := range bt.views[:bt.n] {
+		bt.out = append(bt.out, Result{Obs: b.Build(v), Confidence: bt.confs[i]})
+	}
+	bt.n = 0
+	return bt.out
 }
 
 // QueryCircle answers the paper's Query 4: observations within radius
@@ -563,21 +599,25 @@ func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold
 		return nil, stats, err
 	}
 	sortCands(cands)
-	var results []Result
+	var (
+		bt   batch
+		view tuple.ObservationView
+	)
 	for i, c := range cands {
 		if i%64 == 0 {
 			if err := upi.CtxErr(ctx); err != nil {
 				return nil, stats, err
 			}
 		}
-		r, ok, err := t.refineCand(c, q, radius, threshold, &stats)
+		conf, ok, err := t.refineCand(c, q, radius, threshold, &stats, &view)
 		if err != nil {
 			return nil, stats, err
 		}
 		if ok {
-			results = append(results, r)
+			bt.add(view, conf)
 		}
 	}
+	results := bt.flush()
 	SortResults(results)
 	return results, stats, nil
 }
@@ -636,7 +676,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Stats) ([]Result, error) {
 	slices.SortFunc(entries, func(a, b segEntry) int { return a.rid.Compare(b.rid) })
 	heap := t.heap.View(t.rec, 1)
-	var results []Result
+	var bt batch
 	for i, e := range entries {
 		if i%64 == 0 {
 			if err := upi.CtxErr(ctx); err != nil {
@@ -653,13 +693,14 @@ func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Sta
 		if !ok {
 			continue
 		}
-		o, err := tuple.DecodeObservation(rec)
+		view, err := tuple.ValidateObservation(rec)
 		if err != nil {
 			return nil, err
 		}
 		stats.Fetched++
-		results = append(results, Result{Obs: o, Confidence: e.conf})
+		bt.add(view, e.conf)
 	}
+	results := bt.flush()
 	SortResults(results)
 	return results, nil
 }

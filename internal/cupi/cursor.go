@@ -34,21 +34,27 @@ import (
 // of its cursors. A Cursor is single-consumer and not safe for
 // concurrent use; Close is idempotent and implied by exhaustion.
 type Cursor struct {
-	next  func() (Result, error, bool)
+	next  func() (float64, error, bool)
 	stop  func()
 	stats Stats
 	err   error
 	done  bool
+	// The body leaves each row it yields unbuilt in view, and yields its
+	// confidence; Next builds it with b on the caller's goroutine, so the
+	// coroutine's stack holds no build. The body stays suspended, holding
+	// the read lock over the page view aliases, until the next pull.
+	view tuple.ObservationView
+	b    tuple.ObservationBuilder
 }
 
 // newCursor wraps a push-style body into a pull cursor (iter.Pull2:
 // the body only advances while Next is being called). The body
-// receives the cursor so it can update Stats between yields.
-func newCursor(body func(c *Cursor, yield func(Result) bool) error) *Cursor {
+// receives the cursor so it can update Stats and view between yields.
+func newCursor(body func(c *Cursor, yield func(conf float64) bool) error) *Cursor {
 	c := &Cursor{}
-	seq := func(yield func(Result, error) bool) {
-		if err := body(c, func(r Result) bool { return yield(r, nil) }); err != nil {
-			yield(Result{}, err)
+	seq := func(yield func(float64, error) bool) {
+		if err := body(c, func(conf float64) bool { return yield(conf, nil) }); err != nil {
+			yield(0, err)
 		}
 	}
 	c.next, c.stop = iter.Pull2(seq)
@@ -62,7 +68,7 @@ func (c *Cursor) Next() (r Result, ok bool, err error) {
 	if c.done {
 		return Result{}, false, c.err
 	}
-	r, err, ok = c.next()
+	conf, err, ok := c.next()
 	if !ok {
 		c.done = true
 		c.stop()
@@ -74,7 +80,7 @@ func (c *Cursor) Next() (r Result, ok bool, err error) {
 		c.stop()
 		return Result{}, false, err
 	}
-	return r, true, nil
+	return Result{Obs: c.b.Build(c.view), Confidence: conf}, true, nil
 }
 
 // Close releases the cursor without draining it: the read lock is
@@ -101,7 +107,7 @@ func (c *Cursor) Stats() Stats { return c.stats }
 // confidence order (see Cursor).
 func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshold float64) *Cursor {
 	queryMBR := queryRect(q, radius)
-	return newCursor(func(c *Cursor, yield func(Result) bool) error {
+	return newCursor(func(c *Cursor, yield func(float64) bool) error {
 		if err := upi.CtxErr(ctx); err != nil {
 			return err
 		}
@@ -124,12 +130,12 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 			cands = t.filterLeafCandidates(es, q, radius, threshold, seen, &c.stats, cands[:0])
 			sortCands(cands)
 			for _, cand := range cands {
-				r, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats)
+				conf, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats, &c.view)
 				if err != nil {
 					leafErr = err
 					return false
 				}
-				if ok && !yield(r) {
+				if ok && !yield(conf) {
 					return false
 				}
 				if leafErr = upi.CtxErr(ctx); leafErr != nil {
@@ -152,7 +158,7 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 // page set small either way, which is the Figure 8 effect). Draining
 // it yields exactly QuerySegment's results in exactly its order.
 func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Cursor {
-	return newCursor(func(c *Cursor, yield func(Result) bool) error {
+	return newCursor(func(c *Cursor, yield func(float64) bool) error {
 		if err := upi.CtxErr(ctx); err != nil {
 			return err
 		}
@@ -194,13 +200,12 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 			if !ok {
 				return true
 			}
-			o, err := tuple.DecodeObservation(rec)
-			if err != nil {
+			if c.view, err = tuple.ValidateObservation(rec); err != nil {
 				scanErr = err
 				return false
 			}
 			c.stats.Fetched++
-			if !yield(Result{Obs: o, Confidence: conf}) {
+			if !yield(conf) {
 				stopped = true
 				return false
 			}

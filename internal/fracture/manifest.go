@@ -112,14 +112,15 @@ func readManifest(fs *storage.FS, store string, caller upi.Options) (mainGen int
 }
 
 // parsePlacement reads a manifest line's "cutoff=<c>" and "maxptr=<n>"
-// tokens into o; false means they are not that.
+// tokens into o; false means they are not that, or name options no
+// build accepts (a NaN cutoff parses as a float).
 func parsePlacement(cutoff, maxPtr string, o *upi.Options) bool {
 	c, okC := strings.CutPrefix(cutoff, "cutoff=")
 	m, okM := strings.CutPrefix(maxPtr, "maxptr=")
 	var errC, errM error
 	o.Cutoff, errC = strconv.ParseFloat(c, 64)
 	o.MaxPointers, errM = strconv.Atoi(m)
-	return okC && okM && errC == nil && errM == nil
+	return okC && okM && errC == nil && errM == nil && o.Validate() == nil
 }
 
 // removeOrphans deletes partition files of generations the manifest

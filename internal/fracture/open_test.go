@@ -300,7 +300,7 @@ func TestOldManifestStillOpens(t *testing.T) {
 	if got := built[mainGen].Cutoff; got != cfg.UPI.Cutoff {
 		t.Fatalf("merge committed cutoff %v for the main, built at %v", got, cfg.UPI.Cutoff)
 	}
-	for _, bad := range []string{"main 1 cutoff=0.1\n", "main 1 cutoff=x maxptr=0\n", "main 1 maxptr=0 cutoff=0.1\n", "main\n"} {
+	for _, bad := range []string{"main 1 cutoff=0.1\n", "main 1 cutoff=x maxptr=0\n", "main 1 maxptr=0 cutoff=0.1\n", "main 1 cutoff=NaN maxptr=0\n", "main\n"} {
 		if err := fs.Create(manifestName("t")).WriteAt([]byte(bad), 0); err != nil {
 			t.Fatal(err)
 		}

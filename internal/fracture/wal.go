@@ -133,15 +133,21 @@ func nextWALRecord(data []byte) (recLen int, payload []byte, ok bool) {
 	return total, data[walHeader : walHeader+plen], true
 }
 
+// appendWALRecord appends one record, framed as nextWALRecord reads it,
+// to dst.
+func appendWALRecord(dst []byte, recType byte, payload []byte) []byte {
+	start := len(dst)
+	dst = append(dst, recType)
+	dst = binary.BigEndian.AppendUint32(dst, uint32(len(payload)))
+	dst = append(dst, payload...)
+	return binary.BigEndian.AppendUint32(dst, crc32.ChecksumIEEE(dst[start:]))
+}
+
 // append writes one record and fsyncs it; only then is the operation
 // acknowledged. On any error the WAL is healed back to its previous
 // length, so the file never retains a record whose append failed.
 func (w *wal) append(recType byte, payload []byte) error {
-	rec := make([]byte, 0, walHeader+len(payload)+walFooter)
-	rec = append(rec, recType)
-	rec = binary.BigEndian.AppendUint32(rec, uint32(len(payload)))
-	rec = append(rec, payload...)
-	rec = binary.BigEndian.AppendUint32(rec, crc32.ChecksumIEEE(rec))
+	rec := appendWALRecord(make([]byte, 0, walHeader+len(payload)+walFooter), recType, payload)
 	if err := w.f.WriteAt(rec, w.size); err != nil {
 		w.heal()
 		return fmt.Errorf("fracture: wal append: %w", err)

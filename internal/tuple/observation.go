@@ -78,31 +78,11 @@ func (v ObservationView) ID() uint64 { return v.f.id }
 // Loc is the observation's location distribution.
 func (v ObservationView) Loc() prob.ConstrainedGaussian { return v.f.loc }
 
-// Build constructs the observation. It owns copies of all data; its
-// segment values share one backing string (the encoded segment list),
-// so an observation costs four allocations however many alternatives
-// it has. The zero view builds nil.
+// Build constructs the observation: a zero ObservationBuilder's first
+// build. It owns copies of all data. The zero view builds nil.
 func (v ObservationView) Build() *Observation {
-	if v.enc == nil {
-		return nil
-	}
-	// The framing is valid: the reads below cannot fail.
-	f := v.f
-	o := &Observation{ID: f.id, Loc: f.loc, Speed: f.speed, Direction: f.direction}
-	if f.nSeg > 0 {
-		o.Segment = make(prob.Discrete, f.nSeg)
-		d := decoder{buf: v.enc[obsSegOff:f.payloadOff]}
-		blob := string(d.buf)
-		for i := range o.Segment {
-			n := len(d.bytes16())
-			o.Segment[i].Value = blob[d.off-n : d.off]
-			o.Segment[i].Prob = math.Float64frombits(d.u64())
-		}
-	}
-	if payload := v.enc[f.payloadOff+4:]; len(payload) > 0 {
-		o.Payload = append([]byte(nil), payload...)
-	}
-	return o
+	var b ObservationBuilder
+	return b.Build(v)
 }
 
 // DecodeObservation parses an observation from b: ValidateObservation,

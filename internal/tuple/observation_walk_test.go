@@ -162,8 +162,9 @@ func TestObservationDecodeAllocations(t *testing.T) {
 }
 
 // FuzzDecodeObservation: whatever the bytes, the two entry points
-// agree, and an accepted encoding is canonical (it re-encodes to
-// itself).
+// agree, an accepted encoding is canonical (it re-encodes to itself),
+// and rows built from it into shared slabs equal DecodeObservation's and
+// are independent of each other (checkObservationBuilder).
 func FuzzDecodeObservation(f *testing.F) {
 	for _, o := range generatedObservations(f, 3) {
 		enc := tuple.EncodeObservation(o)
@@ -174,6 +175,7 @@ func FuzzDecodeObservation(f *testing.F) {
 	f.Add(tuple.EncodeObservation(&tuple.Observation{ID: 1}))
 	f.Fuzz(func(t *testing.T, enc []byte) {
 		checkObservationAgreement(t, enc)
+		checkObservationBuilder(t, enc)
 		o, err := tuple.DecodeObservation(enc)
 		if err != nil {
 			return

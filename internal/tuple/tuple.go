@@ -9,13 +9,17 @@
 // row width.
 //
 // Reading has one seam: Validate checks an encoding's framing (walk, the
-// codec's only validator) and returns a View of it; View.Build makes the
+// codec's only validator) and returns a View of it; a Builder makes the
 // *Tuple from what that walk learned, with no second pass and no way to
 // fail. Decode is the two composed. A reader that needs only the ID or a
 // confidence stops after the first half (View.ID, EncodedConfidence) and
 // allocates nothing; the query path carries Views up to the caller and
-// builds there. The observation codec has the same seam
-// (ValidateObservation, ObservationView.Build, DecodeObservation).
+// builds there, every row of one answer through one Builder, so the rows
+// share slabs instead of allocating their own. View.Build is a zero
+// Builder's first build: one row, costing its own slab of each kind, from
+// the same decode path. The observation codec has the same seam
+// (ValidateObservation, ObservationBuilder, ObservationView.Build,
+// DecodeObservation).
 package tuple
 
 import (
@@ -154,48 +158,12 @@ func Validate(enc []byte) (View, error) {
 // ID is the tuple ID of the encoding the view was validated from.
 func (v View) ID() uint64 { return binary.BigEndian.Uint64(v.enc) }
 
-// Build constructs the tuple. The tuple owns copies of all data: its
-// strings share one backing string (the encoding up to the payload) and
-// its distributions one backing array, so a tuple costs a fixed handful
-// of allocations however many fields it has. The zero View builds nil.
+// Build constructs the tuple: a zero Builder's first build, so a
+// single row costs one slab of each kind, sized to it (see Builder). The
+// tuple owns copies of all data. The zero View builds nil.
 func (v View) Build() *Tuple {
-	if v.enc == nil {
-		return nil
-	}
-	// The framing is valid: the reads below cannot fail.
-	blob := string(v.enc[:v.payloadOff])
-	d := decoder{buf: v.enc}
-	str16 := func() string {
-		n := len(d.bytes16())
-		return blob[d.off-n : d.off]
-	}
-	t := &Tuple{ID: d.u64(), Existence: math.Float64frombits(d.u64())}
-	if nDet := int(d.u16()); nDet > 0 {
-		t.Det = make([]DetField, nDet)
-		for i := range t.Det {
-			t.Det[i].Name = str16()
-			t.Det[i].Value = str16()
-		}
-	}
-	if nUnc := int(d.u16()); nUnc > 0 {
-		t.Unc = make([]UncField, nUnc)
-		alts := make(prob.Discrete, v.nAlts)
-		for i := range t.Unc {
-			t.Unc[i].Name = str16()
-			nAlts := int(d.u16())
-			dist := alts[:nAlts:nAlts]
-			alts = alts[nAlts:]
-			for j := range dist {
-				dist[j].Value = str16()
-				dist[j].Prob = math.Float64frombits(d.u64())
-			}
-			t.Unc[i].Dist = dist
-		}
-	}
-	if plen := int(d.u32()); plen > 0 {
-		t.Payload = append([]byte(nil), d.take(plen)...)
-	}
-	return t
+	var b Builder
+	return b.Build(v)
 }
 
 // Decode parses a tuple from b: Validate, then Build. The returned

@@ -176,8 +176,10 @@ func TestDecodeAllocations(t *testing.T) {
 	}
 }
 
-// FuzzDecode: whatever the bytes, the two entry points agree, and an
-// accepted encoding is canonical (it re-encodes to itself).
+// FuzzDecode: whatever the bytes, the two entry points agree, an
+// accepted encoding is canonical (it re-encodes to itself), and rows
+// built from it into shared slabs equal Decode's and are independent of
+// each other (checkBuilder).
 func FuzzDecode(f *testing.F) {
 	for _, tup := range generatedAuthors(f, 3) {
 		enc := tuple.Encode(tup)
@@ -188,6 +190,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add(tuple.Encode(&tuple.Tuple{ID: 1, Existence: 1}), "A", "B")
 	f.Fuzz(func(t *testing.T, enc []byte, attr, value string) {
 		checkAgreement(t, enc, attr, value)
+		checkBuilder(t, enc)
 		tup, err := tuple.Decode(enc)
 		if err != nil {
 			return

@@ -92,7 +92,8 @@ func (c *Cursor) Stats() QueryStats { return c.stats }
 
 // Drain pulls next — the Next of a Cursor or of a merged stream above
 // it — to exhaustion and returns the rows, built, in arrival order, or
-// nil and the error that ended the stream.
+// nil and the error that ended the stream. It holds the whole answer
+// before building it, so BuildAll sizes its slabs exactly.
 func Drain(next func() (Result, bool, error)) ([]Result, error) {
 	var results []Result
 	for {
@@ -101,9 +102,10 @@ func Drain(next func() (Result, bool, error)) ([]Result, error) {
 			return nil, err
 		}
 		if !ok {
+			BuildAll(results)
 			return results, nil
 		}
-		results = append(results, r.Build())
+		results = append(results, r)
 	}
 }
 

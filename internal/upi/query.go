@@ -31,7 +31,9 @@ import (
 // partition's files; on a bare Table that is written in place it is
 // valid until the next Insert or Delete, which is why Query and TopK
 // build before returning. A held unbuilt result keeps its 8 KB page
-// reachable.
+// reachable. A built result's tuple shares slabs with the other rows its
+// builder built (tuple.Builder), so a held one keeps up to
+// tuple.SlabRows rows' memory reachable.
 type Result struct {
 	Tuple      *tuple.Tuple
 	Confidence float64
@@ -47,13 +49,32 @@ func (r Result) ID() uint64 {
 	return r.View.ID()
 }
 
-// Build returns r in built form: Tuple set, View dropped (a built
-// result never keeps a page alive). A built r is returned unchanged.
-func (r Result) Build() Result {
+// Build returns r in built form, its tuple built by b: Tuple set, View
+// dropped (a built result never keeps a page alive). A built r is
+// returned unchanged. The rows of one answer share one builder, and so
+// its slabs.
+func (r Result) Build(b *tuple.Builder) Result {
 	if r.Tuple == nil {
-		r.Tuple, r.View = r.View.Build(), tuple.View{}
+		r.Tuple, r.View = b.Build(r.View), tuple.View{}
 	}
 	return r
+}
+
+// BuildAll builds every unbuilt result of rs in place, tuple.SlabRows
+// rows at a time into slabs sized exactly for them: an executor that
+// holds its whole answer leaves no slab half empty.
+func BuildAll(rs []Result) {
+	var b tuple.Builder
+	for i := range rs {
+		if i%tuple.SlabRows == 0 {
+			for _, r := range rs[i:min(i+tuple.SlabRows, len(rs))] {
+				if r.Tuple == nil {
+					b.Reserve(r.View)
+				}
+			}
+		}
+		rs[i] = rs[i].Build(&b)
+	}
 }
 
 // QueryStats reports what one query touched, for cost-model validation.
@@ -155,12 +176,13 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 		if !ok {
 			return nil, len(refs), fmt.Errorf("upi: dangling cutoff pointer %x", key(r))
 		}
-		tup, err := tuple.Decode(v)
+		view, err := tuple.Validate(v)
 		if err != nil {
 			return nil, len(refs), err
 		}
-		results = append(results, Result{Tuple: tup, Confidence: r.conf})
+		results = append(results, Result{Confidence: r.conf, View: view})
 	}
+	BuildAll(results)
 	return results, len(refs), nil
 }
 
@@ -298,12 +320,13 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 		if !ok {
 			return nil, stats, fmt.Errorf("upi: dangling secondary pointer %x", key(r))
 		}
-		tup, err := tuple.Decode(v)
+		view, err := tuple.Validate(v)
 		if err != nil {
 			return nil, stats, err
 		}
-		results = append(results, Result{Tuple: tup, Confidence: r.conf})
+		results = append(results, Result{Confidence: r.conf, View: view})
 	}
+	BuildAll(results)
 	SortResults(results)
 	return results, stats, nil
 }

@@ -66,7 +66,7 @@ func (o Options) withDefaults() Options { return o.WithDefaults() }
 
 // Validate checks the options.
 func (o Options) Validate() error {
-	if o.Cutoff < 0 || o.Cutoff >= 1 {
+	if !(o.Cutoff >= 0 && o.Cutoff < 1) { // NaN is outside too
 		return fmt.Errorf("upi: cutoff %v outside [0, 1)", o.Cutoff)
 	}
 	if o.MaxPointers < 0 {

@@ -721,7 +721,7 @@ func TestHeapCursorYieldsUnbuiltRows(t *testing.T) {
 				t.Fatalf("row %d (confidence %v) is below the cutoff yet unbuilt", r.ID(), r.Confidence)
 			}
 		}
-		if r.ID() != want[i].Tuple.ID || r.Confidence != want[i].Confidence || !reflect.DeepEqual(r.Build(), want[i]) {
+		if r.ID() != want[i].Tuple.ID || r.Confidence != want[i].Confidence || !reflect.DeepEqual(r.Build(new(tuple.Builder)), want[i]) {
 			t.Fatalf("row %d: cursor %d/%v, Query %d/%v", i, r.ID(), r.Confidence, want[i].Tuple.ID, want[i].Confidence)
 		}
 	}

@@ -228,10 +228,11 @@ type Row struct {
 }
 
 // Tuple returns the row's tuple. A row that arrived unbuilt builds a
-// fresh tuple on every call — keep the return value rather than calling
-// twice; a row from the RAM insert buffer or from an executor that holds
-// its whole answer (secondary and cutoff-index routes) returns the one
-// tuple it already has.
+// fresh tuple, alone, on every call — keep the return value rather than
+// calling twice; a row from the RAM insert buffer or from an executor
+// that holds its whole answer (secondary and cutoff-index routes)
+// returns the one tuple it already has, which shares slabs with up to
+// tuple.SlabRows rows of that answer.
 func (r Row) Tuple() *Tuple {
 	if r.tup != nil {
 		return r.tup
@@ -304,7 +305,10 @@ func (r *Results) finish(st fracture.Stats, err error) {
 // error of a failed handle (see Results).
 //
 // All is Rows with every tuple built as it is handed over: same rows,
-// same order, same states, same accounting.
+// same order, same states, same accounting. The tuples of one stream are
+// built into shared slabs: the first row into its own, each later
+// tuple.SlabRows rows into one, so a kept tuple keeps up to that many
+// rows' memory reachable (copy out what you keep for long).
 func (r *Results) All() iter.Seq2[Result, error] {
 	return func(yield func(Result, error) bool) {
 		for row, err := range r.stream(true) {
@@ -356,6 +360,10 @@ func (r *Results) stream(build bool) iter.Seq2[Row, error] {
 		}
 		st := r.prep.Stream(r.ctx)
 		r.state = stateStreaming
+		// One builder per query: its first slab holds one row, so the
+		// first row costs what a single build does, and the rows after
+		// it share slabs of tuple.SlabRows.
+		var b tuple.Builder
 		for {
 			res, ok, err := st.Next()
 			if err != nil {
@@ -368,7 +376,7 @@ func (r *Results) stream(build bool) iter.Seq2[Row, error] {
 				return
 			}
 			if build {
-				res = res.Build()
+				res = res.Build(&b)
 			}
 			r.n++
 			if !yield(Row{ID: res.ID(), Confidence: res.Confidence, tup: res.Tuple, view: res.View}, nil) {
@@ -388,14 +396,33 @@ func (r *Results) stream(build bool) iter.Seq2[Row, error] {
 // same execution All performs, so a top-k Collect stops scanning at the
 // k-th result. It returns nil when execution failed or the handle was
 // already consumed; Err reports why a drain failed.
+//
+// Collect consumes the whole stream, so it builds in batches of
+// tuple.SlabRows rows, each into slabs sized exactly for it; a kept
+// tuple keeps its batch's memory reachable, as with All.
 func (r *Results) Collect() []Result {
-	var out []Result
-	for res, err := range r.All() {
+	var (
+		out   []Result
+		batch [tuple.SlabRows]upi.Result
+		n     int
+	)
+	flush := func() {
+		upi.BuildAll(batch[:n])
+		for _, res := range batch[:n] {
+			out = append(out, Result{Tuple: res.Tuple, Confidence: res.Confidence})
+		}
+		n = 0
+	}
+	for row, err := range r.stream(false) {
 		if err != nil {
 			return nil
 		}
-		out = append(out, res)
+		batch[n] = upi.Result{Tuple: row.tup, Confidence: row.Confidence, View: row.view}
+		if n++; n == len(batch) {
+			flush()
+		}
 	}
+	flush()
 	return out
 }
 

@@ -724,12 +724,10 @@ func TestCorruptBodyFailsEveryConsumer(t *testing.T) {
 	checkAgainstRef(t, ref, "restored", q, res.Collect())
 }
 
-// TestRowsAllocationsDoNotFollowRows: draining Rows allocates per query
-// — cursors, the merge, the kept rows' slice doublings — and nothing per
-// row, so a 500-row answer costs what a 20-row one does plus a handful
-// of slice growths. (Built row by row, as before late materialization,
-// the difference was five allocations a row.)
-func TestRowsAllocationsDoNotFollowRows(t *testing.T) {
+// allocsTable is a table with 20 rows of "few" and 500 of "many", all
+// above the cutoff, and drain counts the allocations of one query of
+// value consumed by consume, which returns the rows it saw.
+func allocsTable(t *testing.T) (drain func(value string, want int, consume func(*Results) int) float64) {
 	db := mustCreate(t)
 	var base []*Tuple
 	add := func(value string, n int) {
@@ -749,31 +747,152 @@ func TestRowsAllocationsDoNotFollowRows(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	drain := func(value string, want int) float64 {
+	return func(value string, want int, consume func(*Results) int) float64 {
 		q := PTQ("", value, 0.2)
 		return testing.AllocsPerRun(20, func() {
 			res, err := tab.Run(ctx, q)
 			if err != nil {
 				t.Fatal(err)
 			}
-			n := 0
-			for _, err := range res.Rows() {
-				if err != nil {
-					t.Fatal(err)
-				}
-				n++
-			}
-			if n != want {
+			if n := consume(res); n != want {
 				t.Fatalf("%q: %d rows, want %d", value, n, want)
 			}
 		})
 	}
-	few, many := drain("few", 20), drain("many", 500)
+}
+
+// TestRowsAllocationsDoNotFollowRows: draining Rows allocates per query
+// — cursors, the merge, the kept rows' slice doublings — and nothing per
+// row, so a 500-row answer costs what a 20-row one does plus a handful
+// of slice growths. (Built row by row, as before late materialization,
+// the difference was five allocations a row.)
+func TestRowsAllocationsDoNotFollowRows(t *testing.T) {
+	drain := allocsTable(t)
+	rows := func(res *Results) int {
+		n := 0
+		for _, err := range res.Rows() {
+			if err != nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		return n
+	}
+	few, many := drain("few", 20, rows), drain("many", 500, rows)
 	// 20 -> 500 kept rows is at most six more doublings of one slice.
 	if many > few+8 {
 		t.Fatalf("Rows allocated %.0f times for 20 rows and %.0f for 500: it allocates per row", few, many)
 	}
 	t.Logf("drained Rows: %.0f allocations for 20 rows, %.0f for 500", few, many)
+}
+
+// slabAllocs bounds what 480 more built rows may cost: a slab of each
+// kind (five for these tuples and for observations alike: the row, its
+// fields, their alternatives, the strings and the payload) per
+// tuple.SlabRows rows, plus a few slice doublings. Built one allocation
+// set per row, as before slabs, it was five allocations a row.
+const slabAllocs = 5*(480/tuple.SlabRows+2) + 8
+
+// TestBuiltRowsAllocatePerSlab: All and Collect build the rows they hand
+// out into shared slabs, so a 500-row answer costs a 20-row one's
+// allocations plus a few per slab of tuple.SlabRows rows, not per row.
+func TestBuiltRowsAllocatePerSlab(t *testing.T) {
+	drain := allocsTable(t)
+	all := func(res *Results) int {
+		n := 0
+		for r, err := range res.All() {
+			if err != nil || r.Tuple == nil {
+				t.Fatal(err)
+			}
+			n++
+		}
+		return n
+	}
+	collect := func(res *Results) int { return len(res.Collect()) }
+	for _, c := range []struct {
+		name    string
+		consume func(*Results) int
+	}{{"All", all}, {"Collect", collect}} {
+		few, many := drain("few", 20, c.consume), drain("many", 500, c.consume)
+		if many > few+slabAllocs {
+			t.Errorf("%s allocated %.0f times for 20 rows and %.0f for 500, want at most %d more: it allocates per row", c.name, few, many, slabAllocs)
+		}
+		t.Logf("%s: %.0f allocations for 20 rows, %.0f for 500", c.name, few, many)
+	}
+}
+
+// TestSpatialRowsAllocatePerSlab is TestBuiltRowsAllocatePerSlab for a
+// spatial table: a circle and a segment query of 20 and of 500
+// observations, streamed and collected.
+func TestSpatialRowsAllocatePerSlab(t *testing.T) {
+	db := mustCreate(t)
+	var obs []*Observation
+	// Each cluster's observations lie on a small grid around its centre,
+	// well inside a circle of radius 60 about it.
+	centre := map[string]Point{"few": {X: 0, Y: 0}, "many": {X: 5000, Y: 5000}}
+	add := func(seg string, n int) {
+		for i := 0; i < n; i++ {
+			d, err := NewDiscrete([]Alternative{{Value: seg, Prob: 0.9}, {Value: "other", Prob: 0.1}})
+			if err != nil {
+				t.Fatal(err)
+			}
+			c := centre[seg]
+			obs = append(obs, &Observation{
+				ID:      uint64(len(obs) + 1),
+				Loc:     ConstrainedGaussian{Center: Point{X: c.X + float64(i%25), Y: c.Y + float64(i/25)}, Sigma: 1, Bound: 3},
+				Segment: d,
+				Payload: rowsPayload[:64],
+			})
+		}
+	}
+	add("few", 20)
+	add("many", 500)
+	tab, err := db.BulkLoadSpatial("cars", obs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	count := func(q Query, want int, collect bool) float64 {
+		return testing.AllocsPerRun(20, func() {
+			res, err := tab.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := 0
+			if collect {
+				n = len(res.Collect())
+			} else {
+				for r, err := range res.All() {
+					if err != nil || r.Obs == nil {
+						t.Fatal(err)
+					}
+					n++
+				}
+			}
+			if n != want {
+				t.Fatalf("%v: %d rows, want %d", q.kind, n, want)
+			}
+		})
+	}
+	for _, c := range []struct {
+		name      string
+		few, many Query
+	}{
+		{"circle", Circle(centre["few"], 60, 0.5), Circle(centre["many"], 60, 0.5)},
+		{"segment", Segment("few", 0.5), Segment("many", 0.5)},
+	} {
+		for _, collect := range []bool{false, true} {
+			name := c.name + " All"
+			if collect {
+				name = c.name + " Collect"
+			}
+			few, many := count(c.few, 20, collect), count(c.many, 500, collect)
+			if many > few+slabAllocs {
+				t.Errorf("%s allocated %.0f times for 20 rows and %.0f for 500, want at most %d more: it allocates per row", name, few, many, slabAllocs)
+			}
+			t.Logf("%s: %.0f allocations for 20 rows, %.0f for 500", name, few, many)
+		}
+	}
 }
 
 // TestUnbuiltResultIsOrderedAndFiltered pins what the layers below the
@@ -785,14 +904,14 @@ func TestUnbuiltResultIsOrderedAndFiltered(t *testing.T) {
 		t.Fatal(err)
 	}
 	unbuilt := upi.Result{Confidence: 0.5, View: view}
-	built := unbuilt.Build()
+	built := unbuilt.Build(new(tuple.Builder))
 	if unbuilt.ID() != 42 || built.ID() != 42 || built.Tuple == nil || !sameTuple(built.Tuple, tup) {
 		t.Fatalf("unbuilt ID %d, built %+v", unbuilt.ID(), built)
 	}
 	if !reflect.DeepEqual(built, upi.Result{Tuple: built.Tuple, Confidence: 0.5}) {
 		t.Fatal("a built result kept its view")
 	}
-	if again := built.Build(); again.Tuple != built.Tuple {
+	if again := built.Build(new(tuple.Builder)); again.Tuple != built.Tuple {
 		t.Fatal("Build of a built result built again")
 	}
 	other := upi.Result{Tuple: rowsTuple(t, 43, 3, 0.5), Confidence: 0.5}

@@ -35,6 +35,10 @@ import (
 // fetch time, so confidence-ordered delivery would require draining
 // everything first. Only Collect reports canonical order.
 //
+// The observations of one answer are built into shared slabs
+// (tuple.ObservationBuilder), so a kept observation keeps up to
+// tuple.SlabRows rows' memory reachable.
+//
 // Any consumption spends the handle: afterwards All yields
 // ErrStreamConsumed and Collect returns nil, while Err, Len and Info
 // keep reporting the one execution (Len is 0 after a failure or a

@@ -3,7 +3,9 @@ package upidb
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -228,6 +230,23 @@ func TestFacadeOpenTable(t *testing.T) {
 	}
 	if _, err := db.OpenTable("missing", "X", nil); err == nil {
 		t.Fatal("open of missing table accepted")
+	}
+}
+
+// TestFacadeRefusesBadCutoff: a cutoff outside [0, 1) is refused when a
+// table is created or loaded, NaN included — a NaN cutoff compares false
+// against every bound, so a range test written as two comparisons lets it
+// through to the manifest.
+func TestFacadeRefusesBadCutoff(t *testing.T) {
+	db := mustCreate(t)
+	for i, c := range []float64{math.NaN(), -0.1, 1, 1.5} {
+		name := fmt.Sprintf("t%d", i)
+		if _, err := db.BulkLoadTable(name, "Institution", []string{"Country"}, exampleTuples(t), WithCutoff(c)); err == nil || !strings.Contains(err.Error(), "cutoff") {
+			t.Fatalf("BulkLoadTable with cutoff %v: err %v, want a cutoff error", c, err)
+		}
+		if _, err := db.CreateTable(name, "Institution", []string{"Country"}, WithCutoff(c)); err == nil || !strings.Contains(err.Error(), "cutoff") {
+			t.Fatalf("CreateTable with cutoff %v: err %v, want a cutoff error", c, err)
+		}
 	}
 }
 
