@@ -282,7 +282,16 @@ func BenchmarkResultsCollect(b *testing.B) {
 // BenchmarkResultsFirstRow times a query up to its first row — Run,
 // one row of All, then Close — on a warm table of a main partition and
 // 2 flushed fractures, so every query opens three partition cursors.
-func BenchmarkResultsFirstRow(b *testing.B) {
+func BenchmarkResultsFirstRow(b *testing.B) { benchFirstRow(b, 1) }
+
+// BenchmarkResultsFirstRowSharded is BenchmarkResultsFirstRow on 2
+// shards of a main partition and 2 fractures each: one merge over six
+// partition cursors.
+func BenchmarkResultsFirstRowSharded(b *testing.B) { benchFirstRow(b, 2) }
+
+// benchFirstRow is BenchmarkResultsFirstRow over the given number of
+// shards.
+func benchFirstRow(b *testing.B, shards int) {
 	tuples := benchTuples(b, 20000)
 	db, err := upidb.Create("")
 	if err != nil {
@@ -290,7 +299,7 @@ func BenchmarkResultsFirstRow(b *testing.B) {
 	}
 	b.Cleanup(func() { _ = db.Close() })
 	tab, err := db.BulkLoadTable("t", dataset.AttrInstitution,
-		[]string{dataset.AttrCountry}, tuples[:18000], upidb.WithCutoff(0.1))
+		[]string{dataset.AttrCountry}, tuples[:18000], upidb.WithCutoff(0.1), upidb.WithShards(shards))
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -304,8 +313,8 @@ func BenchmarkResultsFirstRow(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	if n := tab.NumFractures(); n != 2 {
-		b.Fatalf("%d fractures, want 2", n)
+	if n := tab.NumFractures(); n != 2*shards {
+		b.Fatalf("%d fractures, want %d", n, 2*shards)
 	}
 	q := upidb.PTQ("", dataset.MITInstitution, 0.1)
 	var sink uint64

@@ -23,9 +23,8 @@ func main() {
 	// A UPI clusters the heap file on an uncertain attribute; here
 	// Institution, with a secondary index on Country and a 10% cutoff
 	// threshold (alternatives below 10% confidence go to the cutoff
-	// index instead of being duplicated in the heap). Queries fan out
-	// over the main UPI and all fractures with up to GOMAXPROCS
-	// workers by default; modeled costs are the same at any width.
+	// index instead of being duplicated in the heap). A query merges
+	// the main UPI and all fractures on the caller's goroutine.
 	authors, err := db.CreateTable("authors", "Institution", []string{"Country"},
 		upidb.WithCutoff(0.10))
 	if err != nil {

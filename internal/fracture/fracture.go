@@ -25,10 +25,10 @@
 // momentarily; a Flush (explicit or buffer-triggered) holds the write
 // lock while the new fracture is bulk-built, the paper's one
 // sequential write. A query's first pull opens the per-partition
-// cursors across min(GOMAXPROCS, partitions) workers; each partition
+// cursors in partition order on the caller's goroutine; each partition
 // records its I/O on a private sim.Tape that is replayed as one batch
-// when the partition finishes, so the modeled cost is identical to a
-// serial scan regardless of how the goroutines interleave.
+// when the partition finishes, so no other query's or merge's I/O
+// lands among a query's charges.
 //
 // Merge may run in the background (see StartAutoMerge): it snapshots
 // the partitions to fold under the write lock, builds the new main
@@ -278,7 +278,7 @@ func (s *Store) initFiles() error {
 			return err
 		}
 	}
-	if err := writeManifest(s.fs, s.name, s.mainGen, s.main, nil); err != nil {
+	if err := writeManifest(s.fs, s.name, newCatalog(s.mainGen, s.main, nil)); err != nil {
 		return err
 	}
 	if !s.opts.Durable {
@@ -534,7 +534,7 @@ func (s *Store) flushLocked() error {
 			return err
 		}
 	}
-	if err := writeManifest(s.fs, s.name, s.mainGen, s.main, fractures); err != nil {
+	if err := writeManifest(s.fs, s.name, newCatalog(s.mainGen, s.main, fractures)); err != nil {
 		return err
 	}
 	s.fractures = fractures

@@ -1,8 +1,8 @@
 package fracture
 
 import (
-	"bufio"
 	"fmt"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -31,18 +31,37 @@ func manifestTmpName(store string) string {
 	return store + ".manifest.tmp"
 }
 
+// catalog is a store's partition list as its manifest records it: the
+// main generation, the fracture generations in flush order, and the
+// options each generation opens with.
+type catalog struct {
+	main  int
+	fracs []int
+	built map[int]upi.Options
+}
+
+// newCatalog describes a live partition set.
+func newCatalog(mainGen int, main *upi.Table, fractures []*fract) catalog {
+	c := catalog{main: mainGen, built: map[int]upi.Options{mainGen: main.Options()}}
+	for _, f := range fractures {
+		c.fracs = append(c.fracs, f.gen)
+		c.built[f.gen] = f.table.Options()
+	}
+	return c
+}
+
 // writeManifest atomically replaces the manifest with the given
 // partition catalog.
-func writeManifest(fs *storage.FS, store string, mainGen int, main *upi.Table, fractures []*fract) error {
+func writeManifest(fs *storage.FS, store string, c catalog) error {
 	var b strings.Builder
-	line := func(kind string, gen int, t *upi.Table) {
-		o := t.Options()
+	line := func(kind string, gen int) {
+		o := c.built[gen]
 		fmt.Fprintf(&b, "%s %d cutoff=%s maxptr=%d\n", kind, gen,
 			strconv.FormatFloat(o.Cutoff, 'g', -1, 64), o.MaxPointers)
 	}
-	line("main", mainGen, main)
-	for _, f := range fractures {
-		line("frac", f.gen, f.table)
+	line("main", c.main)
+	for _, g := range c.fracs {
+		line("frac", g)
 	}
 	tmp := manifestTmpName(store)
 	fs.Sideband(tmp)
@@ -60,55 +79,63 @@ func writeManifest(fs *storage.FS, store string, mainGen int, main *upi.Table, f
 	return nil
 }
 
-// readManifest loads the partition catalog. built maps each named
-// generation to the options to open it with: the caller's, with the
-// placement parameters the manifest recorded for that partition laid
-// over.
-func readManifest(fs *storage.FS, store string, caller upi.Options) (mainGen int, fracGens []int, built map[int]upi.Options, err error) {
+// readManifest loads the partition catalog. Each named generation
+// opens with the caller's options, with the placement parameters the
+// manifest recorded for that partition laid over. A manifest that does
+// not name exactly one main and distinct non-negative generations is
+// corrupt: opening it would scan a partition twice or sweep a named
+// partition's files away as orphans.
+func readManifest(fs *storage.FS, store string, caller upi.Options) (catalog, error) {
 	name := manifestName(store)
 	fs.Sideband(name)
 	f, err := fs.Open(name)
 	if err != nil {
-		return 0, nil, nil, fmt.Errorf("fracture: open %q: %w", store, err)
+		return catalog{}, fmt.Errorf("fracture: open %q: %w", store, err)
 	}
 	data := make([]byte, f.Size())
 	if len(data) > 0 {
 		if err := f.ReadAt(data, 0); err != nil {
-			return 0, nil, nil, err
+			return catalog{}, err
 		}
 	}
-	mainGen = -1
-	built = make(map[int]upi.Options)
-	sc := bufio.NewScanner(strings.NewReader(string(data)))
-	for sc.Scan() {
-		line := strings.TrimSpace(sc.Text())
-		if line == "" {
-			continue
-		}
+	c := catalog{main: -1, built: make(map[int]upi.Options)}
+	for line := range strings.Lines(string(data)) {
 		f := strings.Fields(line)
-		if len(f) != 2 && len(f) != 4 {
-			return 0, nil, nil, fmt.Errorf("fracture: corrupt manifest line %q", line)
-		}
-		n, err := strconv.Atoi(f[1])
-		o := caller
-		if err != nil || len(f) == 4 && !parsePlacement(f[2], f[3], &o) {
-			return 0, nil, nil, fmt.Errorf("fracture: corrupt manifest line %q", line)
-		}
-		built[n] = o
-		switch f[0] {
-		case "main":
-			mainGen = n
-		case "frac":
-			fracGens = append(fracGens, n)
-		default:
-			return 0, nil, nil, fmt.Errorf("fracture: corrupt manifest line %q", line)
+		if len(f) > 0 && !c.add(f, caller) {
+			return catalog{}, fmt.Errorf("fracture: corrupt manifest line %q", strings.TrimSpace(line))
 		}
 	}
-	if mainGen < 0 {
-		return 0, nil, nil, fmt.Errorf("fracture: manifest for %q names no main partition", store)
+	if c.main < 0 {
+		return catalog{}, fmt.Errorf("fracture: manifest for %q names no main partition", store)
 	}
-	sort.Ints(fracGens)
-	return mainGen, fracGens, built, nil
+	sort.Ints(c.fracs)
+	return c, nil
+}
+
+// add records the partition one manifest line names; false means the
+// line is corrupt.
+func (c *catalog) add(f []string, caller upi.Options) bool {
+	if len(f) != 2 && len(f) != 4 {
+		return false
+	}
+	n, err := strconv.Atoi(f[1])
+	o := caller
+	if err != nil || n < 0 || len(f) == 4 && !parsePlacement(f[2], f[3], &o) {
+		return false
+	}
+	if _, dup := c.built[n]; dup {
+		return false
+	}
+	switch {
+	case f[0] == "main" && c.main < 0:
+		c.main = n
+	case f[0] == "frac":
+		c.fracs = append(c.fracs, n)
+	default:
+		return false
+	}
+	c.built[n] = o
+	return true
 }
 
 // parsePlacement reads a manifest line's "cutoff=<c>" and "maxptr=<n>"
@@ -127,11 +154,7 @@ func parsePlacement(cutoff, maxPtr string, o *upi.Options) bool {
 // does not name — debris of a flush or merge that crashed before its
 // manifest commit — plus any stranded manifest temp file. Only files
 // clearly belonging to this store's partition namespace are touched.
-func removeOrphans(fs *storage.FS, store string, mainGen int, fracGens []int) {
-	keepFrac := make(map[int]bool, len(fracGens))
-	for _, g := range fracGens {
-		keepFrac[g] = true
-	}
+func removeOrphans(fs *storage.FS, store string, c catalog) {
 	for _, f := range fs.List() {
 		rest, found := strings.CutPrefix(f, store+".")
 		if !found {
@@ -145,14 +168,7 @@ func removeOrphans(fs *storage.FS, store string, mainGen int, fracGens []int) {
 		if !found {
 			continue
 		}
-		orphan := false
-		switch kind {
-		case "main":
-			orphan = gen != mainGen
-		case "frac":
-			orphan = !keepFrac[gen]
-		}
-		if orphan {
+		if kind == "main" && gen != c.main || kind == "frac" && !slices.Contains(c.fracs, gen) {
 			_ = fs.Remove(f)
 		}
 	}

@@ -294,7 +294,7 @@ func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error)
 		main, mainGen = merged, snap.newGen
 	}
 	fractures = append(fractures, s.fractures[len(snap.folded):]...)
-	if err := writeManifest(s.fs, s.name, mainGen, main, fractures); err != nil {
+	if err := writeManifest(s.fs, s.name, newCatalog(mainGen, main, fractures)); err != nil {
 		s.mu.Unlock()
 		return abort(err)
 	}

@@ -28,20 +28,20 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 	opts.UPI = opts.UPI.WithDefaults()
 	s := newShell(fs, name, attr, secAttrs, opts)
 
-	mainGen, fracGens, built, err := readManifest(fs, name, opts.UPI)
+	cat, err := readManifest(fs, name, opts.UPI)
 	if err != nil {
 		return nil, err
 	}
-	removeOrphans(fs, name, mainGen, fracGens)
-	main, err := upi.Open(fs, s.mainName(mainGen), attr, secAttrs, built[mainGen])
+	removeOrphans(fs, name, cat)
+	main, err := upi.Open(fs, s.mainName(cat.main), attr, secAttrs, cat.built[cat.main])
 	if err != nil {
 		return nil, err
 	}
 	s.main = main
-	s.mainGen = mainGen
-	s.gen = mainGen
-	for _, g := range fracGens {
-		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, built[g])
+	s.mainGen = cat.main
+	s.gen = cat.main
+	for _, g := range cat.fracs {
+		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, cat.built[g])
 		if err != nil {
 			return nil, err
 		}

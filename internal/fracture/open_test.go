@@ -293,19 +293,26 @@ func TestOldManifestStillOpens(t *testing.T) {
 	if err := re.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	mainGen, fracGens, built, err := readManifest(fs, "t", upi.Options{Cutoff: 0.9})
-	if err != nil || built == nil || len(fracGens) != 0 {
-		t.Fatalf("manifest after merge: %v, fractures %v, err %v", built, fracGens, err)
+	cat, err := readManifest(fs, "t", upi.Options{Cutoff: 0.9})
+	if err != nil || cat.built == nil || len(cat.fracs) != 0 {
+		t.Fatalf("manifest after merge: %v, fractures %v, err %v", cat.built, cat.fracs, err)
 	}
-	if got := built[mainGen].Cutoff; got != cfg.UPI.Cutoff {
+	if got := cat.built[cat.main].Cutoff; got != cfg.UPI.Cutoff {
 		t.Fatalf("merge committed cutoff %v for the main, built at %v", got, cfg.UPI.Cutoff)
 	}
-	for _, bad := range []string{"main 1 cutoff=0.1\n", "main 1 cutoff=x maxptr=0\n", "main 1 maxptr=0 cutoff=0.1\n", "main 1 cutoff=NaN maxptr=0\n", "main\n"} {
+	for _, bad := range []string{
+		"main 1 cutoff=0.1\n", "main 1 cutoff=x maxptr=0\n", "main 1 maxptr=0 cutoff=0.1\n", "main 1 cutoff=NaN maxptr=0\n", "main\n",
+		"main 1\n" + strings.Repeat("x", 70000) + "\nfrac 2\n", // longer than a bufio.Scanner line
+		"main 1\nfrac 2\nfrac 2\n",                             // a partition scanned twice
+		"main 1\nfrac 1\n",                                     // a fracture reusing the main's generation
+		"main 1\nfrac -2\n",
+		"main 1\nmain 2\n", // the first main's files would become orphans
+	} {
 		if err := fs.Create(manifestName("t")).WriteAt([]byte(bad), 0); err != nil {
 			t.Fatal(err)
 		}
-		if _, _, _, err := readManifest(fs, "t", cfg.UPI); err == nil {
-			t.Fatalf("corrupt manifest %q accepted", bad)
+		if _, err := readManifest(fs, "t", cfg.UPI); err == nil {
+			t.Fatalf("corrupt manifest %.40q accepted", bad)
 		}
 	}
 }

@@ -50,8 +50,7 @@ type Req struct {
 	QT    float64 // threshold (PTQ kinds)
 	K     int     // result bound (KindTopK)
 	// Trace, when set, receives span events (partition scan start/end)
-	// as the query executes. It may be called from the concurrent
-	// first-pull workers; see TraceFunc.
+	// as the query executes, on the goroutine that pulls; see TraceFunc.
 	Trace TraceFunc
 }
 
@@ -311,8 +310,7 @@ func (s *Store) Query(ctx context.Context, value string, qt float64) ([]upi.Resu
 // QuerySecondary answers a PTQ on a secondary attribute across all
 // partitions. Each fracture's secondary index points into that
 // fracture's own heap (Section 4.2), so tailored access (Algorithm 3)
-// runs per-partition — which also makes the fan-out embarrassingly
-// parallel.
+// runs per-partition.
 func (s *Store) QuerySecondary(ctx context.Context, attr, value string, qt float64) ([]upi.Result, Stats, error) {
 	return s.Run(ctx, Req{Kind: KindSecondary, Attr: attr, Value: value, QT: qt})
 }

@@ -3,9 +3,6 @@ package fracture
 import (
 	"context"
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"upidb/internal/sim"
 	"upidb/internal/upi"
@@ -33,13 +30,11 @@ import (
 // stream terminates early), and the partition's pin is released at the
 // same moment. Each partition is charged a table-open cost (the
 // Nfrac × Costinit term of the Section 6 cost model) plus its scan
-// I/O. A tape holds this query's misses and nothing else: the replayed
-// total for a full drain is exactly the serial scan's however many
-// cores prime the cursors, and other queries and merges reading the
-// same partitions never land on it (a page one of them cached is a
-// free hit). The first pull primes every partition cursor across
-// min(GOMAXPROCS, partitions) workers; after that, pulls are
-// demand-driven.
+// I/O. A tape holds this query's misses and nothing else: other
+// queries and merges reading the same partitions never land on it (a
+// page one of them cached is a free hit). The first pull opens every
+// partition cursor in order on the caller's goroutine; after that,
+// pulls are demand-driven. No pull starts a goroutine.
 //
 // A Stream is single-consumer and not safe for concurrent use. The
 // context is checked between pulls; a cancelled stream terminates with
@@ -66,7 +61,8 @@ type Stream struct {
 // under that store's snapshot (its delete filter, its pin) or, with
 // idx == bufferPart, that store's RAM-buffer matches. cur and tape
 // stay nil for a partition whose scan never started (the context was
-// done before its turn) and for a buffer source.
+// done, or an earlier partition failed, before its turn) and for a
+// buffer source.
 type streamPart struct {
 	snap    *snapshot
 	shard   int
@@ -95,10 +91,12 @@ func (p *Prepared) Stream(ctx context.Context) *Stream {
 }
 
 // prime opens every partition cursor and positions it on its first
-// live result, fanning the openings out across min(GOMAXPROCS,
-// partitions) workers — so the expensive first pull (which for
-// secondary partitions is their whole execution) overlaps
-// across partitions, of one store or of many. The RAM-buffer matches
+// live result, one partition after another in merge-source order, on
+// the goroutine that makes the first pull. It stops at the first
+// error: the partitions after it never start (no scan-start event, no
+// tape, no charge) and finish releases their pins. A partition that
+// turns out empty is finalized as soon as it is opened, so its pin and
+// tape do not linger for the stream's lifetime. The RAM-buffer matches
 // are sorted here too; they participate in the merge as zero-I/O
 // sources.
 func (st *Stream) prime() error {
@@ -117,12 +115,10 @@ func (st *Stream) prime() error {
 		st.parts = append(st.parts, streamPart{snap: snap, shard: shard, idx: bufferPart})
 	}
 
-	errs := make([]error, n)
-	open := func(i int) {
+	for i := range st.parts[:n] {
 		p := &st.parts[i]
 		if err := upi.CtxErr(st.ctx); err != nil {
-			errs[i] = err
-			return
+			return err
 		}
 		t := p.snap.parts[p.idx]
 		p.snap.met.ScanPartitions.Inc()
@@ -130,31 +126,11 @@ func (st *Stream) prime() error {
 		p.tape = sim.NewTape()
 		p.tape.Open(t.Name())
 		p.cur = st.cursor(st.ctx, t.View(p.tape))
-		errs[i] = p.advance()
-	}
-
-	// The caller is one of the workers: a query over one partition, or
-	// on one core, starts no goroutine.
-	var next atomic.Int32
-	work := func() {
-		for i := int(next.Add(1)) - 1; i < n; i = int(next.Add(1)) - 1 {
-			open(i)
+		if err := p.advance(); err != nil {
+			return err
 		}
-	}
-	var wg sync.WaitGroup
-	for w := min(runtime.GOMAXPROCS(0), n); w > 1; w-- {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			work()
-		}()
-	}
-	work()
-	wg.Wait()
-
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			return errs[i]
+		if !p.hasHead {
+			st.finalizePart(p)
 		}
 	}
 	for i := n; i < len(st.parts); i++ {
@@ -162,21 +138,12 @@ func (st *Stream) prime() error {
 		upi.SortResults(p.snap.bufResults)
 		_ = p.advance() // a buffer source cannot fail
 	}
-	// Partitions that turned out empty are finalized immediately, so
-	// their pins and tapes do not linger for the stream's lifetime.
-	for i := range st.parts {
-		if p := &st.parts[i]; !p.hasHead {
-			st.finalizePart(p)
-		}
-	}
 	return nil
 }
 
 // advance pulls the source's next live result (one that passes its
 // store's supersedence filter) into p.head. It does not finalize on
-// exhaustion — callers decide when to fold the partition in, because
-// prime runs advance concurrently and finalization charges the shared
-// disk.
+// exhaustion: its caller folds the partition in once it has no head.
 func (p *streamPart) advance() error {
 	if p.idx == bufferPart {
 		// Buffered tuples are the newest version of their ID: nothing

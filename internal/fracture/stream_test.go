@@ -6,13 +6,16 @@ package fracture
 // termination, and mid-stream cancellation.
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"math"
 	"reflect"
 	"runtime"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -510,4 +513,89 @@ func TestPrepareAllFailureReleasesPins(t *testing.T) {
 			}
 		}
 	}
+}
+
+// TestStreamOpensPartitionsOnCallersGoroutine: the first pull opens
+// every partition cursor on the goroutine that pulls, one after
+// another in partition order, however many cores there are; and a
+// failing partition stops the openings, so no later partition starts.
+func TestStreamOpensPartitionsOnCallersGoroutine(t *testing.T) {
+	setProcs(t, 4)
+	s, _ := buildConcStore(t, 5, 30)
+	parts := 1 + s.NumFractures()
+	caller := goroutineID()
+	// The lock keeps a stray goroutine's event from racing the caller's.
+	var mu sync.Mutex
+	var starts, ends []int
+	var on []uint64
+	trace := func(ev TraceEvent) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch ev.Kind {
+		case TraceScanStart:
+			starts = append(starts, ev.Part)
+			on = append(on, goroutineID())
+			// A slow scan start gives any other goroutine time to open
+			// the next partition meanwhile.
+			time.Sleep(time.Millisecond)
+		case TraceScanEnd:
+			ends = append(ends, ev.Part)
+		}
+	}
+	for _, req := range []Req{
+		{Kind: KindPTQ, Value: concValue(3), QT: 0.05},
+		{Kind: KindSecondary, Attr: "Y", Value: "y" + concValue(2), QT: 0.05},
+	} {
+		starts, on = nil, nil
+		req.Trace = trace
+		if _, _, err := s.Run(context.Background(), req); err != nil {
+			t.Fatal(err)
+		}
+		if len(starts) != parts {
+			t.Fatalf("kind %v: %d scan starts for %d partitions", req.Kind, len(starts), parts)
+		}
+		for i, part := range starts {
+			if part != i {
+				t.Fatalf("kind %v: scan starts in order %v, want partition order", req.Kind, starts)
+			}
+			if on[i] != caller {
+				t.Fatalf("kind %v: partition %d opened on goroutine %d, caller is %d", req.Kind, part, on[i], caller)
+			}
+		}
+	}
+
+	// Cancel while partition 2 opens: it fails, and none after it starts.
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	starts, ends = nil, nil
+	req := Req{Kind: KindPTQ, Value: concValue(3), QT: 0.05, Trace: func(ev TraceEvent) {
+		trace(ev)
+		if ev.Kind == TraceScanStart && ev.Part == 2 {
+			cancel()
+		}
+	}}
+	if _, _, err := s.Run(ctx, req); !errors.Is(err, upi.ErrCanceled) {
+		t.Fatalf("want ErrCanceled, got %v", err)
+	}
+	if !reflect.DeepEqual(starts, []int{0, 1, 2}) {
+		t.Fatalf("scan starts %v after a failure at partition 2, want [0 1 2]", starts)
+	}
+	sort.Ints(ends)
+	if !reflect.DeepEqual(ends, starts) {
+		t.Fatalf("scan ends %v do not balance starts %v", ends, starts)
+	}
+}
+
+// goroutineID reads the calling goroutine's ID from the header of its
+// stack trace ("goroutine 18 [running]:").
+func goroutineID() uint64 {
+	var buf [64]byte
+	b := buf[:runtime.Stack(buf[:], false)]
+	b, _ = bytes.CutPrefix(b, []byte("goroutine "))
+	b, _, _ = bytes.Cut(b, []byte(" "))
+	id, err := strconv.ParseUint(string(b), 10, 64)
+	if err != nil {
+		panic("goroutineID: unexpected stack header " + string(buf[:]))
+	}
+	return id
 }

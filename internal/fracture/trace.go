@@ -8,11 +8,12 @@ package fracture
 // metrics without touching the result path. With no TraceFunc set the
 // hooks cost one nil check, and no event is built.
 //
-// Events are emitted synchronously from whichever goroutine reaches
-// the milestone: a stream's first pull opens its partition cursors
-// across a worker pool, so a TraceFunc must be safe for concurrent use
-// (atomic counters or a locked sink). It must also be fast — the scan
-// worker blocks on it.
+// Events are emitted synchronously on the goroutine that pulls the
+// stream: its first pull opens the partition cursors there, in
+// partition order. A TraceFunc must still be safe for concurrent use
+// (atomic counters or a locked sink), because one request, trace and
+// all, may run on many goroutines at once. It must also be fast — the
+// pull blocks on it.
 
 // The trace event kinds the engine emits.
 const (

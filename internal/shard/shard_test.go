@@ -33,9 +33,10 @@ const parityValues = 7
 
 func parityVal(v int) string { return fmt.Sprintf("v%02d", v%parityValues) }
 
-// setProcs runs the rest of the test at GOMAXPROCS(n) — the one thing
-// that sets how many workers a stream's first pull opens its partition
-// cursors with — and restores the previous value when the test ends.
+// setProcs runs the rest of the test at GOMAXPROCS(n) and restores the
+// previous value when the test ends. A stream opens its partitions on
+// the caller's goroutine at any n; the tests that loop over n check
+// that nothing they report moves with it.
 func setProcs(t testing.TB, n int) {
 	t.Helper()
 	old := runtime.GOMAXPROCS(n)

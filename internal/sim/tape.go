@@ -22,14 +22,14 @@ type tapeOp struct {
 }
 
 // Tape records disk operations without charging them, preserving their
-// order. A parallel query records each partition's I/O on its own tape
-// while the partitions are scanned concurrently, then replays the tapes
-// in partition order: the charged sequence — and therefore every seek/
-// sequential classification and the modeled total — is identical to a
-// serial scan, no matter how the goroutines actually interleaved.
+// order. A query records each partition's I/O on its own tape and
+// replays it as one batch when the partition finishes: the charged
+// sequence — and therefore every seek/sequential classification and
+// the modeled total — is the query's own, whatever other disk activity
+// ran meanwhile.
 //
 // Tape is safe for concurrent use, though a tape normally has a single
-// writer (the worker that owns the partition).
+// writer (the query that owns the partition).
 type Tape struct {
 	mu  sync.Mutex
 	ops []tapeOp

@@ -141,9 +141,9 @@ func (q Query) WithExplain() Query {
 // WithTrace attaches a span-event callback to the query: fn receives
 // one TraceEvent per execution milestone — the admission verdict, each
 // shard dispatch, each partition scan start/end, and each merged-stream
-// yield (however the handle is consumed). fn may be called from
-// concurrent scan workers, so it must be safe for concurrent use and
-// fast; see TraceFunc. Tracing never alters results, routing or modeled
+// yield (however the handle is consumed). fn runs on the goroutine that
+// consumes the handle; it must be safe for concurrent use and fast, see
+// TraceFunc. Tracing never alters results, routing or modeled
 // costs; an untraced query pays one nil check per event.
 func (q Query) WithTrace(fn TraceFunc) Query {
 	q.trace = fn

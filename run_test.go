@@ -2,7 +2,7 @@ package upidb
 
 // Tests for the unified Run API: cancellation and deadline semantics,
 // typed sentinels, closed tables, streaming-vs-Collect equivalence,
-// modeled costs that do not depend on the fan-out width, and the one
+// modeled costs that do not depend on GOMAXPROCS, and the one
 // fixed route every query takes (WithExplain names it).
 
 import (
@@ -77,9 +77,9 @@ func fracturedMutate(t testing.TB, m interface {
 var hostProcs = runtime.GOMAXPROCS(0)
 
 // setProcs runs the rest of the test at GOMAXPROCS(n) (0 = the host's)
-// — the one thing that sets how many workers a query's first pull
-// opens its partition cursors with — and restores the previous value
-// when the test ends.
+// and restores the previous value when the test ends. A query opens its
+// partitions on the caller's goroutine at any n; the tests that loop
+// over n check that nothing they report moves with it.
 func setProcs(t testing.TB, n int) {
 	t.Helper()
 	if n <= 0 {
@@ -91,7 +91,7 @@ func setProcs(t testing.TB, n int) {
 
 // fracturedTable builds a table with a bulk-loaded main, several
 // fractures, pending deletes and a RAM buffer, so queries cross every
-// partition type. The rest of the test queries it at fan-out width par
+// partition type. The rest of the test queries it at GOMAXPROCS par
 // (see setProcs).
 func fracturedTable(t *testing.T, db *DB, par int) *Table {
 	t.Helper()
@@ -349,8 +349,8 @@ func TestRunStreamingMatchesCollect(t *testing.T) {
 }
 
 // TestRunModeledCostParallelismInvariant: Info reports the same
-// modeled time at every fan-out width (the tape-replay guarantee
-// surfaced through the new API).
+// modeled time at every GOMAXPROCS (the tape-replay guarantee surfaced
+// through the new API).
 func TestRunModeledCostParallelismInvariant(t *testing.T) {
 	var want time.Duration
 	for i, par := range []int{1, 3, 8} {

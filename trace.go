@@ -7,11 +7,11 @@ import "upidb/internal/fracture"
 // through every layer unchanged.
 type TraceEvent = fracture.TraceEvent
 
-// TraceFunc receives span events. A query's first pull opens its
-// partition cursors across a worker pool and primes its shards
-// concurrently, so implementations must be safe for concurrent use
-// (atomic counters or a locked sink) and fast — scan workers block on
-// the call.
+// TraceFunc receives span events on the goroutine that consumes the
+// query. Implementations must be safe for concurrent use (atomic
+// counters or a locked sink), because a Query carries its function into
+// every Run and may run on many goroutines at once, and fast — the
+// query blocks on the call.
 type TraceFunc = fracture.TraceFunc
 
 // The trace event kinds Run emits, in the order a typical query

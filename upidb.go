@@ -88,13 +88,13 @@
 // write lock for the duration of the fracture build (one sequential
 // write) and a merge builds its new generation without the lock.
 //
-// Each query's first pull additionally opens its partition cursors —
-// of every shard, in one merge — across min(GOMAXPROCS, partitions)
-// workers; later pulls are demand-driven. Modeled I/O stays
-// deterministic however many cores prime the cursors: each partition
-// records its I/O on a private tape that is replayed against the
-// simulated disk as one batch, so the reported cost is identical to a
-// serial scan no matter how the goroutines interleave.
+// Each query's first pull opens its partition cursors — of every
+// shard, in one merge — one after another in partition order on the
+// caller's goroutine; later pulls are demand-driven. No query starts a
+// goroutine. Each partition records its I/O on a private tape that is
+// replayed against the simulated disk as one batch, so a query's
+// modeled cost is its own, whatever other queries and merges read
+// meanwhile.
 //
 // Merging can run in the background (Table.StartAutoMerge): when the
 // fracture count or size crosses a threshold, a goroutine folds the
