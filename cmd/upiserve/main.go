@@ -1,5 +1,5 @@
 // Command upiserve serves a upidb database over HTTP — the network
-// front end of the shard-per-core engine. It creates (or opens) a
+// front end of the engine. It creates (or opens) a
 // database, attaches the requested tables, optionally preloads
 // synthetic data, and serves the internal/server API with
 // token-bucket admission and graceful drain on SIGTERM/SIGINT.
@@ -14,8 +14,7 @@
 //	upiserve -dir /var/data/upi -table authors:X:Y -open
 //
 // The -table flag repeats; its value is "name:primary" or
-// "name:primary:sec1;sec2". -shards 0 means one shard per core
-// (GOMAXPROCS).
+// "name:primary:sec1;sec2". -shards must be at least 1.
 package main
 
 import (
@@ -27,7 +26,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"syscall"
 	"time"
@@ -97,7 +95,7 @@ func main() {
 		addr        = flag.String("addr", ":8080", "listen address")
 		dir         = flag.String("dir", "", "database directory (empty = in-memory)")
 		open        = flag.Bool("open", false, "open an existing database instead of creating one")
-		shards      = flag.Int("shards", 1, "shards per table (0 = one per core)")
+		shards      = flag.Int("shards", 1, "shards per table (at least 1)")
 		maxInflight = flag.Int("max-inflight", 64, "max concurrently served requests (excess gets 429)")
 		timeout     = flag.Duration("timeout", 0, "default per-request deadline (0 = none)")
 		preloadN    = flag.Int("preload", 0, "synthetic tuples to preload per table")
@@ -118,8 +116,8 @@ func main() {
 		log.Fatal("at least one -table is required")
 	}
 	nShards := *shards
-	if nShards <= 0 {
-		nShards = runtime.GOMAXPROCS(0)
+	if nShards < 1 {
+		log.Fatalf("-shards %d: a table needs at least 1 shard", nShards)
 	}
 
 	var (

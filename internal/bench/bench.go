@@ -27,9 +27,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig returns the full-scale configuration.
-func DefaultConfig() Config { return Config{Scale: 1.0, Seed: 1} }
-
 // Env lazily generates and caches the datasets shared by experiments.
 type Env struct {
 	cfg    Config

@@ -17,6 +17,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"unsafe"
 
 	"upidb/internal/storage"
 )
@@ -42,10 +43,10 @@ func Create(p *storage.Pager) (*Tree, error) {
 	if p.NumPages() != 0 {
 		return nil, fmt.Errorf("btree: create on non-empty file %s", p.File().Name())
 	}
-	if _, _, err := p.Alloc(); err != nil { // meta page 0
+	if _, err := p.Alloc(); err != nil { // meta page 0
 		return nil, err
 	}
-	rootID, _, err := p.Alloc()
+	rootID, err := p.Alloc()
 	if err != nil {
 		return nil, err
 	}
@@ -118,20 +119,19 @@ func (t *Tree) View(rec storage.Recorder, readAhead int) View {
 	return View{t: t, pv: t.pager.View(rec, readAhead)}
 }
 
-// readPage returns the parsed view of page id that the pager keeps
-// beside the page (storage.View.ReadParsed): the page is parsed once
-// per load into the pool, not once per visit. The view aliases the
-// pager's buffer, which the pager never recycles and only this tree's
-// writer changes; the writer's Write drops the parsed view with it.
-// The slot table is shared by every reader of the page, so the read
-// path only ever reads it. It is the read path's page access.
+// readPage returns the parsed view of page id that the pool keeps, and
+// charges, beside the page (storage.View.ReadParsed): the page is
+// parsed once per load, not once per visit. The view aliases the
+// pager's buffer, which the pager never recycles or changes; the
+// writer's Write replaces it and drops the view. The slot table is
+// shared by every reader of the page, so the read path only reads it.
 func (v View) readPage(id storage.PageID) (page, error) {
-	_, parsed, err := v.pv.ReadParsed(id, func(buf []byte) (any, error) {
+	_, parsed, err := v.pv.ReadParsed(id, func(buf []byte) (any, int, error) {
 		pg, err := parsePage(id, buf)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return &pg, nil
+		return &pg, int(unsafe.Sizeof(pg)) + cap(pg.slots)*int(unsafe.Sizeof(slot{})), nil
 	})
 	if err != nil {
 		return page{}, err
@@ -139,17 +139,15 @@ func (v View) readPage(id storage.PageID) (page, error) {
 	return *parsed.(*page), nil
 }
 
-// readNode is the mutation path's page access: it parses a private
-// clone of the page. Splits, merges and borrows move keys between
-// nodes, and writeNode overwrites the pager's buffer in place, so a
-// node aliasing the live page would see its keys change under it as
-// soon as a sibling holding some of them was written.
+// readNode is the mutation path's page access. Its node's keys and
+// values alias the page's buffer, which stays as it is: writeNode hands
+// the pager a new buffer instead of overwriting the old one.
 func (t *Tree) readNode(id storage.PageID) (*node, error) {
 	buf, err := t.pager.Read(id)
 	if err != nil {
 		return nil, err
 	}
-	pg, err := parsePage(id, bytes.Clone(buf))
+	pg, err := parsePage(id, buf)
 	if err != nil {
 		return nil, err
 	}
@@ -165,7 +163,7 @@ func (t *Tree) writeNode(n *node) error {
 }
 
 func (t *Tree) allocNode(leaf bool) (*node, error) {
-	id, _, err := t.pager.Alloc()
+	id, err := t.pager.Alloc()
 	if err != nil {
 		return nil, err
 	}

@@ -357,7 +357,7 @@ func TestBulkLoadIsSequentialOnDisk(t *testing.T) {
 	disk := sim.NewDisk(sim.DefaultParams())
 	fs := storage.NewFS(disk)
 	p, _ := storage.NewPager(fs.Create("t"), 256)
-	p.SetCacheLimit(4) // force continuous eviction during the build
+	p.Pool().SetCapacity(4 * 256) // force continuous eviction during the build
 	b, _ := NewBuilder(p)
 	for i := 0; i < 5000; i++ {
 		if err := b.Add(k(i), v(i)); err != nil {
@@ -451,7 +451,7 @@ func TestFragmentationObservable(t *testing.T) {
 		disk := sim.NewDisk(sim.DefaultParams())
 		fs := storage.NewFS(disk)
 		p, _ := storage.NewPager(fs.Create("t"), 256)
-		p.SetCacheLimit(8)
+		p.Pool().SetCapacity(8 * 256)
 		var tr *Tree
 		if randomInserts {
 			tr, _ = Create(p)

@@ -18,10 +18,10 @@ const bulkFill = 0.9
 // makes flushing a fracture or merging fractures a sequential write on
 // the simulated disk (paper Section 4).
 //
-// Leaf entries are written straight into the page buffer Alloc
-// returned, in node.serialize's layout, and the header is patched when
+// Leaf entries are written straight into a buffer of the builder's
+// own, in node.serialize's layout, which Write hands to the pager when
 // the leaf closes: adding an entry copies its bytes once and allocates
-// nothing.
+// nothing, and the pool never holds a half-built leaf.
 type Builder struct {
 	pager *storage.Pager
 	limit int
@@ -34,8 +34,8 @@ type Builder struct {
 	off    int
 	nkeys  int
 
-	// firstKey and lastKey alias the leaves' pages, which the pager
-	// never recycles and nothing rewrites during the build.
+	// firstKey and lastKey alias the leaves' buffers, which nothing
+	// rewrites once Write has handed them to the pager.
 	firstKey []byte // the open leaf's smallest key
 	lastKey  []byte
 
@@ -57,7 +57,7 @@ func NewBuilder(p *storage.Pager) (*Builder, error) {
 	if p.NumPages() != 0 {
 		return nil, fmt.Errorf("btree: bulk load on non-empty file %s", p.File().Name())
 	}
-	if _, _, err := p.Alloc(); err != nil { // reserve meta page 0
+	if _, err := p.Alloc(); err != nil { // reserve meta page 0
 		return nil, err
 	}
 	return &Builder{
@@ -106,17 +106,17 @@ func (b *Builder) Add(key, val []byte) error {
 }
 
 func (b *Builder) newLeaf() error {
-	id, buf, err := b.pager.Alloc()
+	id, err := b.pager.Alloc()
 	if err != nil {
 		return err
 	}
-	b.leafID, b.leaf, b.off, b.nkeys = id, buf, leafHeader, 0
+	b.leafID, b.leaf, b.off, b.nkeys = id, make([]byte, b.pager.PageSize()), leafHeader, 0
 	b.leaves++
 	return nil
 }
 
 // closeLeaf writes the open leaf's header, chaining it to next, and
-// hands the page back to the pager, which records it dirty and most
+// hands the page to the pager, which records it dirty and most
 // recently used exactly as a Write of its serialized node would.
 func (b *Builder) closeLeaf(next storage.PageID) error {
 	buf := b.leaf
@@ -171,7 +171,7 @@ func (b *Builder) Finish() (*Tree, error) {
 		seps := b.levels[level]
 		var cur *node
 		newNode := func() error {
-			id, _, err := b.pager.Alloc()
+			id, err := b.pager.Alloc()
 			if err != nil {
 				return err
 			}

@@ -21,7 +21,7 @@ func buildCase(t testing.TB, pageSize, cachePages int, entries []entry) (*storag
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := p.SetCacheLimit(cachePages); err != nil {
+	if err := p.Pool().SetCapacity(int64(cachePages * pageSize)); err != nil {
 		t.Fatal(err)
 	}
 	b, err := NewBuilder(p)

@@ -387,45 +387,35 @@ func (t *Table) SizeBytes() int64 {
 	return t.fs.Size(t.name+".cupi.rtree") + t.fs.Size(t.name+".cupi.heap") + t.fs.Size(t.name+".cupi.seg")
 }
 
+// Pagers returns the pagers of the table's three files: heap, R-Tree
+// and segment index.
+func (t *Table) Pagers() []*storage.Pager {
+	return []*storage.Pager{t.heap.Pager(), t.rt.Pager(), t.segIdx.Pager()}
+}
+
 // Flush writes all dirty pages.
 func (t *Table) Flush() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.heap.Pager().Flush(); err != nil {
-		return err
-	}
-	if err := t.rt.Pager().Flush(); err != nil {
-		return err
-	}
-	return t.segIdx.Pager().Flush()
-}
-
-// SetPoolBytes sizes each of the table's three buffer pools — R-Tree,
-// heap and segment index — to hold n bytes of its file's pages, whatever
-// the file's page size. Without it a pager keeps
-// storage.DefaultCachePages pages, the experiments' cold-cache setting.
-func (t *Table) SetPoolBytes(n int) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for _, p := range []*storage.Pager{t.rt.Pager(), t.heap.Pager(), t.segIdx.Pager()} {
-		if err := p.SetCacheLimit(n / p.PageSize()); err != nil {
+	for _, p := range t.Pagers() {
+		if err := p.Flush(); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DropCaches empties all buffer pools (cold-cache state).
+// DropCaches takes the table's pages out of the buffer pool
+// (cold-cache state).
 func (t *Table) DropCaches() error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if err := t.heap.Pager().DropCache(); err != nil {
-		return err
+	for _, p := range t.Pagers() {
+		if err := p.DropCache(); err != nil {
+			return err
+		}
 	}
-	if err := t.rt.Pager().DropCache(); err != nil {
-		return err
-	}
-	return t.segIdx.Pager().DropCache()
+	return nil
 }
 
 // queryRect is the MBR of a circle query.

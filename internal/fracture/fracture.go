@@ -54,7 +54,6 @@
 package fracture
 
 import (
-	"cmp"
 	"encoding/binary"
 	"fmt"
 	"maps"
@@ -342,19 +341,13 @@ func (s *Store) BufferedInserts() int {
 // share the same parameters... we propose to dynamically tune these
 // parameters by analyzing recent query workloads... whenever the
 // insert buffer is flushed"). Existing partitions are unaffected;
-// a later Merge rebuilds the main UPI with the current options. Unless
-// o sets CachePages, the new partitions keep the store's buffer pool
-// size in bytes, whatever page size o asks for.
+// a later Merge rebuilds the main UPI with the current options.
 func (s *Store) SetFractureOptions(o upi.Options) error {
 	if err := o.Validate(); err != nil {
 		return err
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if o.CachePages == 0 {
-		cur := s.opts.UPI
-		o.CachePages = max(1, cur.CachePages*cur.PageSize/cmp.Or(o.PageSize, storage.DefaultPageSize))
-	}
 	s.opts.UPI = o.WithDefaults()
 	return nil
 }

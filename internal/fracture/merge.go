@@ -167,17 +167,14 @@ func homogeneous(parts []*upi.Table, o upi.Options) bool {
 // only correct when every partition was built with the same parameters
 // as the merged result (snap.homogene).
 func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
-	mergeInto := func(file string, pick func(t *upi.Table) *btree.Tree) (*btree.Tree, error) {
+	mergeInto := func(file string, pick func(t *upi.Table) *btree.Tree) error {
 		p, err := storage.NewPager(s.fs.Create(file), snap.opts.PageSize)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.SetCacheLimit(snap.opts.CachePages); err != nil {
-			return nil, err
+			return err
 		}
 		b, err := btree.NewBuilder(p)
 		if err != nil {
-			return nil, err
+			return err
 		}
 		// Sources oldest-to-newest. Priority grows with recency; on
 		// duplicate keys the newest version wins.
@@ -194,24 +191,26 @@ func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
 			}
 		}
 		if err := kWayMerge(curs, b); err != nil {
-			return nil, err
+			return err
 		}
-		t, err := b.Finish()
-		if err != nil {
-			return nil, err
+		if _, err := b.Finish(); err != nil {
+			return err
 		}
-		return t, p.Flush()
+		// upi.Open reads the file through pagers of its own, so the
+		// builder's pages would sit in the pool unreachable: write them
+		// and take them out.
+		return p.DropCache()
 	}
 
-	if _, err := mergeInto(upi.HeapFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.Heap() }); err != nil {
+	if err := mergeInto(upi.HeapFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.Heap() }); err != nil {
 		return nil, err
 	}
-	if _, err := mergeInto(upi.CutoffFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.CutoffIndex() }); err != nil {
+	if err := mergeInto(upi.CutoffFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.CutoffIndex() }); err != nil {
 		return nil, err
 	}
 	for _, attr := range s.secAttrs {
 		a := attr
-		if _, err := mergeInto(upi.SecFileName(snap.newName, a), func(t *upi.Table) *btree.Tree {
+		if err := mergeInto(upi.SecFileName(snap.newName, a), func(t *upi.Table) *btree.Tree {
 			sec, _ := t.Secondary(a)
 			return sec
 		}); err != nil {

@@ -4,42 +4,40 @@ import (
 	"math/rand"
 	"testing"
 
+	"upidb/internal/storage"
 	"upidb/internal/upi"
 )
 
-// checkPools fails unless every file of every partition of s has a
-// buffer pool of wantBytes.
-func checkPools(t *testing.T, step string, s *Store, wantBytes int) {
+// checkPools fails unless every file of every partition of s draws
+// from pool.
+func checkPools(t *testing.T, step string, s *Store, pool *storage.Pool) {
 	t.Helper()
 	for _, part := range s.Partitions() {
 		for _, tr := range part.Trees() {
-			p := tr.Pager()
-			if got := p.CacheLimit() * p.PageSize(); got != wantBytes {
-				t.Fatalf("%s: %s has a pool of %d pages x %d B, want %d B",
-					step, p.File().Name(), p.CacheLimit(), p.PageSize(), wantBytes)
+			if p := tr.Pager(); p.Pool() != pool {
+				t.Fatalf("%s: %s draws from a pool of its own, not the file system's", step, p.File().Name())
 			}
 		}
 	}
 }
 
-// TestPoolSizeReachesEveryPartition: the pool size a store is
-// configured with reaches every file of every partition, whichever
-// path built it — bulk load, flush, partial merge, full merge by cursor
-// and by rebuild — and every partition Open reopens. Retuning the
-// fractures keeps the pool's size in bytes unless it says otherwise.
-func TestPoolSizeReachesEveryPartition(t *testing.T) {
-	const pages = 800
-	wantBytes := pages * 512
+// TestEveryPartitionDrawsFromTheFSPool: every file of every partition
+// of a store over a file system with a pool draws from that one pool,
+// whichever path built it — bulk load, flush, partial merge, full
+// merge by cursor and by rebuild under retuned options — and every
+// partition Open reopens.
+func TestEveryPartitionDrawsFromTheFSPool(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	fs := newFS()
+	pool := storage.NewPool(1 << 20)
+	fs.SetPool(pool)
 	cfg := defaultOpts()
-	cfg.UPI.CachePages = pages
 	cfg.Durable = true
 	s, err := BulkLoad(fs, "t", "X", []string{"Y"}, cfg, randomTuples(t, rng, 1, 400))
 	if err != nil {
 		t.Fatal(err)
 	}
-	checkPools(t, "bulk load", s, wantBytes)
+	checkPools(t, "bulk load", s, pool)
 	id := uint64(1000)
 	flush := func() {
 		t.Helper()
@@ -55,35 +53,32 @@ func TestPoolSizeReachesEveryPartition(t *testing.T) {
 	}
 	flush()
 	flush()
-	checkPools(t, "flush", s, wantBytes)
+	checkPools(t, "flush", s, pool)
 	if err := s.merge(true); err != nil {
 		t.Fatal(err)
 	}
 	if s.NumFractures() != 1 {
 		t.Fatalf("partial merge left %d fractures, want 1", s.NumFractures())
 	}
-	checkPools(t, "partial merge", s, wantBytes)
+	checkPools(t, "partial merge", s, pool)
 	if err := s.Merge(); err != nil {
 		t.Fatal(err)
 	}
-	checkPools(t, "merge by cursor", s, wantBytes)
+	checkPools(t, "merge by cursor", s, pool)
 
 	// A fracture under another cutoff makes the next merge rebuild.
 	if err := s.SetFractureOptions(upi.Options{Cutoff: 0.3, PageSize: 512}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.FractureOptions().CachePages; got != pages {
-		t.Fatalf("retuned fractures get %d pool pages, want %d", got, pages)
-	}
 	flush()
-	checkPools(t, "retuned flush", s, wantBytes)
+	checkPools(t, "retuned flush", s, pool)
 	if err := s.Merge(); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.Main().Options().Cutoff; got != 0.3 {
 		t.Fatalf("merged main has cutoff %v, want the rebuild's 0.3", got)
 	}
-	checkPools(t, "merge by rebuild", s, wantBytes)
+	checkPools(t, "merge by rebuild", s, pool)
 	flush()
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -97,19 +92,5 @@ func TestPoolSizeReachesEveryPartition(t *testing.T) {
 	if re.NumFractures() != 1 {
 		t.Fatalf("reopened store has %d fractures, want 1", re.NumFractures())
 	}
-	checkPools(t, "reopen", re, wantBytes)
-
-	// Retuning the page size keeps the bytes; an explicit size wins.
-	if err := re.SetFractureOptions(upi.Options{Cutoff: 0.3, PageSize: 1024}); err != nil {
-		t.Fatal(err)
-	}
-	if got := re.FractureOptions().CachePages * 1024; got != wantBytes {
-		t.Fatalf("1 KiB pages get a %d B pool, want %d", got, wantBytes)
-	}
-	if err := re.SetFractureOptions(upi.Options{Cutoff: 0.3, CachePages: 5}); err != nil {
-		t.Fatal(err)
-	}
-	if got := re.FractureOptions().CachePages; got != 5 {
-		t.Fatalf("explicit CachePages 5 became %d", got)
-	}
+	checkPools(t, "reopen", re, pool)
 }

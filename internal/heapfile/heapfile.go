@@ -133,41 +133,47 @@ func setSlot(buf []byte, i, off, length int) {
 // Append stores a record at the end of the heap and returns its RowID.
 // Appends are sequential I/O: they only ever touch the tail page.
 func (h *Heap) Append(rec []byte) (RowID, error) {
-	ps := h.pager.PageSize()
-	need := len(rec) + slotSize
-	if len(rec) >= tombstoneLen || need > ps-pageHeader {
+	if len(rec) >= tombstoneLen || len(rec)+slotSize > h.pager.PageSize()-pageHeader {
 		return RowID{}, fmt.Errorf("heapfile: record of %d bytes exceeds page capacity", len(rec))
 	}
 	if h.tailValid {
-		buf, err := h.pager.Read(h.tail)
-		if err != nil {
-			return RowID{}, err
-		}
-		nslots, freeOff := readHeader(buf)
-		slotEnd := pageHeader + (nslots+1)*slotSize
-		if freeOff-len(rec) >= slotEnd {
-			newOff := freeOff - len(rec)
-			copy(buf[newOff:], rec)
-			setSlot(buf, nslots, newOff, len(rec))
-			writeHeader(buf, nslots+1, newOff)
-			h.pager.MarkDirty(h.tail)
-			h.count++
-			return RowID{Page: h.tail, Slot: uint16(nslots)}, nil
+		if id, err := h.appendTo(h.tail, rec); err != nil || id.Slot != tombstoneLen {
+			return id, err
 		}
 	}
-	id, buf, err := h.pager.Alloc()
+	tail, err := h.pager.Alloc()
 	if err != nil {
 		return RowID{}, err
 	}
-	newOff := ps - len(rec)
-	copy(buf[newOff:], rec)
-	setSlot(buf, 0, newOff, len(rec))
-	writeHeader(buf, 1, newOff)
-	h.pager.MarkDirty(id)
-	h.tail = id
-	h.tailValid = true
-	h.count++
-	return RowID{Page: id, Slot: 0}, nil
+	h.tail, h.tailValid = tail, true
+	return h.appendTo(tail, rec)
+}
+
+// appendTo adds rec to page pg, a fresh zeroed page or one holding
+// records, in place under the pool's lock. A page without room for rec
+// yields slot tombstoneLen and stays as it is.
+func (h *Heap) appendTo(pg storage.PageID, rec []byte) (RowID, error) {
+	id := RowID{Page: pg, Slot: tombstoneLen}
+	err := h.pager.Update(pg, func(buf []byte) bool {
+		nslots, freeOff := readHeader(buf)
+		if nslots == 0 {
+			freeOff = len(buf) // a 64 KiB page's end does not fit the header
+		}
+		newOff := freeOff - len(rec)
+		if newOff < pageHeader+(nslots+1)*slotSize {
+			return false
+		}
+		copy(buf[newOff:], rec)
+		setSlot(buf, nslots, newOff, len(rec))
+		writeHeader(buf, nslots+1, newOff)
+		id.Slot = uint16(nslots)
+		h.count++
+		return true
+	})
+	if err != nil {
+		return RowID{}, err
+	}
+	return id, nil
 }
 
 // View reads the heap through one reader's view of its pager (see
@@ -217,8 +223,12 @@ func (h *Heap) Delete(id RowID) (bool, error) {
 		return false, err
 	}
 	off, _ := slotAt(buf, int(id.Slot))
-	setSlot(buf, int(id.Slot), off, tombstoneLen)
-	h.pager.MarkDirty(id.Page)
+	if err := h.pager.Update(id.Page, func(buf []byte) bool {
+		setSlot(buf, int(id.Slot), off, tombstoneLen)
+		return true
+	}); err != nil {
+		return false, err
+	}
 	h.count--
 	return true, nil
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"upidb/internal/sim"
@@ -122,7 +123,7 @@ func TestScan(t *testing.T) {
 
 func TestAppendIsSequentialDeleteIsNot(t *testing.T) {
 	h, disk, p := newTestHeap(t, 256)
-	p.SetCacheLimit(4)
+	p.Pool().SetCapacity(4 * 256)
 	var ids []RowID
 	for i := 0; i < 2000; i++ {
 		id, err := h.Append(rec(i))
@@ -262,5 +263,95 @@ func TestCorruptSlotFails(t *testing.T) {
 		if err := read(); err != nil {
 			t.Errorf("%s on the restored page: %v", name, err)
 		}
+	}
+}
+
+// TestChangesSurviveAnotherFilesEvictions: one heap appends and deletes
+// while readers of another file over the same pool evict its pages at
+// any moment. Every acknowledged append is found afterwards and no
+// deleted record is. Run it under -race: a page changed outside the
+// pool's lock shows up as a race with its write-back, or as a lost
+// change.
+func TestChangesSurviveAnotherFilesEvictions(t *testing.T) {
+	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
+	fs.SetPool(storage.NewPool(4 * 256))
+	other, err := storage.NewPager(fs.Create("other"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 64; i++ {
+		if _, err := other.Alloc(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	p, err := storage.NewPager(fs.Create("h"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan struct{})
+	stop := sync.OnceFunc(func() { close(done) })
+	defer stop() // a failing append still stops the readers
+	errc := make(chan error, 2)
+	for r := 0; r < 2; r++ {
+		go func() {
+			for i := r; ; i++ {
+				select {
+				case <-done:
+					errc <- nil
+					return
+				default:
+				}
+				if _, err := other.Read(storage.PageID(i % 64)); err != nil {
+					errc <- err
+					return
+				}
+			}
+		}()
+	}
+	live := make(map[RowID]int)
+	var ids []RowID
+	for i := 0; i < 3000; i++ {
+		id, err := h.Append(rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		live[id] = i
+		ids = append(ids, id)
+		if i%3 == 2 {
+			victim := ids[len(ids)/2]
+			if ok, err := h.Delete(victim); err != nil || (ok != (live[victim] >= 0)) {
+				t.Fatalf("Delete(%v): %v, %v", victim, ok, err)
+			}
+			live[victim] = -1
+		}
+	}
+	stop()
+	for range 2 {
+		if err := <-errc; err != nil {
+			t.Fatal(err)
+		}
+	}
+	seen := 0
+	if err := h.Scan(func(id RowID, got []byte) bool {
+		if i, ok := live[id]; !ok || i < 0 || !bytes.Equal(got, rec(i)) {
+			t.Errorf("scan found %v = %q, want live=%v record %d", id, got, ok, i)
+		}
+		seen++
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := 0
+	for _, i := range live {
+		if i >= 0 {
+			want++
+		}
+	}
+	if seen != want || h.Count() != int64(want) {
+		t.Fatalf("scan found %d records, count says %d, want %d", seen, h.Count(), want)
 	}
 }

@@ -26,16 +26,12 @@ import (
 
 // Options configure a PII-indexed table.
 type Options struct {
-	PageSize   int
-	CachePages int
+	PageSize int
 }
 
 func (o Options) withDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = storage.DefaultPageSize
-	}
-	if o.CachePages == 0 {
-		o.CachePages = storage.DefaultCachePages
 	}
 	return o
 }
@@ -54,31 +50,28 @@ type Table struct {
 	rows map[uint64]heapfile.RowID
 }
 
-// Create initializes an empty PII table with indexes on attrs.
-func Create(fs *storage.FS, name string, attrs []string, opts Options) (*Table, error) {
+// newTable creates the table's heap file, empty, and no index yet.
+func newTable(fs *storage.FS, name string, attrs []string, opts Options, rows int) (*Table, error) {
 	opts = opts.withDefaults()
-	t := &Table{
-		fs: fs, name: name, opts: opts,
-		indexes: make(map[string]*btree.Tree, len(attrs)),
-		attrs:   append([]string(nil), attrs...),
-		rows:    make(map[uint64]heapfile.RowID),
-	}
+	t := &Table{fs: fs, name: name, opts: opts, indexes: make(map[string]*btree.Tree, len(attrs)),
+		attrs: append([]string(nil), attrs...), rows: make(map[uint64]heapfile.RowID, rows)}
 	hp, err := storage.NewPager(fs.Create(name+".pii.heap"), opts.PageSize)
 	if err != nil {
 		return nil, err
 	}
-	if err := hp.SetCacheLimit(opts.CachePages); err != nil {
-		return nil, err
-	}
-	if t.heap, err = heapfile.Create(hp); err != nil {
+	t.heap, err = heapfile.Create(hp)
+	return t, err
+}
+
+// Create initializes an empty PII table with indexes on attrs.
+func Create(fs *storage.FS, name string, attrs []string, opts Options) (*Table, error) {
+	t, err := newTable(fs, name, attrs, opts, 0)
+	if err != nil {
 		return nil, err
 	}
 	for _, a := range attrs {
-		p, err := storage.NewPager(fs.Create(name+".pii.idx."+a), opts.PageSize)
+		p, err := storage.NewPager(fs.Create(name+".pii.idx."+a), t.opts.PageSize)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.SetCacheLimit(opts.CachePages); err != nil {
 			return nil, err
 		}
 		idx, err := btree.Create(p)
@@ -285,21 +278,8 @@ func (t *Table) Query(ctx context.Context, attr, value string, qt float64) ([]up
 // BulkBuild loads a PII table from a batch of tuples: heap appends are
 // sequential; index entries are sorted and bulk-loaded.
 func BulkBuild(fs *storage.FS, name string, attrs []string, opts Options, tuples []*tuple.Tuple) (*Table, error) {
-	opts = opts.withDefaults()
-	t := &Table{
-		fs: fs, name: name, opts: opts,
-		indexes: make(map[string]*btree.Tree, len(attrs)),
-		attrs:   append([]string(nil), attrs...),
-		rows:    make(map[uint64]heapfile.RowID, len(tuples)),
-	}
-	hp, err := storage.NewPager(fs.Create(name+".pii.heap"), opts.PageSize)
+	t, err := newTable(fs, name, attrs, opts, len(tuples))
 	if err != nil {
-		return nil, err
-	}
-	if err := hp.SetCacheLimit(opts.CachePages); err != nil {
-		return nil, err
-	}
-	if t.heap, err = heapfile.Create(hp); err != nil {
 		return nil, err
 	}
 
@@ -332,11 +312,8 @@ func BulkBuild(fs *storage.FS, name string, attrs []string, opts Options, tuples
 	for _, attr := range attrs {
 		es := idxEntries[attr]
 		sort.Slice(es, func(i, j int) bool { return keyenc.Compare(es[i].key, es[j].key) < 0 })
-		p, err := storage.NewPager(fs.Create(name+".pii.idx."+attr), opts.PageSize)
+		p, err := storage.NewPager(fs.Create(name+".pii.idx."+attr), t.opts.PageSize)
 		if err != nil {
-			return nil, err
-		}
-		if err := p.SetCacheLimit(opts.CachePages); err != nil {
 			return nil, err
 		}
 		b, err := btree.NewBuilder(p)

@@ -16,6 +16,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"unsafe"
 
 	"upidb/internal/prob"
 	"upidb/internal/storage"
@@ -76,10 +77,10 @@ func Create(p *storage.Pager) (*Tree, error) {
 	if p.NumPages() != 0 {
 		return nil, fmt.Errorf("rtree: create on non-empty file %s", p.File().Name())
 	}
-	if _, _, err := p.Alloc(); err != nil {
+	if _, err := p.Alloc(); err != nil {
 		return nil, err
 	}
-	rootID, _, err := p.Alloc()
+	rootID, err := p.Alloc()
 	if err != nil {
 		return nil, err
 	}
@@ -162,13 +163,13 @@ func encodeNode(buf []byte, leaf bool, entries []Entry) {
 	}
 }
 
-// nodeView is a node page decoded once per load: the pager keeps it
-// beside the page (storage.View.ReadParsed) until the page is written,
-// evicted or dropped, so searches read decoded MBRs instead of
-// re-decoding the page on every visit. A view is shared by every
-// reader of the page and never modified; a write to the page drops it
-// and the next read decodes a fresh one. The mutating paths clone its
-// entries (readNode).
+// nodeView is a node page decoded once per load: the pool keeps it,
+// and charges its size, beside the page (storage.View.ReadParsed)
+// until the page is written, evicted or dropped, so searches read
+// decoded MBRs instead of re-decoding the page on every visit. A view
+// is shared by every reader of the page and never modified; a write to
+// the page drops it and the next read decodes a fresh one. The
+// mutating paths clone its entries (readNode).
 type nodeView struct {
 	leaf    bool
 	entries []Entry
@@ -228,12 +229,12 @@ func (t *Tree) View(rec storage.Recorder, readAhead int) View {
 // viewNode returns page id's decoded node, parsing the page only on
 // its first read since it was loaded or last written.
 func (tv View) viewNode(id storage.PageID) (*nodeView, error) {
-	_, parsed, err := tv.pv.ReadParsed(id, func(buf []byte) (any, error) {
+	_, parsed, err := tv.pv.ReadParsed(id, func(buf []byte) (any, int, error) {
 		v, err := parseNode(id, buf, tv.t.MaxEntries())
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
-		return v, nil
+		return v, int(unsafe.Sizeof(*v)) + cap(v.entries)*int(unsafe.Sizeof(Entry{})), nil
 	})
 	if err != nil {
 		return nil, err
@@ -253,7 +254,7 @@ func (t *Tree) readNode(id storage.PageID) (*node, error) {
 }
 
 func (t *Tree) allocNode(leaf bool) (*node, error) {
-	id, _, err := t.pager.Alloc()
+	id, err := t.pager.Alloc()
 	if err != nil {
 		return nil, err
 	}

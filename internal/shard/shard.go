@@ -1,8 +1,9 @@
 // Package shard hash-partitions one logical uncertain table across N
-// independent fracture.Stores — the shard-per-core architecture. Each
-// shard owns a full vertical slice of the engine: its own RAM insert
-// buffer, fracture set, merge pipeline, manifest and WAL (when durable),
-// so shards share no locks and scale writes and merges with cores.
+// independent fracture.Stores. Each shard owns a full vertical slice of
+// the engine: its own RAM insert buffer, fracture set, merge pipeline,
+// manifest and WAL (when durable), so shards share no table lock.
+// Whether that scales writes and merges with cores is unmeasured: on a
+// 2-core host one shard beats two on every wall-clock metric.
 //
 // Tuples are routed by a fixed hash of the primary ID: Insert and
 // Delete touch exactly one shard, while a query snapshots every shard
@@ -23,7 +24,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"strings"
 
 	"upidb/internal/fracture"
@@ -74,15 +74,6 @@ func shardOf(id uint64, n int) int {
 	x *= 0xc4ceb9fe1a85ec53
 	x ^= x >> 33
 	return int(x % uint64(n))
-}
-
-// resolveNew resolves the shard count for a fresh table: n >= 1 is
-// explicit, anything else defaults to GOMAXPROCS (shard-per-core).
-func resolveNew(n int) int {
-	if n >= 1 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
 }
 
 // writeShardsFile persists the shard count (multi-shard tables only).
@@ -144,10 +135,11 @@ func closeAll(stores []*fracture.Store) {
 	}
 }
 
-// New creates an empty sharded table with n shards (n < 1 defaults to
-// GOMAXPROCS).
+// New creates an empty sharded table with n >= 1 shards.
 func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int) (*Table, error) {
-	n = resolveNew(n)
+	if n < 1 {
+		return nil, fmt.Errorf("shard: %d shards; a table needs at least 1", n)
+	}
 	if err := writeShardsFile(fs, name, n, cfg.Durable); err != nil {
 		return nil, err
 	}
@@ -163,12 +155,14 @@ func New(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Conf
 	return newTable(fs, name, stores, cfg), nil
 }
 
-// BulkLoad creates a sharded table whose shards are bulk-built from
-// the tuples owned by each (sequential I/O only, per shard). The
+// BulkLoad creates a sharded table of n >= 1 shards, each bulk-built
+// from the tuples it owns (sequential I/O only, per shard). The
 // sim.Params argument is unused; the frozen benchmark
 // (benchmark/ladder.go) still passes one.
 func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, cfg fracture.Config, n int, _ sim.Params, tuples []*tuple.Tuple) (*Table, error) {
-	n = resolveNew(n)
+	if n < 1 {
+		return nil, fmt.Errorf("shard: %d shards; a table needs at least 1", n)
+	}
 	if err := writeShardsFile(fs, name, n, cfg.Durable); err != nil {
 		return nil, err
 	}

@@ -817,3 +817,21 @@ func TestShardSoak(t *testing.T) {
 		t.Fatalf("post-soak paths diverged:\n got %v\nwant %v", keys(got), keys(want))
 	}
 }
+
+// TestNewRefusesFewerThanOneShard: a fresh table needs at least one
+// shard; New and BulkLoad refuse 0 and negative counts and create
+// nothing.
+func TestNewRefusesFewerThanOneShard(t *testing.T) {
+	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
+	for _, n := range []int{0, -1} {
+		if _, err := New(fs, "t", "X", nil, parityCfg(), n); err == nil {
+			t.Fatalf("New with %d shards succeeded", n)
+		}
+		if _, err := BulkLoad(fs, "t", "X", nil, parityCfg(), n, sim.DefaultParams(), []*tuple.Tuple{parityTuple(1, 0)}); err == nil {
+			t.Fatalf("BulkLoad with %d shards succeeded", n)
+		}
+	}
+	if files := fs.List(); len(files) != 0 {
+		t.Fatalf("refused tables left files %v", files)
+	}
+}

@@ -229,9 +229,6 @@ func NewDiskBackend(root string) (*DiskBackend, error) {
 	return &DiskBackend{root: root, handles: make(map[string]*os.File)}, nil
 }
 
-// Root returns the backing directory.
-func (b *DiskBackend) Root() string { return b.root }
-
 func (b *DiskBackend) path(name string) string {
 	return filepath.Join(b.root, name)
 }

@@ -159,9 +159,7 @@ func TestFSOverDiskBackend(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	id, buf, _ := p.Alloc()
-	buf[0] = 9
-	p.MarkDirty(id)
+	id := allocPage(t, p, 9)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,8 @@
 // Package storage provides the file and page abstractions used by all
 // index structures in this repository: a file system whose every byte
 // of I/O is charged to a sim.Disk, and a Pager that exposes fixed-size
-// pages through an LRU buffer pool.
+// pages through an LRU buffer pool, one per FS when it has one (see
+// Pool).
 //
 // The bytes themselves live in a pluggable Backend: MemBackend (the
 // default) keeps them in memory so modeled-cost experiments stay
@@ -46,6 +47,8 @@ type FS struct {
 	mu       sync.Mutex
 	sideband map[string]bool
 
+	pool *Pool // the buffer pool of every pager over the FS, if set
+
 	// The buffer-pool events of every pager over this file system,
 	// counted under each pager's own lock (see PoolStats).
 	hits, misses, evictions atomic.Int64
@@ -88,6 +91,10 @@ func NewFSOn(disk *sim.Disk, backend Backend) *FS {
 	return &FS{disk: disk, backend: backend}
 }
 
+// SetPool makes every pager opened over the file system from now on
+// draw from pool. Without one, each pager makes a private pool.
+func (fs *FS) SetPool(pool *Pool) { fs.pool = pool }
+
 // Disk returns the simulated disk backing this file system.
 func (fs *FS) Disk() *sim.Disk { return fs.disk }
 
@@ -128,8 +135,10 @@ func (fs *FS) handle(name string, err error) *File {
 
 // Create creates (or truncates) a file and returns an open handle.
 // Creating charges the file-open cost. A backend failure is carried by
-// the handle and surfaces on its first read or write.
+// the handle and surfaces on its first read or write. The FS's pool
+// drops whatever it held of an earlier file of that name.
 func (fs *FS) Create(name string) *File {
+	fs.pool.forget(name)
 	err := fs.backend.Create(name)
 	if err != nil {
 		err = fmt.Errorf("storage: create %s: %w", name, err)
@@ -150,11 +159,13 @@ func (fs *FS) Exists(name string) bool {
 	return fs.backend.Exists(name)
 }
 
-// Remove deletes a file. Removing a missing file is an error.
+// Remove deletes a file. Removing a missing file is an error. The FS's
+// pool drops the file's pages, dirty or not.
 func (fs *FS) Remove(name string) error {
 	if err := fs.backend.Remove(name); err != nil {
 		return err
 	}
+	fs.pool.forget(name)
 	fs.mu.Lock()
 	delete(fs.sideband, name)
 	fs.mu.Unlock()

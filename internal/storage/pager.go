@@ -1,7 +1,6 @@
 package storage
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 	"sync"
@@ -25,75 +24,100 @@ type PageID uint32
 // InvalidPage is a sentinel PageID that never refers to a real page.
 const InvalidPage PageID = ^PageID(0)
 
-// DefaultCachePages is the buffer-pool capacity of a pager nobody
-// sizes: 512 pages — 2 MiB of 4 KiB R-Tree nodes, 4 MiB at 8 KiB,
-// 32 MiB of 64 KiB heap pages — small relative to the tables the
-// experiments build, mirroring the paper's cold-cache regime. The
-// index packages (upi, fracture, shard, cupi, ...) and the experiment
-// harnesses run with it, so every modeled figure does; the upidb
-// facade sizes the pools of its discrete and spatial tables in bytes
-// instead.
+// DefaultCachePages is the size of the private pool a pager makes when
+// its FS has no pool (see FS.SetPool): 512 pages, small next to the
+// experiments' tables, the paper's cold-cache regime every modeled
+// figure runs in. A upidb database gives its FS one pool instead.
 const DefaultCachePages = 512
 
-// Pager provides fixed-size pages over a File with an LRU buffer pool.
+// Pool is a buffer pool: one LRU list of page frames, a page table
+// keyed by pager and page, and a capacity in bytes. A frame of a pool
+// made by NewPool costs its page plus its parsed form (see
+// View.ReadParsed); a private pool charges pages only, so it holds
+// exactly DefaultCachePages pages and evicts in the paper's order.
+// Whatever its capacity, a pool keeps the page it has just served.
 //
-// A slice returned by Read or Alloc is never recycled: eviction only
-// drops the pool's reference, so the slice stays readable for as long
-// as the caller holds it. Its bytes change only through Write (which
-// overwrites a cached page in place) or an in-place mutation announced
-// with MarkDirty. B+Tree page views alias these slices instead of
-// copying them, which is sound under the engine's rule of one writer
-// per file, excluded from that file's readers by the owning table's
-// lock: a reader never observes a page mid-change.
+// Evicting a dirty page writes it through its own pager's file,
+// charged to the reader whose miss evicted it. Cached bytes change
+// only under the pool's lock (Write, Update, write-back), so a reader
+// of one table may evict another table's page at any moment.
+type Pool struct {
+	mu                 sync.Mutex
+	capacity, resident int64
+	countParsed        bool
+	frames             []frame
+	head, tail         int32               // LRU list; head = most recently used, -1 = empty
+	free               int32               // unused frames, linked through next; -1 = none
+	files              map[string][]*Pager // an FS's pool: each file's pagers (see forget)
+}
+
+// frame is one buffer-pool slot, linked into the LRU list (or the free
+// list) by index.
+type frame struct {
+	p          *Pager
+	id         PageID
+	data       []byte // nil for an Alloc'd page nobody has touched yet: zeros
+	parsed     any    // ReadParsed's parse of data; nil until then and after a change
+	cost       int64  // bytes charged: the page, plus parsed's size in a shared pool
+	dirty      bool
+	prev, next int32
+}
+
+// NewPool returns an empty pool of capacity bytes, charging each frame
+// its page and the size of its parsed form.
+func NewPool(capacity int64) *Pool {
+	return &Pool{capacity: capacity, countParsed: true, head: -1, tail: -1, free: -1, files: make(map[string][]*Pager)}
+}
+
+// Resident returns the bytes the pool's frames cost now.
+func (pl *Pool) Resident() int64 {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	return pl.resident
+}
+
+// SetCapacity changes the pool's capacity, evicting (and writing back)
+// pages as needed.
+func (pl *Pool) SetCapacity(bytes int64) error {
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	pl.capacity = bytes
+	return pl.evictLocked(nil)
+}
+
+// Pager provides fixed-size pages over a File through a Pool.
+//
+// A slice returned by Read is never recycled: eviction drops the
+// pool's reference and Write replaces the page's slice, so the slice
+// stays readable and unchanged for as long as the caller holds it.
+// Only Update changes cached bytes in place, under the pool's lock;
+// its caller (the heap file) keeps its own readers out with its
+// table's lock. B+Tree page views and unbuilt result rows alias these
+// slices instead of copying them.
 //
 // A hit allocates nothing, and a miss one buffer for its whole
-// read-ahead run. Besides the bytes, a frame can hold one parsed form
-// of its page (see View.ReadParsed), built on the first such read after
-// the page is loaded and dropped whenever the bytes may change or the
-// frame is evicted. The pool's bookkeeping is a table of frames, reused
-// through a free list and linked into the LRU list by index, and the
-// pager counts the pages it has written to the file itself, so a miss
-// never asks the backend for the file size.
-//
-// The pool is shared by every reader of the file; what a reader pays
-// for it is its own. Read and the mutating methods charge the disk and
-// fetch one page per miss. A reader that keeps its own account, or
-// scans sequentially, reads through a View instead (see View).
-//
-// The methods themselves are safe for concurrent use (the pool is
-// mutex-guarded; partition cursors of parallel queries read one pager
-// concurrently).
+// read-ahead run. The pager counts the pages it has written itself, so
+// a miss never asks the backend for the file size. Read and the
+// mutating methods charge the disk; a reader that keeps its own
+// account, or scans sequentially, reads through a View. Every method
+// runs under the pool's lock, so all are safe for concurrent use.
 type Pager struct {
 	f        *File
 	pageSize int
-	maxPages int
+	pool     *Pool
 
-	mu         sync.Mutex
-	index      map[PageID]int32 // cached page -> its frame
-	frames     []frame
-	head, tail int32 // LRU list; head = most recently used, -1 = empty
-	free       int32 // unused frames, linked through next; -1 = none
-	nPage      PageID
+	// Guarded by pool.mu.
+	index map[PageID]int32 // cached page -> its frame
+	nPage PageID
 	// onDisk is how many pages the file holds: the size NewPager found,
 	// advanced by every successful page write. Every page below nPage
 	// is cached, below onDisk, or both.
 	onDisk PageID
 }
 
-// frame is one buffer-pool slot, linked into the LRU list (or the free
-// list) by index.
-type frame struct {
-	id   PageID
-	data []byte
-	// parsed is what ReadParsed's parse made of data, nil until then.
-	// Write, MarkDirty, eviction and DropCache reset it.
-	parsed     any
-	dirty      bool
-	prev, next int32
-}
-
-// NewPager creates a pager over f with the given page size. Any
-// existing file content must be a whole number of pages.
+// NewPager creates a pager over f with the given page size, drawing
+// from its FS's pool or, without one, a private pool. Any existing file
+// content must be a whole number of pages.
 func NewPager(f *File, pageSize int) (*Pager, error) {
 	if pageSize <= 0 {
 		return nil, fmt.Errorf("storage: invalid page size %d", pageSize)
@@ -104,17 +128,15 @@ func NewPager(f *File, pageSize int) (*Pager, error) {
 			f.Name(), size, pageSize)
 	}
 	n := PageID(size / int64(pageSize))
-	return &Pager{
-		f:        f,
-		pageSize: pageSize,
-		maxPages: DefaultCachePages,
-		index:    make(map[PageID]int32),
-		head:     -1,
-		tail:     -1,
-		free:     -1,
-		nPage:    n,
-		onDisk:   n,
-	}, nil
+	p := &Pager{f: f, pageSize: pageSize, pool: f.fs.pool, index: make(map[PageID]int32), nPage: n, onDisk: n}
+	if p.pool == nil {
+		p.pool = &Pool{capacity: DefaultCachePages * int64(pageSize), head: -1, tail: -1, free: -1}
+	} else {
+		p.pool.mu.Lock()
+		p.pool.files[f.name] = append(p.pool.files[f.name], p)
+		p.pool.mu.Unlock()
+	}
+	return p, nil
 }
 
 // View is one reader's window on a Pager: it reads through the shared
@@ -140,42 +162,45 @@ func (p *Pager) View(rec Recorder, readAhead int) View {
 // Read returns the contents of page id, through the buffer pool, like
 // Pager.Read.
 func (v View) Read(id PageID) ([]byte, error) {
-	v.p.mu.Lock()
-	defer v.p.mu.Unlock()
-	fi, err := v.p.readLocked(v.rec, id, v.readAhead)
-	if err != nil {
-		return nil, err
-	}
-	return v.p.frames[fi].data, nil
+	data, _, err := v.ReadParsed(id, nil)
+	return data, err
 }
 
 // ReadParsed is Read that also returns parse's result for the page,
 // computing it only on the first ReadParsed since the page was loaded
-// or last changed: the pool keeps it beside the page's bytes until a
-// Write or MarkDirty of the page, its eviction or DropCache. parse runs
-// under the pool's lock, so it must be quick and must not call back
-// into the pager. An error from parse is returned and nothing is kept.
-// The kept value is shared by every reader of the page; nobody may
-// modify it.
-//
-// Every caller of one pager must pass the same parse: the pool keeps
-// one parsed form per page, whoever built it.
-func (v View) ReadParsed(id PageID, parse func([]byte) (any, error)) ([]byte, any, error) {
-	v.p.mu.Lock()
-	defer v.p.mu.Unlock()
+// or last changed. The pool keeps it, charging the size parse reports,
+// until a Write or Update of the page, its eviction or DropCache; every
+// reader shares it and nobody may modify it, and every caller of one
+// pager must pass the same parse. parse runs under the pool's lock, so
+// it must be quick and must not call back into the pager. An error from
+// parse is returned and nothing is kept. A nil parse reads only.
+func (v View) ReadParsed(id PageID, parse func([]byte) (any, int, error)) ([]byte, any, error) {
+	pl := v.p.pool
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	fi, err := v.p.readLocked(v.rec, id, v.readAhead)
 	if err != nil {
 		return nil, nil, err
 	}
-	f := &v.p.frames[fi]
-	if f.parsed == nil {
-		parsed, err := parse(f.data)
-		if err != nil {
+	f := &pl.frames[fi]
+	data := f.page()
+	if f.parsed != nil || parse == nil {
+		return data, f.parsed, nil
+	}
+	parsed, size, err := parse(data)
+	if err != nil {
+		return nil, nil, err
+	}
+	f.parsed = parsed
+	if pl.countParsed {
+		f.cost += int64(size)
+		pl.resident += int64(size)
+		// The page is the most recently used, so this never takes it.
+		if err := pl.evictLocked(v.rec); err != nil {
 			return nil, nil, err
 		}
-		f.parsed = parsed
 	}
-	return f.data, f.parsed, nil
+	return data, parsed, nil
 }
 
 // PageSize returns the page size in bytes.
@@ -187,66 +212,46 @@ func (p *Pager) NumPages() PageID { return p.nPage }
 // File returns the underlying file.
 func (p *Pager) File() *File { return p.f }
 
-// SetCacheLimit changes the buffer-pool capacity, evicting (and
-// flushing) pages as needed.
-func (p *Pager) SetCacheLimit(pages int) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pages < 1 {
-		pages = 1
-	}
-	p.maxPages = pages
-	return p.evictLocked(nil)
-}
+// Pool returns the buffer pool the pager draws from.
+func (p *Pager) Pool() *Pool { return p.pool }
 
-// CacheLimit returns the buffer-pool capacity in pages.
-func (p *Pager) CacheLimit() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.maxPages
-}
-
-// Alloc appends a new zeroed page to the file and returns its ID and a
-// writable buffer for it. The page is born dirty in the cache; it is
-// written to disk on eviction or Flush.
-func (p *Pager) Alloc() (PageID, []byte, error) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+// Alloc appends a new zeroed page to the file and returns its ID. The
+// page is born dirty in the pool, most recently used; it is written to
+// disk on eviction or Flush. Fill it with Write or Update.
+func (p *Pager) Alloc() (PageID, error) {
+	p.pool.mu.Lock()
+	defer p.pool.mu.Unlock()
 	id := p.nPage
 	p.nPage++
-	data := make([]byte, p.pageSize)
-	if _, err := p.insertLocked(nil, id, data, true); err != nil {
-		return 0, nil, err
-	}
-	return id, data, nil
+	_, err := p.insertLocked(nil, id, nil, true)
+	return id, err
 }
 
 // Read returns the contents of page id, through the buffer pool,
 // charging a miss to the disk. The returned slice aliases the cached
-// page: mutate it only via Write.
+// page: never change it.
 func (p *Pager) Read(id PageID) ([]byte, error) {
 	return p.View(nil, 1).Read(id)
 }
 
 // readLocked serves a read of page id for a reader charging rec with
-// the given read-ahead window, and returns the frame that holds it.
+// the given read-ahead window, and returns the frame that holds it, the
+// most recently used.
 func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) (int32, error) {
+	pl := p.pool
 	if id >= p.nPage {
 		return -1, fmt.Errorf("storage: read page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
 	if fi, ok := p.index[id]; ok {
 		p.f.fs.hits.Add(1)
-		p.moveToFront(fi)
+		pl.moveToFront(fi)
 		return fi, nil
 	}
 	p.f.fs.misses.Add(1)
 	// Determine the read-ahead run: contiguous pages starting at id
 	// that are on disk, not cached (cached copies may be newer), and
 	// within half the pool so the run cannot evict itself.
-	run := readAhead
-	if max := p.maxPages / 2; run > max {
-		run = max
-	}
+	run := min(readAhead, int(pl.capacity/int64(p.pageSize))/2)
 	if run < 1 {
 		run = 1
 	}
@@ -278,83 +283,133 @@ func (p *Pager) readLocked(rec Recorder, id PageID, readAhead int) (int32, error
 	return p.insertLocked(rec, id, data[:p.pageSize:p.pageSize], false)
 }
 
-// Write replaces the contents of page id and marks it dirty. data must
-// be exactly one page. data may be the cached page itself (a buffer
-// from Alloc or Read filled in place), in which case nothing is copied.
+// Write replaces page id with data, exactly one page, and marks it
+// dirty. The pool keeps data itself, so the caller must not change it
+// afterwards; slices an earlier Read returned keep the old bytes.
 func (p *Pager) Write(id PageID, data []byte) error {
 	if len(data) != p.pageSize {
 		return fmt.Errorf("storage: write page %d: got %d bytes, want %d", id, len(data), p.pageSize)
 	}
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	data = data[:p.pageSize:p.pageSize]
+	pl := p.pool
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
 	if id >= p.nPage {
 		return fmt.Errorf("storage: write page %d of %d in %s", id, p.nPage, p.f.Name())
 	}
 	if fi, ok := p.index[id]; ok {
-		f := &p.frames[fi]
-		if &f.data[0] != &data[0] {
-			copy(f.data, data)
-		}
-		f.dirty, f.parsed = true, nil
-		p.moveToFront(fi)
+		pl.frames[fi].data = data
+		pl.changed(fi)
 		return nil
 	}
-	_, err := p.insertLocked(nil, id, append([]byte(nil), data...), true)
+	_, err := p.insertLocked(nil, id, data, true)
 	return err
 }
 
-// MarkDirty flags a cached page (previously obtained from Read or
-// Alloc and mutated in place) so it is flushed before eviction.
-func (p *Pager) MarkDirty(id PageID) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if fi, ok := p.index[id]; ok {
-		p.frames[fi].dirty, p.frames[fi].parsed = true, nil
-		p.moveToFront(fi)
+// Update changes page id in place: fn gets its bytes under the pool's
+// lock, read first on a miss (charging the disk), and reports whether it
+// changed them. fn must be quick and must not call back into the pager.
+func (p *Pager) Update(id PageID, fn func(page []byte) bool) error {
+	pl := p.pool
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	fi, err := p.readLocked(nil, id, 1)
+	if err != nil {
+		return err
 	}
+	if fn(pl.frames[fi].page()) {
+		pl.changed(fi)
+	}
+	return nil
+}
+
+// changed records that frame fi's bytes changed: it is dirty, its
+// parsed form is stale and it is the most recently used.
+func (pl *Pool) changed(fi int32) {
+	f := &pl.frames[fi]
+	f.dirty, f.parsed = true, nil
+	pl.resident -= f.cost - int64(f.p.pageSize)
+	f.cost = int64(f.p.pageSize)
+	pl.moveToFront(fi)
+}
+
+// page returns the frame's bytes, making an allocated page's zeros.
+func (f *frame) page() []byte {
+	if f.data == nil {
+		f.data = make([]byte, f.p.pageSize)
+	}
+	return f.data
 }
 
 // insertLocked caches data as page id at the front of the LRU list,
 // then evicts down to the pool's capacity, charging write-backs to rec
 // (the disk when nil). It returns the page's frame, which the eviction
-// never takes: the pool holds at least one page, and this one is the
-// most recently used.
+// never takes: it is the most recently used.
 func (p *Pager) insertLocked(rec Recorder, id PageID, data []byte, dirty bool) (int32, error) {
-	fi := p.free
+	pl := p.pool
+	fi := pl.free
 	if fi >= 0 {
-		p.free = p.frames[fi].next
+		pl.free = pl.frames[fi].next
 	} else {
-		fi = int32(len(p.frames))
-		p.frames = append(p.frames, frame{})
+		fi = int32(len(pl.frames))
+		pl.frames = append(pl.frames, frame{})
 	}
-	p.frames[fi] = frame{id: id, data: data, dirty: dirty}
-	p.pushFront(fi)
+	pl.frames[fi] = frame{p: p, id: id, data: data, cost: int64(p.pageSize), dirty: dirty}
+	pl.pushFront(fi)
+	pl.resident += int64(p.pageSize)
 	p.index[id] = fi
-	return fi, p.evictLocked(rec)
+	return fi, pl.evictLocked(rec)
 }
 
-func (p *Pager) evictLocked(rec Recorder) error {
-	for len(p.index) > p.maxPages {
-		fi := p.tail
-		f := &p.frames[fi]
+// evictLocked evicts least recently used pages, whoever's, until the
+// pool is within its capacity or holds only its most recent page. A
+// write-back that fails stops it with the page still cached and dirty.
+func (pl *Pool) evictLocked(rec Recorder) error {
+	for pl.resident > pl.capacity && pl.tail != pl.head {
+		fi := pl.tail
+		f := &pl.frames[fi]
 		if f.dirty {
-			if err := p.writeBackLocked(rec, f); err != nil {
+			if err := f.p.writeBackLocked(rec, f); err != nil {
 				return err
 			}
 		}
-		p.unlink(fi)
-		delete(p.index, f.id)
-		*f = frame{next: p.free}
-		p.free = fi
-		p.f.fs.evictions.Add(1)
+		f.p.f.fs.evictions.Add(1)
+		pl.dropLocked(fi)
 	}
 	return nil
+}
+
+// dropLocked takes frame fi out of the pool without writing it.
+func (pl *Pool) dropLocked(fi int32) {
+	f := &pl.frames[fi]
+	pl.unlink(fi)
+	delete(f.p.index, f.id)
+	pl.resident -= f.cost
+	*f = frame{next: pl.free}
+	pl.free = fi
+}
+
+// forget drops every page of the file called name, dirty or not, and
+// its pagers: the file is gone or truncated, so no page of it may be
+// written back. A nil pool (an FS without one) holds nothing.
+func (pl *Pool) forget(name string) {
+	if pl == nil {
+		return
+	}
+	pl.mu.Lock()
+	defer pl.mu.Unlock()
+	for _, p := range pl.files[name] {
+		for _, fi := range p.index {
+			pl.dropLocked(fi)
+		}
+	}
+	delete(pl.files, name)
 }
 
 // writeBackLocked writes a dirty frame to the file and counts the page
 // as on disk once the write has succeeded.
 func (p *Pager) writeBackLocked(rec Recorder, f *frame) error {
-	if err := p.f.writeAt(rec, f.data, int64(f.id)*int64(p.pageSize)); err != nil {
+	if err := p.f.writeAt(rec, f.page(), int64(f.id)*int64(p.pageSize)); err != nil {
 		return err
 	}
 	f.dirty = false
@@ -364,83 +419,83 @@ func (p *Pager) writeBackLocked(rec Recorder, f *frame) error {
 	return nil
 }
 
-func (p *Pager) pushFront(fi int32) {
-	f := &p.frames[fi]
-	f.prev, f.next = -1, p.head
-	if p.head >= 0 {
-		p.frames[p.head].prev = fi
+func (pl *Pool) pushFront(fi int32) {
+	f := &pl.frames[fi]
+	f.prev, f.next = -1, pl.head
+	if pl.head >= 0 {
+		pl.frames[pl.head].prev = fi
 	} else {
-		p.tail = fi
+		pl.tail = fi
 	}
-	p.head = fi
+	pl.head = fi
 }
 
-func (p *Pager) unlink(fi int32) {
-	f := &p.frames[fi]
+func (pl *Pool) unlink(fi int32) {
+	f := &pl.frames[fi]
 	if f.prev >= 0 {
-		p.frames[f.prev].next = f.next
+		pl.frames[f.prev].next = f.next
 	} else {
-		p.head = f.next
+		pl.head = f.next
 	}
 	if f.next >= 0 {
-		p.frames[f.next].prev = f.prev
+		pl.frames[f.next].prev = f.prev
 	} else {
-		p.tail = f.prev
+		pl.tail = f.prev
 	}
 }
 
-func (p *Pager) moveToFront(fi int32) {
-	if p.head != fi {
-		p.unlink(fi)
-		p.pushFront(fi)
+func (pl *Pool) moveToFront(fi int32) {
+	if pl.head != fi {
+		pl.unlink(fi)
+		pl.pushFront(fi)
 	}
 }
 
-// Flush writes all dirty pages to the file in page order (one mostly
-// sequential pass), keeping them cached.
+// Flush writes the pager's dirty pages to the file in page order (one
+// mostly sequential pass), keeping them cached. Other pagers' pages
+// are not touched.
 func (p *Pager) Flush() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.pool.mu.Lock()
+	defer p.pool.mu.Unlock()
 	return p.flushLocked()
 }
 
 func (p *Pager) flushLocked() error {
-	var dirty []int32
-	for fi := p.head; fi >= 0; fi = p.frames[fi].next {
-		if p.frames[fi].dirty {
-			dirty = append(dirty, fi)
+	var dirty []PageID
+	for id, fi := range p.index {
+		if p.pool.frames[fi].dirty {
+			dirty = append(dirty, id)
 		}
 	}
 	// Write in ascending page order so flushes of bulk loads are
 	// sequential on the simulated disk.
-	slices.SortFunc(dirty, func(a, b int32) int { return cmp.Compare(p.frames[a].id, p.frames[b].id) })
-	for _, fi := range dirty {
-		if err := p.writeBackLocked(nil, &p.frames[fi]); err != nil {
+	slices.Sort(dirty)
+	for _, id := range dirty {
+		if err := p.writeBackLocked(nil, &p.pool.frames[p.index[id]]); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-// DropCache flushes dirty pages and empties the buffer pool. It is how
-// experiments reproduce the paper's cold-cache setting before each
-// measured query.
+// DropCache flushes the pager's dirty pages and takes all its pages out
+// of the pool. It is how experiments reproduce the paper's cold-cache
+// setting before each measured query.
 func (p *Pager) DropCache() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.pool.mu.Lock()
+	defer p.pool.mu.Unlock()
 	if err := p.flushLocked(); err != nil {
 		return err
 	}
-	clear(p.frames) // drop the data and parsed references; the frames stay for reuse
-	p.frames = p.frames[:0]
-	clear(p.index)
-	p.head, p.tail, p.free = -1, -1, -1
+	for _, fi := range p.index {
+		p.pool.dropLocked(fi)
+	}
 	return nil
 }
 
-// CachedPages returns how many pages the buffer pool currently holds.
+// CachedPages returns how many of the pager's pages the pool holds.
 func (p *Pager) CachedPages() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.pool.mu.Lock()
+	defer p.pool.mu.Unlock()
 	return len(p.index)
 }

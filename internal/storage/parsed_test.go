@@ -7,11 +7,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"upidb/internal/sim"
 )
 
 // parseCounter is a ReadParsed parse function that counts its calls and
 // returns a copy of the page's first byte, so a stale parsed value is
-// visible as a byte that differs from the page's.
+// visible as a byte that differs from the page's. It reports the value
+// as parsedSize bytes.
 type parseCounter struct {
 	calls atomic.Int64
 	fail  atomic.Bool
@@ -19,13 +22,15 @@ type parseCounter struct {
 
 var errParse = errors.New("parse refused the page")
 
-func (c *parseCounter) parse(buf []byte) (any, error) {
+const parsedSize = 40
+
+func (c *parseCounter) parse(buf []byte) (any, int, error) {
 	c.calls.Add(1)
 	if c.fail.Load() {
-		return nil, errParse
+		return nil, 0, errParse
 	}
 	b := buf[0]
-	return &b, nil
+	return &b, parsedSize, nil
 }
 
 // readParsed reads page id through v and checks that the parsed value
@@ -69,12 +74,7 @@ func TestReadParsedOncePerLoad(t *testing.T) {
 	if n := c.calls.Load(); n != 4 {
 		t.Fatalf("read-ahead pages: %d parses in all, want 4", n)
 	}
-	id, buf, err := p.Alloc()
-	if err != nil {
-		t.Fatal(err)
-	}
-	buf[0] = 7
-	p.MarkDirty(id)
+	id := allocPage(t, p, 7)
 	readParsed(t, v, &c, id)
 	readParsed(t, v, &c, id)
 	if n := c.calls.Load(); n != 5 {
@@ -83,13 +83,13 @@ func TestReadParsedOncePerLoad(t *testing.T) {
 }
 
 // TestReadParsedInvalidation: after anything that may change a page's
-// bytes or takes it out of the pool — Write, MarkDirty, eviction,
-// DropCache — the next ReadParsed parses the page again and sees its
-// current bytes.
+// bytes or takes it out of the pool — Write, an Update that changed it,
+// eviction, DropCache — the next ReadParsed parses the page again and
+// sees its current bytes.
 func TestReadParsedInvalidation(t *testing.T) {
 	p, _ := newPrefetchPager(t)
 	fillPages(t, p, 16)
-	if err := p.SetCacheLimit(4); err != nil {
+	if err := p.Pool().SetCapacity(4 * 64); err != nil {
 		t.Fatal(err)
 	}
 	var c parseCounter
@@ -113,19 +113,17 @@ func TestReadParsedInvalidation(t *testing.T) {
 	if err := p.Write(2, bytes.Repeat([]byte{42}, p.PageSize())); err != nil {
 		t.Fatal(err)
 	}
-	expect("after Write of a copy", 2, 42, true)
-	buf, err := p.Read(2)
-	if err != nil {
-		t.Fatal(err)
+	expect("after Write", 2, 42, true)
+	update := func(b byte, changed bool) {
+		t.Helper()
+		if err := p.Update(2, func(page []byte) bool { page[0] = b; return changed }); err != nil {
+			t.Fatal(err)
+		}
 	}
-	buf[0] = 43
-	if err := p.Write(2, buf); err != nil { // the cached page itself
-		t.Fatal(err)
-	}
-	expect("after Write in place", 2, 43, true)
-	buf[0] = 44
-	p.MarkDirty(2)
-	expect("after MarkDirty", 2, 44, true)
+	update(42, false)
+	expect("after an Update that changed nothing", 2, 42, false)
+	update(44, true)
+	expect("after Update", 2, 44, true)
 	expect("warm read", 2, 44, false)
 
 	for id := PageID(10); id < 14; id++ { // four other pages evict page 2
@@ -179,7 +177,7 @@ func TestReadParsedConcurrentColdPage(t *testing.T) {
 	p, _ := newPrefetchPager(t)
 	fillPages(t, p, 8)
 	var c parseCounter
-	slowParse := func(buf []byte) (any, error) {
+	slowParse := func(buf []byte) (any, int, error) {
 		time.Sleep(5 * time.Millisecond)
 		return c.parse(buf)
 	}
@@ -211,5 +209,74 @@ func TestReadParsedConcurrentColdPage(t *testing.T) {
 		if v != values[0] || *v.(*byte) != 5 {
 			t.Fatalf("reader %d got parsed value %v, reader 0 %v", r, v, values[0])
 		}
+	}
+}
+
+// cachedBytes sums what p's cached pages cost its pool.
+func cachedBytes(p *Pager) int64 {
+	p.pool.mu.Lock()
+	defer p.pool.mu.Unlock()
+	var n int64
+	for _, fi := range p.index {
+		n += p.pool.frames[fi].cost
+	}
+	return n
+}
+
+// TestReadParsedCostsItsSize: in a pool made by NewPool a page costs
+// its bytes, plus the size its parse reported once it is parsed; a
+// write gives the parsed size back, and eviction and DropCache give
+// back both. A private pool charges the page only.
+func TestReadParsedCostsItsSize(t *testing.T) {
+	const pageSize = 64
+	fs := NewFS(sim.NewDisk(sim.DefaultParams()))
+	pool := NewPool(4*pageSize + 2*parsedSize)
+	fs.SetPool(pool)
+	p, err := NewPager(fs.Create("t"), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fillPages(t, p, 16)
+	var c parseCounter
+	v := p.View(nil, 1)
+	resident := func(step string, want int64) {
+		t.Helper()
+		if got := pool.Resident(); got != want || cachedBytes(p) != want {
+			t.Fatalf("%s: resident %d, pager's frames %d, want %d", step, got, cachedBytes(p), want)
+		}
+	}
+	resident("empty", 0)
+	if _, err := p.Read(0); err != nil {
+		t.Fatal(err)
+	}
+	resident("one page read", pageSize)
+	readParsed(t, v, &c, 0)
+	resident("one page parsed", pageSize+parsedSize)
+	readParsed(t, v, &c, 1)
+	readParsed(t, v, &c, 2)
+	resident("three pages parsed", 3*(pageSize+parsedSize))
+	if err := p.Write(2, make([]byte, pageSize)); err != nil {
+		t.Fatal(err)
+	}
+	resident("page 2 rewritten", 3*pageSize+2*parsedSize)
+	if _, err := p.Read(3); err != nil {
+		t.Fatal(err)
+	}
+	resident("four pages, two parsed", 4*pageSize+2*parsedSize)
+	readParsed(t, v, &c, 3) // over capacity: page 0, the oldest, goes with its parsed form
+	if _, ok := p.index[0]; ok {
+		t.Fatal("page 0 still cached past the pool's capacity")
+	}
+	resident("page 0 evicted", 3*pageSize+2*parsedSize)
+	if err := p.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	resident("after DropCache", 0)
+
+	private, _ := newPrefetchPager(t)
+	fillPages(t, private, 4)
+	readParsed(t, private.View(nil, 1), &c, 1)
+	if got := cachedBytes(private); got != pageSize {
+		t.Fatalf("private pool charged %d for a parsed page, want the page's %d", got, pageSize)
 	}
 }

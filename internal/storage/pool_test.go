@@ -221,14 +221,15 @@ func (pp *poolPair) check(step string) {
 	// The frame table's LRU list is the model's, page for page.
 	el := m.lru.Front()
 	n := 0
-	for fi := p.head; fi >= 0; fi = p.frames[fi].next {
-		f := &p.frames[fi]
+	pl := p.pool
+	for fi := pl.head; fi >= 0; fi = pl.frames[fi].next {
+		f := &pl.frames[fi]
 		mp := el.Value.(*modelPage)
 		if f.id != mp.id || f.dirty != mp.dirty || !bytes.Equal(f.data, mp.data) || p.index[f.id] != fi {
 			pp.t.Fatalf("%s: LRU position %d: pager page %d dirty=%v, model page %d dirty=%v",
 				step, n, f.id, f.dirty, mp.id, mp.dirty)
 		}
-		if want := f.prev; (n == 0 && want != -1) || (n > 0 && p.frames[want].next != fi) {
+		if want := f.prev; (n == 0 && want != -1) || (n > 0 && pl.frames[want].next != fi) {
 			pp.t.Fatalf("%s: broken back link at LRU position %d", step, n)
 		}
 		el = el.Next()
@@ -255,14 +256,14 @@ func (pp *poolPair) read(id PageID) {
 
 func (pp *poolPair) alloc(fill byte) error {
 	pp.t.Helper()
-	_, _, perr := pp.p.Alloc()
+	_, perr := pp.p.Alloc()
 	id := pp.m.nPage
 	pp.m.nPage++
 	mp := &modelPage{id: id, data: make([]byte, modelPageSize), dirty: true}
 	pp.sameErr("Alloc", perr, pp.m.insert(mp))
 	// Even when the eviction it caused failed, the new page is cached,
 	// dirty and most recent: fill it in place on both sides.
-	pp.p.frames[pp.p.head].data[0], mp.data[0] = fill, fill
+	pp.p.pool.frames[pp.p.pool.head].page()[0], mp.data[0] = fill, fill
 	pp.truth[id] = append([]byte{fill}, make([]byte, modelPageSize-1)...)
 	pp.check("Alloc")
 	return perr
@@ -278,30 +279,34 @@ func (pp *poolPair) write(id PageID, fill byte) {
 	pp.check(fmt.Sprintf("Write(%d)", id))
 }
 
-// markDirty mutates page id in place through the buffer Read returned,
-// then announces it.
-func (pp *poolPair) markDirty(id PageID, fill byte) {
+// update reads page id, then mutates it in place through Update, which
+// finds it cached.
+func (pp *poolPair) update(id PageID, fill byte) {
 	pp.t.Helper()
-	got, perr := pp.p.View(nil, pp.ahead).Read(id)
+	_, perr := pp.p.View(nil, pp.ahead).Read(id)
 	want, merr := pp.m.read(id, pp.ahead)
-	pp.sameErr(fmt.Sprintf("Read(%d) for MarkDirty", id), perr, merr)
+	pp.sameErr(fmt.Sprintf("Read(%d) for Update", id), perr, merr)
 	if perr != nil {
-		pp.check("MarkDirty")
+		pp.check("Update")
 		return
 	}
-	got[1], want[1] = fill, fill
+	pp.sameErr(fmt.Sprintf("Update(%d)", id), pp.p.Update(id, func(page []byte) bool {
+		page[1] = fill
+		return true
+	}), nil)
+	want[1] = fill
 	pp.truth[id][1] = fill
-	pp.p.MarkDirty(id)
 	if el, ok := pp.m.cache[id]; ok {
+		pp.m.stats.Hits++
 		el.Value.(*modelPage).dirty = true
 		pp.m.lru.MoveToFront(el)
 	}
-	pp.check(fmt.Sprintf("MarkDirty(%d)", id))
+	pp.check(fmt.Sprintf("Update(%d)", id))
 }
 
 func (pp *poolPair) setCacheLimit(n int) {
 	pp.t.Helper()
-	perr := pp.p.SetCacheLimit(n)
+	perr := pp.p.Pool().SetCapacity(int64(n) * modelPageSize)
 	pp.m.maxPages = max(n, 1)
 	merr := pp.m.evict()
 	pp.sameErr(fmt.Sprintf("SetCacheLimit(%d)", n), perr, merr)
@@ -359,7 +364,7 @@ func (pp *poolPair) step(rng *rand.Rand, last *PageID) {
 		}
 	case op < 72:
 		if n > 0 {
-			pp.markDirty(pick(), byte(rng.Intn(256)))
+			pp.update(pick(), byte(rng.Intn(256)))
 		}
 	case op < 80:
 		pp.setCacheLimit(rng.Intn(14))
@@ -414,10 +419,11 @@ func TestPagerEvictionWriteFailure(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	victim := pp.p.frames[pp.p.tail].id
+	pl := pp.p.pool
+	victim := pl.frames[pl.tail].id
 	onDisk := pp.p.onDisk
-	if victim < onDisk || !pp.p.frames[pp.p.tail].dirty {
-		t.Fatalf("setup: victim %d (dirty=%v) already on disk (%d pages)", victim, pp.p.frames[pp.p.tail].dirty, onDisk)
+	if victim < onDisk || !pl.frames[pl.tail].dirty {
+		t.Fatalf("setup: victim %d (dirty=%v) already on disk (%d pages)", victim, pl.frames[pl.tail].dirty, onDisk)
 	}
 	fault := Fault{Op: OpWrite, Name: "t"}
 	pp.pf.Arm(fault)
@@ -429,7 +435,7 @@ func TestPagerEvictionWriteFailure(t *testing.T) {
 		t.Fatalf("failed write advanced onDisk %d -> %d", onDisk, pp.p.onDisk)
 	}
 	fi, ok := pp.p.index[victim]
-	if !ok || !pp.p.frames[fi].dirty {
+	if !ok || !pl.frames[fi].dirty {
 		t.Fatalf("page %d whose write failed: cached=%v, want cached and dirty", victim, ok)
 	}
 	if got := pp.p.CachedPages(); got != 5 {
@@ -483,7 +489,7 @@ func TestPagerReadAllocations(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("Read hit: %v allocations, want 0", allocs)
 	}
-	if err := p.SetCacheLimit(16); err != nil {
+	if err := p.Pool().SetCapacity(16 * 64); err != nil {
 		t.Fatal(err)
 	}
 	for _, run := range []int{1, 4} {
@@ -517,7 +523,7 @@ func newBenchPager(b *testing.B, pages int) *Pager {
 		b.Fatal(err)
 	}
 	for i := 0; i < pages; i++ {
-		if _, _, err := p.Alloc(); err != nil {
+		if _, err := p.Alloc(); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -560,11 +566,10 @@ func BenchmarkPagerReadMiss(b *testing.B) {
 // (hits, misses, read-ahead runs), each through views of its own with
 // its own recorder and windows, a writer allocating, rewriting and
 // flushing, and a goroutine moving the pool limit. What changes page
-// bytes in place (Alloc's fill, Write) holds
-// rw exclusively, the way a table's writer excludes that file's
-// readers; SetCacheLimit, whose evictions read dirty pages, holds it
-// shared like a reader. Every read returns the bytes last written. Run
-// it under -race.
+// bytes (Alloc and its fill, Write) holds rw exclusively, the way a
+// table's writer excludes that file's readers; SetCapacity, whose
+// evictions write dirty pages back, takes no lock at all. Every read
+// returns the bytes last written. Run it under -race.
 func TestPagerConcurrentReaders(t *testing.T) {
 	p, _ := newPrefetchPager(t)
 	fillPages(t, p, 64)
@@ -614,9 +619,9 @@ func TestPagerConcurrentReaders(t *testing.T) {
 		case 0:
 			rw.Lock()
 			defer rw.Unlock()
-			id, buf, err := p.Alloc()
+			id, err := p.Alloc()
 			if err == nil {
-				buf[0] = byte(i)
+				err = p.Update(id, func(page []byte) bool { page[0] = byte(i); return true })
 				truth[id], pages = byte(i), id+1
 			}
 			return err
@@ -631,9 +636,7 @@ func TestPagerConcurrentReaders(t *testing.T) {
 		}
 	})
 	run(1500, func(i int, rng *rand.Rand) error {
-		rw.RLock()
-		defer rw.RUnlock()
-		return p.SetCacheLimit(4 + rng.Intn(20))
+		return p.Pool().SetCapacity(int64(4+rng.Intn(20)) * 64)
 	})
 	wg.Wait()
 	close(errc)
@@ -655,7 +658,7 @@ func TestPoolCountersUnderConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 		fillPages(t, p, 96)
-		if err := p.SetCacheLimit(24); err != nil {
+		if err := p.Pool().SetCapacity(24 * 64); err != nil {
 			t.Fatal(err)
 		}
 		pagers = append(pagers, p)
@@ -697,5 +700,107 @@ func TestPoolCountersUnderConcurrentReaders(t *testing.T) {
 	cached := int64(pagers[0].CachedPages() + pagers[1].CachedPages())
 	if evictions != misses-cached {
 		t.Fatalf("%d evictions, want %d misses - %d cached", evictions, misses, cached)
+	}
+}
+
+// TestSharedPoolRules: two pagers drawing from one FS's pool. A miss of
+// one evicts the other's least recently used pages, writing a dirty one
+// back through its own pager's file and charging the evicting reader's
+// Recorder; Flush and DropCache touch only their own pager's pages; and
+// FS.Remove drops the removed file's pages, dirty or not, so nothing
+// writes to it again.
+func TestSharedPoolRules(t *testing.T) {
+	cb := &countingBackend{Backend: NewMemBackend()}
+	fs := NewFSOn(sim.NewDisk(sim.DefaultParams()), cb)
+	pool := NewPool(4 * 64)
+	fs.SetPool(pool)
+	a, err := NewPager(fs.Create("a"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewPager(fs.Create("b"), 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 8; i++ {
+		allocPage(t, b, byte(i))
+	}
+	if err := b.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		allocPage(t, a, byte(10+i)) // a's pages 0 and 1, dirty and never written
+	}
+	// The pool holds b's pages 6 and 7, then a's 0 and 1 (most recent).
+	// Two misses of b's evict them both; b's misses are charged to b's
+	// reader, and so is the write-back of a's dirty pages.
+	var log opLog
+	v := b.View(&log, 1)
+	for _, id := range []PageID{0, 1, 2, 3} {
+		if _, err := v.Read(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := opLog{"read b@0+64", "read b@64+64", "read b@128+64", "write a@0+64", "read b@192+64", "write a@64+64"}
+	if !slices.Equal(log, want) {
+		t.Fatalf("evicting reader was charged\n%v\nwant\n%v", log, want)
+	}
+	if a.CachedPages() != 0 || a.onDisk != 2 {
+		t.Fatalf("a: %d pages cached, %d on disk; want 0 and 2", a.CachedPages(), a.onDisk)
+	}
+	for i := 0; i < 2; i++ {
+		if got, err := a.Read(PageID(i)); err != nil || got[0] != byte(10+i) {
+			t.Fatalf("a's page %d after its write-back: %v, %v", i, got, err)
+		}
+	}
+
+	// Flush and DropCache leave the other pager's pages alone.
+	if err := a.Update(0, func(page []byte) bool { page[1] = 1; return true }); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Update(3, func(page []byte) bool { page[1] = 1; return true }); err != nil {
+		t.Fatal(err)
+	}
+	writes := func() (n int) {
+		for _, e := range cb.log {
+			if e.write {
+				n++
+			}
+		}
+		return n
+	}
+	before := writes()
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := writes() - before; got != 1 || !pool.frames[b.index[3]].dirty {
+		t.Fatalf("a's Flush made %d writes and left b's page 3 dirty=%v; want 1 and true", got, pool.frames[b.index[3]].dirty)
+	}
+	bCached := b.CachedPages()
+	if err := a.DropCache(); err != nil {
+		t.Fatal(err)
+	}
+	if a.CachedPages() != 0 || b.CachedPages() != bCached {
+		t.Fatalf("a's DropCache: a holds %d pages, b %d of %d", a.CachedPages(), b.CachedPages(), bCached)
+	}
+
+	// Removing b drops its pages, dirty page 3 included.
+	resident, mark := pool.Resident(), len(cb.log)
+	if err := fs.Remove("b"); err != nil {
+		t.Fatal(err)
+	}
+	if b.CachedPages() != 0 || pool.Resident() != resident-int64(bCached*64) || pool.Resident() != 0 {
+		t.Fatalf("after Remove: b holds %d pages, pool %d B of %d", b.CachedPages(), pool.Resident(), resident)
+	}
+	for i := 0; i < 6; i++ { // fill the pool and evict from it
+		allocPage(t, a, byte(i))
+	}
+	if err := a.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range cb.log[mark:] {
+		if e.name == "b" {
+			t.Fatalf("a transfer named the removed file: %+v", e)
+		}
 	}
 }

@@ -21,12 +21,7 @@ func newPrefetchPager(t *testing.T) (*Pager, *sim.Disk) {
 func fillPages(t *testing.T, p *Pager, n int) {
 	t.Helper()
 	for i := 0; i < n; i++ {
-		id, buf, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[0] = byte(i)
-		p.MarkDirty(id)
+		allocPage(t, p, byte(i))
 	}
 	if err := p.DropCache(); err != nil {
 		t.Fatal(err)
@@ -100,7 +95,7 @@ func TestPrefetchClampsToFileEnd(t *testing.T) {
 func TestPrefetchClampsToCache(t *testing.T) {
 	p, _ := newPrefetchPager(t)
 	fillPages(t, p, 50)
-	if err := p.SetCacheLimit(8); err != nil {
+	if err := p.Pool().SetCapacity(8 * 64); err != nil {
 		t.Fatal(err)
 	}
 	// A window larger than the pool is clamped to maxPages/2.
@@ -143,7 +138,7 @@ func TestPrefetchDisabledByDefault(t *testing.T) {
 func TestEvictedPageSliceStaysIntact(t *testing.T) {
 	p, _ := newPrefetchPager(t)
 	fillPages(t, p, 200)
-	if err := p.SetCacheLimit(8); err != nil {
+	if err := p.Pool().SetCapacity(8 * 64); err != nil {
 		t.Fatal(err)
 	}
 	v := p.View(nil, 4)

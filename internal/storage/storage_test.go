@@ -131,16 +131,29 @@ func newTestPager(t *testing.T, pageSize int) *Pager {
 	return p
 }
 
-func TestPagerAllocReadWrite(t *testing.T) {
-	p := newTestPager(t, 128)
-	id0, buf0, err := p.Alloc()
+// allocPage allocates a page of p and sets its first byte to b.
+func allocPage(t testing.TB, p *Pager, b byte) PageID {
+	t.Helper()
+	id, err := p.Alloc()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if id0 != 0 || len(buf0) != 128 {
-		t.Fatalf("alloc: id=%d len=%d", id0, len(buf0))
+	if err := p.Update(id, func(page []byte) bool { page[0] = b; return true }); err != nil {
+		t.Fatal(err)
 	}
-	id1, _, _ := p.Alloc()
+	return id
+}
+
+func TestPagerAllocReadWrite(t *testing.T) {
+	p := newTestPager(t, 128)
+	id0, err := p.Alloc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf0, err := p.Read(id0); err != nil || id0 != 0 || len(buf0) != 128 || buf0[0] != 0 {
+		t.Fatalf("alloc: id=%d page %v, %v", id0, buf0, err)
+	}
+	id1, _ := p.Alloc()
 	if id1 != 1 || p.NumPages() != 2 {
 		t.Fatalf("second alloc id=%d n=%d", id1, p.NumPages())
 	}
@@ -166,17 +179,12 @@ func TestPagerAllocReadWrite(t *testing.T) {
 
 func TestPagerPersistsThroughEviction(t *testing.T) {
 	p := newTestPager(t, 64)
-	if err := p.SetCacheLimit(2); err != nil {
+	if err := p.Pool().SetCapacity(2 * 64); err != nil {
 		t.Fatal(err)
 	}
 	const n = 20
 	for i := 0; i < n; i++ {
-		id, buf, err := p.Alloc()
-		if err != nil {
-			t.Fatal(err)
-		}
-		buf[0] = byte(i)
-		p.MarkDirty(id)
+		allocPage(t, p, byte(i))
 	}
 	if p.CachedPages() > 2 {
 		t.Fatalf("cache over limit: %d", p.CachedPages())
@@ -196,9 +204,7 @@ func TestPagerDropCacheColdReads(t *testing.T) {
 	disk := sim.NewDisk(sim.DefaultParams())
 	fs := NewFS(disk)
 	p, _ := NewPager(fs.Create("t"), 64)
-	id, buf, _ := p.Alloc()
-	buf[0] = 42
-	p.MarkDirty(id)
+	id := allocPage(t, p, 42)
 
 	// Warm read: served from cache, no disk traffic.
 	before := disk.Stats()
@@ -248,9 +254,7 @@ func TestPagerReopenExistingFile(t *testing.T) {
 	fs := newTestFS()
 	f := fs.Create("t")
 	p, _ := NewPager(f, 64)
-	id, buf, _ := p.Alloc()
-	buf[0] = 7
-	p.MarkDirty(id)
+	allocPage(t, p, 7)
 	if err := p.Flush(); err != nil {
 		t.Fatal(err)
 	}

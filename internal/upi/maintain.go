@@ -126,7 +126,7 @@ func BulkBuild(fs *storage.FS, name, attr string, secAttrs []string, opts Option
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &Table{
 		fs: fs, name: name, attr: attr, opts: opts,
 		secondaries: make(map[string]*btree.Tree, len(secAttrs)),
@@ -198,9 +198,6 @@ func bulkTree(fs *storage.FS, file string, opts Options, entries entrySlice) (*b
 	sort.Sort(entries)
 	p, err := storage.NewPager(fs.Create(file), opts.PageSize)
 	if err != nil {
-		return nil, err
-	}
-	if err := p.SetCacheLimit(opts.CachePages); err != nil {
 		return nil, err
 	}
 	b, err := btree.NewBuilder(p)

@@ -42,12 +42,6 @@ type Options struct {
 	MaxPointers int
 	// PageSize is the B+Tree page size (default storage.DefaultPageSize).
 	PageSize int
-	// CachePages is the buffer-pool capacity, in pages, of each of the
-	// UPI's files: heap, cutoff index and every secondary index. The
-	// default, storage.DefaultCachePages, is the paper's cold-cache
-	// regime the experiments run in; upidb tables set it to a fixed
-	// byte budget divided by PageSize.
-	CachePages int
 }
 
 // WithDefaults returns a copy with zero-valued size parameters
@@ -56,13 +50,8 @@ func (o Options) WithDefaults() Options {
 	if o.PageSize == 0 {
 		o.PageSize = storage.DefaultPageSize
 	}
-	if o.CachePages == 0 {
-		o.CachePages = storage.DefaultCachePages
-	}
 	return o
 }
-
-func (o Options) withDefaults() Options { return o.WithDefaults() }
 
 // Validate checks the options.
 func (o Options) Validate() error {
@@ -111,7 +100,7 @@ func Create(fs *storage.FS, name, attr string, secAttrs []string, opts Options) 
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &Table{
 		fs: fs, name: name, attr: attr, opts: opts,
 		secondaries: make(map[string]*btree.Tree, len(secAttrs)),
@@ -142,7 +131,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Options) (*
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	t := &Table{
 		fs: fs, name: name, attr: attr, opts: opts,
 		secondaries: make(map[string]*btree.Tree, len(secAttrs)),
@@ -170,9 +159,6 @@ func (t *Table) createTree(file string) (*btree.Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := p.SetCacheLimit(t.opts.CachePages); err != nil {
-		return nil, err
-	}
 	return btree.Create(p)
 }
 
@@ -183,9 +169,6 @@ func (t *Table) openTree(file string) (*btree.Tree, error) {
 	}
 	p, err := storage.NewPager(f, t.opts.PageSize)
 	if err != nil {
-		return nil, err
-	}
-	if err := p.SetCacheLimit(t.opts.CachePages); err != nil {
 		return nil, err
 	}
 	return btree.Open(p)

@@ -17,6 +17,14 @@ import (
 
 func newFS() *storage.FS { return storage.NewFS(sim.NewDisk(sim.DefaultParams())) }
 
+// warmFS returns a file system whose files share one 32 MiB pool, large
+// enough to keep every page of the allocation tests' tables cached.
+func warmFS() *storage.FS {
+	fs := newFS()
+	fs.SetPool(storage.NewPool(32 << 20))
+	return fs
+}
+
 // runningExample returns the paper's Table 4 Author tuples.
 func runningExample(t *testing.T) []*tuple.Tuple {
 	t.Helper()
@@ -632,7 +640,7 @@ func TestFullScanAllocationsFollowMatches(t *testing.T) {
 				Payload: bytes.Repeat([]byte{1}, 64),
 			})
 		}
-		tab, err := BulkBuild(newFS(), "t", "Institution", nil, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+		tab, err := BulkBuild(warmFS(), "t", "Institution", nil, Options{Cutoff: 0.1}, tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -687,7 +695,7 @@ func TestHeapCursorYieldsUnbuiltRows(t *testing.T) {
 		tuples = append(tuples, &tuple.Tuple{ID: uint64(i + 1), Existence: 1,
 			Unc: []tuple.UncField{{Name: "Institution", Dist: d}}, Payload: bytes.Repeat([]byte{1}, 64)})
 	}
-	tab, err := BulkBuild(newFS(), "t", "Institution", nil, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+	tab, err := BulkBuild(warmFS(), "t", "Institution", nil, Options{Cutoff: 0.1}, tuples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -795,7 +803,7 @@ func TestTailoredSecondaryAllocationsPerRow(t *testing.T) {
 				Payload: bytes.Repeat([]byte{1}, 64),
 			})
 		}
-		tab, err := BulkBuild(newFS(), "t", "Institution", []string{"Country"}, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+		tab, err := BulkBuild(warmFS(), "t", "Institution", []string{"Country"}, Options{Cutoff: 0.1}, tuples)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -891,7 +899,7 @@ func TestCutoffChaseAllocationsPerRow(t *testing.T) {
 				Payload: bytes.Repeat([]byte{1}, 64),
 			})
 		}
-		tab, err := BulkBuild(newFS(), "t", "Institution", nil, Options{Cutoff: 0.1, CachePages: 4096}, tuples)
+		tab, err := BulkBuild(warmFS(), "t", "Institution", nil, Options{Cutoff: 0.1}, tuples)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -142,14 +142,11 @@ func WithAutoMerge(opts AutoMergeOptions) Option {
 	}
 }
 
-// tablePoolBytes is the buffer pool of every file a table opens: for
-// a discrete table its main, fractures and merge outputs (heap, cutoff
-// and secondary indexes alike), 4096 pages of 8 KiB; for a spatial
-// table its R-Tree (8192 pages of 4 KiB), heap (512 of 64 KiB) and
-// segment index (4096 of 8 KiB). The index packages default to the
-// paper's 512-page cold-cache pool, an experiment setting; a database
-// serves repeated queries, so it sizes every pool in bytes instead.
-const tablePoolBytes = 32 << 20
+// dbPoolBytes is the capacity of a database's one buffer pool, which
+// every file of every table draws from; a cached page costs its bytes
+// plus its parsed form. The index packages keep the paper's 512-page
+// cold-cache pool per file, an experiment setting.
+const dbPoolBytes = 256 << 20
 
 // markerFile is the database marker distinguishing Create from Open.
 // It is sideband: charged to nobody.
@@ -198,7 +195,6 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 	default:
 		backend = storage.NewMemBackend()
 	}
-	cfg.table.UPI.CachePages = tablePoolBytes / storage.DefaultPageSize // tables' B+Trees use the default page size
 	if cfg.durable == nil {
 		cfg.table.Durable = onDisk
 	} else {
@@ -207,6 +203,8 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 
 	disk := sim.NewDisk(sim.DefaultParams())
 	fs := storage.NewFSOn(disk, backend)
+	pool := storage.NewPool(dbPoolBytes)
+	fs.SetPool(pool)
 	fs.Sideband(markerFile)
 	if create {
 		if fs.Exists(markerFile) {
@@ -232,6 +230,7 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 	db := &DB{
 		disk:          disk,
 		fs:            fs,
+		pool:          pool,
 		backend:       backend,
 		defaults:      cfg.table,
 		autoMerge:     cfg.autoMerge,
@@ -251,6 +250,9 @@ func newDB(dir string, create bool, opts []Option) (*DB, error) {
 	reg.CounterFunc("upidb_bufferpool_evictions_total",
 		"Pages dropped from a full buffer pool.",
 		func() int64 { return fs.PoolStats().Evictions })
+	reg.GaugeFunc("upidb_bufferpool_resident_bytes",
+		"Bytes the database's buffer pool holds: cached pages and their parsed forms.",
+		func() float64 { return float64(pool.Resident()) })
 	return db, nil
 }
 

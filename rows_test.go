@@ -373,10 +373,14 @@ func TestRowsStatesMatchAll(t *testing.T) {
 	}
 }
 
-// onePagePools makes every pager a table of db opens from now on run
-// Pager.SetCacheLimit(1): a page is evicted the moment the next one is
-// read, so anything that aliases a page aliases an evicted one.
-func onePagePools(db *DB) { db.defaults.UPI.CachePages = 1 }
+// onePagePools shrinks db's pool to nothing: it keeps only the page it
+// has just served, so a page is evicted the moment the next one is
+// read, and anything that aliases a page aliases an evicted one.
+func onePagePools(db *DB) {
+	if err := db.pool.SetCapacity(0); err != nil {
+		panic(err)
+	}
+}
 
 // lifetimeTuple is the deterministic tuple of an ID in the view-lifetime
 // tests: every version of an ID is the same tuple, so a row can be

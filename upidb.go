@@ -158,6 +158,8 @@ type DB struct {
 	disk    *sim.Disk
 	fs      *storage.FS
 	backend storage.Backend
+	// pool is the buffer pool every file of the database draws from.
+	pool *storage.Pool
 
 	// defaults is the table configuration every CreateTable /
 	// BulkLoadTable / OpenTable starts from, as resolved from the
@@ -412,10 +414,8 @@ func (t *Table) NumFractures() int { return t.shards.NumFractures() }
 // SizeBytes returns the table's total on-disk size over all shards.
 func (t *Table) SizeBytes() int64 { return t.shards.SizeBytes() }
 
-// DropCaches empties all buffer pools: the next query re-reads its
-// pages. Each file of the table has a pool of up to 32 MiB, and this is
-// how to give that memory back. upibench wraps every modeled
-// measurement in DropCaches.
+// DropCaches takes the table's pages out of the database's buffer
+// pool: the next query re-reads them.
 func (t *Table) DropCaches() error { return t.shards.DropCaches() }
 
 // StatsInfo is a snapshot of a table's state by shard.
@@ -480,8 +480,8 @@ type SpatialTable struct {
 
 // BulkLoadSpatial builds a continuous UPI from observations: the
 // U-Tree with its heap clustered in R-Tree leaf order, 4 KiB node pages
-// and 64 KiB heap pages (paper Figure 2). Each of its three files gets
-// a buffer pool of tablePoolBytes, as a discrete table's do. Like table
+// and 64 KiB heap pages (paper Figure 2). Its three files draw from
+// the database's one buffer pool, as a discrete table's do. Like table
 // creation, it fails with ErrClosed once the DB is closed.
 func (db *DB) BulkLoadSpatial(name string, obs []*Observation) (*SpatialTable, error) {
 	if err := db.checkOpen(); err != nil {
@@ -489,9 +489,6 @@ func (db *DB) BulkLoadSpatial(name string, obs []*Observation) (*SpatialTable, e
 	}
 	tab, err := cupi.BulkBuild(db.fs, name, obs, cupi.Options{})
 	if err != nil {
-		return nil, err
-	}
-	if err := tab.SetPoolBytes(tablePoolBytes); err != nil {
 		return nil, err
 	}
 	s := &SpatialTable{db: db, tab: tab}
@@ -519,5 +516,5 @@ func (s *SpatialTable) Close() error { return s.tab.Close() }
 // SizeBytes returns the spatial table's total on-disk size.
 func (s *SpatialTable) SizeBytes() int64 { return s.tab.SizeBytes() }
 
-// DropCaches empties the table's buffer pools.
+// DropCaches takes the table's pages out of the database's buffer pool.
 func (s *SpatialTable) DropCaches() error { return s.tab.DropCaches() }
