@@ -169,7 +169,7 @@ func TestRetriedInsertStreamsOnce(t *testing.T) {
 			}
 			entries := 0
 			if err := tab.RTree().Search(everywhere, func(e rtree.Entry) bool {
-				if e.Data == o.ID {
+				if obsIDAt(t, tab, e.Data) == o.ID {
 					entries++
 				}
 				return true

@@ -26,36 +26,36 @@
 //
 // # Concurrency
 //
-// A Table is safe for concurrent use: queries take a read lock for
-// their whole traversal (the R-Tree, segment index and heap are
-// mutated in place, so unlike the fractured store there is no
-// immutable partition snapshot to scan outside the lock), Insert takes
-// the write lock. Readers run in parallel. A streaming cursor
+// A Table is safe for concurrent use: the R-Tree, segment index and
+// heap are mutated in place, so queries hold a read lock for their
+// whole traversal and Insert takes the write lock. A streaming cursor
 // (CircleCursor, SegmentCursor) holds the read lock from its first
-// pull until it is exhausted, failed or closed — so a slow stream
-// consumer delays writers, and once a writer is waiting, new queries
-// queue behind it (Go's RWMutex blocks later readers behind a pending
-// writer) until the stream finishes. Always Close an abandoned cursor:
-// a cursor dropped mid-drain without Close holds the read lock forever
-// and wedges every subsequent Insert, Flush and Close. A goroutine
-// must not Insert into the table while it is itself mid-drain on one
-// of the table's cursors (self-deadlock). Lock-free streaming via an
-// immutable-root R-Tree is a recorded ROADMAP follow-on.
+// pull until it is exhausted, failed or closed, so a slow consumer
+// delays writers, and queries that arrive behind a waiting writer wait
+// too. A cursor dropped mid-drain without Close wedges every later
+// Insert, Flush and Close, and a goroutine that Inserts while it drains
+// one of the table's cursors deadlocks itself.
 //
-// # Insert atomicity
+// # Rows and insert atomicity
 //
-// Insert is all-or-nothing with respect to queries: the rows map is
-// the commit point, written only after the heap append and every index
-// insert succeeded. Both query paths ignore physical artifacts that
-// are not committed in rows (R-Tree entries and heap rows of a failed
-// insert are invisible; stale segment-index entries are filtered by
-// RowID mismatch), so a failed Insert leaves no phantom results and
-// does not block a retry of the same observation ID.
+// Both indexes address a row by its heap position: an R-Tree leaf
+// entry's Data is its row's packed RowID (entryData), a segment-index
+// value the RowID itself. The heap row is an insert's one commit mark.
+// Insert appends the row, then writes the index entries that point at
+// it; if one of them fails it tombstones the row, and since both query
+// paths skip a deleted row, that one write hides every entry the
+// failed insert left. A retry appends a new row, so a leftover entry
+// never points at a live one. If the tombstone fails too, the table
+// closes itself rather than let a half-inserted row surface.
+//
+// A table is not durable: there is no WAL, no manifest and no way to
+// reopen its files.
 package cupi
 
 import (
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -111,15 +111,13 @@ type table struct {
 	rt     *rtree.Tree
 	heap   *heapfile.Heap
 	segIdx *btree.Tree
-	rows   map[uint64]heapfile.RowID
-	// strays is set once an Insert has failed after its heap append: its
-	// leftovers may include an R-Tree entry, so a retry of the same ID
-	// can put that ID in the R-Tree twice, and circle queries must dedup
-	// candidates by ID from then on.
-	strays bool
+	// ids holds the ID of every committed observation, for Insert's
+	// duplicate check.
+	ids map[uint64]struct{}
 
 	// insertFail, when set (tests only), injects an error after the
-	// named insert stage: "heap", "rtree", "seg:<i>".
+	// named insert stage ("heap", "rtree", "seg:<i>") or in place of a
+	// failed insert's "tombstone".
 	insertFail func(stage string) error
 }
 
@@ -149,23 +147,21 @@ func SortResults(rs []Result) {
 	})
 }
 
-// BulkBuild loads observations into a new table: the STR-loaded
-// R-Tree, the heap in the layout opts selects, then the segment index
-// bulk-loaded.
+// BulkBuild loads observations into a new table: the heap in the
+// layout opts selects, the STR-loaded R-Tree over it, then the segment
+// index bulk-loaded.
 func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Options) (*Table, error) {
-	t := &Table{table: &table{fs: fs, name: name, rows: make(map[uint64]heapfile.RowID, len(obs))}}
-
-	byID := make(map[uint64]*tuple.Observation, len(obs))
-	entries := make([]rtree.Entry, 0, len(obs))
-	for _, o := range obs {
+	t := &Table{table: &table{fs: fs, name: name, ids: make(map[uint64]struct{}, len(obs))}}
+	entries := make([]rtree.Entry, len(obs))
+	for i, o := range obs {
 		if err := o.Validate(); err != nil {
 			return nil, err
 		}
-		if _, dup := byID[o.ID]; dup {
+		if _, dup := t.ids[o.ID]; dup {
 			return nil, fmt.Errorf("cupi: duplicate observation ID %d", o.ID)
 		}
-		byID[o.ID] = o
-		entries = append(entries, rtree.Entry{MBR: o.Loc.MBR(), Data: o.ID, Aux: pcrAux(o.Loc)})
+		t.ids[o.ID] = struct{}{}
+		entries[i] = rtree.Entry{MBR: o.Loc.MBR(), Data: uint64(i), Aux: pcrAux(o.Loc)}
 	}
 
 	np, err := storage.NewPager(fs.Create(name+".cupi.rtree"), storage.RTreePageSize)
@@ -175,10 +171,6 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 	if t.rt, err = rtree.Create(np); err != nil {
 		return nil, err
 	}
-	if err := t.rt.BulkLoad(entries); err != nil {
-		return nil, err
-	}
-
 	hp, err := storage.NewPager(fs.Create(name+".cupi.heap"), opts.heapPageSize())
 	if err != nil {
 		return nil, err
@@ -186,40 +178,40 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 	if t.heap, err = heapfile.Create(hp); err != nil {
 		return nil, err
 	}
-	// The heap order is the layout: arrival order, or DFS leaf order
-	// (the clustering step).
-	order := obs
-	if !opts.Unclustered {
-		order = make([]*tuple.Observation, 0, len(obs))
-		if err := t.rt.Leaves(func(_ storage.PageID, es []rtree.Entry) bool {
-			for _, e := range es {
-				order = append(order, byID[e.Data])
+	// An entry's Data is its observation's index until place appends the
+	// row and stores the row's position instead. The heap order is the
+	// layout: arrival order, or DFS leaf order, appended leaf by leaf as
+	// the bulk load writes the leaves (the clustering step).
+	rids := make([]heapfile.RowID, len(obs))
+	place := func(leaf []rtree.Entry) error {
+		for j, e := range leaf {
+			rid, err := t.heap.Append(tuple.EncodeObservation(obs[e.Data]))
+			if err != nil {
+				return err
 			}
-			return true
-		}); err != nil {
-			return nil, err
+			rids[e.Data], leaf[j].Data = rid, entryData(rid)
 		}
+		return nil
 	}
-	for _, o := range order {
-		rid, err := t.heap.Append(tuple.EncodeObservation(o))
-		if err != nil {
+	if opts.Unclustered {
+		if err := place(entries); err != nil {
 			return nil, err
 		}
-		t.rows[o.ID] = rid
+		place = nil
+	}
+	if err := t.rt.BulkLoad(entries, place); err != nil {
+		return nil, err
 	}
 
 	// Segment secondary index: {segment, conf DESC, id} -> RowID.
-	type segEntry struct {
+	type segKey struct {
 		key []byte
 		rid heapfile.RowID
 	}
-	var segs []segEntry
-	for _, o := range obs {
+	var segs []segKey
+	for i, o := range obs {
 		for _, a := range o.Segment {
-			segs = append(segs, segEntry{
-				key: upi.HeapKey(a.Value, a.Prob, o.ID),
-				rid: t.rows[o.ID],
-			})
+			segs = append(segs, segKey{key: upi.HeapKey(a.Value, a.Prob, o.ID), rid: rids[i]})
 		}
 	}
 	sort.Slice(segs, func(i, j int) bool { return keyenc.Compare(segs[i].key, segs[j].key) < 0 })
@@ -243,6 +235,14 @@ func BulkBuild(fs *storage.FS, name string, obs []*tuple.Observation, opts Optio
 		return nil, err
 	}
 	return t, nil
+}
+
+// entryData packs a heap position into an R-Tree leaf entry's Data.
+func entryData(rid heapfile.RowID) uint64 { return uint64(rid.Page)<<16 | uint64(rid.Slot) }
+
+// entryRow unpacks the heap position entryData packed.
+func entryRow(data uint64) heapfile.RowID {
+	return heapfile.RowID{Page: storage.PageID(data >> 16), Slot: uint16(data)}
 }
 
 // encodeRowID serializes a RowID as a segment-index value.
@@ -277,12 +277,10 @@ func (t *Table) failpoint(stage string) error {
 // overflow region), so clustering degrades gradually until a rebuild —
 // the continuous analogue of fragmentation.
 //
-// Insert is all-or-nothing: the rows map (the commit point both query
-// paths consult) is written last, and a failure in any index insert
-// unwinds the segment-index entries already written. Physical leftovers
-// of a failed insert — a heap row and possibly an R-Tree entry — are
-// invisible to queries and are overwritten or superseded when the same
-// observation is inserted again.
+// Insert is all-or-nothing: it appends the row, then writes the index
+// entries that point at it, and tombstones the row if any of them
+// fails (see the package comment). A failed tombstone closes the table
+// and Insert's error then wraps upi.ErrClosed.
 func (t *Table) Insert(o *tuple.Observation) error {
 	if err := o.Validate(); err != nil {
 		return err
@@ -292,7 +290,7 @@ func (t *Table) Insert(o *tuple.Observation) error {
 	if t.closed {
 		return upi.ErrClosed
 	}
-	if _, dup := t.rows[o.ID]; dup {
+	if _, dup := t.ids[o.ID]; dup {
 		return fmt.Errorf("cupi: duplicate observation ID %d", o.ID)
 	}
 	rid, err := t.heap.Append(tuple.EncodeObservation(o))
@@ -300,10 +298,9 @@ func (t *Table) Insert(o *tuple.Observation) error {
 		return err
 	}
 	if err := t.insertIndexes(o, rid); err != nil {
-		t.strays = true
-		return err
+		return t.tombstone(rid, err)
 	}
-	t.rows[o.ID] = rid // commit point: the insert becomes visible
+	t.ids[o.ID] = struct{}{}
 	return nil
 }
 
@@ -313,28 +310,38 @@ func (t *Table) insertIndexes(o *tuple.Observation, rid heapfile.RowID) error {
 	if err := t.failpoint("heap"); err != nil {
 		return err
 	}
-	if err := t.rt.Insert(rtree.Entry{MBR: o.Loc.MBR(), Data: o.ID, Aux: pcrAux(o.Loc)}); err != nil {
+	if err := t.rt.Insert(rtree.Entry{MBR: o.Loc.MBR(), Data: entryData(rid), Aux: pcrAux(o.Loc)}); err != nil {
 		return err
 	}
 	if err := t.failpoint("rtree"); err != nil {
 		return err
 	}
 	for i, a := range o.Segment {
-		err := t.failpoint(fmt.Sprintf("seg:%d", i))
-		if err == nil {
-			_, err = t.segIdx.Put(upi.HeapKey(a.Value, a.Prob, o.ID), encodeRowID(rid))
+		if err := t.failpoint(fmt.Sprintf("seg:%d", i)); err != nil {
+			return err
 		}
-		if err != nil {
-			// Unwind the entries already written so the index never
-			// points at an uncommitted heap row; the RowID commit
-			// filter in the query paths backstops a failed unwind.
-			for _, b := range o.Segment[:i] {
-				_, _ = t.segIdx.Delete(upi.HeapKey(b.Value, b.Prob, o.ID))
-			}
+		// A retry's Put replaces the entry its failed attempt left.
+		if _, err := t.segIdx.Put(upi.HeapKey(a.Value, a.Prob, o.ID), encodeRowID(rid)); err != nil {
 			return err
 		}
 	}
 	return nil
+}
+
+// tombstone deletes the row of an insert that failed with cause, under
+// the write lock Insert holds. If the delete fails too, the row and its
+// index entries stay live, so the table closes itself and the error
+// joins cause, the delete's failure and upi.ErrClosed.
+func (t *Table) tombstone(rid heapfile.RowID, cause error) error {
+	err := t.failpoint("tombstone")
+	if err == nil {
+		_, err = t.heap.Delete(rid)
+	}
+	if err != nil {
+		t.closed = true
+		return errors.Join(cause, err, upi.ErrClosed)
+	}
+	return cause
 }
 
 // Close marks the table closed: every subsequent query, cursor pull
@@ -354,20 +361,10 @@ func (t *Table) Closed() bool {
 	return t.closed
 }
 
-// checkOpenRLocked fails with ErrClosed once the table is closed. The
-// caller holds at least the read lock.
-func (t *Table) checkOpenRLocked() error {
-	if t.closed {
-		return upi.ErrClosed
-	}
-	return nil
-}
-
 // View returns a handle on the same table whose queries and cursors
-// charge the pages they miss to rec instead of the disk. The lock, the
-// committed rows and the buffer pools stay shared: a page another
-// reader cached is a free hit. A view is for reading; it costs one
-// allocation.
+// charge the pages they miss to rec instead of the disk. The lock and
+// the buffer pools stay shared: a page another reader cached is a free
+// hit. A view is for reading; it costs one allocation.
 func (t *Table) View(rec storage.Recorder) *Table {
 	return &Table{table: t.table, rec: rec}
 }
@@ -423,25 +420,17 @@ func queryRect(q prob.Point, radius float64) prob.Rect {
 	return prob.Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
 }
 
-// circleCand is one R-Tree candidate of a circle query. mbr is the
-// R-Tree entry's rectangle: refineCand only honors a PCR accept when
-// it matches the fetched observation's own MBR, so an accept computed
-// from a stale entry (leftover of a failed insert, later retried with
-// a different location) can never suppress the exact threshold check.
+// circleCand is one R-Tree candidate of a circle query.
 type circleCand struct {
 	rid      heapfile.RowID
-	mbr      prob.Rect
 	accepted bool
 }
 
-// filterLeafCandidates applies the PCR filter, the committed-rows
-// filter and the retried-insert dedup (seen, nil while the table has no
-// strays) to one leaf's matching entries, appending the survivors —
-// with their entry MBR captured for refineCand's stale-accept guard —
-// to cands. The caller holds the read lock. Shared by the materialized
-// QueryCircle and the streaming CircleCursor so both apply exactly the
-// same candidate discipline.
-func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, threshold float64, seen map[uint64]bool, stats *Stats, cands []circleCand) []circleCand {
+// filterLeafCandidates applies the PCR filter to one leaf's matching
+// entries, appending the survivors to cands. Shared by the
+// materialized QueryCircle and the streaming CircleCursor so both apply
+// exactly the same candidate discipline.
+func filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, threshold float64, stats *Stats, cands []circleCand) []circleCand {
 	for _, e := range es {
 		stats.Candidates++
 		decision := checkPCR(e.MBR.Center(), e.Aux, q, radius, threshold)
@@ -452,21 +441,13 @@ func (t *Table) filterLeafCandidates(es []rtree.Entry, q prob.Point, radius, thr
 		if decision == pcrAccept {
 			stats.PCRAccepted++
 		}
-		rid, ok := t.rows[e.Data]
-		if !ok || seen[e.Data] {
-			continue
-		}
-		if seen != nil {
-			seen[e.Data] = true
-		}
-		cands = append(cands, circleCand{rid: rid, mbr: e.MBR, accepted: decision == pcrAccept})
+		cands = append(cands, circleCand{rid: entryRow(e.Data), accepted: decision == pcrAccept})
 	}
 	return cands
 }
 
-// sortCands orders candidates for the heap sweep. RowIDs are unique
-// within a candidate set (an ID is in the R-Tree once unless the table
-// has strays, and then seen dedups it), so the order is total.
+// sortCands orders candidates for the heap sweep. Every leaf entry
+// addresses its own row, so the order is total.
 func sortCands(cands []circleCand) {
 	slices.SortFunc(cands, func(a, b circleCand) int { return a.rid.Compare(b.rid) })
 }
@@ -476,14 +457,13 @@ func sortCands(cands []circleCand) {
 func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob.Point, radius, threshold float64, stats *Stats) ([]circleCand, error) {
 	var (
 		cands  []circleCand
-		seen   = t.newSeenRLocked()
 		ctxErr error
 	)
 	err := t.rt.View(t.rec, 1).SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
 		if ctxErr = upi.CtxErr(ctx); ctxErr != nil {
 			return false
 		}
-		cands = t.filterLeafCandidates(es, q, radius, threshold, seen, stats, cands)
+		cands = filterLeafCandidates(es, q, radius, threshold, stats, cands)
 		return true
 	})
 	if err == nil {
@@ -492,22 +472,12 @@ func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob
 	return cands, err
 }
 
-// newSeenRLocked returns the dedup set of one circle query: nil unless
-// a failed insert has left strays (see table.strays). The caller holds
-// the read lock.
-func (t *Table) newSeenRLocked() map[uint64]bool {
-	if !t.strays {
-		return nil
-	}
-	return make(map[uint64]bool)
-}
-
 // refineCand fetches one candidate and computes its exact confidence.
-// ok is false when the row vanished or the confidence is below the
-// threshold. A row that qualifies is left unbuilt in *view, the
-// validated view of its heap record, for the caller's builder: the
-// circle cursor builds it on the consumer's goroutine, so its
-// coroutine's stack holds no build.
+// ok is false when the row is a failed insert's tombstone or the
+// confidence is below the threshold. A row that qualifies is left
+// unbuilt in *view, the validated view of its heap record, for the
+// caller's builder: the circle cursor builds it on the consumer's
+// goroutine, so its coroutine's stack holds no build.
 func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64, stats *Stats, view *tuple.ObservationView) (float64, bool, error) {
 	rec, ok, err := t.heap.View(t.rec, 1).Get(c.rid)
 	if err != nil || !ok {
@@ -521,12 +491,9 @@ func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64
 	if err != nil {
 		return 0, false, err
 	}
-	loc := v.Loc()
-	conf := loc.ProbInCircle(q, radius)
-	if !c.accepted || c.mbr != loc.MBR() {
-		if !c.accepted {
-			stats.Integrations++
-		}
+	conf := v.Loc().ProbInCircle(q, radius)
+	if !c.accepted {
+		stats.Integrations++
 		if conf < threshold {
 			return 0, false, nil
 		}
@@ -581,8 +548,8 @@ func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if err := t.checkOpenRLocked(); err != nil {
-		return nil, stats, err
+	if t.closed {
+		return nil, stats, upi.ErrClosed
 	}
 	cands, err := t.circleCandidates(ctx, queryRect(q, radius), q, radius, threshold, &stats)
 	if err != nil {
@@ -613,14 +580,9 @@ func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold
 }
 
 // segEntry is one collected segment-index entry: the heap row it
-// points at plus the confidence encoded in its own key. Keeping the
-// confidence per entry (not per observation ID) means a stale entry
-// left by a failed insert whose unwind also failed can never clobber
-// the committed entry's confidence — the stale RowID is simply
-// filtered at fetch time.
+// points at plus the confidence encoded in its key.
 type segEntry struct {
 	rid  heapfile.RowID
-	id   uint64
 	conf float64
 }
 
@@ -633,7 +595,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 	)
 	start, end := upi.ValuePrefix(seg), upi.ValuePrefixEnd(seg)
 	err := t.segIdx.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
-		conf, id, err := upi.DecodeConfID(k)
+		conf, _, err := upi.DecodeConfID(k)
 		if err != nil {
 			scanErr = err
 			return false
@@ -646,7 +608,7 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 			scanErr = err
 			return false
 		}
-		entries = append(entries, segEntry{rid: rid, id: id, conf: conf})
+		entries = append(entries, segEntry{rid: rid, conf: conf})
 		return true
 	})
 	if err == nil {
@@ -658,11 +620,10 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 	return entries, nil
 }
 
-// fetchSegment fetches committed observations for the collected
-// segment-index entries in heap (physical) order — it sorts entries in
-// place — and attaches each entry's own confidence. Entries whose RowID
-// does not match the committed row for their observation ID are stale
-// artifacts of a failed insert and are skipped.
+// fetchSegment fetches the observations of the collected segment-index
+// entries in heap (physical) order — it sorts entries in place — and
+// attaches each entry's own confidence. An entry whose row is a failed
+// insert's tombstone is skipped.
 func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Stats) ([]Result, error) {
 	slices.SortFunc(entries, func(a, b segEntry) int { return a.rid.Compare(b.rid) })
 	heap := t.heap.View(t.rec, 1)
@@ -672,9 +633,6 @@ func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Sta
 			if err := upi.CtxErr(ctx); err != nil {
 				return nil, err
 			}
-		}
-		if committed, ok := t.rows[e.id]; !ok || committed != e.rid {
-			continue
 		}
 		rec, ok, err := heap.Get(e.rid)
 		if err != nil {
@@ -707,8 +665,8 @@ func (t *Table) QuerySegment(ctx context.Context, seg string, qt float64) ([]Res
 	}
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if err := t.checkOpenRLocked(); err != nil {
-		return nil, stats, err
+	if t.closed {
+		return nil, stats, upi.ErrClosed
 	}
 	entries, err := t.scanSegment(seg, qt)
 	if err != nil {

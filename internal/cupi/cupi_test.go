@@ -2,6 +2,7 @@ package cupi
 
 import (
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"strings"
@@ -39,6 +40,36 @@ func bruteQuery(obs []*tuple.Observation, q prob.Point, radius, threshold float6
 		}
 	}
 	return out
+}
+
+// obsIDAt translates an R-Tree leaf entry's Data, its row's heap
+// position, to the ID of the observation stored there. It reads the
+// record's leading ID straight from the page, so a failed insert's
+// tombstoned row translates too.
+func obsIDAt(t testing.TB, tab *Table, data uint64) uint64 {
+	t.Helper()
+	rid := entryRow(data)
+	page, err := tab.heap.Pager().Read(rid.Page)
+	if err != nil {
+		t.Fatal(err)
+	}
+	off := binary.BigEndian.Uint16(page[4+int(rid.Slot)*4:]) // heap page header, then the slot's offset
+	return binary.BigEndian.Uint64(page[off:])
+}
+
+// rowOf returns the heap position of observation id's live row.
+func rowOf(t testing.TB, tab *Table, id uint64) heapfile.RowID {
+	t.Helper()
+	var rid heapfile.RowID
+	found := false
+	if err := tab.heap.Scan(func(r heapfile.RowID, rec []byte) bool {
+		found = binary.BigEndian.Uint64(rec) == id
+		rid = r
+		return !found
+	}); err != nil || !found {
+		t.Fatalf("no live row for observation %d (err %v)", id, err)
+	}
+	return rid
 }
 
 // eachLayout runs fn as one subtest per heap layout.
@@ -439,7 +470,7 @@ func TestHeapClusteredByLeafOrder(t *testing.T) {
 			want = nil
 			err = tab.RTree().Leaves(func(_ storage.PageID, es []rtree.Entry) bool {
 				for _, e := range es {
-					want = append(want, e.Data)
+					want = append(want, obsIDAt(t, tab, e.Data))
 				}
 				return true
 			})

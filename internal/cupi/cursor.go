@@ -113,10 +113,9 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 		}
 		t.mu.RLock()
 		defer t.mu.RUnlock()
-		if err := t.checkOpenRLocked(); err != nil {
-			return err
+		if t.closed {
+			return upi.ErrClosed
 		}
-		seen := t.newSeenRLocked()
 		var (
 			cands   []circleCand // one leaf's survivors, reused leaf to leaf
 			leafErr error
@@ -127,7 +126,7 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 			}
 			// PCR-filter this leaf's matches, then fetch its survivors
 			// in RowID order (contiguous for the bulk-loaded region).
-			cands = t.filterLeafCandidates(es, q, radius, threshold, seen, &c.stats, cands[:0])
+			cands = filterLeafCandidates(es, q, radius, threshold, &c.stats, cands[:0])
 			sortCands(cands)
 			for _, cand := range cands {
 				conf, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats, &c.view)
@@ -164,8 +163,8 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 		}
 		t.mu.RLock()
 		defer t.mu.RUnlock()
-		if err := t.checkOpenRLocked(); err != nil {
-			return err
+		if t.closed {
+			return upi.ErrClosed
 		}
 		var scanErr error
 		stopped := false
@@ -175,7 +174,7 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 			if scanErr = upi.CtxErr(ctx); scanErr != nil {
 				return false
 			}
-			conf, id, err := upi.DecodeConfID(k)
+			conf, _, err := upi.DecodeConfID(k)
 			if err != nil {
 				scanErr = err
 				return false
@@ -189,16 +188,13 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 				scanErr = err
 				return false
 			}
-			if committed, ok := t.rows[id]; !ok || committed != rid {
-				return true // stale entry of a failed insert
-			}
 			rec, ok, err := heap.Get(rid)
 			if err != nil {
 				scanErr = err
 				return false
 			}
 			if !ok {
-				return true
+				return true // a failed insert's tombstone
 			}
 			if c.view, err = tuple.ValidateObservation(rec); err != nil {
 				scanErr = err

@@ -177,7 +177,7 @@ func TestTruncatedRecordFailsRejectingQuery(t *testing.T) {
 	if err := tab.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	rid := tab.rows[victim.ID]
+	rid := rowOf(t, tab, victim.ID)
 	pager := tab.heap.Pager()
 	cached, err := pager.Read(rid.Page)
 	if err != nil {

@@ -58,7 +58,6 @@ import (
 	"fmt"
 	"maps"
 	"sort"
-	"strings"
 	"sync"
 
 	"upidb/internal/obs"
@@ -583,12 +582,7 @@ func (s *Store) SizeBytes() int64 {
 	defer s.mu.RUnlock()
 	total := s.main.SizeBytes()
 	for _, f := range s.fractures {
-		total += f.table.SizeBytes()
-	}
-	for _, name := range s.fs.List() {
-		if strings.HasPrefix(name, s.name) && len(name) > len(s.name) && strings.HasSuffix(name, ".delset") {
-			total += s.fs.Size(name)
-		}
+		total += f.table.SizeBytes() + s.fs.Size(s.delSetFile(f.gen))
 	}
 	return total
 }

@@ -497,3 +497,41 @@ func TestBulkLoadStore(t *testing.T) {
 		t.Fatalf("bulk load lost tuples: %d", total)
 	}
 }
+
+// TestSizeBytesCountsOnlyItsOwnDeleteSets: a store's size counts the
+// delete sets of its own fractures and none of another store's, even
+// one whose name it prefixes.
+func TestSizeBytesCountsOnlyItsOwnDeleteSets(t *testing.T) {
+	fs := newFS()
+	a, err := NewStore(fs, "a", "X", []string{"Y"}, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	ab, err := NewStore(fs, "ab", "X", []string{"Y"}, defaultOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := a.SizeBytes()
+	for _, tup := range randomTuples(t, rand.New(rand.NewSource(44)), 1, 2000) {
+		if err := ab.Insert(tup); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ab.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if got := a.SizeBytes(); got != empty {
+		t.Fatalf("store a: %d bytes after store ab flushed, %d before", got, empty)
+	}
+	if ab.NumFractures() != 1 {
+		t.Fatalf("store ab has %d fractures, want 1", ab.NumFractures())
+	}
+	f := ab.fractures[0]
+	delSet := fs.Size(ab.delSetFile(f.gen))
+	if delSet == 0 {
+		t.Fatal("store ab's delete set is empty; the check is vacuous")
+	}
+	if got, want := ab.SizeBytes(), ab.Main().SizeBytes()+f.table.SizeBytes()+delSet; got != want {
+		t.Fatalf("store ab: %d bytes, want main + fracture + its delete set = %d", got, want)
+	}
+}

@@ -531,8 +531,11 @@ func (t *Tree) quadraticSplit(n, right *node) {
 // packing: leaves come out spatially clustered and are written in
 // strictly increasing page order, so DFS leaf order, spatial order and
 // physical file order all agree — the property the continuous UPI's
-// heap clustering relies on.
-func (t *Tree) BulkLoad(entries []Entry) error {
+// heap clustering relies on. place, when not nil, is called once per
+// leaf in that order, just before the leaf is written, and may rewrite
+// the leaf's Data fields (the continuous UPI appends the leaf's rows to
+// its heap there and stores their positions).
+func (t *Tree) BulkLoad(entries []Entry, place func(leaf []Entry) error) error {
 	if t.count != 0 {
 		return fmt.Errorf("rtree: bulk load on non-empty tree")
 	}
@@ -562,6 +565,11 @@ func (t *Tree) BulkLoad(entries []Entry) error {
 				return err
 			}
 			n.entries = group
+		}
+		if place != nil {
+			if err := place(group); err != nil {
+				return err
+			}
 		}
 		if err := t.writeNode(n); err != nil {
 			return err

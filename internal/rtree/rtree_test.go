@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"errors"
 	"math/rand"
 	"testing"
 
@@ -125,7 +126,7 @@ func TestBulkLoadMatchesBrute(t *testing.T) {
 	tr := newTestTree(t, 512)
 	rng := rand.New(rand.NewSource(5))
 	es := randomEntries(rng, 3000, 1000)
-	if err := tr.BulkLoad(es); err != nil {
+	if err := tr.BulkLoad(es, nil); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Count() != 3000 {
@@ -138,7 +139,7 @@ func TestBulkLoadThenInsert(t *testing.T) {
 	tr := newTestTree(t, 512)
 	rng := rand.New(rand.NewSource(7))
 	es := randomEntries(rng, 500, 500)
-	if err := tr.BulkLoad(es); err != nil {
+	if err := tr.BulkLoad(es, nil); err != nil {
 		t.Fatal(err)
 	}
 	extra := randomEntries(rng, 300, 500)
@@ -156,7 +157,7 @@ func TestSearchEarlyStop(t *testing.T) {
 	tr := newTestTree(t, 512)
 	rng := rand.New(rand.NewSource(9))
 	es := randomEntries(rng, 500, 100)
-	tr.BulkLoad(es)
+	tr.BulkLoad(es, nil)
 	n := 0
 	tr.Search(prob.Rect{MinX: -1e9, MinY: -1e9, MaxX: 1e9, MaxY: 1e9}, func(Entry) bool {
 		n++
@@ -171,7 +172,7 @@ func TestLeavesDFSCoversAll(t *testing.T) {
 	tr := newTestTree(t, 512)
 	rng := rand.New(rand.NewSource(11))
 	es := randomEntries(rng, 1500, 800)
-	tr.BulkLoad(es)
+	tr.BulkLoad(es, nil)
 	seen := make(map[uint64]bool)
 	leafCount := 0
 	err := tr.Leaves(func(id storage.PageID, entries []Entry) bool {
@@ -204,7 +205,7 @@ func TestLeavesDFSCoversAll(t *testing.T) {
 func TestBulkLoadLeafOrderIsPhysicalOrder(t *testing.T) {
 	tr := newTestTree(t, 512)
 	rng := rand.New(rand.NewSource(13))
-	tr.BulkLoad(randomEntries(rng, 2000, 1000))
+	tr.BulkLoad(randomEntries(rng, 2000, 1000), nil)
 	var prev storage.PageID
 	first := true
 	tr.Leaves(func(id storage.PageID, _ []Entry) bool {
@@ -216,6 +217,45 @@ func TestBulkLoadLeafOrderIsPhysicalOrder(t *testing.T) {
 	})
 }
 
+// TestBulkLoadPlacesEachLeafInLeafOrder: BulkLoad hands place every
+// entry once, a leaf at a time in DFS leaf order, and the written
+// leaves hold the Data place rewrote: numbering the entries as they are
+// placed numbers them in leaf order.
+func TestBulkLoadPlacesEachLeafInLeafOrder(t *testing.T) {
+	tr := newTestTree(t, 512)
+	es := randomEntries(rand.New(rand.NewSource(17)), 2000, 1000)
+	placed := make(map[uint64]bool) // the entries' Data as given
+	if err := tr.BulkLoad(es, func(leaf []Entry) error {
+		for i := range leaf {
+			placed[leaf[i].Data] = true
+			leaf[i].Data = uint64(len(placed))
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if len(placed) != len(es) {
+		t.Fatalf("placed %d distinct entries of %d", len(placed), len(es))
+	}
+	want := uint64(1)
+	if err := tr.Leaves(func(_ storage.PageID, entries []Entry) bool {
+		for _, e := range entries {
+			if e.Data != want {
+				t.Fatalf("entry holds Data %d, want %d", e.Data, want)
+			}
+			want++
+		}
+		return true
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	failed := errors.New("place failed")
+	if err := newTestTree(t, 512).BulkLoad(es, func([]Entry) error { return failed }); !errors.Is(err, failed) {
+		t.Fatalf("BulkLoad with a failing place: %v", err)
+	}
+}
+
 // TestBulkLoadClustering: neighbors in space should mostly share or
 // neighbor leaves, measured by average leaf MBR area versus the whole
 // extent.
@@ -223,7 +263,7 @@ func TestBulkLoadClustering(t *testing.T) {
 	tr := newTestTree(t, 512)
 	rng := rand.New(rand.NewSource(15))
 	es := randomEntries(rng, 4000, 1000)
-	tr.BulkLoad(es)
+	tr.BulkLoad(es, nil)
 	var totalArea float64
 	leaves := 0
 	tr.Leaves(func(_ storage.PageID, entries []Entry) bool {
@@ -266,7 +306,7 @@ func TestOpenPersisted(t *testing.T) {
 	tr, _ := Create(p)
 	rng := rand.New(rand.NewSource(17))
 	es := randomEntries(rng, 400, 300)
-	tr.BulkLoad(es)
+	tr.BulkLoad(es, nil)
 	p.Flush()
 
 	f, _ := fs.Open("r")

@@ -61,7 +61,7 @@ func grownTree(t testing.TB, n int) (*Tree, *rand.Rand) {
 	for i := range es {
 		es[i].Aux = [AuxSize]float64{rng.Float64(), 2, 3, float64(i)}
 	}
-	if err := tr.BulkLoad(es[:n/10]); err != nil {
+	if err := tr.BulkLoad(es[:n/10], nil); err != nil {
 		t.Fatal(err)
 	}
 	bulkHeight := tr.Height()
@@ -170,7 +170,7 @@ func TestSearchSeesWriteAfterParse(t *testing.T) {
 	tr := newTestTree(t, 512) // fan-out 7
 	rng := rand.New(rand.NewSource(23))
 	es := randomEntries(rng, 60, 1000)
-	if err := tr.BulkLoad(es); err != nil {
+	if err := tr.BulkLoad(es, nil); err != nil {
 		t.Fatal(err)
 	}
 	// The fullest leaf, and a point inside its first entry.

@@ -1,6 +1,6 @@
 // Package server is the HTTP/JSON front end over a upidb.DB: the
-// network face of the shard-per-core engine. It exposes the uncertain
-// tables of one database as REST-ish resources:
+// network face of the engine. It exposes the uncertain tables of one
+// database as REST-ish resources:
 //
 //	POST /v1/tables/{table}/query    run a PTQ or top-k, stream NDJSON
 //	POST /v1/tables/{table}/insert   upsert one tuple

@@ -1,6 +1,6 @@
 package shard
 
-// Parity tests for the shard-per-core table: a sharded table at every
+// Parity tests for the sharded table: a sharded table at every
 // shard count must return exactly the rows — same set, same global
 // confidence order — a brute-force oracle computes for the logical
 // workload, with the single-shard case additionally byte-identical in

@@ -109,17 +109,18 @@ func WithBufferTuples(n int) Option {
 }
 
 // WithShards hash-partitions each table the option reaches across n
-// independent stores, shard-per-core style: every shard owns its own
-// RAM buffer, fracture set, merge pipeline, manifest and — when
-// durable — WAL, so mutations and merges scale with
-// cores while a query merges every shard's partitions into one globally
-// confidence-ordered stream. At database scope it sets the default
-// every table inherits; at table scope it overrides that default for
-// one table. n must be at least 1 (1 = the unsharded engine,
-// byte-identical layout and modeled costs); anything lower is rejected
-// with ErrInvalidShards when the option list is resolved. On OpenTable
-// the persisted shard count is authoritative — an explicit n that
-// contradicts it errors rather than silently resharding.
+// independent stores: every shard owns its own RAM buffer, fracture
+// set, merge pipeline, manifest and — when durable — WAL, so shards
+// share no table lock, while a query merges every shard's partitions
+// into one globally confidence-ordered stream. Whether that scales
+// mutations and merges with cores is unmeasured: on a 2-core host one
+// shard beats two on every wall-clock metric. At database scope it
+// sets the default every table inherits; at table scope it overrides
+// that default for one table. n must be at least 1 (1 = the unsharded
+// engine, byte-identical layout and modeled costs); anything lower is
+// rejected with ErrInvalidShards when the option list is resolved. On
+// OpenTable the persisted shard count is authoritative — an explicit n
+// that contradicts it errors rather than silently resharding.
 func WithShards(n int) Option {
 	return func(c *config) {
 		if n < 1 {

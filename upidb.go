@@ -240,8 +240,7 @@ func (db *DB) Table(name string) *Table {
 // CreateTable creates an empty fractured-UPI table clustered on the
 // uncertain attribute primaryAttr, with secondary indexes on secAttrs.
 // With WithShards(n) the table is hash-partitioned by tuple ID across
-// n independent stores (shard-per-core); see README "Serving &
-// sharding".
+// n independent stores; see README "Serving & sharding".
 func (db *DB) CreateTable(name, primaryAttr string, secAttrs []string, opts ...Option) (*Table, error) {
 	if err := db.checkOpen(); err != nil {
 		return nil, err
@@ -473,6 +472,17 @@ func (q QueryInfo) String() string {
 // serves every query through Run(ctx, Query) — Circle and Segment
 // descriptors with the same routing contract as Table.Run: one fixed
 // route per query kind, with the same WithExplain behaviour.
+//
+// Its contract for writes, lifetime and streams:
+//
+//   - Inserts are all-or-nothing by tombstone: an Insert that fails
+//     after appending its heap row deletes the row, which hides every
+//     index entry it wrote. If that delete fails too, the table closes
+//     itself, and the Insert's error wraps ErrClosed.
+//   - It is not durable: there is no WAL, no manifest and no
+//     OpenSpatial, so it does not survive DB.Close.
+//   - A streaming All holds the table's read lock until it is drained
+//     or broken out of, so Insert waits for it.
 type SpatialTable struct {
 	db  *DB
 	tab *cupi.Table
@@ -503,8 +513,8 @@ func (db *DB) BulkLoadSpatial(name string, obs []*Observation) (*SpatialTable, e
 	return s, nil
 }
 
-// Insert adds one observation after the initial load. It fails with
-// ErrClosed once the table is closed.
+// Insert adds one observation after the initial load, all or nothing
+// (see SpatialTable). It fails with ErrClosed once the table is closed.
 func (s *SpatialTable) Insert(o *Observation) error { return s.tab.Insert(o) }
 
 // Close marks the spatial table closed: every subsequent query and
