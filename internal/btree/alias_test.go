@@ -10,8 +10,8 @@ import (
 )
 
 // Page views alias the pager's buffers, and the mutation path moves
-// keys between nodes while Pager.Write overwrites those buffers in
-// place. These tests fail if a mutation ever works on the live page
+// keys between nodes while Pager.Write replaces the pages those buffers
+// hold. These tests fail if a mutation ever works on the live page
 // instead of a private clone (readNode), or if a view can be driven
 // out of its page.
 

@@ -8,7 +8,15 @@
 // value is a contiguous walk of leaf pages.
 //
 // Keys are unique byte strings compared with bytes.Compare; callers
-// build composite keys with package keyenc. Values are opaque.
+// build composite keys with package keyenc. Values are opaque to the
+// tree, but a tree may carry a value check (SetValueCheck) that the read
+// path runs on every leaf value once per page load, keeping the frame it
+// returns beside the value (Cursor.Frame, View.Lookup).
+//
+// A page's bytes never change once the tree has handed them out: every
+// write (Put, Delete, a bulk build) gives the pager a new buffer, and
+// the pager drops the page's parse with the old one. So a parse, and
+// every frame in it, always describes the bytes beside it.
 package btree
 
 import (
@@ -35,6 +43,10 @@ type Tree struct {
 	height int   // 1 = root is a leaf
 	count  int64 // live entries
 	leaves int64 // leaf pages
+
+	// check, when set, is run by the read path's parse on every leaf
+	// value (see SetValueCheck).
+	check func(val []byte) uint32
 }
 
 // Create initializes a new tree on an empty pager: page 0 becomes the
@@ -104,6 +116,16 @@ func (t *Tree) Leaves() int64 { return t.leaves }
 // Pager exposes the underlying pager (for cache control in benchmarks).
 func (t *Tree) Pager() *storage.Pager { return t.pager }
 
+// SetValueCheck makes the read path run check on every leaf value once
+// per page load, when it parses the page, and keep the 32-bit frame
+// check returns beside the value: Cursor.Frame and View.Lookup hand it
+// out with the value, so a reader need not check the value again. A
+// frame of 0 means check did not accept the value; the tree stores and
+// serves such a value all the same, and leaves it to the reader to
+// object. Set the check before the tree's first read: every reader of
+// one pager must parse its pages alike (storage.View.ReadParsed).
+func (t *Tree) SetValueCheck(check func(val []byte) uint32) { t.check = check }
+
 // View reads the tree through one reader's view of its pager (see
 // storage.View): the pages it misses are charged to that reader's
 // Recorder, fetched readAhead pages at a time. A view is a value;
@@ -121,15 +143,22 @@ func (t *Tree) View(rec storage.Recorder, readAhead int) View {
 
 // readPage returns the parsed view of page id that the pool keeps, and
 // charges, beside the page (storage.View.ReadParsed): the page is
-// parsed once per load, not once per visit. The view aliases the
-// pager's buffer, which the pager never recycles or changes; the
-// writer's Write replaces it and drops the view. The slot table is
-// shared by every reader of the page, so the read path only reads it.
+// parsed, and its leaf values checked, once per load, not once per
+// visit. The view aliases the pager's buffer, which the pager never
+// recycles or changes; the writer's Write replaces it and drops the
+// view. The slot table is shared by every reader of the page, so the
+// read path only reads it.
 func (v View) readPage(id storage.PageID) (page, error) {
+	check := v.t.check
 	_, parsed, err := v.pv.ReadParsed(id, func(buf []byte) (any, int, error) {
 		pg, err := parsePage(id, buf)
 		if err != nil {
 			return nil, 0, err
+		}
+		if pg.leaf && check != nil {
+			for i := range pg.slots {
+				pg.slots[i].frame = check(pg.val(i))
+			}
 		}
 		return &pg, int(unsafe.Sizeof(pg)) + cap(pg.slots)*int(unsafe.Sizeof(slot{})), nil
 	})
@@ -179,21 +208,29 @@ func (t *Tree) allocNode(leaf bool) (*node, error) {
 func (t *Tree) maxEntry() int { return t.pager.PageSize() - leafHeader }
 
 // Get returns the value stored under key. The value aliases the
-// pager's page: decode or copy it before the next write to the tree,
-// which may overwrite those bytes in place.
+// pager's page, whose bytes no write changes: a write to the tree hands
+// the pager a new page instead.
 func (t *Tree) Get(key []byte) ([]byte, bool, error) { return t.View(nil, 1).Get(key) }
 
 // Get is Tree.Get through the view.
 func (v View) Get(key []byte) ([]byte, bool, error) {
+	val, _, ok, err := v.Lookup(key)
+	return val, ok, err
+}
+
+// Lookup is Get that also returns the frame the tree's value check
+// gave the value when its page was loaded (0 without a check; see
+// SetValueCheck).
+func (v View) Lookup(key []byte) (val []byte, frame uint32, ok bool, err error) {
 	pg, err := v.descendToLeaf(key)
 	if err != nil {
-		return nil, false, err
+		return nil, 0, false, err
 	}
 	i := pg.lowerBound(key)
 	if i < len(pg.slots) && bytes.Equal(pg.key(i), key) {
-		return pg.val(i), true, nil
+		return pg.val(i), pg.slots[i].frame, true, nil
 	}
-	return nil, false, nil
+	return nil, 0, false, nil
 }
 
 // descendToLeaf returns the leaf that key routes to.

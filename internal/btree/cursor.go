@@ -85,6 +85,10 @@ func (c *Cursor) Key() []byte { return c.pg.key(c.idx) }
 // Value returns the current value, aliasing the page like Key.
 func (c *Cursor) Value() []byte { return c.pg.val(c.idx) }
 
+// Frame returns the frame the tree's value check gave the current value
+// when its page was loaded (0 without a check; see SetValueCheck).
+func (c *Cursor) Frame() uint32 { return c.pg.slots[c.idx].frame }
+
 // Next advances to the following entry (Cur.advance() in Algorithm 2).
 func (c *Cursor) Next() {
 	if !c.Valid() {

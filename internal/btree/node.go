@@ -95,8 +95,10 @@ func (n *node) serialize(pageSize int) ([]byte, error) {
 // values are sub-slices of buf (capacity capped, so an append cannot
 // reach the neighbouring entry), located through the slot table. Every
 // slot was bounds-checked by parsePage against the buffer it indexes,
-// so accessors never fail or panic, even when the buffer's bytes have
-// since been overwritten by the tree's writer.
+// so accessors never fail or panic. The tree's writer never changes a
+// buffer it has handed out (it gives the pager a new one), so a slot,
+// and the frame in it, describes the bytes it indexes for as long as
+// the page is held.
 //
 // On the read path the pager keeps one parsed page per loaded page
 // (View.readPage) and readers work on copies of it: a page's slot
@@ -112,10 +114,13 @@ type page struct {
 
 // slot locates one entry in page.buf: the key starts at off and runs
 // klen bytes; a leaf's value (vlen bytes) or an internal node's 4-byte
-// child pointer follows it.
+// child pointer follows it. frame is what the tree's value check
+// returned for a leaf's value when the read path parsed the page (0
+// without a check, and on the mutation path).
 type slot struct {
 	off        uint32
 	klen, vlen uint16
+	frame      uint32
 }
 
 // parsePage validates the framing of one serialized node and returns a

@@ -12,11 +12,13 @@ import (
 )
 
 // TestCorruptBodyFailsStreamAndCollect: the merged stream carries heap
-// rows as validated encodings and builds none of them, but it validates
-// every one where it always did — in the partition's scan. With a length
-// field inside one flushed tuple body overwritten, Stream.Next and
-// Prepared.Collect over two stores fail with the codec's own error, and
-// every partition pin of both stores is released.
+// rows as validated encodings and builds none of them. Each body is
+// checked once, when the partition's heap page is loaded, and the
+// partition's scan turns a rejected one into the codec's error on the
+// row that reads it (tuple.ViewOf of frame 0). With a length field
+// inside one flushed tuple body overwritten, Stream.Next and
+// Prepared.Collect over two stores fail with that error, and every
+// partition pin of both stores is released.
 func TestCorruptBodyFailsStreamAndCollect(t *testing.T) {
 	met := obs.NewEngineMetrics(obs.NewRegistry())
 	stores := make([]*Store, 2)

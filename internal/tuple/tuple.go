@@ -11,15 +11,20 @@
 // Reading has one seam: Validate checks an encoding's framing (walk, the
 // codec's only validator) and returns a View of it; a Builder makes the
 // *Tuple from what that walk learned, with no second pass and no way to
-// fail. Decode is the two composed. A reader that needs only the ID or a
-// confidence stops after the first half (View.ID, EncodedConfidence) and
-// allocates nothing; the query path carries Views up to the caller and
-// builds there, every row of one answer through one Builder, so the rows
-// share slabs instead of allocating their own. View.Build is a zero
-// Builder's first build: one row, costing its own slab of each kind, from
-// the same decode path. The observation codec has the same seam
-// (ValidateObservation, ObservationBuilder, ObservationView.Build,
-// DecodeObservation).
+// fail. Decode is the two composed. The seam can be split in time:
+// Check runs the same walk and packs what it learned into a 32-bit
+// frame, and ViewOf turns the bytes and their frame back into the View
+// without walking. The UPI heap checks each tuple once, when its B+Tree
+// page is loaded, keeps the frame beside it, and its scans call ViewOf
+// per row; that holds because a page's bytes never change once loaded.
+// A reader that needs only the ID or a confidence stops after the first
+// half (View.ID, EncodedConfidence) and allocates nothing; the query
+// path carries Views up to the caller and builds there, every row of one
+// answer through one Builder, so the rows share slabs instead of
+// allocating their own. View.Build is a zero Builder's first build: one
+// row, costing its own slab of each kind, from the same decode path. The
+// observation codec has the same seam (ValidateObservation,
+// ObservationBuilder, ObservationView.Build, DecodeObservation).
 package tuple
 
 import (
@@ -137,7 +142,8 @@ func Encode(t *Tuple) []byte { return AppendEncode(nil, t) }
 // View is a validated encoding: the proof that walk accepted enc, plus
 // what walk learned about it, so that Build needs no second framing pass.
 // A View aliases enc — it is valid for as long as those bytes are not
-// overwritten — and only Validate hands out a non-zero one.
+// overwritten — and only Validate and ViewOf (from a frame Check
+// returned for the same bytes) hand out a non-zero one.
 type View struct {
 	enc        []byte
 	payloadOff int // offset of the payload's length field
@@ -153,6 +159,46 @@ func Validate(enc []byte) (View, error) {
 		return View{}, err
 	}
 	return View{enc: enc, payloadOff: f.payloadOff, nAlts: f.nAlts}, nil
+}
+
+// A frame packs what walk learned about a valid encoding into 32 bits:
+// the payload offset in the low half and the alternative count in the
+// high half. Both fit whenever the encoding does (a B+Tree leaf value is
+// at most 65 535 bytes), and the offset is at least minPayloadOff, so a
+// packed frame is never 0. A valid encoding too large to pack gets the
+// frame unpacked, which ViewOf answers with a walk.
+const (
+	minPayloadOff = 8 + 8 + 2 + 2 // ID, existence, nDet, nUnc
+	unpacked      = 1
+)
+
+// Check validates enc as Validate does and returns its frame: a
+// non-zero 32-bit summary of the walk, from which ViewOf rebuilds the
+// View without walking again, or 0 when Validate would fail. A store
+// runs it once when it loads enc (btree.Tree.SetValueCheck) and keeps
+// the frame beside the bytes.
+func Check(enc []byte) uint32 {
+	f, err := walk(enc, "", "")
+	if err != nil {
+		return 0
+	}
+	if f.payloadOff > math.MaxUint16 || f.nAlts > math.MaxUint16 {
+		return unpacked
+	}
+	return uint32(f.nAlts)<<16 | uint32(f.payloadOff)
+}
+
+// ViewOf returns the View that Validate(enc) would, from the frame
+// Check(enc) returned for the same bytes, without a framing walk. A
+// frame of 0 (not accepted) is answered by Validate itself, so a damaged
+// encoding fails with the codec's own error. frame must be Check's for
+// exactly these bytes: ViewOf trusts it.
+func ViewOf(enc []byte, frame uint32) (View, error) {
+	off := int(frame & math.MaxUint16)
+	if off < minPayloadOff { // 0 or unpacked
+		return Validate(enc)
+	}
+	return View{enc: enc, payloadOff: off, nAlts: int(frame >> 16)}, nil
 }
 
 // ID is the tuple ID of the encoding the view was validated from.

@@ -184,9 +184,9 @@ func (c *Cursor) heapStep() (Result, bool, error) {
 			break
 		}
 		c.stats.HeapEntries++
-		// The one framing walk of this row; whoever receives the tuple
-		// builds it from the view.
-		view, err := tuple.Validate(c.scan.Value())
+		// The page load checked the row's framing; whoever receives the
+		// tuple builds it from the view.
+		view, err := tuple.ViewOf(c.scan.Value(), c.scan.Frame())
 		if err != nil {
 			return Result{}, false, err
 		}

@@ -175,6 +175,7 @@ func BulkBuild(fs *storage.FS, name, attr string, secAttrs []string, opts Option
 	if t.heap, err = bulkTree(fs, t.heapFile(), opts, heapEntries); err != nil {
 		return nil, err
 	}
+	t.heap.SetValueCheck(tuple.Check)
 	if t.cutoff, err = bulkTree(fs, t.cutoffFile(), opts, cutoffEntries); err != nil {
 		return nil, err
 	}

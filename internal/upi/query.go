@@ -21,7 +21,8 @@ import (
 // heap scan (QueryCursor, TopKCursor) yields, so that a row a merge above
 // discards is never built. Everything an order or a filter needs — ID
 // and Confidence — is available in both forms; Build turns the second
-// into the first, from the framing walk the scan already did.
+// into the first, from the framing walk the heap page's load already
+// did.
 //
 // An unbuilt result is valid until the next write to the table it came
 // from (btree.Scan's aliasing rule). A fractured partition is never
@@ -169,14 +170,14 @@ func (t *Table) queryCutoff(ctx context.Context, value string, qt float64) ([]Re
 				return nil, len(refs), err
 			}
 		}
-		v, ok, err := heap.Get(key(r))
+		v, frame, ok, err := heap.Lookup(key(r))
 		if err != nil {
 			return nil, len(refs), err
 		}
 		if !ok {
 			return nil, len(refs), fmt.Errorf("upi: dangling cutoff pointer %x", key(r))
 		}
-		view, err := tuple.Validate(v)
+		view, err := tuple.ViewOf(v, frame)
 		if err != nil {
 			return nil, len(refs), err
 		}
@@ -313,14 +314,14 @@ func (t *Table) QuerySecondary(ctx context.Context, attr, value string, qt float
 				return nil, stats, err
 			}
 		}
-		v, ok, err := heap.Get(key(r))
+		v, frame, ok, err := heap.Lookup(key(r))
 		if err != nil {
 			return nil, stats, err
 		}
 		if !ok {
 			return nil, stats, fmt.Errorf("upi: dangling secondary pointer %x", key(r))
 		}
-		view, err := tuple.Validate(v)
+		view, err := tuple.ViewOf(v, frame)
 		if err != nil {
 			return nil, stats, err
 		}

@@ -13,13 +13,21 @@
 //
 // Everything that scan orders and filters by — value, confidence, tuple
 // ID — is in the heap key, so the streaming cursors (QueryCursor,
-// TopKCursor) validate each scanned tuple body once (tuple.Validate) and
-// yield it unbuilt: a Result carrying the confidence and the validated
-// view, which aliases the leaf page. The *tuple.Tuple is built from that
-// view, without a second framing walk, by whoever hands tuples to a
-// caller (Drain, and so Query and TopK, here; the merged stream's
-// consumers above). See Result for the two forms and how long an
-// unbuilt one stays valid.
+// TopKCursor) yield each scanned tuple body unbuilt: a Result carrying
+// the confidence and the validated view, which aliases the leaf page.
+// The body is validated once per page load, not once per read: every
+// heap tree carries tuple.Check as its value check
+// (btree.Tree.SetValueCheck), so parsing a heap leaf walks each body's
+// framing and keeps the frame beside it, and the scan and the cutoff and
+// secondary fetches turn body and frame into the view with
+// tuple.ViewOf, walking nothing. A body the check rejected has frame 0,
+// and ViewOf walks it again, so it fails with the codec's own error on
+// the row that reads it and nowhere else. Frames stay true because a
+// page's bytes never change once loaded (a write gives the pager a new
+// page). The *tuple.Tuple is built from the view, without another
+// framing walk, by whoever hands tuples to a caller (Drain, and so
+// Query and TopK, here; the merged stream's consumers above). See
+// Result for the two forms and how long an unbuilt one stays valid.
 package upi
 
 import (
@@ -110,6 +118,7 @@ func Create(fs *storage.FS, name, attr string, secAttrs []string, opts Options) 
 	if t.heap, err = t.createTree(t.heapFile()); err != nil {
 		return nil, err
 	}
+	t.heap.SetValueCheck(tuple.Check)
 	if t.cutoff, err = t.createTree(t.cutoffFile()); err != nil {
 		return nil, err
 	}
@@ -141,6 +150,7 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Options) (*
 	if t.heap, err = t.openTree(t.heapFile()); err != nil {
 		return nil, err
 	}
+	t.heap.SetValueCheck(tuple.Check)
 	if t.cutoff, err = t.openTree(t.cutoffFile()); err != nil {
 		return nil, err
 	}

@@ -31,6 +31,13 @@ type Corruption struct {
 // caller drops the table's caches afterwards so the pagers re-read the
 // page.
 func CorruptHeapBody(b storage.Backend, file string, pageSize int) (Corruption, error) {
+	return CorruptHeapBodyAt(b, file, pageSize, 0)
+}
+
+// CorruptHeapBodyAt is CorruptHeapBody for entry i (from 0) of the
+// first leaf that holds more than i entries: with i > 0 the damaged
+// body has valid neighbours on both sides of it on its page.
+func CorruptHeapBodyAt(b storage.Backend, file string, pageSize, i int) (Corruption, error) {
 	if pageSize == 0 {
 		pageSize = storage.DefaultPageSize
 	}
@@ -43,12 +50,18 @@ func CorruptHeapBody(b storage.Backend, file string, pageSize int) (Corruption, 
 		if err := b.ReadAt(file, page, off); err != nil {
 			return Corruption{}, err
 		}
-		if page[0] != 1 || binary.BigEndian.Uint16(page[1:]) == 0 { // not a leaf, or an empty one
+		if page[0] != 1 || int(binary.BigEndian.Uint16(page[1:])) <= i { // not a leaf, or too short a one
 			continue
 		}
-		const entry = 1 + 2 + 4 // leaf header: type, key count, next leaf
-		klen := int(binary.BigEndian.Uint16(page[entry:]))
-		vlen := int(binary.BigEndian.Uint16(page[entry+2:]))
+		entry := 1 + 2 + 4 // leaf header: type, key count, next leaf
+		lens := func() (klen, vlen int) {
+			return int(binary.BigEndian.Uint16(page[entry:])), int(binary.BigEndian.Uint16(page[entry+2:]))
+		}
+		for n := 0; n < i; n++ {
+			klen, vlen := lens()
+			entry += 4 + klen + vlen
+		}
+		klen, vlen := lens()
 		key := page[entry+4 : entry+4+klen]
 		body := page[entry+4+klen : entry+4+klen+vlen]
 		value, _, id, err := upi.DecodeHeapKey(key)
@@ -69,7 +82,7 @@ func CorruptHeapBody(b storage.Backend, file string, pageSize int) (Corruption, 
 			Restore: func() error { return b.WriteAt(file, orig, off) },
 		}, nil
 	}
-	return Corruption{}, fmt.Errorf("upitest: %q has no non-empty leaf", file)
+	return Corruption{}, fmt.Errorf("upitest: %q has no leaf of more than %d entries", file, i)
 }
 
 // FractureHeapFile returns the heap file of the newest flushed fracture
