@@ -12,7 +12,6 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
-	"time"
 )
 
 const soakValues = 8
@@ -56,7 +55,7 @@ func TestSoakConcurrentEngine(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := tab.StartAutoMerge(AutoMergeOptions{MaxFractures: 4, Interval: time.Millisecond}); err != nil {
+	if err := tab.StartAutoMerge(AutoMergeOptions{MaxFractures: 4}); err != nil {
 		t.Fatal(err)
 	}
 

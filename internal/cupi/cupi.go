@@ -133,7 +133,7 @@ type Stats struct {
 	Candidates   int // leaf entries whose MBR intersected the query
 	PCRAccepted  int
 	PCRRejected  int
-	Integrations int // exact integrations performed
+	Integrations int // exact integrations performed (ProbInCircle calls)
 	Fetched      int // heap records fetched
 }
 
@@ -491,12 +491,12 @@ func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64
 	if err != nil {
 		return 0, false, err
 	}
+	// Every fetched row is integrated, a PCR-accepted one too: its
+	// confidence is its exact probability.
 	conf := v.Loc().ProbInCircle(q, radius)
-	if !c.accepted {
-		stats.Integrations++
-		if conf < threshold {
-			return 0, false, nil
-		}
+	stats.Integrations++
+	if !c.accepted && conf < threshold {
+		return 0, false, nil
 	}
 	*view = v
 	return conf, true, nil

@@ -193,6 +193,9 @@ func TestPCRPruningDoesWork(t *testing.T) {
 		if stats.Integrations >= stats.Candidates {
 			t.Fatal("integration count should be reduced by PCR")
 		}
+		if stats.Integrations != stats.Fetched {
+			t.Fatalf("%d integrations for %d fetched candidates; every fetched candidate is integrated", stats.Integrations, stats.Fetched)
+		}
 	})
 }
 

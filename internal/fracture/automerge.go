@@ -3,7 +3,6 @@ package fracture
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // AutoMergeOptions tune the background merger.
@@ -16,15 +15,8 @@ import (
 // MaxFractures 1 rewrites main every time.
 type AutoMergeOptions struct {
 	// MaxFractures triggers a merge when the fracture count reaches
-	// this value. 0 disables the count trigger.
+	// this value. It must be positive.
 	MaxFractures int
-	// MaxFractureBytes triggers a full merge into main when the total
-	// on-disk size of the fractures reaches this value. 0 disables the
-	// size trigger.
-	MaxFractureBytes int64
-	// Interval is the polling period between threshold checks; flushes
-	// additionally kick an immediate check. Default 100ms.
-	Interval time.Duration
 }
 
 // autoMerger is the background merge goroutine's handle.
@@ -38,7 +30,9 @@ type autoMerger struct {
 	err   error // first background merge failure
 }
 
-// kick requests an immediate threshold check (non-blocking).
+// kick requests a threshold check (non-blocking). A kick that finds
+// one already pending is dropped: the pending check sees the same
+// state.
 func (a *autoMerger) kick() {
 	select {
 	case a.kicks <- struct{}{}:
@@ -47,19 +41,17 @@ func (a *autoMerger) kick() {
 }
 
 // StartAutoMerge launches a background goroutine that merges the store
-// whenever the fracture count or total fracture size crosses the given
-// thresholds: into a new main, or while the fractures are small next to
-// main into one new fracture (see AutoMergeOptions). Queries keep
+// whenever the fracture count reaches opts.MaxFractures: into a new
+// main, or while the fractures are small next to main into one new
+// fracture (see AutoMergeOptions). The count changes only at a flush or
+// a merge, so the merger checks it when it starts, after every flush
+// and after each of its own merges; it never polls. Queries keep
 // running during a background merge and in-flight ones finish on the
 // generation they started on; the swap to the merged partition is
-// atomic. At least one threshold must be set. Returns an error if an
-// auto-merger is already running.
+// atomic. Returns an error if an auto-merger is already running.
 func (s *Store) StartAutoMerge(opts AutoMergeOptions) error {
-	if opts.MaxFractures <= 0 && opts.MaxFractureBytes <= 0 {
-		return fmt.Errorf("fracture: auto-merge needs MaxFractures or MaxFractureBytes")
-	}
-	if opts.Interval <= 0 {
-		opts.Interval = 100 * time.Millisecond
+	if opts.MaxFractures <= 0 {
+		return fmt.Errorf("fracture: auto-merge needs MaxFractures > 0, got %d", opts.MaxFractures)
 	}
 	am := &autoMerger{
 		opts:  opts,
@@ -78,23 +70,20 @@ func (s *Store) StartAutoMerge(opts AutoMergeOptions) error {
 	s.am = am
 	s.mu.Unlock()
 
+	am.kick() // the fractures already on disk may be due
 	am.wg.Add(1)
 	go func() {
 		defer am.wg.Done()
-		ticker := time.NewTicker(am.opts.Interval)
-		defer ticker.Stop()
 		for {
 			select {
 			case <-am.stop:
 				return
-			case <-ticker.C:
 			case <-am.kicks:
 			}
-			due, full := s.mergeDue(am.opts)
-			if !due {
+			if !s.mergeDue(am.opts) {
 				continue
 			}
-			if err := s.merge(!full); err != nil {
+			if err := s.merge(true); err != nil {
 				am.errMu.Lock()
 				if am.err == nil {
 					am.err = err
@@ -111,20 +100,18 @@ func (s *Store) StartAutoMerge(opts AutoMergeOptions) error {
 				s.mu.Unlock()
 				return
 			}
+			am.kick() // a partial fold may leave a merge due
 		}
 	}()
 	return nil
 }
 
-// mergeDue checks the auto-merge thresholds: whether a merge is due,
-// and whether it must be a full fold because the size trigger fired.
-func (s *Store) mergeDue(opts AutoMergeOptions) (due, full bool) {
+// mergeDue reports whether the fracture count has reached the
+// trigger.
+func (s *Store) mergeDue(opts AutoMergeOptions) bool {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if opts.MaxFractureBytes > 0 && s.fractureBytesLocked() >= opts.MaxFractureBytes {
-		return true, true
-	}
-	return opts.MaxFractures > 0 && len(s.fractures) >= opts.MaxFractures, false
+	return len(s.parts)-1 >= opts.MaxFractures
 }
 
 // StopAutoMerge stops the background merger, waits for any in-progress

@@ -270,7 +270,7 @@ func TestAutoMerge(t *testing.T) {
 	if err := s.StartAutoMerge(AutoMergeOptions{}); err == nil {
 		t.Fatal("auto-merge with no thresholds accepted")
 	}
-	if err := s.StartAutoMerge(AutoMergeOptions{MaxFractures: 3, Interval: time.Millisecond}); err != nil {
+	if err := s.StartAutoMerge(AutoMergeOptions{MaxFractures: 3}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.StartAutoMerge(AutoMergeOptions{MaxFractures: 3}); err == nil {

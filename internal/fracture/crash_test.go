@@ -68,7 +68,7 @@ func newCrashRig(t *testing.T, base int) *crashRig {
 func (r *crashRig) partialMerge() error {
 	r.t.Helper()
 	r.s.mu.RLock()
-	fits, mainGen := r.s.partialFitsLocked(), r.s.mainGen
+	fits, mainGen := r.s.partialFitsLocked(), r.s.parts[0].gen
 	r.s.mu.RUnlock()
 	if !fits {
 		r.t.Fatal("setup: the fractures do not make a partial merge")
@@ -76,8 +76,8 @@ func (r *crashRig) partialMerge() error {
 	if err := r.s.merge(true); err != nil {
 		return err
 	}
-	if r.s.mainGen != mainGen || r.s.NumFractures() != 1 {
-		r.t.Fatalf("partial merge left main generation %d (was %d) and %d fractures", r.s.mainGen, mainGen, r.s.NumFractures())
+	if r.s.parts[0].gen != mainGen || r.s.NumFractures() != 1 {
+		r.t.Fatalf("partial merge left main generation %d (was %d) and %d fractures", r.s.parts[0].gen, mainGen, r.s.NumFractures())
 	}
 	return nil
 }

@@ -8,12 +8,18 @@
 // applies only to *older* partitions, so inserting an existing ID
 // supersedes the old version without touching it: queries consult the
 // in-memory buffer, every fracture and the main UPI, union the results
-// and drop tuples present in any applicable delete set. Merge folds
-// all fractures back into the main UPI with one sequential k-way merge
-// pass, restoring query performance (Figure 10) and physically
-// dropping deleted and superseded versions. The background merger also
-// folds fractures into one another while they are small next to main,
-// so main is rewritten only once they have grown to an eighth of it.
+// and drop tuples present in any applicable delete set.
+//
+// The store keeps its partitions as one list, oldest first: the main
+// UPI (partition 0, with no delete set), then the fractures in flush
+// order. A merge folds a tail of that list into one partition with one
+// sequential k-way merge pass, restoring query performance (Figure 10)
+// and physically dropping deleted and superseded versions. Merge folds
+// the whole list into a new main. The background merger, started with
+// StartAutoMerge and woken by flushes, runs when the fracture count
+// reaches its trigger; while the fractures are small next to main it
+// folds only them, into one new fracture, so main is rewritten only
+// once they have grown to an eighth of it.
 //
 // # Concurrency
 //
@@ -33,7 +39,7 @@
 // Merge may run in the background (see StartAutoMerge): it snapshots
 // the partitions to fold under the write lock, builds the new main
 // generation (or merged fracture) without holding any lock, and
-// atomically swaps it in.
+// atomically installs a new partition list with it in their place.
 // Old partition files are reference-counted and removed only after the
 // last in-flight query over the previous generation finishes.
 //
@@ -56,7 +62,6 @@ package fracture
 import (
 	"encoding/binary"
 	"fmt"
-	"maps"
 	"sort"
 	"sync"
 
@@ -119,11 +124,12 @@ type Store struct {
 	opts   Config
 	closed bool
 
-	main      *upi.Table
-	mainRef   *partRef // lifetime of the current main's files
-	mainGen   int      // generation of the current main (for the manifest)
-	fractures []*fract
-	gen       int // generation counter for fracture / main file names
+	// parts is the partition list, oldest first: parts[0] is main and
+	// the rest are the fractures in flush order. A flush or merge
+	// installs a new list; an installed list is never written, so a
+	// query snapshot holds it as is.
+	parts []*part
+	gen   int // generation counter for fracture / main file names
 
 	// wal is the write-ahead log, present only on durable stores. Its
 	// appends are serialized by mu, in buffer-mutation order.
@@ -147,14 +153,25 @@ type Store struct {
 	mergeMu sync.Mutex
 }
 
-// fract is one on-disk fracture: an independent UPI and the delete set
-// flushed with it. The delete set applies to *older* data (the main
-// UPI and earlier fractures), never to this fracture's own inserts.
-type fract struct {
-	gen     int // names the fracture's files
+// part is one on-disk partition: an independent UPI and, for a
+// fracture, the delete set flushed with it. The delete set applies to
+// *older* partitions, never to this fracture's own inserts; main has
+// none.
+type part struct {
+	gen     int // names the partition's files
 	table   *upi.Table
-	deleted map[uint64]bool
+	deleted map[uint64]bool // nil for main
 	ref     *partRef
+}
+
+// files lists the partition's files: its UPI's, plus a fracture's
+// delete set.
+func (s *Store) files(p *part) []string {
+	files := p.table.Files()
+	if p.deleted != nil {
+		files = append(files, s.delSetFile(p.gen))
+	}
+	return files
 }
 
 // partRef tracks the on-disk lifetime of one partition (the main UPI
@@ -222,8 +239,7 @@ func NewStore(fs *storage.FS, name, attr string, secAttrs []string, opts Config)
 	if err != nil {
 		return nil, err
 	}
-	s.main = main
-	if err := s.initFiles(); err != nil {
+	if err := s.initFiles(main); err != nil {
 		return nil, err
 	}
 	return s, nil
@@ -238,14 +254,13 @@ func BulkLoad(fs *storage.FS, name, attr string, secAttrs []string, opts Config,
 	if err != nil {
 		return nil, err
 	}
-	s.main = main
-	if err := s.initFiles(); err != nil {
+	if err := s.initFiles(main); err != nil {
 		return nil, err
 	}
 	return s, nil
 }
 
-// newShell builds a Store with everything but the main partition.
+// newShell builds a Store with everything but its partitions.
 func newShell(fs *storage.FS, name, attr string, secAttrs []string, opts Config) *Store {
 	if opts.Metrics == nil {
 		// A zero EngineMetrics is an all-no-op sink (every metric
@@ -257,26 +272,26 @@ func newShell(fs *storage.FS, name, attr string, secAttrs []string, opts Config)
 		fs: fs, name: name, attr: attr,
 		secAttrs:   append([]string(nil), secAttrs...),
 		opts:       opts,
-		mainRef:    newPartRef(fs),
 		bufTuples:  make(map[uint64]*tuple.Tuple),
 		bufDeletes: make(map[uint64]bool),
 	}
 	return s
 }
 
-// initFiles commits a freshly created store's manifest. A durable
-// store fsyncs its main partition first and gains an empty WAL, so it
-// starts in a recoverable on-disk state.
-func (s *Store) initFiles() error {
+// initFiles installs main as a freshly created store's one partition
+// and commits the manifest. A durable store fsyncs main first and
+// gains an empty WAL, so it starts in a recoverable on-disk state.
+func (s *Store) initFiles(main *upi.Table) error {
+	s.parts = []*part{{table: main, ref: newPartRef(s.fs)}}
 	if s.opts.Durable {
-		if err := s.main.Flush(); err != nil {
+		if err := main.Flush(); err != nil {
 			return err
 		}
-		if err := syncTableFiles(s.fs, s.main); err != nil {
+		if err := syncTableFiles(s.fs, main); err != nil {
 			return err
 		}
 	}
-	if err := writeManifest(s.fs, s.name, newCatalog(s.mainGen, s.main, nil)); err != nil {
+	if err := writeManifest(s.fs, s.name, newCatalog(s.parts)); err != nil {
 		return err
 	}
 	if !s.opts.Durable {
@@ -303,7 +318,7 @@ func (s *Store) delSetFile(id int) string {
 func (s *Store) Main() *upi.Table {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return s.main
+	return s.parts[0].table
 }
 
 // Partitions returns the current partitions: main, then the fractures
@@ -312,11 +327,11 @@ func (s *Store) Main() *upi.Table {
 func (s *Store) Partitions() []*upi.Table {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	parts := []*upi.Table{s.main}
-	for _, f := range s.fractures {
-		parts = append(parts, f.table)
+	tables := make([]*upi.Table, len(s.parts))
+	for i, p := range s.parts {
+		tables[i] = p.table
 	}
-	return parts
+	return tables
 }
 
 // NumFractures returns the current fracture count (Nfrac in the cost
@@ -324,7 +339,7 @@ func (s *Store) Partitions() []*upi.Table {
 func (s *Store) NumFractures() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.fractures)
+	return len(s.parts) - 1
 }
 
 // BufferedInserts returns the number of tuples waiting in RAM.
@@ -509,7 +524,8 @@ func (s *Store) flushLocked() error {
 	if err := s.writeDelSet(id, deleted); err != nil {
 		return err
 	}
-	fractures := append(s.fractures, &fract{gen: id, table: tab, deleted: deleted, ref: newPartRef(s.fs)})
+	n := len(s.parts)
+	parts := append(s.parts[:n:n], &part{gen: id, table: tab, deleted: deleted, ref: newPartRef(s.fs)})
 	// Durable flush ordering: fsync the fracture's files, commit the
 	// new partition list through the manifest rename, and only then
 	// drop the WAL records the fracture now covers. A crash at any
@@ -526,10 +542,10 @@ func (s *Store) flushLocked() error {
 			return err
 		}
 	}
-	if err := writeManifest(s.fs, s.name, newCatalog(s.mainGen, s.main, fractures)); err != nil {
+	if err := writeManifest(s.fs, s.name, newCatalog(parts)); err != nil {
 		return err
 	}
-	s.fractures = fractures
+	s.parts = parts
 	s.opts.Metrics.Flushes.Inc()
 	s.bufTuples = make(map[uint64]*tuple.Tuple)
 	s.bufOrder = nil
@@ -561,39 +577,16 @@ func (s *Store) writeDelSet(id int, deleted map[uint64]bool) error {
 	return s.fs.Create(s.delSetFile(id)).WriteAt(buf, 0)
 }
 
-// deletesAfterLocked returns the union of the delete sets of fractures
-// with index > i: an entry stored in fracture i (or, with i == -1, in
-// the main UPI) is live at the store's disk state iff its ID is absent
-// from this set. Callers must hold mu (either mode). Only the (rare)
-// merge path materializes these unions; the per-query snapshot
-// references the immutable per-fracture sets directly instead.
-func (s *Store) deletesAfterLocked(i int) map[uint64]bool {
-	out := make(map[uint64]bool)
-	for j := i + 1; j < len(s.fractures); j++ {
-		maps.Copy(out, s.fractures[j].deleted)
-	}
-	return out
-}
-
 // SizeBytes returns the total on-disk size: main, fractures and delete
 // sets.
 func (s *Store) SizeBytes() int64 {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	total := s.main.SizeBytes()
-	for _, f := range s.fractures {
-		total += f.table.SizeBytes() + s.fs.Size(s.delSetFile(f.gen))
-	}
-	return total
-}
-
-// fractureBytesLocked returns the on-disk size of the fractures alone
-// (the size-based auto-merge trigger, and what a partial merge weighs
-// against main). Callers must hold mu (either mode).
-func (s *Store) fractureBytesLocked() int64 {
 	var total int64
-	for _, f := range s.fractures {
-		total += f.table.SizeBytes()
+	for _, p := range s.parts {
+		for _, f := range s.files(p) {
+			total += s.fs.Size(f)
+		}
 	}
 	return total
 }
@@ -604,11 +597,8 @@ func (s *Store) fractureBytesLocked() int64 {
 func (s *Store) FlushPages() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.main.Flush(); err != nil {
-		return err
-	}
-	for _, f := range s.fractures {
-		if err := f.table.Flush(); err != nil {
+	for _, p := range s.parts {
+		if err := p.table.Flush(); err != nil {
 			return err
 		}
 	}
@@ -620,11 +610,8 @@ func (s *Store) FlushPages() error {
 func (s *Store) DropCaches() error {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	if err := s.main.DropCaches(); err != nil {
-		return err
-	}
-	for _, f := range s.fractures {
-		if err := f.table.DropCaches(); err != nil {
+	for _, p := range s.parts {
+		if err := p.table.DropCaches(); err != nil {
 			return err
 		}
 	}

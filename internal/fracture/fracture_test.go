@@ -526,7 +526,7 @@ func TestSizeBytesCountsOnlyItsOwnDeleteSets(t *testing.T) {
 	if ab.NumFractures() != 1 {
 		t.Fatalf("store ab has %d fractures, want 1", ab.NumFractures())
 	}
-	f := ab.fractures[0]
+	f := ab.parts[1]
 	delSet := fs.Size(ab.delSetFile(f.gen))
 	if delSet == 0 {
 		t.Fatal("store ab's delete set is empty; the check is vacuous")

@@ -40,12 +40,14 @@ type catalog struct {
 	built map[int]upi.Options
 }
 
-// newCatalog describes a live partition set.
-func newCatalog(mainGen int, main *upi.Table, fractures []*fract) catalog {
-	c := catalog{main: mainGen, built: map[int]upi.Options{mainGen: main.Options()}}
-	for _, f := range fractures {
-		c.fracs = append(c.fracs, f.gen)
-		c.built[f.gen] = f.table.Options()
+// newCatalog describes a live partition list, main first.
+func newCatalog(parts []*part) catalog {
+	c := catalog{main: parts[0].gen, built: make(map[int]upi.Options, len(parts))}
+	for i, p := range parts {
+		if i > 0 {
+			c.fracs = append(c.fracs, p.gen)
+		}
+		c.built[p.gen] = p.table.Options()
 	}
 	return c
 }

@@ -13,17 +13,20 @@ import (
 // mergeSnapshot is everything a merge needs from the store, captured
 // under the write lock so the build can proceed without holding it.
 //
-// A merge folds the partition range [first, n) of the store, where
-// partition 0 is main, partition i >= 1 is fracture i-1 and n is the
-// partition count at snapshot time. The full fold is the range that
-// starts at main: it builds a new main. A partial fold starts at the
-// oldest fracture and builds one new fracture, leaving main as it is.
+// A merge folds the tail parts[first:] of the partition list into one
+// partition that takes index first. The fold that starts at main
+// (first 0) builds a new main; a partial fold starts at the oldest
+// fracture (first 1) and builds one new fracture, leaving main as it
+// is.
 type mergeSnapshot struct {
-	first    int          // 0: full fold into main; 1: partial fold into a fracture
-	parts    []*upi.Table // the partitions [first, n), oldest first
+	first int
+	parts []*part // the partitions folded, oldest first
+	// deletes[i] is parts[i]'s filter: the union of the delete sets of
+	// parts[i+1:]. The RAM buffer's pending deletes are not part of it
+	// (a full fold has just flushed them, and a partial fold leaves
+	// them to apply at query time, like any newer partition's).
 	deletes  []map[uint64]bool
-	folded   []*fract // every fracture at snapshot time: the ones being folded
-	newGen   int      // generation of the partition being built
+	newGen   int // generation of the partition being built
 	newName  string
 	opts     upi.Options
 	homogene bool
@@ -116,21 +119,24 @@ func (s *Store) merge(partialOK bool) error {
 // into one another: there are at least two, and they weigh less than
 // 1/partialMergeShare of main. Callers must hold mu (either mode).
 func (s *Store) partialFitsLocked() bool {
-	return len(s.fractures) >= 2 && partialMergeShare*s.fractureBytesLocked() < s.main.SizeBytes()
+	if len(s.parts) < 3 {
+		return false
+	}
+	var fractures int64
+	for _, p := range s.parts[1:] {
+		fractures += p.table.SizeBytes()
+	}
+	return partialMergeShare*fractures < s.parts[0].table.SizeBytes()
 }
 
-// mergeSnapshotLocked captures the partitions [first, n) and their
+// mergeSnapshotLocked captures the partitions parts[first:] and their
 // delete filters, and claims the generation of the partition the merge
-// builds. Partition p's filter is the union of the delete sets of the
-// fractures newer than it; the RAM buffer's pending deletes are not
-// part of it (a full fold has just flushed them, and a partial fold
-// leaves them to apply at query time, like any newer partition's).
-// Callers must hold mu.
+// builds. Callers must hold mu.
 func (s *Store) mergeSnapshotLocked(first int) mergeSnapshot {
 	s.gen++
 	snap := mergeSnapshot{
 		first:   first,
-		folded:  s.fractures,
+		parts:   s.parts[first:],
 		newGen:  s.gen,
 		newName: s.mainName(s.gen),
 		opts:    s.opts.UPI,
@@ -138,13 +144,12 @@ func (s *Store) mergeSnapshotLocked(first int) mergeSnapshot {
 	if first > 0 {
 		snap.newName = s.fracName(s.gen)
 	}
-	for p := first; p <= len(s.fractures); p++ {
-		t := s.main
-		if p > 0 {
-			t = s.fractures[p-1].table
+	for i := range snap.parts {
+		deleted := make(map[uint64]bool)
+		for _, p := range snap.parts[i+1:] {
+			maps.Copy(deleted, p.deleted)
 		}
-		snap.parts = append(snap.parts, t)
-		snap.deletes = append(snap.deletes, s.deletesAfterLocked(p-1))
+		snap.deletes = append(snap.deletes, deleted)
 	}
 	snap.homogene = homogeneous(snap.parts, snap.opts)
 	return snap
@@ -153,67 +158,59 @@ func (s *Store) mergeSnapshotLocked(first int) mergeSnapshot {
 // homogeneous reports whether every partition shares the
 // placement-relevant parameters of o, the options the merged partition
 // is built with.
-func homogeneous(parts []*upi.Table, o upi.Options) bool {
-	for _, t := range parts {
-		if p := t.Options(); p.Cutoff != o.Cutoff || p.MaxPointers != o.MaxPointers {
+func homogeneous(parts []*part, o upi.Options) bool {
+	for _, p := range parts {
+		if po := p.table.Options(); po.Cutoff != o.Cutoff || po.MaxPointers != o.MaxPointers {
 			return false
 		}
 	}
 	return true
 }
 
-// mergeByCursor performs the entry-level k-way merge. Entry-level
-// merging preserves each entry's heap-vs-cutoff placement, which is
-// only correct when every partition was built with the same parameters
-// as the merged result (snap.homogene).
+// mergeByCursor performs the entry-level k-way merge, file by file:
+// each of the new partition's files merges the same file of every
+// source. Entry-level merging preserves each entry's heap-vs-cutoff
+// placement, which is only correct when every partition was built with
+// the same parameters as the merged result (snap.homogene).
 func (s *Store) mergeByCursor(snap mergeSnapshot) (*upi.Table, error) {
-	mergeInto := func(file string, pick func(t *upi.Table) *btree.Tree) error {
+	// Trees and FileNames list a UPI's files in one order.
+	srcs := make([][]*btree.Tree, len(snap.parts))
+	for i, p := range snap.parts {
+		srcs[i] = p.table.Trees()
+	}
+	for f, file := range upi.FileNames(snap.newName, s.secAttrs) {
 		p, err := storage.NewPager(s.fs.Create(file), snap.opts.PageSize)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		b, err := btree.NewBuilder(p)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// Sources oldest-to-newest. Priority grows with recency; on
 		// duplicate keys the newest version wins.
-		curs := make([]*mergeCursor, len(snap.parts))
-		for i, src := range snap.parts {
+		curs := make([]*mergeCursor, len(srcs))
+		for i, trees := range srcs {
 			// Sequential read-ahead: the merge reads every source file
 			// front to back, so one seek covers a whole run of pages
 			// ("the cost of merging is about the same as the cost of
 			// sequentially reading all files").
 			curs[i] = &mergeCursor{
-				c:        pick(src).View(nil, mergeReadAhead).NewCursor().First(),
+				c:        trees[f].View(nil, mergeReadAhead).NewCursor().First(),
 				priority: i,
 				deleted:  snap.deletes[i],
 			}
 		}
 		if err := kWayMerge(curs, b); err != nil {
-			return err
+			return nil, err
 		}
 		if _, err := b.Finish(); err != nil {
-			return err
+			return nil, err
 		}
 		// upi.Open reads the file through pagers of its own, so the
 		// builder's pages would sit in the pool unreachable: write them
 		// and take them out.
-		return p.DropCache()
-	}
-
-	if err := mergeInto(upi.HeapFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.Heap() }); err != nil {
-		return nil, err
-	}
-	if err := mergeInto(upi.CutoffFileName(snap.newName), func(t *upi.Table) *btree.Tree { return t.CutoffIndex() }); err != nil {
-		return nil, err
-	}
-	for _, attr := range s.secAttrs {
-		a := attr
-		if err := mergeInto(upi.SecFileName(snap.newName, a), func(t *upi.Table) *btree.Tree {
-			sec, _ := t.Secondary(a)
-			return sec
-		}); err != nil {
+		if err := p.DropCache(); err != nil {
 			return nil, err
 		}
 	}
@@ -231,12 +228,12 @@ func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
 	return upi.BulkBuild(s.fs, snap.newName, s.attr, s.secAttrs, snap.opts, tuples)
 }
 
-// swapMerged atomically installs the merged partition — a new main, or
-// for a partial fold a new fracture in front of the fractures flushed
-// while the merge was building — drops the folded fractures and dooms
-// the replaced partitions' files: they disappear as soon as the last
-// in-flight query over the old generation releases its snapshot. It
-// returns the bytes the merge wrote.
+// swapMerged atomically installs the merged partition at index
+// snap.first — a new main, or for a partial fold a new fracture in
+// front of the fractures flushed while the merge was building — and
+// dooms the folded partitions' files: they disappear as soon as the
+// last in-flight query over the old generation releases its snapshot.
+// It returns the bytes the merge wrote.
 //
 // A merged fracture keeps the union of the folded fractures' delete
 // sets: its own entries are already filtered by them, but they still
@@ -250,15 +247,16 @@ func (s *Store) mergeByRebuild(snap mergeSnapshot) (*upi.Table, error) {
 // nothing — the new files are removed (or swept as orphans on the next
 // open) and the old generation remains authoritative.
 func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error) {
-	files := merged.Files()
-	var nf *fract
+	np := &part{gen: snap.newGen, table: merged, ref: newPartRef(s.fs)}
+	var err error
 	if snap.first > 0 {
-		nf = &fract{gen: snap.newGen, table: merged, deleted: make(map[uint64]bool), ref: newPartRef(s.fs)}
-		for _, f := range snap.folded {
-			maps.Copy(nf.deleted, f.deleted)
+		np.deleted = make(map[uint64]bool)
+		for _, p := range snap.parts {
+			maps.Copy(np.deleted, p.deleted)
 		}
-		files = append(files, s.delSetFile(nf.gen))
+		err = s.writeDelSet(np.gen, np.deleted)
 	}
+	files := s.files(np)
 	abort := func(err error) (int64, error) {
 		for _, f := range files {
 			if s.fs.Exists(f) {
@@ -266,10 +264,6 @@ func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error)
 			}
 		}
 		return 0, err
-	}
-	var err error
-	if nf != nil {
-		err = s.writeDelSet(nf.gen, nf.deleted)
 	}
 	if err == nil && s.opts.Durable {
 		// The new files are complete and nothing refers to them yet, so
@@ -285,32 +279,17 @@ func (s *Store) swapMerged(snap mergeSnapshot, merged *upi.Table) (int64, error)
 	}
 
 	s.mu.Lock()
-	main, mainGen := s.main, s.mainGen
-	var fractures []*fract
-	if nf != nil {
-		fractures = append(fractures, nf)
-	} else {
-		main, mainGen = merged, snap.newGen
-	}
-	fractures = append(fractures, s.fractures[len(snap.folded):]...)
-	if err := writeManifest(s.fs, s.name, newCatalog(mainGen, main, fractures)); err != nil {
+	parts := append(s.parts[:snap.first:snap.first], np)
+	parts = append(parts, s.parts[snap.first+len(snap.parts):]...)
+	if err := writeManifest(s.fs, s.name, newCatalog(parts)); err != nil {
 		s.mu.Unlock()
 		return abort(err)
 	}
-	oldMain, oldMainRef := s.main, s.mainRef
-	if nf == nil {
-		s.main = main
-		s.mainRef = newPartRef(s.fs)
-		s.mainGen = mainGen
-	}
-	s.fractures = fractures
+	s.parts = parts
 	s.mu.Unlock()
 
-	if nf == nil {
-		oldMainRef.doom(oldMain.Files())
-	}
-	for _, f := range snap.folded {
-		f.ref.doom(append(f.table.Files(), s.delSetFile(f.gen)))
+	for _, p := range snap.parts {
+		p.ref.doom(s.files(p))
 	}
 	var written int64
 	for _, f := range files {

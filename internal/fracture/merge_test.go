@@ -39,8 +39,8 @@ func newMergeStore(tb testing.TB) (*Store, mergeSnapshot, int64) {
 	snap := s.mergeSnapshotLocked(0)
 	var entries int64
 	for _, part := range snap.parts {
-		sec, _ := part.Secondary("Y")
-		entries += part.Heap().Count() + part.CutoffIndex().Count() + sec.Count()
+		sec, _ := part.table.Secondary("Y")
+		entries += part.table.Heap().Count() + part.table.CutoffIndex().Count() + sec.Count()
 	}
 	return s, snap, entries
 }

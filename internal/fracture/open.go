@@ -33,23 +33,22 @@ func Open(fs *storage.FS, name, attr string, secAttrs []string, opts Config) (*S
 		return nil, err
 	}
 	removeOrphans(fs, name, cat)
-	main, err := upi.Open(fs, s.mainName(cat.main), attr, secAttrs, cat.built[cat.main])
-	if err != nil {
-		return nil, err
-	}
-	s.main = main
-	s.mainGen = cat.main
-	s.gen = cat.main
-	for _, g := range cat.fracs {
-		tab, err := upi.Open(fs, s.fracName(g), attr, secAttrs, cat.built[g])
+	for i, g := range append([]int{cat.main}, cat.fracs...) {
+		name := s.mainName(g)
+		if i > 0 {
+			name = s.fracName(g)
+		}
+		tab, err := upi.Open(fs, name, attr, secAttrs, cat.built[g])
 		if err != nil {
 			return nil, err
 		}
-		deleted, err := s.readDelSet(g)
-		if err != nil {
-			return nil, err
+		p := &part{gen: g, table: tab, ref: newPartRef(fs)}
+		if i > 0 {
+			if p.deleted, err = s.readDelSet(g); err != nil {
+				return nil, err
+			}
 		}
-		s.fractures = append(s.fractures, &fract{gen: g, table: tab, deleted: deleted, ref: newPartRef(fs)})
+		s.parts = append(s.parts, p)
 		s.gen = max(s.gen, g)
 	}
 	if err := s.recoverWAL(); err != nil {

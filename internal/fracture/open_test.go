@@ -274,7 +274,7 @@ func TestOldManifestStillOpens(t *testing.T) {
 	if err := s.FlushPages(); err != nil {
 		t.Fatal(err)
 	}
-	old := fmt.Sprintf("main %d\nfrac %d\n", s.mainGen, s.fractures[0].gen)
+	old := fmt.Sprintf("main %d\nfrac %d\n", s.parts[0].gen, s.parts[1].gen)
 	fs.Sideband(manifestName("t")) // as writeManifest does: never charged
 	if err := fs.Create(manifestName("t")).WriteAt([]byte(old), 0); err != nil {
 		t.Fatal(err)

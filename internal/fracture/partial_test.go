@@ -98,11 +98,11 @@ func TestMergeShapes(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s, met := shapeStore(t, tc.base, tc.nFrac, 20)
 			want := sweepAnswers(t, s)
-			mainGen := s.mainGen
+			mainGen := s.parts[0].gen
 			if err := s.merge(tc.partialOK); err != nil {
 				t.Fatal(err)
 			}
-			partial := s.mainGen == mainGen
+			partial := s.parts[0].gen == mainGen
 			if partial != tc.wantPartial {
 				t.Fatalf("partial = %v, want %v", partial, tc.wantPartial)
 			}
@@ -124,22 +124,48 @@ func TestMergeShapes(t *testing.T) {
 	}
 }
 
-// TestMergeDue: the size trigger always asks for a full fold, the
-// count trigger leaves the shape to the merge.
+// TestAutoMergeDrainsBacklog: a merger started on a store whose
+// fractures are already due merges with no further write. The check
+// at start runs a partial fold of the three fractures into one, the
+// check after it finds that one still due and runs a full fold; no
+// polling is involved.
+func TestAutoMergeDrainsBacklog(t *testing.T) {
+	s, met := shapeStore(t, 1500, 3, 20)
+	want := sweepAnswers(t, s)
+	if err := s.StartAutoMerge(AutoMergeOptions{MaxFractures: 1}); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for s.NumFractures() > 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d fractures left after 10 s, %d merges", s.NumFractures(), met.Merges.Value())
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if err := s.StopAutoMerge(); err != nil {
+		t.Fatal(err)
+	}
+	if met.Merges.Value() != 2 || met.MainRewrites.Value() != 1 {
+		t.Fatalf("%d merges, %d of them into main; want 2 and 1", met.Merges.Value(), met.MainRewrites.Value())
+	}
+	if got := sweepAnswers(t, s); got != want {
+		t.Fatalf("answers changed across the merges:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestMergeDue: the count trigger fires once the fractures reach
+// MaxFractures, and leaves the shape to the merge.
 func TestMergeDue(t *testing.T) {
 	s, _ := shapeStore(t, 200, 2, 20)
 	for _, tc := range []struct {
-		opts              AutoMergeOptions
-		wantDue, wantFull bool
+		opts    AutoMergeOptions
+		wantDue bool
 	}{
-		{AutoMergeOptions{MaxFractures: 3}, false, false},
-		{AutoMergeOptions{MaxFractures: 2}, true, false},
-		{AutoMergeOptions{MaxFractureBytes: 1}, true, true},
-		{AutoMergeOptions{MaxFractures: 2, MaxFractureBytes: 1}, true, true},
-		{AutoMergeOptions{MaxFractureBytes: 1 << 40}, false, false},
+		{AutoMergeOptions{MaxFractures: 3}, false},
+		{AutoMergeOptions{MaxFractures: 2}, true},
 	} {
-		if due, full := s.mergeDue(tc.opts); due != tc.wantDue || full != tc.wantFull {
-			t.Errorf("%+v: due %v full %v, want %v %v", tc.opts, due, full, tc.wantDue, tc.wantFull)
+		if due := s.mergeDue(tc.opts); due != tc.wantDue {
+			t.Errorf("%+v: due %v, want %v", tc.opts, due, tc.wantDue)
 		}
 	}
 }
@@ -226,11 +252,11 @@ func runMergeHistory(t *testing.T, seed int64, steps int) {
 			// What the count trigger runs: partial while the fractures
 			// weigh less than an eighth of main, full from then on.
 			op = "partial merge"
-			mainGen := s.mainGen
+			mainGen := s.parts[0].gen
 			if err := s.merge(true); err != nil {
 				t.Fatal(err)
 			}
-			if s.mainGen == mainGen {
+			if s.parts[0].gen == mainGen {
 				partials++
 			} else {
 				fulls++
@@ -357,7 +383,7 @@ func TestPartialMergesBesideFlushes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.StartAutoMerge(AutoMergeOptions{MaxFractures: 3, Interval: time.Millisecond}); err != nil {
+	if err := s.StartAutoMerge(AutoMergeOptions{MaxFractures: 3}); err != nil {
 		t.Fatal(err)
 	}
 	live := make(map[uint64]*tuple.Tuple)

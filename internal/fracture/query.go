@@ -55,32 +55,30 @@ type Req struct {
 }
 
 // snapshot is a consistent view of the store taken under the read
-// lock: the partition tables (index 0 = main), the delete filter each
-// partition's results must pass, the matches already found in the RAM
-// insert buffer, and pins on every partition's file lifetime so a
-// concurrent merge cannot remove files mid-scan.
+// lock: the partition list (index 0 = main), the delete sets its
+// results must pass, the matches already found in the RAM insert
+// buffer, and pins on every partition's file lifetime so a concurrent
+// merge cannot remove files mid-scan.
 type snapshot struct {
-	parts []*upi.Table
-	// killers[i] holds the delete sets that apply to partition i's
-	// results: every newer fracture's delete set (immutable once
-	// flushed, so shared by reference) plus the pending-buffer
-	// tombstones copied at snapshot time. Referencing the immutable
-	// maps instead of materializing their union keeps snapshotting
-	// O(buffer) — delete sets now carry every upserted ID, so unions
-	// would grow with all inserts since the last merge.
-	killers [][]map[uint64]bool
-	pins    []*partRef
+	parts []*part
+	// dels holds every fracture's delete set in partition order, then
+	// the pending-buffer tombstones copied at snapshot time; partition
+	// i's results must pass dels[i:]. The fracture sets are immutable
+	// once flushed, so they are shared by reference: snapshotting stays
+	// O(buffer) although delete sets carry every upserted ID.
+	dels []map[uint64]bool
+	// pinned[i] reports that parts[i] is still pinned.
+	pinned []bool
 	// bufResults are the RAM-buffer matches; the stream sorts them and
 	// consumes them from the front.
 	bufResults []upi.Result
 	fs         *storage.FS
 	met        *obs.EngineMetrics
 
-	// mu guards the entries of pins, each nil once released. Pins are
-	// normally released by the single consumer (the merged stream,
-	// partition by partition), but an abandoned Prepared may be released
-	// by a GC cleanup on another goroutine, so the bookkeeping is locked
-	// and idempotent.
+	// mu guards pinned. Pins are normally released by the single
+	// consumer (the merged stream, partition by partition), but an
+	// abandoned Prepared may be released by a GC cleanup on another
+	// goroutine, so the bookkeeping is locked and idempotent.
 	mu sync.Mutex
 }
 
@@ -105,38 +103,27 @@ func (s *Store) snapshotFor(match func(*tuple.Tuple) (float64, bool)) (*snapshot
 	if s.closed {
 		return nil, ErrClosed
 	}
-	n := 1 + len(s.fractures)
+	n := len(s.parts)
 	snap := &snapshot{
-		parts:   make([]*upi.Table, n),
-		killers: make([][]map[uint64]bool, n),
-		pins:    make([]*partRef, n),
-		fs:      s.fs,
-		met:     s.opts.Metrics,
+		parts:  s.parts,
+		dels:   make([]map[uint64]bool, n),
+		pinned: make([]bool, n),
+		fs:     s.fs,
+		met:    s.opts.Metrics,
+	}
+	for i, p := range s.parts[1:] {
+		snap.dels[i] = p.deleted
 	}
 	// The buffer's tombstones keep changing after the snapshot is
-	// released, so copy them once; fracture delete sets are immutable
-	// after the flush that wrote them and are shared by reference.
+	// released, so copy them once.
 	bufDel := make(map[uint64]bool, len(s.bufDeletes))
 	for id := range s.bufDeletes {
 		bufDel[id] = true
 	}
-	snap.parts[0] = s.main
-	snap.pins[0] = s.mainRef
-	for i, f := range s.fractures {
-		snap.parts[i+1] = f.table
-		snap.pins[i+1] = f.ref
-	}
-	for p := 0; p < n; p++ {
-		// Partition p (0 = main, p >= 1 = fracture p-1) is filtered by
-		// the delete sets of strictly newer fractures plus the buffer.
-		sets := make([]map[uint64]bool, 0, len(s.fractures)-p+1)
-		for j := p; j < len(s.fractures); j++ {
-			sets = append(sets, s.fractures[j].deleted)
-		}
-		snap.killers[p] = append(sets, bufDel)
-	}
-	for _, p := range snap.pins {
-		p.pin()
+	snap.dels[n-1] = bufDel
+	for i, p := range s.parts {
+		p.ref.pin()
+		snap.pinned[i] = true
 	}
 	for _, id := range s.bufOrder {
 		tup := s.bufTuples[id]
@@ -153,11 +140,11 @@ func (s *Store) snapshotFor(match func(*tuple.Tuple) (float64, bool)) (*snapshot
 // partitions' files alive.
 func (snap *snapshot) unpinPart(i int) {
 	snap.mu.Lock()
-	pin := snap.pins[i]
-	snap.pins[i] = nil
+	pinned := snap.pinned[i]
+	snap.pinned[i] = false
 	snap.mu.Unlock()
-	if pin != nil {
-		pin.unpin()
+	if pinned {
+		snap.parts[i].ref.unpin()
 		snap.met.PinReleases.Inc()
 	}
 }
@@ -329,15 +316,14 @@ func addStats(a, b upi.QueryStats) upi.QueryStats {
 }
 
 // collectLiveTuples returns every live tuple across the given
-// partitions (index 0 = main, then fractures oldest first),
-// deduplicated by ID. The per-partition delete filters are the
-// snapshot-time deletesAfter sets. Used by the rebuild path of Merge,
-// which always runs after a flush, so there is no RAM buffer to fold
-// in.
-func collectLiveTuples(parts []*upi.Table, deletes []map[uint64]bool) ([]*tuple.Tuple, error) {
+// partitions, oldest first, deduplicated by ID. deletes[i] is
+// partition i's snapshot-time delete filter. Used by the rebuild path
+// of Merge, which folds on-disk partitions only: the RAM buffer is
+// flushed first or left to apply at query time.
+func collectLiveTuples(parts []*part, deletes []map[uint64]bool) ([]*tuple.Tuple, error) {
 	byID := make(map[uint64]*tuple.Tuple)
-	for i, t := range parts {
-		deleted := deletes[i]
+	for i, p := range parts {
+		t, deleted := p.table, deletes[i]
 		var scanErr error
 		err := t.ScanHeap(func(id uint64, enc []byte) bool {
 			if deleted[id] {

@@ -120,7 +120,7 @@ func (st *Stream) prime() error {
 		if err := upi.CtxErr(st.ctx); err != nil {
 			return err
 		}
-		t := p.snap.parts[p.idx]
+		t := p.snap.parts[p.idx].table
 		p.snap.met.ScanPartitions.Inc()
 		st.trace.emit(TraceScanStart, p.shard, p.idx, t.Name())
 		p.tape = sim.NewTape()
@@ -154,7 +154,7 @@ func (p *streamPart) advance() error {
 		}
 		return nil
 	}
-	killers := p.snap.killers[p.idx]
+	dels := p.snap.dels[p.idx:]
 	for {
 		r, ok, err := p.cur.Next()
 		if err != nil {
@@ -165,7 +165,7 @@ func (p *streamPart) advance() error {
 			p.hasHead = false
 			return nil
 		}
-		if killedBy(killers, r.ID()) {
+		if killedBy(dels, r.ID()) {
 			continue
 		}
 		p.head, p.hasHead = r, true
@@ -188,7 +188,7 @@ func (st *Stream) finalizePart(p *streamPart) {
 		p.cur.Close()
 		st.stats.QueryStats = addStats(st.stats.QueryStats, p.cur.Stats())
 		st.stats.ModeledTime += p.snap.fs.Disk().Replay(p.tape)
-		st.trace.emit(TraceScanEnd, p.shard, p.idx, p.snap.parts[p.idx].Name())
+		st.trace.emit(TraceScanEnd, p.shard, p.idx, p.snap.parts[p.idx].table.Name())
 	}
 	p.snap.unpinPart(p.idx)
 }
@@ -215,7 +215,7 @@ func (st *Stream) finish(err error) {
 // Idempotent.
 func (st *Stream) releasePins() {
 	for _, snap := range st.snaps {
-		for i := range snap.pins {
+		for i := range snap.pinned {
 			snap.unpinPart(i)
 		}
 	}

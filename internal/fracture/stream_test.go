@@ -162,10 +162,7 @@ func TestStreamModeledCostMatchesCollect(t *testing.T) {
 	if err := s.DropCaches(); err != nil {
 		t.Fatal(err)
 	}
-	parts := []*upi.Table{s.main}
-	for _, f := range s.fractures {
-		parts = append(parts, f.table)
-	}
+	parts := s.Partitions()
 	before := disk.Stats()
 	for _, part := range parts {
 		disk.Open(part.Name())

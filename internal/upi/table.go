@@ -197,14 +197,19 @@ func (t *Table) heapFile() string           { return HeapFileName(t.name) }
 func (t *Table) cutoffFile() string         { return CutoffFileName(t.name) }
 func (t *Table) secFile(attr string) string { return SecFileName(t.name, attr) }
 
-// Files returns the names of all files this UPI owns.
-func (t *Table) Files() []string {
-	files := []string{t.heapFile(), t.cutoffFile()}
-	for _, a := range t.secAttrs {
-		files = append(files, t.secFile(a))
+// FileNames returns the names of the files of a UPI named name with
+// secondary indexes on secAttrs, in the order of Table.Trees.
+func FileNames(name string, secAttrs []string) []string {
+	files := []string{HeapFileName(name), CutoffFileName(name)}
+	for _, a := range secAttrs {
+		files = append(files, SecFileName(name, a))
 	}
 	return files
 }
+
+// Files returns the names of all files this UPI owns, in the order of
+// Trees.
+func (t *Table) Files() []string { return FileNames(t.name, t.secAttrs) }
 
 // Name returns the table name.
 func (t *Table) Name() string { return t.name }

@@ -132,8 +132,8 @@ func WithShards(n int) Option {
 }
 
 // WithAutoMerge starts the background merger on every table the
-// option reaches: whenever the fractures' count or total size crosses
-// the given thresholds, they are merged — into one new fracture while
+// option reaches: whenever a flush brings the fracture count to
+// MaxFractures, the fractures are merged — into one new fracture while
 // they weigh less than an eighth of the main UPI, into a new main
 // otherwise (see AutoMergeOptions).
 func WithAutoMerge(opts AutoMergeOptions) Option {

@@ -96,9 +96,9 @@
 // modeled cost is its own, whatever other queries and merges read
 // meanwhile.
 //
-// Merging can run in the background (Table.StartAutoMerge): when the
-// fracture count or size crosses a threshold, a goroutine folds the
-// fractures into a new main generation — or, while they weigh less
+// Merging can run in the background (Table.StartAutoMerge): when a
+// flush brings the fracture count to a threshold, a goroutine folds
+// the fractures into a new main generation — or, while they weigh less
 // than an eighth of main, into one new fracture — and swaps it in
 // atomically.
 // In-flight queries finish on the generation they started on; replaced
@@ -385,20 +385,21 @@ func (t *Table) Merge() error { return t.shards.Merge() }
 // StopAutoMerge; closing twice is safe.
 func (t *Table) Close() error { return t.shards.Close() }
 
-// AutoMergeOptions tune the background merger of a table. A merge the
-// MaxFractures trigger starts folds the fractures into one new fracture
-// while their on-disk bytes stay below an eighth of main's, and rewrites
-// main from then on; the MaxFractureBytes trigger always rewrites main.
-// A merge with fewer than two fractures to fold always rewrites main.
+// AutoMergeOptions tune the background merger of a table. Its one
+// trigger is MaxFractures: a merge it starts folds the fractures into
+// one new fracture while their on-disk bytes stay below an eighth of
+// main's, and rewrites main from then on. A merge with fewer than two
+// fractures to fold always rewrites main.
 type AutoMergeOptions = fracture.AutoMergeOptions
 
 // StartAutoMerge launches one background goroutine per shard that
-// merges the shard whenever its fracture count or total fracture size
-// crosses a threshold: into one new fracture while the fractures weigh
-// less than an eighth of main, into a new main otherwise. Queries keep
-// running during a background merge; the swap to the merged partition
-// is atomic and in-flight queries finish on the generation they
-// started on.
+// merges the shard whenever its fracture count reaches MaxFractures:
+// into one new fracture while the fractures weigh less than an eighth
+// of main, into a new main otherwise. The merger checks the count when
+// it starts, after every flush and after each of its own merges; it
+// does not poll. Queries keep running during a background merge; the
+// swap to the merged partition is atomic and in-flight queries finish
+// on the generation they started on.
 func (t *Table) StartAutoMerge(opts AutoMergeOptions) error { return t.shards.StartAutoMerge(opts) }
 
 // StopAutoMerge stops the background mergers, waiting for in-progress
