@@ -479,3 +479,51 @@ func TestFailedInsertRetryWithNewLocation(t *testing.T) {
 		}
 	}
 }
+
+// TestCursorStopsOnCancel: a cursor whose context is cancelled after its
+// first row fails with upi.ErrCanceled wrapping context.Canceled, having
+// fetched at most ctxCheckEvery more rows, on the circle and the
+// segment route.
+func TestCursorStopsOnCancel(t *testing.T) {
+	c := smallCartel(t, 5000)
+	tab, err := BulkBuild(newFS(), "c", c.Observations, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := tab.rt.MaxEntries(); n > ctxCheckEvery {
+		t.Fatalf("an R-Tree leaf holds %d entries, more than the %d fetches the circle cursor may make between two context checks", n, ctxCheckEvery)
+	}
+	seg := busiestSegment(c.Observations)
+	for name, open := range map[string]func(context.Context) *Cursor{
+		"circle":  func(ctx context.Context) *Cursor { return tab.CircleCursor(ctx, prob.Point{X: 100, Y: -50}, 400, 0.01) },
+		"segment": func(ctx context.Context) *Cursor { return tab.SegmentCursor(ctx, seg, 0.01) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			_, all, err := drainCursor(open(context.Background()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			cur := open(ctx)
+			defer cur.Close()
+			if _, ok, err := cur.Next(); !ok || err != nil {
+				t.Fatalf("first pull: ok=%v err=%v", ok, err)
+			}
+			first := cur.Stats().Fetched
+			if all.Fetched-first <= ctxCheckEvery {
+				t.Fatalf("the query fetches %d rows after its first, want more than %d", all.Fetched-first, ctxCheckEvery)
+			}
+			cancel()
+			for ok := true; ok; {
+				_, ok, err = cur.Next()
+			}
+			if !errors.Is(err, upi.ErrCanceled) || !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled cursor ended with %v, want upi.ErrCanceled and context.Canceled", err)
+			}
+			if more := cur.Stats().Fetched - first; more > ctxCheckEvery {
+				t.Fatalf("%d rows fetched after the cancel, want at most %d", more, ctxCheckEvery)
+			}
+		})
+	}
+}

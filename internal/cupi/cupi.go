@@ -415,6 +415,13 @@ func (t *Table) DropCaches() error {
 	return nil
 }
 
+// ctxCheckEvery is how many heap fetches or segment-index entries a
+// query handles between two checks of its context, beside the checks
+// at its start and at each R-Tree leaf (a leaf of 4 KiB holds 56
+// entries, so the circle cursor needs no other). A check takes the
+// context's mutex, which costs more than the fetch it guards.
+const ctxCheckEvery = 64
+
 // queryRect is the MBR of a circle query.
 func queryRect(q prob.Point, radius float64) prob.Rect {
 	return prob.Rect{MinX: q.X - radius, MinY: q.Y - radius, MaxX: q.X + radius, MaxY: q.Y + radius}
@@ -472,14 +479,15 @@ func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob
 	return cands, err
 }
 
-// refineCand fetches one candidate and computes its exact confidence.
+// refineCand fetches one candidate through the query's heap reader and
+// computes its exact confidence.
 // ok is false when the row is a failed insert's tombstone or the
 // confidence is below the threshold. A row that qualifies is left
 // unbuilt in *view, the validated view of its heap record, for the
 // caller's builder: the circle cursor builds it on the consumer's
 // goroutine, so its coroutine's stack holds no build.
-func (t *Table) refineCand(c circleCand, q prob.Point, radius, threshold float64, stats *Stats, view *tuple.ObservationView) (float64, bool, error) {
-	rec, ok, err := t.heap.View(t.rec, 1).Get(c.rid)
+func (t *Table) refineCand(heap *heapfile.Reader, c circleCand, q prob.Point, radius, threshold float64, stats *Stats, view *tuple.ObservationView) (float64, bool, error) {
+	rec, ok, err := heap.Get(c.rid)
 	if err != nil || !ok {
 		return 0, false, err
 	}
@@ -538,9 +546,10 @@ func (bt *batch) flush() []Result {
 // of q with appearance probability >= threshold. All candidates are
 // fetched in one RowID-ordered sweep: on the clustered heap that is a
 // compact, mostly sequential run of pages; on the unclustered heap it
-// is the baseline's bitmap-scan fetch. The context is checked between
-// R-Tree leaves and between heap fetches; a cancelled query returns
-// upi.ErrCanceled. Results are sorted by confidence DESC, ID ASC.
+// is the baseline's bitmap-scan fetch. The context is checked at the
+// start, at each R-Tree leaf and every ctxCheckEvery heap fetches; a
+// cancelled query returns upi.ErrCanceled. Results are sorted by
+// confidence DESC, ID ASC.
 func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold float64) ([]Result, Stats, error) {
 	var stats Stats
 	if err := upi.CtxErr(ctx); err != nil {
@@ -560,13 +569,14 @@ func (t *Table) QueryCircle(ctx context.Context, q prob.Point, radius, threshold
 		bt   batch
 		view tuple.ObservationView
 	)
+	heap := t.heap.View(t.rec, 1).Reader()
 	for i, c := range cands {
-		if i%64 == 0 {
+		if i%ctxCheckEvery == 0 {
 			if err := upi.CtxErr(ctx); err != nil {
 				return nil, stats, err
 			}
 		}
-		conf, ok, err := t.refineCand(c, q, radius, threshold, &stats, &view)
+		conf, ok, err := t.refineCand(&heap, c, q, radius, threshold, &stats, &view)
 		if err != nil {
 			return nil, stats, err
 		}
@@ -626,10 +636,10 @@ func (t *Table) scanSegment(seg string, qt float64) ([]segEntry, error) {
 // insert's tombstone is skipped.
 func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Stats) ([]Result, error) {
 	slices.SortFunc(entries, func(a, b segEntry) int { return a.rid.Compare(b.rid) })
-	heap := t.heap.View(t.rec, 1)
+	heap := t.heap.View(t.rec, 1).Reader()
 	var bt batch
 	for i, e := range entries {
-		if i%64 == 0 {
+		if i%ctxCheckEvery == 0 {
 			if err := upi.CtxErr(ctx); err != nil {
 				return nil, err
 			}
@@ -656,8 +666,9 @@ func (t *Table) fetchSegment(ctx context.Context, entries []segEntry, stats *Sta
 // QuerySegment answers the paper's Query 5: observations whose
 // uncertain road segment equals seg with probability >= qt, via the
 // secondary index into the clustered heap. The context is checked
-// before the index scan and between heap fetches. Stats reports the
-// index entries scanned (Candidates) and heap records fetched.
+// before and after the index scan and every ctxCheckEvery heap
+// fetches. Stats reports the index entries scanned (Candidates) and
+// heap records fetched.
 func (t *Table) QuerySegment(ctx context.Context, seg string, qt float64) ([]Result, Stats, error) {
 	var stats Stats
 	if err := upi.CtxErr(ctx); err != nil {

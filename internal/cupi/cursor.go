@@ -4,6 +4,7 @@ import (
 	"context"
 	"iter"
 
+	"upidb/internal/heapfile"
 	"upidb/internal/prob"
 	"upidb/internal/rtree"
 	"upidb/internal/storage"
@@ -45,6 +46,10 @@ type Cursor struct {
 	// the read lock over the page view aliases, until the next pull.
 	view tuple.ObservationView
 	b    tuple.ObservationBuilder
+	// heap is the body's one heap-file reader. It lives here because as
+	// a local of the body, captured by the closure the body hands to the
+	// R-Tree or index scan, it would escape: one more allocation a query.
+	heap heapfile.Reader
 }
 
 // newCursor wraps a push-style body into a pull cursor (iter.Pull2:
@@ -104,7 +109,9 @@ func (c *Cursor) Stats() Stats { return c.stats }
 // fetched from the heap in RowID order, and every qualifying
 // observation is yielded immediately. Draining it produces the same
 // result set as QueryCircle, in refinement order rather than
-// confidence order (see Cursor).
+// confidence order (see Cursor). The context is checked on the first
+// pull and at each R-Tree leaf, which holds fewer than ctxCheckEvery
+// entries; a cancelled query fails with upi.ErrCanceled.
 func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshold float64) *Cursor {
 	queryMBR := queryRect(q, radius)
 	return newCursor(func(c *Cursor, yield func(float64) bool) error {
@@ -120,6 +127,7 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 			cands   []circleCand // one leaf's survivors, reused leaf to leaf
 			leafErr error
 		)
+		c.heap = t.heap.View(t.rec, 1).Reader()
 		err := t.rt.View(t.rec, 1).SearchLeaves(queryMBR, func(_ storage.PageID, es []rtree.Entry) bool {
 			if leafErr = upi.CtxErr(ctx); leafErr != nil {
 				return false
@@ -129,15 +137,12 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 			cands = filterLeafCandidates(es, q, radius, threshold, &c.stats, cands[:0])
 			sortCands(cands)
 			for _, cand := range cands {
-				conf, ok, err := t.refineCand(cand, q, radius, threshold, &c.stats, &c.view)
+				conf, ok, err := t.refineCand(&c.heap, cand, q, radius, threshold, &c.stats, &c.view)
 				if err != nil {
 					leafErr = err
 					return false
 				}
 				if ok && !yield(conf) {
-					return false
-				}
-				if leafErr = upi.CtxErr(ctx); leafErr != nil {
 					return false
 				}
 			}
@@ -155,7 +160,9 @@ func (t *Table) CircleCursor(ctx context.Context, q prob.Point, radius, threshol
 // fetched as the pull demands it (random access per row, against the
 // materialized path's one sorted sweep — clustering keeps the touched
 // page set small either way, which is the Figure 8 effect). Draining
-// it yields exactly QuerySegment's results in exactly its order.
+// it yields exactly QuerySegment's results in exactly its order. The
+// context is checked on the first pull and every ctxCheckEvery index
+// entries; a cancelled query fails with upi.ErrCanceled.
 func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Cursor {
 	return newCursor(func(c *Cursor, yield func(float64) bool) error {
 		if err := upi.CtxErr(ctx); err != nil {
@@ -168,11 +175,14 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 		}
 		var scanErr error
 		stopped := false
+		n := 0 // index entries visited
 		start, end := upi.ValuePrefix(seg), upi.ValuePrefixEnd(seg)
-		heap := t.heap.View(t.rec, 1)
+		c.heap = t.heap.View(t.rec, 1).Reader()
 		err := t.segIdx.View(t.rec, 1).Scan(start, end, func(k, v []byte) bool {
-			if scanErr = upi.CtxErr(ctx); scanErr != nil {
-				return false
+			if n++; n%ctxCheckEvery == 0 {
+				if scanErr = upi.CtxErr(ctx); scanErr != nil {
+					return false
+				}
 			}
 			conf, _, err := upi.DecodeConfID(k)
 			if err != nil {
@@ -188,7 +198,7 @@ func (t *Table) SegmentCursor(ctx context.Context, seg string, qt float64) *Curs
 				scanErr = err
 				return false
 			}
-			rec, ok, err := heap.Get(rid)
+			rec, ok, err := c.heap.Get(rid)
 			if err != nil {
 				scanErr = err
 				return false

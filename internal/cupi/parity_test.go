@@ -15,6 +15,7 @@ import (
 	"testing"
 
 	"upidb/internal/prob"
+	"upidb/internal/storage"
 	"upidb/internal/tuple"
 )
 
@@ -210,6 +211,54 @@ func BenchmarkCircleCursor(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		rs, _, err := drainCursor(tab.CircleCursor(ctx, q, 200, 0.5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows += len(rs)
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
+// BenchmarkCircleCursorParallel drains BenchmarkCircleCursor's query
+// from every GOMAXPROCS goroutine at once over one table whose files
+// share one buffer pool, where heap fetches meet on the pool's lock.
+func BenchmarkCircleCursorParallel(b *testing.B) {
+	c := smallCartel(b, 5000)
+	fs := newFS()
+	fs.SetPool(storage.NewPool(32 << 20))
+	tab, err := BulkBuild(fs, "c", c.Observations, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	q := prob.Point{X: 100, Y: -50}
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			if _, _, err := drainCursor(tab.CircleCursor(ctx, q, 200, 0.5)); err != nil {
+				b.Error(err)
+				return
+			}
+		}
+	})
+}
+
+// BenchmarkSegmentCursor drains a segment PTQ on the busiest segment:
+// an index entry, then a heap fetch, per row.
+func BenchmarkSegmentCursor(b *testing.B) {
+	c := smallCartel(b, 5000)
+	tab, err := BulkBuild(newFS(), "c", c.Observations, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	seg := busiestSegment(c.Observations)
+	rows := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, _, err := drainCursor(tab.SegmentCursor(ctx, seg, 0.1))
 		if err != nil {
 			b.Fatal(err)
 		}

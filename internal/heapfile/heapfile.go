@@ -193,17 +193,45 @@ func (h *Heap) View(rec storage.Recorder, readAhead int) View {
 // Get returns the record at id, or ok=false if it was deleted.
 func (h *Heap) Get(id RowID) ([]byte, bool, error) { return h.View(nil, 1).Get(id) }
 
-// Get is Heap.Get through the view.
+// Get is Heap.Get through the view: a one-shot Reader.
 func (v View) Get(id RowID) ([]byte, bool, error) {
-	buf, err := v.pv.Read(id.Page)
-	if err != nil {
-		return nil, false, err
+	r := v.Reader()
+	return r.Get(id)
+}
+
+// Reader is a View that keeps the last page it read: a Get on that
+// page again takes no pool lock. The kept page aliases the pool's
+// frame, which only Pager.Update changes in place (Append and Delete
+// use it), and the pool never recycles a page's bytes once Read has
+// returned them, so an eviction leaves the kept page readable. A Reader
+// is therefore correct only while its owner keeps every writer of the
+// heap out for the reader's whole life, as a query holding its table's
+// read lock does. A Get served from the kept page is no pool hit and
+// leaves the page's place in the pool's LRU order as it was. Not safe
+// for concurrent use.
+type Reader struct {
+	v   View
+	pg  storage.PageID
+	buf []byte // page pg's bytes; nil before the first read
+}
+
+// Reader returns a reader over the view that has read no page yet.
+func (v View) Reader() Reader { return Reader{v: v} }
+
+// Get is View.Get, served from the kept page when id is on it.
+func (r *Reader) Get(id RowID) ([]byte, bool, error) {
+	if r.buf == nil || id.Page != r.pg {
+		buf, err := r.v.pv.Read(id.Page)
+		if err != nil {
+			return nil, false, err
+		}
+		r.pg, r.buf = id.Page, buf
 	}
-	nslots, _ := readHeader(buf)
+	nslots, _ := readHeader(r.buf)
 	if int(id.Slot) >= nslots {
 		return nil, false, fmt.Errorf("heapfile: no slot %d on page %d", id.Slot, id.Page)
 	}
-	return record(buf, id.Page, int(id.Slot))
+	return record(r.buf, id.Page, int(id.Slot))
 }
 
 // Delete tombstones the record at id. Deleting an already-deleted

@@ -218,6 +218,7 @@ func TestCorruptSlotFails(t *testing.T) {
 	page := bytes.Clone(cached) // Write overwrites the cached page in place
 	readers := map[string]func() error{
 		"Get":    func() error { _, _, err := h.Get(victim); return err },
+		"Reader": func() error { r := h.View(nil, 1).Reader(); _, _, err := r.Get(victim); return err },
 		"Delete": func() error { _, err := h.Delete(victim); return err },
 		"Scan":   func() error { return h.Scan(func(RowID, []byte) bool { return true }) },
 		"Open":   func() error { _, err := Open(p); return err },
@@ -353,5 +354,75 @@ func TestChangesSurviveAnotherFilesEvictions(t *testing.T) {
 	}
 	if seen != want || h.Count() != int64(want) {
 		t.Fatalf("scan found %d records, count says %d, want %d", seen, h.Count(), want)
+	}
+}
+
+// TestReader: a Reader returns what Get returns, across pages and back,
+// reads a page from the pool once per run of Gets on it, reports a
+// tombstone and a bad slot as Get does, and a new Reader sees a change
+// Update made to a page an older one kept.
+func TestReader(t *testing.T) {
+	fs := storage.NewFS(sim.NewDisk(sim.DefaultParams()))
+	p, err := storage.NewPager(fs.Create("h"), 256)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := Create(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []RowID
+	for i := 0; i < 60; i++ {
+		id, err := h.Append(rec(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	last := ids[len(ids)-1].Page
+	if last < 3 {
+		t.Fatalf("records span pages 0..%d, want more", last)
+	}
+	r := h.View(nil, 1).Reader()
+	reads := func() int64 { s := fs.PoolStats(); return s.Hits + s.Misses }
+	before := reads()
+	// The last page, the first, then every record in heap order.
+	order := []int{len(ids) - 1, 0}
+	for i := range ids {
+		order = append(order, i)
+	}
+	for _, i := range order {
+		got, ok, err := r.Get(ids[i])
+		if err != nil || !ok || !bytes.Equal(got, rec(i)) {
+			t.Fatalf("Reader.Get(%v): %q %v %v", ids[i], got, ok, err)
+		}
+	}
+	if got, want := reads()-before, int64(last)+2; got != want {
+		t.Errorf("the reader took %d pool reads, want one per run of Gets on a page (%d)", got, want)
+	}
+
+	victim := ids[len(ids)/2]
+	if _, ok, err := r.Get(victim); err != nil || !ok {
+		t.Fatalf("Reader.Get(%v) before the delete: %v %v", victim, ok, err)
+	}
+	if ok, err := h.Delete(victim); err != nil || !ok {
+		t.Fatalf("Delete(%v): %v %v", victim, ok, err)
+	}
+	fresh := h.View(nil, 1).Reader()
+	if got, ok, err := fresh.Get(victim); err != nil || ok || got != nil {
+		t.Fatalf("a new Reader over the tombstone: %q %v %v, want ok=false", got, ok, err)
+	}
+
+	for _, bad := range []RowID{
+		{Page: victim.Page, Slot: 200},
+		{Page: last + 1, Slot: 0},
+	} {
+		_, _, want := h.View(nil, 1).Get(bad)
+		if want == nil {
+			t.Fatalf("View.Get(%v) succeeded", bad)
+		}
+		if _, _, err := fresh.Get(bad); err == nil || err.Error() != want.Error() {
+			t.Errorf("Reader.Get(%v): error %v, want %v", bad, err, want)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package prob
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -448,6 +449,50 @@ func TestProbInCircleMonotoneInRadius(t *testing.T) {
 	}
 }
 
+// TestAcosMatchesHalfAngle holds the kernel's arc cosine to the
+// half-angle form 2·asin(√((1 − x)/2)), taken as π − 2·asin(√((1 + x)/2))
+// below 0, where 1 + x, not 1 − x, is exact. Neither form cancels near
+// ±1, where math.Acos's π/2 − asin(x) loses up to half its digits.
+func TestAcosMatchesHalfAngle(t *testing.T) {
+	ref := func(x float64) float64 {
+		if x < 0 {
+			return math.Pi - 2*math.Asin(math.Sqrt((1+x)/2))
+		}
+		return 2 * math.Asin(math.Sqrt((1-x)/2))
+	}
+	for x, want := range map[float64]float64{-1: math.Pi, 0: math.Pi / 2, 1: 0} {
+		if got := acos(x); got != want {
+			t.Errorf("acos(%v) = %v, want %v", x, got, want)
+		}
+	}
+	const n = 1 << 20
+	xs := make([]float64, 0, n+1+2*16)
+	for i := 0; i <= n; i++ {
+		xs = append(xs, -1+2*float64(i)/n)
+	}
+	for k := 1; k <= 16; k++ {
+		e := math.Pow(10, -float64(k))
+		xs = append(xs, 1-e, -1+e)
+	}
+	slices.Sort(xs)
+	worst, at := 0.0, 0.0
+	prev := math.Inf(1)
+	for _, x := range xs {
+		got := acos(x)
+		if e := math.Abs(got - ref(x)); e > worst {
+			worst, at = e, x
+		}
+		if got > prev {
+			t.Fatalf("acos(%v) = %v rises above %v", x, got, prev)
+		}
+		prev = got
+	}
+	if worst > 2e-15 {
+		t.Fatalf("acos is %v off the half-angle form at x = %v, want at most 2e-15", worst, at)
+	}
+	t.Logf("largest error %v, at x = %v", worst, at)
+}
+
 func TestProbInCircleDoesNotAllocate(t *testing.T) {
 	g := ConstrainedGaussian{Center: Point{X: 10, Y: 20}, Sigma: 20, Bound: 100}
 	q := Point{X: 90, Y: -15}
@@ -543,6 +588,21 @@ func FuzzProbInCircle(f *testing.F) {
 }
 
 var sinkFloat float64
+
+func BenchmarkAcos(b *testing.B) {
+	for _, bc := range []struct {
+		name string
+		f    func(float64) float64
+	}{{"fdlibm", acos}, {"math", math.Acos}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := 0.0
+			for i := 0; i < b.N; i++ {
+				s += bc.f(float64(i%2001)/1000 - 1)
+			}
+			sinkFloat = s
+		})
+	}
+}
 
 func BenchmarkProbInCircle(b *testing.B) {
 	g := ConstrainedGaussian{Center: Point{X: 10, Y: 20}, Sigma: 20, Bound: 100}
