@@ -5,8 +5,12 @@
 // 4 KiB node pages) over uncertainty-region MBRs, each leaf entry
 // fattened with precomputed probabilistically-constrained region (PCR)
 // radii. At query time the PCRs accept or reject most candidates
-// without touching the object; only undecided candidates are fetched
-// and integrated exactly.
+// without touching the object; the rest are fetched. A fetched
+// candidate the PCRs left undecided is rejected by a closed-form
+// half-plane bound where that bound proves it below the threshold
+// (prob.ConstrainedGaussian.ProbInCircleAtLeast), and integrated exactly
+// otherwise; a PCR-accepted one is always integrated, since its
+// confidence is its exact probability.
 //
 // The objects live in a heap file in one of two layouts:
 //
@@ -133,8 +137,12 @@ type Stats struct {
 	Candidates   int // leaf entries whose MBR intersected the query
 	PCRAccepted  int
 	PCRRejected  int
-	Integrations int // exact integrations performed (ProbInCircle calls)
-	Fetched      int // heap records fetched
+	Integrations int // fetched records whose probability was integrated exactly
+	// Bounded counts the fetched records the half-plane bound rejected
+	// without integrating them: Integrations + Bounded == Fetched on a
+	// circle query.
+	Bounded int
+	Fetched int // heap records fetched
 }
 
 // SortResults orders results by confidence DESC, ID ASC.
@@ -480,7 +488,8 @@ func (t *Table) circleCandidates(ctx context.Context, queryMBR prob.Rect, q prob
 }
 
 // refineCand fetches one candidate through the query's heap reader and
-// computes its exact confidence.
+// computes its exact confidence, unless the half-plane bound proves an
+// undecided candidate below the threshold first.
 // ok is false when the row is a failed insert's tombstone or the
 // confidence is below the threshold. A row that qualifies is left
 // unbuilt in *view, the validated view of its heap record, for the
@@ -492,16 +501,25 @@ func (t *Table) refineCand(heap *heapfile.Reader, c circleCand, q prob.Point, ra
 		return 0, false, err
 	}
 	stats.Fetched++
-	// Integrate first, build only a row that qualifies, from the one
-	// framing walk. The walk validates the whole record, so a corrupt row
-	// fails the query whether or not it would have qualified.
+	// Bound or integrate first, build only a row that qualifies, from the
+	// one framing walk. The walk validates the whole record, so a corrupt
+	// row fails the query whether or not it would have qualified.
 	v, err := tuple.ValidateObservation(rec)
 	if err != nil {
 		return 0, false, err
 	}
-	// Every fetched row is integrated, a PCR-accepted one too: its
-	// confidence is its exact probability.
-	conf := v.Loc().ProbInCircle(q, radius)
+	// A PCR-accepted row qualifies whatever the bound says, and its
+	// confidence is its exact probability, so it is always integrated:
+	// a floor of 0 never rejects.
+	floor := threshold
+	if c.accepted {
+		floor = 0
+	}
+	conf, ok := v.Loc().ProbInCircleAtLeast(q, radius, floor)
+	if !ok {
+		stats.Bounded++
+		return 0, false, nil
+	}
 	stats.Integrations++
 	if !c.accepted && conf < threshold {
 		return 0, false, nil

@@ -193,8 +193,11 @@ func TestPCRPruningDoesWork(t *testing.T) {
 		if stats.Integrations >= stats.Candidates {
 			t.Fatal("integration count should be reduced by PCR")
 		}
-		if stats.Integrations != stats.Fetched {
-			t.Fatalf("%d integrations for %d fetched candidates; every fetched candidate is integrated", stats.Integrations, stats.Fetched)
+		if stats.Integrations+stats.Bounded != stats.Fetched {
+			t.Fatalf("%d integrations and %d bound rejections for %d fetched candidates; every fetched candidate is one or the other", stats.Integrations, stats.Bounded, stats.Fetched)
+		}
+		if stats.Bounded == 0 {
+			t.Fatalf("the half-plane bound rejected none of %d fetched candidates", stats.Fetched)
 		}
 	})
 }

@@ -10,6 +10,7 @@ import (
 	"context"
 	"encoding/binary"
 	"errors"
+	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -130,6 +131,116 @@ func TestCircleRoutesMatchBruteForce(t *testing.T) {
 	}
 }
 
+// TestCircleRoutesMatchBruteForceAtEveryThreshold runs both routes on
+// both layouts at thresholds from 1e-9 to 1 against the brute force,
+// over the cartel and over hand-placed rows around a far, wide query
+// disk. Each placed row's half-plane bound lands within 1e-6 of one of
+// the thresholds, on both sides of prob.CircleTolerance below it, so the
+// margin decides whether the row is integrated. Results must equal the
+// brute force bit for bit, and on the far query the bound must refuse
+// exactly the undecided rows whose bound lies more than the margin
+// below the threshold.
+func TestCircleRoutesMatchBruteForceAtEveryThreshold(t *testing.T) {
+	const sigma, bound, radius = 20.0, 100.0, 5000.0
+	far := prob.Point{X: 20000, Y: 0}
+	thresholds := []float64{1e-9, 0.05, 0.3, 0.5, 0.7, 0.95, 1}
+	tol := prob.CircleTolerance
+	var (
+		placed []*tuple.Observation
+		bounds []float64 // each placed row's half-plane bound on the far query
+	)
+	for _, th := range thresholds {
+		for _, off := range []float64{-1e-6, -1.5 * tol, -0.5 * tol, 0.5 * tol, 1e-6} {
+			b := th + off
+			if b <= 0 || b >= 0.5 { // a half-plane bound lies in (0, ½)
+				continue
+			}
+			// ½·erfc(gap/σ√2) = b, with the row gap beyond the disk's edge.
+			gap := sigma * math.Sqrt2 * math.Erfcinv(2*b)
+			angle := 0.01 * float64(len(placed)) // on the side away from the cartel
+			o := testObs(900_000 + uint64(len(placed)))
+			o.Loc = prob.ConstrainedGaussian{
+				Center: prob.Point{X: far.X + (radius+gap)*math.Cos(angle), Y: far.Y + (radius+gap)*math.Sin(angle)},
+				Sigma:  sigma,
+				Bound:  bound,
+			}
+			if _, ok := o.Loc.ProbInCircleAtLeast(far, radius, th); ok != (b >= th-tol) {
+				t.Fatalf("row placed for bound %v at threshold %v: ProbInCircleAtLeast ok = %v", b, th, ok)
+			}
+			placed, bounds = append(placed, o), append(bounds, b)
+		}
+	}
+	obs := append(smallCartel(t, 1200).Observations, placed...)
+	byID := make(map[uint64]*tuple.Observation, len(obs))
+	for _, o := range obs {
+		byID[o.ID] = o
+	}
+	type query struct {
+		q      prob.Point
+		radius float64
+	}
+	queries := []query{{far, radius}, {prob.Point{X: 0, Y: 0}, 400}, {prob.Point{X: 300, Y: -200}, 150}}
+	ctx := context.Background()
+	eachLayout(t, func(t *testing.T, opts Options) {
+		tab, err := BulkBuild(newFS(), "c", obs, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bounded := 0
+		for _, th := range thresholds {
+			for _, qu := range queries {
+				want := bruteQuery(obs, qu.q, qu.radius, th)
+				mat, matStats, err := tab.QueryCircle(ctx, qu.q, qu.radius, th)
+				if err != nil {
+					t.Fatal(err)
+				}
+				streamed, curStats, err := drainCursor(tab.CircleCursor(ctx, qu.q, qu.radius, th))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if curStats != matStats {
+					t.Errorf("%+v at %v: CircleCursor stats %+v, QueryCircle stats %+v", qu, th, curStats, matStats)
+				}
+				if matStats.Integrations+matStats.Bounded != matStats.Fetched {
+					t.Errorf("%+v at %v: stats %+v: integrations and bound rejections do not add up to the fetches", qu, th, matStats)
+				}
+				for route, got := range map[string][]Result{"QueryCircle": mat, "CircleCursor": streamed} {
+					if len(got) != len(want) {
+						t.Fatalf("%+v at %v: %s returned %d results, brute force %d", qu, th, route, len(got), len(want))
+					}
+					for i, r := range got {
+						if conf, ok := want[r.Obs.ID]; !ok || conf != r.Confidence {
+							t.Fatalf("%+v at %v: %s result %d has confidence %v, brute force %v (present %v)", qu, th, route, r.Obs.ID, r.Confidence, conf, ok)
+						}
+						if !reflect.DeepEqual(r.Obs, byID[r.Obs.ID]) || !reflect.DeepEqual(r, mat[i]) {
+							t.Fatalf("%+v at %v: %s result %d differs from the stored row or from QueryCircle", qu, th, route, i)
+						}
+					}
+				}
+				if qu.q != far {
+					continue
+				}
+				// On the far query only placed rows are candidates.
+				refused := 0
+				for i, o := range placed {
+					undecided := o.Loc.MBR().Intersects(queryRect(far, radius)) &&
+						checkPCR(o.Loc.MBR().Center(), pcrAux(o.Loc), far, radius, th) == pcrUndecided
+					if undecided && bounds[i] < th-tol {
+						refused++
+					}
+				}
+				if matStats.Bounded != refused {
+					t.Errorf("far query at %v: the bound refused %d rows, want %d", th, matStats.Bounded, refused)
+				}
+				bounded += refused
+			}
+		}
+		if bounded == 0 {
+			t.Fatal("the bound refused no placed row; the margin went untested")
+		}
+	})
+}
+
 // TestTruncatedRecordFailsRejectingQuery truncates one heap record in
 // place and runs a circle query whose candidates include that row but
 // whose threshold it would not have met: the query must fail on every
@@ -217,6 +328,32 @@ func BenchmarkCircleCursor(b *testing.B) {
 		rows += len(rs)
 	}
 	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+}
+
+// BenchmarkCircleFarCandidates drains a circle whose edge runs between
+// the road grid's lines: of 124 fetched candidates the PCRs decide none
+// and 11 qualify, so nearly every fetch is a rejection, most of them by
+// the half-plane bound rather than the kernel.
+func BenchmarkCircleFarCandidates(b *testing.B) {
+	c := smallCartel(b, 5000)
+	tab, err := BulkBuild(newFS(), "c", c.Observations, Options{})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	var rows, bounded, integrated int
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rs, st, err := drainCursor(tab.CircleCursor(ctx, prob.Point{}, 100, 0.5))
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows, bounded, integrated = rows+len(rs), bounded+st.Bounded, integrated+st.Integrations
+	}
+	b.ReportMetric(float64(rows)/float64(b.N), "rows/op")
+	b.ReportMetric(float64(bounded)/float64(b.N), "bounded/op")
+	b.ReportMetric(float64(integrated)/float64(b.N), "integrated/op")
 }
 
 // BenchmarkCircleCursorParallel drains BenchmarkCircleCursor's query

@@ -175,6 +175,13 @@ func init() {
 	}
 }
 
+// CircleTolerance is how far ProbInCircle may sit from the exact
+// probability: the error its tests hold it to for any σ in [1, 50],
+// Bound in [1, 150] and radius up to 300 m (the dataset's distribution
+// is held to 1e-9). ProbInCircleAtLeast keeps this margin below its
+// floor.
+const CircleTolerance = 1e-8
+
 // ProbInCircle returns the probability that the (truncated) position
 // falls within the disk of the given radius around q.
 //
@@ -199,22 +206,54 @@ func init() {
 // measured error is at most 2e-10 for the dataset's σ = 20,
 // Bound = 100 at radii up to 300 m (tested to 1e-9), and 1.4e-9 for
 // σ in [1, 50], Bound in [1, 150] and radii to 300 m drawn at random
-// (tested to 1e-8). The answer depends on q only through d, so it does
-// not change when the query is rotated about the object. Disjoint and
-// containing disks are exactly 0 and 1.
+// (tested to CircleTolerance). The answer depends on q only through d,
+// so it does not change when the query is rotated about the object.
+// Disjoint and containing disks are exactly 0 and 1.
 func (g ConstrainedGaussian) ProbInCircle(q Point, radius float64) float64 {
-	// Fast paths: disjoint or fully containing query regions.
+	return g.probInCircle(g.Center.Dist(q), radius)
+}
+
+// ProbInCircleAtLeast is ProbInCircle for a caller that keeps the
+// answer only if it reaches floor. When the centre lies outside the
+// query disk (d > R), the disk lies inside the half-plane of points at
+// least d − R from the centre in q's direction, which holds
+//
+//	½·erfc((d − R)/σ√2)
+//
+// of the untruncated Gaussian: its projection on any direction is a
+// 1-D normal. Truncation does not raise that share: at radius r the
+// half-plane covers acos((d − R)/r)/π of the circle, which grows with
+// r, and truncation keeps only the smaller radii. If this bound is
+// below floor − CircleTolerance, ProbInCircle would answer below floor
+// too, so ok is false and the probability is not integrated (one erfc
+// against 24 exponentials). Otherwise p is exactly ProbInCircle(q,
+// radius) and ok is true: a p below floor is the caller's to reject.
+// σ is clamped as ProbInCircle clamps it.
+func (g ConstrainedGaussian) ProbInCircleAtLeast(q Point, radius, floor float64) (p float64, ok bool) {
 	d := g.Center.Dist(q)
+	if d > radius && math.Erfc((d-radius)/(g.clampedSigma()*math.Sqrt2))/2 < floor-CircleTolerance {
+		return 0, false
+	}
+	return g.probInCircle(d, radius), true
+}
+
+// clampedSigma is σ, or 1e100·Bound if σ is larger: the density is flat
+// over the disk to within 1e-200 either way, and (Bound/σ)² must not
+// underflow.
+func (g ConstrainedGaussian) clampedSigma() float64 { return min(g.Sigma, 1e100*g.Bound) }
+
+// probInCircle is ProbInCircle for a query centre at distance d from the
+// object's centre.
+func (g ConstrainedGaussian) probInCircle(d, radius float64) float64 {
+	// Fast paths: disjoint or fully containing query regions.
 	if d >= radius+g.Bound {
 		return 0
 	}
 	if d+g.Bound <= radius {
 		return 1
 	}
-	// Lengths are in units of σ from here on. A σ above 1e100·Bound is
-	// taken as 1e100·Bound: the density is flat over the disk to within
-	// 1e-200 either way, and (Bound/σ)² must not underflow.
-	sigma := min(g.Sigma, 1e100*g.Bound)
+	// Lengths are in units of σ from here on.
+	sigma := g.clampedSigma()
 	a := math.Abs(radius-d) / sigma
 	bound := g.Bound / sigma
 	p := 0.0

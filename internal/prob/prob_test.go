@@ -277,15 +277,12 @@ func TestConfidenceBounds(t *testing.T) {
 	}
 }
 
-// How far ProbInCircle may sit from the reference: sweepTol for the
-// dataset's distribution (σ = 20, Bound = 100), randomTol for any σ in
-// [1, 50], Bound in [1, 150] and radius up to 300 m, where a Gaussian
-// much narrower than the band of circles the query edge crosses costs
-// the 24-node rule a few 1e-9.
-const (
-	sweepTol  = 1e-9
-	randomTol = 1e-8
-)
+// sweepTol is how far ProbInCircle may sit from the reference for the
+// dataset's distribution (σ = 20, Bound = 100). For any σ in [1, 50],
+// Bound in [1, 150] and radius up to 300 m it is CircleTolerance, where
+// a Gaussian much narrower than the band of circles the query edge
+// crosses costs the 24-node rule a few 1e-9.
+const sweepTol = 1e-9
 
 // TestProbInCircleMatchesRadialIntegral sweeps the dataset's
 // distribution: 200 distances × 32 angles per radius, radii 1 to 300 m.
@@ -320,45 +317,62 @@ func TestProbInCircleMatchesRadialIntegral(t *testing.T) {
 	}
 }
 
-// TestProbInCircleRandomSweep draws σ, Bound, the radius and the
-// query's offset at random, narrow Gaussians over wide discs included.
-func TestProbInCircleRandomSweep(t *testing.T) {
-	n := 3000
-	if testing.Short() {
-		n = 300
+// randomCircleCase draws σ, Bound, the radius and the query's offset at
+// random, narrow Gaussians over wide discs included.
+func randomCircleCase(rng *rand.Rand) (ConstrainedGaussian, Point, float64) {
+	g := ConstrainedGaussian{
+		Center: Point{X: 2000 * (rng.Float64() - 0.5), Y: 2000 * (rng.Float64() - 0.5)},
+		Sigma:  1 + 49*rng.Float64(),
+		Bound:  1 + 149*rng.Float64(),
 	}
+	r := 300 * (1 - rng.Float64()) // (0, 300]
+	d := 1.05 * (r + g.Bound) * rng.Float64()
+	a := 2 * math.Pi * rng.Float64()
+	return g, Point{X: g.Center.X + d*math.Cos(a), Y: g.Center.Y + d*math.Sin(a)}, r
+}
+
+// randomCircleCases is how many cases the random sweeps draw.
+func randomCircleCases() int {
+	if testing.Short() {
+		return 300
+	}
+	return 3000
+}
+
+// TestProbInCircleRandomSweep holds the kernel to the reference on
+// randomCircleCase's draws.
+func TestProbInCircleRandomSweep(t *testing.T) {
+	n := randomCircleCases()
 	rng := rand.New(rand.NewSource(32))
 	worst := 0.0
 	for i := 0; i < n; i++ {
-		g := ConstrainedGaussian{
-			Center: Point{X: 2000 * (rng.Float64() - 0.5), Y: 2000 * (rng.Float64() - 0.5)},
-			Sigma:  1 + 49*rng.Float64(),
-			Bound:  1 + 149*rng.Float64(),
-		}
-		r := 300 * (1 - rng.Float64()) // (0, 300]
-		d := 1.05 * (r + g.Bound) * rng.Float64()
-		a := 2 * math.Pi * rng.Float64()
-		q := Point{X: g.Center.X + d*math.Cos(a), Y: g.Center.Y + d*math.Sin(a)}
+		g, q, r := randomCircleCase(rng)
 		got, want := g.ProbInCircle(q, r), radialProbInCircle(g, q, r)
 		e := math.Abs(got - want)
-		if e > randomTol {
+		if e > CircleTolerance {
 			t.Fatalf("g=%+v q=%+v r=%v: ProbInCircle %v, reference %v (error %g)", g, q, r, got, want, e)
 		}
 		worst = math.Max(worst, e)
 	}
-	t.Logf("worst error over %d random cases: %.2g (bound %g)", n, worst, randomTol)
+	t.Logf("worst error over %d random cases: %.2g (bound %g)", n, worst, CircleTolerance)
 }
 
-func TestProbInCircleEdges(t *testing.T) {
+// circleEdgeCase is one named geometry of TestProbInCircleEdges.
+type circleEdgeCase struct {
+	name string
+	g    ConstrainedGaussian
+	q    Point
+	r    float64
+}
+
+// circleEdgeCases are the geometries where the kernel's substitutions
+// meet their limits: tangencies, centres on the query's edge, radii
+// far from σ and Gaussians far narrower than the band of circles.
+func circleEdgeCases() []circleEdgeCase {
 	g := ConstrainedGaussian{Center: Point{X: 120, Y: -40}, Sigma: 20, Bound: 100}
 	at := func(d float64) Point { return Point{X: g.Center.X + d*0.6, Y: g.Center.Y + d*0.8} }
 	eps := 1e-9
-	cases := []struct {
-		name string
-		g    ConstrainedGaussian
-		q    Point
-		r    float64
-	}{
+	return []circleEdgeCase{
 		{"query centre on object centre", g, g.Center, 60},
 		{"tangent outside, just touching", g, at(150 - eps), 50},
 		{"tangent inside, just short of contained", g, at(50 + eps), 150},
@@ -371,10 +385,17 @@ func TestProbInCircleEdges(t *testing.T) {
 		{"circle through the centre, far larger than the bound", g, at(5000), 5000},
 		{"narrow Gaussian under a wide band, centre on the edge", ConstrainedGaussian{Center: g.Center, Sigma: 1.8, Bound: 130}, at(100), 100},
 		{"narrow Gaussian under a wide band, centre off the edge", ConstrainedGaussian{Center: g.Center, Sigma: 1.8, Bound: 130}, at(100), 97},
+		{"narrow Gaussian under a wide band, centre just outside", ConstrainedGaussian{Center: g.Center, Sigma: 1.8, Bound: 130}, at(100), 99.9},
+		{"wide circle, centre just outside", g, at(5000.5), 5000},
 	}
-	for _, c := range cases {
+}
+
+func TestProbInCircleEdges(t *testing.T) {
+	g := ConstrainedGaussian{Center: Point{X: 120, Y: -40}, Sigma: 20, Bound: 100}
+	at := func(d float64) Point { return Point{X: g.Center.X + d*0.6, Y: g.Center.Y + d*0.8} }
+	for _, c := range circleEdgeCases() {
 		got, want := c.g.ProbInCircle(c.q, c.r), radialProbInCircle(c.g, c.q, c.r)
-		if math.Abs(got-want) > randomTol {
+		if math.Abs(got-want) > CircleTolerance {
 			t.Errorf("%s: got %v, reference %v", c.name, got, want)
 		}
 		if got < 0 || got > 1 {
@@ -395,6 +416,73 @@ func TestProbInCircleEdges(t *testing.T) {
 	for _, d := range []float64{0, 49, 50} {
 		if p := g.ProbInCircle(at(d), 150); p != 1 {
 			t.Errorf("contained at distance %v: %v, want exactly 1", d, p)
+		}
+	}
+}
+
+// checkAtLeast fails unless ProbInCircleAtLeast keeps ProbInCircle's
+// answer p for the floor p itself (the half-plane bound lies at most
+// CircleTolerance below p), returns it bit for bit, and refuses nothing
+// while the centre lies inside the disk, whatever the floor. It reports
+// whether an infinite floor was refused.
+func checkAtLeast(t *testing.T, g ConstrainedGaussian, q Point, r float64) (refused bool) {
+	t.Helper()
+	p := g.ProbInCircle(q, r)
+	if got, ok := g.ProbInCircleAtLeast(q, r, p); !ok || got != p {
+		t.Fatalf("g=%+v q=%+v r=%v: ProbInCircleAtLeast(floor %v) = %v, %v; ProbInCircle %v", g, q, r, p, got, ok, p)
+	}
+	_, ok := g.ProbInCircleAtLeast(q, r, math.Inf(1))
+	if !ok && g.Center.Dist(q) <= r {
+		t.Fatalf("g=%+v q=%+v r=%v: centre inside the disk, but an infinite floor was refused", g, q, r)
+	}
+	return !ok
+}
+
+// TestProbInCircleAtLeastKeepsTheMargin holds the half-plane bound above
+// the kernel, to within CircleTolerance, wherever the kernel is held to
+// its reference: the random sweep and the edge cases.
+func TestProbInCircleAtLeastKeepsTheMargin(t *testing.T) {
+	refused, n := 0, randomCircleCases()
+	rng := rand.New(rand.NewSource(32))
+	for i := 0; i < n; i++ {
+		g, q, r := randomCircleCase(rng)
+		if checkAtLeast(t, g, q, r) {
+			refused++
+		}
+	}
+	for _, c := range circleEdgeCases() {
+		if checkAtLeast(t, c.g, c.q, c.r) {
+			refused++
+		}
+	}
+	if refused == 0 {
+		t.Fatal("no case had its centre outside the disk; the bound went untested")
+	}
+}
+
+// TestProbInCircleAtLeastRefusesBelowTheBound pins the bound to the
+// half-plane tail ½·erfc((d − R)/σ√2), σ clamped as the kernel clamps
+// it, and the margin to CircleTolerance: a floor just above bound +
+// CircleTolerance is refused, one just below is integrated.
+func TestProbInCircleAtLeastRefusesBelowTheBound(t *testing.T) {
+	for _, c := range []struct {
+		name  string
+		g     ConstrainedGaussian
+		d, r  float64
+		sigma float64 // σ after the clamp
+	}{
+		{"dataset, two sigmas out", ConstrainedGaussian{Sigma: 20, Bound: 100}, 190, 150, 20},
+		{"bound below sigma", ConstrainedGaussian{Sigma: 50, Bound: 20}, 40, 30, 50},
+		{"narrow Gaussian", ConstrainedGaussian{Sigma: 1.8, Bound: 130}, 100, 99, 1.8},
+		{"flat density, far off", ConstrainedGaussian{Sigma: 1e300, Bound: 1}, 1e100, 1, 1e100},
+	} {
+		q := Point{X: c.d * 0.6, Y: c.d * 0.8}
+		bound := math.Erfc((c.d-c.r)/(c.sigma*math.Sqrt2)) / 2
+		if _, ok := c.g.ProbInCircleAtLeast(q, c.r, bound+CircleTolerance*(1-1e-6)); !ok {
+			t.Errorf("%s: refused a floor within CircleTolerance of the bound %v", c.name, bound)
+		}
+		if _, ok := c.g.ProbInCircleAtLeast(q, c.r, bound+CircleTolerance*(1+1e-6)); ok {
+			t.Errorf("%s: integrated a floor more than CircleTolerance above the bound %v", c.name, bound)
 		}
 	}
 }
@@ -550,8 +638,8 @@ func radialProbInCircle(g ConstrainedGaussian, q Point, radius float64) float64 
 }
 
 // FuzzProbInCircle: for any valid distribution and any finite radius
-// the answer is a probability, and the disjoint and containing cases
-// are exact.
+// the answer is a probability, the disjoint and containing cases are
+// exact, and the half-plane bound keeps its margin (checkAtLeast).
 func FuzzProbInCircle(f *testing.F) {
 	f.Add(0.0, 0.0, 20.0, 100.0, 100.0, 0.0, 100.0)      // centre on the edge
 	f.Add(120.0, -40.0, 20.0, 100.0, 180.0, 40.0, 100.0) // diagonal twin
@@ -584,6 +672,7 @@ func FuzzProbInCircle(f *testing.F) {
 				t.Fatalf("g=%+v q=%+v r=%v: contained, but %v", g, q, r, p)
 			}
 		}
+		checkAtLeast(t, g, q, r)
 	})
 }
 
@@ -600,6 +689,29 @@ func BenchmarkAcos(b *testing.B) {
 				s += bc.f(float64(i%2001)/1000 - 1)
 			}
 			sinkFloat = s
+		})
+	}
+}
+
+// BenchmarkHalfPlaneBound times ProbInCircleAtLeast on the dataset's
+// distribution with the query disk's edge 15 m short of the centre: at
+// floor 0.5 the bound (0.23) refuses it, at floor 0.2 the kernel runs.
+func BenchmarkHalfPlaneBound(b *testing.B) {
+	g := ConstrainedGaussian{Center: Point{X: 10, Y: 20}, Sigma: 20, Bound: 100}
+	q := Point{X: g.Center.X + 115*0.6, Y: g.Center.Y + 115*0.8}
+	for _, bc := range []struct {
+		name  string
+		floor float64
+		ok    bool
+	}{{"refused", 0.5, false}, {"integrated", 0.2, true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			if _, ok := g.ProbInCircleAtLeast(q, 100, bc.floor); ok != bc.ok {
+				b.Fatalf("floor %v: ok = %v, want %v", bc.floor, ok, bc.ok)
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				sinkFloat, _ = g.ProbInCircleAtLeast(q, 100, bc.floor)
+			}
 		})
 	}
 }

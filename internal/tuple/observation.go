@@ -95,14 +95,6 @@ func DecodeObservation(b []byte) (*Observation, error) {
 	return v.Build(), nil
 }
 
-// ObservationLoc returns what DecodeObservation(b) would report as the
-// observation's ID and Loc — and the same error for an encoding it
-// rejects — without building the observation or allocating.
-func ObservationLoc(b []byte) (uint64, prob.ConstrainedGaussian, error) {
-	v, err := ValidateObservation(b)
-	return v.ID(), v.Loc(), err
-}
-
 // obsSegOff is where the segment alternatives start: after the ID, the
 // six float64 fields and the alternative count.
 const obsSegOff = 8 + 6*8 + 2

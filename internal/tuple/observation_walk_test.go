@@ -2,9 +2,10 @@ package tuple_test
 
 // The observation codec has one framing validator (walkObservation)
 // behind two entry points: DecodeObservation builds the observation,
-// ObservationLoc answers the one question a circle query asks of a row
-// without building it. These tests hold the two to the same answers
-// and the same refusals, and to their allocation budgets.
+// ValidateObservation's view answers the one question a circle query
+// asks of a row, its ID and Loc, without building it. These tests hold
+// the two to the same answers and the same refusals, and to their
+// allocation budgets.
 
 import (
 	"bytes"
@@ -60,19 +61,21 @@ func sameLoc(a, b prob.ConstrainedGaussian) bool {
 		sameFloat(a.Sigma, b.Sigma) && sameFloat(a.Bound, b.Bound)
 }
 
-// checkObservationAgreement fails unless ObservationLoc(enc) is what
-// DecodeObservation(enc) gives: same error text, or same ID and Loc.
+// checkObservationAgreement fails unless the ID and Loc of
+// ValidateObservation(enc)'s view are what DecodeObservation(enc)
+// gives: same error text, or same ID and Loc.
 func checkObservationAgreement(t *testing.T, enc []byte) {
 	t.Helper()
 	o, decErr := tuple.DecodeObservation(enc)
-	id, loc, err := tuple.ObservationLoc(enc)
+	v, err := tuple.ValidateObservation(enc)
+	id, loc := v.ID(), v.Loc()
 	switch {
 	case (decErr == nil) != (err == nil), err != nil && err.Error() != decErr.Error():
-		t.Fatalf("DecodeObservation error %v, ObservationLoc error %v\nenc %x", decErr, err, enc)
+		t.Fatalf("DecodeObservation error %v, ValidateObservation error %v\nenc %x", decErr, err, enc)
 	case err != nil && (id != 0 || loc != prob.ConstrainedGaussian{}):
-		t.Fatalf("ObservationLoc returned %d, %+v beside error %v", id, loc, err)
+		t.Fatalf("ValidateObservation's view has %d, %+v beside error %v", id, loc, err)
 	case err == nil && (id != o.ID || !sameLoc(loc, o.Loc)):
-		t.Fatalf("ObservationLoc %d, %+v; decoded %d, %+v\nenc %x", id, loc, o.ID, o.Loc, enc)
+		t.Fatalf("ValidateObservation's view has %d, %+v; decoded %d, %+v\nenc %x", id, loc, o.ID, o.Loc, enc)
 	}
 }
 
@@ -99,7 +102,7 @@ func TestObservationLocMatchesDecode(t *testing.T) {
 // every way a length field can lie — each prefix, 0xFFFF written over
 // each byte pair (so every length field in turn points past the end;
 // the other positions only change content), and trailing bytes — and
-// requires DecodeObservation and ObservationLoc to agree on every one,
+// requires DecodeObservation and ValidateObservation to agree on every one,
 // error text included.
 func TestObservationDecodersRejectTheSameInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(20))
@@ -112,7 +115,7 @@ func TestObservationDecodersRejectTheSameInputs(t *testing.T) {
 		enc := tuple.EncodeObservation(o)
 		for n := 0; n < len(enc); n++ {
 			checkObservationAgreement(t, enc[:n:n])
-			if _, _, err := tuple.ObservationLoc(enc[:n:n]); err == nil {
+			if _, err := tuple.ValidateObservation(enc[:n:n]); err == nil {
 				t.Fatalf("truncation to %d of %d bytes accepted", n, len(enc))
 			}
 		}
@@ -120,14 +123,14 @@ func TestObservationDecodersRejectTheSameInputs(t *testing.T) {
 			bad := bytes.Clone(enc)
 			bad[off], bad[off+1] = 0xFF, 0xFF
 			checkObservationAgreement(t, bad)
-			if _, _, err := tuple.ObservationLoc(bad); err != nil {
+			if _, err := tuple.ValidateObservation(bad); err != nil {
 				rejected++
 			}
 		}
 		for _, tail := range [][]byte{{0}, {0xFF, 0xFF, 0xFF, 0xFF, 0xFF}} {
 			bad := append(bytes.Clone(enc), tail...)
 			checkObservationAgreement(t, bad)
-			if _, _, err := tuple.ObservationLoc(bad); err == nil {
+			if _, err := tuple.ValidateObservation(bad); err == nil {
 				t.Fatalf("%d trailing bytes accepted", len(tail))
 			}
 		}
@@ -151,12 +154,12 @@ func TestObservationDecodeAllocations(t *testing.T) {
 			t.Fatalf("DecodeObservation with %d segment alternatives: %.0f allocations, want <= 4", len(o.Segment), allocs)
 		}
 		allocs = testing.AllocsPerRun(100, func() {
-			if id, _, err := tuple.ObservationLoc(enc); err != nil || id != o.ID {
-				t.Fatal(id, err)
+			if v, err := tuple.ValidateObservation(enc); err != nil || v.ID() != o.ID {
+				t.Fatal(v.ID(), err)
 			}
 		})
 		if allocs != 0 {
-			t.Fatalf("ObservationLoc: %.0f allocations, want 0", allocs)
+			t.Fatalf("ValidateObservation: %.0f allocations, want 0", allocs)
 		}
 	}
 }

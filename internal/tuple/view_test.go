@@ -89,9 +89,8 @@ func TestObservationViewBuildsWhatDecodeDoes(t *testing.T) {
 		if err != nil {
 			t.Fatalf("ValidateObservation refused an encoding: %v", err)
 		}
-		id, loc, err := tuple.ObservationLoc(enc)
-		if err != nil || view.ID() != id || !sameLoc(view.Loc(), loc) || id != o.ID {
-			t.Fatalf("view %d %+v, ObservationLoc %d %+v (%v)", view.ID(), view.Loc(), id, loc, err)
+		if view.ID() != o.ID || !sameLoc(view.Loc(), o.Loc) {
+			t.Fatalf("view %d %+v, observation %d %+v", view.ID(), view.Loc(), o.ID, o.Loc)
 		}
 		dec, err := tuple.DecodeObservation(enc)
 		if err != nil {
