@@ -254,6 +254,44 @@ func BenchmarkResultsRows(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkResultsRowsParallel drains BenchmarkResultsRows' query from
+// GOMAXPROCS goroutines at once, each running it on the same table, so
+// that what the streams share — the buffer pool, the DB's counters —
+// shows up as lost speedup. Run it at -cpu 1,2: ns/row is the aggregate
+// (wall-clock over every row drained), and two cores that share nothing
+// per row drain at about half the ns/row of one.
+func BenchmarkResultsRowsParallel(b *testing.B) {
+	tab, q, rows := benchResultsTable(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		var sink uint64
+		for pb.Next() {
+			res, err := tab.Run(context.Background(), q)
+			if err != nil {
+				b.Error(err)
+				return
+			}
+			n := 0
+			for row, err := range res.Rows() {
+				if err != nil {
+					b.Error(err)
+					return
+				}
+				sink += row.ID
+				n++
+			}
+			if n != rows {
+				b.Errorf("drained %d rows, want %d", n, rows)
+				return
+			}
+		}
+		_ = sink
+	})
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+}
+
 // BenchmarkResultsAll drains the same query through Results.All: the
 // same stream with every tuple built.
 func BenchmarkResultsAll(b *testing.B) {

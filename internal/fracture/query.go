@@ -74,6 +74,10 @@ type snapshot struct {
 	bufResults []upi.Result
 	fs         *storage.FS
 	met        *obs.EngineMetrics
+	// yields counts the rows the stream handed out from this store; the
+	// stream adds it to met.StreamYields once, when it finishes, so no
+	// row touches a counter every stream of the DB shares.
+	yields int64
 
 	// mu guards pinned. Pins are normally released by the single
 	// consumer (the merged stream, partition by partition), but an

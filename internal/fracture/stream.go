@@ -194,8 +194,9 @@ func (st *Stream) finalizePart(p *streamPart) {
 }
 
 // finish terminates the stream: every remaining partition is
-// finalized (charging only the I/O its cursor actually consumed) and
-// the terminal error, if any, is made sticky. The sources are dropped,
+// finalized (charging only the I/O its cursor actually consumed), each
+// store's yields are added to its stream-yields counter, and the
+// terminal error, if any, is made sticky. The sources are dropped,
 // so no page a head or cursor aliased stays reachable through the
 // stream.
 func (st *Stream) finish(err error) {
@@ -206,6 +207,12 @@ func (st *Stream) finish(err error) {
 	st.err = err
 	for i := range st.parts {
 		st.finalizePart(&st.parts[i])
+	}
+	for _, snap := range st.snaps {
+		if snap.yields > 0 {
+			snap.met.StreamYields.Add(snap.yields)
+			snap.yields = 0
+		}
 	}
 	st.releasePins()
 	st.parts = nil
@@ -278,7 +285,7 @@ func (st *Stream) Next() (r upi.Result, ok bool, err error) {
 		st.stats.BufferHits++
 	}
 	st.yielded++
-	best.snap.met.StreamYields.Inc()
+	best.snap.yields++
 	if st.trace != nil {
 		st.trace(TraceEvent{
 			Kind:   TraceYield,

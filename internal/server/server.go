@@ -33,7 +33,12 @@
 // Query responses stream as NDJSON riding Results.Rows: one
 // {"id","confidence"} object per result as the globally merged stream
 // yields it — no tuple is built to serve a query — then one trailer
-// object carrying counts and aggregated statistics.
+// object carrying counts and aggregated statistics. Lines are appended
+// by hand into a pooled buffer; the first rowsPerFlush of them are
+// written and flushed at once, so the first rows reach the client
+// without delay, and the rest go out in writes of about flushBytes,
+// the last one carrying the trailer. A request log's fields are built
+// only when Config.Logf is set.
 // Mid-stream failures surface as an {"error"} line — the status code is
 // already on the wire.
 package server
@@ -172,7 +177,7 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 		defer s.inflight.Done()
 		if s.draining.Load() {
 			errorBody(w, http.StatusServiceUnavailable, "server is draining")
-			s.record(endpoint, http.StatusServiceUnavailable, 0, r, map[string]any{"refused": "draining"})
+			s.record(endpoint, http.StatusServiceUnavailable, 0, r, s.logFields(func() map[string]any { return map[string]any{"refused": "draining"} }))
 			return
 		}
 		select {
@@ -183,7 +188,7 @@ func (s *Server) limited(endpoint string, h func(http.ResponseWriter, *http.Requ
 			w.Header().Set("Retry-After", "1")
 			errorBody(w, http.StatusTooManyRequests, "server at max in-flight requests")
 			s.met.overload.Inc()
-			s.record(endpoint, http.StatusTooManyRequests, 0, r, map[string]any{"refused": "overload"})
+			s.record(endpoint, http.StatusTooManyRequests, 0, r, s.logFields(func() map[string]any { return map[string]any{"refused": "overload"} }))
 			return
 		}
 		defer func() { s.tokens <- struct{}{} }()
@@ -225,6 +230,15 @@ func (s *Server) record(endpoint string, status int, elapsed time.Duration, r *h
 		return
 	}
 	s.cfg.Logf("%s", line)
+}
+
+// logFields returns build's request-log fields when request logging is
+// on and nil otherwise, so a server that does not log builds no map.
+func (s *Server) logFields(build func() map[string]any) map[string]any {
+	if s.cfg.Logf == nil {
+		return nil
+	}
+	return build()
 }
 
 // handleMetrics serves the Prometheus text exposition of every metric
@@ -308,9 +322,24 @@ func appendResultLine(dst []byte, id uint64, conf float64) []byte {
 	return append(dst, '}', '\n')
 }
 
-// rowsPerFlush is how many result lines the query handler buffers
-// before writing and flushing them to the client.
+// rowsPerFlush is how many result lines the query handler writes and
+// flushes as soon as it has them, so that a client sees the first rows
+// of a large answer without waiting for flushBytes of them.
 const rowsPerFlush = 64
+
+// flushBytes is the size of the query handler's later writes: past the
+// first rowsPerFlush lines it writes only once its line buffer holds
+// this much, and sends the rest with the trailer, so a large answer
+// costs the server and the client a socket write and a wakeup per
+// flushBytes instead of one per rowsPerFlush rows.
+const flushBytes = 32 << 10
+
+// lineBufs holds the query handler's line buffers. A buffer grows to
+// a little over flushBytes once and is then reused by later requests.
+var lineBufs = sync.Pool{New: func() any {
+	b := make([]byte, 0, flushBytes+1024)
+	return &b
+}}
 
 // trailerLine closes a successful query stream.
 type trailerLine struct {
@@ -322,6 +351,38 @@ type trailerLine struct {
 	Scans      int64 `json:"scans"`
 	Yields     int64 `json:"yields"`
 	ModeledMS  int64 `json:"modeled_ms"`
+}
+
+// appendTrailerLine appends the bytes json.Encoder.Encode(tl) writes,
+// newline included, without reflecting or allocating.
+func appendTrailerLine(dst []byte, tl trailerLine) []byte {
+	dst = append(dst, `{"done":`...)
+	dst = strconv.AppendBool(dst, tl.Done)
+	dst = append(dst, `,"count":`...)
+	dst = strconv.AppendInt(dst, int64(tl.Count), 10)
+	dst = append(dst, `,"partitions":`...)
+	dst = strconv.AppendInt(dst, int64(tl.Partitions), 10)
+	dst = append(dst, `,"shards":`...)
+	dst = strconv.AppendInt(dst, int64(tl.Shards), 10)
+	dst = append(dst, `,"dispatches":`...)
+	dst = strconv.AppendInt(dst, tl.Dispatches, 10)
+	dst = append(dst, `,"scans":`...)
+	dst = strconv.AppendInt(dst, tl.Scans, 10)
+	dst = append(dst, `,"yields":`...)
+	dst = strconv.AppendInt(dst, tl.Yields, 10)
+	dst = append(dst, `,"modeled_ms":`...)
+	dst = strconv.AppendInt(dst, tl.ModeledMS, 10)
+	return append(dst, '}', '\n')
+}
+
+// appendErrorLine appends the bytes
+// json.Encoder.Encode(map[string]string{"error": msg}) writes, newline
+// included.
+func appendErrorLine(dst []byte, msg string) []byte {
+	quoted, _ := json.Marshal(msg) // a string always marshals
+	dst = append(dst, `{"error":`...)
+	dst = append(dst, quoted...)
+	return append(dst, '}', '\n')
 }
 
 // queryStatus maps an engine error onto an HTTP status.
@@ -390,7 +451,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	// partition the stream read is one scan, and each streamed row one
 	// yield.
 	shards, count := t.NumShards(), 0
-	fields := func(dispatches, scans int) map[string]any {
+	fields := func(dispatches, scans int, key string, v any) map[string]any {
 		return map[string]any{
 			"table":      t.Name(),
 			"kind":       kind,
@@ -398,6 +459,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 			"dispatches": dispatches,
 			"scans":      scans,
 			"yields":     count,
+			key:          v,
 		}
 	}
 
@@ -405,45 +467,45 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 	if err != nil {
 		status := queryStatus(err)
 		errorBody(w, status, "%v", err)
-		f := fields(0, 0)
-		f["error"] = err.Error()
-		return status, f
+		return status, s.logFields(func() map[string]any { return fields(0, 0, "error", err.Error()) })
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.WriteHeader(http.StatusOK)
 	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
 	// Result lines need the ID and the confidence only, so the handler
 	// ranges over Rows — no tuple is built on this path — and appends
-	// them to one buffer written out every rowsPerFlush rows.
-	lines := make([]byte, 0, 4096)
-	writeLines := func() {
-		_, _ = w.Write(lines)
-		lines = lines[:0]
-	}
+	// them to one pooled buffer: the first rowsPerFlush lines are written
+	// and flushed at once, later ones in writes of flushBytes, and the
+	// rest go out with the closing line.
+	buf := lineBufs.Get().(*[]byte)
+	lines := (*buf)[:0]
+	defer func() {
+		*buf = lines[:0]
+		lineBufs.Put(buf)
+	}()
 	for row, err := range res.Rows() {
 		if err != nil {
 			// The 200 is already on the wire; the error line is the
 			// in-band failure contract NDJSON consumers check for.
-			writeLines()
-			_ = enc.Encode(map[string]string{"error": err.Error()})
-			f := fields(shards, res.Info().Partitions)
-			f["stream_error"] = err.Error()
-			return http.StatusOK, f
+			lines = appendErrorLine(lines, err.Error())
+			_, _ = w.Write(lines)
+			return http.StatusOK, s.logFields(func() map[string]any {
+				return fields(shards, res.Info().Partitions, "stream_error", err.Error())
+			})
 		}
 		lines = appendResultLine(lines, row.ID, row.Confidence)
 		count++
-		if count%rowsPerFlush == 0 {
-			writeLines()
-			if flusher != nil {
+		if count == rowsPerFlush || len(lines) >= flushBytes {
+			_, _ = w.Write(lines)
+			lines = lines[:0]
+			if count == rowsPerFlush && flusher != nil {
 				flusher.Flush()
 			}
 		}
 	}
-	writeLines()
 	info := res.Info()
-	_ = enc.Encode(trailerLine{
+	lines = appendTrailerLine(lines, trailerLine{
 		Done:       true,
 		Count:      count,
 		Partitions: info.Partitions,
@@ -453,12 +515,11 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) (int, map[s
 		Yields:     int64(count),
 		ModeledMS:  info.ModeledTime.Milliseconds(),
 	})
+	_, _ = w.Write(lines)
 	if flusher != nil {
 		flusher.Flush()
 	}
-	f := fields(shards, info.Partitions)
-	f["count"] = count
-	return http.StatusOK, f
+	return http.StatusOK, s.logFields(func() map[string]any { return fields(shards, info.Partitions, "count", count) })
 }
 
 // wireTuple is the JSON form of one uncertain tuple.
@@ -528,11 +589,11 @@ func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) (int, map[
 	if err := t.Insert(tup); err != nil {
 		status := queryStatus(err)
 		errorBody(w, status, "%v", err)
-		return status, map[string]any{"table": t.Name(), "id": tup.ID, "error": err.Error()}
+		return status, s.logFields(func() map[string]any { return map[string]any{"table": t.Name(), "id": tup.ID, "error": err.Error()} })
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{"ok": true, "id": tup.ID})
-	return http.StatusOK, map[string]any{"table": t.Name(), "id": tup.ID}
+	return http.StatusOK, s.logFields(func() map[string]any { return map[string]any{"table": t.Name(), "id": tup.ID} })
 }
 
 // handleDelete removes one tuple by ID.
@@ -555,11 +616,11 @@ func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) (int, map[
 	if err := t.Delete(body.ID); err != nil {
 		status := queryStatus(err)
 		errorBody(w, status, "%v", err)
-		return status, map[string]any{"table": t.Name(), "id": body.ID, "error": err.Error()}
+		return status, s.logFields(func() map[string]any { return map[string]any{"table": t.Name(), "id": body.ID, "error": err.Error()} })
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(map[string]any{"ok": true, "id": body.ID})
-	return http.StatusOK, map[string]any{"table": t.Name(), "id": body.ID}
+	return http.StatusOK, s.logFields(func() map[string]any { return map[string]any{"table": t.Name(), "id": body.ID} })
 }
 
 // shardStatsLine is one shard's slice in the stats response — the
@@ -605,5 +666,5 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) (int, map[s
 		SizeBytes:   t.SizeBytes(),
 		PerShard:    perShard,
 	})
-	return http.StatusOK, map[string]any{"table": t.Name(), "shards": t.NumShards()}
+	return http.StatusOK, s.logFields(func() map[string]any { return map[string]any{"table": t.Name(), "shards": t.NumShards()} })
 }

@@ -5,7 +5,6 @@ import (
 	"context"
 
 	"upidb/internal/btree"
-	"upidb/internal/keyenc"
 	"upidb/internal/tuple"
 )
 
@@ -49,7 +48,7 @@ type Cursor struct {
 	qt      float64
 	k       int           // the most rows to yield; 0 is unbounded
 	scan    *btree.Cursor // nil until the first pull
-	end     []byte
+	prefix  []byte        // ValuePrefix(value): every key of the scan starts with it
 	yielded int
 	// pending holds heap entries below the cutoff: they must wait for
 	// the cutoff merge before they may be yielded in order.
@@ -160,14 +159,17 @@ func (c *Cursor) heapStep() (Result, bool, error) {
 		if err := CtxErr(c.ctx); err != nil {
 			return Result{}, false, err
 		}
-		start := ValuePrefix(c.value)
-		c.scan = c.t.heap.View(c.t.rec, 1).NewCursor().Seek(start)
-		c.end = keyenc.PrefixEnd(start)
+		c.prefix = ValuePrefix(c.value)
+		c.scan = c.t.heap.View(c.t.rec, 1).NewCursor().Seek(c.prefix)
 	} else {
 		c.scan.Next()
 	}
 	cutoff := c.t.opts.Cutoff
-	for ; c.scan.Valid() && bytes.Compare(c.scan.Key(), c.end) < 0; c.scan.Next() {
+	// The prefix ends in the value's terminator, so the keys that start
+	// with it are exactly [prefix, keyenc.PrefixEnd(prefix)), and the
+	// confidence and ID follow at the prefix's length: the value need
+	// not be compared or scanned again row by row.
+	for ; c.scan.Valid() && bytes.HasPrefix(c.scan.Key(), c.prefix); c.scan.Next() {
 		if c.k > 0 && c.stats.HeapEntries >= c.k {
 			break
 		}
@@ -176,7 +178,7 @@ func (c *Cursor) heapStep() (Result, bool, error) {
 				return Result{}, false, err
 			}
 		}
-		conf, _, err := DecodeConfID(c.scan.Key())
+		conf, _, err := decodeConfID(c.scan.Key()[len(c.prefix):])
 		if err != nil {
 			return Result{}, false, err
 		}

@@ -8,10 +8,14 @@ package upidb
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
+
+	"upidb/internal/storage"
+	"upidb/internal/upi/upitest"
 )
 
 // buildMetricsTable loads a sharded table and leaves it with real
@@ -44,6 +48,87 @@ func buildMetricsTable(t *testing.T, db *DB, name string, shards int) *Table {
 
 func counterDelta(before, after MetricsSnapshot, series string) int64 {
 	return after.Counters[series] - before.Counters[series]
+}
+
+// TestStreamYieldsCounterIsExact: a stream adds the rows it handed out
+// to upidb_stream_yields_total once, when it ends, and the counter moves
+// by exactly that many whichever way it ends — drained, broken off by
+// the caller after 10 rows, cut at a top-k's k, cancelled, or failed on
+// a corrupt tuple body — at 1 and 2 shards.
+func TestStreamYieldsCounterIsExact(t *testing.T) {
+	const series = "upidb_stream_yields_total"
+	for _, shards := range []int{1, 2} {
+		backend := storage.NewMemBackend()
+		db := mustCreate(t, WithBackend(backend))
+		tab := rowsTable(t, db, shards)
+		// drain runs q and hands its rows to take until take returns
+		// false or the stream ends; the counter must move by the rows
+		// handed out.
+		drain := func(name string, ctx context.Context, q Query, take func(n int) bool) (int, error) {
+			t.Helper()
+			before := db.Metrics()
+			res, err := tab.Run(ctx, q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n, failure := 0, error(nil)
+			for _, err := range res.Rows() {
+				if err != nil {
+					failure = err
+					break
+				}
+				if n++; !take(n) {
+					break
+				}
+			}
+			if got := counterDelta(before, db.Metrics(), series); got != int64(n) {
+				t.Fatalf("shards=%d %s: %s moved by %d, the stream handed out %d rows", shards, name, series, got, n)
+			}
+			return n, failure
+		}
+		ctx := context.Background()
+		all := func(int) bool { return true }
+		q := PTQ("", "v01", 0.05)
+
+		if n, err := drain("full drain", ctx, q, all); err != nil || n <= 10 {
+			t.Fatalf("shards=%d: full drain of %d rows, error %v; check vacuous", shards, n, err)
+		}
+		if n, _ := drain("break", ctx, q, func(n int) bool { return n < 10 }); n != 10 {
+			t.Fatalf("shards=%d: broke off after %d rows, want 10", shards, n)
+		}
+		before := db.Metrics()
+		if n, err := drain("top-k", ctx, TopKQuery("v01", 7), all); err != nil || n != 7 {
+			t.Fatalf("shards=%d: top-7 handed out %d rows, error %v", shards, n, err)
+		}
+		if got := counterDelta(before, db.Metrics(), "upidb_shard_topk_early_terminations_total"); got != 1 {
+			t.Fatalf("shards=%d: the top-7 was not cut short (%d early terminations)", shards, got)
+		}
+		cctx, cancel := context.WithCancel(ctx)
+		n, err := drain("cancelled", cctx, q, func(n int) bool {
+			if n == 5 {
+				cancel()
+			}
+			return true
+		})
+		cancel()
+		if n != 5 || !errors.Is(err, ErrCanceled) {
+			t.Fatalf("shards=%d: cancelled after 5 rows, handed out %d, error %v", shards, n, err)
+		}
+
+		if err := tab.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		c, err := upitest.CorruptHeapBody(backend, upitest.FractureHeapFile(backend.List()), 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := tab.DropCaches(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := drain("corrupt body", ctx, PTQ("", c.Value, 0), all); err == nil {
+			t.Fatalf("shards=%d: the stream over the damaged entry did not fail", shards)
+		}
+	}
 }
 
 // TestMetricsTraceParity: for a PTQ, a broad secondary PTQ and a top-k
